@@ -4,7 +4,7 @@ PYTHON ?= python
 # Same invocation the CI tier-1 gate uses (src/ layout, no install needed).
 PYPATH = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-verbose lint verify obs-demo journey-demo chaos-demo shard-demo prof-demo trajectory tournament bench bench-quick bench-scale figures quick-figures examples clean
+.PHONY: install test test-verbose lint verify obs-demo journey-demo chaos-demo shard-demo prof-demo trajectory tournament bench bench-quick bench-scale perf perf-smoke figures quick-figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || pip install -e .
@@ -74,12 +74,13 @@ bench:
 	$(PYPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # CI-sized benchmark slice: the classifier microbenchmark (vs the linear
-# reference) plus trimmed scalability sweeps, JSON results under
-# benchmarks/results/.
+# reference), the plausibility-index microbenchmark (vs the all-pairs scan)
+# plus trimmed scalability sweeps, JSON results under benchmarks/results/.
 bench-quick:
 	@mkdir -p benchmarks/results
 	BENCH_QUICK=1 $(PYPATH) $(PYTHON) -m pytest \
-		benchmarks/bench_lookup.py benchmarks/bench_scalability.py -q \
+		benchmarks/bench_lookup.py benchmarks/bench_restrictions.py \
+		benchmarks/bench_scalability.py -q \
 		--benchmark-json=benchmarks/results/bench_quick.json
 
 # Hybrid-mode scale run: 10k concurrent channels on fat_tree(16) with the
@@ -91,6 +92,17 @@ bench-scale:
 		--benchmark-only
 	$(PYPATH) $(PYTHON) -m repro.obs summarize \
 		benchmarks/results/hybrid_scale_snapshot.json
+
+# The repo's benchmark (BENCHMARK.json): four workloads, end-to-end metrics,
+# then the per-layer traced pass.  The harness finds src/ itself.
+perf:
+	$(PYTHON) benchmarks/perf/run.py
+
+# The same command at a tenth of the size (numbers not comparable) plus the
+# harness self-check: proves every workload still runs and scores clean.
+perf-smoke:
+	$(PYTHON) benchmarks/perf/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/perf/test_selfcheck.py -q
 
 # Self-profiling demo: a profiled chaos run, its prof-top table, and the
 # profiled snapshot re-summarized through the normal pipeline.

@@ -9,7 +9,8 @@ Also drives a full end-to-end MIC scenario on a k=8 fat tree (80 switches,
 128 hosts) — the topology scale the indexed classification pipeline exists
 for — and the control-plane scale-out sweep: channel-setup churn throughput
 vs controller shard count (``repro.controlplane``), committed to the perf
-trajectory as ``benchmarks/trajectory/BENCH_10.json``.
+trajectory as ``benchmarks/trajectory/BENCH_13.json`` (``BENCH_10.json`` is
+the same sweep before the vectorised plausibility index).
 
 Set ``BENCH_QUICK=1`` to trim the sweeps for CI (``make bench-quick``).
 """
@@ -102,7 +103,7 @@ def test_shard_scaleout(benchmark, save_table):
     Runs the serialized-CPU churn scenario once per shard count and gates
     on the *simulated* throughput ratio (machine-independent); wall time,
     RSS and the 4-shard profile land in the committed trajectory entry
-    ``BENCH_10[.quick].json``.
+    ``BENCH_13[.quick].json``.
     """
     t0 = time.perf_counter()
     results = benchmark.pedantic(
@@ -156,7 +157,7 @@ def test_shard_scaleout(benchmark, save_table):
 
     doc = {
         "bench": "shard_scaleout",
-        "trajectory_entry": 10,
+        "trajectory_entry": 13,
         "quick": QUICK,
         "params": {
             "k": SHARD_K, "clients": SHARD_CLIENTS, "rounds": SHARD_ROUNDS,
@@ -183,7 +184,7 @@ def test_shard_scaleout(benchmark, save_table):
         "profile": profile,
     }
     TRAJECTORY_DIR.mkdir(exist_ok=True)
-    entry_name = "BENCH_10.quick.json" if QUICK else "BENCH_10.json"
+    entry_name = "BENCH_13.quick.json" if QUICK else "BENCH_13.json"
     (TRAJECTORY_DIR / entry_name).write_text(json.dumps(doc, indent=2) + "\n")
     print(
         f"\nshard scale-out: fat_tree({SHARD_K}) {SHARD_CLIENTS} clients x "

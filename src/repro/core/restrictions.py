@@ -16,50 +16,93 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..sdn.discovery import TopologyView
 
 __all__ = ["AddressRestrictions"]
 
 
 class AddressRestrictions:
-    """Plausible (src_host, dst_host) sets per directed link / segment."""
+    """Plausible (src_host, dst_host) sets per directed link / segment.
+
+    A link's set is kept as the view's sorted flat pair-index array
+    (:meth:`TopologyView.plausible_pair_index`), a segment's pool as the
+    intersection of those arrays in pool order; name tuples are built only
+    for the pool handed to the caller.
+
+    Both caches are first-touch snapshots and are **not** invalidated by
+    ``set_link_state``: a link first touched while the fabric is degraded
+    keeps its degraded set after the repair, one touched before keeps its
+    healthy set through the failure (docs/resilience.md, known limits).
+    """
 
     def __init__(self, view: TopologyView):
         self.view = view
-        self._link_cache: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        self._link_cache: dict[tuple[str, str], np.ndarray] = {}
+        self._segment_cache: dict[tuple[str, ...], np.ndarray] = {}
+        self._universe_index: Optional[np.ndarray] = None
+        #: cache misses: link sets / segment pools actually computed
+        self.links_computed = 0
+        self.segments_computed = 0
+
+    def _link_index(self, u: str, v: str) -> np.ndarray:
+        key = (u, v)
+        index = self._link_cache.get(key)
+        if index is None:
+            index = self._link_cache[key] = self.view.plausible_pair_index(u, v)
+            self.links_computed += 1
+        return index
 
     def plausible_pairs(self, u: str, v: str) -> list[tuple[str, str]]:
-        """Host pairs for which u→v is on a shortest path (cached)."""
-        key = (u, v)
-        if key not in self._link_cache:
-            self._link_cache[key] = self.view.plausible_host_pairs(u, v)
-        return self._link_cache[key]
+        """Host pairs for which u→v is on a shortest path, in ``hosts()``
+        order (the index behind the list is cached)."""
+        view = self.view
+        return view.pairs_from_index(view.host_order(self._link_index(u, v)))
 
     def pairs_for_segment(self, nodes: Sequence[str]) -> list[tuple[str, str]]:
-        """Pairs plausible on *every* directed link of a node segment.
+        """Pairs plausible on *every* directed link of a node segment,
+        sorted by name (the index behind the list is cached per segment).
 
         Falls back to the first link's set when the intersection is empty
         (stretched bounce walks traverse link sequences no shortest path
         uses), and to the all-pairs universe as a last resort — a sampled
-        address is always a real host pair.
+        address is always a real host pair.  Both fallbacks are in
+        ``hosts()`` order.
         """
+        key = tuple(nodes)
+        index = self._segment_cache.get(key)
+        if index is None:
+            index = self._segment_cache[key] = self._segment_index(key)
+            self.segments_computed += 1
+        return self.view.pairs_from_index(index)
+
+    def _segment_index(self, nodes: tuple[str, ...]) -> np.ndarray:
         links = list(zip(nodes, nodes[1:]))
         if not links:
             return self._universe()
-        common: Optional[set[tuple[str, str]]] = None
-        for u, v in links:
-            pairs = set(self.plausible_pairs(u, v))
-            common = pairs if common is None else (common & pairs)
-            if not common:
+        # Stop at the first empty intersection: the links after it stay
+        # untouched, so their first touch (and the fabric state it
+        # snapshots) happens when it always did.
+        first = common = self._link_index(*links[0])
+        for u, v in links[1:]:
+            if not common.size:
                 break
-        if common:
-            return sorted(common)
-        first = self.plausible_pairs(*links[0])
-        return first if first else self._universe()
+            common = np.intersect1d(
+                common, self._link_index(u, v), assume_unique=True
+            )
+        if common.size:
+            return common
+        return self.view.host_order(first) if first.size else self._universe()
 
-    def _universe(self) -> list[tuple[str, str]]:
-        hosts = self.view.topo.hosts()
-        return [(a, b) for a in hosts for b in hosts if a != b]
+    def _universe(self) -> np.ndarray:
+        """Every ordered pair of distinct hosts, in ``hosts()`` order."""
+        if self._universe_index is None:
+            off_diagonal = ~np.eye(len(self.view.hosts), dtype=bool)
+            self._universe_index = self.view.host_order(
+                np.flatnonzero(off_diagonal).astype(np.int32)
+            )
+        return self._universe_index
 
     def sample_pair(
         self,
@@ -75,5 +118,12 @@ class AddressRestrictions:
         return rng.choice(preferred if preferred else pool)
 
     def is_plausible(self, u: str, v: str, src_host: str, dst_host: str) -> bool:
-        """True if the pair is plausible on directed link u→v."""
-        return (src_host, dst_host) in set(self.plausible_pairs(u, v))
+        """True if the pair is plausible on directed link u→v (a binary
+        search of the link's cached index; unknown hosts are implausible)."""
+        try:
+            pair = self.view.pair_index(src_host, dst_host)
+        except KeyError:
+            return False
+        index = self._link_index(u, v)
+        at = int(np.searchsorted(index, pair))
+        return at < index.size and int(index[at]) == pair

@@ -3,8 +3,9 @@
 The MC "obtains the global view of the network and calculates all-pairs
 equal-cost shortest paths when initiation" (Sec IV-B2).  :class:`TopologyView`
 is that database: shortest-path distances, equal-cost path enumeration
-between host pairs, and the is-this-link-on-a-shortest-path predicate the
-m-address plausibility restrictions are built on.
+between host pairs, the is-this-link-on-a-shortest-path predicate and the
+vectorised per-link plausibility index the m-address restrictions are built
+on.
 
 :class:`FailureDetector` models *how soon* the controller learns about a
 data-plane state change.  Port-status and chassis events do not reach the
@@ -21,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 import networkx as nx
+import numpy as np
 
 from ..net.topology import Topology
 
@@ -28,6 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
 
 __all__ = ["FailureDetector", "TopologyView"]
+
+#: "No route" in the plausibility arrays: far above any real distance, so a
+#: sum with an unreachable leg never equals a host-to-host distance and an
+#: unreachable host pair never equals a real sum.
+_FAR = 1 << 20
 
 
 class FailureDetector:
@@ -106,6 +113,25 @@ class TopologyView:
         # routing view without touching the physical topology description.
         self.graph = topo.graph.copy()
         self.max_equal_cost_paths = max_equal_cost_paths
+        # Link events change edges, never nodes: kinds are resolved once.
+        #: host names in ``Topology.hosts()`` (insertion) order
+        self.hosts: tuple[str, ...] = tuple(topo.hosts())
+        self._switches = frozenset(topo.switches())
+        # Host pairs are indexed by *lexicographic* rank, so an ascending
+        # flat index ``rank(a) * H + rank(b)`` is the ``sorted()`` order of
+        # the name tuples (``h10`` sorts before ``h2``); ``_host_pos`` maps
+        # a rank back to its position in ``hosts``.
+        ranked = sorted(self.hosts)
+        self._rank = {h: i for i, h in enumerate(ranked)}
+        self._ranked_names = np.array(ranked, dtype=object)
+        position = {h: i for i, h in enumerate(self.hosts)}
+        self._host_pos = np.array(
+            [position[h] for h in ranked], dtype=np.int32
+        )
+        self._path_cache: dict[tuple[str, str], list[list[str]]] = {}
+        self._rebuild_distances()
+
+    def _rebuild_distances(self) -> None:
         #: all-pairs *routing* distances, computed eagerly (the paper's
         #: "when initiation").  Hosts are absorbing: a path may start or end
         #: at a host but never relay through one — in server-centric fabrics
@@ -114,10 +140,18 @@ class TopologyView:
         self.dist: dict[str, dict[str, int]] = {
             n: self._absorbing_bfs(n) for n in self.graph.nodes
         }
-        self._path_cache: dict[tuple[str, str], list[list[str]]] = {}
-
-    def _expandable(self, node: str) -> bool:
-        return self.topo.kind(node) == "switch"
+        self._path_cache.clear()
+        # Distance from every node to every host, hosts in rank order.  The
+        # graph is undirected, so a row is also "from every host to the node".
+        ranked = self._ranked_names.tolist()
+        self._to_hosts = {
+            n: np.array([d.get(h, _FAR) for h in ranked], dtype=np.int32)
+            for n, d in self.dist.items()
+        }
+        # (reshape: a hostless fabric must still give a 0 x 0 matrix)
+        self._host_dist = np.array(
+            [self._to_hosts[h] for h in ranked], dtype=np.int32
+        ).reshape(len(ranked), len(ranked))
 
     def set_link_state(self, u: str, v: str, up: bool) -> None:
         """Apply a port-status event to the routing view and recompute."""
@@ -125,16 +159,16 @@ class TopologyView:
             self.graph.add_edge(u, v)
         elif self.graph.has_edge(u, v):
             self.graph.remove_edge(u, v)
-        self.dist = {n: self._absorbing_bfs(n) for n in self.graph.nodes}
-        self._path_cache.clear()
+        self._rebuild_distances()
 
     def _absorbing_bfs(self, source: str) -> dict[str, int]:
+        switches = self._switches
         dist = {source: 0}
         frontier = [source]
         while frontier:
             nxt = []
             for u in frontier:
-                if u != source and not self._expandable(u):
+                if u != source and u not in switches:
                     continue  # hosts terminate paths, they don't relay
                 for v in self.graph.neighbors(u):
                     if v not in dist:
@@ -168,7 +202,7 @@ class TopologyView:
                     continue
                 for u in self.graph.neighbors(head):
                     if u in d_src and d_src[u] + 1 == d_src[head]:
-                        if u == src or self._expandable(u):
+                        if u == src or u in self._switches:
                             stack.append([u] + partial)
             paths.sort()
             self._path_cache[key] = paths
@@ -229,11 +263,11 @@ class TopologyView:
             used_edges = set(zip(walk, walk[1:]))
             candidates = []
             for i in range(1, len(walk) - 1):
-                if self.topo.kind(walk[i]) != "switch":
+                if walk[i] not in self._switches:
                     continue
                 for t in self.graph.neighbors(walk[i]):
                     if (
-                        self.topo.kind(t) == "switch"
+                        t in self._switches
                         and (walk[i], t) not in used_edges
                         and (t, walk[i]) not in used_edges
                     ):
@@ -248,10 +282,10 @@ class TopologyView:
         return walk
 
     def _switch_count(self, path: list[str]) -> int:
-        return sum(1 for n in path if self.topo.kind(n) == "switch")
+        return sum(1 for n in path if n in self._switches)
 
     def _interior_is_switches(self, path: list[str]) -> bool:
-        return all(self.topo.kind(n) == "switch" for n in path[1:-1])
+        return all(n in self._switches for n in path[1:-1])
 
     # ------------------------------------------------------------------
     def link_on_shortest_path(self, a: str, b: str, u: str, v: str) -> bool:
@@ -261,14 +295,44 @@ class TopologyView:
         except KeyError:
             return False
 
+    def plausible_pair_index(self, u: str, v: str) -> np.ndarray:
+        """Host pairs for which directed link u→v is on a shortest path, as
+        sorted flat indices ``rank(a) * H + rank(b)`` (int32).
+
+        One broadcast compare of :meth:`link_on_shortest_path` over the
+        whole host-distance matrix (``a == b`` cannot match: the left side
+        is at least 1).  A node the view does not know, or one no host can
+        reach, yields an empty array.
+        """
+        to_u = self._to_hosts.get(u)
+        from_v = self._to_hosts.get(v)
+        if to_u is None or from_v is None:
+            return np.empty(0, dtype=np.int32)
+        on_path = to_u[:, None] + 1 + from_v[None, :] == self._host_dist
+        return np.flatnonzero(on_path).astype(np.int32)
+
+    def pair_index(self, a: str, b: str) -> int:
+        """Flat index of one named host pair (``KeyError`` if not hosts)."""
+        return self._rank[a] * len(self.hosts) + self._rank[b]
+
+    def host_order(self, index: np.ndarray) -> np.ndarray:
+        """The same flat indices, reordered the way nested loops over
+        :attr:`hosts` would visit them (insertion order, not ``sorted()``)."""
+        a, b = np.divmod(index, len(self.hosts))
+        visit = self._host_pos[a] * len(self.hosts) + self._host_pos[b]
+        return index[np.argsort(visit)]
+
+    def pairs_from_index(self, index: np.ndarray) -> list[tuple[str, str]]:
+        """Name tuples for flat pair indices, in the order given."""
+        a, b = np.divmod(index, len(self.hosts))
+        names = self._ranked_names
+        return list(zip(names[a].tolist(), names[b].tolist()))
+
     def plausible_host_pairs(self, u: str, v: str) -> list[tuple[str, str]]:
         """Host pairs (a, b) for which directed link u→v is on a shortest
         path — the address-restriction universe for that link (Sec IV-B3's
-        per-port source/destination IP restrictions, generalized)."""
-        hosts = self.topo.hosts()
-        return [
-            (a, b)
-            for a in hosts
-            for b in hosts
-            if a != b and self.link_on_shortest_path(a, b, u, v)
-        ]
+        per-port source/destination IP restrictions, generalized) — in
+        :attr:`hosts` order."""
+        return self.pairs_from_index(
+            self.host_order(self.plausible_pair_index(u, v))
+        )

@@ -28,7 +28,12 @@ class TestLinkPlausibility:
 
     def test_cached(self, ft):
         view, r = ft
-        assert r.plausible_pairs("h1", "p0e0") is r.plausible_pairs("h1", "p0e0")
+        first = r.plausible_pairs("h1", "p0e0")
+        computed = r.links_computed
+        assert r.plausible_pairs("h1", "p0e0") == first
+        assert r.is_plausible("h1", "p0e0", "h1", "h5")
+        assert r.pairs_for_segment(["h1", "p0e0"]) == sorted(first)
+        assert r.links_computed == computed  # one computation served them all
 
     def test_is_plausible(self, ft):
         view, r = ft

@@ -1,0 +1,200 @@
+"""The vectorised plausibility index against its brute-force oracle.
+
+Covers what ``rng.choice(pool)`` makes observable: set membership, the
+order of every list handed out, the three fallbacks, and the keep-stale
+behaviour of the caches across link events.
+"""
+
+import random
+
+import pytest
+from plausibility_oracle import directed_links, oracle_pairs, oracle_segment
+
+from repro.core.restrictions import AddressRestrictions
+from repro.net import Topology, bcube, fat_tree, leaf_spine, linear
+from repro.sdn import TopologyView
+
+FABRICS = {
+    "fat_tree4": lambda: fat_tree(4),
+    "fat_tree8": lambda: fat_tree(8),
+    "bcube": lambda: bcube(4, 1),
+    "leaf_spine": lambda: leaf_spine(2, 4, 3),
+}
+#: fat_tree(8) has 768 directed links x 16,256 pairs: the oracle gets a sample
+SAMPLED = {"fat_tree8": 24}
+
+
+def _links(name, topo):
+    links = directed_links(topo)
+    if name in SAMPLED:
+        links = random.Random(13).sample(links, SAMPLED[name])
+    return links
+
+
+def _core_link(view):
+    """A switch-to-switch link: failing it reroutes, it never partitions."""
+    return next(
+        (u, v) for u, v in view.topo.graph.edges
+        if view.topo.kind(u) == view.topo.kind(v) == "switch"
+    )
+
+
+def _shuffled_names_topology():
+    """A two-switch fabric whose hosts are neither added nor named in
+    sorted order, so hosts() order, sorted() order and rank all differ."""
+    topo = Topology("shuffled")
+    left, right = topo.add_switch("s-left"), topo.add_switch("s-right")
+    topo.add_link(left, right)
+    for name, switch in [
+        ("zeta", left), ("h10", right), ("alpha", left),
+        ("h2", right), ("mid", left), ("h1", right),
+    ]:
+        topo.add_link(topo.add_host(name), switch)
+    return topo
+
+
+@pytest.mark.parametrize("name", FABRICS)
+def test_index_equals_oracle_healthy_down_and_up(name):
+    topo = FABRICS[name]()
+    view = TopologyView(topo)
+    links = _links(name, topo)
+    failed = _core_link(view)
+    for state in ("healthy", "down", "up"):
+        if state != "healthy":
+            view.set_link_state(*failed, up=(state == "up"))
+        fresh = AddressRestrictions(view)
+        for u, v in links:
+            expected = oracle_pairs(view, u, v)
+            assert view.plausible_host_pairs(u, v) == expected, (state, u, v)
+            assert fresh.plausible_pairs(u, v) == expected, (state, u, v)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: fat_tree(4), _shuffled_names_topology],
+    ids=["fat_tree4", "shuffled-names"],
+)
+def test_pool_order_is_sorted_by_name_fallbacks_in_hosts_order(make):
+    topo = make()
+    hosts = topo.hosts()
+    assert hosts != sorted(hosts), "needs lexicographic != insertion order"
+    view = TopologyView(topo)
+    r = AddressRestrictions(view)
+    rng = random.Random(5)
+    for _ in range(30):
+        a, b = rng.sample(hosts, 2)
+        path = view.pick_path(a, b, rng)
+        i = rng.randrange(len(path) - 1)
+        j = rng.randrange(i + 1, len(path))
+        segment = path[i : j + 1]
+        pool = r.pairs_for_segment(segment)
+        assert pool == oracle_segment(view, segment)
+        assert pool == sorted(pool)
+    for u, v in directed_links(topo):
+        # one link: plausible_pairs walks hosts(), the pool is sorted()
+        assert r.plausible_pairs(u, v) == oracle_pairs(view, u, v)
+        assert r.pairs_for_segment([u, v]) == sorted(oracle_pairs(view, u, v))
+
+
+def test_empty_intersection_returns_first_link_in_hosts_order():
+    view = TopologyView(linear(3, hosts_per_switch=2))
+    r = AddressRestrictions(view)
+    bounce = ["s2", "s3", "s2"]  # no shortest path goes there and back
+    first = oracle_pairs(view, "s2", "s3")
+    assert first != sorted(first) or len(first) > 1
+    assert r.pairs_for_segment(bounce) == first == oracle_segment(view, bounce)
+
+
+def test_stops_intersecting_at_the_first_empty_link():
+    """Links after the empty intersection stay untouched, so their first
+    touch — and the fabric state it freezes — is not moved earlier."""
+    view = TopologyView(linear(3, hosts_per_switch=1))
+    r = AddressRestrictions(view)
+    r.pairs_for_segment(["s2", "s3", "s2", "s1"])
+    assert ("s2", "s1") not in r._link_cache
+    assert r.links_computed == 2
+
+
+def test_universe_fallbacks_in_hosts_order():
+    topo = _shuffled_names_topology()
+    view = TopologyView(topo)
+    r = AddressRestrictions(view)
+    hosts = topo.hosts()
+    universe = [(a, b) for a in hosts for b in hosts if a != b]
+    assert r.pairs_for_segment(["s-left"]) == universe  # no links
+    assert r.pairs_for_segment([]) == universe
+    # empty first link: a node the view has never heard of
+    assert r.plausible_pairs("nope", "s-left") == []
+    assert r.pairs_for_segment(["nope", "s-left", "s-right"]) == universe
+    assert oracle_segment(view, ["nope", "s-left", "s-right"]) == universe
+
+
+def test_partitioned_or_unknown_nodes_give_empty_sets():
+    view = TopologyView(linear(3, hosts_per_switch=1))
+    view.set_link_state("s1", "s2", up=False)  # h1 | h2, h3
+    r = AddressRestrictions(view)
+    for u, v in [("s1", "s2"), ("s2", "s1"), ("nope", "s2"), ("s2", "nope")]:
+        assert view.plausible_host_pairs(u, v) == []
+        assert r.plausible_pairs(u, v) == []
+        assert not r.is_plausible(u, v, "h2", "h3")
+    # the side that still routes is unaffected, pairs across the cut vanish
+    assert r.plausible_pairs("s2", "s3") == [("h2", "h3")]
+    assert r.plausible_pairs("h1", "s1") == []
+    assert not r.is_plausible("s2", "s3", "h2", "nope")
+
+
+def test_link_sets_are_first_touch_snapshots_across_link_events():
+    """Known limit, pinned (docs/resilience.md): ``set_link_state`` rebuilds
+    the view's distances but never clears the restriction caches.  The
+    seed-0 chaos golden depends on it."""
+    view = TopologyView(fat_tree(4))
+    r = AddressRestrictions(view)
+    early, late = ("p0a0", "c1"), ("p0a0", "c2")
+    segment = ["p0e1", "p0a0", "c1"]
+    healthy_early = r.plausible_pairs(*early)
+    healthy_late = oracle_pairs(view, *late)
+    healthy_pool = r.pairs_for_segment(segment)
+
+    # p0e0 loses its way up through p0a0: h1 and h2 leave via p0a1 only
+    view.set_link_state("p0e0", "p0a0", up=False)
+    degraded_early = oracle_pairs(view, *early)
+    degraded_late = oracle_pairs(view, *late)
+    assert ("h1", "h5") in healthy_early and ("h1", "h5") not in degraded_early
+    assert ("h1", "h5") in healthy_late and ("h1", "h5") not in degraded_late
+    # touched before the failure: keeps the healthy-fabric set
+    assert r.plausible_pairs(*early) == healthy_early
+    assert r.pairs_for_segment(segment) == healthy_pool
+    # first touched during the failure: computed against the degraded view
+    assert r.plausible_pairs(*late) == degraded_late
+    assert AddressRestrictions(view).plausible_pairs(*early) == degraded_early
+
+    view.set_link_state("p0e0", "p0a0", up=True)
+    assert oracle_pairs(view, *late) == healthy_late
+    # ... and keeps the degraded set after the repair
+    assert r.plausible_pairs(*late) == degraded_late
+    assert r.plausible_pairs(*early) == healthy_early
+
+
+def test_is_plausible_agrees_with_the_oracle():
+    view = TopologyView(fat_tree(4))
+    r = AddressRestrictions(view)
+    hosts = view.topo.hosts()
+    for u, v in [("h1", "p0e0"), ("p0a0", "c1"), ("c1", "p3a0")]:
+        expected = set(oracle_pairs(view, u, v))
+        for a in hosts:
+            for b in hosts:
+                assert r.is_plausible(u, v, a, b) == ((a, b) in expected)
+    assert r.links_computed == 3
+
+
+def test_each_link_and_segment_is_computed_once():
+    view = TopologyView(fat_tree(4))
+    r = AddressRestrictions(view)
+    path = view.shortest_path("h1", "h16")
+    pools = [r.pairs_for_segment(path) for _ in range(3)]
+    assert pools[0] == pools[1] == pools[2]
+    assert r.segments_computed == 1
+    assert r.links_computed == len(path) - 1
+    r.pairs_for_segment(path[1:])  # a new segment over already-known links
+    r.sample_pair(path, random.Random(0))
+    assert r.segments_computed == 2
+    assert r.links_computed == len(path) - 1

@@ -105,3 +105,24 @@ class TestLinkPredicates:
         topo = ft_view.topo
         assert all(topo.graph.nodes[s]["pod"] == 0 for s in srcs)
         assert all(topo.graph.nodes[d]["pod"] != 0 for d in dsts)
+
+    def test_pair_index_is_the_single_pair_predicate_for_every_pair(self, ft_view):
+        # The flat index ranks hosts by name: ascending == sorted() tuples.
+        hosts = ft_view.hosts
+        assert hosts == tuple(ft_view.topo.hosts())
+        index = ft_view.plausible_pair_index("p0a0", "c1")
+        assert index.dtype == "int32" and list(index) == sorted(set(index))
+        listed = {ft_view.pair_index(a, b) for a in hosts for b in hosts
+                  if a != b and ft_view.link_on_shortest_path(a, b, "p0a0", "c1")}
+        assert set(index.tolist()) == listed
+        pairs = ft_view.pairs_from_index(index)
+        assert pairs == sorted(ft_view.plausible_host_pairs("p0a0", "c1"))
+
+    def test_link_event_rebuilds_the_host_distances(self, ft_view):
+        view = TopologyView(ft_view.topo)
+        before = view.plausible_host_pairs("p0a0", "c1")
+        view.set_link_state("p0e0", "p0a0", up=False)
+        assert ("h1", "h5") in before
+        assert ("h1", "h5") not in view.plausible_host_pairs("p0a0", "c1")
+        view.set_link_state("p0e0", "p0a0", up=True)
+        assert view.plausible_host_pairs("p0a0", "c1") == before
