@@ -74,12 +74,14 @@ bench:
 	$(PYPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # CI-sized benchmark slice: the classifier microbenchmark (vs the linear
-# reference), the plausibility-index microbenchmark (vs the all-pairs scan)
-# plus trimmed scalability sweeps, JSON results under benchmarks/results/.
+# reference), the plausibility-index microbenchmark (vs the all-pairs scan),
+# the event-kernel microbenchmark (vs a closure per event) plus trimmed
+# scalability sweeps, JSON results under benchmarks/results/.
 bench-quick:
 	@mkdir -p benchmarks/results
 	BENCH_QUICK=1 $(PYPATH) $(PYTHON) -m pytest \
 		benchmarks/bench_lookup.py benchmarks/bench_restrictions.py \
+		benchmarks/bench_event_kernel.py \
 		benchmarks/bench_scalability.py -q \
 		--benchmark-json=benchmarks/results/bench_quick.json
 

@@ -298,7 +298,13 @@ def _trace_origin(
                 )
                 dfs(peer, next_hdr, path | {state})
 
-    dfs(origin_switch, start, frozenset())
+    try:
+        dfs(origin_switch, start, frozenset())
+    finally:
+        # ``dfs`` reaches itself through its own closure cell: unbind it so the
+        # closure (and ``visited``) is freed by reference count, not left as
+        # one cycle per origin rule for the collector to find.
+        del dfs
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,17 @@ cheap to compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Union
 
 __all__ = ["IPv4Addr", "MacAddr", "ip", "mac", "Subnet"]
+
+
+@lru_cache(maxsize=1 << 16)
+def _dotted_quad(v: int) -> str:
+    """Text form of a 32-bit address, memoised: every traced hop renders
+    both endpoints, and equal addresses then share one string."""
+    return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
 
 
 @total_ordering
@@ -40,8 +47,7 @@ class IPv4Addr:
         return cls(value)
 
     def __str__(self) -> str:
-        v = self.value
-        return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
+        return _dotted_quad(self.value)
 
     def __repr__(self) -> str:
         return f"IPv4Addr({str(self)!r})"

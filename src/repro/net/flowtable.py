@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Any, Iterator, Optional, Sequence
 
 from .addresses import IPv4Addr, MacAddr
@@ -113,8 +114,12 @@ class Match:
         return True
 
     def key(self) -> tuple:
-        """Hashable identity used to detect duplicate installs."""
-        return tuple(getattr(self, f) for f in _MATCHABLE)
+        """Hashable identity used to detect duplicate installs: the field
+        values in ``_MATCHABLE`` order."""
+        return (
+            self.in_port, self.eth_src, self.eth_dst, self.ip_src, self.ip_dst,
+            self.proto, self.sport, self.dport, self.mpls,
+        )
 
     def intersects(self, other: "Match") -> bool:
         """True iff some packet (on some port) could match both.
@@ -145,14 +150,34 @@ class Match:
                 return False
         return True
 
-    def describe(self) -> str:
-        """Compact text form listing only the constrained fields."""
+    # A match is frozen and one instance is shared by every rule of a path,
+    # so what is derived from its fields is worked out once per instance.
+    @cached_property
+    def _text(self) -> str:
         parts = [
-            f"{f}={'NO_MPLS' if f == 'mpls' and getattr(self, f) == Match.NO_MPLS else getattr(self, f)}"
-            for f in _MATCHABLE
-            if getattr(self, f) is not None
+            f"{f}={'NO_MPLS' if f == 'mpls' and v == Match.NO_MPLS else v}"
+            for f, v in zip(_MATCHABLE, self.key())
+            if v is not None
         ]
         return "Match(" + ", ".join(parts) + ")" if parts else "Match(*)"
+
+    @cached_property
+    def _index(self) -> tuple[tuple[str, ...], tuple]:
+        """Tuple-space coordinates ``(pattern, key)``: the constrained field
+        names and their concrete values.  ``NO_MPLS`` maps to ``None`` so the
+        key compares directly against the packet's ``mpls`` field ("no shim"
+        is literally ``None`` on a packet)."""
+        pattern = []
+        key = []
+        for f, v in zip(_MATCHABLE, self.key()):
+            if v is not None:
+                pattern.append(f)
+                key.append(None if f == "mpls" and v == Match.NO_MPLS else v)
+        return tuple(pattern), tuple(key)
+
+    def describe(self) -> str:
+        """Compact text form listing only the constrained fields."""
+        return self._text
 
     def __repr__(self) -> str:
         return self.describe()
@@ -235,7 +260,7 @@ class FlowEntry:
 
     def describe(self) -> str:
         """One-line rule rendering for traces and debugging."""
-        acts = ", ".join(_fmt_action(a) for a in self.actions)
+        acts = ", ".join([_fmt_action(a) for a in self.actions])
         return f"[prio={self.priority}] {self.match.describe()} -> [{acts}]"
 
     def __repr__(self) -> str:
@@ -292,26 +317,6 @@ class TableFullError(RuntimeError):
     """The table's capacity (TCAM budget) is exhausted."""
 
 
-def _index_pattern(match: Match) -> tuple[str, ...]:
-    """The tuple-space pattern of a match: its constrained field names."""
-    return tuple(f for f in _MATCHABLE if getattr(match, f) is not None)
-
-
-def _index_key(match: Match, pattern: tuple[str, ...]) -> tuple:
-    """The concrete values of a match under ``pattern``.
-
-    ``NO_MPLS`` maps to ``None`` so the key compares directly against the
-    packet's ``mpls`` field ("no shim" is literally ``None`` on a packet).
-    """
-    key = []
-    for f in pattern:
-        v = getattr(match, f)
-        if f == "mpls" and v == Match.NO_MPLS:
-            v = None
-        key.append(v)
-    return tuple(key)
-
-
 class _PriorityTier:
     """All entries at one priority, indexed by wildcard pattern.
 
@@ -335,8 +340,7 @@ class _PriorityTier:
         self.order: list[FlowEntry] = []
 
     def add(self, entry: FlowEntry) -> None:
-        pattern = _index_pattern(entry.match)
-        key = _index_key(entry.match, pattern)
+        pattern, key = entry.match._index
         self.buckets.setdefault(pattern, {}).setdefault(key, []).append(entry)
         self.order.append(entry)
 
@@ -424,6 +428,14 @@ class FlowTable:
         """Record a table mutation: stale the flat view and the cache."""
         self._version += 1
         self._flat = None
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: moves on every install, removal, group change
+        and :meth:`clear`.  A :meth:`lookup` result stays the table's answer
+        for that packet exactly as long as this value does not move — the
+        contract :meth:`apply` relies on to reuse a resolved entry."""
+        return self._version
 
     # -- management ------------------------------------------------------
     def install(self, entry: FlowEntry) -> None:
@@ -663,7 +675,11 @@ class FlowTable:
                 prof.exit()
 
     def apply(
-        self, packet: Packet, in_port: int
+        self,
+        packet: Packet,
+        in_port: int,
+        resolved: Optional[FlowEntry] = None,
+        resolved_version: Optional[int] = None,
     ) -> tuple[list[tuple[int, Packet]], bool, Optional[FlowEntry]]:
         """Run the pipeline on ``packet``.
 
@@ -672,20 +688,29 @@ class FlowTable:
         rule (``None`` on table miss — the caller decides miss behaviour,
         usually punting to the controller like OVS's default).
 
+        A caller that already classified this packet passes what
+        :meth:`lookup` returned as ``resolved`` and the :attr:`version` it
+        read at that moment as ``resolved_version``; the packet is
+        classified again only if the table has changed since.
+
         Counter semantics: ``packet_count`` counts matched packets;
         ``byte_count`` counts the bytes the rule put on the wire — one
         post-rewrite size per emitted copy, so a partial-multicast group
         with *k* buckets charges all *k* copies.  A rule that emits nothing
         (drop, punt-only) charges the matched packet's ingress size.
         """
-        entry = self.lookup(packet, in_port)
+        if resolved_version == self._version:
+            entry = resolved
+        else:
+            entry = self.lookup(packet, in_port)
         if entry is None:
             return [], True, None
         entry.packet_count += 1
         ingress_size = packet.size
         emissions, to_controller = self._run_actions(entry.actions, packet)
         if emissions:
-            entry.byte_count += sum(p.size for _, p in emissions)
+            for _, out_pkt in emissions:
+                entry.byte_count += out_pkt.size
         else:
             entry.byte_count += ingress_size
         return emissions, to_controller, entry

@@ -94,8 +94,7 @@ class Host(Node):
             size=packet.size,
         )
         self.sim.call_later(
-            self.params.host_stack_delay_s,
-            lambda: self.transmit(packet, NIC_PORT),
+            self.params.host_stack_delay_s, self.transmit, packet, NIC_PORT
         )
 
     def make_packet(
@@ -156,9 +155,7 @@ class Host(Node):
             dport=packet.dport,
             size=packet.size,
         )
-        self.sim.call_later(
-            self.params.host_stack_delay_s, lambda: self._dispatch(packet)
-        )
+        self.sim.call_later(self.params.host_stack_delay_s, self._dispatch, packet)
 
     def _dispatch(self, packet: Packet) -> None:
         handler = self._bindings.get((packet.proto, packet.dport))

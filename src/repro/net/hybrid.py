@@ -339,13 +339,6 @@ class HybridEngine:
         """The operator/fault/attack pinned node set."""
         return frozenset(self._pinned_nodes)
 
-    def _journey_live(self) -> bool:
-        """True when a journey recorder hooked the fabric's channels."""
-        for link in self.net.links:
-            if link.forward.journey is not None or link.reverse.journey is not None:
-                return True
-        return False
-
     def fidelity_for(self, flow_id: str, path: Sequence[str] = ()) -> str:
         """``"packet"`` or ``"fluid"`` for one candidate flow.
 
@@ -358,7 +351,9 @@ class HybridEngine:
             return "packet"
         if self._pinned_nodes and any(n in self._pinned_nodes for n in path):
             return "packet"
-        if self._journey_live():
+        if self.net.journey is not None:
+            # a recorder hooked the fabric's channels: fluid flows would be
+            # invisible to it
             return "packet"
         draw = zlib.crc32(flow_id.encode("utf-8")) / 2**32
         if draw < self.sample_rate:

@@ -55,6 +55,9 @@ class Channel:
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
         self.queue_bytes = queue_bytes
+        #: directed link label, e.g. ``a[1]->b[2]`` — every trace record of
+        #: the channel carries it, so it is rendered once, here
+        self.name = f"{src.name}[{src_port}]->{dst.name}[{dst_port}]"
         self.stats = LinkStats()
         self._tx_free_at = 0.0
         self.up = True
@@ -63,11 +66,6 @@ class Channel:
         #: fluid background load published by repro.net.hybrid each epoch;
         #: 0.0 keeps the packet hot path byte-identical to a bare engine
         self.fluid_load_bps = 0.0
-
-    @property
-    def name(self) -> str:
-        """Directed link label, e.g. ``a[1]->b[2]``."""
-        return f"{self.src.name}[{self.src_port}]->{self.dst.name}[{self.dst_port}]"
 
     def effective_bandwidth_bps(self) -> float:
         """Serialization bandwidth left for packet-level traffic.
@@ -89,46 +87,35 @@ class Channel:
 
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet`` for transmission; False means tail-dropped."""
+        now = self.sim.now
+        size = packet.size
         backlog = self.backlog_bytes()
-        if not self.up:
+        if not self.up or backlog + size > self.queue_bytes:
             self.stats.drops += 1
-            self.trace.emit(
-                self.sim.now, "link.drop", self.name,
-                uid=packet.uid, size=packet.size,
-            )
+            self.trace.emit(now, "link.drop", self.name, uid=packet.uid, size=size)
             if self.journey is not None:
                 self.journey.on_link_drop(self, packet, backlog)
             return False
-        if backlog + packet.size > self.queue_bytes:
-            self.stats.drops += 1
-            self.trace.emit(
-                self.sim.now, "link.drop", self.name, uid=packet.uid, size=packet.size
-            )
-            if self.journey is not None:
-                self.journey.on_link_drop(self, packet, backlog)
-            return False
-        tx_time = packet.size * 8.0 / self.effective_bandwidth_bps()
-        start = max(self.sim.now, self._tx_free_at)
+        tx_time = size * 8.0 / self.effective_bandwidth_bps()
+        start = max(now, self._tx_free_at)
         self._tx_free_at = start + tx_time
         deliver_at = self._tx_free_at + self.delay_s
         self.stats.packets += 1
-        self.stats.bytes += packet.size
+        self.stats.bytes += size
         if self.journey is not None:
-            self.journey.on_link_tx(
-                self, packet, start - self.sim.now, tx_time, backlog
-            )
+            self.journey.on_link_tx(self, packet, start - now, tx_time, backlog)
         self.trace.emit(
-            self.sim.now,
+            now,
             "link.tx",
             self.name,
             uid=packet.uid,
             content_tag=packet.content_tag,
-            size=packet.size,
+            size=size,
             src_ip=str(packet.ip_src),
             dst_ip=str(packet.ip_dst),
             mpls=packet.mpls,
         )
-        self.sim.call_at(deliver_at, lambda: self._deliver(packet))
+        self.sim.call_at(deliver_at, self._deliver, packet)
         return True
 
     def _deliver(self, packet: Packet) -> None:

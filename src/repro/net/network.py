@@ -48,6 +48,9 @@ class Network:
         self._link_index: dict[tuple[str, str], Link] = {}
         #: optional attached repro.net.hybrid.HybridEngine (None = pure packet)
         self.hybrid = None
+        #: the repro.obs.journey.JourneyRecorder whose hooks are live on this
+        #: fabric's nodes and channels (None = no journeys recorded)
+        self.journey = None
         self._build()
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ Two identity notions matter for the security analysis:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .addresses import IPv4Addr, MacAddr
@@ -116,8 +116,10 @@ class Packet:
 
     @property
     def size(self) -> int:
-        """Total on-wire size in bytes."""
-        return self.header_size + self.payload_size
+        """Total on-wire size in bytes (``header_size + payload_size``)."""
+        l4 = TCP_HEADER if self.proto == "tcp" else UDP_HEADER
+        shim = MPLS_SHIM if self.mpls is not None else 0
+        return ETH_HEADER + shim + IP_HEADER + l4 + self.payload_size
 
     # ------------------------------------------------------------------
     def match_tuple(self) -> tuple[IPv4Addr, IPv4Addr, Optional[int]]:
@@ -134,8 +136,28 @@ class Packet:
         With ``fresh_identity`` (the default, used by partial multicast) the
         copy gets its own ``uid`` but keeps the ``content_tag`` — on the wire
         the decoy copies carry the same bytes.
+
+        Every switch emission is a copy, so it is built field by field —
+        but still through ``__init__``: ``SetField`` rewrites with
+        ``setattr``, so the range checks run here are what reject a port or
+        label rewritten out of range.
         """
-        dup = replace(self)
+        dup = Packet(
+            eth_src=self.eth_src,
+            eth_dst=self.eth_dst,
+            ip_src=self.ip_src,
+            ip_dst=self.ip_dst,
+            proto=self.proto,
+            sport=self.sport,
+            dport=self.dport,
+            mpls=self.mpls,
+            ttl=self.ttl,
+            payload=self.payload,
+            payload_size=self.payload_size,
+            uid=self.uid,
+            content_tag=self.content_tag,
+            created_at=self.created_at,
+        )
         if fresh_identity:
             dup.uid = fresh_uid()
         return dup

@@ -12,7 +12,14 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..sim import Simulator, TraceLog
-from .flowtable import FlowTable, PopMpls, PushMpls, SetField
+from .flowtable import (
+    FlowEntry,
+    FlowTable,
+    PopMpls,
+    PushMpls,
+    SetField,
+    TableFullError,
+)
 from .node import Node
 from .packet import Packet
 from .params import NetParams
@@ -28,7 +35,7 @@ PacketInHandler = Callable[["Switch", Packet, int], None]
 
 
 def _rewrite_count(actions) -> int:
-    return sum(1 for a in actions if isinstance(a, (SetField, PushMpls, PopMpls)))
+    return len([a for a in actions if isinstance(a, (SetField, PushMpls, PopMpls))])
 
 
 class Switch(Node):
@@ -84,28 +91,39 @@ class Switch(Node):
 
     # -- data path -----------------------------------------------------------
     def receive(self, packet: Packet, in_port: int) -> None:
-        """Data-path entry: mirror, delay, then classify."""
+        """Data-path entry: mirror, classify, then the pipeline delay."""
         if not self.alive:
             self.packets_dropped_dead += 1
             self.trace.emit(
                 self.sim.now, "switch.dead_drop", self.name, uid=packet.uid
             )
             return
-        self._mirror(packet, in_port, "in")
+        if self.mirror_taps:
+            self._mirror(packet, in_port, "in")
         if self.journey is not None:
             self.journey.on_switch_ingress(self, packet, in_port)
-        entry = self.table.lookup(packet, in_port)
+        table = self.table
+        params = self.params
+        entry = table.lookup(packet, in_port)
         rewrites = _rewrite_count(entry.actions) if entry else 0
-        delay = (
-            self.params.switch_forward_delay_s
-            + rewrites * self.params.setfield_delay_s
-        )
         self.cpu.consume(
-            self.params.switch_forward_cpu_s + rewrites * self.params.setfield_cpu_s
+            params.switch_forward_cpu_s + rewrites * params.setfield_cpu_s
         )
-        self.sim.call_later(delay, lambda: self._classify(packet, in_port))
+        # The entry rides along with the table version it was resolved at:
+        # the one classification of this hop, unless the table changes
+        # during the pipeline delay.
+        self.sim.call_later(
+            params.switch_forward_delay_s + rewrites * params.setfield_delay_s,
+            self._classify, packet, in_port, entry, table.version,
+        )
 
-    def _classify(self, packet: Packet, in_port: int) -> None:
+    def _classify(
+        self,
+        packet: Packet,
+        in_port: int,
+        resolved: Optional[FlowEntry],
+        resolved_version: int,
+    ) -> None:
         if not self.alive:
             # Crashed mid-pipeline: the packet dies with the chassis.
             self.packets_dropped_dead += 1
@@ -120,7 +138,9 @@ class Switch(Node):
                 self.journey.on_ttl_expired(self, packet, in_port)
             return
         pre = self.journey.pre_apply(packet) if self.journey is not None else None
-        emissions, to_controller, entry = self.table.apply(packet, in_port)
+        emissions, to_controller, entry = self.table.apply(
+            packet, in_port, resolved, resolved_version
+        )
         if entry is None:
             self.packets_punted += 1
             self.trace.emit(
@@ -144,7 +164,8 @@ class Switch(Node):
             self._punt(packet, in_port)
         for port, out_pkt in emissions:
             self.packets_forwarded += 1
-            self._mirror(out_pkt, port, "out")
+            if self.mirror_taps:
+                self._mirror(out_pkt, port, "out")
             self.trace.emit(
                 self.sim.now,
                 "switch.fwd",
@@ -163,9 +184,8 @@ class Switch(Node):
     def _punt(self, packet: Packet, in_port: int) -> None:
         if self._packet_in is None or not self.alive:
             return  # no controller (or a dead one's chassis): drop
-        handler = self._packet_in
         self.sim.call_later(
-            self.params.packet_in_delay_s, lambda: handler(self, packet, in_port)
+            self.params.packet_in_delay_s, self._packet_in, self, packet, in_port
         )
 
     # -- controller-side management (flow-mod with install latency) ----------
@@ -174,31 +194,7 @@ class Switch(Node):
 
         Returns an event that fires when the rule is active.
         """
-        from .flowtable import TableFullError
-
-        d = self.params.flow_install_delay_s if delay is None else delay
-        ev = self.sim.event()
-
-        def _do():
-            if not self.alive:
-                ev.fail(SwitchDownError(f"{self.name} is down"))
-                return
-            try:
-                self.table.install(entry)
-            except TableFullError as exc:
-                self.trace.emit(
-                    self.sim.now, "switch.table_full", self.name,
-                    entry=entry.describe(),
-                )
-                ev.fail(exc)
-                return
-            self.trace.emit(
-                self.sim.now, "switch.flowmod", self.name, entry=entry.describe()
-            )
-            ev.succeed()
-
-        self.sim.call_later(d, _do)
-        return ev
+        return self.install_many_later((entry,), delay)
 
     def install_many_later(self, entries, delay: Optional[float] = None):
         """Install a batch of flow entries after one control-channel latency.
@@ -212,30 +208,27 @@ class Switch(Node):
 
         Returns an event that fires when the whole batch is active.
         """
-        from .flowtable import TableFullError
-
         d = self.params.flow_install_delay_s if delay is None else delay
         ev = self.sim.event()
+        self.sim.call_later(d, self._install_now, entries, ev)
+        return ev
 
-        def _do():
-            if not self.alive:
-                ev.fail(SwitchDownError(f"{self.name} is down"))
-                return
-            for entry in entries:
-                try:
-                    self.table.install(entry)
-                except TableFullError as exc:
-                    self.trace.emit(
-                        self.sim.now, "switch.table_full", self.name,
-                        entry=entry.describe(),
-                    )
-                    ev.fail(exc)
-                    return
+    def _install_now(self, entries, ev) -> None:
+        if not self.alive:
+            ev.fail(SwitchDownError(f"{self.name} is down"))
+            return
+        for entry in entries:
+            try:
+                self.table.install(entry)
+            except TableFullError as exc:
                 self.trace.emit(
-                    self.sim.now, "switch.flowmod", self.name,
+                    self.sim.now, "switch.table_full", self.name,
                     entry=entry.describe(),
                 )
-            ev.succeed()
-
-        self.sim.call_later(d, _do)
-        return ev
+                ev.fail(exc)
+                return
+            self.trace.emit(
+                self.sim.now, "switch.flowmod", self.name,
+                entry=entry.describe(),
+            )
+        ev.succeed()

@@ -392,6 +392,7 @@ class JourneyRecorder:
         for link in net.links:
             link.forward.journey = rec
             link.reverse.journey = rec
+        net.journey = rec
         return rec
 
     def detach(self) -> None:
@@ -406,6 +407,8 @@ class JourneyRecorder:
             for ch in (link.forward, link.reverse):
                 if getattr(ch, "journey", None) is self:
                     ch.journey = None
+        if self.net.journey is self:
+            self.net.journey = None
 
     # -- sampling -----------------------------------------------------------
     def wants(self, packet: "Packet") -> bool:

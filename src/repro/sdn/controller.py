@@ -309,8 +309,7 @@ class Controller:
             return
         sw = self.network.switch(switch_name)
         self.sim.call_later(
-            self.network.params.packet_out_delay_s,
-            lambda: sw.transmit(packet, out_port),
+            self.network.params.packet_out_delay_s, sw.transmit, packet, out_port
         )
 
     # -- introspection / verification -----------------------------------------

@@ -101,7 +101,7 @@ class FailureDetector:
         if self.immediate:
             fn(*args)
         else:
-            self.sim.call_later(self.detection_delay(), lambda: fn(*args))
+            self.sim.call_later(self.detection_delay(), fn, *args)
 
 
 class TopologyView:

@@ -108,7 +108,7 @@ class L3ShortestPathApp(ControllerApp):
             # Re-run the packet through the (now populated) table.
             ctrl.sim.call_later(
                 ctrl.network.params.packet_out_delay_s,
-                lambda sw=switch, p=packet, ip=in_port: sw.receive(p, ip),
+                switch.receive, packet, in_port,
             )
 
     # ------------------------------------------------------------------

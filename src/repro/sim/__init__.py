@@ -8,6 +8,7 @@ on a single deterministic simulated clock.
 from .engine import (
     AllOf,
     AnyOf,
+    Callback,
     Event,
     Interrupt,
     Periodic,
@@ -22,6 +23,7 @@ from .trace import TraceLog, TraceRecord
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Callback",
     "Event",
     "Interrupt",
     "Periodic",

@@ -21,6 +21,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 __all__ = [
     "Simulator",
     "Event",
+    "Callback",
     "Timeout",
     "Process",
     "AllOf",
@@ -109,9 +110,11 @@ class Event:
         return self
 
     def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for cb in callbacks:
+                cb(self)
         self._processed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -121,6 +124,36 @@ class Event:
             else "pending"
         )
         return f"<{type(self).__name__} {state} at t={self.sim.now:.6f}>"
+
+
+class Callback(Event):
+    """A plain function call on the heap: ``fn(*args)`` at a scheduled time.
+
+    What :meth:`Simulator.call_later` / :meth:`Simulator.call_at` return.
+    The call *is* the event — no wrapper closure, no ``succeed`` round trip —
+    yet it stays a full :class:`Event`: it is born triggered (value ``None``),
+    a process may yield it, and callbacks appended to it run after ``fn``.
+    The self-profiler reports these dispatches as ``event.Callback``.
+    """
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, sim: "Simulator", fn: Callable[..., None], args: tuple):
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._processed = False
+        self._scheduled = True
+        self.fn = fn
+        self.args = args
+
+    def _run_callbacks(self) -> None:
+        self.fn(*self.args)
+        if self.callbacks:  # somebody waited on the call: the rare case
+            super()._run_callbacks()
+        else:
+            self._processed = True
 
 
 class Timeout(Event):
@@ -238,7 +271,7 @@ class Periodic:
         self._epoch += 1
 
     def _schedule(self, epoch: int) -> None:
-        self.sim.call_later(self.period_s, lambda: self._tick(epoch))
+        self.sim.call_later(self.period_s, self._tick, epoch)
 
     def _tick(self, epoch: int) -> None:
         if not self._running or epoch != self._epoch:
@@ -388,16 +421,21 @@ class Simulator:
         """Start a generator as a process; returns the process event."""
         return Process(self, gen, name=name)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run a plain callback ``delay`` seconds from now."""
-        ev = Event(self)
-        ev.callbacks.append(lambda _ev: fn())
-        ev.succeed(delay=delay)
+    def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> Callback:
+        """Run ``fn(*args)`` ``delay`` seconds from now."""
+        # `_schedule`, spelled out: this is the kernel's most frequent call and
+        # a `Callback` is born scheduled.
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        ev = Callback(self, fn, args)
+        if self._sanitizer is not None:
+            self._sanitizer._on_schedule(ev, delay)
+        heapq.heappush(self._heap, (self._now + delay, next(self._counter), ev))
         return ev
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> Event:
-        """Run a plain callback at absolute time ``when``."""
-        return self.call_later(when - self._now, fn)
+    def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> Callback:
+        """Run ``fn(*args)`` at absolute time ``when``."""
+        return self.call_later(when - self._now, fn, *args)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that fires once all given events fired."""

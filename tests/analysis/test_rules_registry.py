@@ -137,6 +137,18 @@ class TestEncapsulationRule:
         )
         assert [f.rule for f in findings] == ["flowtable-encapsulation"]
 
+    def test_mutation_counter_is_read_through_the_public_property(self):
+        private = lint_source(
+            "def f(sw):\n    return sw.table._version\n",
+            path="src/repro/net/switch.py",
+        )
+        assert [f.rule for f in private] == ["flowtable-encapsulation"]
+        public = lint_source(
+            "def f(sw):\n    return sw.table.version\n",
+            path="src/repro/net/switch.py",
+        )
+        assert public == []
+
 
 class TestBaseline:
     def _write_bad_module(self, tmp_path, name="mod.py"):

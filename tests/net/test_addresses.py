@@ -42,6 +42,21 @@ class TestIPv4:
     def test_coercion_forms(self):
         assert ip(167772161) == ip("10.0.0.1") == ip(ip("10.0.0.1"))
 
+    def test_text_form_is_memoised_per_value(self):
+        a, b = IPv4Addr(0x0A000001), IPv4Addr(0x0A000001)
+        assert a is not b
+        assert str(a) == str(b) == "10.0.0.1"
+        assert str(a) is str(b)  # equal addresses share one string
+        assert repr(a) == "IPv4Addr('10.0.0.1')"
+        assert str(IPv4Addr(0x0A000002)) == "10.0.0.2"
+
+    def test_text_memo_survives_identity_counter_reset(self):
+        from repro.net.packet import reset_identity_counters
+
+        before = str(ip("192.168.7.9"))
+        reset_identity_counters()
+        assert str(ip("192.168.7.9")) is before == "192.168.7.9"
+
 
 class TestMac:
     def test_parse_roundtrip(self):

@@ -75,9 +75,28 @@ class TestMatch:
         assert Match(ip_src=ip(1)).key() == Match(ip_src=ip(1)).key()
         assert Match(ip_src=ip(1)).key() != Match(ip_dst=ip(1)).key()
 
+    def test_key_lists_every_match_field_in_declaration_order(self):
+        import dataclasses
+
+        names = [f.name for f in dataclasses.fields(Match)]
+        m = Match(**{name: i + 1 for i, name in enumerate(names)})
+        assert m.key() == tuple(getattr(m, name) for name in names)
+        assert Match().key() == (None,) * len(names)
+
     def test_describe(self):
         assert Match().describe() == "Match(*)"
         assert "ip_src=10.0.0.1" in Match(ip_src=ip("10.0.0.1")).describe()
+
+    def test_describe_lists_constrained_fields_in_order_and_names_no_mpls(self):
+        m = Match(in_port=3, ip_dst=ip("10.0.0.2"), dport=80, mpls=Match.NO_MPLS)
+        assert m.describe() == "Match(in_port=3, ip_dst=10.0.0.2, dport=80, mpls=NO_MPLS)"
+        assert repr(m) == m.describe()
+        assert Match(mpls=7, proto="udp").describe() == "Match(proto=udp, mpls=7)"
+
+    def test_derived_text_does_not_leak_into_equality_or_hash(self):
+        a, b = Match(ip_src=ip(1)), Match(ip_src=ip(1))
+        a.describe()
+        assert a == b and hash(a) == hash(b)
 
 
 class TestActions:

@@ -227,6 +227,50 @@ def test_live_journey_recorder_pins_all_flows():
     assert eng.fidelity_for("f", path=["h1", "p0e0", "h2"]) == "packet"
 
 
+def test_journey_pin_follows_attach_and_detach_whenever_they_happen():
+    path = ["h1", "p0e0", "h2"]
+    # attached before the engine exists
+    net = Network(fat_tree(4))
+    early = JourneyRecorder.attach(net)
+    eng = HybridEngine(net, sample_rate=0.0)
+    assert eng.fidelity_for("f", path) == eng.fidelity_for("f") == "packet"
+    early.detach()
+    assert net.journey is None
+    assert eng.fidelity_for("f", path) == eng.fidelity_for("f") == "fluid"
+    # attached late, replaced, and detached out of order
+    first = JourneyRecorder.attach(net)
+    second = JourneyRecorder.attach(net)
+    assert net.journey is second
+    first.detach()  # its hooks were already overwritten: nothing to unhook
+    assert net.journey is second
+    assert eng.fidelity_for("f", path) == "packet"
+    second.detach()
+    assert eng.fidelity_for("f", path) == "fluid"
+    assert all(
+        ch.journey is None for link in net.links for ch in (link.forward, link.reverse)
+    )
+
+
+def test_a_recorder_that_never_records_pins_nothing():
+    net = Network(fat_tree(4))
+    eng = HybridEngine(net, sample_rate=0.0)
+    idle = JourneyRecorder.attach(net, sample_rate=0.0)
+    assert idle.never_records and net.journey is None
+    assert eng.fidelity_for("f", path=["h1", "p0e0", "h2"]) == "fluid"
+
+
+def test_fidelity_decision_does_not_scan_the_fabric():
+    net = Network(fat_tree(4))
+    eng = HybridEngine(net, sample_rate=0.5)
+
+    class NoScan(list):
+        def __iter__(self):
+            raise AssertionError("fidelity_for walked every link of the fabric")
+
+    net.links = NoScan(net.links)
+    assert {eng.fidelity_for(f"flow-{i}") for i in range(50)} == {"packet", "fluid"}
+
+
 def test_registry_shapes():
     names = [inv.name for inv in HANDOFF_CONTRACT]
     assert len(names) == len(set(names))

@@ -36,6 +36,39 @@ class TestCpuMeter:
         assert m.busy_s == 0.0
 
 
+class TestChannelName:
+    def test_name_is_the_directed_port_label_and_a_plain_attribute(self):
+        net = Network(linear(2, hosts_per_switch=1))
+        link = net.link_between("s1", "s2")
+        fwd, rev = link.forward, link.reverse
+        assert fwd.name == f"s1[{fwd.src_port}]->s2[{fwd.dst_port}]"
+        assert rev.name == f"s2[{rev.src_port}]->s1[{rev.dst_port}]"
+        assert fwd.name is fwd.name  # rendered once, not per read
+
+    def test_equal_fabrics_name_their_channels_equally(self):
+        from repro.net.packet import reset_identity_counters
+
+        first = [
+            ch.name
+            for link in Network(linear(3)).links
+            for ch in (link.forward, link.reverse)
+        ]
+        reset_identity_counters()
+        second = [
+            ch.name
+            for link in Network(linear(3)).links
+            for ch in (link.forward, link.reverse)
+        ]
+        assert first == second and len(set(first)) == len(first)
+
+    def test_trace_records_carry_the_channel_name(self):
+        net = Network(linear(1, hosts_per_switch=2))
+        ch = net.host("h1").ports[0]
+        ch.send(net.host("h1").make_packet(net.host("h2").ip, payload_size=10))
+        (rec,) = net.trace.by_category("link.tx")
+        assert rec.node is ch.name
+
+
 class TestChannelBacklog:
     def test_backlog_tracks_queued_bytes(self):
         net = Network(linear(1, hosts_per_switch=2))

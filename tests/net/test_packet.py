@@ -1,8 +1,10 @@
 """Unit tests for the packet model."""
 
+import dataclasses
+
 import pytest
 
-from repro.net import Packet, ip, mac
+from repro.net import FlowEntry, FlowTable, Match, Output, Packet, PushMpls, SetField, ip, mac
 from repro.net.packet import ETH_HEADER, IP_HEADER, MPLS_SHIM, TCP_HEADER, UDP_HEADER
 
 
@@ -35,6 +37,13 @@ def test_size_with_mpls_shim():
     assert p.size == ETH_HEADER + MPLS_SHIM + IP_HEADER + TCP_HEADER + 100
 
 
+@pytest.mark.parametrize("proto", ["tcp", "udp"])
+@pytest.mark.parametrize("mpls", [None, 7])
+def test_size_is_header_plus_payload(proto, mpls):
+    p = make(proto=proto, mpls=mpls, payload_size=321)
+    assert p.size == p.header_size + 321
+
+
 def test_uids_unique():
     assert make().uid != make().uid
 
@@ -45,6 +54,68 @@ def test_copy_fresh_uid_same_content_tag():
     assert c.uid != p.uid
     assert c.content_tag == p.content_tag
     assert c.ip_src == p.ip_src
+
+
+def _every_field_distinct() -> Packet:
+    """A packet whose every field holds a value no other field holds."""
+    values = dict(
+        eth_src=mac(0xA1), eth_dst=mac(0xA2), ip_src=ip("10.1.0.1"),
+        ip_dst=ip("10.2.0.2"), proto="udp", sport=1111, dport=2222, mpls=33,
+        ttl=44, payload=("payload", 55), payload_size=66, uid=77, content_tag=88,
+        created_at=9.9,
+    )
+    # a field added to Packet later must be given a value here (and in copy)
+    assert set(values) == {f.name for f in dataclasses.fields(Packet)}
+    return Packet(**values)
+
+
+@pytest.mark.parametrize("fresh_identity", [True, False])
+def test_copy_equals_dataclasses_replace_field_for_field(fresh_identity):
+    p = _every_field_distinct()
+    reference = dataclasses.replace(p)
+    dup = p.copy(fresh_identity=fresh_identity)
+    assert dup is not p
+    for f in dataclasses.fields(Packet):
+        if f.name == "uid" and fresh_identity:
+            continue
+        assert getattr(dup, f.name) == getattr(reference, f.name), f.name
+    assert dup.payload is p.payload  # shallow, as replace is
+
+
+def test_copy_keeps_the_uid_unless_a_fresh_identity_is_asked_for():
+    p = make()
+    next_uid = make().uid + 1
+    kept = p.copy(fresh_identity=False)
+    assert kept.uid == p.uid
+    fresh = p.copy()
+    assert fresh.uid == next_uid  # drew exactly one uid, after construction
+    assert make().uid == next_uid + 1
+    assert kept.content_tag == fresh.content_tag == p.content_tag
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sport", 70000), ("dport", -1), ("mpls", 1 << 32), ("mpls", -7)],
+)
+def test_copy_rejects_a_header_rewritten_out_of_range(field, value):
+    # SetField / PushMpls rewrite with plain attribute assignment, so the
+    # copy taken at emission is what validates the rewritten header.
+    p = make()
+    setattr(p, field, value)
+    with pytest.raises(ValueError, match="out of range"):
+        p.copy()
+    with pytest.raises(ValueError, match="out of range"):
+        p.copy(fresh_identity=False)
+
+
+@pytest.mark.parametrize(
+    "action", [SetField("dport", 1 << 16), PushMpls(1 << 32)], ids=["port", "label"]
+)
+def test_switch_emission_rejects_an_out_of_range_rewrite(action):
+    table = FlowTable()
+    table.install(FlowEntry(Match(), [action, Output(1)]))
+    with pytest.raises(ValueError, match="out of range"):
+        table.apply(make(), 1)
 
 
 def test_copy_is_independent():
