@@ -16,20 +16,21 @@ Two implementations share the model:
 * :class:`FluidSolver` — the **incremental** engine behind
   :mod:`repro.net.hybrid`: array-backed per-link state, flow/capacity churn
   that dirties the allocation instead of rebuilding it, per-link external
-  (packet-level) load debits, and a vectorized water-filling loop when
-  numpy is available.  ``tests/net/test_fluid_solver.py`` holds its rates
-  equal to the reference on random instances.
+  (packet-level) load debits, and a numpy water-filling loop whose rounds
+  cost the live links rather than every flow×link entry.
+  ``tests/net/test_fluid_solver.py`` holds its rates equal to the reference
+  on random instances; ``tests/net/test_fluid_incremental.py`` holds them
+  bit-equal to the full-scan loop it replaced.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from itertools import chain
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
-try:  # numpy is a normal dependency, but the solver degrades gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
+import numpy as np
 
 __all__ = ["FluidFlow", "FluidAllocation", "FluidSolver", "max_min_fair"]
 
@@ -155,6 +156,42 @@ def max_min_fair(
     )
 
 
+class _Incidence(NamedTuple):
+    """Flow×link incidence of the current flow set, as flat arrays.
+
+    Rebuilt only after flow churn or a new link; capacity and external-load
+    changes reuse it.  Flows are numbered in registration order, physical
+    links by their row in the solver's link table, and each rate-capped
+    flow's virtual single-user cap link follows at ``n_phys + j``.
+    """
+
+    n_phys: int
+    #: physical link rows, flow-major, and how many each flow has: the
+    #: summation order of link loads
+    link_of: np.ndarray
+    lens: np.ndarray
+    #: flow -> its link rows (cap link included), CSR
+    f_ptr: np.ndarray
+    f_links: np.ndarray
+    #: link -> the flows on it, CSR (a flow listing a link twice is there twice)
+    l_ptr: np.ndarray
+    l_flows: np.ndarray
+    #: entries per link, i.e. the user count while every flow is active
+    users: np.ndarray
+    #: capacities of the virtual cap links
+    cap_rates: np.ndarray
+
+
+def _csr_rows(ptr: np.ndarray, data: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Rows ``which`` of the CSR matrix ``(ptr, data)``, concatenated."""
+    starts = ptr[which]
+    if len(which) == 1:
+        return data[starts[0]:ptr[which[0] + 1]]
+    lens = ptr[which + 1] - starts
+    ends = np.cumsum(lens)
+    return data[np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)]
+
+
 class FluidSolver:
     """Incremental max-min fair allocator with array-backed link state.
 
@@ -170,24 +207,42 @@ class FluidSolver:
     simulator carried on a shared link are debited from the capacity the
     fluid flows may fill (``effective = max(capacity - external, 0)``).
 
-    The water-filling loop itself is vectorized over flat link/flow
-    incidence arrays when numpy is importable and the instance is large
-    enough to benefit; the pure-python reference path is used otherwise.
-    Both paths freeze flows on saturated links with a *relative* tolerance,
-    so gigabit-scale capacities do not trip the numerical-safety fallback.
+    Link names are resolved to rows of the capacity / external-load arrays
+    once, in :meth:`add_flow` — a flow is stored as its tuple of rows — and
+    the flow×link incidence is kept between solves.  A filling round then
+    works on per-link arrays only: the water ``level`` every still-active
+    flow sits at is one scalar, each link keeps a count of its active users,
+    and freezing a flow decrements the counts along that flow's own row.  A
+    link whose last user froze is parked and never constrains a later round.
+
+    Instances below ``_VECTOR_MIN_FLOWS`` flows go through
+    :func:`max_min_fair` instead.  The two are deliberately not folded into
+    one: the array loop freezes flows on saturated links with a *relative*
+    tolerance (gigabit-scale capacities would otherwise trip the
+    numerical-safety fallback), the reference with an absolute one, so
+    moving an instance from one to the other moves simulated results.
     """
 
-    #: below this many flows the vectorized path costs more than it saves
+    #: below this many flows the array loop costs more than it saves
     _VECTOR_MIN_FLOWS = 32
 
     def __init__(self, capacities_bps: Optional[dict[LinkId, float]] = None):
-        self._capacity: dict[LinkId, float] = {}
-        self._external: dict[LinkId, float] = {}
-        self._flows: dict[str, FluidFlow] = {}
+        #: link id -> row of the per-link arrays (registration order)
+        self._link_row: dict[LinkId, int] = {}
+        self._cap = array("d")
+        self._ext = array("d")
+        #: flow id -> link rows along it, resolved once at add_flow
+        self._flows: dict[str, tuple[int, ...]] = {}
+        #: rate caps of the flows that have one
+        self._rate_caps: dict[str, float] = {}
+        self._incidence: Optional[_Incidence] = None
         self._rates: dict[str, float] = {}
         self._dirty = True
         #: how many times the allocation was recomputed (obs counter)
         self.resolves = 0
+        #: filling rounds of the array loop, summed over solves: the work
+        #: counter that explains solve time (obs counter)
+        self.rounds = 0
         #: opt-in self-profiler (repro.obs.prof.Profiler); None = off and
         #: the solve hook in rates() is statically dead.
         self._prof = None
@@ -197,39 +252,42 @@ class FluidSolver:
     # -- link table -------------------------------------------------------
     def add_link(self, link: LinkId, capacity_bps: float) -> None:
         """Register a link (idempotent only via :meth:`set_capacity`)."""
-        if link in self._capacity:
+        if link in self._link_row:
             raise ValueError(f"link {link!r} already registered")
         if capacity_bps < 0:
             raise ValueError("negative link capacity")
-        self._capacity[link] = capacity_bps
+        self._link_row[link] = len(self._cap)
+        self._cap.append(capacity_bps)
+        self._ext.append(0.0)
+        self._incidence = None  # cap links are numbered after the physical ones
         self._dirty = True
 
     def set_capacity(self, link: LinkId, capacity_bps: float) -> None:
         """Change a link's capacity (topology churn: up/down/resize)."""
-        if link not in self._capacity:
+        row = self._link_row.get(link)
+        if row is None:
             raise KeyError(f"unknown link {link!r}")
         if capacity_bps < 0:
             raise ValueError("negative link capacity")
-        if self._capacity[link] != capacity_bps:
-            self._capacity[link] = capacity_bps
+        if self._cap[row] != capacity_bps:
+            self._cap[row] = capacity_bps
             self._dirty = True
 
     def set_external_load(self, link: LinkId, load_bps: float) -> None:
         """Debit packet-level load from a link's fluid-fillable capacity."""
-        if link not in self._capacity:
+        row = self._link_row.get(link)
+        if row is None:
             raise KeyError(f"unknown link {link!r}")
         if load_bps < 0:
             raise ValueError("negative external load")
-        if self._external.get(link, 0.0) != load_bps:
-            if load_bps:
-                self._external[link] = load_bps
-            else:
-                self._external.pop(link, None)
+        if self._ext[row] != load_bps:
+            self._ext[row] = load_bps
             self._dirty = True
 
     def external_load_bps(self, link: LinkId) -> float:
         """The packet-level load currently debited from one link."""
-        return self._external.get(link, 0.0)
+        row = self._link_row.get(link)
+        return 0.0 if row is None else self._ext[row]
 
     # -- flow churn -------------------------------------------------------
     def add_flow(
@@ -241,16 +299,23 @@ class FluidSolver:
         """Add one flow over ``links``; dirties the allocation."""
         if flow_id in self._flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
-        for l in links:
-            if l not in self._capacity:
-                raise KeyError(f"flow {flow_id} uses unknown link {l!r}")
-        self._flows[flow_id] = FluidFlow(flow_id, list(links), rate_cap_bps)
+        try:
+            self._flows[flow_id] = tuple(map(self._link_row.__getitem__, links))
+        except KeyError as exc:
+            raise KeyError(
+                f"flow {flow_id} uses unknown link {exc.args[0]!r}"
+            ) from None
+        if rate_cap_bps is not None:
+            self._rate_caps[flow_id] = rate_cap_bps
+        self._incidence = None
         self._dirty = True
 
     def remove_flow(self, flow_id: str) -> None:
         """Remove one flow; dirties the allocation."""
         del self._flows[flow_id]
+        self._rate_caps.pop(flow_id, None)
         self._rates.pop(flow_id, None)
+        self._incidence = None
         self._dirty = True
 
     def __contains__(self, flow_id: str) -> bool:
@@ -266,14 +331,15 @@ class FluidSolver:
 
     def flow_links(self, flow_id: str) -> list[LinkId]:
         """The links one registered flow traverses."""
-        return list(self._flows[flow_id].links)
+        ids = list(self._link_row)
+        return [ids[row] for row in self._flows[flow_id]]
 
     # -- solving ----------------------------------------------------------
+    def _effective_array(self) -> np.ndarray:
+        return np.maximum(np.frombuffer(self._cap) - np.frombuffer(self._ext), 0.0)
+
     def _effective_capacities(self) -> dict[LinkId, float]:
-        return {
-            l: max(cap - self._external.get(l, 0.0), 0.0)
-            for l, cap in self._capacity.items()
-        }
+        return dict(zip(self._link_row, self._effective_array().tolist()))
 
     def rates(self) -> dict[str, float]:
         """Per-flow allocated rates (bps), re-solving only when dirty."""
@@ -283,6 +349,7 @@ class FluidSolver:
                 self._resolve()
             else:
                 n_flows = len(self._flows)
+                rounds_before = self.rounds
                 prof.enter("fluid.solve")
                 try:
                     vectorized = self._resolve()
@@ -293,18 +360,22 @@ class FluidSolver:
                     "path.vectorized" if vectorized else "path.scalar",
                 )
                 prof.count("fluid.solve", "flows.solved", n_flows)
+                prof.count("fluid.solve", "rounds", self.rounds - rounds_before)
         return self._rates
 
     def _resolve(self) -> bool:
         """Recompute the allocation; returns True on the vectorized path."""
-        vectorized = _np is not None and len(self._flows) >= self._VECTOR_MIN_FLOWS
+        vectorized = len(self._flows) >= self._VECTOR_MIN_FLOWS
         if vectorized:
             self._rates = self._solve_vectorized()
         else:
+            ids, caps = list(self._link_row), self._rate_caps
+            flows = [
+                FluidFlow(fid, [ids[row] for row in rows], caps.get(fid))
+                for fid, rows in self._flows.items()
+            ]
             self._rates = dict(
-                max_min_fair(
-                    self._flows.values(), self._effective_capacities()
-                ).rates_bps
+                max_min_fair(flows, self._effective_capacities()).rates_bps
             )
         self._dirty = False
         self.resolves += 1
@@ -317,14 +388,22 @@ class FluidSolver:
     def link_fluid_load_bps(self) -> dict[LinkId, float]:
         """Aggregate fluid load per physical link under the current rates."""
         rates = self.rates()
-        load: dict[LinkId, float] = {}
-        for fid, flow in self._flows.items():
-            r = rates[fid]
-            if r == float("inf"):
-                continue
-            for l in flow.links:
-                load[l] = load.get(l, 0.0) + r
-        return load
+        inc = self._incidence_arrays()
+        rate_of = np.fromiter(
+            map(rates.__getitem__, self._flows), np.float64, len(self._flows)
+        )
+        link_of, weight = inc.link_of, np.repeat(rate_of, inc.lens)
+        finite = weight != float("inf")
+        if not finite.all():
+            link_of, weight = link_of[finite], weight[finite]
+        # bincount adds in entry order, which is flow-major: each link sums
+        # its flows' rates in registration order
+        load = np.bincount(link_of, weights=weight, minlength=inc.n_phys)
+        loaded = np.flatnonzero(np.bincount(link_of, minlength=inc.n_phys))
+        ids = list(self._link_row)
+        return {
+            ids[i]: v for i, v in zip(loaded.tolist(), load[loaded].tolist())
+        }
 
     def allocation(self) -> FluidAllocation:
         """The current allocation as a :class:`FluidAllocation` view."""
@@ -335,68 +414,109 @@ class FluidSolver:
         )
 
     # -- vectorized water filling -----------------------------------------
-    def _solve_vectorized(self) -> dict[str, float]:
-        """Progressive filling over flat incidence arrays (numpy)."""
-        np = _np
-        flow_ids = list(self._flows)
-        n_flows = len(flow_ids)
-        link_ids = list(self._capacity)
-        link_index = {l: i for i, l in enumerate(link_ids)}
-        caps = [
-            max(self._capacity[l] - self._external.get(l, 0.0), 0.0)
-            for l in link_ids
-        ]
+    def _incidence_arrays(self) -> _Incidence:
+        """The flow×link incidence, rebuilt only after flow or link churn."""
+        inc = self._incidence
+        if inc is not None:
+            return inc
+        n_phys, n_flows = len(self._cap), len(self._flows)
+        rows = self._flows.values()
+        lens = np.fromiter(map(len, rows), np.intp, n_flows)
+        link_of = np.fromiter(chain.from_iterable(rows), np.intp, int(lens.sum()))
+        flow_of = np.repeat(np.arange(n_flows, dtype=np.intp), lens)
         # Virtual single-user cap links keep the filling loop uniform.
-        flat_flow: list[int] = []
-        flat_link: list[int] = []
-        for fi, fid in enumerate(flow_ids):
-            flow = self._flows[fid]
-            for l in flow.links:
-                flat_flow.append(fi)
-                flat_link.append(link_index[l])
-            if flow.rate_cap_bps is not None:
-                flat_flow.append(fi)
-                flat_link.append(len(caps))
-                caps.append(flow.rate_cap_bps)
+        caps = self._rate_caps
+        capped = [(i, caps[fid]) for i, fid in enumerate(self._flows) if fid in caps]
+        if capped:
+            all_flow = np.concatenate(
+                (flow_of, np.array([i for i, _ in capped], dtype=np.intp))
+            )
+            all_link = np.concatenate(
+                (link_of, np.arange(n_phys, n_phys + len(capped), dtype=np.intp))
+            )
+            f_links = all_link[np.argsort(all_flow, kind="stable")]
+        else:
+            all_flow, all_link, f_links = flow_of, link_of, link_of
+        users = np.bincount(all_link, minlength=n_phys + len(capped))
+        inc = self._incidence = _Incidence(
+            n_phys=n_phys,
+            link_of=link_of,
+            lens=lens,
+            f_ptr=np.concatenate(
+                ([0], np.cumsum(np.bincount(all_flow, minlength=n_flows)))
+            ),
+            f_links=f_links,
+            l_ptr=np.concatenate(([0], np.cumsum(users))),
+            l_flows=all_flow[np.argsort(all_link, kind="stable")],
+            users=users.astype(np.float64),
+            cap_rates=np.array([cap for _, cap in capped], dtype=np.float64),
+        )
+        return inc
 
-        cap_arr = np.asarray(caps, dtype=np.float64)
-        n_links = len(caps)
-        flow_of = np.asarray(flat_flow, dtype=np.intp)
-        link_of = np.asarray(flat_link, dtype=np.intp)
-        rates = np.zeros(n_flows, dtype=np.float64)
-        remaining = cap_arr.copy()
-        # Pathless flows are unconstrained (inf), mirroring the reference.
-        has_links = np.zeros(n_flows, dtype=bool)
-        has_links[flow_of] = True
-        active = has_links.copy()
+    def _solve_vectorized(self) -> dict[str, float]:
+        """Progressive filling; a round costs the links, not the incidence.
+
+        Every active flow has received every share so far, so its rate is
+        the running ``level`` and a frozen flow's is the level it froze at —
+        the same additions in the same order as raising each rate by each
+        share.  ``users`` (active entries per link) is decremented along the
+        rows of the flows a round freezes, duplicates accumulating.
+        """
+        inc = self._incidence_arrays()
+        f_ptr, f_links, l_ptr, l_flows = inc.f_ptr, inc.f_links, inc.l_ptr, inc.l_flows
+        inf = float("inf")
+        remaining = np.concatenate((self._effective_array(), inc.cap_rates))
         # Relative saturation tolerance (reference uses absolute 1e-9; at
         # gigabit capacities float error alone exceeds that).
-        sat_floor = np.maximum(cap_arr * 1e-9, 1e-9)
+        sat_floor = np.maximum(remaining * 1e-9, 1e-9)
+        users = inc.users.copy()
+        share_of = np.empty_like(remaining)  # per-round scratch
+        saturated = np.empty(len(remaining), dtype=bool)
 
-        while active.any():
-            on_active = active[flow_of]
-            users = np.bincount(link_of[on_active], minlength=n_links)
-            used = users > 0
-            if not used.any():
-                break
-            share = float(np.min(remaining[used] / users[used]))
-            share = max(share, 0.0)
-            rates[active] += share
-            remaining -= share * users
-            saturated = used & (remaining <= sat_floor)
-            frozen = np.zeros(n_flows, dtype=bool)
-            hit = on_active & saturated[link_of]
-            frozen[flow_of[hit]] = True
-            if not frozen.any():
+        def park(links: np.ndarray) -> None:
+            # A link nobody active uses: one phantom user of infinite
+            # capacity offers share inf (never the minimum) and cannot read
+            # as saturated, whatever its cap — an inf cap's floor is inf.
+            users[links] = 1.0
+            remaining[links] = inf
+            sat_floor[links] = -inf
+
+        park((users == 0.0).nonzero()[0])
+        # Pathless flows are unconstrained (inf), mirroring the reference.
+        active = f_ptr[1:] > f_ptr[:-1]
+        rates = np.where(active, 0.0, inf)
+        n_active = int(active.sum())
+        level = 0.0
+        flow_ids: Optional[list[str]] = None
+        rounds = 0
+        while n_active:
+            rounds += 1
+            np.divide(remaining, users, out=share_of)
+            share = max(float(share_of.min()), 0.0)
+            level += share
+            np.multiply(users, share, out=share_of)
+            np.subtract(remaining, share_of, out=remaining)
+            np.less_equal(remaining, sat_floor, out=saturated)
+            hit = saturated.nonzero()[0]
+            on_hit = _csr_rows(l_ptr, l_flows, hit) if len(hit) else hit
+            # twice on one link, or on two links of this round: once
+            # (not np.unique: its first call imports numpy.ma, ~1 MB)
+            frozen = np.fromiter(
+                set(on_hit[active[on_hit]].tolist()), dtype=np.intp
+            )
+            if not len(frozen):
                 # Numerical safety, as in the reference: freeze the
                 # lexicographically-first active flow.
-                first = min(
-                    (fid, i) for i, fid in enumerate(flow_ids) if active[i]
-                )[1]
-                frozen[first] = True
-            active &= ~frozen
-
-        out: dict[str, float] = {}
-        for i, fid in enumerate(flow_ids):
-            out[fid] = float(rates[i]) if has_links[i] else float("inf")
-        return out
+                if flow_ids is None:
+                    flow_ids = list(self._flows)
+                frozen = np.array(
+                    [min(active.nonzero()[0].tolist(), key=flow_ids.__getitem__)]
+                )
+            active[frozen] = False
+            rates[frozen] = level
+            n_active -= len(frozen)
+            freed = _csr_rows(f_ptr, f_links, frozen)
+            np.subtract.at(users, freed, 1.0)
+            park(freed[users[freed] == 0.0])
+        self.rounds += rounds
+        return dict(zip(self._flows, rates.tolist()))

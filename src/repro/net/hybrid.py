@@ -202,6 +202,7 @@ class FluidTransfer:
     __slots__ = (
         "flow_id",
         "path",
+        "links",
         "payload_bytes",
         "wire_bytes",
         "advanced_bytes",
@@ -214,12 +215,15 @@ class FluidTransfer:
         self,
         flow_id: str,
         path: Sequence[str],
+        links: Sequence[str],
         payload_bytes: int,
         started_s: float,
         done: Event,
     ):
         self.flow_id = flow_id
         self.path = tuple(path)
+        #: names of the directed channels along ``path``
+        self.links = tuple(links)
         self.payload_bytes = payload_bytes
         self.wire_bytes = payload_bytes / WIRE_EFFICIENCY
         self.advanced_bytes = 0.0
@@ -395,7 +399,9 @@ class HybridEngine:
         self.solver.add_flow(flow_id, link_ids, rate_cap_bps=rate_cap_bps)
         self._nominal.add_flow(flow_id, link_ids, rate_cap_bps=rate_cap_bps)
         done = Event(self.net.sim)
-        fc = FluidTransfer(flow_id, path, payload_bytes, self.net.sim.now, done)
+        fc = FluidTransfer(
+            flow_id, path, link_ids, payload_bytes, self.net.sim.now, done
+        )
         self._flows[flow_id] = fc
         for c in chans:
             n = self._shared.get(c.name, 0)
@@ -455,15 +461,15 @@ class HybridEngine:
         fc.finished_s = finished_s
         fc.advanced_bytes = fc.wire_bytes
         self.finished_flows += 1
-        for c in self._channels_on(fc.path):
-            n = self._shared[c.name] - 1
+        for name in fc.links:
+            n = self._shared[name] - 1
             if n:
-                self._shared[c.name] = n
+                self._shared[name] = n
             else:
-                del self._shared[c.name]
-                self._pkt_marks.pop(c.name, None)
+                del self._shared[name]
+                self._pkt_marks.pop(name, None)
                 # the debit this channel carried dies with the boundary
-                self.solver.set_external_load(c.name, 0.0)
+                self.solver.set_external_load(name, 0.0)
         self.solver.remove_flow(fc.flow_id)
         self._nominal.remove_flow(fc.flow_id)
         del self._flows[fc.flow_id]

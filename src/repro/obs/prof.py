@@ -99,7 +99,9 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
         "repro.net.fluid.FluidSolver.rates",
         "re-solving a dirtied max-min allocation (clean reads open no frame)",
         "`path.vectorized`, `path.scalar`, `flows.solved` (flow-set size "
-        "summed over solves)",
+        "summed over solves), `rounds` (water-filling rounds of the array "
+        "loop summed over solves — `FluidSolver.rounds`, the work that "
+        "explains the self time)",
     ),
     ProfSubsystem(
         "hybrid.epoch",

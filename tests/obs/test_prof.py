@@ -344,6 +344,9 @@ def test_profiled_hybrid_scenario_attributes_most_of_the_run():
     assert rows["scenario.setup"]["calls"] == 1
     assert rows["hybrid.epoch"]["calls"] >= 1
     assert rows["fluid.solve"]["counters"]["flows.solved"] > 0
+    # 57 fluid flows start together, so the first solve runs the array loop
+    assert rows["fluid.solve"]["counters"]["path.vectorized"] >= 1
+    assert rows["fluid.solve"]["counters"]["rounds"] > 0
     # epoch frames contain their phases: cum >= the phases' cum
     assert rows["hybrid.epoch"]["cum_ns"] >= (
         rows["hybrid.measure"]["cum_ns"] + rows["hybrid.advance"]["cum_ns"]
