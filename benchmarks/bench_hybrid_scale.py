@@ -6,15 +6,16 @@ drives 10,000 concurrent transfers over a 1,024-host fat-tree in hybrid
 fidelity (the hash-sampled packet subset rides real TCP; everything else
 advances as fluid rates) with the self-profiler hooked, and records wall
 time, peak RSS, channels/second, and the profile section to
-``benchmarks/trajectory/BENCH_15.json`` (``BENCH_14.json`` is the same run
-before the incremental fluid solve, ``BENCH_8.json`` before the per-hop
-packet fast path too).  An Observer snapshot of the same
+``benchmarks/trajectory/BENCH_16.json`` (``BENCH_15.json`` is the same run
+before trace records became compact rows, ``BENCH_14.json`` before the
+incremental fluid solve, ``BENCH_8.json`` before the per-hop packet fast
+path too).  An Observer snapshot of the same
 run plus the profile's "top" table land under ``benchmarks/results/`` so
 ``python -m repro.obs summarize`` / ``prof-top`` work on hybrid runs end
 to end.
 
 Set ``BENCH_QUICK=1`` for the CI-sized slice: fat_tree(8), 2,000 channels
-(written to ``BENCH_15.quick.json`` so full and quick entries never clobber
+(written to ``BENCH_16.quick.json`` so full and quick entries never clobber
 each other).
 """
 
@@ -76,7 +77,7 @@ def test_hybrid_scale(benchmark):
 
     doc = {
         "bench": "hybrid_scale",
-        "trajectory_entry": 15,
+        "trajectory_entry": 16,
         "quick": QUICK,
         "params": {
             "k": K, "channels": CHANNELS, "payload_bytes": PAYLOAD_BYTES,
@@ -102,7 +103,7 @@ def test_hybrid_scale(benchmark):
         "profile": r.profile,
     }
     TRAJECTORY_DIR.mkdir(exist_ok=True)
-    entry_name = "BENCH_15.quick.json" if QUICK else "BENCH_15.json"
+    entry_name = "BENCH_16.quick.json" if QUICK else "BENCH_16.json"
     (TRAJECTORY_DIR / entry_name).write_text(json.dumps(doc, indent=2) + "\n")
     RESULTS_DIR.mkdir(exist_ok=True)
     snap_path = RESULTS_DIR / "hybrid_scale_snapshot.json"

@@ -12,6 +12,13 @@ reported alongside for context; they do real per-event work and carry no
 Timing is CPU time (``time.process_time``) with the garbage collector
 paused, min-of-N over interleaved repetitions — wall clocks on shared CI
 machines are too noisy to resolve a 2% bound.
+
+Pausing the collector hides what retained history costs: every full
+collection walks whatever the recorders kept.  So full sampling and the
+armed flight recorder are timed a second time with the collector **on**,
+over ten times the packets (``overhead, gc on``) — the column that would
+move if stored events became collector-tracked objects again (see "What
+recording costs" in docs/observability.md).
 """
 
 import gc
@@ -24,10 +31,14 @@ from repro.obs import FlightRecorder, JourneyRecorder
 PACKETS = 2500
 SPACING_S = 1e-4
 REPS = 10
+#: the collector-on runs: long enough for several full collections
+GC_ON_PACKETS = 10 * PACKETS
+GC_ON_REPS = 3
+GC_ON_MODES = ("baseline", "flight-armed", "full-sampling")
 
 
-def _burst_time(mode: str) -> float:
-    """Wall seconds to push PACKETS packets through a 3-switch chain."""
+def _burst_time(mode: str, packets: int = PACKETS, collector: bool = False) -> float:
+    """CPU seconds to push ``packets`` packets through a 3-switch chain."""
     net = Network(linear(3, hosts_per_switch=1), seed=11)
     h1, h3 = net.host("h1"), net.host("h3")
     for sw, out in (("s1", ("s1", "s2")), ("s2", ("s2", "s3")),
@@ -56,17 +67,18 @@ def _burst_time(mode: str) -> float:
             ),
         )
 
-    for i in range(PACKETS):
+    for i in range(packets):
         _send(i)
     gc.collect()
-    gc.disable()
+    if not collector:
+        gc.disable()
     try:
         t0 = time.process_time()
         net.run()
         elapsed = time.process_time() - t0
     finally:
         gc.enable()
-    assert h3.packets_received == PACKETS
+    assert h3.packets_received == packets
     return elapsed
 
 
@@ -90,6 +102,14 @@ def run_overhead() -> FigureResult:
             best[mode] = min(best[mode], _burst_time(mode))
     for mode in MODES:
         result.add("overhead", mode, best[mode] / best["baseline"])
+    best = {mode: float("inf") for mode in GC_ON_MODES}
+    for _ in range(GC_ON_REPS):
+        for mode in GC_ON_MODES:
+            best[mode] = min(
+                best[mode], _burst_time(mode, GC_ON_PACKETS, collector=True)
+            )
+    for mode in GC_ON_MODES:
+        result.add("overhead, gc on", mode, best[mode] / best["baseline"])
     return result
 
 
@@ -104,3 +124,7 @@ def test_journey_overhead(benchmark, save_table):
     assert result.value("overhead", "predicate-no") < 2.0
     assert result.value("overhead", "flight-armed") < 3.0
     assert result.value("overhead", "full-sampling") < 3.0
+    # With the collector on and ten times the history, retained events must
+    # not cost more than recording them did.
+    assert result.value("overhead, gc on", "flight-armed") < 3.0
+    assert result.value("overhead, gc on", "full-sampling") < 3.0

@@ -47,6 +47,12 @@ from .shard import MimicShard
 
 __all__ = ["MimicControllerCluster"]
 
+# trace field names, one shared tuple per record shape (see repro.sim.trace)
+_CRASH_KEYS = (
+    "shard", "channels_adopted", "repairs_rescheduled", "flows_reparked",
+)
+_REJOIN_KEYS = ("shard",)
+
 
 class _ClusterFlowIds:
     """Aggregated flow-ID accounting over the shard partitions."""
@@ -367,13 +373,8 @@ class MimicControllerCluster(ControllerApp):
             adopter.strategy.on_established(channel)
         self.channels_adopted += adopted
         self.net.trace.emit(
-            self.sim.now,
-            "mic.shard.crash",
-            "MC",
-            shard=shard_id,
-            channels_adopted=adopted,
-            repairs_rescheduled=len(was_repairing),
-            flows_reparked=len(was_parked),
+            self.sim.now, "mic.shard.crash", "MC", _CRASH_KEYS,
+            shard_id, adopted, len(was_repairing), len(was_parked),
         )
         span.finish(channels_adopted=adopted)
 
@@ -387,7 +388,7 @@ class MimicControllerCluster(ControllerApp):
             i for i, s in enumerate(self.shards) if s.alive
         )
         self.net.trace.emit(
-            self.sim.now, "mic.shard.rejoin", "MC", shard=shard_id
+            self.sim.now, "mic.shard.rejoin", "MC", _REJOIN_KEYS, shard_id
         )
 
     # -- shared namespace / key management -------------------------------

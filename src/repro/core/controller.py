@@ -71,6 +71,13 @@ DECOY_DROP_PRIORITY = 60
 REQUEST_WIRE_BYTES = 128
 REPLY_WIRE_BYTES = 96
 
+# trace field names, one shared tuple per record shape (see repro.sim.trace)
+_ESTABLISH_KEYS = ("channel_id", "initiator", "responder", "n_flows", "n_mns")
+_TEARDOWN_KEYS = ("channel_id",)
+_REPAIR_KEYS = ("channel_id", "flow_id", "new_walk")
+_PARK_KEYS = ("channel_id", "flow_id", "reason")
+_RESYNC_KEYS = ("switch", "rules")
+
 _group_ids = itertools.count(1)
 _cookie_ids = itertools.count(0x4D49_0000)  # 'MI' prefix for readability
 
@@ -413,14 +420,8 @@ class MimicController(ControllerApp):
         if self.verify_installs:
             self.verify().raise_if_failed()
         self.net.trace.emit(
-            self.sim.now,
-            "mic.establish",
-            "MC",
-            channel_id=channel_id,
-            initiator=initiator,
-            responder=responder_host,
-            n_flows=n_flows,
-            n_mns=n_mns,
+            self.sim.now, "mic.establish", "MC", _ESTABLISH_KEYS,
+            channel_id, initiator, responder_host, n_flows, n_mns,
         )
         self.strategy.on_established(channel)
         establish_span.finish()
@@ -608,7 +609,7 @@ class MimicController(ControllerApp):
             if used is not None:
                 used.discard(plan.entry.sport)
         self.net.trace.emit(
-            self.sim.now, "mic.teardown", "MC", channel_id=channel_id
+            self.sim.now, "mic.teardown", "MC", _TEARDOWN_KEYS, channel_id
         )
         self.strategy.on_teardown(channel)
 
@@ -800,9 +801,8 @@ class MimicController(ControllerApp):
                     self.sim.now,
                     "mic.rotate" if kind == "rotate" else "mic.repair",
                     "MC",
-                    channel_id=channel.channel_id,
-                    flow_id=old.flow_id,
-                    new_walk=list(new_plan.walk),
+                    _REPAIR_KEYS,
+                    channel.channel_id, old.flow_id, list(new_plan.walk),
                 )
                 span.finish(outcome="rotated" if kind == "rotate" else "repaired")
                 return
@@ -817,12 +817,8 @@ class MimicController(ControllerApp):
         self._parked[cookie] = (channel, idx)
         self.repairs_parked += 1
         self.net.trace.emit(
-            self.sim.now,
-            "mic.park",
-            "MC",
-            channel_id=channel.channel_id,
-            flow_id=old.flow_id,
-            reason=reason,
+            self.sim.now, "mic.park", "MC", _PARK_KEYS,
+            channel.channel_id, old.flow_id, reason,
         )
         if cookie not in self._park_loops:
             self._park_loops.add(cookie)
@@ -913,7 +909,7 @@ class MimicController(ControllerApp):
         if self.verify_installs:
             self.verify().raise_if_failed()
         self.net.trace.emit(
-            self.sim.now, "mic.resync", "MC", switch=name, rules=n_rules
+            self.sim.now, "mic.resync", "MC", _RESYNC_KEYS, name, n_rules
         )
         span.finish(rules=n_rules)
 

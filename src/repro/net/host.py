@@ -24,6 +24,12 @@ L4Handler = Callable[["Host", Packet], None]
 
 NIC_PORT = 0
 
+# trace field names, one shared tuple per record shape (see repro.sim.trace)
+_TX_KEYS = ("uid", "dst_ip", "size")
+_RX_KEYS = ("uid", "src_ip", "sport", "dport", "size")
+_FOREIGN_DROP_KEYS = ("uid", "dst_ip")
+_REFUSED_KEYS = ("uid", "proto", "dport")
+
 
 class Host(Node):
     """An end host with a single NIC on port 0."""
@@ -86,12 +92,8 @@ class Host(Node):
         if self.journey is not None:
             self.journey.on_host_tx(self, packet)
         self.trace.emit(
-            self.sim.now,
-            "host.tx",
-            self.name,
-            uid=packet.uid,
-            dst_ip=str(packet.ip_dst),
-            size=packet.size,
+            self.sim.now, "host.tx", self.name, _TX_KEYS,
+            packet.uid, str(packet.ip_dst), packet.size,
         )
         self.sim.call_later(
             self.params.host_stack_delay_s, self.transmit, packet, NIC_PORT
@@ -132,8 +134,8 @@ class Host(Node):
             # packets from partial multicast die exactly this way when they
             # reach an innocent host instead of a dropping next-hop rule.
             self.trace.emit(
-                self.sim.now, "host.foreign_drop", self.name, uid=packet.uid,
-                dst_ip=str(packet.ip_dst),
+                self.sim.now, "host.foreign_drop", self.name, _FOREIGN_DROP_KEYS,
+                packet.uid, str(packet.ip_dst),
             )
             if self.journey is not None:
                 self.journey.on_host_foreign_drop(self, packet)
@@ -146,14 +148,9 @@ class Host(Node):
         if self.journey is not None:
             self.journey.on_host_rx(self, packet)
         self.trace.emit(
-            self.sim.now,
-            "host.rx",
-            self.name,
-            uid=packet.uid,
-            src_ip=str(packet.ip_src),
-            sport=packet.sport,
-            dport=packet.dport,
-            size=packet.size,
+            self.sim.now, "host.rx", self.name, _RX_KEYS,
+            packet.uid, str(packet.ip_src), packet.sport, packet.dport,
+            packet.size,
         )
         self.sim.call_later(self.params.host_stack_delay_s, self._dispatch, packet)
 
@@ -165,8 +162,8 @@ class Host(Node):
             self.default_handler(self, packet)
         else:
             self.trace.emit(
-                self.sim.now, "host.refused", self.name, uid=packet.uid,
-                proto=packet.proto, dport=packet.dport,
+                self.sim.now, "host.refused", self.name, _REFUSED_KEYS,
+                packet.uid, packet.proto, packet.dport,
             )
 
     def _book_stack_work(self, packet: Packet) -> None:

@@ -21,6 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Channel", "Link", "LinkStats"]
 
+# trace field names, one shared tuple per record shape (see repro.sim.trace)
+_TX_KEYS = ("uid", "content_tag", "size", "src_ip", "dst_ip", "mpls")
+_DROP_KEYS = ("uid", "size")
+_DROP_IN_FLIGHT_KEYS = ("uid", "size", "in_flight")
+
 
 @dataclass
 class LinkStats:
@@ -92,7 +97,7 @@ class Channel:
         backlog = self.backlog_bytes()
         if not self.up or backlog + size > self.queue_bytes:
             self.stats.drops += 1
-            self.trace.emit(now, "link.drop", self.name, uid=packet.uid, size=size)
+            self.trace.emit(now, "link.drop", self.name, _DROP_KEYS, packet.uid, size)
             if self.journey is not None:
                 self.journey.on_link_drop(self, packet, backlog)
             return False
@@ -105,15 +110,9 @@ class Channel:
         if self.journey is not None:
             self.journey.on_link_tx(self, packet, start - now, tx_time, backlog)
         self.trace.emit(
-            now,
-            "link.tx",
-            self.name,
-            uid=packet.uid,
-            content_tag=packet.content_tag,
-            size=size,
-            src_ip=str(packet.ip_src),
-            dst_ip=str(packet.ip_dst),
-            mpls=packet.mpls,
+            now, "link.tx", self.name, _TX_KEYS,
+            packet.uid, packet.content_tag, size,
+            str(packet.ip_src), str(packet.ip_dst), packet.mpls,
         )
         self.sim.call_at(deliver_at, self._deliver, packet)
         return True
@@ -126,8 +125,8 @@ class Channel:
             # journeys dangling mid-hop.
             self.stats.drops += 1
             self.trace.emit(
-                self.sim.now, "link.drop", self.name,
-                uid=packet.uid, size=packet.size, in_flight=True,
+                self.sim.now, "link.drop", self.name, _DROP_IN_FLIGHT_KEYS,
+                packet.uid, packet.size, True,
             )
             if self.journey is not None:
                 self.journey.on_link_drop(self, packet, self.backlog_bytes())

@@ -20,6 +20,10 @@ from .topology import Topology
 
 __all__ = ["Network"]
 
+# trace field names, one shared tuple per record shape (see repro.sim.trace)
+_LINK_STATE_KEYS = ("up",)
+_SWITCH_STATE_KEYS = ("up", "entries_lost")
+
 
 class Network:
     """Live instantiation of a topology on a DES kernel."""
@@ -134,7 +138,7 @@ class Network:
         link = self.link_between(a, b)
         link.set_up(up)
         self.trace.emit(
-            self.sim.now, "link.state", f"{a}<->{b}", up=up
+            self.sim.now, "link.state", f"{a}<->{b}", _LINK_STATE_KEYS, up
         )
         for listener in list(self.link_listeners):
             listener(a, b, up)
@@ -157,7 +161,7 @@ class Network:
         else:
             lost = sw.crash()
         self.trace.emit(
-            self.sim.now, "switch.state", name, up=up, entries_lost=lost
+            self.sim.now, "switch.state", name, _SWITCH_STATE_KEYS, up, lost
         )
         for listener in list(self.switch_listeners):
             listener(name, up)

@@ -26,6 +26,14 @@ from .params import NetParams
 
 __all__ = ["Switch", "SwitchDownError"]
 
+# trace field names, one shared tuple per record shape (see repro.sim.trace)
+_UID_KEYS = ("uid",)
+_MISS_KEYS = ("uid", "src_ip", "dst_ip")
+_FWD_KEYS = (
+    "uid", "content_tag", "in_port", "out_port", "src_ip", "dst_ip", "mpls", "size",
+)
+_ENTRY_KEYS = ("entry",)
+
 
 class SwitchDownError(RuntimeError):
     """A flow-mod reached a switch whose chassis is down (crashed)."""
@@ -95,7 +103,7 @@ class Switch(Node):
         if not self.alive:
             self.packets_dropped_dead += 1
             self.trace.emit(
-                self.sim.now, "switch.dead_drop", self.name, uid=packet.uid
+                self.sim.now, "switch.dead_drop", self.name, _UID_KEYS, packet.uid
             )
             return
         if self.mirror_taps:
@@ -128,12 +136,14 @@ class Switch(Node):
             # Crashed mid-pipeline: the packet dies with the chassis.
             self.packets_dropped_dead += 1
             self.trace.emit(
-                self.sim.now, "switch.dead_drop", self.name, uid=packet.uid
+                self.sim.now, "switch.dead_drop", self.name, _UID_KEYS, packet.uid
             )
             return
         packet.ttl -= 1
         if packet.ttl <= 0:
-            self.trace.emit(self.sim.now, "switch.ttl_expired", self.name, uid=packet.uid)
+            self.trace.emit(
+                self.sim.now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
+            )
             if self.journey is not None:
                 self.journey.on_ttl_expired(self, packet, in_port)
             return
@@ -144,12 +154,8 @@ class Switch(Node):
         if entry is None:
             self.packets_punted += 1
             self.trace.emit(
-                self.sim.now,
-                "switch.miss",
-                self.name,
-                uid=packet.uid,
-                src_ip=str(packet.ip_src),
-                dst_ip=str(packet.ip_dst),
+                self.sim.now, "switch.miss", self.name, _MISS_KEYS,
+                packet.uid, str(packet.ip_src), str(packet.ip_dst),
             )
             if self.journey is not None:
                 self.journey.on_switch_miss(self, packet, in_port)
@@ -167,17 +173,10 @@ class Switch(Node):
             if self.mirror_taps:
                 self._mirror(out_pkt, port, "out")
             self.trace.emit(
-                self.sim.now,
-                "switch.fwd",
-                self.name,
-                uid=out_pkt.uid,
-                content_tag=out_pkt.content_tag,
-                in_port=in_port,
-                out_port=port,
-                src_ip=str(out_pkt.ip_src),
-                dst_ip=str(out_pkt.ip_dst),
-                mpls=out_pkt.mpls,
-                size=out_pkt.size,
+                self.sim.now, "switch.fwd", self.name, _FWD_KEYS,
+                out_pkt.uid, out_pkt.content_tag, in_port, port,
+                str(out_pkt.ip_src), str(out_pkt.ip_dst), out_pkt.mpls,
+                out_pkt.size,
             )
             self.transmit(out_pkt, port)
 
@@ -223,12 +222,12 @@ class Switch(Node):
             except TableFullError as exc:
                 self.trace.emit(
                     self.sim.now, "switch.table_full", self.name,
-                    entry=entry.describe(),
+                    _ENTRY_KEYS, entry.describe(),
                 )
                 ev.fail(exc)
                 return
             self.trace.emit(
                 self.sim.now, "switch.flowmod", self.name,
-                entry=entry.describe(),
+                _ENTRY_KEYS, entry.describe(),
             )
         ev.succeed()

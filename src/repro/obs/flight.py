@@ -21,11 +21,13 @@ by design, and a default-armed recorder must stay silent on a healthy run.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
+from .journey import JourneyEvent, row_column
+
 if TYPE_CHECKING:  # pragma: no cover
-    from .journey import JourneyEvent, JourneyRecorder
+    from .journey import JourneyRecorder
 
 __all__ = [
     "AnomalyTrigger",
@@ -102,14 +104,36 @@ def format_trigger_table() -> str:
     return "\n".join(lines)
 
 
+# journey rows (see repro.obs.journey) are read by position here too
+_TIME, _KIND, _WHERE = 0, 1, 2
+_BACKLOG_AT = row_column("link.tx", "backlog_bytes")
+
+
 @dataclass
 class FlightDump:
-    """One anomaly snapshot: the trigger plus every ring's retained events."""
+    """One anomaly snapshot: the trigger plus every ring's retained events.
+
+    Holds the journey rows as recorded; :attr:`cause` and :attr:`events`
+    build the :class:`~repro.obs.journey.JourneyEvent` values on read.
+    """
 
     time_s: float
     trigger: str
-    cause: "JourneyEvent"
-    events: dict[str, list["JourneyEvent"]] = field(default_factory=dict)
+    cause_row: tuple
+    rows: dict[str, tuple[tuple, ...]]
+
+    @property
+    def cause(self) -> JourneyEvent:
+        """The event that fired the trigger."""
+        return JourneyEvent.from_row(self.cause_row)
+
+    @property
+    def events(self) -> dict[str, list[JourneyEvent]]:
+        """Every ring's retained events at dump time, keyed by location."""
+        return {
+            where: [JourneyEvent.from_row(row) for row in ring]
+            for where, ring in self.rows.items()
+        }
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (what journey dumps embed under ``flight_dumps``)."""
@@ -162,7 +186,8 @@ class FlightRecorder:
         self.triggers = names
         self.queue_threshold_bytes = queue_threshold_bytes
         self.max_dumps = max_dumps
-        self._rings: dict[str, deque["JourneyEvent"]] = {}
+        #: location -> the last ``capacity`` journey rows seen there
+        self._rings: dict[str, deque[tuple]] = {}
         #: kinds that can fire an armed trigger (fast membership test)
         self._armed_kinds = {
             _TRIGGERS_BY_NAME[n].event_kind: n for n in names
@@ -175,37 +200,37 @@ class FlightRecorder:
         """Called by the journey recorder adopting this flight recorder."""
         self.recorder = recorder
 
-    def observe(self, event: "JourneyEvent") -> None:
-        """Ring-buffer the event, then check anomaly triggers."""
-        ring = self._rings.get(event.where)
+    def observe(self, row: tuple) -> None:
+        """Ring-buffer one journey row, then check anomaly triggers."""
+        ring = self._rings.get(row[_WHERE])
         if ring is None:
-            ring = self._rings[event.where] = deque(maxlen=self.capacity)
-        ring.append(event)
-        trigger = self._armed_kinds.get(event.kind)
+            ring = self._rings[row[_WHERE]] = deque(maxlen=self.capacity)
+        ring.append(row)
+        trigger = self._armed_kinds.get(row[_KIND])
         if trigger is None:
             return
         if trigger == "queue_depth":
             threshold = self.queue_threshold_bytes
-            if threshold is None or event.detail["backlog_bytes"] < threshold:
+            if threshold is None or row[_BACKLOG_AT] < threshold:
                 return
-        self._dump(trigger, event)
+        self._dump(trigger, row)
 
-    def _dump(self, trigger: str, cause: "JourneyEvent") -> None:
+    def _dump(self, trigger: str, cause: tuple) -> None:
         if len(self.dumps) >= self.max_dumps:
             self.dumps_suppressed += 1
             return
         self.dumps.append(
             FlightDump(
-                time_s=cause.time_s,
+                time_s=cause[_TIME],
                 trigger=trigger,
-                cause=cause,
-                events={w: list(r) for w, r in self._rings.items()},
+                cause_row=cause,
+                rows={w: tuple(r) for w, r in self._rings.items()},
             )
         )
 
-    def ring(self, where: str) -> list["JourneyEvent"]:
+    def ring(self, where: str) -> list[JourneyEvent]:
         """The currently retained events at one location (oldest first)."""
-        return list(self._rings.get(where, ()))
+        return [JourneyEvent.from_row(row) for row in self._rings.get(where, ())]
 
     def locations(self) -> list[str]:
         """Every location that has retained at least one event."""

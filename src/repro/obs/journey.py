@@ -173,6 +173,19 @@ def format_journey_table() -> str:
 # events and journeys
 # ---------------------------------------------------------------------------
 
+# A stored event is one flat row
+#   (time_s, kind, where, uid, content_tag, keys, *values)
+# with ``keys`` the kind's ``fields`` tuple from JOURNEY_EVENTS.  It holds
+# scalars, strings and header tuples only, so the collector stops tracking
+# it (see repro.sim.trace).  The queries read the columns they need by
+# position; a JourneyEvent is built only for callers that ask for events.
+_TIME, _KIND, _WHERE, _UID, _TAG, _KEYS, _VALUES = range(7)
+
+
+def row_column(kind: str, name: str) -> int:
+    """Position, in a stored row, of one contracted field of an event kind."""
+    return _VALUES + _EVENTS_BY_KIND[kind].fields.index(name)
+
 
 @dataclass(frozen=True, slots=True)
 class JourneyEvent:
@@ -188,6 +201,14 @@ class JourneyEvent:
     def __getitem__(self, key: str) -> Any:
         return self.detail[key]
 
+    @classmethod
+    def from_row(cls, row: tuple) -> "JourneyEvent":
+        """Build the event a stored row stands for (see :func:`row_column`)."""
+        return cls(
+            row[_TIME], row[_KIND], row[_WHERE], row[_UID], row[_TAG],
+            dict(zip(row[_KEYS], row[_VALUES:])),
+        )
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (tuples in detail become lists via json anyway)."""
         return {
@@ -200,7 +221,13 @@ class JourneyEvent:
         }
 
 
-@dataclass
+_PARENT_UID_AT = row_column("switch.egress", "parent_uid")
+_OLD_AT = row_column("switch.rewrite", "old")
+_NEW_AT = row_column("switch.rewrite", "new")
+_QUEUE_WAIT_AT = row_column("link.tx", "queue_wait_s")
+_LATENCY_AT = row_column("host.rx", "latency_s")
+
+
 class Journey:
     """Every recorded event for one wire content (one ``content_tag``).
 
@@ -209,40 +236,46 @@ class Journey:
     field of ``switch.egress`` events.
     """
 
-    content_tag: int
-    events: list[JourneyEvent] = field(default_factory=list)
+    def __init__(self, content_tag: int, rows: list[tuple]):
+        self.content_tag = content_tag
+        self._rows = rows
+
+    @property
+    def events(self) -> list[JourneyEvent]:
+        """The journey's events in causal order (built from rows per call)."""
+        return [JourneyEvent.from_row(row) for row in self._rows]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[JourneyEvent]:
-        return iter(self.events)
+        return map(JourneyEvent.from_row, self._rows)
 
     def by_kind(self, kind: str) -> list[JourneyEvent]:
         """All events of one kind, in causal order."""
-        return [e for e in self.events if e.kind == kind]
+        return [JourneyEvent.from_row(row) for row in self._rows if row[_KIND] == kind]
 
     def uids(self) -> set[int]:
         """Every packet instance (original + copies) seen in this journey."""
-        return {e.uid for e in self.events}
+        return {row[_UID] for row in self._rows}
 
     def origin(self) -> Optional[str]:
         """The sending host, or None if the journey started mid-fabric."""
-        for e in self.events:
-            if e.kind == "host.tx":
-                return e.where
+        for row in self._rows:
+            if row[_KIND] == "host.tx":
+                return row[_WHERE]
         return None
 
     def delivered_to(self) -> list[str]:
         """Hosts whose NIC accepted a copy, in delivery order."""
-        return [e.where for e in self.events if e.kind == "host.rx"]
+        return [row[_WHERE] for row in self._rows if row[_KIND] == "host.rx"]
 
     def parent_map(self) -> dict[int, int]:
         """uid → parent uid links from egress events (identity maps to self)."""
         return {
-            e.uid: e.detail["parent_uid"]
-            for e in self.events
-            if e.kind == "switch.egress"
+            row[_UID]: row[_PARENT_UID_AT]
+            for row in self._rows
+            if row[_KIND] == "switch.egress"
         }
 
     def delivered_uids(self) -> set[int]:
@@ -254,10 +287,10 @@ class Journey:
         """
         parents = self.parent_map()
         delivered: set[int] = set()
-        for e in self.events:
-            if e.kind != "host.rx":
+        for row in self._rows:
+            if row[_KIND] != "host.rx":
                 continue
-            uid = e.uid
+            uid = row[_UID]
             while uid not in delivered:
                 delivered.add(uid)
                 nxt = parents.get(uid, uid)
@@ -273,39 +306,57 @@ class Journey:
     def rewrite_chain(self) -> list[tuple[str, HeaderTuple, HeaderTuple]]:
         """``(switch, old, new)`` per rewriting hop, in causal order."""
         return [
-            (e.where, tuple(e.detail["old"]), tuple(e.detail["new"]))
-            for e in self.rewrites()
+            (row[_WHERE], tuple(row[_OLD_AT]), tuple(row[_NEW_AT]))
+            for row in self._rows
+            if row[_KIND] == "switch.rewrite"
         ]
 
     def path(self) -> list[str]:
         """Node names touched by the *delivered* lineage, in hop order."""
         live = self.delivered_uids()
         out: list[str] = []
-        for e in self.events:
-            if e.kind in ("host.tx", "switch.ingress", "host.rx") and (
-                not live or e.uid in live
+        for row in self._rows:
+            if row[_KIND] in ("host.tx", "switch.ingress", "host.rx") and (
+                not live or row[_UID] in live
             ):
-                if not out or out[-1] != e.where:
-                    out.append(e.where)
+                if not out or out[-1] != row[_WHERE]:
+                    out.append(row[_WHERE])
         return out
 
     def queue_waits(self) -> list[tuple[str, float]]:
         """``(channel, queue_wait_s)`` per link transmission, in order."""
         return [
-            (e.where, e.detail["queue_wait_s"]) for e in self.by_kind("link.tx")
+            (row[_WHERE], row[_QUEUE_WAIT_AT])
+            for row in self._rows
+            if row[_KIND] == "link.tx"
         ]
 
     def total_latency_s(self) -> Optional[float]:
         """First delivery latency (host.rx event's reading), or None."""
-        for e in self.events:
-            if e.kind == "host.rx":
-                return e.detail["latency_s"]
+        for row in self._rows:
+            if row[_KIND] == "host.rx":
+                return row[_LATENCY_AT]
         return None
 
 
 # ---------------------------------------------------------------------------
 # the recorder
 # ---------------------------------------------------------------------------
+
+# each hook's field names: the contract table's own tuples, shared by every
+# row of the kind
+_HOST_TX = _EVENTS_BY_KIND["host.tx"].fields
+_SWITCH_INGRESS = _EVENTS_BY_KIND["switch.ingress"].fields
+_SWITCH_REWRITE = _EVENTS_BY_KIND["switch.rewrite"].fields
+_SWITCH_DIVERGENCE = _EVENTS_BY_KIND["switch.divergence"].fields
+_SWITCH_EGRESS = _EVENTS_BY_KIND["switch.egress"].fields
+_SWITCH_MISS = _EVENTS_BY_KIND["switch.miss"].fields
+_SWITCH_TTL_EXPIRED = _EVENTS_BY_KIND["switch.ttl_expired"].fields
+_LINK_TX = _EVENTS_BY_KIND["link.tx"].fields
+_LINK_DROP = _EVENTS_BY_KIND["link.drop"].fields
+_LINK_DOWN = _EVENTS_BY_KIND["link.down"].fields
+_HOST_RX = _EVENTS_BY_KIND["host.rx"].fields
+_HOST_FOREIGN_DROP = _EVENTS_BY_KIND["host.foreign_drop"].fields
 
 #: per-flow sampling predicate: called once per content tag with the first
 #: packet seen carrying it
@@ -340,9 +391,12 @@ class JourneyRecorder:
         self.flight = flight
         if flight is not None:
             flight.bind(self)
-        #: content_tag -> sampled? (memoized decisions)
+        #: content_tag -> sampled?  Memoised only where the answer can vary
+        #: by tag (a predicate, or a hashed rate strictly inside (0, 1)).
         self._decisions: dict[int, bool] = {}
-        self._journeys: dict[int, Journey] = {}
+        #: every sampled event row, in recording order; grouped by content
+        #: tag when read (journeys_by_content_tag)
+        self._rows: list[tuple] = []
         #: (switch, in-tuple) -> MC-planned out-tuple, armed by arm_intent()
         self._intent: dict[tuple[str, HeaderTuple], HeaderTuple] = {}
         self._intent_armed = False
@@ -412,16 +466,21 @@ class JourneyRecorder:
 
     # -- sampling -----------------------------------------------------------
     def wants(self, packet: "Packet") -> bool:
-        """Sampling decision for this packet's content tag (memoized)."""
+        """Sampling decision for this packet's content tag.
+
+        All-or-nothing rates without a predicate are answered directly; a
+        predicate (called once per tag) or a hashed rate is memoised.
+        """
+        if self.predicate is None:
+            if self.sample_rate >= 1.0:
+                return True
+            if self.sample_rate <= 0.0:
+                return False
         tag = packet.content_tag
         decided = self._decisions.get(tag)
         if decided is None:
             if self.predicate is not None:
                 decided = bool(self.predicate(packet))
-            elif self.sample_rate >= 1.0:
-                decided = True
-            elif self.sample_rate <= 0.0:
-                decided = False
             else:
                 # Deterministic, RNG-free: hash the tag into [0, 1).
                 h = zlib.crc32(tag.to_bytes(8, "little")) / 0x1_0000_0000
@@ -434,25 +493,23 @@ class JourneyRecorder:
         return self.flight is not None or self.wants(packet)
 
     def _emit(
-        self, kind: str, where: str, packet: "Packet", **detail: Any
-    ) -> JourneyEvent:
+        self, kind: str, where: str, packet: "Packet",
+        keys: tuple[str, ...], *values: Any,
+    ) -> None:
         prof = self._prof
         if prof is not None:
             prof.enter("obs.hook")
             prof.count("obs.hook", "journey_emit")
         try:
-            ev = JourneyEvent(
-                self.sim.now, kind, where, packet.uid, packet.content_tag, detail
+            row = (
+                self.sim.now, kind, where, packet.uid, packet.content_tag,
+                keys, *values,
             )
             self.events_recorded += 1
             if self.wants(packet):
-                journey = self._journeys.get(ev.content_tag)
-                if journey is None:
-                    journey = self._journeys[ev.content_tag] = Journey(ev.content_tag)
-                journey.events.append(ev)
+                self._rows.append(row)
             if self.flight is not None:
-                self.flight.observe(ev)
-            return ev
+                self.flight.observe(row)
         finally:
             if prof is not None:
                 prof.exit()
@@ -508,8 +565,8 @@ class JourneyRecorder:
         """The origin host pushed a packet into its stack."""
         if self._active(packet):
             self._emit(
-                "host.tx", host.name, packet,
-                dst_ip=str(packet.ip_dst), size=packet.size,
+                "host.tx", host.name, packet, _HOST_TX,
+                str(packet.ip_dst), packet.size,
             )
 
     def on_switch_ingress(
@@ -518,8 +575,8 @@ class JourneyRecorder:
         """A switch received a packet (pre-pipeline)."""
         if self._active(packet):
             self._emit(
-                "switch.ingress", switch.name, packet,
-                in_port=in_port, header=header_tuple(packet), size=packet.size,
+                "switch.ingress", switch.name, packet, _SWITCH_INGRESS,
+                in_port, header_tuple(packet), packet.size,
             )
 
     def pre_apply(self, packet: "Packet") -> Optional[HeaderTuple]:
@@ -541,25 +598,22 @@ class JourneyRecorder:
         new = header_tuple(packet)
         if new != old:
             self._emit(
-                "switch.rewrite", switch.name, packet,
-                in_port=in_port, entry_id=entry.entry_id, cookie=entry.cookie,
-                old=old, new=new,
+                "switch.rewrite", switch.name, packet, _SWITCH_REWRITE,
+                in_port, entry.entry_id, entry.cookie, old, new,
             )
         emitted = [header_tuple(p) for _port, p in emissions]
         if self._intent_armed:
             expected = self._intent.get((switch.name, old))
             if expected is not None and expected not in emitted:
                 self._emit(
-                    "switch.divergence", switch.name, packet,
-                    in_port=in_port, entry_id=entry.entry_id,
-                    cookie=entry.cookie, old=old, expected=expected,
-                    emitted=emitted,
+                    "switch.divergence", switch.name, packet, _SWITCH_DIVERGENCE,
+                    in_port, entry.entry_id, entry.cookie, old, expected,
+                    emitted,
                 )
         for (port, out_pkt), header in zip(emissions, emitted):
             self._emit(
-                "switch.egress", switch.name, out_pkt,
-                out_port=port, parent_uid=packet.uid, entry_id=entry.entry_id,
-                header=header, size=out_pkt.size,
+                "switch.egress", switch.name, out_pkt, _SWITCH_EGRESS,
+                port, packet.uid, entry.entry_id, header, out_pkt.size,
             )
 
     def on_switch_miss(
@@ -568,8 +622,8 @@ class JourneyRecorder:
         """No rule matched; the packet is being punted."""
         if self._active(packet):
             self._emit(
-                "switch.miss", switch.name, packet,
-                in_port=in_port, header=header_tuple(packet),
+                "switch.miss", switch.name, packet, _SWITCH_MISS,
+                in_port, header_tuple(packet),
             )
 
     def on_ttl_expired(
@@ -577,7 +631,10 @@ class JourneyRecorder:
     ) -> None:
         """The packet died of TTL in this switch's pipeline."""
         if self._active(packet):
-            self._emit("switch.ttl_expired", switch.name, packet, in_port=in_port)
+            self._emit(
+                "switch.ttl_expired", switch.name, packet, _SWITCH_TTL_EXPIRED,
+                in_port,
+            )
 
     def on_link_tx(
         self,
@@ -590,10 +647,9 @@ class JourneyRecorder:
         """A channel accepted the packet for transmission."""
         if self._active(packet):
             self._emit(
-                "link.tx", channel.name, packet,
-                queue_wait_s=queue_wait_s, serialize_s=serialize_s,
-                delay_s=channel.delay_s, backlog_bytes=backlog_bytes,
-                size=packet.size,
+                "link.tx", channel.name, packet, _LINK_TX,
+                queue_wait_s, serialize_s, channel.delay_s, backlog_bytes,
+                packet.size,
             )
 
     def on_link_drop(
@@ -602,8 +658,8 @@ class JourneyRecorder:
         """A channel tail-dropped the packet."""
         if self._active(packet):
             self._emit(
-                "link.drop", channel.name, packet,
-                backlog_bytes=backlog_bytes, size=packet.size,
+                "link.drop", channel.name, packet, _LINK_DROP,
+                backlog_bytes, packet.size,
             )
 
     def on_link_state(self, channel: "Channel", up: bool) -> None:
@@ -616,41 +672,43 @@ class JourneyRecorder:
         """
         if self.flight is None:
             return
-        ev = JourneyEvent(
-            self.sim.now, "link.down", channel.name, 0, 0, {"up": up}
-        )
         self.events_recorded += 1
-        self.flight.observe(ev)
+        self.flight.observe(
+            (self.sim.now, "link.down", channel.name, 0, 0, _LINK_DOWN, up)
+        )
 
     def on_host_rx(self, host: "Host", packet: "Packet") -> None:
         """The destination NIC accepted the packet."""
         if self._active(packet):
             self._emit(
-                "host.rx", host.name, packet,
-                src_ip=str(packet.ip_src),
-                latency_s=self.sim.now - packet.created_at, size=packet.size,
+                "host.rx", host.name, packet, _HOST_RX,
+                str(packet.ip_src), self.sim.now - packet.created_at,
+                packet.size,
             )
 
     def on_host_foreign_drop(self, host: "Host", packet: "Packet") -> None:
         """A NIC discarded a packet not addressed to it (decoy death)."""
         if self._active(packet):
             self._emit(
-                "host.foreign_drop", host.name, packet,
-                dst_ip=str(packet.ip_dst),
+                "host.foreign_drop", host.name, packet, _HOST_FOREIGN_DROP,
+                str(packet.ip_dst),
             )
 
     # -- queries (the ground-truth linkage API) -----------------------------
     def journeys_by_content_tag(self) -> dict[int, Journey]:
         """Every sampled journey, keyed by content tag — the exact-linkage
         ground truth :mod:`repro.attacks` scores adversaries against."""
-        return dict(self._journeys)
+        grouped: dict[int, list[tuple]] = {}
+        for row in self._rows:
+            grouped.setdefault(row[_TAG], []).append(row)
+        return {tag: Journey(tag, rows) for tag, rows in grouped.items()}
 
     def journey(self, content_tag: int) -> Journey:
         """One journey by tag (KeyError if never sampled)."""
-        return self._journeys[content_tag]
+        return self.journeys_by_content_tag()[content_tag]
 
     def __len__(self) -> int:
-        return len(self._journeys)
+        return len({row[_TAG] for row in self._rows})
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +731,7 @@ def journeys_to_json(  # taint: sink
                 "content_tag": j.content_tag,
                 "origin": j.origin(),
                 "delivered_to": j.delivered_to(),
-                "events": [e.to_dict() for e in j.events],
+                "events": [e.to_dict() for e in j],
             }
             for j in recorder.journeys_by_content_tag().values()
         ],

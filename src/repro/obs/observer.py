@@ -55,6 +55,9 @@ class Observer:
         self.controller = controller
         self.spans = SpanLog()
         self._histograms: dict[tuple[str, tuple[tuple[str, str], ...]], Histogram] = {}
+        #: host name -> its ``net.packet_latency_s`` histogram, resolved once
+        #: (on_host_rx runs per delivered packet)
+        self._rx_latency: dict[str, Histogram] = {}
         self.timeline: Optional[MetricsTimeline] = None
         self.journey: Optional["JourneyRecorder"] = None
         #: opt-in self-profiler (repro.obs.prof.Profiler); set by
@@ -118,9 +121,12 @@ class Observer:
         try:
             created = getattr(packet, "created_at", None)
             if created is not None:
-                self.histogram("net.packet_latency_s", host=host.name).observe(
-                    self.sim.now - created
-                )
+                hist = self._rx_latency.get(host.name)
+                if hist is None:
+                    hist = self._rx_latency[host.name] = self.histogram(
+                        "net.packet_latency_s", host=host.name
+                    )
+                hist.observe(self.sim.now - created)
         finally:
             if prof is not None:
                 prof.exit()

@@ -21,6 +21,12 @@ from .discovery import FailureDetector, TopologyView
 
 __all__ = ["Controller", "ControllerApp", "InstallLostError"]
 
+# trace field names, one shared tuple per record shape (see repro.sim.trace)
+_UID_KEYS = ("uid",)
+_PACKET_IN_KEYS = ("uid", "src_ip", "dst_ip")
+_UP_KEYS = ("up",)
+_ATTEMPT_KEYS = ("attempt",)
+
 
 class InstallLostError(RuntimeError):
     """Every retry of a flow-mod was lost before reaching the switch."""
@@ -109,17 +115,13 @@ class Controller:
             self.packet_ins_blocked += 1
             self.network.trace.emit(
                 self.sim.now, "ctrl.packet_in_blocked", switch.name,
-                uid=packet.uid,
+                _UID_KEYS, packet.uid,
             )
             return
         self.packet_in_count += 1
         self.network.trace.emit(
-            self.sim.now,
-            "ctrl.packet_in",
-            switch.name,
-            uid=packet.uid,
-            src_ip=str(packet.ip_src),
-            dst_ip=str(packet.ip_dst),
+            self.sim.now, "ctrl.packet_in", switch.name, _PACKET_IN_KEYS,
+            packet.uid, str(packet.ip_src), str(packet.ip_dst),
         )
         for app in self.apps:
             if app.on_packet_in(switch, packet, in_port):
@@ -130,7 +132,7 @@ class Controller:
 
     def _on_link_detected(self, a: str, b: str, up: bool) -> None:
         self.network.trace.emit(
-            self.sim.now, "ctrl.link_event", f"{a}<->{b}", up=up
+            self.sim.now, "ctrl.link_event", f"{a}<->{b}", _UP_KEYS, up
         )
         self.view.set_link_state(a, b, up)
         for app in self.apps:
@@ -141,7 +143,7 @@ class Controller:
 
     def _on_switch_detected(self, name: str, up: bool) -> None:
         self.network.trace.emit(
-            self.sim.now, "ctrl.switch_event", name, up=up
+            self.sim.now, "ctrl.switch_event", name, _UP_KEYS, up
         )
         for app in self.apps:
             app.on_switch_event(name, up)
@@ -234,7 +236,7 @@ class Controller:
                     self.flow_mods_lost += 1
                     self.network.trace.emit(
                         self.sim.now, "ctrl.flowmod_lost", switch_name,
-                        attempt=attempt,
+                        _ATTEMPT_KEYS, attempt,
                     )
                     yield self.sim.timeout(timeout)
                     timeout *= 2

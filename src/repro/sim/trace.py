@@ -1,10 +1,19 @@
-"""Structured event tracing.
+"""Structured event tracing: the simulator's own ground-truth log.
 
-Every substrate component emits trace records through a shared
-:class:`TraceLog`.  Records are cheap named tuples; tracing can be filtered
-by category to keep long benchmark runs lean, and the attack modules consume
-traces as the adversary's observation feed (a compromised switch literally
-replays the trace records emitted at that switch).
+Every substrate component reports what it did through a shared
+:class:`TraceLog`.  The log is sim-side and omniscient — it sees plaintext
+endpoints at every hop, which no in-model adversary does (attacks read
+mirror taps and journeys, never this log).  It exists to be rendered
+(:mod:`repro.net.tracefmt`) and asserted on by tests, and its ``repr`` is
+the byte-identity witness of the observer-effect tests.
+
+Recording is on the per-packet path, so a stored record is one flat tuple
+``(time, category, node, keys, *values)`` where ``keys`` is the call
+site's module-level constant tuple of field names.  A row holds only
+scalars, strings and tuples of those; CPython's collector stops tracking
+such a tuple the first time it looks at it, so retained history costs full
+collections nothing.  :class:`TraceRecord` values are built from the rows
+when somebody reads the log (or subscribes to it).
 """
 
 from __future__ import annotations
@@ -28,57 +37,76 @@ class TraceRecord:
         return self.detail[key]
 
 
+def _record(row: tuple) -> TraceRecord:
+    return TraceRecord(row[0], row[1], row[2], dict(zip(row[3], row[4:])))
+
+
 @dataclass
 class TraceLog:
     """Append-only trace store with optional category filtering.
 
     ``categories=None`` records everything; otherwise only the listed
     categories are kept.  ``subscribers`` receive every *kept* record
-    synchronously — observation-point attacks register themselves here.
+    synchronously, as a :class:`TraceRecord`.
     """
 
     categories: Optional[set[str]] = None
-    records: list[TraceRecord] = field(default_factory=list)
     subscribers: list[Callable[[TraceRecord], None]] = field(default_factory=list)
+    _rows: list[tuple] = field(default_factory=list, init=False, repr=False)
 
     def enabled(self, category: str) -> bool:
         """True if records of this category are kept."""
         return self.categories is None or category in self.categories
 
-    def emit(self, time: float, category: str, node: str, **detail: Any) -> None:  # taint: sink
-        """Record one occurrence (and notify subscribers)."""
-        if not self.enabled(category):
+    def emit(  # taint: sink
+        self, time: float, category: str, node: str,
+        keys: tuple[str, ...] = (), *values: Any,
+    ) -> None:
+        """Record one occurrence (and notify subscribers).
+
+        ``keys`` names ``values`` position by position; pass a module-level
+        constant so every row of a call site shares one tuple.
+        """
+        categories = self.categories
+        if categories is not None and category not in categories:
             return
-        rec = TraceRecord(time=time, category=category, node=node, detail=detail)
-        self.records.append(rec)
-        for sub in self.subscribers:
-            sub(rec)
+        row = (time, category, node, keys, *values)
+        self._rows.append(row)
+        if self.subscribers:
+            rec = _record(row)
+            for sub in self.subscribers:
+                sub(rec)
 
     def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
         """Register a callback invoked on every kept record."""
         self.subscribers.append(fn)
 
     # -- queries ----------------------------------------------------------
+    @property
+    def records(self) -> list[TraceRecord]:
+        """Every kept record, oldest first (built from the rows per call)."""
+        return [_record(row) for row in self._rows]
+
     def by_category(self, category: str) -> list[TraceRecord]:
         """All records of one category."""
-        return [r for r in self.records if r.category == category]
+        return [_record(row) for row in self._rows if row[1] == category]
 
     def by_node(self, node: str) -> list[TraceRecord]:
         """All records emitted by one node."""
-        return [r for r in self.records if r.node == node]
+        return [_record(row) for row in self._rows if row[2] == node]
 
     def select(self, **criteria: Any) -> Iterator[TraceRecord]:
         """Records whose detail matches all key/value criteria."""
-        for r in self.records:
-            if all(r.detail.get(k) == v for k, v in criteria.items()):
-                yield r
+        for rec in self:
+            if all(rec.detail.get(k) == v for k, v in criteria.items()):
+                yield rec
 
     def clear(self) -> None:
         """Drop all stored records."""
-        self.records.clear()
+        self._rows.clear()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        return map(_record, self._rows)

@@ -47,8 +47,8 @@ def test_committed_trajectory_validates():
     numbers = [doc["trajectory_entry"] for _p, doc in entries]
     assert numbers == sorted(numbers)
     # the current entry carries a profile section attributing >= 90%
-    current = [doc for _p, doc in entries if doc["trajectory_entry"] == 15]
-    assert current, "BENCH_15 missing from the committed trajectory"
+    current = [doc for _p, doc in entries if doc["trajectory_entry"] == 16]
+    assert current, "BENCH_16 missing from the committed trajectory"
     for doc in current:
         assert doc["profile"]["attributed_fraction"] >= 0.90
 

@@ -71,14 +71,15 @@ class TestCapture:
 
     def test_filter_by_category(self):
         log = TraceLog()
-        log.emit(0.001, "switch.fwd", "s1", in_port=1, out_port=2,
-                 src_ip="a", dst_ip="b", mpls=None, size=1)
-        log.emit(0.002, "link.drop", "l1", size=2)
+        log.emit(0.001, "switch.fwd", "s1",
+                 ("in_port", "out_port", "src_ip", "dst_ip", "mpls", "size"),
+                 1, 2, "a", "b", None, 1)
+        log.emit(0.002, "link.drop", "l1", ("size",), 2)
         only_drops = format_capture(log, categories={"link.drop"})
         assert "DROP" in only_drops and "s1" not in only_drops
 
     def test_limit(self):
         log = TraceLog()
         for i in range(10):
-            log.emit(0.001 * i, "link.drop", "l1", size=i)
+            log.emit(0.001 * i, "link.drop", "l1", ("size",), i)
         assert len(format_capture(log, limit=3).splitlines()) == 3

@@ -133,6 +133,24 @@ def test_packet_latency_histogram_fires_per_delivery(chain):
     assert summary["max"] >= summary["p99"] >= summary["p50"] >= summary["min"]
 
 
+def test_packet_latency_histogram_is_resolved_once_per_host(chain):
+    """The per-delivery hook keeps the host's histogram instead of rebuilding
+    its label key per packet — under the same snapshot key as before."""
+    net, obs, rules, cold, _ = chain
+    hist = obs.histogram("net.packet_latency_s", host="h3")
+    assert hist.summary()["count"] == N_PACKETS
+    calls = []
+    resolve = obs.histogram
+    obs.histogram = lambda name, **labels: calls.append(name) or resolve(name, **labels)
+    h1, h3 = net.host("h1"), net.host("h3")
+    for _ in range(3):
+        h1.send_packet(h1.make_packet(h3.ip, sport=1000, dport=80, payload_size=64))
+    net.run()
+    assert calls == []  # h3 was already resolved by the fixture's traffic
+    assert hist.summary()["count"] == N_PACKETS + 3
+    assert ("net.packet_latency_s", (("host", "h3"),)) in obs.snapshot().histograms
+
+
 def test_value_requires_unique_match(chain):
     net, obs, rules, cold, _ = chain
     snap = obs.snapshot()

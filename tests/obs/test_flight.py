@@ -9,8 +9,10 @@ from repro.obs import (
     ANOMALY_TRIGGERS,
     DEFAULT_TRIGGERS,
     FlightRecorder,
+    JourneyEvent,
     JourneyRecorder,
 )
+from tests.recording_scenario import GOLDEN, read_back, run_scenario
 
 
 def _wired(seed=5, install=True):
@@ -156,3 +158,51 @@ def test_default_triggers_match_the_contract():
         t.name for t in ANOMALY_TRIGGERS if t.default
     }
     assert "miss" not in DEFAULT_TRIGGERS
+
+
+# ---------------------------------------------------------------------------
+# compact rows: rings and dumps hold journey rows, readers see events
+# ---------------------------------------------------------------------------
+
+
+def test_rings_and_dumps_read_back_equal_the_eager_goldens():
+    """Ring contents at capacity 8, the ``max_dumps=8`` cut-off, the
+    1 KB ``queue_depth`` threshold and every ``FlightDump.to_dict()`` byte
+    equal what the recorder gave when it stored ``JourneyEvent`` objects."""
+    golden = json.loads(GOLDEN.read_text())
+    net, rec, flight = run_scenario()
+    got = read_back(net, rec, flight)
+    assert got["rings"] == golden["rings"]
+    assert got["dumps"] == golden["dumps"]
+    assert got["dumps_suppressed"] == golden["dumps_suppressed"] == 1
+    assert got["dump_json_sha256"] == golden["dump_json_sha256"]
+    assert [d["trigger"] for d in got["dumps"]] == [
+        "ttl_expired", "divergence", "queue_depth", "queue_depth",
+        "drop", "drop", "link_down", "link_down",
+    ]
+    assert all(len(ring) <= 8 for ring in got["rings"].values())
+    assert max(len(ring) for ring in got["rings"].values()) == 8
+
+
+def test_dump_views_are_journey_events_built_from_the_snapshot():
+    net, h1, h2 = _wired()
+    flight = _attach(net, capacity=4)
+    h1.send_packet(h1.make_packet(h2.ip, sport=1, dport=80, payload_size=64))
+    net.run()
+    net.link_between("s1", "s2").set_up(False)
+    (dump, _reverse) = flight.dumps
+    assert isinstance(dump.cause, JourneyEvent)
+    assert dump.cause == JourneyEvent(
+        dump.time_s, "link.down", "s1[2]->s2[1]", 0, 0, {"up": False}
+    )
+    assert dump.events["h2"] == flight.ring("h2")
+    assert all(
+        isinstance(e, JourneyEvent) for ring in dump.events.values() for e in ring
+    )
+    # a snapshot: later traffic moves the rings, not the dump
+    before = dump.to_dict()
+    net.link_between("s1", "s2").set_up(True)
+    h1.send_packet(h1.make_packet(h2.ip, sport=2, dport=80, payload_size=64))
+    net.run()
+    assert dump.to_dict() == before
+    assert dump.events["h2"] != flight.ring("h2")
