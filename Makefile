@@ -76,14 +76,15 @@ bench:
 # CI-sized benchmark slice: the classifier microbenchmark (vs the linear
 # reference), the plausibility-index microbenchmark (vs the all-pairs scan),
 # the event-kernel microbenchmark (vs a closure per event), the fluid-solver
-# microbenchmark (vs the full-scan loop) plus trimmed scalability sweeps,
-# JSON results under benchmarks/results/.
+# microbenchmark (vs the full-scan loop), the static-verifier benchmark (vs
+# the linear / all-pairs scans) plus trimmed scalability sweeps, JSON
+# results under benchmarks/results/.
 bench-quick:
 	@mkdir -p benchmarks/results
 	BENCH_QUICK=1 $(PYPATH) $(PYTHON) -m pytest \
 		benchmarks/bench_lookup.py benchmarks/bench_restrictions.py \
 		benchmarks/bench_event_kernel.py benchmarks/bench_fluid_solver.py \
-		benchmarks/bench_scalability.py -q \
+		benchmarks/bench_verifier.py benchmarks/bench_scalability.py -q \
 		--benchmark-json=benchmarks/results/bench_quick.json
 
 # Hybrid-mode scale run: 10k concurrent channels on fat_tree(16) with the

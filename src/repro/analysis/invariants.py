@@ -24,20 +24,19 @@ prove, per direction:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from ..net.network import Network
 from .report import Severity, VerificationReport, Violation
-from .symbolic import SymbolicHeader, apply_actions, winner_entry
-from .verifier import port_neighbor_map
+from .symbolic import SymbolicHeader, apply_actions
+from .verifier import port_neighbor_map, table_indexes
 
 __all__ = ["verify_intents"]
 
 
 def verify_intents(net: Network, mic, report: VerificationReport) -> None:
     """Replay every live m-flow of ``mic`` against the installed tables."""
-    tables = {sw.name: sw.table for sw in net.switches()}
+    indexes = table_indexes(net)
     neighbors = port_neighbor_map(net)
     for channel in mic.channels.values():
         for plan in channel.flows:
@@ -60,7 +59,7 @@ def verify_intents(net: Network, mic, report: VerificationReport) -> None:
                 ]
             for walk, mns, addrs in views:
                 _replay_direction(
-                    net, mic, channel, plan, walk, addrs, tables, neighbors,
+                    net, mic, channel, plan, walk, addrs, indexes, neighbors,
                     report,
                 )
 
@@ -93,7 +92,7 @@ def _replay_direction(
     plan,
     walk: list[str],
     addrs: list,
-    tables,
+    indexes,
     neighbors,
     report: VerificationReport,
 ) -> None:
@@ -128,8 +127,8 @@ def _replay_direction(
             ))
             return
         visited.add(state)
-        table = tables.get(node)
-        if table is None:
+        index = indexes.get(node)
+        if index is None:
             # Arrived at a host: it must be the planned endpoint, with the
             # delivery address fully restored.
             if node != walk[-1] or seg != last_seg:
@@ -148,7 +147,7 @@ def _replay_direction(
                 ))
             return
 
-        entry = winner_entry(table.iter_entries(), hdr)
+        entry = index.winner(hdr)
         if entry is None:
             report.add(_violation(
                 "blackhole",
@@ -157,7 +156,7 @@ def _replay_direction(
                 channel, plan, switch=node,
             ))
             return
-        result = apply_actions(entry.actions, hdr, table.groups)
+        result = apply_actions(entry.actions, hdr, index.groups)
         if not result.emissions:
             why = "punts to the controller" if result.punted else "is dropped"
             report.add(_violation(
@@ -199,7 +198,7 @@ def _replay_direction(
             return
         for port, decoy_hdr in decoys:
             _trace_decoy(
-                net, channel, plan, node, port, decoy_hdr, tables, neighbors,
+                net, channel, plan, node, port, decoy_hdr, indexes, neighbors,
                 report,
             )
 
@@ -229,7 +228,7 @@ def _replay_direction(
                 "may carry it)",
                 channel, plan, switch=node, rule=entry.describe(),
             ))
-        hdr = replace(out_hdr, in_port=net.port_map.get((peer, node)))
+        hdr = out_hdr.with_field("in_port", net.port_map.get((peer, node)))
         node = peer
 
     report.add(_violation(
@@ -246,7 +245,7 @@ def _trace_decoy(
     origin: str,
     port: int,
     hdr: SymbolicHeader,
-    tables,
+    indexes,
     neighbors,
     report: VerificationReport,
 ) -> None:
@@ -257,11 +256,13 @@ def _trace_decoy(
     peer = neighbors.get((origin, port))
     if peer is None:
         return
-    stack.append((peer, port, replace(hdr, in_port=net.port_map.get((peer, origin)))))
+    stack.append((
+        peer, port, hdr.with_field("in_port", net.port_map.get((peer, origin)))
+    ))
     visited: set[tuple] = set()
     while stack:
         node, from_port, cur = stack.pop()
-        if node not in tables:
+        if node not in indexes:
             # A decoy replica reached a real host.
             if node == channel.responder or (
                 responder_pod is not None
@@ -287,8 +288,8 @@ def _trace_decoy(
         if state in visited:
             continue
         visited.add(state)
-        table = tables[node]
-        entry = winner_entry(table.iter_entries(), cur)
+        index = indexes[node]
+        entry = index.winner(cur)
         if entry is None:
             report.add(_violation(
                 "decoy-unterminated",
@@ -297,7 +298,7 @@ def _trace_decoy(
                 channel, plan, switch=node, severity=Severity.WARNING,
             ))
             continue
-        result = apply_actions(entry.actions, cur, table.groups)
+        result = apply_actions(entry.actions, cur, index.groups)
         if result.dropped and not result.emissions:
             continue  # the planned fate: an explicit drop
         if not result.emissions:
@@ -316,7 +317,7 @@ def _trace_decoy(
             stack.append((
                 nxt,
                 out_port,
-                replace(out_hdr, in_port=net.port_map.get((nxt, node))),
+                out_hdr.with_field("in_port", net.port_map.get((nxt, node))),
             ))
 
 

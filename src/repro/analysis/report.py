@@ -37,6 +37,7 @@ KINDS = (
     "dangling-group",       # rule references a group that is not installed
     "dangling-port",        # rule outputs to a port with no link behind it
     "loop",                 # forwarding loop (rewrite-aware traversal)
+    "traversal-truncated",  # an origin's loop traversal ran out of budget (warning)
     "blackhole",            # m-flow packet hits a table miss / silent drop
     "rewrite-chain",        # installed rewrites diverge from the planned m-addresses
     "misdelivery",          # m-flow delivered to the wrong host

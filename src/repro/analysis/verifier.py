@@ -21,16 +21,15 @@ adds the per-m-flow intent checks from :mod:`repro.analysis.invariants`.
 
 from __future__ import annotations
 
-from dataclasses import replace as _replace
 from typing import Iterable, Optional
 
 from ..net.flowtable import FlowEntry, Group, Match
 from ..net.network import Network
 from .report import Severity, VerificationReport, Violation
 from .symbolic import (
+    CandidateIndex,
     SymbolicHeader,
     apply_actions,
-    candidate_entries,
     header_from_match,
     refine,
 )
@@ -41,10 +40,13 @@ __all__ = [
     "verify_match_keys",
     "verify_forwarding",
     "port_neighbor_map",
+    "table_indexes",
     "match_key",
 ]
 
-#: traversal budget per origin rule (states), far above any legal path
+#: traversal budget per origin rule: states it may newly expand (a state
+#: already proved clean by an earlier origin costs nothing), far above any
+#: legal path; running out is reported as ``traversal-truncated``
 _MAX_STATES_PER_ORIGIN = 512
 
 
@@ -67,6 +69,11 @@ def match_key(match: Match) -> tuple:
     return (str(match.ip_src), str(match.ip_dst), mpls, match.sport, match.dport)
 
 
+def table_indexes(net: Network) -> dict[str, CandidateIndex]:
+    """A fresh :class:`CandidateIndex` per switch, by switch name."""
+    return {sw.name: CandidateIndex(sw.table) for sw in net.switches()}
+
+
 def _actions_equal(a: FlowEntry, b: FlowEntry) -> bool:
     return list(a.actions) == list(b.actions)
 
@@ -78,9 +85,10 @@ def verify_tables(net: Network, report: VerificationReport) -> None:
     """Per-switch structural checks on every installed table."""
     neighbors = port_neighbor_map(net)
     for sw in net.switches():
+        index = CandidateIndex(sw.table)
         # Entry-view snapshot: priority-desc, insertion order.
-        entries = list(sw.table.iter_entries())
-        groups = sw.table.groups
+        entries = index.entries
+        groups = index.groups
         report.checked_switches += 1
         report.checked_rules += len(entries)
         report.checked_groups += len(groups)
@@ -109,9 +117,10 @@ def verify_tables(net: Network, report: VerificationReport) -> None:
                         rule=entry.describe(),
                     ))
 
-        for i, hi in enumerate(entries):
-            for lo in entries[i + 1:]:
-                _check_pair(sw.name, hi, lo, report)
+        # Only intersecting pairs can conflict; the index joins them out of
+        # the table instead of testing every pair.
+        for i, j in index.intersecting_pairs():
+            _check_pair(sw.name, entries[i], entries[j], report)
 
 
 def _static_outputs(entry: FlowEntry, groups) -> list[tuple[int, SymbolicHeader]]:
@@ -240,71 +249,110 @@ def verify_forwarding(net: Network, report: VerificationReport) -> None:
     class revisiting a switch state already on the current path is a loop —
     rewrites are part of the state, so "A rewrites to B, B rewrites back to
     A" two switches apart is caught, not just port-level cycles.
+
+    A state's successors depend on the state alone, so a subtree explored to
+    the end without meeting a loop is skipped by every later origin; loops
+    are still reported once per origin that reaches them.  An origin that
+    would have to expand more than ``_MAX_STATES_PER_ORIGIN`` new states
+    stops there and says so with a ``traversal-truncated`` warning.
     """
-    neighbors = port_neighbor_map(net)
-    tables = {sw.name: sw.table for sw in net.switches()}
-    for sw in net.switches():
-        for origin in sw.table.iter_entries():
-            _trace_origin(net, sw.name, origin, tables, neighbors, report)
+    search = _LoopSearch(net, report)
+    for switch, index in search.indexes.items():
+        for origin in index.entries:
+            search.trace(switch, origin)
 
 
-def _trace_origin(
-    net: Network,
-    origin_switch: str,
-    origin: FlowEntry,
-    tables,
-    neighbors,
-    report: VerificationReport,
-) -> None:
-    start = header_from_match(origin.match)
-    # DFS with an explicit stack; `path` holds the states on the current
-    # branch so diamonds (reconvergence) are pruned, not reported as loops.
-    visited: set[tuple] = set()
-    budget = _MAX_STATES_PER_ORIGIN
+class _LoopSearch:
+    """The depth-first loop search, one :meth:`trace` per origin rule.
 
-    def dfs(node: str, hdr: SymbolicHeader, path: frozenset) -> None:
-        nonlocal budget
-        if budget <= 0:
-            return
-        budget -= 1
-        state = (node, hdr.key())
-        if state in path:
-            report.add(Violation(
+    ``clean`` outlives the origins: it holds the states whose whole subtree
+    was explored, loop-free and within budget.  Every successor of a clean
+    state is clean and no clean state lies on a cycle, so a later path that
+    reaches one can neither loop below it nor return through it to one of
+    its own ancestors — skipping it loses no finding.  A subtree that
+    reported a loop or was cut short is never marked, so each origin that
+    reaches it explores (and reports) it again.
+    """
+
+    def __init__(self, net: Network, report: VerificationReport) -> None:
+        self.report = report
+        self.port_map = net.port_map
+        self.neighbors = port_neighbor_map(net)
+        self.indexes = table_indexes(net)
+        self.clean: set[tuple] = set()
+
+    def trace(self, origin_switch: str, origin: FlowEntry) -> None:
+        """Follow the header class of ``origin``'s match from its switch."""
+        self.origin_switch = origin_switch
+        self.origin = origin
+        #: states this origin expanded; those not in ``clean`` once finished
+        #: lead to a loop or a cut and were reported when first explored
+        self.visited: set[tuple] = set()
+        #: the states on the current branch — diamonds (reconvergence) are
+        #: pruned through ``visited``, not reported as loops
+        self.path: set[tuple] = set()
+        self.budget = _MAX_STATES_PER_ORIGIN
+        self.truncated = False
+        self._dfs(origin_switch, header_from_match(origin.match))
+        if self.truncated:
+            self.report.add(Violation(
+                kind="traversal-truncated",
+                severity=Severity.WARNING,
+                message=(
+                    f"loop traversal seeded by rule on {origin_switch} gave "
+                    f"up after expanding {_MAX_STATES_PER_ORIGIN} states; "
+                    "what lies beyond them was not explored from this rule"
+                ),
+                switch=origin_switch,
+                rule=origin.describe(),
+            ))
+
+    def _dfs(self, node: str, hdr: SymbolicHeader) -> bool:
+        """True iff everything below ``(node, hdr)`` was explored and is
+        loop-free."""
+        index = self.indexes.get(node)
+        if index is None:  # host: traffic leaves the fabric here
+            return True
+        state = (node, hdr)  # the header is its own key
+        if state in self.path:
+            self.report.add(Violation(
                 kind="loop",
                 message=(
                     f"forwarding loop: header {hdr.describe()} returns to "
-                    f"{node} (seeded by rule on {origin_switch})"
+                    f"{node} (seeded by rule on {self.origin_switch})"
                 ),
                 switch=node,
-                rule=origin.describe(),
+                rule=self.origin.describe(),
             ))
-            return
-        if state in visited:
-            return
-        visited.add(state)
-        table = tables.get(node)
-        if table is None:  # host: traffic leaves the fabric here
-            return
-        for entry in candidate_entries(table.iter_entries(), hdr):
+            return False
+        if state in self.clean:
+            return True
+        if state in self.visited:
+            return False
+        if self.budget <= 0:
+            self.truncated = True
+            return False
+        self.budget -= 1
+        self.visited.add(state)
+        self.path.add(state)
+        clean = True
+        for entry in index.candidates(hdr):
             refined = refine(entry.match, hdr)
-            result = apply_actions(entry.actions, refined, table.groups)
+            result = apply_actions(entry.actions, refined, index.groups)
             for port, out_hdr in result.emissions:
-                peer = neighbors.get((node, port))
+                peer = self.neighbors.get((node, port))
                 if peer is None:
                     continue  # dead port; verify_tables reports it
-                next_hdr = _replace(
-                    out_hdr,
-                    in_port=net.port_map.get((peer, node), out_hdr.in_port),
+                next_hdr = out_hdr.with_field(
+                    "in_port",
+                    self.port_map.get((peer, node), out_hdr.in_port),
                 )
-                dfs(peer, next_hdr, path | {state})
-
-    try:
-        dfs(origin_switch, start, frozenset())
-    finally:
-        # ``dfs`` reaches itself through its own closure cell: unbind it so the
-        # closure (and ``visited``) is freed by reference count, not left as
-        # one cycle per origin rule for the collector to find.
-        del dfs
+                if not self._dfs(peer, next_hdr):
+                    clean = False
+        self.path.discard(state)
+        if clean:
+            self.clean.add(state)
+        return clean
 
 
 # ----------------------------------------------------------------------

@@ -258,6 +258,20 @@ class FlowEntry:
     #: belongs to at most one table at a time)
     seq: int = dc_field(default=0, repr=False, compare=False)
 
+    @cached_property
+    def rewrite_count(self) -> int:
+        """How many of the actions rewrite the header (``SetField``,
+        ``PushMpls``, ``PopMpls``) — what the switch pipeline charges its
+        per-rewrite delay and CPU for.  Counted on first use and kept, like
+        the derived values on :class:`Match`: it is not a dataclass field,
+        so equality and :meth:`describe` do not see it, and an entry whose
+        ``actions`` are swapped after it has carried a packet keeps the old
+        count (install a new entry instead)."""
+        return len([
+            a for a in self.actions
+            if isinstance(a, (SetField, PushMpls, PopMpls))
+        ])
+
     def describe(self) -> str:
         """One-line rule rendering for traces and debugging."""
         acts = ", ".join([_fmt_action(a) for a in self.actions])

@@ -94,14 +94,21 @@ class Channel:
         """Enqueue ``packet`` for transmission; False means tail-dropped."""
         now = self.sim.now
         size = packet.size
-        backlog = self.backlog_bytes()
+        # One read of the fluid-debited bandwidth serves the queue check and
+        # the serialization time; the expressions are those of
+        # effective_bandwidth_bps() and backlog_bytes(), term for term.
+        bandwidth = self.bandwidth_bps
+        fluid = self.fluid_load_bps
+        if fluid:
+            bandwidth = max(bandwidth - fluid, bandwidth * 0.01)
+        backlog = int(max(0.0, self._tx_free_at - now) * bandwidth / 8.0)
         if not self.up or backlog + size > self.queue_bytes:
             self.stats.drops += 1
             self.trace.emit(now, "link.drop", self.name, _DROP_KEYS, packet.uid, size)
             if self.journey is not None:
                 self.journey.on_link_drop(self, packet, backlog)
             return False
-        tx_time = size * 8.0 / self.effective_bandwidth_bps()
+        tx_time = size * 8.0 / bandwidth
         start = max(now, self._tx_free_at)
         self._tx_free_at = start + tx_time
         deliver_at = self._tx_free_at + self.delay_s

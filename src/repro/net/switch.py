@@ -12,14 +12,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..sim import Simulator, TraceLog
-from .flowtable import (
-    FlowEntry,
-    FlowTable,
-    PopMpls,
-    PushMpls,
-    SetField,
-    TableFullError,
-)
+from .flowtable import FlowEntry, FlowTable, TableFullError
 from .node import Node
 from .packet import Packet
 from .params import NetParams
@@ -40,10 +33,6 @@ class SwitchDownError(RuntimeError):
 
 #: callback type the controller registers: (switch, packet, in_port) -> None
 PacketInHandler = Callable[["Switch", Packet, int], None]
-
-
-def _rewrite_count(actions) -> int:
-    return len([a for a in actions if isinstance(a, (SetField, PushMpls, PopMpls))])
 
 
 class Switch(Node):
@@ -113,7 +102,7 @@ class Switch(Node):
         table = self.table
         params = self.params
         entry = table.lookup(packet, in_port)
-        rewrites = _rewrite_count(entry.actions) if entry else 0
+        rewrites = entry.rewrite_count if entry else 0
         self.cpu.consume(
             params.switch_forward_cpu_s + rewrites * params.setfield_cpu_s
         )

@@ -9,6 +9,8 @@ from repro.net import (
     Network,
     NetParams,
     Output,
+    PopMpls,
+    PushMpls,
     SetField,
     ip,
     linear,
@@ -91,6 +93,45 @@ def test_header_rewrite_on_path():
     assert len(got) == 1
     assert got[0].ip_src == fake_src  # receiver sees the mimic source
     assert got[0].ip_dst == h2.ip
+
+
+def test_each_rewrite_action_adds_its_delay_and_cpu_surcharge():
+    """Sec VI-B: every set-field / push / pop costs the pipeline one
+    ``setfield_delay_s`` and the switch CPU one ``setfield_cpu_s`` — worked
+    out from the entry's ``rewrite_count``, for every packet alike."""
+    net = two_host_net()
+    s1 = net.switch("s1")
+    h1, h2 = net.host("h1"), net.host("h2")
+    entry = FlowEntry(
+        Match(ip_dst=ip("10.0.0.99")),
+        [
+            SetField("ip_dst", h2.ip),
+            PushMpls(7),
+            PopMpls(),
+            Output(net.port("s1", "h2")),
+        ],
+    )
+    s1.table.install(entry)
+    times = []
+    h2.bind("tcp", 80, lambda host, p: times.append(net.sim.now))
+    sent = []
+    for _ in range(3):
+        pkt = h1.make_packet(ip("10.0.0.99"), dport=80, payload_size=10)
+        sent.append(net.sim.now)
+        h1.send_packet(pkt)
+        net.run()
+    p = net.params
+    tx = p.tx_time(pkt.size)
+    expected = (
+        2 * p.host_stack_delay_s + 2 * (tx + p.link_delay_s)
+        + p.switch_forward_delay_s + 3 * p.setfield_delay_s
+    )
+    assert entry.rewrite_count == 3
+    for t0, t1 in zip(sent, times):
+        assert t1 - t0 == pytest.approx(expected, rel=1e-9)
+    assert s1.cpu.busy_s == pytest.approx(
+        3 * (p.switch_forward_cpu_s + 3 * p.setfield_cpu_s), rel=1e-12
+    )
 
 
 def test_foreign_packet_dropped_by_nic():

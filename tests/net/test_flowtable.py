@@ -126,6 +126,23 @@ class TestActions:
         (port2, out2), = table.apply(p2, 1)[0]
         assert out2.mpls is None and port2 == 2
 
+    def test_rewrite_count_counts_header_rewrites_only(self):
+        acts = [
+            SetField("ip_dst", ip(9)), PushMpls(7), Output(1), PopMpls(),
+            SetField("ttl", 3), Output(2),
+        ]
+        assert FlowEntry(Match(), acts).rewrite_count == 4
+        assert FlowEntry(Match(), [Output(1)]).rewrite_count == 0
+        assert FlowEntry(Match(), [Drop()]).rewrite_count == 0
+        assert FlowEntry(Match(), []).rewrite_count == 0
+
+    def test_rewrite_count_does_not_leak_into_equality_or_rendering(self):
+        a = FlowEntry(Match(), [PushMpls(7), Output(1)], entry_id=1)
+        b = FlowEntry(Match(), [PushMpls(7), Output(1)], entry_id=1)
+        before = (a.describe(), repr(a))
+        assert a.rewrite_count == 1
+        assert a == b and (a.describe(), repr(a)) == before
+
     def test_drop_stops_pipeline(self):
         table = FlowTable()
         table.install(FlowEntry(Match(), [Drop(), Output(1)]))

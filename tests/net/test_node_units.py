@@ -82,6 +82,44 @@ class TestChannelBacklog:
         net.run()
         assert ch.backlog_bytes() == 0
 
+    @pytest.mark.parametrize("fluid_fraction", [0.0, 0.4, 0.999, 2.0])
+    def test_send_uses_the_public_readers_numbers(self, fluid_fraction):
+        # send() works the debited bandwidth, the backlog and the
+        # serialization time out inline; they must be exactly what
+        # effective_bandwidth_bps() / backlog_bytes() report at that instant.
+        class Spy:
+            def __init__(self):
+                self.tx, self.drops = [], []
+
+            def on_link_tx(self, channel, packet, wait_s, tx_time, backlog):
+                self.tx.append((wait_s, tx_time, backlog))
+
+            def on_link_drop(self, channel, packet, backlog):
+                self.drops.append(backlog)
+
+        net = Network(
+            linear(1, hosts_per_switch=2),
+            params=NetParams(link_queue_bytes=30_000),
+        )
+        h1 = net.host("h1")
+        ch = h1.ports[0]
+        ch.fluid_load_bps = ch.bandwidth_bps * fluid_fraction
+        ch.journey = spy = Spy()
+        want_tx, want_drops = [], []
+        for n in range(6):
+            net.run(until=n * 20e-6)  # part of the queue drains in between
+            pkt = h1.make_packet(net.host("h2").ip, payload_size=9_000 + n)
+            bandwidth, backlog = ch.effective_bandwidth_bps(), ch.backlog_bytes()
+            wait_s = max(net.sim.now, ch._tx_free_at) - net.sim.now
+            if ch.send(pkt):
+                want_tx.append((wait_s, pkt.size * 8.0 / bandwidth, backlog))
+            else:
+                assert backlog + pkt.size > ch.queue_bytes
+                want_drops.append(backlog)
+        assert spy.tx == want_tx and spy.drops == want_drops
+        # both outcomes were exercised, the accepted ones behind a real queue
+        assert len(want_tx) >= 3 and want_tx[-1][2] > 0 and want_drops
+
     def test_down_channel_drops(self):
         net = Network(linear(1, hosts_per_switch=2))
         h1 = net.host("h1")
