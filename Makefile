@@ -48,11 +48,17 @@ journey-demo:
 # Chaos demo: seeded fault injection on a fat-tree (link flaps, a switch
 # crash, control partition, lossy flow-mods) with the resilience scorecard
 # printed and archived.  Exits non-zero if any flow is still parked.
+# Then the benchmark's shape (8 decoy channels, 50 ms probes) under the
+# sanitizer on the seeds where a rule used to land before its group.
 chaos-demo:
 	@mkdir -p benchmarks/results
 	$(PYPATH) $(PYTHON) -m repro.faults run --seed 0 --timeline
 	$(PYPATH) $(PYTHON) -m repro.faults scorecard --seed 0 \
 		-o benchmarks/results/chaos_scorecard.json
+	@for s in 11 14 16 19 22 23; do \
+		$(PYPATH) $(PYTHON) -m repro.faults run --seed $$s \
+			--channels 8 --probe-period 0.05 --sanitize || exit 1; \
+	done
 
 # Sharded control plane demo: the seed-0 chaos scenario on a 4-shard
 # MC cluster — the plan adds a controller-shard crash, the survivors

@@ -6,10 +6,10 @@ owns N :class:`~repro.controlplane.shard.MimicShard` instances and:
 
 * routes every punted MC request to the shard owning the punting switch
   (channels live on the shard owning their initiator's edge switch),
-* routes every flow-mod to the shard owning its *target* switch, so a
+* routes every bundle to the shard owning its *target* switch, so a
   multi-segment walk's ``install_batch`` fan-out pipelines across shards
   instead of serializing through one MC — under the opt-in
-  ``cpu_model="serialized"`` each shard's mods queue on its own CPU,
+  ``cpu_model="serialized"`` each shard's bundles queue on its own CPU,
   which is what the scalability bench measures,
 * fans fault events out to the alive shards (each repairs only its own
   channels),
@@ -31,12 +31,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..core.channel import MimicChannel
-from ..core.controller import (
-    DECOY_DROP_PRIORITY,
-    MC_IP,
-    MC_PORT,
-    MIC_PRIORITY,
-)
+from ..core.controller import MC_IP, MC_PORT
 from ..net.packet import Packet
 from ..net.switch import Switch
 from ..obs.spans import begin as begin_span
@@ -195,29 +190,13 @@ class MimicControllerCluster(ControllerApp):
         return self.shards[fid % self.n_shards].flow_ids
 
     # -- install fan-out --------------------------------------------------
-    def dispatch_group(self, origin: MimicShard, sw_name: str, group):
-        """Route a group-mod to the switch's owning shard."""
-        return self._dispatch(
-            origin, sw_name, 1,
-            lambda: self.controller.install_group(sw_name, group),
-        )
+    def dispatch(self, origin: MimicShard, sw_name: str, entries, groups):
+        """Route one bundle to the switch's owning shard; returns its event.
 
-    def dispatch_batch(self, origin: MimicShard, sw_name: str, batch):
-        """Route a flow-mod batch to the switch's owning shard."""
-        return self._dispatch(
-            origin, sw_name, len(batch),
-            lambda: self.controller.install_batch(sw_name, batch),
-        )
-
-    def dispatch_install(self, origin: MimicShard, sw_name: str, entry):
-        """Route a single flow-mod to the switch's owning shard."""
-        return self._dispatch(
-            origin, sw_name, 1,
-            lambda: self.controller.install(sw_name, entry),
-        )
-
-    def _dispatch(self, origin: MimicShard, sw_name: str, n_mods: int, issue):
-        """Route ``issue`` to the switch's owning shard; returns an event."""
+        Under ``cpu_model="serialized"`` the bundle first takes one slot on
+        the owner's CPU queue, ``flowmod_cpu_s`` per entry and group.
+        """
+        n_mods = len(entries) + len(groups)
         prof = getattr(self.sim, "_prof", None)
         if prof is not None:
             with prof.region("controlplane.route"):
@@ -231,11 +210,8 @@ class MimicControllerCluster(ControllerApp):
         if owner is not origin:
             self.remote_installs += n_mods
         if self.cpu_model == "parallel":
-            return issue()
-        return self._issue_serialized(owner, n_mods * self.flowmod_cpu_s, issue)
-
-    def _issue_serialized(self, owner: MimicShard, cost: float, issue):
-        """Charge the owning shard's CPU, then issue; mirrors the result."""
+            return self.controller.install_batch(sw_name, entries, groups)
+        cost = n_mods * self.flowmod_cpu_s
         done = self.sim.event()
 
         def run():
@@ -246,7 +222,9 @@ class MimicControllerCluster(ControllerApp):
                 owner.cpu.release()
             owner.cpu_busy_s += cost
             try:
-                result = yield issue()
+                result = yield self.controller.install_batch(
+                    sw_name, entries, groups
+                )
             except Exception as exc:  # mirrored to the caller's barrier
                 done.fail(exc)
             else:
@@ -493,17 +471,6 @@ class MimicControllerCluster(ControllerApp):
     def resyncs_completed(self) -> int:
         """Total completed resyncs across shards."""
         return sum(s.resyncs_completed for s in self.shards)
-
-    def rule_footprint(self) -> dict[str, int]:
-        """MIC rules currently installed, per switch (TCAM load view)."""
-        counts: dict[str, int] = {}
-        for sw in self.net.switches():
-            n = len(sw.table.entries_at(MIC_PRIORITY)) + len(
-                sw.table.entries_at(DECOY_DROP_PRIORITY)
-            )
-            if n:
-                counts[sw.name] = n
-        return counts
 
     def verify(self):
         """Statically verify the installed data plane (cluster-wide)."""

@@ -14,7 +14,7 @@ owns and wired into a :class:`~repro.controlplane.cluster.MimicControllerCluster
   adding shards never perturbs shard 0's draws.
 * Every shard's flow IDs come from its own residue class of the shared
   value space (:class:`~repro.controlplane.ownership.PartitionedFlowIdAllocator`),
-  and every install the shard emits is routed through the cluster to the
+  and every bundle the shard sends is routed through the cluster to the
   target switch's owning shard.
 """
 
@@ -90,14 +90,8 @@ class MimicShard(MimicController):
         if alloc.is_live(plan.flow_id):
             alloc.release(plan.flow_id)
 
-    def _dispatch_group(self, sw_name: str, group):
-        return self.cluster.dispatch_group(self, sw_name, group)
-
-    def _dispatch_batch(self, sw_name: str, batch):
-        return self.cluster.dispatch_batch(self, sw_name, batch)
-
-    def _dispatch_install(self, sw_name: str, entry):
-        return self.cluster.dispatch_install(self, sw_name, entry)
+    def _send(self, sw_name: str, entries: list, groups: list):
+        return self.cluster.dispatch(self, sw_name, entries, groups)
 
     def _request_cpu(self, cpu: float):
         yield from self.cluster.request_cpu(self, cpu)

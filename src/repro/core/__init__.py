@@ -20,7 +20,6 @@ from .client import (
     MicServer,
     MicStream,
 )
-from .cluster import IdSpacePartition, ShardedFlowIdAllocator, shard_controllers
 from .commonflows import CommonFlowTagger
 from .cover import COVER_PORT, CoverTraffic
 from .collision import (
@@ -51,9 +50,6 @@ __all__ = [
     "COVER_PORT",
     "CommonFlowTagger",
     "CoverTraffic",
-    "IdSpacePartition",
-    "ShardedFlowIdAllocator",
-    "shard_controllers",
     "FlowGrant",
     "FlowIdAllocator",
     "HashParams",

@@ -26,7 +26,6 @@ import networkx as nx
 
 from ..crypto import DEFAULT_COSTS, CryptoCostModel, Key, seal, unseal
 from ..net.addresses import IPv4Addr, MacAddr, ip
-from ..net.flowtable import FlowEntry
 from ..net.packet import Packet
 from ..net.switch import Switch
 from ..obs.spans import begin as begin_span
@@ -358,52 +357,34 @@ class MimicController(ControllerApp):
                 self._release_flow(channel_id, plan)
             raise
 
-        # Compile every rule, then install per-switch batches in parallel:
-        # one flow-mod per (plan, switch) feeds that switch's classification
-        # index incrementally and invalidates its lookup cache once.
-        events = []
-        touched: set[str] = set()
-        n_installs = 0
-        compiled_by_cookie: dict[int, tuple[list, list, list]] = {}
+        # Compile every flow, push one bundle per (flow, switch) in parallel
+        # (each feeds that switch's classification index incrementally and
+        # invalidates its lookup cache once), settle, then commit or retract.
+        intents: dict[int, tuple[list, list, list]] = {}
+        events: list = []
         for plan in plans:
             owner = f"ch{channel_id}/c{plan.cookie}"
-            rules, groups, drops = self._compile_flow(plan, owner, decoys)
-            compiled_by_cookie[plan.cookie] = (rules, groups, drops)
-            for sw_name, group in groups:
-                events.append(self._dispatch_group(sw_name, group))
-                touched.add(sw_name)
-                n_installs += 1
-            by_switch: dict[str, list[FlowEntry]] = {}
-            for sw_name, entry in rules + drops:
-                by_switch.setdefault(sw_name, []).append(entry)
-            for sw_name, batch in by_switch.items():
-                events.append(self._dispatch_batch(sw_name, batch))
-                touched.add(sw_name)
-                n_installs += len(batch)
+            intents[plan.cookie] = self.strategy.compile_flow(plan, owner, decoys)
+            events.extend(self._push(intents[plan.cookie]).values())
         install_span = begin_span(
-            self.obs, "mic.install_batch", channel=channel_id, installs=n_installs
+            self.obs, "mic.install_batch", channel=channel_id,
+            installs=sum(len(part) for c in intents.values() for part in c),
         )
-        try:
-            yield self.sim.all_of(events)
-        except Exception as exc:
-            # A switch refused an install (e.g. table full): remove whatever
-            # landed and surface a clean failure.
-            for sw_name in sorted(touched):
-                for plan in plans:
-                    self.controller.remove_by_cookie(sw_name, plan.cookie)
+        failure = yield from self._settle(events)
+        if failure is None:
+            install_span.finish()
+        if failure is not None or not self.alive:
+            # A switch refused a bundle (e.g. table full), or the shard
+            # crashed while the sends were in flight: every send has settled,
+            # so removing now leaves no trace — no channel would own it.
+            for cookie, compiled in intents.items():
+                self._retract(cookie, compiled)
             for plan in plans:
                 self._release_flow(channel_id, plan)
-            raise EstablishError(f"rule installation failed: {exc}") from exc
-        install_span.finish()
-        if not self.alive:
-            # The shard crashed while the installs were in flight: undo
-            # rather than commit a channel no live shard would own.
-            for sw_name in sorted(touched):
-                for plan in plans:
-                    self.controller.remove_by_cookie(sw_name, plan.cookie)
-            for plan in plans:
-                self._release_flow(channel_id, plan)
-            raise EstablishError("controller shard crashed during install")
+            raise EstablishError(
+                "controller shard crashed during install" if failure is None
+                else f"rule installation failed: {failure}"
+            ) from failure
 
         channel = MimicChannel(
             channel_id=channel_id,
@@ -414,9 +395,8 @@ class MimicController(ControllerApp):
             last_activity=self.sim.now,
             decoys=decoys,
         )
-        channel._touched_switches = sorted(touched)  # type: ignore[attr-defined]
         self.channels[channel_id] = channel
-        self.compiled.update(compiled_by_cookie)
+        self.compiled.update(intents)
         if self.verify_installs:
             self.verify().raise_if_failed()
         self.net.trace.emit(
@@ -561,31 +541,78 @@ class MimicController(ControllerApp):
                 return candidate
         raise EstablishError(f"no free source ports for {initiator}")
 
-    # -- install dispatch hooks ------------------------------------------
-    # Every flow-mod the MC emits funnels through these three methods (and
-    # the request-CPU hook below).  The base implementations are straight
-    # pass-throughs to the SDN controller — byte-identical to calling it
-    # directly — but they give the control-plane shard layer
-    # (:mod:`repro.controlplane`) a seam: a shard overrides them to route
-    # each install to the switch's owning shard and, under the serialized
-    # CPU model, to charge that shard's CPU before the mod goes out.
-    def _dispatch_group(self, sw_name: str, group):
-        return self.controller.install_group(sw_name, group)
-
-    def _dispatch_batch(self, sw_name: str, batch):
-        return self.controller.install_batch(sw_name, batch)
-
-    def _dispatch_install(self, sw_name: str, entry):
-        return self.controller.install(sw_name, entry)
+    # -- the install path ------------------------------------------------
+    # Everything the MC does to the data plane is one operation: make the
+    # switches agree with a compiled intent ``(rules, groups, drops)`` or
+    # leave no trace.  Establish, repair / rotate / un-park, resync and
+    # teardown are each "compile, push, settle, then commit or retract",
+    # with the liveness checks at that one commit point.  ``_send`` and
+    # ``_request_cpu`` are the seam the control-plane shard layer
+    # (:mod:`repro.controlplane`) overrides: a shard routes each bundle to
+    # the switch's owning shard and, under the serialized CPU model,
+    # charges that shard's CPU before the message goes out.
+    def _send(self, sw_name: str, entries: list, groups: list):
+        return self.controller.install_batch(sw_name, entries, groups)
 
     def _request_cpu(self, cpu: float):
         yield self.sim.timeout(cpu)
 
-    # -- rule compilation (delegated to the anonymity strategy) ----------
-    def _compile_flow(
-        self, plan: MFlowPlan, owner: str, decoys: int
-    ) -> tuple[list, list, list]:
-        return self.strategy.compile_flow(plan, owner, decoys)
+    def _push(self, compiled: tuple, only: Optional[str] = None) -> dict:
+        """Send a compiled intent, one bundle per switch; ``{switch: event}``.
+
+        A bundle carries the switch's groups with the rules that reference
+        them (``add_decoys`` puts the group on the MN whose rule points at
+        it), so rule-before-group is impossible by construction.
+        ``only`` restricts the push to one switch (resync).
+        """
+        rules, groups, drops = compiled
+        bundles: dict[str, tuple[list, list]] = {}
+        for sw_name, entry in rules + drops:
+            bundles.setdefault(sw_name, ([], []))[0].append(entry)
+        for sw_name, group in groups:
+            bundles.setdefault(sw_name, ([], []))[1].append(group)
+        return {
+            sw_name: self._send(sw_name, *bundle)
+            for sw_name, bundle in bundles.items()
+            if only is None or sw_name == only
+        }
+
+    def _settle(self, events):
+        """Wait until *every* send has landed or failed; returns the first
+        failure, or None.  Undoing while siblings are still queued or being
+        re-driven would let a late bundle leak past the removal."""
+        if not events:
+            return None
+        try:
+            yield self.sim.all_of(events)
+            return None
+        except Exception as exc:
+            failure = exc
+        for ev in events:
+            if not ev.processed:
+                try:
+                    yield ev
+                except Exception:
+                    pass
+        return failure
+
+    def _retract(self, cookie: int, compiled: tuple) -> list:
+        """Remove ``cookie`` from every switch the compiled intent names
+        (decoy-drop rules live on off-walk branch switches too); returns the
+        removal events — ``all_of`` them for a barrier."""
+        scope = {sw_name for part in compiled for sw_name, _obj in part}
+        return [
+            self.controller.remove_by_cookie(sw_name, cookie)
+            for sw_name in sorted(scope)
+        ]
+
+    def _orphaned(self, channel: MimicChannel) -> Optional[str]:
+        """Why an in-flight install for ``channel`` must not commit."""
+        if not self.alive:
+            return "abandoned"  # shard crashed; the adopting shard re-drives
+        if channel.channel_id not in self.channels:
+            return "closed"  # torn down while the sends were in flight
+        return None
 
     def _mac_for(self, addr: IPv4Addr) -> MacAddr:
         found = self._ip_to_mac.get(addr)
@@ -598,12 +625,14 @@ class MimicController(ControllerApp):
         if channel is None:
             return
         channel.state = "closed"
-        for sw_name in getattr(channel, "_touched_switches", []):
-            for plan in channel.flows:
-                self.controller.remove_by_cookie(sw_name, plan.cookie)
         for plan in channel.flows:
+            # A flow mid-repair or parked has no committed intent: its
+            # repairer owns whatever is installed and retracts it on seeing
+            # the channel gone.
+            compiled = self.compiled.pop(plan.cookie, None)
+            if compiled is not None:
+                self._retract(plan.cookie, compiled)
             self._release_flow(channel_id, plan)
-            self.compiled.pop(plan.cookie, None)
             self._parked.pop(plan.cookie, None)
             used = self._used_sports.get(channel.initiator)
             if used is not None:
@@ -688,37 +717,30 @@ class MimicController(ControllerApp):
 
     def _repair_flow(self, channel: MimicChannel, idx: int, kind: str = "repair"):
         old = channel.flows[idx]
-        owner = f"ch{channel.channel_id}/c{old.cookie}"
+        cookie = old.cookie
+        owner = f"ch{channel.channel_id}/c{cookie}"
         span = begin_span(
             self.obs, "mic.rotate" if kind == "rotate" else "mic.repair",
             channel=channel.channel_id, flow_id=old.flow_id,
         )
         try:
-            # Remove the dead flow's rules and registry claims.  The
-            # removal scope comes from the *compiled* intent, not the walk:
-            # decoy-drop rules live on off-walk branch switches too.  The
-            # barrier below matters — the new plan re-uses this cookie, so
-            # a removal landing late (lossy control plane) would eat the
-            # replacement rules.
-            removal_scope = {
-                node for node in old.walk
+            # Remove the old rules and registry claims.  The scope is the
+            # committed intent; a flow adopted mid-repair (the dead shard
+            # had taken its intent) or un-parked has none and falls back to
+            # its walk.  The barrier matters — the new plan re-uses this
+            # cookie, so a removal landing late (lossy control plane) would
+            # eat the replacement rules.
+            stale = self.compiled.pop(cookie, None) or ([
+                (node, None) for node in old.walk
                 if self.net.topo.kind(node) == "switch"
-            }
-            old_compiled = self.compiled.pop(old.cookie, None)
-            if old_compiled is not None:
-                for part in old_compiled:
-                    removal_scope.update(sw_name for sw_name, _obj in part)
-            removals = [
-                self.controller.remove_by_cookie(node, old.cookie)
-                for node in sorted(removal_scope)
-            ]
+            ],)
             self.registry.release_owner(owner)
-            if removals:
-                yield self.sim.all_of(removals)
+            yield self.sim.all_of(self._retract(cookie, stale))
             while True:
-                if not self.alive:
-                    span.finish(outcome="abandoned")
-                    return  # shard crashed; the adopting shard re-repairs
+                orphaned = self._orphaned(channel)
+                if orphaned:
+                    span.finish(outcome=orphaned)
+                    return
                 # Re-plan over the surviving fabric, pinning the identity.
                 try:
                     new_plan = self._plan_flow(
@@ -726,7 +748,7 @@ class MimicController(ControllerApp):
                         channel.responder,
                         old.delivery.dport,
                         len(old.mn_positions),
-                        cookie=old.cookie,
+                        cookie=cookie,
                         owner=owner,
                         flow_id=old.flow_id,
                         entry_pin=old.entry,
@@ -743,71 +765,48 @@ class MimicController(ControllerApp):
                     self._park_flow(channel, idx, old, str(exc))
                     span.finish(outcome="parked")
                     return
-                rules, groups, drops = self._compile_flow(
+                compiled = self.strategy.compile_flow(
                     new_plan, owner, channel.decoys
                 )
-                events = []
-                touched = set(getattr(channel, "_touched_switches", []))
-                for sw_name, group in groups:
-                    events.append(self._dispatch_group(sw_name, group))
-                    touched.add(sw_name)
-                for sw_name, entry in rules + drops:
-                    events.append(self._dispatch_install(sw_name, entry))
-                    touched.add(sw_name)
-                failed = False
-                for ev in events:
-                    # Wait for every install to settle (success *or*
-                    # failure) — undoing while siblings are still being
-                    # re-driven would let a late install leak past the
-                    # removal below.
-                    try:
-                        yield ev
-                    except Exception:
-                        failed = True
-                if not self.alive:
-                    span.finish(outcome="abandoned")
+                failure = yield from self._settle(self._push(compiled).values())
+                orphaned = self._orphaned(channel)
+                if orphaned == "abandoned":
+                    span.finish(outcome=orphaned)
+                    return  # the adopter owns this cookie now: hands off
+                if failure is None and orphaned is None and self._walk_alive(
+                    new_plan.walk
+                ):
+                    break  # the commit point
+                # A switch refused a bundle (crashed chassis, retry budget
+                # spent), a second failure hit the new walk, or the channel
+                # was torn down while the sends were in flight: undo.
+                yield self.sim.all_of(self._retract(cookie, compiled))
+                self.registry.release_owner(owner)
+                if orphaned:
+                    span.finish(outcome=orphaned)
                     return
-                if failed:
-                    # A switch refused an install (crashed chassis, lost
-                    # mods beyond retry budget): undo and re-plan over the
-                    # by-then-current view after a short backoff.
-                    yield self.sim.all_of([
-                        self.controller.remove_by_cookie(node, old.cookie)
-                        for node in sorted(touched)
-                    ])
-                    self.registry.release_owner(owner)
+                if failure is not None:
+                    # re-plan over the by-then-current view after a backoff
                     yield self.sim.timeout(self.park_retry_s)
-                    continue
-                if not self._walk_alive(new_plan.walk):
-                    # A second failure hit the new walk while the installs
-                    # were in flight: this repair is stale.  Undo and loop.
-                    yield self.sim.all_of([
-                        self.controller.remove_by_cookie(node, old.cookie)
-                        for node in sorted(touched)
-                    ])
-                    self.registry.release_owner(owner)
-                    continue
-                channel.flows[idx] = new_plan
-                channel._touched_switches = sorted(touched)  # type: ignore[attr-defined]
-                self.compiled[new_plan.cookie] = (rules, groups, drops)
-                if kind == "rotate":
-                    self.strategy.rotations_completed += 1
-                    self.strategy.rotation_installs += len(events)
-                else:
-                    self.repairs_completed += 1
-                if self.verify_installs:
-                    self.verify().raise_if_failed()
-                self.net.trace.emit(
-                    self.sim.now,
-                    "mic.rotate" if kind == "rotate" else "mic.repair",
-                    "MC",
-                    _REPAIR_KEYS,
-                    channel.channel_id, old.flow_id, list(new_plan.walk),
-                )
-                span.finish(outcome="rotated" if kind == "rotate" else "repaired")
-                return
+            channel.flows[idx] = new_plan
+            self.compiled[cookie] = compiled
+            if kind == "rotate":
+                self.strategy.rotations_completed += 1
+                self.strategy.rotation_installs += sum(map(len, compiled))
+            else:
+                self.repairs_completed += 1
+            if self.verify_installs:
+                self.verify().raise_if_failed()
+            self.net.trace.emit(
+                self.sim.now,
+                "mic.rotate" if kind == "rotate" else "mic.repair",
+                "MC",
+                _REPAIR_KEYS,
+                channel.channel_id, old.flow_id, list(new_plan.walk),
+            )
+            span.finish(outcome="rotated" if kind == "rotate" else "repaired")
         finally:
-            self._repairing.discard(old.cookie)
+            self._repairing.discard(cookie)
 
     # -- parked flows (no surviving path) ----------------------------------
     def _park_flow(
@@ -878,32 +877,30 @@ class MimicController(ControllerApp):
         if not self.alive:
             span.finish(outcome="abandoned")
             return
+        pushed = []
         events = []
         n_rules = 0
         for channel in list(self.channels.values()):
             for plan in channel.flows:
-                if plan.cookie in self._repairing or plan.cookie in self._parked:
-                    continue
                 compiled = self.compiled.get(plan.cookie)
-                if compiled is None:
+                if compiled is None or plan.cookie in self._repairing:
                     continue
-                rules, groups, drops = compiled
-                for sw_name, group in groups:
-                    if sw_name == name:
-                        events.append(self._dispatch_group(name, group))
-                batch = [e for sw_name, e in rules + drops if sw_name == name]
-                if batch:
-                    events.append(self._dispatch_batch(name, batch))
-                    n_rules += len(batch)
-        if events:
-            try:
-                yield self.sim.all_of(events)
-            except Exception:
-                # Crashed again mid-resync: the next reboot will re-drive.
-                span.finish(ok=False)
-                return
+                pushed.append((channel, plan.cookie, compiled))
+                events.extend(self._push(compiled, only=name).values())
+                n_rules += sum(
+                    sw_name == name for sw_name, _e in compiled[0] + compiled[2]
+                )
+        failure = yield from self._settle(events)
         if not self.alive:
             span.finish(outcome="abandoned")
+            return
+        for channel, cookie, compiled in pushed:
+            if channel.channel_id not in self.channels:
+                # torn down while its bundle was in flight
+                self._retract(cookie, compiled)
+        if failure is not None:
+            # Crashed again mid-resync: the next reboot will re-drive.
+            span.finish(ok=False)
             return
         self.resyncs_completed += 1
         if self.verify_installs:

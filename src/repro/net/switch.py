@@ -184,27 +184,32 @@ class Switch(Node):
         """
         return self.install_many_later((entry,), delay)
 
-    def install_many_later(self, entries, delay: Optional[float] = None):
-        """Install a batch of flow entries after one control-channel latency.
+    def install_many_later(self, entries, delay: Optional[float] = None, groups=()):
+        """Install one bundle — groups, then flow entries — after one
+        control-channel latency.
 
-        Models a batched flow-mod: the rules become active together, each
-        feeding the table's classification index incrementally, and the
-        lookup cache is invalidated once per batch rather than per rule.
-        Emits one ``switch.flowmod`` trace record per entry.  On a capacity
-        overflow the event fails after installing the entries that fit —
-        the same observable state as issuing the installs one by one.
+        Models a batched flow-mod: the groups and rules become active in the
+        same callback (a rule can never be live before the group it points
+        at), each rule feeding the table's classification index
+        incrementally, and the lookup cache is invalidated once per batch
+        rather than per rule.  Emits one ``switch.flowmod`` trace record per
+        entry.  On a capacity overflow the event fails after installing the
+        groups and the entries that fit — the same observable state as
+        issuing the installs one by one; a down switch applies nothing.
 
-        Returns an event that fires when the whole batch is active.
+        Returns an event that fires when the whole bundle is active.
         """
         d = self.params.flow_install_delay_s if delay is None else delay
         ev = self.sim.event()
-        self.sim.call_later(d, self._install_now, entries, ev)
+        self.sim.call_later(d, self._install_now, entries, groups, ev)
         return ev
 
-    def _install_now(self, entries, ev) -> None:
+    def _install_now(self, entries, groups, ev) -> None:
         if not self.alive:
             ev.fail(SwitchDownError(f"{self.name} is down"))
             return
+        for group in groups:
+            self.table.install_group(group)
         for entry in entries:
             try:
                 self.table.install(entry)

@@ -132,8 +132,8 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
     ),
     ProfSubsystem(
         "controlplane.route",
-        "repro.controlplane.MimicControllerCluster._dispatch / on_packet_in",
-        "routing one control request or flow-mod dispatch to its owning "
+        "repro.controlplane.MimicControllerCluster.dispatch / on_packet_in",
+        "routing one control request or install bundle to its owning "
         "shard through the rendezvous ownership map",
         "`requests.routed`, `mods.routed`, `mods.remote` (mods issued by a "
         "non-owning shard and forwarded)",

@@ -2,7 +2,7 @@
 
 The :class:`Controller` connects to every switch in a :class:`Network`,
 receives packet-ins, dispatches them to registered apps, and offers the
-southbound operations apps need: flow-mod (with install latency), group-mod,
+southbound operations apps need: flow-mod bundles (with install latency),
 packet-out, and path-rule compilation helpers.
 
 Apps subclass :class:`ControllerApp` and override ``on_packet_in``.
@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from ..net.flowtable import FlowEntry, GroupEntry, Match, Output
 from ..net.network import Network
 from ..net.packet import Packet
-from ..net.switch import Switch, SwitchDownError
+from ..net.switch import Switch
 from ..sim.engine import Event
 from .discovery import FailureDetector, TopologyView
 
@@ -169,48 +169,26 @@ class Controller:
         self,
         switch_name: str,
         entries: Sequence[FlowEntry],
+        groups: Sequence[GroupEntry] = (),
         delay: Optional[float] = None,
     ):
-        """Send one batched flow-mod carrying ``entries`` to a switch.
+        """Send one bundle — a switch's ``groups`` and flow ``entries`` in
+        one control message.
 
-        The batch feeds the switch's classification index incrementally and
-        costs a single lookup-cache invalidation; returns the event that
-        fires once every rule in the batch is active.  Loss and retry apply
-        to the batch as a unit (it is one control message).
+        The switch applies the groups, then the entries, in one callback, so
+        a rule never goes live before the group it references; the entries
+        feed the classification index incrementally and cost a single
+        lookup-cache invalidation.  Returns the event that fires once the
+        whole bundle is active.  Loss, rejection and retry apply to the
+        bundle as a unit: one fate draw, one ack.
         """
         self.flow_mods_sent += len(entries)
         sw = self.network.switch(switch_name)
         if self.faults is None:
-            return sw.install_many_later(entries, delay=delay)
+            return sw.install_many_later(entries, delay, groups)
         return self._reliable_send(
-            switch_name, lambda d: sw.install_many_later(entries, delay=d), delay
+            switch_name, lambda d: sw.install_many_later(entries, d, groups), delay
         )
-
-    def install_group(self, switch_name: str, group: GroupEntry, delay: Optional[float] = None):
-        """Send a group-mod; returns the install-complete event."""
-        sw = self.network.switch(switch_name)
-        if self.faults is not None:
-            return self._reliable_send(
-                switch_name, lambda d: self._group_mod(sw, group, d), delay
-            )
-        return self._group_mod(
-            sw,
-            group,
-            self.network.params.flow_install_delay_s if delay is None else delay,
-        )
-
-    def _group_mod(self, sw: Switch, group: GroupEntry, delay: float):
-        ev = self.sim.event()
-
-        def _do():
-            if not sw.alive:
-                ev.fail(SwitchDownError(f"{sw.name} is down"))
-                return
-            sw.table.install_group(group)
-            ev.succeed()
-
-        self.sim.call_later(delay, _do)
-        return ev
 
     def _reliable_send(self, switch_name: str, send, delay: Optional[float]):
         """Drive one control message through the fault plane with acks.

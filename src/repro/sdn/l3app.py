@@ -35,6 +35,11 @@ class L3ShortestPathApp(ControllerApp):
         #: (src_host, dst_host) -> cookie tagging that pair's rules
         self._pair_cookies: dict[tuple[str, str], int] = {}
         self._next_cookie = 0x4C33_0000  # 'L3'
+        #: switch the app believes down -> {match: install event} of the hop
+        #: rules sent to it meanwhile.  The app hears of a crash after it
+        #: happened, so one of these acked OK (or still in flight when the
+        #: reboot is heard) landed on the already-rebooted chassis.
+        self._down: dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     def on_packet_in(self, switch: Switch, packet: Packet, in_port: int) -> bool:
@@ -85,16 +90,18 @@ class L3ShortestPathApp(ControllerApp):
         self._pair_cookies[(src_name, dst_name)] = cookie
         self._pair_cookies[(dst_name, src_name)] = cookie
         events = []
-        events += ctrl.install_unicast_path(
-            path, Match(ip_src=src.ip, ip_dst=dst.ip), priority=self.priority,
-            cookie=cookie,
-        )
-        events += ctrl.install_unicast_path(
-            list(reversed(path)),
-            Match(ip_src=dst.ip, ip_dst=src.ip),
-            priority=self.priority,
-            cookie=cookie,
-        )
+        for hop_path, match in (
+            (path, Match(ip_src=src.ip, ip_dst=dst.ip)),
+            (list(reversed(path)), Match(ip_src=dst.ip, ip_dst=src.ip)),
+        ):
+            hop_events = ctrl.install_unicast_path(
+                hop_path, match, priority=self.priority, cookie=cookie
+            )
+            events += hop_events
+            if self._down:  # wired during an outage; never on the pre-wire path
+                for (sw_name, _port), ev in zip(ctrl.ports_along(hop_path), hop_events):
+                    if sw_name in self._down:
+                        self._down[sw_name][match] = ev
         self._installed_pairs.add((src.ip, dst.ip))
         self._installed_pairs.add((dst.ip, src.ip))
         if release_pair is not None:
@@ -152,11 +159,15 @@ class L3ShortestPathApp(ControllerApp):
 
         Deterministic and RNG-free: each affected pair keeps its chosen
         path and cookie, only the wiped switch's hop rules are re-sent.
-        Nothing to do on the down edge — the chassis blackholes until the
-        reboot, and the stored paths are still the right ones after it.
+        Nothing to send on the down edge — the chassis blackholes until the
+        reboot, and the stored paths are still the right ones after it.  A
+        hop rule wired reactively between the reboot and the controller
+        hearing of it is already on the new chassis and is not sent twice.
         """
         if not up:
+            self._down[name] = {}
             return
+        landed = self._down.pop(name, {})
         ctrl = self.controller
         net = ctrl.network
         reinstalled: set[frozenset] = set()
@@ -176,7 +187,7 @@ class L3ShortestPathApp(ControllerApp):
                 (list(reversed(path)), Match(ip_src=dst_ip, ip_dst=src_ip)),
             ):
                 for sw_name, out_port in ctrl.ports_along(hop_path):
-                    if sw_name != name:
+                    if sw_name != name or (match in landed and landed[match].ok):
                         continue
                     ctrl.install(
                         sw_name,

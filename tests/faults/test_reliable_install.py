@@ -3,7 +3,9 @@
 import pytest
 
 from repro.faults import FaultSchedule
-from repro.net import FlowEntry, Match, Network, Output, fat_tree
+from repro.net import (
+    FlowEntry, Group, GroupEntry, Match, NetParams, Network, Output, fat_tree,
+)
 from repro.sdn import Controller
 from repro.sdn.controller import InstallLostError
 
@@ -80,21 +82,64 @@ def test_loss_scope_spares_other_switches():
     assert ctrl.flow_mods_lost == 0
 
 
-def test_install_batch_and_group_ride_the_same_machinery():
+def _bundle(net, cookie=7):
+    """Two rules, the second pointing at the group that rides with them."""
+    group = GroupEntry(group_id=1, buckets=[[Output(1)], [Output(2)]], cookie=cookie)
+    entries = [
+        FlowEntry(Match(ip_dst=net.host("h1").ip), [Output(1)], cookie=cookie),
+        FlowEntry(Match(ip_dst=net.host("h2").ip), [Group(1)], cookie=cookie),
+    ]
+    return entries, [group]
+
+
+def test_a_bundle_draws_one_fate_and_is_retried_as_a_unit():
     net = Network(fat_tree(4), seed=0)
     ctrl = Controller(net, ack_timeout_s=0.004)
-    _loss_schedule(net, ctrl, loss_prob=1.0, duration=0.02, seed=5)
-    from repro.net import GroupEntry
-
+    sched = _loss_schedule(net, ctrl, loss_prob=1.0, duration=0.003, seed=5)
     sw = net.switch("p0a0")
-    batch = ctrl.install_batch("p0a0", [_entry(net), _entry(net)])
-    group = ctrl.install_group(
-        "p0a0", GroupEntry(group_id=1, buckets=[[Output(1)], [Output(2)]])
+    group_seen_at_flowmod = []
+    net.trace.subscribe(
+        lambda rec: rec.category == "switch.flowmod"
+        and group_seen_at_flowmod.append(1 in sw.table.groups)
     )
+    entries, groups = _bundle(net)
+    done = ctrl.install_batch("p0a0", entries, groups)
     net.run(until=1.0)
-    assert batch.ok and group.ok
-    assert len(list(sw.table.iter_entries())) == 2
-    assert sw.table.groups
+    assert done.ok
+    # one control message: one fate draw per attempt (lost once, then clean),
+    # one loss record, one retry -- not one per entry or per group
+    assert (sched.flowmods_lost, ctrl.flow_mods_lost, ctrl.flow_mods_retried) == (1, 1, 1)
+    assert len(net.trace.by_category("ctrl.flowmod_lost")) == 1
+    assert ctrl.flow_mods_sent == 2  # entries only, as before bundles
+    # landed once, the group already present at the first rule's record
+    assert group_seen_at_flowmod == [True, True]
+    assert len(list(sw.table.iter_entries())) == 2 and list(sw.table.groups) == [1]
+
+
+def test_a_down_switch_applies_neither_part_of_a_bundle():
+    net = Network(fat_tree(4), seed=0)
+    ctrl = Controller(net)
+    sw = net.switch("p0a0")
+    sw.crash()
+    done = ctrl.install_batch("p0a0", *_bundle(net))
+    net.run(until=0.1)
+    assert done.triggered and not done.ok
+    sw.reboot()
+    assert not sw.table.groups and not list(sw.table.iter_entries())
+
+
+def test_table_full_mid_bundle_is_cleared_by_cookie_groups_included():
+    net = Network(fat_tree(4), params=NetParams(switch_table_capacity=1), seed=0)
+    ctrl = Controller(net)
+    sw = net.switch("p0a0")
+    done = ctrl.install_batch("p0a0", *_bundle(net, cookie=7))
+    net.run(until=0.1)
+    assert not done.ok  # the second rule did not fit ...
+    assert list(sw.table.groups) == [1]  # ... after the group and one rule had
+    assert len(list(sw.table.iter_entries())) == 1
+    ctrl.remove_by_cookie("p0a0", 7)
+    net.run(until=0.2)
+    assert not sw.table.groups and not list(sw.table.iter_entries())
 
 
 def test_partition_blocks_packet_ins():
