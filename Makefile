@@ -4,7 +4,7 @@ PYTHON ?= python
 # Same invocation the CI tier-1 gate uses (src/ layout, no install needed).
 PYPATH = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-verbose lint verify obs-demo journey-demo chaos-demo shard-demo prof-demo trajectory tournament bench bench-quick bench-scale perf perf-smoke figures quick-figures examples clean
+.PHONY: install test test-verbose lint verify obs-demo journey-demo chaos-demo shard-demo prof-demo trajectory tournament bench bench-quick bench-scale perf perf-smoke perf-pairs figures quick-figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || pip install -e .
@@ -113,6 +113,12 @@ perf:
 perf-smoke:
 	$(PYTHON) benchmarks/perf/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/perf/test_selfcheck.py -q
+
+# Alternating parent / change pairs of one workload — what a speed claim is
+# made with: make perf-pairs BASE=../parent W=packet_bulk SEED=11 N=10
+N ?= 10
+perf-pairs:
+	$(PYTHON) benchmarks/pairs.py --base $(BASE) --workload $(W) --seed $(SEED) --pairs $(N)
 
 # Self-profiling demo: a profiled chaos run, its prof-top table, and the
 # profiled snapshot re-summarized through the normal pipeline.

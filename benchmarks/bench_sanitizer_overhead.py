@@ -53,7 +53,7 @@ def _hookless_schedule(self, event, delay):
     if event._scheduled:
         raise SimulationError("event already scheduled")
     event._scheduled = True
-    heapq.heappush(self._heap, (self._now + delay, next(self._counter), event))
+    heapq.heappush(self._heap, (self.now + delay, next(self._counter), event))
 
 
 def _hookless_step(self):
@@ -61,7 +61,7 @@ def _hookless_step(self):
     if not self._heap:
         raise SimulationError("no more events")
     when, _seq, event = heapq.heappop(self._heap)
-    self._now = when
+    self.now = when
     event._run_callbacks()
     return when
 

@@ -58,8 +58,8 @@ class ObservationPoint:
                 switch=self.switch_name,
                 port=port,
                 direction=direction,
-                src_ip=str(packet.ip_src),
-                dst_ip=str(packet.ip_dst),
+                src_ip=packet.ip_src.text,
+                dst_ip=packet.ip_dst.text,
                 sport=packet.sport,
                 dport=packet.dport,
                 mpls=packet.mpls,

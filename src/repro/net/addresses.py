@@ -8,7 +8,7 @@ cheap to compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
 from typing import Iterable, Union
 
@@ -17,21 +17,29 @@ __all__ = ["IPv4Addr", "MacAddr", "ip", "mac", "Subnet"]
 
 @lru_cache(maxsize=1 << 16)
 def _dotted_quad(v: int) -> str:
-    """Text form of a 32-bit address, memoised: every traced hop renders
-    both endpoints, and equal addresses then share one string."""
+    """Text form of a 32-bit address, memoised so equal addresses share one
+    string (trace rows and header tuples then hold the same object)."""
     return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
 
 
 @total_ordering
 @dataclass(frozen=True, slots=True)
 class IPv4Addr:
-    """An IPv4 address stored as a 32-bit unsigned integer."""
+    """An IPv4 address stored as a 32-bit unsigned integer.
+
+    ``text`` is the dotted quad, rendered once at construction: every traced
+    hop records both endpoints, so per-packet code reads ``addr.text``
+    rather than calling ``str(addr)``.  Build addresses at set-up time, not
+    per packet.
+    """
 
     value: int
+    text: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 0xFFFFFFFF:
             raise ValueError(f"IPv4 value out of range: {self.value!r}")
+        object.__setattr__(self, "text", _dotted_quad(self.value))
 
     @classmethod
     def parse(cls, text: str) -> "IPv4Addr":
@@ -47,10 +55,10 @@ class IPv4Addr:
         return cls(value)
 
     def __str__(self) -> str:
-        return _dotted_quad(self.value)
+        return self.text
 
     def __repr__(self) -> str:
-        return f"IPv4Addr({str(self)!r})"
+        return f"IPv4Addr({self.text!r})"
 
     def __int__(self) -> int:
         return self.value

@@ -393,8 +393,9 @@ class FlowTable:
     Classification is a two-tier pipeline:
 
     1. a bounded **lookup cache** keyed on the packet's full header tuple
-       (``in_port`` + the eight matchable header fields), invalidated as a
-       whole whenever the table changes (install/remove/group mutation).
+       (``in_port`` + the eight matchable header fields, addresses as their
+       integer ``.value``), invalidated as a whole whenever the table
+       changes (install/remove/group mutation).
        Header rewrites never stale the cache: a ``SetField``-rewritten
        packet presents a *different* header tuple and takes its own slot;
     2. per-priority **tuple-space indexes** (:class:`_PriorityTier`) probed
@@ -638,12 +639,15 @@ class FlowTable:
         if self._lookup_cache_version != self._version:
             cache.clear()
             self._lookup_cache_version = self._version
+        # Builtin scalars only, so hashing and comparing the key never
+        # enters a Python frame; positions fix each field's type, so the
+        # key stays injective over the nine fields.
         key = (
             in_port,
-            packet.eth_src,
-            packet.eth_dst,
-            packet.ip_src,
-            packet.ip_dst,
+            packet.eth_src.value,
+            packet.eth_dst.value,
+            packet.ip_src.value,
+            packet.ip_dst.value,
             packet.proto,
             packet.sport,
             packet.dport,
@@ -743,6 +747,11 @@ class FlowTable:
             elif isinstance(action, PopMpls):
                 packet.mpls = None
             elif isinstance(action, Output):
+                if action.port == CONTROLLER_PORT:
+                    # the pseudo-port is a punt, not a wire (the static
+                    # verifier reads it the same way)
+                    to_controller = True
+                    continue
                 # Emit a snapshot so later rewrites of the live packet do not
                 # retroactively change what was sent.  The first emission
                 # keeps the packet's uid (the common unicast case); further

@@ -24,6 +24,10 @@ L4Handler = Callable[["Host", Packet], None]
 
 NIC_PORT = 0
 
+#: destination MAC of a packet made without one (addresses are immutable,
+#: so every such packet shares this instance)
+_BROADCAST_MAC = MacAddr(0xFFFFFFFFFFFF)
+
 # trace field names, one shared tuple per record shape (see repro.sim.trace)
 _TX_KEYS = ("uid", "dst_ip", "size")
 _RX_KEYS = ("uid", "src_ip", "sport", "dport", "size")
@@ -93,7 +97,7 @@ class Host(Node):
             self.journey.on_host_tx(self, packet)
         self.trace.emit(
             self.sim.now, "host.tx", self.name, _TX_KEYS,
-            packet.uid, str(packet.ip_dst), packet.size,
+            packet.uid, packet.ip_dst.text, packet.size,
         )
         self.sim.call_later(
             self.params.host_stack_delay_s, self.transmit, packet, NIC_PORT
@@ -114,7 +118,7 @@ class Host(Node):
         """Build a packet originating from this host."""
         return Packet(
             eth_src=self.mac,
-            eth_dst=dst_mac if dst_mac is not None else MacAddr(0xFFFFFFFFFFFF),
+            eth_dst=dst_mac if dst_mac is not None else _BROADCAST_MAC,
             ip_src=self.ip,
             ip_dst=dst_ip,
             proto=proto,
@@ -135,7 +139,7 @@ class Host(Node):
             # reach an innocent host instead of a dropping next-hop rule.
             self.trace.emit(
                 self.sim.now, "host.foreign_drop", self.name, _FOREIGN_DROP_KEYS,
-                packet.uid, str(packet.ip_dst),
+                packet.uid, packet.ip_dst.text,
             )
             if self.journey is not None:
                 self.journey.on_host_foreign_drop(self, packet)
@@ -149,7 +153,7 @@ class Host(Node):
             self.journey.on_host_rx(self, packet)
         self.trace.emit(
             self.sim.now, "host.rx", self.name, _RX_KEYS,
-            packet.uid, str(packet.ip_src), packet.sport, packet.dport,
+            packet.uid, packet.ip_src.text, packet.sport, packet.dport,
             packet.size,
         )
         self.sim.call_later(self.params.host_stack_delay_s, self._dispatch, packet)

@@ -101,7 +101,11 @@ class Channel:
         fluid = self.fluid_load_bps
         if fluid:
             bandwidth = max(bandwidth - fluid, bandwidth * 0.01)
-        backlog = int(max(0.0, self._tx_free_at - now) * bandwidth / 8.0)
+        free_at = self._tx_free_at
+        # the two max() calls of backlog_bytes() / the start time, as
+        # conditional expressions: same floats, no call
+        pending_s = free_at - now
+        backlog = int((pending_s if pending_s > 0.0 else 0.0) * bandwidth / 8.0)
         if not self.up or backlog + size > self.queue_bytes:
             self.stats.drops += 1
             self.trace.emit(now, "link.drop", self.name, _DROP_KEYS, packet.uid, size)
@@ -109,9 +113,8 @@ class Channel:
                 self.journey.on_link_drop(self, packet, backlog)
             return False
         tx_time = size * 8.0 / bandwidth
-        start = max(now, self._tx_free_at)
-        self._tx_free_at = start + tx_time
-        deliver_at = self._tx_free_at + self.delay_s
+        start = free_at if free_at > now else now
+        self._tx_free_at = free_at = start + tx_time
         self.stats.packets += 1
         self.stats.bytes += size
         if self.journey is not None:
@@ -119,9 +122,9 @@ class Channel:
         self.trace.emit(
             now, "link.tx", self.name, _TX_KEYS,
             packet.uid, packet.content_tag, size,
-            str(packet.ip_src), str(packet.ip_dst), packet.mpls,
+            packet.ip_src.text, packet.ip_dst.text, packet.mpls,
         )
-        self.sim.call_at(deliver_at, self._deliver, packet)
+        self.sim.call_at(free_at + self.delay_s, self._deliver, packet)
         return True
 
     def _deliver(self, packet: Packet) -> None:

@@ -137,29 +137,36 @@ class Packet:
         copy gets its own ``uid`` but keeps the ``content_tag`` — on the wire
         the decoy copies carry the same bytes.
 
-        Every switch emission is a copy, so it is built field by field —
-        but still through ``__init__``: ``SetField`` rewrites with
-        ``setattr``, so the range checks run here are what reject a port or
-        label rewritten out of range.
+        Every switch emission is a copy, and ``SetField`` rewrites with
+        ``setattr``, so this is where a port or label rewritten out of range
+        is rejected: the range checks of ``__post_init__`` run inline here
+        (a violation calls it, so the error is the constructor's own), then
+        the fields are stored slot by slot instead of through ``__init__``.
         """
-        dup = Packet(
-            eth_src=self.eth_src,
-            eth_dst=self.eth_dst,
-            ip_src=self.ip_src,
-            ip_dst=self.ip_dst,
-            proto=self.proto,
-            sport=self.sport,
-            dport=self.dport,
-            mpls=self.mpls,
-            ttl=self.ttl,
-            payload=self.payload,
-            payload_size=self.payload_size,
-            uid=self.uid,
-            content_tag=self.content_tag,
-            created_at=self.created_at,
-        )
-        if fresh_identity:
-            dup.uid = fresh_uid()
+        mpls = self.mpls
+        if not (
+            0 <= self.sport <= 0xFFFF
+            and 0 <= self.dport <= 0xFFFF
+            and (mpls is None or 0 <= mpls < (1 << 32))
+            and self.proto in ("tcp", "udp")
+            and self.payload_size >= 0
+        ):
+            self.__post_init__()
+        dup = object.__new__(Packet)
+        dup.eth_src = self.eth_src
+        dup.eth_dst = self.eth_dst
+        dup.ip_src = self.ip_src
+        dup.ip_dst = self.ip_dst
+        dup.proto = self.proto
+        dup.sport = self.sport
+        dup.dport = self.dport
+        dup.mpls = mpls
+        dup.ttl = self.ttl
+        dup.payload = self.payload
+        dup.payload_size = self.payload_size
+        dup.uid = fresh_uid() if fresh_identity else self.uid
+        dup.content_tag = self.content_tag
+        dup.created_at = self.created_at
         return dup
 
     def summary(self) -> str:

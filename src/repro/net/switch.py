@@ -128,10 +128,11 @@ class Switch(Node):
                 self.sim.now, "switch.dead_drop", self.name, _UID_KEYS, packet.uid
             )
             return
+        now = self.sim.now
         packet.ttl -= 1
         if packet.ttl <= 0:
             self.trace.emit(
-                self.sim.now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
+                now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
             )
             if self.journey is not None:
                 self.journey.on_ttl_expired(self, packet, in_port)
@@ -143,14 +144,14 @@ class Switch(Node):
         if entry is None:
             self.packets_punted += 1
             self.trace.emit(
-                self.sim.now, "switch.miss", self.name, _MISS_KEYS,
-                packet.uid, str(packet.ip_src), str(packet.ip_dst),
+                now, "switch.miss", self.name, _MISS_KEYS,
+                packet.uid, packet.ip_src.text, packet.ip_dst.text,
             )
             if self.journey is not None:
                 self.journey.on_switch_miss(self, packet, in_port)
             self._punt(packet, in_port)
             return
-        entry.last_hit_s = self.sim.now
+        entry.last_hit_s = now
         if pre is not None:
             self.journey.on_switch_applied(
                 self, packet, in_port, entry, pre, emissions
@@ -162,12 +163,16 @@ class Switch(Node):
             if self.mirror_taps:
                 self._mirror(out_pkt, port, "out")
             self.trace.emit(
-                self.sim.now, "switch.fwd", self.name, _FWD_KEYS,
+                now, "switch.fwd", self.name, _FWD_KEYS,
                 out_pkt.uid, out_pkt.content_tag, in_port, port,
-                str(out_pkt.ip_src), str(out_pkt.ip_dst), out_pkt.mpls,
+                out_pkt.ip_src.text, out_pkt.ip_dst.text, out_pkt.mpls,
                 out_pkt.size,
             )
-            self.transmit(out_pkt, port)
+            # Node.transmit, inlined: one frame per emission
+            channel = self.ports.get(port)
+            if channel is None:
+                raise ValueError(f"{self.name}: no channel on port {port}")
+            channel.send(out_pkt)
 
     def _punt(self, packet: Packet, in_port: int) -> None:
         if self._packet_in is None or not self.alive:

@@ -64,8 +64,8 @@ HeaderTuple = tuple[str, str, int, int, Optional[int]]
 def header_tuple(packet: "Packet") -> HeaderTuple:
     """The packet's current ⟨src_ip, dst_ip, sport, dport, mpls⟩ tuple."""
     return (
-        str(packet.ip_src),
-        str(packet.ip_dst),
+        packet.ip_src.text,
+        packet.ip_dst.text,
         packet.sport,
         packet.dport,
         packet.mpls,
@@ -566,7 +566,7 @@ class JourneyRecorder:
         if self._active(packet):
             self._emit(
                 "host.tx", host.name, packet, _HOST_TX,
-                str(packet.ip_dst), packet.size,
+                packet.ip_dst.text, packet.size,
             )
 
     def on_switch_ingress(
@@ -682,7 +682,7 @@ class JourneyRecorder:
         if self._active(packet):
             self._emit(
                 "host.rx", host.name, packet, _HOST_RX,
-                str(packet.ip_src), self.sim.now - packet.created_at,
+                packet.ip_src.text, self.sim.now - packet.created_at,
                 packet.size,
             )
 
@@ -691,7 +691,7 @@ class JourneyRecorder:
         if self._active(packet):
             self._emit(
                 "host.foreign_drop", host.name, packet, _HOST_FOREIGN_DROP,
-                str(packet.ip_dst),
+                packet.ip_dst.text,
             )
 
     # -- queries (the ground-truth linkage API) -----------------------------

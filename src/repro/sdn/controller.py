@@ -121,7 +121,7 @@ class Controller:
         self.packet_in_count += 1
         self.network.trace.emit(
             self.sim.now, "ctrl.packet_in", switch.name, _PACKET_IN_KEYS,
-            packet.uid, str(packet.ip_src), str(packet.ip_dst),
+            packet.uid, packet.ip_src.text, packet.ip_dst.text,
         )
         for app in self.apps:
             if app.on_packet_in(switch, packet, in_port):

@@ -377,12 +377,17 @@ class Simulator:
         proc = sim.process(worker(sim))
         sim.run()
         assert sim.now == 1.0 and proc.value == "done"
+
+    ``now`` is the current simulation time in seconds: a plain instance
+    attribute (every packet hop reads it several times), read-only for
+    everyone but the kernel — only :meth:`step` and the horizon clamp at the
+    end of :meth:`run` write it.
     """
 
     def __init__(self, seed: int = 0):
         self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
-        self._now = 0.0
+        self.now = 0.0
         self.seed = seed
         self._rng_streams: dict[str, Any] = {}
         #: opt-in hazard detector (repro.analysis.sanitizer); None = off,
@@ -393,11 +398,6 @@ class Simulator:
         self._prof: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     def _schedule(self, event: Event, delay: float) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -406,7 +406,7 @@ class Simulator:
         event._scheduled = True
         if self._sanitizer is not None:
             self._sanitizer._on_schedule(event, delay)
-        heapq.heappush(self._heap, (self._now + delay, next(self._counter), event))
+        heapq.heappush(self._heap, (self.now + delay, next(self._counter), event))
 
     # -- public scheduling API -----------------------------------------
     def event(self) -> Event:
@@ -430,12 +430,22 @@ class Simulator:
         ev = Callback(self, fn, args)
         if self._sanitizer is not None:
             self._sanitizer._on_schedule(ev, delay)
-        heapq.heappush(self._heap, (self._now + delay, next(self._counter), ev))
+        heapq.heappush(self._heap, (self.now + delay, next(self._counter), ev))
         return ev
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> Callback:
         """Run ``fn(*args)`` at absolute time ``when``."""
-        return self.call_later(when - self._now, fn, *args)
+        # `call_later(when - now, ...)`, spelled out (one per link delivery):
+        # the heap time stays `now + (when - now)`, bit for bit.
+        now = self.now
+        delay = when - now
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        ev = Callback(self, fn, args)
+        if self._sanitizer is not None:
+            self._sanitizer._on_schedule(ev, delay)
+        heapq.heappush(self._heap, (now + delay, next(self._counter), ev))
+        return ev
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that fires once all given events fired."""
@@ -471,12 +481,12 @@ class Simulator:
         prof = self._prof
         if san is None and prof is None:
             when, _seq, event = heapq.heappop(self._heap)
-            self._now = when
+            self.now = when
             event._run_callbacks()
             return when
         depth = len(self._heap)
         when, _seq, event = heapq.heappop(self._heap)
-        self._now = when
+        self.now = when
         if prof is not None:
             prof._on_step(when, event, depth)
         if san is not None:
@@ -534,5 +544,5 @@ class Simulator:
             if steps > max_events:
                 raise SimulationError("max_events exceeded")
         if horizon != float("inf"):
-            self._now = max(self._now, horizon)
+            self.now = max(self.now, horizon)
         return None

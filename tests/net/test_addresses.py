@@ -1,7 +1,10 @@
 """Unit and property tests for address types."""
 
+import dataclasses
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.net import IPv4Addr, MacAddr, Subnet, ip, mac
 
@@ -56,6 +59,37 @@ class TestIPv4:
         before = str(ip("192.168.7.9"))
         reset_identity_counters()
         assert str(ip("192.168.7.9")) is before == "192.168.7.9"
+
+    @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
+    @example(0)
+    @example(0xFFFFFFFF)
+    def test_text_is_the_dotted_quad_rendered_at_construction(self, v):
+        a = IPv4Addr(v)
+        old = f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
+        assert str(a) == a.text == old
+        assert a.text is IPv4Addr(v).text  # equal addresses share the string
+        assert repr(a) == f"IPv4Addr({old!r})"  # the field is not in the repr
+
+    @given(st.integers(min_value=0, max_value=0xFFFFFFFE),
+           st.integers(min_value=0, max_value=0xFFFFFFFE))
+    def test_text_field_leaves_the_value_semantics_alone(self, v, w):
+        a, b = IPv4Addr(v), IPv4Addr(w)
+        assert (a == b) == (v == w) and (a < b) == (v < w) and (a <= b) == (v <= w)
+        assert hash(a) == hash((v,))  # the dataclass hash over `value` alone
+        assert a != v and a != MacAddr(v)  # a value type, not an int
+        assert (a + 1).value == v + 1 and (a + 1).text == str(IPv4Addr(v + 1))
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and back.text == a.text and hash(back) == hash(a)
+        assert [f.name for f in dataclasses.fields(a) if f.compare] == ["value"]
+
+    def test_replace_renders_the_text_again(self):
+        a = ip("10.0.0.1")
+        b = dataclasses.replace(a, value=a.value + 1)
+        assert b == ip("10.0.0.2") and b.text == "10.0.0.2" and a.text == "10.0.0.1"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.text = "10.9.9.9"
+        with pytest.raises(TypeError):
+            IPv4Addr(1, "1.1.1.1")  # text is not a constructor argument
 
 
 class TestMac:

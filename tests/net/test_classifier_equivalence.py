@@ -9,6 +9,7 @@ MPLS shims (including the NO_MPLS "absent shim" sentinel); field values are
 drawn from small pools so overlaps and shadowing are common, not rare.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
@@ -140,6 +141,49 @@ def test_equivalence_after_setfield_rewrite(rules, pkt, in_port):
     table.apply(pkt, in_port)  # mutates pkt via the SetFields
     table.remove(rewrite.match, priority=99)
     assert table.lookup(pkt, in_port) is table.lookup_linear(pkt, in_port)
+
+
+def _coinciding(v, w, swapped, proto, sport, dport, mpls):
+    """A header whose MAC and IP integer values coincide across positions."""
+    src, dst = (w, v) if swapped else (v, w)
+    return Packet(
+        eth_src=mac(v), eth_dst=mac(w), ip_src=ip(src), ip_dst=ip(dst),
+        proto=proto, sport=sport, dport=dport, mpls=mpls, payload_size=100,
+    )
+
+
+# The lookup cache keys on the addresses' integer ``.value``s, so only the
+# *position* in the key tells eth_src=1 from ip_src=1 or ip_dst=1.  These
+# headers have eth_src.value == ip_src.value (and the ip_src / ip_dst
+# swapped twin of each); runs of them through a 1-, 2- and 1024-slot cache
+# would serve another header's entry if the key ever confused two fields.
+coinciding_packets = st.builds(
+    _coinciding,
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from(["tcp", "udp"]),
+    st.sampled_from(PORTS),
+    st.sampled_from(PORTS),
+    st.one_of(st.none(), st.sampled_from(LABELS)),
+)
+
+
+@pytest.mark.parametrize("cache_size", [1, 2, 1024])
+@settings(max_examples=100, deadline=None)
+@given(
+    rules=st.lists(entries, max_size=20),
+    pkts=st.lists(coinciding_packets, min_size=2, max_size=8),
+    in_port=st.integers(1, 3),
+)
+def test_equivalence_when_address_values_coincide_across_positions(
+    cache_size, rules, pkts, in_port
+):
+    table = build_table(rules, cache_size=cache_size)
+    for _ in range(2):  # the second pass is served from whatever stayed cached
+        for pkt in pkts:
+            assert table.lookup(pkt, in_port) is table.lookup_linear(pkt, in_port)
+    assert len(table._lookup_cache) <= cache_size
 
 
 def test_cache_invalidation_install_remove_between_lookups():

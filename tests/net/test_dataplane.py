@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis.symbolic import SymbolicHeader, apply_actions
 from repro.net import (
+    CONTROLLER_PORT,
     Drop,
     FlowEntry,
     Match,
@@ -160,6 +162,28 @@ def test_table_miss_punts_to_controller():
     net.run()
     assert punted == [("s1", net.port("s1", "h1"))]
     assert s1.packets_punted == 1
+
+
+def test_output_to_the_controller_pseudo_port_is_a_punt_not_a_wire():
+    # Used to emit on port -1 and die in Node.transmit ("no channel on port
+    # -1") out of net.run(); the static verifier always read it as a punt.
+    net = Network(linear(2, hosts_per_switch=1))
+    s1, h1, h2 = net.switch("s1"), net.host("h1"), net.host("h2")
+    entry = FlowEntry(Match(ip_dst=h2.ip), [Output(CONTROLLER_PORT)])
+    s1.table.install(entry)
+    punted = []
+    s1.connect_controller(lambda sw, p, in_port: punted.append((sw.name, p, in_port)))
+    pkt = h1.make_packet(h2.ip, dport=80, payload_size=40)
+    h1.send_packet(pkt)
+    net.run()
+    assert punted == [("s1", pkt, net.port("s1", "h1"))]  # once, the packet itself
+    assert s1.packets_forwarded == 0 and s1.packets_punted == 0  # a hit, not a miss
+    assert net.switch("s2").table.cache_misses == 0 and h2.packets_received == 0
+    assert net.trace.by_category("switch.fwd") == []
+    assert (entry.packet_count, entry.byte_count) == (1, pkt.size)  # ingress size
+    # the model and the verifier agree
+    symbolic = apply_actions(entry.actions, SymbolicHeader(ip_dst=h2.ip), {})
+    assert symbolic.punted and symbolic.emissions == [] and not symbolic.dropped
 
 
 def test_table_miss_without_controller_drops():

@@ -1,0 +1,108 @@
+"""What one packet hop may cost, in interpreter frames — and that the budget
+is not met by dropping a record.
+
+The scenario is a scripted 8-switch rewriting chain (three ``SetField`` and
+one ``Output`` per switch, every hook off): the shape of a MIC path where
+every switch is a Mimic Node.  Costs are *counts* from ``cProfile`` — calls
+of a 200-packet burst minus those of a 100-packet burst, so everything that
+does not scale with packets cancels — never wall-clock time.  Only Python
+frames are counted (profile entries whose ``code`` is a code object):
+builtin-call accounting differs between CPython 3.10 and 3.12.
+
+See docs/dataplane.md, "The cost of one hop".
+"""
+
+import cProfile
+from typing import Callable
+
+from packet_oracle import rebuild_copy
+
+from repro.net import FlowEntry, Match, Network, Output, Packet, SetField, ip, linear
+from repro.net.packet import reset_identity_counters
+
+SWITCHES = 8
+WARM_UP = 10
+#: Python frames one packet may cost per switch it crosses, host work
+#: included (the parent of the change that introduced this test: 47.25)
+FRAME_BUDGET = 32.0
+
+
+def rewriting_chain() -> tuple[Network, Callable[[int], None]]:
+    """The chain and ``send(n)``, which pushes ``n`` packets and runs dry."""
+    net = Network(linear(SWITCHES, hosts_per_switch=1))
+    src, dst = net.host("h1"), net.host(f"h{SWITCHES}")
+    # the header pair on each segment; addresses are built here, at set-up
+    pairs = [(src.ip, ip("10.200.0.0"))]
+    pairs += [(ip(f"10.200.{i}.1"), ip(f"10.200.{i}.2")) for i in range(1, SWITCHES)]
+    pairs += [(ip("10.200.99.1"), dst.ip)]
+    for i in range(SWITCHES):
+        here, there = f"s{i + 1}", (f"s{i + 2}" if i + 1 < SWITCHES else dst.name)
+        (m_src, m_dst), (out_src, out_dst) = pairs[i], pairs[i + 1]
+        net.switch(here).table.install(FlowEntry(
+            Match(ip_src=m_src, ip_dst=m_dst),
+            [SetField("ip_src", out_src), SetField("ip_dst", out_dst),
+             SetField("mpls", 100 + i), Output(net.port(here, there))],
+        ))
+    dst.bind("udp", 9, lambda host, packet: None)
+
+    def send(n: int) -> None:
+        for _ in range(n):
+            src.send_packet(src.make_packet(
+                pairs[0][1], proto="udp", sport=7, dport=9, payload_size=64))
+        net.run()
+
+    send(WARM_UP)
+    assert dst.packets_received == WARM_UP
+    return net, send
+
+
+def profiled_calls(send, n: int) -> dict[tuple[str, str], int]:
+    """Calls per Python function — ``(file tail, name)`` — of ``send(n)``."""
+    profile = cProfile.Profile()
+    profile.enable()
+    send(n)
+    profile.disable()
+    calls: dict[tuple[str, str], int] = {}
+    for entry in profile.getstats():
+        code = entry.code
+        if not isinstance(code, str):  # a builtin is listed by its name
+            key = ("/".join(code.co_filename.split("/")[-2:]), code.co_name)
+            calls[key] = calls.get(key, 0) + entry.callcount
+    return calls
+
+
+def test_a_packet_hop_stays_inside_its_frame_budget():
+    net, send = rewriting_chain()
+    small = profiled_calls(send, 100)
+    large = profiled_calls(send, 200)
+    assert net.host(f"h{SWITCHES}").packets_received == WARM_UP + 300
+    per_packet = {
+        key: (large[key] - small.get(key, 0)) / 100
+        for key in large if large[key] != small.get(key, 0)
+    }
+    # the kernel's one per-event entry: 2 per switch (pipeline, link), the
+    # sender's stack, its link, and the receiver's stack
+    assert per_packet[("sim/engine.py", "step")] == 2 * SWITCHES + 3
+    # one classification per switch hop, each a cache hit
+    assert per_packet[("net/flowtable.py", "_lookup")] == SWITCHES
+    assert ("net/flowtable.py", "_lookup_indexed") not in per_packet
+    assert per_packet[("net/packet.py", "copy")] == SWITCHES  # one per emission
+    frames_per_hop = sum(per_packet.values()) / SWITCHES
+    assert frames_per_hop <= FRAME_BUDGET, sorted(
+        per_packet.items(), key=lambda kv: -kv[1])
+
+
+def test_the_budget_is_not_met_by_dropping_a_record(monkeypatch):
+    def burst_rows() -> list[tuple]:
+        reset_identity_counters()
+        net, send = rewriting_chain()
+        mark = len(net.trace._rows)
+        send(50)
+        return net.trace._rows[mark:]
+
+    fast = burst_rows()
+    monkeypatch.setattr(Packet, "copy", rebuild_copy)  # the old emission
+    reference = burst_rows()
+    # host.tx, link.tx, then (switch.fwd, link.tx) per switch, host.rx
+    assert len(reference) == 50 * (2 + 2 * SWITCHES + 1)
+    assert fast == reference

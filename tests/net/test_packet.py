@@ -1,10 +1,16 @@
 """Unit tests for the packet model."""
 
+import ast
 import dataclasses
+import inspect
+import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from packet_oracle import rebuild_copy
 
 from repro.net import FlowEntry, FlowTable, Match, Output, Packet, PushMpls, SetField, ip, mac
+from repro.net import packet as packet_module
 from repro.net.packet import ETH_HEADER, IP_HEADER, MPLS_SHIM, TCP_HEADER, UDP_HEADER
 
 
@@ -80,6 +86,73 @@ def test_copy_equals_dataclasses_replace_field_for_field(fresh_identity):
             continue
         assert getattr(dup, f.name) == getattr(reference, f.name), f.name
     assert dup.payload is p.payload  # shallow, as replace is
+
+
+# Every field, header fields straddling their legal range: the values are set
+# with setattr (as SetField does), so an illegal one is only met by copy().
+_port = st.one_of(st.integers(-2, 2), st.integers(0xFFFE, 0x10001))
+_field_values = dict(
+    eth_src=st.builds(mac, st.integers(0, 3)),
+    eth_dst=st.builds(mac, st.integers(0, 3)),
+    ip_src=st.builds(ip, st.integers(0, 3)),
+    ip_dst=st.builds(ip, st.integers(0, 3)),
+    proto=st.sampled_from(["tcp", "udp", "icmp", ""]),
+    sport=_port,
+    dport=_port,
+    mpls=st.one_of(st.none(), st.integers(-2, 2),
+                   st.integers((1 << 32) - 2, (1 << 32) + 2)),
+    ttl=st.integers(-1, 255),
+    payload=st.one_of(st.none(), st.binary(max_size=4), st.tuples(st.integers())),
+    payload_size=st.integers(-2, 2000),
+    uid=st.integers(1, 1 << 40),
+    content_tag=st.integers(1, 1 << 40),
+    created_at=st.floats(0, 1e6),
+)
+
+
+def _outcome(build, p: Packet, fresh_identity: bool) -> tuple:
+    """What ``build`` returned or raised, and how many uids it drew."""
+    packet_module.reset_identity_counters()
+    try:
+        result = build(p, fresh_identity)
+    except Exception as exc:  # noqa: BLE001 - compared by the caller, never swallowed
+        result = (type(exc), str(exc))
+    return result, packet_module.fresh_uid() - 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.fixed_dictionaries(_field_values), fresh_identity=st.booleans())
+def test_copy_equals_a_rebuild_through_the_constructor(values, fresh_identity):
+    assert set(values) == {f.name for f in dataclasses.fields(Packet)}
+    p = make()
+    for name, value in values.items():
+        setattr(p, name, value)
+    dup, drawn = _outcome(Packet.copy, p, fresh_identity)
+    # dataclass equality over all 14 fields, or the same (type, message)
+    assert (dup, drawn) == _outcome(rebuild_copy, p, fresh_identity)
+    if isinstance(dup, Packet):
+        assert dup is not p and dup.payload is p.payload
+        assert (dup.uid, drawn) == ((1, 1) if fresh_identity else (p.uid, 0))
+
+
+def test_copy_stores_every_dataclass_field():
+    """A field added to Packet later cannot be silently dropped by copy():
+    the slot copy names its fields one by one, so read them off its source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(Packet.copy)))
+    stored = {
+        target.attr
+        for node in ast.walk(tree) if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name) and target.value.id == "dup"
+    }
+    assert stored == {f.name for f in dataclasses.fields(Packet)}
+    constructor_calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "Packet"
+    ]
+    assert not constructor_calls  # one copy per emission, no second __init__
 
 
 def test_copy_keeps_the_uid_unless_a_fresh_identity_is_asked_for():

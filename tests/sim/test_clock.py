@@ -1,0 +1,99 @@
+"""``Simulator.now`` is a plain attribute only the kernel writes, and
+``call_at`` is ``call_later`` on the same arithmetic without the second call.
+"""
+
+import ast
+import pathlib
+
+import pytest
+from hypothesis import given, strategies as st
+
+import repro
+from repro.sim import SimulationError, Simulator
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def _now_writers(path: pathlib.Path) -> set[str]:
+    """Names of the functions in ``path`` that assign, augment or delete a
+    ``<anything>.now`` attribute ('<module>' for code outside any function)."""
+    writers = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "now"
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+        ):
+            writers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return writers
+
+
+def test_only_the_kernel_writes_the_clock():
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        writers = _now_writers(path)
+        if writers:
+            offenders[path.relative_to(SRC).as_posix()] = writers
+    # the initial 0.0, the event being stepped, and run(until=...)'s clamp
+    assert offenders == {"sim/engine.py": {"__init__", "step", "_run"}}
+
+
+def test_now_is_an_instance_attribute_not_a_property():
+    sim = Simulator()
+    assert "now" in vars(sim) and not hasattr(Simulator, "now")
+    sim.call_later(1.5, lambda: None)
+    sim.run(until=4.0)
+    assert sim.now == 4.0  # stepped to 1.5, then clamped to the horizon
+
+
+def test_call_at_into_the_past_raises_what_call_later_raises():
+    messages = []
+    for schedule in (
+        lambda sim: sim.call_later(0.25 - sim.now, lambda: None),
+        lambda sim: sim.call_at(0.25, lambda: None),
+    ):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError) as err:
+            schedule(sim)
+        messages.append(str(err.value))
+        assert sim.peek() == float("inf")  # nothing was scheduled
+    assert messages[0] == messages[1] == "cannot schedule into the past (delay=-0.75)"
+
+
+class _Schedules:
+    """The one sanitizer hook the scheduling calls reach."""
+
+    def __init__(self):
+        self.seen = []
+
+    def _on_schedule(self, event, delay):
+        self.seen.append((type(event).__name__, delay))
+
+
+@given(
+    now=st.floats(0.0, 1e6, allow_nan=False),
+    ahead=st.floats(0.0, 1e6, allow_nan=False),
+)
+def test_call_at_lands_on_exactly_the_time_call_later_would(now, ahead):
+    when = now + ahead
+    stamps, hooks = [], []
+    for schedule in (
+        lambda sim: sim.call_later(when - sim.now, lambda: None),
+        lambda sim: sim.call_at(when, lambda: None),
+    ):
+        sim = Simulator()
+        sim.run(until=now)
+        sim._sanitizer = hook = _Schedules()
+        schedule(sim)
+        stamps.append(sim.peek())
+        hooks.append(hook.seen)
+    assert stamps[0] == stamps[1]  # ==, not isclose: the same float
+    assert hooks[0] == hooks[1] == [("Callback", when - now)]
