@@ -80,7 +80,8 @@ bench:
 	$(PYPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # CI-sized benchmark slice: the classifier microbenchmark (vs the linear
-# reference), the plausibility-index microbenchmark (vs the all-pairs scan),
+# reference), the plausibility-index and segment-draw microbenchmarks (vs the
+# all-pairs scan and the list-building draw),
 # the event-kernel microbenchmark (vs a closure per event), the fluid-solver
 # microbenchmark (vs the full-scan loop), the static-verifier benchmark (vs
 # the linear / all-pairs scans) plus trimmed scalability sweeps, JSON

@@ -1,4 +1,5 @@
-"""Plausibility microbenchmark: the vectorised pair index vs the all-pairs scan.
+"""Plausibility microbenchmarks: the vectorised pair index vs the all-pairs
+scan, and the index-array draw vs the list-building draw.
 
 For every one of the 768 directed links of ``fat_tree(8)`` (128 hosts,
 16,256 ordered host pairs) the Mimic Controller needs the host pairs whose
@@ -11,16 +12,37 @@ shortest paths use that link.  Measured two ways:
   into name tuples (:meth:`TopologyView.plausible_host_pairs`).
 
 The acceptance bar is a >=10x speedup with identical output on every link.
+
+Then, for every segment of a fixed seeded set of MIC walks (``n_mns=3``,
+both directions, the pins and the endpoint ban ``_plan_flow`` applies), one
+segment-address draw two ways, segment caches warm:
+
+* ``oracle_draw`` — what ``Strategy.draw_segment`` did before it drew on
+  the array: materialise the pool's name tuples, up to three filtered
+  copies, ``rng.choice`` (kept as ``tests/core/plausibility_oracle.py``);
+* ``draw``        — :meth:`Strategy.plausible_pool` (vector compares on the
+  cached int32 index) plus :meth:`AddressRestrictions.draw_pair`.
+
+The bar is >=5x with the same pick on every segment.
+
 Run directly (``python benchmarks/bench_restrictions.py``) or through
 pytest; both write ``benchmarks/results/restrictions_microbench.json``.
 """
 
 import json
 import pathlib
+import random
+import sys
 import time
 
+from repro.core import deploy_mic
 from repro.net import fat_tree
 from repro.sdn import TopologyView
+
+sys.path.insert(
+    0, str(pathlib.Path(__file__).resolve().parents[1] / "tests" / "core")
+)
+from plausibility_oracle import oracle_narrow  # noqa: E402
 
 RESULTS = pathlib.Path(__file__).parent / "results"
 
@@ -71,10 +93,86 @@ def run(k: int = 8) -> dict:
     }
 
 
+def mic_segments(dep, walks: int, seed: int) -> list[tuple]:
+    """``(nodes, pin_src, pin_dst, endpoints)`` for every segment, both
+    directions, of ``walks`` seeded ``n_mns=3`` walks — cut and pinned the
+    way ``_plan_flow`` / ``draw_addresses`` cut and pin them."""
+    rng = random.Random(seed)
+    view, topo = dep.ctrl.view, dep.net.topo
+    segments = []
+    for _ in range(walks):
+        a, b = rng.sample(topo.hosts(), 2)
+        walk = view.paths_with_min_switches(a, b, 3, rng)
+        mns = sorted(rng.sample(range(1, len(walk) - 1), 3))
+        for nodes, cuts, src, dst in (
+            (walk, mns, a, b),
+            (walk[::-1], sorted(len(walk) - 1 - p for p in mns), b, a),
+        ):
+            bounds = [0] + cuts + [len(nodes) - 1]
+            for seg in range(4):
+                segments.append((
+                    nodes[bounds[seg] : bounds[seg + 1] + 1],
+                    topo.host_ip(src) if seg == 0 else None,
+                    topo.host_ip(dst) if seg == 3 else None,
+                    (a, b),
+                ))
+    return segments
+
+
+def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> dict:
+    """Time one draw per segment both ways, ``rounds`` passes each."""
+    dep = deploy_mic(fat_tree(k), seed=0, mic_kwargs={"mn_shift": 1})
+    mic = dep.mic
+    restrictions, strategy = mic.restrictions, mic.strategy
+    segments = mic_segments(dep, walks, seed)
+    tuples = sum(len(restrictions.pairs_for_segment(s[0])) for s in segments)
+
+    def oracle_pass(rng):
+        return [
+            rng.choice(oracle_narrow(
+                restrictions.pairs_for_segment(nodes), mic._ip_to_host,
+                pin_src, pin_dst, endpoints,
+            ))
+            for nodes, pin_src, pin_dst, endpoints in segments
+        ]
+
+    def index_pass(rng):
+        return [
+            restrictions.draw_pair(
+                strategy.plausible_pool(nodes, pin_src, pin_dst, endpoints), rng
+            )
+            for nodes, pin_src, pin_dst, endpoints in segments
+        ]
+
+    ours, theirs = random.Random(seed), random.Random(seed)
+    oracle_s, draw_s = [], []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        expected = oracle_pass(theirs)
+        t1 = time.perf_counter()
+        picked = index_pass(ours)
+        t2 = time.perf_counter()
+        assert picked == expected, "index draw and list draw disagree"
+        oracle_s.append(t1 - t0)
+        draw_s.append(t2 - t1)
+    assert ours.getstate() == theirs.getstate()
+    # the fastest pass of each: interference from the host only adds time
+    return {
+        "draw_segments": len(segments),
+        "tuples_materialised": tuples,
+        "oracle_draw_s_per_segment": min(oracle_s) / len(segments),
+        "draw_s_per_segment": min(draw_s) / len(segments),
+        "speedup_draw": min(oracle_s) / min(draw_s),
+    }
+
+
 def _save(result: dict) -> pathlib.Path:
+    """Merge ``result`` into the one JSON both measurements share."""
     RESULTS.mkdir(exist_ok=True)
     out = RESULTS / "restrictions_microbench.json"
-    out.write_text(json.dumps(result, indent=2) + "\n")
+    merged = json.loads(out.read_text()) if out.exists() else {}
+    merged.update(result)
+    out.write_text(json.dumps(merged, indent=2) + "\n")
     return out
 
 
@@ -95,8 +193,22 @@ def test_pair_index_at_least_10x_on_fat_tree8():
     assert result["speedup_index_only"] >= 10.0
 
 
+def test_index_draw_at_least_5x_on_fat_tree8():
+    result = run_draw(k=8)
+    _save(result)
+    print(
+        f"\nsegment draw, fat_tree(8), {result['draw_segments']} segments:"
+        f" lists {result['oracle_draw_s_per_segment'] * 1e6:.0f}us/draw"
+        f" ({result['tuples_materialised']} name tuples per pass)"
+        f"  index {result['draw_s_per_segment'] * 1e6:.0f}us"
+        f" ({result['speedup_draw']:.1f}x)"
+    )
+    assert result["draw_segments"] == 96 * 8
+    assert result["speedup_draw"] >= 5.0
+
+
 if __name__ == "__main__":
-    res = run()
+    res = {**run(), **run_draw()}
     path = _save(res)
     print(json.dumps(res, indent=2))
     print(f"saved -> {path}")

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Union
 
+import numpy as np
+
 from ..core.channel import FlowGrant, MFlowPlan, MimicChannel
 from ..core.collision import MAddress
 from ..net.flowtable import (
@@ -183,6 +185,44 @@ class Strategy:
             addrs.append(addr)
         return addrs
 
+    def plausible_pool(
+        self, seg_nodes: list[str], pin_src, pin_dst,
+        endpoints: tuple[str, str] = (),
+    ) -> np.ndarray:
+        """A segment's pool as flat pair indices in pool order, narrowed to
+        the pinned IPs' hosts and away from the channel's real endpoints.
+
+        Each rule is a vector compare on the pairs' host ranks and is
+        relaxed when nothing else would be left; survivors keep their
+        order.  An IP no host owns ranks -1 and so narrows nothing.
+        """
+        mic = self.mic
+        view = mic.restrictions.view
+        pool = mic.restrictions.segment_index(seg_nodes)
+        src, dst = view.pair_ranks(pool)
+        rules = []
+        if pin_src is not None:
+            rules.append(src == view.host_rank(mic._ip_to_host.get(pin_src)))
+        if pin_dst is not None:
+            rules.append(dst == view.host_rank(mic._ip_to_host.get(pin_dst)))
+        # Fake draws must never name the channel's real endpoints: a drawn
+        # address equal to the true initiator/responder would hand the
+        # adversary a correct identity (the entry address "hides the address
+        # of the responder", Sec IV-A1).  One rule over both unpinned sides.
+        ban = None
+        for rank in map(view.host_rank, endpoints):
+            for side, pin in ((src, pin_src), (dst, pin_dst)):
+                if pin is None:
+                    ban = side != rank if ban is None else ban & (side != rank)
+        if ban is not None:
+            rules.append(ban)
+        keep = None
+        for rule in rules:
+            narrowed = rule if keep is None else keep & rule
+            if np.count_nonzero(narrowed):
+                keep = narrowed
+        return pool if keep is None else pool[keep]
+
     def draw_segment(
         self,
         seg_nodes: list[str],
@@ -199,31 +239,9 @@ class Strategy:
         pin_sport = next((p.sport for p in pins if p.sport is not None), None)
         pin_dport = next((p.dport for p in pins if p.dport is not None), None)
 
-        pool = mic.restrictions.pairs_for_segment(seg_nodes)
-        if pin_src is not None:
-            src_host = mic._ip_to_host.get(pin_src)
-            narrowed = [p for p in pool if p[0] == src_host]
-            pool = narrowed or pool
-        if pin_dst is not None:
-            dst_host = mic._ip_to_host.get(pin_dst)
-            narrowed = [p for p in pool if p[1] == dst_host]
-            pool = narrowed or pool
-        # Fake draws must never name the channel's real endpoints: a drawn
-        # address equal to the true initiator/responder would hand the
-        # adversary a correct identity (the entry address "hides the address
-        # of the responder", Sec IV-A1).  Relax only if nothing else exists.
-        if endpoints:
-            banned = set(endpoints)
-            strict = [
-                p
-                for p in pool
-                if (pin_src is not None or p[0] not in banned)
-                and (pin_dst is not None or p[1] not in banned)
-            ]
-            pool = strict or pool
-
+        pool = self.plausible_pool(seg_nodes, pin_src, pin_dst, endpoints)
         for _attempt in range(64):
-            a, b = mic.rng.choice(pool)
+            a, b = mic.restrictions.draw_pair(pool, mic.rng)
             src_ip = pin_src if pin_src is not None else mic.net.topo.host_ip(a)
             dst_ip = pin_dst if pin_dst is not None else mic.net.topo.host_ip(b)
             sport = pin_sport if pin_sport is not None else mic.rng.randint(1024, 65535)

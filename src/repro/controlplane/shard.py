@@ -86,6 +86,7 @@ class MimicShard(MimicController):
         # A flow adopted across a failover may carry an ID from another
         # shard's residue class; route the release to its home partition.
         self.registry.release_owner(f"ch{channel_id}/c{plan.cookie}")
+        self._used_sports[plan.walk[0]].discard(plan.entry.sport)
         alloc = self.cluster.allocator_for(plan.flow_id)
         if alloc.is_live(plan.flow_id):
             alloc.release(plan.flow_id)

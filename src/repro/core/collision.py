@@ -143,6 +143,9 @@ class CollisionRegistry:
 
     def __init__(self) -> None:
         self._keys: dict[str, dict[tuple, str]] = {}
+        #: owner -> the (switch, key) claims it holds, in claim order, so a
+        #: release costs what the owner holds, not a scan of every table
+        self._held: dict[str, dict[tuple[str, tuple], None]] = {}
 
     def register(self, switch: str, key: tuple, owner: str) -> None:
         """Claim a match key on a switch; rejects foreign duplicates."""
@@ -153,16 +156,17 @@ class CollisionRegistry:
                 f"match key {key} on {switch} already owned by {existing}"
             )
         table[key] = owner
+        self._held.setdefault(owner, {})[switch, key] = None
 
     def release_owner(self, owner: str) -> int:
         """Drop every key an owner holds; returns the count."""
-        removed = 0
-        for table in self._keys.values():
-            stale = [k for k, o in table.items() if o == owner]
-            for k in stale:
-                del table[k]
-                removed += 1
-        return removed
+        held = self._held.pop(owner, {})
+        for switch, key in held:
+            table = self._keys[switch]
+            del table[key]
+            if not table:
+                del self._keys[switch]
+        return len(held)
 
     def owner(self, switch: str, key: tuple) -> Optional[str]:
         """The owner of a key on a switch, or None."""
@@ -178,7 +182,7 @@ class CollisionRegistry:
 
     def owners(self) -> set[str]:
         """Every owner currently holding at least one key (leak audits)."""
-        return {o for table in self._keys.values() for o in table.values()}
+        return set(self._held)
 
 
 class CollisionError(RuntimeError):

@@ -230,7 +230,7 @@ class MimicController(ControllerApp):
     # -- hidden services ----------------------------------------------------
     def register_hidden_service(self, nickname: str, host_name: str, port: int):
         """Register a nickname → (host, port) hidden service."""
-        if host_name not in self.net.topo.hosts():
+        if not self.net.topo.is_host(host_name):
             raise ValueError(f"unknown host {host_name!r}")
         return self.hidden.register(nickname, host_name, port)
 
@@ -421,7 +421,7 @@ class MimicController(ControllerApp):
                 raise EstablishError("service_port required with a direct address")
             return host, service_port
         if isinstance(responder, str):
-            if responder in self.net.topo.hosts():
+            if self.net.topo.is_host(responder):
                 if not service_port:
                     raise EstablishError("service_port required with a host name")
                 return responder, service_port
@@ -459,62 +459,77 @@ class MimicController(ControllerApp):
             if self.net.topo.kind(walk[i]) == "switch"
         ]
         mn_positions = self._choose_mns(switch_positions, n_mns)
-        if flow_id is None:
-            flow_id = self.flow_ids.allocate()
-        sport = entry_pin.sport if entry_pin else self._assign_sport(initiator)
+        new_id = new_sport = None
+        try:
+            if flow_id is None:
+                flow_id = new_id = self.flow_ids.allocate()
+            if entry_pin is not None:
+                sport = entry_pin.sport
+            else:
+                sport = new_sport = self._assign_sport(initiator)
 
-        init_ip = self.net.topo.host_ip(initiator)
-        resp_ip = self.net.topo.host_ip(responder)
+            init_ip = self.net.topo.host_ip(initiator)
+            resp_ip = self.net.topo.host_ip(responder)
 
-        endpoints = (initiator, responder)
-        first = MAddressDraw(src_ip=init_ip, sport=sport)
-        if entry_pin is not None:
-            first = MAddressDraw(
-                src_ip=init_ip, sport=sport,
-                dst_ip=entry_pin.dst_ip, dport=entry_pin.dport,
+            endpoints = (initiator, responder)
+            first = MAddressDraw(src_ip=init_ip, sport=sport)
+            if entry_pin is not None:
+                first = MAddressDraw(
+                    src_ip=init_ip, sport=sport,
+                    dst_ip=entry_pin.dst_ip, dport=entry_pin.dport,
+                )
+            last = MAddressDraw(dst_ip=resp_ip, dport=responder_port)
+            if delivery_pin is not None:
+                last = MAddressDraw(
+                    src_ip=delivery_pin.src_ip, sport=delivery_pin.sport,
+                    dst_ip=resp_ip, dport=responder_port,
+                )
+            fwd = self.strategy.draw_addresses(
+                walk, mn_positions, flow_id,
+                first=first,
+                last=last,
+                owner=owner,
+                endpoints=endpoints,
             )
-        last = MAddressDraw(dst_ip=resp_ip, dport=responder_port)
-        if delivery_pin is not None:
-            last = MAddressDraw(
-                src_ip=delivery_pin.src_ip, sport=delivery_pin.sport,
-                dst_ip=resp_ip, dport=responder_port,
+            rwalk = list(reversed(walk))
+            rev_positions = sorted(len(walk) - 1 - p for p in mn_positions)
+            delivery = fwd[-1]
+            entry = fwd[0]
+            rev = self.strategy.draw_addresses(
+                rwalk, rev_positions, flow_id,
+                first=MAddressDraw(
+                    src_ip=resp_ip, sport=delivery.dport,
+                    dst_ip=delivery.src_ip, dport=delivery.sport,
+                ),
+                last=MAddressDraw(
+                    src_ip=entry.dst_ip, sport=entry.dport,
+                    dst_ip=init_ip, dport=entry.sport,
+                ),
+                owner=owner,
+                endpoints=endpoints,
             )
-        fwd = self.strategy.draw_addresses(
-            walk, mn_positions, flow_id,
-            first=first,
-            last=last,
-            owner=owner,
-            endpoints=endpoints,
-        )
-        rwalk = list(reversed(walk))
-        rev_positions = sorted(len(walk) - 1 - p for p in mn_positions)
-        delivery = fwd[-1]
-        entry = fwd[0]
-        rev = self.strategy.draw_addresses(
-            rwalk, rev_positions, flow_id,
-            first=MAddressDraw(
-                src_ip=resp_ip, sport=delivery.dport,
-                dst_ip=delivery.src_ip, dport=delivery.sport,
-            ),
-            last=MAddressDraw(
-                src_ip=entry.dst_ip, sport=entry.dport,
-                dst_ip=init_ip, dport=entry.sport,
-            ),
-            owner=owner,
-            endpoints=endpoints,
-        )
-        plan = MFlowPlan(
-            flow_id=flow_id,
-            walk=walk,
-            mn_positions=mn_positions,
-            fwd_addrs=fwd,
-            rev_addrs=rev,
-            cookie=cookie,
-            proto=proto,
-        )
-        self.strategy.finish_plan(plan, owner, endpoints,
-                                  alias_pins=alias_pins)
-        return plan
+            plan = MFlowPlan(
+                flow_id=flow_id,
+                walk=walk,
+                mn_positions=mn_positions,
+                fwd_addrs=fwd,
+                rev_addrs=rev,
+                cookie=cookie,
+                proto=proto,
+            )
+            self.strategy.finish_plan(plan, owner, endpoints,
+                                      alias_pins=alias_pins)
+            return plan
+        except Exception:
+            # A plan that fails mid-draw gives back exactly what this call
+            # acquired; a repair re-plan's pinned flow id and source port
+            # belong to the live flow and stay booked.
+            self.registry.release_owner(owner)
+            if new_id is not None:
+                self.flow_ids.release(new_id)
+            if new_sport is not None:
+                self._used_sports[initiator].discard(new_sport)
+            raise
 
     def _choose_mns(self, switch_positions: list[int], n_mns: int) -> list[int]:
         if len(switch_positions) < n_mns:
@@ -634,9 +649,6 @@ class MimicController(ControllerApp):
                 self._retract(plan.cookie, compiled)
             self._release_flow(channel_id, plan)
             self._parked.pop(plan.cookie, None)
-            used = self._used_sports.get(channel.initiator)
-            if used is not None:
-                used.discard(plan.entry.sport)
         self.net.trace.emit(
             self.sim.now, "mic.teardown", "MC", _TEARDOWN_KEYS, channel_id
         )
@@ -644,6 +656,7 @@ class MimicController(ControllerApp):
 
     def _release_flow(self, channel_id: int, plan: MFlowPlan) -> None:
         self.registry.release_owner(f"ch{channel_id}/c{plan.cookie}")
+        self._used_sports[plan.walk[0]].discard(plan.entry.sport)
         if self.flow_ids.is_live(plan.flow_id):
             self.flow_ids.release(plan.flow_id)
 
@@ -761,7 +774,6 @@ class MimicController(ControllerApp):
                     # No surviving path (or not enough switches on any):
                     # park the flow instead of killing the sim; the parked
                     # loop and heal events will bring it back.
-                    self.registry.release_owner(owner)
                     self._park_flow(channel, idx, old, str(exc))
                     span.finish(outcome="parked")
                     return

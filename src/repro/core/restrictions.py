@@ -28,8 +28,10 @@ class AddressRestrictions:
 
     A link's set is kept as the view's sorted flat pair-index array
     (:meth:`TopologyView.plausible_pair_index`), a segment's pool as the
-    intersection of those arrays in pool order; name tuples are built only
-    for the pool handed to the caller.
+    intersection of those arrays in pool order (:meth:`segment_index`).
+    The Mimic Controller narrows and draws on that array and names only the
+    pair it picks (:meth:`draw_pair`); the list-returning methods are
+    materialising views for tests, oracles and analyses.
 
     Both caches are first-touch snapshots and are **not** invalidated by
     ``set_link_state``: a link first touched while the fabric is degraded
@@ -60,22 +62,28 @@ class AddressRestrictions:
         view = self.view
         return view.pairs_from_index(view.host_order(self._link_index(u, v)))
 
-    def pairs_for_segment(self, nodes: Sequence[str]) -> list[tuple[str, str]]:
-        """Pairs plausible on *every* directed link of a node segment,
-        sorted by name (the index behind the list is cached per segment).
+    def segment_index(self, nodes: Sequence[str]) -> np.ndarray:
+        """The pool of a node segment — pairs plausible on *every* directed
+        link — as flat pair indices in pool order (cached per segment; the
+        array is shared, never write to it).
 
-        Falls back to the first link's set when the intersection is empty
-        (stretched bounce walks traverse link sequences no shortest path
-        uses), and to the all-pairs universe as a last resort — a sampled
-        address is always a real host pair.  Both fallbacks are in
-        ``hosts()`` order.
+        A non-empty intersection is in ascending index order, which is the
+        ``sorted()`` order of the name tuples.  Falls back to the first
+        link's set when the intersection is empty (stretched bounce walks
+        traverse link sequences no shortest path uses), and to the all-pairs
+        universe as a last resort — a sampled address is always a real host
+        pair.  Both fallbacks are in ``hosts()`` order.
         """
         key = tuple(nodes)
         index = self._segment_cache.get(key)
         if index is None:
             index = self._segment_cache[key] = self._segment_index(key)
             self.segments_computed += 1
-        return self.view.pairs_from_index(index)
+        return index
+
+    def pairs_for_segment(self, nodes: Sequence[str]) -> list[tuple[str, str]]:
+        """:meth:`segment_index` as name tuples, in pool order."""
+        return self.view.pairs_from_index(self.segment_index(nodes))
 
     def _segment_index(self, nodes: tuple[str, ...]) -> np.ndarray:
         links = list(zip(nodes, nodes[1:]))
@@ -88,9 +96,14 @@ class AddressRestrictions:
         for u, v in links[1:]:
             if not common.size:
                 break
-            common = np.intersect1d(
-                common, self._link_index(u, v), assume_unique=True
-            )
+            # Both are sorted and unique: one binary-search membership pass
+            # of the shorter through the longer — never empty, ``common``
+            # is not.  A slot past the end wraps to slot 0, whose value the
+            # searched one exceeds.
+            few, many = sorted((common, self._link_index(u, v)), key=len)
+            at = many.searchsorted(few)
+            at[at == many.size] = 0
+            common = few[many[at] == few]
         if common.size:
             return common
         return self.view.host_order(first) if first.size else self._universe()
@@ -104,6 +117,15 @@ class AddressRestrictions:
             )
         return self._universe_index
 
+    def draw_pair(self, index: np.ndarray, rng) -> tuple[str, str]:
+        """One pair of a pool, drawn by position and only then named.
+
+        ``choice(range(n))`` consumes the stream exactly as ``choice`` over
+        the ``n`` name tuples would, and refuses an empty pool with the same
+        ``IndexError``.
+        """
+        return self.view.pair_names(index[rng.choice(range(len(index)))])
+
     def sample_pair(
         self,
         nodes: Sequence[str],
@@ -112,6 +134,8 @@ class AddressRestrictions:
     ) -> tuple[str, str]:
         """Draw a plausible pair for a segment, avoiding listed pairs when
         alternatives exist (used to keep decoys distinct from real draws)."""
+        if not avoid:
+            return self.draw_pair(self.segment_index(nodes), rng)
         pool = self.pairs_for_segment(nodes)
         avoid_set = set(avoid)
         preferred = [p for p in pool if p not in avoid_set]

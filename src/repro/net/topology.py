@@ -65,6 +65,10 @@ class Topology:
         """All switch node names."""
         return [n for n, d in self.graph.nodes(data=True) if d["kind"] == "switch"]
 
+    def is_host(self, node: str) -> bool:
+        """True if ``node`` names a host (an unknown name does not)."""
+        return self.graph.nodes.get(node, {}).get("kind") == "host"
+
     def kind(self, node: str) -> str:
         """Node kind: ``"host"`` or ``"switch"``."""
         return self.graph.nodes[node]["kind"]

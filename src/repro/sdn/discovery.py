@@ -19,7 +19,7 @@ oracle wiring the controller used before.
 from __future__ import annotations
 
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
 import networkx as nx
 import numpy as np
@@ -311,20 +311,34 @@ class TopologyView:
         on_path = to_u[:, None] + 1 + from_v[None, :] == self._host_dist
         return np.flatnonzero(on_path).astype(np.int32)
 
+    def host_rank(self, name: Optional[str]) -> int:
+        """A host's lexicographic rank — what :meth:`pair_ranks` halves are
+        compared against; -1, which no pair carries, if ``name`` is no host."""
+        return self._rank.get(name, -1)
+
     def pair_index(self, a: str, b: str) -> int:
         """Flat index of one named host pair (``KeyError`` if not hosts)."""
         return self._rank[a] * len(self.hosts) + self._rank[b]
 
+    def pair_ranks(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rank(a), rank(b))`` arrays of flat pair indices."""
+        return np.divmod(index, len(self.hosts))
+
+    def pair_names(self, pair: int) -> tuple[str, str]:
+        """The ``(a, b)`` name tuple of one flat pair index."""
+        a, b = divmod(int(pair), len(self.hosts))
+        return self._ranked_names[a], self._ranked_names[b]
+
     def host_order(self, index: np.ndarray) -> np.ndarray:
         """The same flat indices, reordered the way nested loops over
         :attr:`hosts` would visit them (insertion order, not ``sorted()``)."""
-        a, b = np.divmod(index, len(self.hosts))
+        a, b = self.pair_ranks(index)
         visit = self._host_pos[a] * len(self.hosts) + self._host_pos[b]
         return index[np.argsort(visit)]
 
     def pairs_from_index(self, index: np.ndarray) -> list[tuple[str, str]]:
         """Name tuples for flat pair indices, in the order given."""
-        a, b = np.divmod(index, len(self.hosts))
+        a, b = self.pair_ranks(index)
         names = self._ranked_names
         return list(zip(names[a].tolist(), names[b].tolist()))
 

@@ -155,6 +155,95 @@ class TestCollisionRegistry:
         assert reg.keys_on("ghost") == []
 
 
+class ScanRegistry:
+    """The registry as first written — the oracle: one key table per
+    switch, ``release_owner`` and ``owners`` scan every table."""
+
+    def __init__(self):
+        self._keys = {}
+
+    def register(self, switch, key, owner):
+        table = self._keys.setdefault(switch, {})
+        existing = table.get(key)
+        if existing is not None and existing != owner:
+            raise CollisionError(
+                f"match key {key} on {switch} already owned by {existing}"
+            )
+        table[key] = owner
+
+    def release_owner(self, owner):
+        removed = 0
+        for table in self._keys.values():
+            stale = [k for k, o in table.items() if o == owner]
+            for k in stale:
+                del table[k]
+                removed += 1
+        return removed
+
+    def owner(self, switch, key):
+        return self._keys.get(switch, {}).get(key)
+
+    def keys_on(self, switch):
+        return list(self._keys.get(switch, {}))
+
+    def total_keys(self):
+        return sum(len(t) for t in self._keys.values())
+
+    def owners(self):
+        return {o for table in self._keys.values() for o in table.values()}
+
+
+_SWITCHES = ["s1", "s2", "s3"]
+_OWNERS = ["ch1/c1", "ch1/c2", "ch2/c3"]
+_KEYS = [("k", i) for i in range(4)]
+_registry_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), st.sampled_from(_SWITCHES),
+                  st.sampled_from(_KEYS), st.sampled_from(_OWNERS)),
+        st.tuples(st.just("release"), st.sampled_from(_OWNERS + ["nobody"])),
+    ),
+    max_size=60,
+)
+
+
+class TestOwnerIndexAgainstTheScan:
+    """The owner → claims index is bookkeeping only: every random register /
+    re-register / foreign-duplicate / release sequence reads exactly like
+    the table scan it replaced, after every step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_registry_ops)
+    def test_same_answers_after_every_step(self, ops):
+        reg, oracle = CollisionRegistry(), ScanRegistry()
+        for op in ops:
+            outcomes = []
+            for r in (reg, oracle):
+                try:
+                    outcomes.append(
+                        r.register(*op[1:]) if op[0] == "register"
+                        else r.release_owner(op[1])
+                    )
+                except CollisionError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], op
+            assert reg.owners() == oracle.owners()
+            assert reg.total_keys() == oracle.total_keys()
+            for sw in _SWITCHES:
+                assert reg.keys_on(sw) == oracle.keys_on(sw)  # order too
+                for key in _KEYS:
+                    assert reg.owner(sw, key) == oracle.owner(sw, key)
+
+    def test_release_leaves_no_empty_tables_behind(self):
+        reg = CollisionRegistry()
+        for sw in _SWITCHES:
+            reg.register(sw, ("k", 0), "ch1/c1")
+        reg.register("s1", ("k", 1), "ch2/c3")
+        assert reg.release_owner("ch1/c1") == 3
+        assert reg._keys == {"s1": {("k", 1): "ch2/c3"}}
+        assert reg.release_owner("ch2/c3") == 1
+        assert reg._keys == {} and reg._held == {}
+
+
 class TestMAddress:
     def test_match_triple(self):
         a = MAddress(ip(1), ip(2), 10, 20, 99)

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core import MimicController, MC_IP, MC_PORT, McReply, McRequest
+from repro.core import MimicController, MC_IP, MC_PORT, McReply, McRequest, deploy_mic
 from repro.core.controller import EstablishError
 from repro.crypto import Key, seal
 from repro.net import Network, fat_tree, ip, linear
 from repro.sdn import Controller, L3ShortestPathApp
+from tests.faults.orphans import orphan_mic_state
 
 
 def build(topo=None, seed=0, **kw):
@@ -64,6 +65,98 @@ class TestEstablishValidation:
                                        n_flows=3, n_mns=6))
         assert mic.flow_ids.live_count == live_before
         assert mic.registry.total_keys() == 0
+
+
+def fail_nth_draw(mic, nth):
+    """Make the ``nth`` ``draw_segment`` call from now on exhaust its 64
+    attempts; returns the function that heals the strategy again."""
+    strategy = mic.strategy
+    real, calls = strategy.draw_segment, [0]
+
+    def draw_segment(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == nth:
+            raise EstablishError("could not draw a collision-free m-address")
+        return real(*args, **kwargs)
+
+    strategy.draw_segment = draw_segment
+    return lambda: setattr(strategy, "draw_segment", real)
+
+
+class TestFailedPlanLeavesNoTrace:
+    """A flow whose plan fails after its first draw gives back everything
+    it had acquired: registry keys, the flow id, the source port."""
+
+    #: draws per planned flow at n_mns=3: 4 forward + 4 reverse (+ k-1 aliases)
+    DRAWS = {"mic": 8, "frvm": 10}
+    #: the failing call within the flow: always after something was drawn
+    STAGE = {"forward": 2, "reverse": 6, "alias": 10}
+
+    @pytest.mark.parametrize("flow", [0, 1], ids=["first-flow", "second-flow"])
+    @pytest.mark.parametrize("strategy,stage", [
+        ("mic", "forward"), ("mic", "reverse"),
+        ("frvm", "forward"), ("frvm", "reverse"), ("frvm", "alias"),
+    ])
+    def test_establish_refused_mid_plan(self, strategy, stage, flow):
+        dep = deploy_mic(fat_tree(4), seed=0, mic_kwargs={"strategy": strategy})
+        mic = dep.mic
+        heal = fail_nth_draw(mic, flow * self.DRAWS[strategy] + self.STAGE[stage])
+        with pytest.raises(EstablishError, match="collision-free"):
+            run_gen(dep.net, mic.establish(
+                "h1", "h16", service_port=80, n_mns=3, n_flows=2))
+        assert orphan_mic_state(dep) == {}
+        assert mic.flow_ids.live_count == 0 and mic.registry.total_keys() == 0
+        heal()
+        grant = run_gen(dep.net, mic.establish(
+            "h1", "h16", service_port=80, n_mns=3, n_flows=2))
+        flows = mic.channels[grant.channel_id].flows
+        assert {plan.flow_id for plan in flows} == {0, 1}  # ids were recycled
+        assert orphan_mic_state(dep) == {}
+
+    def test_refusal_reaches_the_initiator_and_leaks_nothing(self):
+        """The reproduction in the issue: the 6th draw of one request."""
+        dep = deploy_mic(fat_tree(4), seed=0)
+        fail_nth_draw(dep.mic, 6)
+        dep.server("h16", 80)
+
+        def client():
+            yield from dep.endpoint("h1").connect("h16", service_port=80, n_mns=3)
+
+        with pytest.raises(Exception, match="collision-free"):
+            run_gen(dep.net, client())
+        assert dep.mic.registry.owners() == set()
+        assert dep.mic.flow_ids.live_count == 0
+        assert orphan_mic_state(dep) == {}
+
+    @pytest.mark.parametrize("strategy", ["mic", "frvm"])
+    def test_failed_repair_replan_keeps_the_live_flows_identity(self, strategy):
+        """A re-plan runs with ``flow_id=`` / ``entry_pin=``: what it did not
+        acquire is not its to release — the flow parks with its id and its
+        source port still booked, and comes back with both."""
+        dep = deploy_mic(fat_tree(4), seed=0, mic_kwargs={"strategy": strategy})
+        mic = dep.mic
+        grant = run_gen(dep.net, mic.establish(
+            "h1", "h16", service_port=80, n_mns=3))
+        channel = mic.channels[grant.channel_id]
+        before = channel.flows[0]
+        heal = fail_nth_draw(mic, 6)
+        assert mic.rotate_flow(channel, 0)
+        dep.run_for(0.1)
+        assert mic.parked_flows == 1
+        assert mic.flow_ids.is_live(before.flow_id)
+        assert before.entry.sport in mic._used_sports["h1"]
+        assert mic.registry.total_keys() == 0  # the half-drawn plan's claims
+        assert orphan_mic_state(dep) == {}
+        heal()
+        dep.run_for(2.0)
+        after = channel.flows[0]
+        assert mic.parked_flows == 0
+        assert (after.flow_id, after.entry) == (before.flow_id, before.entry)
+        assert orphan_mic_state(dep) == {}
+        mic.teardown(grant.channel_id)
+        dep.run_for(0.1)  # the removals are messages: let them land
+        assert orphan_mic_state(dep) == {}
+        assert mic._used_sports["h1"] == set()
 
 
 class TestRequestPath:

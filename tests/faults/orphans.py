@@ -3,8 +3,9 @@
 ``orphan_mic_state(dep)`` is the "or leave no trace" half of the install
 path's contract as a test oracle: it scans every switch table for MIC /
 decoy-drop priority rules and groups whose cookie no live flow owns, and
-the MC's books (registry owners, live flow ids, committed intents) for
-entries with no channel behind them.  Empty dict == nothing leaked.
+the MC's books (registry owners, live flow ids, committed intents, booked
+source ports) for entries with no channel behind them.  Empty dict ==
+nothing leaked.
 """
 
 from repro.core.controller import DECOY_DROP_PRIORITY, MIC_PRIORITY
@@ -19,6 +20,10 @@ def orphan_mic_state(dep):
         for plan in channel.flows
     }
     live_flow_ids = sum(len(ch.flows) for ch in mic.channels.values())
+    live_sports = {
+        (channel.initiator, plan.entry.sport)
+        for channel in mic.channels.values() for plan in channel.flows
+    }
     rules, groups = [], []
     for sw in dep.net.switches():
         for prio in (MIC_PRIORITY, DECOY_DROP_PRIORITY):
@@ -37,5 +42,9 @@ def orphan_mic_state(dep):
         "flow_ids": [(mic.flow_ids.live_count, live_flow_ids)]
         if mic.flow_ids.live_count != live_flow_ids else [],
         "compiled": sorted(set(mic.compiled) - set(live)),
+        "sports": sorted({
+            (host, port) for host, ports in mic._used_sports.items()
+            for port in ports
+        } - live_sports),
     }
     return {kind: items for kind, items in found.items() if items}
