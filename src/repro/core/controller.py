@@ -22,10 +22,9 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import networkx as nx
-
 from ..crypto import DEFAULT_COSTS, CryptoCostModel, Key, seal, unseal
 from ..net.addresses import IPv4Addr, MacAddr, ip
+from ..net.graph import NoPathError
 from ..net.packet import Packet
 from ..net.switch import Switch
 from ..obs.spans import begin as begin_span
@@ -277,7 +276,7 @@ class MimicController(ControllerApp):
                 )
                 reply = McReply(ok=True, grant=grant)
             except (EstablishError, ValueError, KeyError, IndexError,
-                    nx.NetworkXNoPath) as exc:
+                    NoPathError) as exc:
                 # Establishment on a degraded fabric must answer, not crash:
                 # no-path and exhausted-draw conditions become clean refusals.
                 reply = McReply(ok=False, error=str(exc))
@@ -770,7 +769,7 @@ class MimicController(ControllerApp):
                         proto=old.proto,
                     )
                 except (EstablishError, ValueError, KeyError, IndexError,
-                        nx.NetworkXNoPath) as exc:
+                        NoPathError) as exc:
                     # No surviving path (or not enough switches on any):
                     # park the flow instead of killing the sim; the parked
                     # loop and heal events will bring it back.
@@ -860,7 +859,7 @@ class MimicController(ControllerApp):
         # repairer re-parks if the path is still too short for the MN count.
         try:
             self.controller.view.shortest_path(channel.initiator, channel.responder)
-        except (KeyError, nx.NetworkXNoPath, IndexError):
+        except (KeyError, NoPathError, IndexError):
             return
         self._parked.pop(cookie)
         self._repairing.add(cookie)

@@ -1,8 +1,8 @@
 """Topology builders: fat-tree, leaf-spine, BCube, linear chain.
 
-Each builder returns a :class:`Topology` — a networkx graph annotated with
-node kinds plus IP/MAC assignments for hosts — which :class:`repro.net.network.Network`
-turns into live simulated devices.
+Each builder returns a :class:`Topology` — a :class:`~repro.net.graph.Graph`
+annotated with node kinds plus IP/MAC assignments for hosts — which
+:class:`repro.net.network.Network` turns into live simulated devices.
 
 The paper's evaluation fabric is the 4-ary fat-tree of Fig 5: twenty 4-port
 switches (4 core + 8 aggregation + 8 edge) and 16 hosts; ``fat_tree(4)``
@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from .addresses import IPv4Addr, MacAddr
+from .graph import Graph, is_connected
 
 __all__ = ["Topology", "fat_tree", "leaf_spine", "bcube", "linear"]
 
@@ -30,40 +29,47 @@ class Topology:
 
     ``graph`` nodes carry attribute ``kind`` ∈ {"host", "switch"}; host nodes
     additionally carry ``ip`` and ``mac``.  Switch nodes may carry ``layer``
-    (core/agg/edge/…) for topology-aware logic and plotting.
+    (core/agg/edge/…) for topology-aware logic and plotting.  Nodes enter
+    through :meth:`add_switch` / :meth:`add_host` only, which also keep the
+    host and switch lists; a name in use is a ``ValueError``.
     """
 
     name: str
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    graph: Graph = field(default_factory=Graph, init=False)
+    _hosts: list[str] = field(default_factory=list, init=False, repr=False)
+    _switches: list[str] = field(default_factory=list, init=False, repr=False)
 
     # -- construction helpers ---------------------------------------------
     def add_switch(self, name: str, **attrs) -> str:
         """Add a switch node; returns its name."""
         self.graph.add_node(name, kind="switch", **attrs)
+        self._switches.append(name)
         return name
 
     def add_host(self, name: str, **attrs) -> str:
         """Add a host node with auto-assigned IP/MAC; returns its name."""
-        index = sum(1 for _ in self.hosts())
+        index = len(self._hosts)
         ip = IPv4Addr(int(_HOST_IP_BASE) + index + 1)
         mac = MacAddr(_HOST_MAC_BASE + index + 1)
         self.graph.add_node(name, kind="host", ip=ip, mac=mac, **attrs)
+        self._hosts.append(name)
         return name
 
     def add_link(self, a: str, b: str, **attrs) -> None:
-        """Join two existing nodes."""
-        if a not in self.graph or b not in self.graph:
-            raise ValueError(f"link endpoints must exist: {a!r}-{b!r}")
-        self.graph.add_edge(a, b, **attrs)
+        """Join two existing, distinct nodes."""
+        try:
+            self.graph.add_edge(a, b, **attrs)
+        except KeyError:
+            raise ValueError(f"link endpoints must exist: {a!r}-{b!r}") from None
 
     # -- queries -------------------------------------------------------------
     def hosts(self) -> list[str]:
         """All host node names."""
-        return [n for n, d in self.graph.nodes(data=True) if d["kind"] == "host"]
+        return list(self._hosts)
 
     def switches(self) -> list[str]:
         """All switch node names."""
-        return [n for n, d in self.graph.nodes(data=True) if d["kind"] == "switch"]
+        return list(self._switches)
 
     def is_host(self, node: str) -> bool:
         """True if ``node`` names a host (an unknown name does not)."""
@@ -83,23 +89,23 @@ class Topology:
 
     def neighbors(self, node: str) -> list[str]:
         """Adjacent node names."""
-        return list(self.graph.neighbors(node))
+        return list(self.graph.adj[node])
 
     def validate(self) -> None:
         """Sanity checks: connectivity, hosts hang off switches only."""
-        if self.graph.number_of_nodes() == 0:
+        if not len(self.graph):
             raise ValueError("empty topology")
-        if not nx.is_connected(self.graph):
+        if not is_connected(self.graph):
             raise ValueError("topology is not connected")
-        for h in self.hosts():
-            for nb in self.graph.neighbors(h):
+        for h in self._hosts:
+            for nb in self.graph.adj[h]:
                 if self.kind(nb) != "switch":
                     raise ValueError(f"host {h} connected to non-switch {nb}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Topology {self.name}: {len(self.hosts())} hosts, "
-            f"{len(self.switches())} switches, {self.graph.number_of_edges()} links>"
+            f"<Topology {self.name}: {len(self._hosts)} hosts, "
+            f"{len(self._switches)} switches, {len(self.graph.edges)} links>"
         )
 
 

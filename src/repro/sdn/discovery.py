@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-import networkx as nx
 import numpy as np
 
+from ..net.graph import NoPathError, simple_paths
 from ..net.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,15 +154,24 @@ class TopologyView:
         ).reshape(len(ranked), len(ranked))
 
     def set_link_state(self, u: str, v: str, up: bool) -> None:
-        """Apply a port-status event to the routing view and recompute."""
+        """Apply a port-status event to the routing view and recompute.
+
+        ``ValueError`` if the topology has no such link; an event the view
+        already reflects changes nothing and recomputes nothing.
+        """
+        if not self.topo.graph.has_edge(u, v):
+            raise ValueError(f"{u!r}-{v!r} is not a link of {self.topo.name}")
+        if self.graph.has_edge(u, v) == up:
+            return
         if up:
             self.graph.add_edge(u, v)
-        elif self.graph.has_edge(u, v):
+        else:
             self.graph.remove_edge(u, v)
         self._rebuild_distances()
 
     def _absorbing_bfs(self, source: str) -> dict[str, int]:
         switches = self._switches
+        adj = self.graph.adj
         dist = {source: 0}
         frontier = [source]
         while frontier:
@@ -170,7 +179,7 @@ class TopologyView:
             for u in frontier:
                 if u != source and u not in switches:
                     continue  # hosts terminate paths, they don't relay
-                for v in self.graph.neighbors(u):
+                for v in adj[u]:
                     if v not in dist:
                         dist[v] = dist[u] + 1
                         nxt.append(v)
@@ -191,7 +200,8 @@ class TopologyView:
         if key not in self._path_cache:
             d_src = self.dist[src]
             if dst not in d_src:
-                raise nx.NetworkXNoPath(f"no routing path {src} -> {dst}")
+                raise NoPathError(f"no routing path {src} -> {dst}")
+            adj = self.graph.adj
             paths: list[list[str]] = []
             stack: list[list[str]] = [[dst]]
             while stack and len(paths) < self.max_equal_cost_paths:
@@ -200,7 +210,7 @@ class TopologyView:
                 if head == src:
                     paths.append(partial)
                     continue
-                for u in self.graph.neighbors(head):
+                for u in adj[head]:
                     if u in d_src and d_src[u] + 1 == d_src[head]:
                         if u == src or u in self._switches:
                             stack.append([u] + partial)
@@ -241,13 +251,14 @@ class TopologyView:
         for cutoff in range(base + 1, base + 5):
             candidates = [
                 p
-                for p in nx.all_simple_paths(self.graph, src, dst, cutoff=cutoff)
+                for p in simple_paths(self.graph, src, dst, cutoff)
                 if self._switch_count(p) >= min_switches and self._interior_is_switches(p)
             ]
             if candidates:
                 best_len = min(len(p) for p in candidates)
                 return rng.choice([p for p in candidates if len(p) == best_len])
         # Fall back to bounce-stretching the shortest path.
+        adj = self.graph.adj
         walk = list(shortest)
         visits = self._switch_count(walk)
         guard = 0
@@ -265,7 +276,7 @@ class TopologyView:
             for i in range(1, len(walk) - 1):
                 if walk[i] not in self._switches:
                     continue
-                for t in self.graph.neighbors(walk[i]):
+                for t in adj[walk[i]]:
                     if (
                         t in self._switches
                         and (walk[i], t) not in used_edges

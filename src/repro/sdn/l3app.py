@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
-
 from ..net.flowtable import FlowEntry, Match, Output
+from ..net.graph import NoPathError
 from ..net.packet import Packet
 from ..net.switch import Switch
 from .controller import ControllerApp
@@ -59,7 +58,7 @@ class L3ShortestPathApp(ControllerApp):
         self._pending.setdefault(pair, []).append((switch, packet, in_port))
         try:
             self.wire_pair(src_host.name, dst_host.name, release_pair=pair)
-        except (nx.NetworkXNoPath, KeyError, IndexError):
+        except (NoPathError, KeyError, IndexError):
             # No surviving path right now: drop the held packets and forget
             # the pair so a later packet-in retries once the fabric heals.
             self._installed_pairs.discard(pair)
@@ -148,7 +147,7 @@ class L3ShortestPathApp(ControllerApp):
                 self._installed_pairs.discard((src_ip, dst_ip))
             try:
                 self.wire_pair(src, dst)
-            except (nx.NetworkXNoPath, KeyError, IndexError):
+            except (NoPathError, KeyError, IndexError):
                 # The pair is unreachable on the surviving fabric; leave it
                 # unwired — the next packet-in rewires it reactively.
                 pass

@@ -23,6 +23,7 @@ from repro.net.flowtable import (
     PopMpls,
     SetField,
 )
+from tests.net.graph_oracle import to_networkx
 
 CROSS_POD_PAIRS = [("h1", "h16"), ("h5", "h12"), ("h2", "h9"), ("h6", "h15")]
 
@@ -192,7 +193,7 @@ class TestSeededFaults:
         sw_name, drop_entry = drops[0]
         # Maliciously rewrite the decoy toward the real receiver and lay
         # down a delivery chain for it.
-        path = nx.shortest_path(net.topo.graph, sw_name, responder)
+        path = nx.shortest_path(to_networkx(net.topo), sw_name, responder)
         table = net.switch(sw_name).table
         table.remove(drop_entry.match, drop_entry.priority)
         table.install(

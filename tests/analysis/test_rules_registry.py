@@ -1,7 +1,11 @@
 """Engine-level tests: registry, pragmas, baselines, reporters, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,82 @@ class TestEncapsulationRule:
             path="src/repro/net/switch.py",
         )
         assert public == []
+
+
+class TestThirdPartyImportRule:
+    """``repro`` imports the standard library, numpy and itself."""
+
+    def test_imports_outside_the_budget_are_flagged_wherever_they_sit(self):
+        findings = lint_source(textwrap.dedent("""
+            import networkx as nx
+            from scipy.sparse import csr_matrix
+            import os, yaml.parser
+
+            def lazy():
+                import simpy
+                from hypothesis import given
+        """), path="src/repro/net/topology.py")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("third-party-import", n) for n in (2, 3, 4, 7, 8)
+        ]
+        assert "'yaml.parser'" in findings[2].message
+        assert all(f.severity == Severity.ERROR for f in findings)
+
+    def test_stdlib_numpy_and_the_package_itself_pass(self):
+        clean = textwrap.dedent("""
+            from __future__ import annotations
+            import os.path, sys
+            import numpy as np
+            from numpy.random import default_rng
+            from collections import deque
+            from repro.net import fat_tree
+            from . import sibling
+            from ..net.graph import Graph
+
+            def lazy():
+                import json
+                from .. import taint
+        """)
+        assert lint_source(clean, path="src/repro/sdn/discovery.py") == []
+
+    def test_the_budget_binds_the_package_not_its_tests(self):
+        source = "import networkx\nimport pytest\n"
+        assert lint_source(source, path="tests/net/graph_oracle.py") == []
+        assert lint_source(source, path="benchmarks/bench_fluid.py") == []
+        assert len(lint_source(source, path="src/repro/bench/x.py")) == 2
+
+    def test_src_is_inside_the_budget_with_no_baseline_entry(self):
+        root = Path(__file__).resolve().parents[2]
+        run = run_lint([str(root / "src")], rules=[get_rule("third-party-import")])
+        assert run.findings == [] and run.suppressed == []
+        baseline = json.loads((root / "lint-baseline.json").read_text())
+        assert all(e["rule"] != "third-party-import" for e in baseline["entries"])
+
+    def test_a_fresh_interpreter_running_repro_never_loads_networkx(self):
+        """Every subpackage imported, two CLIs run: the old dependency, which
+        the test environment does have installed, is never pulled in."""
+        root = Path(__file__).resolve().parents[2]
+        script = textwrap.dedent("""
+            import contextlib, importlib, io, pkgutil, runpy, sys
+            import repro
+            for mod in pkgutil.iter_modules(repro.__path__, "repro."):
+                importlib.import_module(mod.name)
+            for argv in (["repro.analysis", "--help"], ["repro.obs", "contract"]):
+                sys.argv = argv
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    try:
+                        runpy.run_module(argv[0], run_name="__main__")
+                    except SystemExit as exit_:
+                        assert not exit_.code, (argv, exit_.code)
+                assert out.getvalue().strip(), argv
+            assert "repro.core.controller" in sys.modules and "numpy" in sys.modules
+            assert "networkx" not in sys.modules
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestBaseline:

@@ -11,7 +11,6 @@ pick, same RNG state afterwards — so every seeded simulation is unchanged.
 import functools
 import random
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +19,7 @@ from plausibility_oracle import oracle_narrow, oracle_segment
 from repro.core import deploy_mic
 from repro.core.restrictions import AddressRestrictions
 from repro.net import Topology, bcube, fat_tree, ip, linear
+from repro.net.graph import NoPathError
 from repro.sdn import TopologyView
 
 FABRICS = {
@@ -60,7 +60,7 @@ def _segment(view, rng, kind):
         a, b = rng.sample(hosts, 2)
         try:
             path = view.pick_path(a, b, rng)
-        except nx.NetworkXNoPath:
+        except NoPathError:
             continue  # the degraded linear fabric is partitioned
         i = rng.randrange(len(path) - 1)
         segment = path[i : rng.randrange(i + 1, len(path)) + 1]

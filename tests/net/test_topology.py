@@ -2,6 +2,7 @@
 
 import networkx as nx
 import pytest
+from graph_oracle import to_networkx
 
 from repro.net import bcube, fat_tree, leaf_spine, linear
 from repro.net.topology import Topology
@@ -44,7 +45,7 @@ class TestFatTree:
         # Two hosts under the same edge switch are 2 hops apart.
         g = t.graph
         h1, h2 = [h for h in t.hosts() if "p0e0" in g.neighbors(h)][:2]
-        assert nx.shortest_path_length(g, h1, h2) == 2
+        assert nx.shortest_path_length(to_networkx(t), h1, h2) == 2
 
     def test_cross_pod_distance(self):
         t = fat_tree(4)
@@ -53,7 +54,7 @@ class TestFatTree:
         for h in t.hosts():
             pods.setdefault(t.graph.nodes[h]["pod"], []).append(h)
         h_a, h_b = pods[0][0], pods[1][0]
-        assert nx.shortest_path_length(t.graph, h_a, h_b) == 6
+        assert nx.shortest_path_length(to_networkx(t), h_a, h_b) == 6
 
 
 class TestLeafSpine:
@@ -105,7 +106,7 @@ class TestLinear:
         t = linear(3, hosts_per_switch=1)
         assert len(t.switches()) == 3
         assert len(t.hosts()) == 3
-        assert nx.shortest_path_length(t.graph, "h1", "h3") == 4
+        assert nx.shortest_path_length(to_networkx(t), "h1", "h3") == 4
 
     def test_no_hosts(self):
         with pytest.raises(ValueError):
@@ -138,3 +139,62 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             Topology("empty").validate()
+
+
+class TestNodeNames:
+    """A name is one node, and a link joins two of them."""
+
+    def test_a_switch_cannot_take_a_host_s_name(self):
+        t = Topology("bad")
+        t.add_host("h1")
+        with pytest.raises(ValueError, match="already in use"):
+            t.add_switch("h1")
+        assert t.hosts() == ["h1"] and t.switches() == []
+        assert t.kind("h1") == "host" and str(t.host_ip("h1")) == "10.0.0.1"
+        t.add_host("h2")  # no address was burnt
+        assert str(t.host_ip("h2")) == "10.0.0.2"
+        assert int(t.host_mac("h2")) == int(t.host_mac("h1")) + 1
+
+    def test_a_host_cannot_take_a_name_in_use(self):
+        t = Topology("bad")
+        t.add_host("h1")
+        t.add_switch("s1")
+        ip, mac = t.host_ip("h1"), t.host_mac("h1")
+        for name in ("h1", "s1"):
+            with pytest.raises(ValueError, match="already in use"):
+                t.add_host(name)
+        assert (t.host_ip("h1"), t.host_mac("h1")) == (ip, mac)  # not re-addressed
+        assert t.hosts() == ["h1"] and t.switches() == ["s1"]
+        assert "ip" not in t.graph.nodes["s1"]
+
+    def test_a_switch_cannot_be_added_twice(self):
+        t = Topology("bad")
+        t.add_switch("s1", layer="edge")
+        with pytest.raises(ValueError, match="already in use"):
+            t.add_switch("s1", layer="core")
+        assert t.switches() == ["s1"] and t.graph.nodes["s1"]["layer"] == "edge"
+
+    def test_self_loop_rejected(self):
+        t = Topology("bad")
+        t.add_switch("s1")
+        with pytest.raises(ValueError, match="self-loop"):
+            t.add_link("s1", "s1")
+        assert list(t.graph.edges) == [] and t.graph.degree("s1") == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: fat_tree(6), lambda: leaf_spine(3, 5, 2),
+        lambda: bcube(3, 2), lambda: linear(4, 3),
+    ])
+    def test_shipped_builders_use_each_name_once(self, build):
+        t = build()  # would raise
+        names = t.hosts() + t.switches()
+        assert len(names) == len(set(names)) == len(t.graph)
+        assert sorted(names, key=list(t.graph.nodes).index) == list(t.graph.nodes)
+
+    def test_host_and_switch_lists_are_copies_in_insertion_order(self):
+        t = linear(2, hosts_per_switch=1)
+        assert t.hosts() == ["h1", "h2"] and t.switches() == ["s1", "s2"]
+        t.hosts().clear()
+        t.switches().append("ghost")
+        assert t.hosts() == ["h1", "h2"] and t.switches() == ["s1", "s2"]
+        assert not t.is_host("ghost") and not t.is_host("s1") and t.is_host("h2")

@@ -1,0 +1,37 @@
+"""What building and searching a topology may cost, in interpreter frames.
+
+Counts from ``cProfile`` (the idiom, and the helper, of
+``test_hop_budget.py``), never wall-clock time: the quadratic this pins —
+every ``add_host`` recounting the hosts through a node view, 130.7 calls per
+node-or-link at ``k = 16`` against 25.7 at ``k = 8`` — was invisible at the
+sizes the unit tests build and a tenth of a second in ``hybrid_fluid``.
+"""
+
+from test_hop_budget import profiled_calls
+
+from repro.net import fat_tree
+from repro.sdn import TopologyView
+
+#: Python frames one node or one link may cost a builder, validation included
+BUILD_BUDGET = 15.0
+
+
+def test_building_a_fat_tree_is_linear_in_its_size():
+    per_item = {}
+    for k in (8, 16):
+        calls = profiled_calls(fat_tree, k)
+        assert ("net/topology.py", "hosts") not in calls  # add_host keeps a list
+        assert calls[("net/topology.py", "add_host")] == k ** 3 // 4
+        topo = fat_tree(k)
+        per_item[k] = sum(calls.values()) / (len(topo.graph) + len(topo.graph.edges))
+    assert per_item[16] <= BUILD_BUDGET, per_item
+    # the mix shifts towards hosts and links as k grows (+8 %); a term that
+    # grows with the fabric, as the recount did, shows as a multiple (5x)
+    assert per_item[16] <= per_item[8] * 1.5, per_item
+
+
+def test_a_distance_row_costs_no_call_into_the_graph():
+    view = TopologyView(fat_tree(8))
+    calls = profiled_calls(view._absorbing_bfs, "h1")
+    assert calls == {("sdn/discovery.py", "_absorbing_bfs"): 1}
+    assert len(view._absorbing_bfs("h1")) == len(view.graph)

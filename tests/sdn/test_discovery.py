@@ -1,6 +1,7 @@
 """Unit tests for the controller's topology view."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -126,3 +127,48 @@ class TestLinkPredicates:
         assert ("h1", "h5") not in view.plausible_host_pairs("p0a0", "c1")
         view.set_link_state("p0e0", "p0a0", up=True)
         assert view.plausible_host_pairs("p0a0", "c1") == before
+
+
+class TestLinkEvents:
+    """Port-status events name links of the topology, and only a change of
+    state costs an all-pairs recompute."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        view = TopologyView(fat_tree(4))
+        rebuild = mock.Mock(wraps=view._rebuild_distances)
+        monkeypatch.setattr(view, "_rebuild_distances", rebuild)
+        return view, rebuild
+
+    @pytest.mark.parametrize("pair", [
+        ("h1", "h16"),     # both real, never adjacent
+        ("p0e0", "c1"),    # two switches that share no link
+        ("h1", "nope"),    # an unknown name
+        ("nope", "nada"),
+    ])
+    @pytest.mark.parametrize("up", [True, False])
+    def test_a_pair_that_is_no_link_is_refused_and_changes_nothing(self, counted, pair, up):
+        view, rebuilds = counted
+        view.equal_cost_paths("h1", "h16")
+        dist, cached = view.dist, dict(view._path_cache)
+        links = list(view.graph.edges)
+        with pytest.raises(ValueError, match="not a link"):
+            view.set_link_state(*pair, up)
+        assert rebuilds.call_count == 0
+        assert view.dist is dist and view._path_cache == cached
+        assert list(view.graph.edges) == links and len(view.graph) == len(view.topo.graph)
+        assert view.distance("h1", "h16") == 6
+
+    def test_a_repeated_event_returns_before_the_recompute(self, counted):
+        view, rebuilds = counted
+        paths = view.equal_cost_paths("h1", "h16")
+        view.set_link_state("p0e0", "p0a0", up=True)  # it never went down
+        assert rebuilds.call_count == 0
+        assert view.equal_cost_paths("h1", "h16") is paths  # cache kept
+        view.set_link_state("p0a0", "p0e0", up=False)  # either direction names it
+        view.set_link_state("p0e0", "p0a0", up=False)
+        assert rebuilds.call_count == 1 and not view.graph.has_edge("p0e0", "p0a0")
+        view.set_link_state("p0e0", "p0a0", up=True)
+        view.set_link_state("p0e0", "p0a0", up=True)
+        assert rebuilds.call_count == 2 and view.graph.has_edge("p0a0", "p0e0")
+        assert view.equal_cost_paths("h1", "h16") == paths
