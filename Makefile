@@ -80,8 +80,9 @@ bench:
 	$(PYPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # CI-sized benchmark slice: the classifier microbenchmark (vs the linear
-# reference), the plausibility-index and segment-draw microbenchmarks (vs the
-# all-pairs scan and the list-building draw),
+# reference), the plausibility-index, segment-draw and view-build
+# microbenchmarks (vs the all-pairs scan, the list-building draw and one BFS
+# per node),
 # the event-kernel microbenchmark (vs a closure per event), the fluid-solver
 # microbenchmark (vs the full-scan loop), the static-verifier benchmark (vs
 # the linear / all-pairs scans) plus trimmed scalability sweeps, JSON

@@ -1,5 +1,6 @@
 """Plausibility microbenchmarks: the vectorised pair index vs the all-pairs
-scan, and the index-array draw vs the list-building draw.
+scan, the index-array draw vs the list-building draw, and the distance
+matrix vs the per-node search.
 
 For every one of the 768 directed links of ``fat_tree(8)`` (128 hosts,
 16,256 ordered host pairs) the Mimic Controller needs the host pairs whose
@@ -25,26 +26,49 @@ segment-address draw two ways, segment caches warm:
 
 The bar is >=5x with the same pick on every segment.
 
+Last, what both of those read — the routing view's all-pairs distances,
+rebuilt at every controller start and on every link event — two ways on
+``fat_tree(8)`` and, outside ``BENCH_QUICK``, ``fat_tree(16)``:
+
+* ``oracle`` — what ``TopologyView._rebuild_distances`` did before it kept
+  one matrix: an absorbing BFS per node into a dict of dicts, then a loop per
+  node for the host-distance arrays (kept as ``tests/sdn/distance_oracle.py``);
+* ``matrix`` — switch-core frontier gathers, then one gather + ``minimum``
+  per host NIC slot.
+
+The bar is >=4x at ``k = 8`` and >=2x at ``k = 16`` with equal distances and
+bit-identical arrays.  Resident-set growth of one rebuild is read in a fresh
+interpreter per side (``python benchmarks/bench_restrictions.py rss K SIDE``),
+where no earlier allocation can be reused.
+
 Run directly (``python benchmarks/bench_restrictions.py``) or through
 pytest; both write ``benchmarks/results/restrictions_microbench.json``.
 """
 
 import json
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import time
+from unittest import mock
+
+import numpy as np
 
 from repro.core import deploy_mic
 from repro.net import fat_tree
 from repro.sdn import TopologyView
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parents[1] / "tests" / "core")
-)
+TESTS = pathlib.Path(__file__).resolve().parents[1] / "tests"
+sys.path[:0] = [str(TESTS / "core"), str(TESTS / "sdn")]
+from distance_oracle import oracle_rebuild  # noqa: E402
 from plausibility_oracle import oracle_narrow  # noqa: E402
 
 RESULTS = pathlib.Path(__file__).parent / "results"
+QUICK = bool(os.environ.get("BENCH_QUICK"))
+#: view-build runs: (k, timed rounds, speed-up asserted)
+VIEW_BUILDS = [(8, 7, 4.0)] + ([] if QUICK else [(16, 2, 2.0)])
 
 
 def scan_pairs(view: TopologyView, u: str, v: str) -> list[tuple[str, str]]:
@@ -166,6 +190,62 @@ def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> d
     }
 
 
+def _peak_rss_kb() -> int:
+    """This process's resident high-water mark — ``VmHWM``, which starts
+    afresh at ``exec``; ``ru_maxrss`` starts at the spawning process's."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM"))
+
+
+def rss_growth_mb(k: int, side: str) -> float:
+    """How far one rebuild of a bare ``fat_tree(k)`` view pushes this
+    process's peak resident set, in MB.  Meant for a fresh interpreter."""
+    with mock.patch.object(TopologyView, "_rebuild_distances"):
+        view = TopologyView(fat_tree(k))
+    before = _peak_rss_kb()
+    kept = oracle_rebuild(view) if side == "oracle" else view._rebuild_distances()
+    after = _peak_rss_kb()
+    del kept
+    return (after - before) / 1024
+
+
+def run_view_build(k: int, rounds: int) -> dict:
+    """Time one all-pairs rebuild both ways, ``rounds`` times each."""
+    view = TopologyView(fat_tree(k))
+    oracle_s, matrix_s = [], []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        dist, to_hosts, host_dist = oracle_rebuild(view)
+        t1 = time.perf_counter()
+        view._rebuild_distances()
+        t2 = time.perf_counter()
+        oracle_s.append(t1 - t0)
+        matrix_s.append(t2 - t1)
+    assert {n: dict(view.dist[n]) for n in view.graph.nodes} == dist
+    for ours, theirs in [(view._host_dist, host_dist)] + [
+        (view._to_hosts[n], to_hosts[n]) for n in to_hosts
+    ]:
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    growth = {
+        side: float(subprocess.run(
+            [sys.executable, __file__, "rss", str(k), side],
+            check=True, capture_output=True, text=True,
+        ).stdout)
+        for side in ("oracle", "matrix")
+    }
+    # the fastest round of each: interference from the host only adds time
+    return {
+        f"view_build_k{k}": {
+            "nodes": len(view.graph),
+            "oracle_s": min(oracle_s),
+            "matrix_s": min(matrix_s),
+            "speedup": min(oracle_s) / min(matrix_s),
+            "oracle_rss_growth_mb": growth["oracle"],
+            "matrix_rss_growth_mb": growth["matrix"],
+        }
+    }
+
+
 def _save(result: dict) -> pathlib.Path:
     """Merge ``result`` into the one JSON both measurements share."""
     RESULTS.mkdir(exist_ok=True)
@@ -207,8 +287,28 @@ def test_index_draw_at_least_5x_on_fat_tree8():
     assert result["speedup_draw"] >= 5.0
 
 
+def test_distance_matrix_at_least_4x_on_fat_tree8_and_2x_on_fat_tree16():
+    for k, rounds, bar in VIEW_BUILDS:
+        result = run_view_build(k, rounds)
+        _save(result)
+        row = result[f"view_build_k{k}"]
+        print(
+            f"\nview build, fat_tree({k}), {row['nodes']} nodes:"
+            f" BFS per node {row['oracle_s'] * 1e3:.1f}ms"
+            f" (+{row['oracle_rss_growth_mb']:.1f} MB)"
+            f"  matrix {row['matrix_s'] * 1e3:.2f}ms"
+            f" (+{row['matrix_rss_growth_mb']:.1f} MB, {row['speedup']:.0f}x)"
+        )
+        assert row["speedup"] >= bar
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["rss"]:
+        print(rss_growth_mb(int(sys.argv[2]), sys.argv[3]))
+        sys.exit()
     res = {**run(), **run_draw()}
+    for k, rounds, _bar in VIEW_BUILDS:
+        res.update(run_view_build(k, rounds))
     path = _save(res)
     print(json.dumps(res, indent=2))
     print(f"saved -> {path}")

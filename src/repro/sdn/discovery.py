@@ -18,7 +18,9 @@ oracle wiring the controller used before.
 
 from __future__ import annotations
 
-
+import math
+from collections.abc import Mapping
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -86,7 +88,9 @@ class FailureDetector:
         period = self.heartbeat_period_s
         if period is not None:
             now = self.sim.now
-            beats = int(now / period) + 1
+            # A beat within 1e-9 periods of now *is* now: 0.3 / 0.1 rounds
+            # to 2.999..., and the beat at 0.3 must not be the "next" one.
+            beats = math.floor(now / period + 1e-9) + 1
             delay += beats * period - now
         return delay
 
@@ -102,6 +106,79 @@ class FailureDetector:
             fn(*args)
         else:
             self.sim.call_later(self.detection_delay(), fn, *args)
+
+
+def _by_slot(rows: list[list[int]], pad: int) -> np.ndarray:
+    """Ragged index lists, transposed: row ``k`` holds every list's ``k``-th
+    entry, ``pad`` where the list is shorter.  Never fewer than one row."""
+    slots = list(zip_longest(*rows, fillvalue=pad)) or [(pad,) * len(rows)]
+    return np.array(slots, dtype=np.intp)
+
+
+def _core_distances(nbrs: np.ndarray) -> np.ndarray:
+    """Hop counts among ``S`` switches from their neighbours by slot
+    (``degree x S``, ``S`` where a switch has fewer), as an int32
+    ``(S + 1) x (S + 1)`` array whose last row and column are ``_FAR``.
+
+    Level-synchronous: every switch's frontier advances one hop per pass,
+    and a pass is one gather of the neighbours' frontiers — boolean, so no
+    count can overflow and no BLAS is woken for an 80-row product.  The
+    gather holds ``degree x S x S`` bytes (1.6 MB on ``fat_tree(16)``).
+    """
+    size = nbrs.shape[1]
+    hops = np.full((size + 1, size + 1), _FAR, dtype=np.int32)
+    inner = hops[:size, :size]
+    frontier = np.zeros((size + 1, size), dtype=bool)  # last row: never set
+    live = frontier[:size]
+    np.fill_diagonal(live, True)
+    reached = live.copy()
+    level = 0
+    while live.any():
+        inner[live] = level
+        level += 1
+        ahead = frontier[nbrs].any(axis=0)
+        ahead &= ~reached
+        reached |= ahead
+        live[:] = ahead
+    return hops
+
+
+def _one_beyond(table: np.ndarray, slots: np.ndarray, beyond: np.ndarray) -> np.ndarray:
+    """``out[x] = beyond[x] + min(table[a] for a in slots[:, x])``: one row
+    gather per slot, the minimum taken in place."""
+    out = table[slots[0]]
+    for slot in slots[1:]:
+        np.minimum(out, table[slot], out=out)
+    out += beyond
+    return out
+
+
+class _DistanceRows(Mapping):
+    """``name -> {name: hops}`` over the distance matrix.  A row becomes a
+    dict the first time it is read — keys in graph node order, unreachable
+    nodes absent — and an unknown name is a ``KeyError``."""
+
+    def __init__(self, names: np.ndarray, index: dict[str, int], matrix: np.ndarray):
+        self._names = names
+        self._index = index
+        self._matrix = matrix
+        self._rows: dict[str, dict[str, int]] = {}
+
+    def __getitem__(self, name: str) -> dict[str, int]:
+        row = self._rows.get(name)
+        if row is None:
+            hops = self._matrix[self._index[name]]
+            near = np.flatnonzero(hops < _FAR)
+            row = self._rows[name] = dict(
+                zip(self._names[near].tolist(), hops[near].tolist())
+            )
+        return row
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 class TopologyView:
@@ -128,30 +205,72 @@ class TopologyView:
         self._host_pos = np.array(
             [position[h] for h in ranked], dtype=np.int32
         )
+        # Matrix layout, fixed for the view's life: a row and a column per
+        # node in graph order; ``_core`` is a switch's row in the S x S core
+        # and ``_beyond`` the hop a host adds at its end of a path.
+        self._index = {n: i for i, n in enumerate(self.graph.nodes)}
+        self._names = np.array(list(self._index), dtype=object)
+        self._core = {
+            n: i for i, n in enumerate(n for n in self._index if n in self._switches)
+        }
+        self._beyond = np.array(
+            [n not in self._core for n in self._index], dtype=np.int32
+        )[:, None]
+        self._ranked_cols = np.array(
+            [self._index[h] for h in ranked], dtype=np.intp
+        )
         self._path_cache: dict[tuple[str, str], list[list[str]]] = {}
         self._rebuild_distances()
 
     def _rebuild_distances(self) -> None:
-        #: all-pairs *routing* distances, computed eagerly (the paper's
-        #: "when initiation").  Hosts are absorbing: a path may start or end
-        #: at a host but never relay through one — in server-centric fabrics
-        #: like BCube the plain graph metric would happily shortcut through
-        #: servers, which switches cannot do.
-        self.dist: dict[str, dict[str, int]] = {
-            n: self._absorbing_bfs(n) for n in self.graph.nodes
-        }
+        """All-pairs *routing* distances, computed eagerly (the paper's "when
+        initiation") into one int32 ``N x N`` matrix in graph node order.
+
+        Hosts are absorbing: a path may start or end at a host but never
+        relay through one — in server-centric fabrics like BCube the plain
+        graph metric would happily shortcut through servers, which switches
+        cannot do.  So only the switch-induced subgraph is searched
+        (:func:`_core_distances`), and a host is one hop beyond the nearest
+        of its switch neighbours, ``d(h, x) = 1 + min d(n, x)``, taken once
+        for the rows and once for the columns (:func:`_one_beyond`).  With a
+        switch attached to itself at no hop that is one formula for every
+        node.  A host-host link is 1, self is 0, unreachable is ``_FAR``.
+        """
+        index, core, adj = self._index, self._core, self.graph.adj
+        pad = len(core)  # the core row no switch has: ``_FAR`` from everything
+        switch_nbrs: list[list[int]] = []
+        attach: list[list[int]] = []  # per node, the core rows it hangs off
+        host_links: list[tuple[int, int]] = []
+        for u, i in index.items():
+            nbrs = adj[u]
+            near = [core[v] for v in nbrs if v in core]
+            if u in core:
+                switch_nbrs.append(near)
+                attach.append([core[u]])
+            else:
+                attach.append(near)
+                if len(near) < len(nbrs):
+                    host_links += [(i, index[v]) for v in nbrs if v not in core]
+        slots, beyond = _by_slot(attach, pad), self._beyond
+        hops = _core_distances(_by_slot(switch_nbrs, pad))
+        to_core = _one_beyond(hops, slots, beyond)  # N x (S + 1)
+        matrix = _one_beyond(np.ascontiguousarray(to_core.T), slots, beyond)
+        np.minimum(matrix, _FAR, out=matrix)
+        for i, j in host_links:
+            matrix[i, j] = 1
+        np.fill_diagonal(matrix, 0)
+
+        #: ``name -> {name: hops}``, unreachable nodes absent: one object
+        #: until the next rebuild, a row named from the matrix on first read
+        self.dist: Mapping[str, dict[str, int]] = _DistanceRows(
+            self._names, index, matrix
+        )
         self._path_cache.clear()
         # Distance from every node to every host, hosts in rank order.  The
         # graph is undirected, so a row is also "from every host to the node".
-        ranked = self._ranked_names.tolist()
-        self._to_hosts = {
-            n: np.array([d.get(h, _FAR) for h in ranked], dtype=np.int32)
-            for n, d in self.dist.items()
-        }
-        # (reshape: a hostless fabric must still give a 0 x 0 matrix)
-        self._host_dist = np.array(
-            [self._to_hosts[h] for h in ranked], dtype=np.int32
-        ).reshape(len(ranked), len(ranked))
+        to_hosts = matrix[:, self._ranked_cols]
+        self._to_hosts = dict(zip(index, to_hosts))
+        self._host_dist = to_hosts[self._ranked_cols]
 
     def set_link_state(self, u: str, v: str, up: bool) -> None:
         """Apply a port-status event to the routing view and recompute.
@@ -168,23 +287,6 @@ class TopologyView:
         else:
             self.graph.remove_edge(u, v)
         self._rebuild_distances()
-
-    def _absorbing_bfs(self, source: str) -> dict[str, int]:
-        switches = self._switches
-        adj = self.graph.adj
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if u != source and u not in switches:
-                    continue  # hosts terminate paths, they don't relay
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
 
     # ------------------------------------------------------------------
     def distance(self, a: str, b: str) -> int:
@@ -219,12 +321,14 @@ class TopologyView:
         return self._path_cache[key]
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
-        """One shortest routing path (the first equal-cost one)."""
-        return self.equal_cost_paths(src, dst)[0]
+        """One shortest routing path (the first equal-cost one), as a list
+        the caller owns."""
+        return list(self.equal_cost_paths(src, dst)[0])
 
     def pick_path(self, src: str, dst: str, rng) -> list[str]:
-        """A random member of the equal-cost shortest-path set."""
-        return rng.choice(self.equal_cost_paths(src, dst))
+        """A random member of the equal-cost shortest-path set, as a list
+        the caller owns (the cached set is shared by every query)."""
+        return list(rng.choice(self.equal_cost_paths(src, dst)))
 
     # ------------------------------------------------------------------
     def paths_with_min_switches(
@@ -259,7 +363,7 @@ class TopologyView:
                 return rng.choice([p for p in candidates if len(p) == best_len])
         # Fall back to bounce-stretching the shortest path.
         adj = self.graph.adj
-        walk = list(shortest)
+        walk = shortest
         visits = self._switch_count(walk)
         guard = 0
         while visits < min_switches:

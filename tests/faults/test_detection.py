@@ -42,6 +42,28 @@ class TestFailureDetectorUnit:
         sim.run(until=0.11)
         assert got == ["beat"]
 
+    @pytest.mark.parametrize("now", [0.3, 0.6, 0.7, 2.3])
+    def test_an_event_on_a_beat_waits_for_the_next_one(self, now):
+        # now / 0.1 rounds to just under a whole number for each of these
+        # (0.3 / 0.1 = 2.999...): the beat at `now` is not strictly after it
+        sim = Simulator(seed=0)
+        det = FailureDetector(sim, heartbeat_period_s=0.1)
+        sim.run(until=now)
+        assert sim.now == now
+        assert det.detection_delay() == pytest.approx(0.1)
+        got = []
+        det.deliver(got.append, "beat")
+        sim.run(until=now + 0.09)
+        assert got == []
+        sim.run(until=now + 0.11)
+        assert got == ["beat"]
+
+    def test_an_event_between_beats_waits_for_the_rest_of_the_period(self):
+        sim = Simulator(seed=0)
+        det = FailureDetector(sim, heartbeat_period_s=0.1)
+        sim.run(until=0.275)
+        assert det.detection_delay() == pytest.approx(0.025)
+
     def test_heartbeat_plus_latency_compose(self):
         sim = Simulator(seed=0)
         det = FailureDetector(sim, latency_s=0.02, heartbeat_period_s=0.1)
