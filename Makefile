@@ -4,13 +4,20 @@ PYTHON ?= python
 # Same invocation the CI tier-1 gate uses (src/ layout, no install needed).
 PYPATH = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-verbose lint verify obs-demo journey-demo chaos-demo shard-demo prof-demo trajectory tournament bench bench-quick bench-scale perf perf-smoke perf-pairs figures quick-figures examples clean
+.PHONY: install test test-order test-verbose lint verify obs-demo journey-demo chaos-demo shard-demo prof-demo trajectory tournament bench bench-quick bench-scale perf perf-smoke perf-pairs figures quick-figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || pip install -e .
 
 test:
 	$(PYPATH) $(PYTHON) -m pytest -x -q
+
+# The id-sensitive directories in both argument orders: a test that leans
+# on ids (or any other state) left behind by an earlier test fails here
+# instead of in someone's `-k` selection.
+test-order:
+	$(PYPATH) $(PYTHON) -m pytest -q tests/obs tests/faults tests/anonymity tests/analysis tests/net
+	$(PYPATH) $(PYTHON) -m pytest -q tests/net tests/analysis tests/anonymity tests/faults tests/obs
 
 test-verbose:
 	$(PYPATH) $(PYTHON) -m pytest -v

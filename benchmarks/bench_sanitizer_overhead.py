@@ -17,13 +17,11 @@ machines are too noisy to resolve a 2% bound.
 
 import gc
 import heapq
-import itertools
 import time
 
 from repro.analysis.sanitizer import SimSanitizer
 from repro.bench import FigureResult
-from repro.core import channel, controller
-from repro.net import FlowEntry, Match, Network, Output, flowtable, linear, packet
+from repro.net import FlowEntry, Match, Network, Output, linear
 from repro.sim.engine import SimulationError, Simulator
 
 # The quantity under test (two dead pointer-compare branches per event)
@@ -34,16 +32,6 @@ SPACING_S = 1e-4
 REPS = 16
 
 MODES = ("no-hooks", "baseline", "attached", "strict")
-
-
-def _reset_id_counters():
-    """Pin the process-global ID mints so back-to-back runs compare clean."""
-    packet._uid_counter = itertools.count(1)
-    packet._tag_counter = itertools.count(1)
-    flowtable._entry_counter = itertools.count(1)
-    channel._channel_ids = itertools.count(1)
-    controller._group_ids = itertools.count(1)
-    controller._cookie_ids = itertools.count(0x4D49_0000)
 
 
 def _hookless_schedule(self, event, delay):
@@ -68,7 +56,6 @@ def _hookless_step(self):
 
 def _burst(mode: str) -> tuple[float, str]:
     """(CPU seconds, trace digest) for one packet burst under ``mode``."""
-    _reset_id_counters()
     net = Network(linear(3, hosts_per_switch=1), seed=11)
     h1, h3 = net.host("h1"), net.host("h3")
     for sw, out in (("s1", ("s1", "s2")), ("s2", ("s2", "s3")),

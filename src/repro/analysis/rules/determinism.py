@@ -4,7 +4,8 @@ The original three-rule lint (wall-clock, unseeded-random, set-iteration)
 lives here as registry rules, joined by three discipline rules the
 sanitizer work surfaced: unnamed RNG streams, salted ``hash()`` values and
 mutable default arguments (a shared-state trap that makes behaviour depend
-on call history).
+on call history) — and by the rule that keeps identity per deployment: no
+id counter bound at module level.
 """
 
 from __future__ import annotations
@@ -299,3 +300,47 @@ class MutableDefaultRule(Rule):
                             "mutable default argument is shared across "
                             "calls; default to None and materialize inside",
                         )
+
+
+@register
+class ProcessGlobalMintRule(Rule):
+    """Flags an ``itertools.count`` bound at module or class level."""
+
+    id = "process-global-mint"
+    severity = Severity.ERROR
+    summary = "id counter bound at module level is shared by every deployment"
+    rationale = """
+        An itertools.count bound at module (or class) level is one sequence
+        for the whole process, so every deployment continues where the
+        previous one stopped: channel ids feed RNG stream names and shard
+        ownership, so simulated results come to depend on what ran earlier
+        in the interpreter.  MAGA's collision freedom and the MC's channel /
+        cookie / group books are properties of one controller over one
+        fabric; mint from the deployment's namespace (sim.ids(name)),
+        fetched once by the object that draws from it.
+    """
+    example = """
+        _next_id = itertools.count(1)         # flagged: one per process
+
+        self._next_id = sim.ids("mic.channel")   # one per deployment
+    """
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        """Yield this rule's findings for one module."""
+        if not ctx.module or ctx.module.split(".")[0] != "repro":
+            return
+        scopes = [ctx.tree]
+        while scopes:
+            for node in scopes.pop().body:
+                if isinstance(node, ast.ClassDef):
+                    scopes.append(node)
+                elif (
+                    isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(node.value, ast.Call)
+                    and ctx.resolve(node.value.func) == "itertools.count"
+                ):
+                    yield self.finding(
+                        ctx, node,
+                        "module-level itertools.count is shared by every "
+                        "deployment in the process; mint from sim.ids(name)",
+                    )

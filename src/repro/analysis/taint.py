@@ -70,7 +70,6 @@ SOURCE_CALLS = frozenset({"five_tuple", "match_tuple"})
 #: the sanctioned rewrite/hash boundaries of the reproduction
 BOUNDARY_CALLS = frozenset({
     "content_tag",        # content-tag fingerprinting
-    "fresh_content_tag",
     "crc32",              # the stable hash convention behind content tags
     "solve",              # MAGA m-address encoding (ReversibleHash.solve)
     "m_addr_for",         # per-MN m-address draw

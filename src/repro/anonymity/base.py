@@ -81,7 +81,7 @@ class Strategy:
     def bind(self, mic: "MimicController") -> "Strategy":
         """Attach to a controller; returns self for chaining."""
         # Imported lazily: repro.core.controller imports this module at
-        # load time, and the module-global group/cookie mints live there.
+        # load time.
         from ..core import controller as cmod
 
         self.mic = mic
@@ -445,7 +445,7 @@ class Strategy:
                 )
             )
 
-        group_id = next(self._cmod._group_ids)
+        group_id = next(mic.sim.ids("mic.group"))
         group = GroupEntry(group_id=group_id, buckets=buckets, cookie=plan.cookie)
         rules[target_idx] = (
             mn_name,

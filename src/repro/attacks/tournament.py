@@ -10,15 +10,14 @@ accuracy next to the strategy's overhead (rule footprint, setup latency,
 rotation install traffic) and availability, so the anonymity/overhead
 trade-off reads off a single JSON file.
 
-Determinism: every scenario resets the process-global ID counters and
-re-derives all randomness from named, seeded RNG streams, so the same
-seed yields a byte-identical frontier — rerun it and ``diff`` agrees.
+Determinism: every scenario is a fresh deployment — its own id namespaces
+and named, seeded RNG streams — so the same seed yields a byte-identical
+frontier, however many scenarios ran in the process before it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 from typing import Optional, Sequence
 
@@ -44,22 +43,6 @@ PUMP_HORIZON_S = 4.0
 CHANNEL_SHAPES = ((0.04, 100), (0.09, 160), (0.15, 220))
 
 
-def _reset_id_counters() -> None:
-    """Pin the process-global ID counters so a rerun in the same process
-    draws identical channel/cookie/group/tag IDs — the frontier must be
-    byte-identical across reruns at a fixed seed."""
-    from ..core import channel as channel_mod
-    from ..core import controller as controller_mod
-    from ..net import flowtable, packet
-
-    packet._uid_counter = itertools.count(1)
-    packet._tag_counter = itertools.count(1)
-    flowtable._entry_counter = itertools.count(1)
-    channel_mod._channel_ids = itertools.count(1)
-    controller_mod._group_ids = itertools.count(1)
-    controller_mod._cookie_ids = itertools.count(0x4D49_0000)
-
-
 def run_scenario(
     strategy: str = "mic",
     seed: int = 0,
@@ -74,7 +57,6 @@ def run_scenario(
     ground truth); ``stats`` the defender-side overhead/availability
     numbers the frontier pairs with the attack accuracies.
     """
-    _reset_id_counters()
     dep = deploy_mic(
         fat_tree(k),
         seed=seed,

@@ -9,21 +9,12 @@ compiles them into switch rules.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from ..net.addresses import IPv4Addr
 from .collision import MAddress
 
 __all__ = ["MFlowPlan", "MimicChannel", "FlowGrant", "ChannelGrant"]
-
-_channel_ids = itertools.count(1)
-
-
-def next_channel_id() -> int:
-    """Allocate a fresh channel identifier."""
-    return next(_channel_ids)
-
 
 @dataclass
 class MFlowPlan:

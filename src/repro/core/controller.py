@@ -18,7 +18,6 @@ The MC lives in the SDN controller.  It:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -34,7 +33,6 @@ from .channel import (
     FlowGrant,
     MFlowPlan,
     MimicChannel,
-    next_channel_id,
 )
 from .collision import (
     CollisionRegistry,
@@ -75,9 +73,6 @@ _TEARDOWN_KEYS = ("channel_id",)
 _REPAIR_KEYS = ("channel_id", "flow_id", "new_walk")
 _PARK_KEYS = ("channel_id", "flow_id", "reason")
 _RESYNC_KEYS = ("switch", "rules")
-
-_group_ids = itertools.count(1)
-_cookie_ids = itertools.count(0x4D49_0000)  # 'MI' prefix for readability
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,9 @@ class MimicController(ControllerApp):
     def client_key(self, host_name: str) -> Key:
         """The per-client symmetric key shared with the MC."""
         if host_name not in self._client_keys:
-            self._client_keys[host_name] = Key(label=f"mc-{host_name}")
+            self._client_keys[host_name] = Key(
+                next(self.sim.ids("crypto.key")), label=f"mc-{host_name}"
+            )
         return self._client_keys[host_name]
 
     # -- hidden services ----------------------------------------------------
@@ -303,6 +300,8 @@ class MimicController(ControllerApp):
             dport=request.reply_port,
             payload=seal(key, reply),
             payload_size=REPLY_WIRE_BYTES,
+            uid=next(self.sim.ids("packet.uid")),
+            content_tag=next(self.sim.ids("packet.tag")),
         )
         self.controller.packet_out(switch.name, out, in_port)
         span.finish(kind=request.kind)
@@ -331,7 +330,7 @@ class MimicController(ControllerApp):
         if responder_host == initiator:
             raise EstablishError("initiator and responder are the same host")
 
-        channel_id = next_channel_id()
+        channel_id = next(self.sim.ids("mic.channel"))
         establish_span = begin_span(
             self.obs, "mic.establish",
             channel=channel_id, initiator=initiator, responder=responder_host,
@@ -342,7 +341,8 @@ class MimicController(ControllerApp):
             for _ in range(n_flows):
                 # Each m-flow gets its own cookie and registry owner, so a
                 # single flow can be torn down or repaired independently.
-                cookie = next(_cookie_ids)
+                # cookies start at 'MI', for readability in dumps
+                cookie = next(self.sim.ids("mic.cookie", 0x4D49_0000))
                 owner = f"ch{channel_id}/c{cookie}"
                 plan_span = begin_span(self.obs, "mic.plan_flow", channel=channel_id)
                 plan = self._plan_flow(

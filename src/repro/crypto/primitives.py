@@ -12,8 +12,7 @@ Do not mistake these for real cryptography — they are simulation artifacts.
 from __future__ import annotations
 
 import hashlib
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Key", "Sealed", "seal", "unseal", "KeyExchange", "WrongKeyError"]
@@ -23,14 +22,16 @@ class WrongKeyError(Exception):
     """Attempted to open a sealed object with the wrong key."""
 
 
-_key_counter = itertools.count(1)
-
-
 @dataclass(frozen=True)
 class Key:
-    """A symmetric key (identity-based toy model)."""
+    """A symmetric key (identity-based toy model).
 
-    key_id: int = field(default_factory=lambda: next(_key_counter))
+    :func:`unseal` matches on ``key_id`` alone, so a fresh key's id comes
+    from a deployment-wide namespace (``sim.ids("crypto.key")``) or from
+    shared material (:meth:`derive`).
+    """
+
+    key_id: int
     label: str = ""
 
     @classmethod

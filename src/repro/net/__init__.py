@@ -36,7 +36,7 @@ from .hybrid import (
 from .link import Channel, Link, LinkStats
 from .network import Network
 from .node import CpuMeter, Node
-from .packet import Packet, reset_identity_counters
+from .packet import Packet
 from .params import DEFAULT_PARAMS, NetParams
 from .switch import Switch
 from .topology import Topology, bcube, fat_tree, leaf_spine, linear
@@ -89,5 +89,4 @@ __all__ = [
     "linear",
     "mac",
     "max_min_fair",
-    "reset_identity_counters",
 ]

@@ -14,12 +14,12 @@ exactly the primitives the paper's design needs:
 
 from __future__ import annotations
 
-import itertools
 from bisect import insort
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
+from ..sim import Simulator
 from .addresses import IPv4Addr, MacAddr
 from .packet import Packet
 
@@ -237,9 +237,6 @@ class PopMpls(Action):
     """Remove the MPLS shim."""
 
 
-_entry_counter = itertools.count(1)
-
-
 @dataclass
 class FlowEntry:
     """One installed rule: match + priority + action list + counters."""
@@ -248,7 +245,9 @@ class FlowEntry:
     actions: Sequence[Action]
     priority: int = 0
     cookie: int = 0
-    entry_id: int = dc_field(default_factory=lambda: next(_entry_counter))
+    #: stamped by the first :meth:`FlowTable.install` from the deployment's
+    #: ``flowtable.entry`` namespace; 0 while the entry is in no table yet
+    entry_id: int = 0
     packet_count: int = 0
     byte_count: int = 0
     #: sim time of the most recent hit; -1.0 until the first packet matches
@@ -413,14 +412,22 @@ class FlowTable:
 
     ``max_entries`` models the switch's TCAM budget: installs beyond it
     raise :class:`TableFullError` (None = unbounded).  ``cache_size``
-    bounds the lookup cache (0 disables caching entirely).
+    bounds the lookup cache (0 disables caching entirely).  ``ids`` is the
+    owning switch's :meth:`Simulator.ids`, where entry ids and the uids of
+    multicast copies are minted; a table outside any deployment is a
+    namespace of its own.
     """
 
     def __init__(
         self,
         max_entries: Optional[int] = None,
         cache_size: int = DEFAULT_LOOKUP_CACHE,
+        ids: Optional[Callable[[str], Iterator[int]]] = None,
     ) -> None:
+        if ids is None:
+            ids = Simulator().ids
+        self._entry_ids = ids("flowtable.entry")
+        self._uids = ids("packet.uid")
         self._tiers: dict[int, _PriorityTier] = {}
         self._neg_prios: list[int] = []  # negated priorities, ascending
         self._groups: dict[int, GroupEntry] = {}
@@ -470,6 +477,8 @@ class FlowTable:
             insort(self._neg_prios, -entry.priority)
         entry.seq = self._next_seq
         self._next_seq += 1
+        if not entry.entry_id:
+            entry.entry_id = next(self._entry_ids)
         tier.add(entry)
         self._count += 1
         self._bump()
@@ -756,7 +765,7 @@ class FlowTable:
                 # retroactively change what was sent.  The first emission
                 # keeps the packet's uid (the common unicast case); further
                 # emissions are genuinely new packets on the wire.
-                out_pkt = packet.copy(fresh_identity=emitted_current)
+                out_pkt = packet.copy(next(self._uids) if emitted_current else None)
                 emissions.append((action.port, out_pkt))
                 emitted_current = True
             elif isinstance(action, Group):
@@ -764,7 +773,7 @@ class FlowTable:
                 if group is None:
                     raise TableMissError(f"group {action.group_id} not installed")
                 for bucket in group.buckets:
-                    bucket_pkt = packet.copy()
+                    bucket_pkt = packet.copy(next(self._uids))
                     sub_em, sub_ctrl = self._run_actions(bucket, bucket_pkt)
                     emissions.extend(sub_em)
                     to_controller = to_controller or sub_ctrl

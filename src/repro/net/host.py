@@ -60,6 +60,8 @@ class Host(Node):
         self.bytes_sent = 0
         self.bytes_received = 0
         self._ephemeral_next = 49152
+        self._uids = sim.ids("packet.uid")
+        self._tags = sim.ids("packet.tag")
         #: optional attached repro.obs.Observer (packet-latency histogram)
         self.obs = None
 
@@ -127,6 +129,8 @@ class Host(Node):
             payload=payload,
             payload_size=payload_size,
             mpls=mpls,
+            uid=next(self._uids),
+            content_tag=next(self._tags),
             created_at=self.sim.now,
         )
 

@@ -17,8 +17,7 @@ Two identity notions matter for the security analysis:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .addresses import IPv4Addr, MacAddr
@@ -30,7 +29,6 @@ __all__ = [
     "TCP_HEADER",
     "UDP_HEADER",
     "MPLS_SHIM",
-    "reset_identity_counters",
 ]
 
 ETH_HEADER = 14
@@ -38,34 +36,6 @@ IP_HEADER = 20
 TCP_HEADER = 20
 UDP_HEADER = 8
 MPLS_SHIM = 4
-
-_uid_counter = itertools.count(1)
-_tag_counter = itertools.count(1)
-
-
-def fresh_uid() -> int:
-    """Allocate a globally unique packet instance id."""
-    return next(_uid_counter)
-
-
-def fresh_content_tag() -> int:
-    """Allocate a globally unique wire-content tag."""
-    return next(_tag_counter)
-
-
-def reset_identity_counters() -> None:
-    """Restart the ``uid`` and ``content_tag`` sequences at 1.
-
-    The counters are module globals, so without a reset the identities a
-    test observes depend on every packet any *earlier* test created.  The
-    test suite resets them before each test (autouse fixture in
-    ``tests/conftest.py``) so uid/content_tag sequences are deterministic
-    regardless of test execution order.  Never call this mid-simulation:
-    two live packets must not share a uid.
-    """
-    global _uid_counter, _tag_counter
-    _uid_counter = itertools.count(1)
-    _tag_counter = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -88,8 +58,11 @@ class Packet:
     ttl: int = 64
     payload: Any = None
     payload_size: int = 0
-    uid: int = field(default_factory=fresh_uid)
-    content_tag: int = field(default_factory=fresh_content_tag)
+    #: minted by whoever puts the packet on the wire, from the deployment's
+    #: ``packet.uid`` / ``packet.tag`` namespaces (:meth:`Simulator.ids`);
+    #: 0 on a packet no deployment made
+    uid: int = 0
+    content_tag: int = 0
     created_at: float = 0.0
 
     def __post_init__(self) -> None:
@@ -130,12 +103,13 @@ class Packet:
         """The classic connection 5-tuple."""
         return (self.ip_src, self.ip_dst, self.proto, self.sport, self.dport)
 
-    def copy(self, fresh_identity: bool = True) -> "Packet":
+    def copy(self, uid: Optional[int] = None) -> "Packet":
         """A duplicate of this packet.
 
-        With ``fresh_identity`` (the default, used by partial multicast) the
-        copy gets its own ``uid`` but keeps the ``content_tag`` — on the wire
-        the decoy copies carry the same bytes.
+        Given a ``uid`` (minted by the caller — the flow table, for partial
+        multicast) the copy is a new packet instance; without one it keeps
+        this packet's.  Either way it keeps the ``content_tag`` — on the
+        wire the decoy copies carry the same bytes.
 
         Every switch emission is a copy, and ``SetField`` rewrites with
         ``setattr``, so this is where a port or label rewritten out of range
@@ -164,7 +138,7 @@ class Packet:
         dup.ttl = self.ttl
         dup.payload = self.payload
         dup.payload_size = self.payload_size
-        dup.uid = fresh_uid() if fresh_identity else self.uid
+        dup.uid = self.uid if uid is None else uid
         dup.content_tag = self.content_tag
         dup.created_at = self.created_at
         return dup

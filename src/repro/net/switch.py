@@ -42,7 +42,7 @@ class Switch(Node):
 
     def __init__(self, sim: Simulator, trace: TraceLog, name: str, params: NetParams):
         super().__init__(sim, trace, name, params)
-        self.table = FlowTable(max_entries=params.switch_table_capacity)
+        self.table = FlowTable(max_entries=params.switch_table_capacity, ids=sim.ids)
         self._packet_in: Optional[PacketInHandler] = None
         self.mirror_taps: list[Callable[[Packet, int, str], None]] = []
         self.packets_forwarded = 0

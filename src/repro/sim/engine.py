@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 __all__ = [
     "Simulator",
@@ -390,6 +390,10 @@ class Simulator:
         self.now = 0.0
         self.seed = seed
         self._rng_streams: dict[str, Any] = {}
+        self._ids: dict[str, Iterator[int]] = {}
+        #: frame id -> message object whose bytes are on the simulated wire
+        #: (repro.transport.framing parks it at send, the receiver claims it)
+        self.frames_in_flight: dict[int, Any] = {}
         #: opt-in hazard detector (repro.analysis.sanitizer); None = off,
         #: and every hook below is a statically-dead branch.
         self._sanitizer: Optional[Any] = None
@@ -471,6 +475,21 @@ class Simulator:
             mix = zlib.crc32(stream.encode()) ^ (self.seed * 0x9E3779B1 & 0xFFFFFFFF)
             self._rng_streams[stream] = _random.Random(mix)
         return self._rng_streams[stream]
+
+    # -- id namespaces -------------------------------------------------
+    def ids(self, name: str, start: int = 1) -> Iterator[int]:
+        """The named id mint of this simulator, created on first request.
+
+        Identity (packet uids, flow-entry ids, channel / cookie / group ids,
+        …) belongs to the deployment: every holder asks once for its
+        namespace and draws with ``next()``, so two simulators in one process
+        never see each other's ids.  ``start`` counts only for the request
+        that creates the mint.
+        """
+        mint = self._ids.get(name)
+        if mint is None:
+            mint = self._ids[name] = itertools.count(start)
+        return mint
 
     # -- main loop -------------------------------------------------------
     def step(self) -> float:

@@ -9,7 +9,6 @@ stream through the exit and exchanges onion-sealed data cells.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from ..crypto import DEFAULT_COSTS, CryptoCostModel, Key, KeyExchange, Sealed, seal, unseal
@@ -38,9 +37,6 @@ __all__ = ["TorClient", "TorCircuit", "TorStream", "DEFAULT_ROUTE_LEN"]
 
 #: Tor's default circuit length (the constant the paper patched to vary it)
 DEFAULT_ROUTE_LEN = 3
-
-_circ_ids = itertools.count(1)
-
 
 class TorStream:
     """Application byte stream over a circuit (one stream per circuit)."""
@@ -209,7 +205,7 @@ class TorClient:
         if not route:
             raise ValueError("empty route")
         session = f"sess-{self.host.name}-{self.rng.getrandbits(48)}"
-        circuit = TorCircuit(self, next(_circ_ids), session)
+        circuit = TorCircuit(self, next(self.sim.ids("tor.circuit")), session)
         circuit.route = list(route)
 
         # Hop 1: direct CREATE to the guard.

@@ -2,14 +2,15 @@
 
 Tor cells (and any other structured message) ride the byte stream as
 ``[4-byte size][8-byte object id][size padding bytes]`` frames.  The object
-itself is parked in a registry and claimed exactly once by the receiver when
-the frame's last byte arrives — so message *timing* and *wire size* are
-faithful to the byte stream while the content stays a rich Python object.
+itself is parked in the simulator's ``frames_in_flight`` (both ends of a
+connection share the simulator, and the receiver looks a frame up by its id
+alone) and claimed exactly once by the receiver when the frame's last byte
+arrives — so message *timing* and *wire size* are faithful to the byte stream
+while the content stays a rich Python object.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
 from typing import Any
 
@@ -18,21 +19,6 @@ from .tcp import TcpConnection
 __all__ = ["MessageChannel"]
 
 _HEADER = struct.Struct("!IQ")
-_registry: dict[int, Any] = {}
-_obj_ids = itertools.count(1)
-
-
-def _register(obj: Any) -> int:
-    oid = next(_obj_ids)
-    _registry[oid] = obj
-    return oid
-
-
-def _claim(oid: int) -> Any:
-    try:
-        return _registry.pop(oid)
-    except KeyError:
-        raise KeyError(f"message {oid} already claimed or never sent") from None
 
 
 class MessageChannel:
@@ -40,12 +26,15 @@ class MessageChannel:
 
     def __init__(self, conn: TcpConnection):
         self.conn = conn
+        self._frame_ids = conn.sim.ids("framing.frame")
+        self._in_flight = conn.sim.frames_in_flight
 
     def send(self, obj: Any, wire_size: int) -> None:
         """Send ``obj`` as a frame occupying ``wire_size`` body bytes."""
         if wire_size < 0:
             raise ValueError("negative wire size")
-        oid = _register(obj)
+        oid = next(self._frame_ids)
+        self._in_flight[oid] = obj
         self.conn.send(_HEADER.pack(wire_size, oid) + b"\x00" * wire_size)
 
     def recv(self):
@@ -54,7 +43,10 @@ class MessageChannel:
         wire_size, oid = _HEADER.unpack(header)
         if wire_size:
             yield from self.conn.recv_exactly(wire_size)
-        return _claim(oid), wire_size
+        try:
+            return self._in_flight.pop(oid), wire_size
+        except KeyError:
+            raise KeyError(f"message {oid} already claimed or never sent") from None
 
     def close(self) -> None:
         """Close the underlying connection."""

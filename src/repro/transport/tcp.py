@@ -22,7 +22,6 @@ boundary of the hybrid engine — ``docs/scale.md``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,9 +34,6 @@ __all__ = ["TcpSegment", "TcpConnection", "TcpListener", "TcpStack", "MSS"]
 MSS = 1460
 DEFAULT_WINDOW = 64 * MSS
 RTO_S = 0.2
-
-_conn_counter = itertools.count(1)
-
 
 @dataclass
 class TcpSegment:
@@ -75,7 +71,7 @@ class TcpConnection:
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port
-        self.conn_id = next(_conn_counter)
+        self.conn_id = next(self.sim.ids("tcp.conn"))
         self.state = "closed"
         # congestion control (optional)
         self.cc_enabled = congestion_control

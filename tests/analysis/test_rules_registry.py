@@ -37,7 +37,7 @@ class TestRegistry:
         assert {
             "wall-clock", "unseeded-random", "set-iteration",
             "unnamed-rng-stream", "salted-hash", "mutable-default",
-            "flowtable-encapsulation", "endpoint-leak",
+            "flowtable-encapsulation", "endpoint-leak", "process-global-mint",
         } <= ids
 
     def test_every_rule_fully_described(self):
@@ -152,6 +152,51 @@ class TestEncapsulationRule:
             path="src/repro/net/switch.py",
         )
         assert public == []
+
+
+class TestProcessGlobalMintRule:
+    """Ids are minted per deployment (``sim.ids``), never per process."""
+
+    def test_a_counter_bound_at_module_or_class_level_is_flagged(self):
+        findings = lint_source(textwrap.dedent("""
+            import itertools
+            from itertools import count
+
+            _next_id = itertools.count(1)
+            _next_cookie: object = count(0x4D49_0000)
+
+            class Mint:
+                uids = count()
+        """), path="src/repro/core/channel.py")
+        assert [(f.rule, f.line) for f in findings] == [
+            ("process-global-mint", n) for n in (5, 6, 9)
+        ]
+        assert all(f.severity == Severity.ERROR for f in findings)
+
+    def test_instance_counters_other_counts_and_tests_pass(self):
+        clean = textwrap.dedent("""
+            import itertools
+
+            TOTAL = [1, 2, 1].count(1)
+
+            class Simulator:
+                def __init__(self):
+                    self._counter = itertools.count()
+
+                def ids(self, name, start=1):
+                    return itertools.count(start)
+        """)
+        assert lint_source(clean, path="src/repro/sim/engine.py") == []
+        source = "import itertools\n_ids = itertools.count(1)\n"
+        assert lint_source(source, path="tests/net/helpers.py") == []
+        assert len(lint_source(source, path="src/repro/net/packet.py")) == 1
+
+    def test_src_has_none_and_the_baseline_grandfathers_none(self):
+        root = Path(__file__).resolve().parents[2]
+        run = run_lint([str(root / "src")], rules=[get_rule("process-global-mint")])
+        assert run.findings == [] and run.suppressed == []
+        baseline = json.loads((root / "lint-baseline.json").read_text())
+        assert all(e["rule"] != "process-global-mint" for e in baseline["entries"])
 
 
 class TestThirdPartyImportRule:

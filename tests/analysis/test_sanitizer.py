@@ -1,12 +1,8 @@
 """Sanitizer tests: seeded hazards are caught, clean runs stay clean, and
 an attached sanitizer never perturbs the simulation it watches."""
 
-import itertools
-
 from repro.analysis.sanitizer import SimSanitizer
-from repro.core import channel, controller
 from repro.faults import run_chaos, scorecard_json
-from repro.net import flowtable, packet
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource, Store
 
@@ -212,24 +208,12 @@ class TestDetachAndReport:
         assert text.endswith("1 finding(s)")
 
 
-def _reset_id_counters():
-    """Pin process-global ID mints so back-to-back chaos runs compare."""
-    packet._uid_counter = itertools.count(1)
-    packet._tag_counter = itertools.count(1)
-    flowtable._entry_counter = itertools.count(1)
-    channel._channel_ids = itertools.count(1)
-    controller._group_ids = itertools.count(1)
-    controller._cookie_ids = itertools.count(0x4D49_0000)
-
-
 class TestChaosIntegration:
     def test_sanitized_chaos_is_clean_and_byte_identical(self):
         """The acceptance gate: a sanitizer-enabled fat_tree(4) chaos run
         reports zero findings, and the scorecard matches the unsanitized
         run byte for byte (the sanitizer only observes)."""
-        _reset_id_counters()
         plain, _dep = run_chaos(seed=0)
-        _reset_id_counters()
         san = SimSanitizer()
         sanitized, _dep = run_chaos(seed=0, sanitizer=san)
         assert san.findings == [], san.report()

@@ -10,13 +10,10 @@ Regenerate (only when a change is *intended* to alter compiled intents):
     PYTHONPATH=src:. python -c "from tests.anonymity.helpers import write_goldens; write_goldens()"
 """
 
-import itertools
 import json
 import pathlib
 
-from repro.core import channel, controller
 from repro.core.deployment import deploy_mic
-from repro.net import flowtable, packet
 from repro.net.topology import fat_tree
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -27,16 +24,6 @@ SCORECARD_GOLDEN = DATA_DIR / "chaos_scorecard_seed0.json"
 CANONICAL_CHANNELS = (("h1", "h16", 7001), ("h2", "h15", 7002), ("h3", "h14", 7003))
 
 
-def reset_id_counters():
-    """Pin the process-global ID mints so back-to-back runs compare clean."""
-    packet._uid_counter = itertools.count(1)
-    packet._tag_counter = itertools.count(1)
-    flowtable._entry_counter = itertools.count(1)
-    channel._channel_ids = itertools.count(1)
-    controller._group_ids = itertools.count(1)
-    controller._cookie_ids = itertools.count(0x4D49_0000)
-
-
 def establish_canonical(seed=0, decoys=2, n_mns=3, mic_kwargs=None, proto="udp",
                         shards=0):
     """Deploy fat_tree(4) and establish the canonical channels via the MC.
@@ -45,7 +32,6 @@ def establish_canonical(seed=0, decoys=2, n_mns=3, mic_kwargs=None, proto="udp",
     controller (see :func:`repro.core.deployment.deploy_mic`) — the
     1-shard cluster must reproduce the goldens byte for byte.
     """
-    reset_id_counters()
     dep = deploy_mic(fat_tree(4), seed=seed, mic_kwargs=dict(mic_kwargs or {}),
                      shards=shards)
     grants = []
@@ -106,7 +92,6 @@ def write_goldens():
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     dep, _grants = establish_canonical()
     INTENTS_GOLDEN.write_text(snapshot_json(intent_snapshot(dep)))
-    reset_id_counters()
     card, _dep = run_chaos(seed=0)
     SCORECARD_GOLDEN.write_text(scorecard_json(card) + "\n")
     print(f"wrote {INTENTS_GOLDEN}\nwrote {SCORECARD_GOLDEN}")

@@ -10,7 +10,7 @@ comes from ``sim.rng(f"mic-decoys/{owner}")``: it depends only on
 from repro.core.deployment import deploy_mic
 from repro.net.topology import fat_tree
 
-from tests.anonymity.helpers import establish_canonical, reset_id_counters
+from tests.anonymity.helpers import establish_canonical
 
 
 def _decoy_choice(dep, owner: str, decoys: int = 1, channel_id: int = 1):
@@ -26,7 +26,6 @@ def _establish_fat8(seed=0):
     """One cross-pod channel on fat_tree(8): the first MN (an edge switch
     with four agg uplinks) has a three-way decoy neighbor pool, wide
     enough for owner-to-owner variation to show."""
-    reset_id_counters()
     dep = deploy_mic(fat_tree(8), seed=seed, mic_kwargs={"mn_bits": 20})
     grants = []
 

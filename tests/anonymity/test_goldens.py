@@ -14,7 +14,6 @@ from tests.anonymity.helpers import (
     SCORECARD_GOLDEN,
     establish_canonical,
     intent_snapshot,
-    reset_id_counters,
     snapshot_json,
 )
 
@@ -36,7 +35,6 @@ def test_mic_intents_stable_across_reruns():
 
 
 def test_chaos_scorecard_byte_identical_to_pre_refactor_golden():
-    reset_id_counters()
     card, _dep = run_chaos(seed=0)
     assert scorecard_json(card) + "\n" == SCORECARD_GOLDEN.read_text(), (
         "chaos scorecard diverged from the pre-refactor golden (seed 0)"

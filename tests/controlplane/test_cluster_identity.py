@@ -15,7 +15,6 @@ from tests.anonymity.helpers import (
     SCORECARD_GOLDEN,
     establish_canonical,
     intent_snapshot,
-    reset_id_counters,
     snapshot_json,
 )
 
@@ -37,7 +36,6 @@ def test_one_shard_matches_unsharded_run_exactly():
 
 
 def test_one_shard_chaos_scorecard_byte_identical_to_golden():
-    reset_id_counters()
     card, dep = run_chaos(seed=0, shards=1)
     # One shard: no shard-crash fault is added and no controlplane
     # section appears, so the card must equal the unsharded golden.

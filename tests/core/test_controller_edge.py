@@ -164,7 +164,7 @@ class TestRequestPath:
         """A request sealed under the wrong key is dropped silently."""
         net, ctrl, mic = build()
         h1 = net.host("h1")
-        wrong_key = Key(label="attacker")
+        wrong_key = Key(999, label="attacker")
         req = McRequest(kind="establish", reply_port=5555, responder="h16",
                         service_port=80)
         pkt = h1.make_packet(MC_IP, proto="udp", sport=5555, dport=MC_PORT,

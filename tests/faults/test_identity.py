@@ -7,29 +7,14 @@ no schedule at all — no events scheduled, no fault plane hooked, no RNG
 touched, no heap perturbation from the failure detector.
 """
 
-import itertools
-
-from repro.core import channel, controller, deploy_mic
+from repro.core import deploy_mic
 from repro.faults import FaultSchedule
-from repro.net import flowtable, packet
 
 MESSAGE = b"f" * 300
 
 
-def _reset_id_counters():
-    """Pin the process-global ID mints so back-to-back runs compare clean
-    (same rationale as tests/obs/test_observer_effect.py)."""
-    packet._uid_counter = itertools.count(1)
-    packet._tag_counter = itertools.count(1)
-    flowtable._entry_counter = itertools.count(1)
-    channel._channel_ids = itertools.count(1)
-    controller._group_ids = itertools.count(1)
-    controller._cookie_ids = itertools.count(0x4D49_0000)
-
-
 def _echo_run(faults=None, seed=7):
     """One seeded MIC echo h1 <-> h16; returns (trace reprs, end time, dep)."""
-    _reset_id_counters()
     dep = deploy_mic(seed=seed, faults=faults)
     server = dep.server("h16", 80)
     alice = dep.endpoint("h1")

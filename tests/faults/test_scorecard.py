@@ -1,28 +1,14 @@
 """The chaos driver end to end: scorecard fields, acceptance criteria, and
 seed determinism (same seed -> byte-identical scorecard JSON)."""
 
-import itertools
 import json
 
 import pytest
 
-from repro.core import channel, controller
 from repro.faults import format_scorecard, run_chaos, scorecard_json
-from repro.net import flowtable, packet
-
-
-def _reset_id_counters():
-    """Pin the process-global ID mints so back-to-back runs compare clean."""
-    packet._uid_counter = itertools.count(1)
-    packet._tag_counter = itertools.count(1)
-    flowtable._entry_counter = itertools.count(1)
-    channel._channel_ids = itertools.count(1)
-    controller._group_ids = itertools.count(1)
-    controller._cookie_ids = itertools.count(0x4D49_0000)
 
 
 def _chaos_json(seed):
-    _reset_id_counters()
     card, _dep = run_chaos(seed=seed)
     return scorecard_json(card)
 
@@ -30,7 +16,6 @@ def _chaos_json(seed):
 @pytest.fixture(scope="module")
 def chaos3():
     """One shared seed-3 chaos run (cards are pure data, safe to share)."""
-    _reset_id_counters()
     card, dep = run_chaos(seed=3)
     return card, dep
 

@@ -53,13 +53,6 @@ class TestIPv4:
         assert repr(a) == "IPv4Addr('10.0.0.1')"
         assert str(IPv4Addr(0x0A000002)) == "10.0.0.2"
 
-    def test_text_memo_survives_identity_counter_reset(self):
-        from repro.net.packet import reset_identity_counters
-
-        before = str(ip("192.168.7.9"))
-        reset_identity_counters()
-        assert str(ip("192.168.7.9")) is before == "192.168.7.9"
-
     @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
     @example(0)
     @example(0xFFFFFFFF)

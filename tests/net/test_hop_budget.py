@@ -18,7 +18,6 @@ from typing import Callable
 from packet_oracle import rebuild_copy
 
 from repro.net import FlowEntry, Match, Network, Output, Packet, SetField, ip, linear
-from repro.net.packet import reset_identity_counters
 
 SWITCHES = 8
 WARM_UP = 10
@@ -94,7 +93,6 @@ def test_a_packet_hop_stays_inside_its_frame_budget():
 
 def test_the_budget_is_not_met_by_dropping_a_record(monkeypatch):
     def burst_rows() -> list[tuple]:
-        reset_identity_counters()
         net, send = rewriting_chain()
         mark = len(net.trace._rows)
         send(50)

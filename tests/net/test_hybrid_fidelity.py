@@ -14,7 +14,7 @@ hybrid layer:
 import pytest
 
 from repro.bench import Testbed, open_tcp, run_process
-from repro.net import HybridEngine, fat_tree, reset_identity_counters
+from repro.net import HybridEngine, fat_tree
 from repro.workloads.iperf import measure_transfer
 
 NBYTES = 2_000_000
@@ -74,7 +74,6 @@ def _wired_testbed(topo, pairs, seed=0):
 
 def test_sample_rate_one_is_byte_identical_to_packet_engine():
     def run_scenario(attach_engine):
-        reset_identity_counters()
         bed = Testbed.create(seed=0)
         if attach_engine:
             eng = HybridEngine(bed.net, sample_rate=1.0)

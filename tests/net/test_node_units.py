@@ -46,14 +46,11 @@ class TestChannelName:
         assert fwd.name is fwd.name  # rendered once, not per read
 
     def test_equal_fabrics_name_their_channels_equally(self):
-        from repro.net.packet import reset_identity_counters
-
         first = [
             ch.name
             for link in Network(linear(3)).links
             for ch in (link.forward, link.reverse)
         ]
-        reset_identity_counters()
         second = [
             ch.name
             for link in Network(linear(3)).links

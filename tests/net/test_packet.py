@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from packet_oracle import rebuild_copy
 
-from repro.net import FlowEntry, FlowTable, Match, Output, Packet, PushMpls, SetField, ip, mac
-from repro.net import packet as packet_module
+from repro.net import (
+    FlowEntry, FlowTable, Match, Network, Output, Packet, PushMpls, SetField, ip, linear, mac,
+)
 from repro.net.packet import ETH_HEADER, IP_HEADER, MPLS_SHIM, TCP_HEADER, UDP_HEADER
 
 
@@ -51,13 +52,20 @@ def test_size_is_header_plus_payload(proto, mpls):
 
 
 def test_uids_unique():
-    assert make().uid != make().uid
+    """Every host of a deployment mints from one namespace; a packet no
+    deployment made has no identity."""
+    net = Network(linear(2, hosts_per_switch=1))
+    h1, h2 = net.host("h1"), net.host("h2")
+    made = [h1.make_packet(h2.ip), h2.make_packet(h1.ip), h1.make_packet(h2.ip)]
+    assert [p.uid for p in made] == [1, 2, 3]
+    assert [p.content_tag for p in made] == [1, 2, 3]
+    assert (make().uid, make().content_tag) == (0, 0)
 
 
-def test_copy_fresh_uid_same_content_tag():
-    p = make()
-    c = p.copy()
-    assert c.uid != p.uid
+def test_copy_with_a_uid_is_a_new_instance_with_the_same_content_tag():
+    p = make(uid=5, content_tag=6)
+    c = p.copy(7)
+    assert (c.uid, p.uid) == (7, 5)
     assert c.content_tag == p.content_tag
     assert c.ip_src == p.ip_src
 
@@ -79,7 +87,7 @@ def _every_field_distinct() -> Packet:
 def test_copy_equals_dataclasses_replace_field_for_field(fresh_identity):
     p = _every_field_distinct()
     reference = dataclasses.replace(p)
-    dup = p.copy(fresh_identity=fresh_identity)
+    dup = p.copy(99 if fresh_identity else None)
     assert dup is not p
     for f in dataclasses.fields(Packet):
         if f.name == "uid" and fresh_identity:
@@ -110,29 +118,30 @@ _field_values = dict(
 )
 
 
-def _outcome(build, p: Packet, fresh_identity: bool) -> tuple:
-    """What ``build`` returned or raised, and how many uids it drew."""
-    packet_module.reset_identity_counters()
+def _outcome(build, p: Packet, uid) -> object:
+    """What ``build`` returned or raised."""
     try:
-        result = build(p, fresh_identity)
+        return build(p, uid)
     except Exception as exc:  # noqa: BLE001 - compared by the caller, never swallowed
-        result = (type(exc), str(exc))
-    return result, packet_module.fresh_uid() - 1
+        return (type(exc), str(exc))
 
 
 @settings(max_examples=400, deadline=None)
-@given(values=st.fixed_dictionaries(_field_values), fresh_identity=st.booleans())
-def test_copy_equals_a_rebuild_through_the_constructor(values, fresh_identity):
+@given(
+    values=st.fixed_dictionaries(_field_values),
+    uid=st.one_of(st.none(), st.integers(0, 1 << 40)),
+)
+def test_copy_equals_a_rebuild_through_the_constructor(values, uid):
     assert set(values) == {f.name for f in dataclasses.fields(Packet)}
     p = make()
     for name, value in values.items():
         setattr(p, name, value)
-    dup, drawn = _outcome(Packet.copy, p, fresh_identity)
+    dup = _outcome(Packet.copy, p, uid)
     # dataclass equality over all 14 fields, or the same (type, message)
-    assert (dup, drawn) == _outcome(rebuild_copy, p, fresh_identity)
+    assert dup == _outcome(rebuild_copy, p, uid)
     if isinstance(dup, Packet):
         assert dup is not p and dup.payload is p.payload
-        assert (dup.uid, drawn) == ((1, 1) if fresh_identity else (p.uid, 0))
+        assert dup.uid == (p.uid if uid is None else uid)
 
 
 def test_copy_stores_every_dataclass_field():
@@ -156,14 +165,26 @@ def test_copy_stores_every_dataclass_field():
 
 
 def test_copy_keeps_the_uid_unless_a_fresh_identity_is_asked_for():
-    p = make()
-    next_uid = make().uid + 1
-    kept = p.copy(fresh_identity=False)
-    assert kept.uid == p.uid
-    fresh = p.copy()
-    assert fresh.uid == next_uid  # drew exactly one uid, after construction
-    assert make().uid == next_uid + 1
-    assert kept.content_tag == fresh.content_tag == p.content_tag
+    p = make(uid=3, content_tag=4)
+    kept = p.copy()
+    assert kept.uid == 3
+    fresh = p.copy(0)  # the caller's uid is taken as given, even a falsy one
+    assert fresh.uid == 0
+    assert kept.content_tag == fresh.content_tag == 4
+
+
+def test_a_table_mints_multicast_copies_from_its_own_namespace():
+    """The first emission keeps the packet's uid, every further one draws
+    from the namespace the table was given — a bare table's is its own."""
+    def uids(table):
+        table.install(FlowEntry(Match(), [Output(1), Output(2), Output(3)]))
+        emissions, _punt, _entry = table.apply(make(uid=40), 1)
+        return [pkt.uid for _port, pkt in emissions]
+
+    assert uids(FlowTable()) == uids(FlowTable()) == [40, 1, 2]
+    net = Network(linear(1, hosts_per_switch=2))
+    net.host("h1").make_packet(net.host("h2").ip)  # draws uid 1 of the fabric's
+    assert uids(net.switch("s1").table) == [40, 2, 3]
 
 
 @pytest.mark.parametrize(
@@ -178,7 +199,7 @@ def test_copy_rejects_a_header_rewritten_out_of_range(field, value):
     with pytest.raises(ValueError, match="out of range"):
         p.copy()
     with pytest.raises(ValueError, match="out of range"):
-        p.copy(fresh_identity=False)
+        p.copy(11)
 
 
 @pytest.mark.parametrize(

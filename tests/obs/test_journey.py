@@ -8,12 +8,11 @@ the RNG.
 """
 
 import gc
-import itertools
 import json
 
 import pytest
 
-from repro.core import channel, controller, deploy_mic
+from repro.core import deploy_mic
 from repro.net import (
     FlowEntry,
     Group,
@@ -22,9 +21,7 @@ from repro.net import (
     Network,
     Output,
     SetField,
-    flowtable,
     linear,
-    packet,
 )
 from repro.obs import (
     JOURNEY_EVENTS,
@@ -41,22 +38,12 @@ from tests.recording_scenario import GOLDEN, read_back, run_scenario
 MESSAGE = b"z" * 200
 
 
-def _reset_id_counters():
-    packet._uid_counter = itertools.count(1)
-    packet._tag_counter = itertools.count(1)
-    flowtable._entry_counter = itertools.count(1)
-    channel._channel_ids = itertools.count(1)
-    controller._group_ids = itertools.count(1)
-    controller._cookie_ids = itertools.count(0x4D49_0000)
-
-
 def _addr_tuple(a):
     return (str(a.src_ip), str(a.dst_ip), a.sport, a.dport, a.mpls)
 
 
 def _mic_echo(journey_kwargs=None, decoys=0, seed=13):
     """A journey-traced MIC echo h1 <-> h16; intent armed mid-run."""
-    _reset_id_counters()
     dep = deploy_mic(seed=seed, journey=True, journey_kwargs=journey_kwargs)
     server = dep.server("h16", 80)
     alice = dep.endpoint("h1")
@@ -214,7 +201,6 @@ def test_predicate_selects_flows():
 
 
 def test_hash_sampling_is_deterministic_and_rng_free():
-    _reset_id_counters()
     net = Network(linear(2, hosts_per_switch=1), seed=9)
     rec = JourneyRecorder.attach(net, sample_rate=0.5)
     h1, h2 = net.host("h1"), net.host("h2")
@@ -247,7 +233,6 @@ def test_bad_sample_rate_rejected():
 
 def _scripted_chain(seed=4):
     """linear(3) with a rewrite at s2 and a decoy branch toward h2."""
-    _reset_id_counters()
     net = Network(linear(3, hosts_per_switch=1), seed=seed)
     h1, h2, h3 = net.host("h1"), net.host("h2"), net.host("h3")
     net.switch("s1").table.install(
@@ -437,7 +422,6 @@ def test_recorded_history_adds_no_collector_tracked_objects():
     flight recorder, 1,000 forwarded packets leave behind fewer than 0.1
     GC-tracked objects per recorded event (the eager journey and trace
     stores left 22,990 behind this same run, for good)."""
-    _reset_id_counters()
     net = Network(linear(3, hosts_per_switch=1), seed=4)
     h1, h3 = net.host("h1"), net.host("h3")
     for a, b in (("s1", "s2"), ("s2", "s3"), ("s3", "h3")):

@@ -7,26 +7,9 @@ periodic timeline sampling on top) and require the full trace logs to
 serialize identically.
 """
 
-import itertools
-
-from repro.core import channel, controller, deploy_mic
-from repro.net import flowtable, packet
+from repro.core import deploy_mic
 
 MESSAGE = b"m" * 300
-
-
-def _reset_id_counters():
-    """Pin the process-global ID mints (packet uids, content tags, entry,
-    channel, group and cookie IDs) to fixed bases.  They are cosmetic
-    labels, but they appear in trace reprs; without pinning, back-to-back
-    runs would differ by counter offsets and mask a real observer effect.
-    """
-    packet._uid_counter = itertools.count(1)
-    packet._tag_counter = itertools.count(1)
-    flowtable._entry_counter = itertools.count(1)
-    channel._channel_ids = itertools.count(1)
-    controller._group_ids = itertools.count(1)
-    controller._cookie_ids = itertools.count(0x4D49_0000)
 
 
 def _echo_run(
@@ -36,7 +19,6 @@ def _echo_run(
     journey_kwargs: dict = None,
 ):
     """One seeded MIC echo h1 <-> h16; returns (trace reprs, final sim time)."""
-    _reset_id_counters()
     dep = deploy_mic(
         seed=seed,
         observe=observe,

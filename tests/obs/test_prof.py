@@ -19,9 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.sanitizer import SimSanitizer
-from repro.core import channel, controller
 from repro.faults import run_chaos, scorecard_json
-from repro.net import FlowEntry, Match, Network, Output, flowtable, linear, packet
+from repro.net import FlowEntry, Match, Network, Output, linear
 from repro.obs import (
     PROF_SUBSYSTEMS,
     MetricsSnapshot,
@@ -141,19 +140,8 @@ def test_sample_every_validation():
 # ---------------------------------------------------------------------------
 # no side effects: byte-identity and determinism
 # ---------------------------------------------------------------------------
-def _reset_id_counters():
-    """Pin process-global ID mints so back-to-back runs compare."""
-    packet._uid_counter = itertools.count(1)
-    packet._tag_counter = itertools.count(1)
-    flowtable._entry_counter = itertools.count(1)
-    channel._channel_ids = itertools.count(1)
-    controller._group_ids = itertools.count(1)
-    controller._cookie_ids = itertools.count(0x4D49_0000)
-
-
 def _burst_run(profiled: bool):
     """A seeded 3-switch burst; returns (trace reprs, final time, profiler)."""
-    _reset_id_counters()
     net = Network(linear(3, hosts_per_switch=1), seed=11)
     h1, h3 = net.host("h1"), net.host("h3")
     for sw, out in (("s1", ("s1", "s2")), ("s2", ("s2", "s3")),
@@ -193,13 +181,10 @@ def test_profiled_run_is_byte_identical():
 @pytest.fixture(scope="module")
 def chaos_trio():
     """Three identical seeded chaos runs: profiled x2, profiled+sanitized."""
-    _reset_id_counters()
     prof_a = Profiler(sample_every=500)
     card_a, _ = run_chaos(seed=0, profiler=prof_a)
-    _reset_id_counters()
     prof_b = Profiler(sample_every=500)
     card_b, _ = run_chaos(seed=0, profiler=prof_b)
-    _reset_id_counters()
     san = SimSanitizer()
     prof_c = Profiler(sample_every=500)
     card_c, _ = run_chaos(seed=0, profiler=prof_c, sanitizer=san)
@@ -229,7 +214,6 @@ def test_sanitized_chaos_run_stays_clean_with_profiling(chaos_trio):
 # snapshot / exporter / CLI / perfetto surfaces
 # ---------------------------------------------------------------------------
 def _observed_profiled_snapshot():
-    _reset_id_counters()
     net = Network(linear(2, hosts_per_switch=1), seed=3)
     h1, h2 = net.host("h1"), net.host("h2")
     net.switch("s1").table.install(

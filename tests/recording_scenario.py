@@ -30,7 +30,6 @@ from repro.net import (
     linear,
 )
 from repro.obs import FlightRecorder, JourneyRecorder, journeys_to_json
-from tests.anonymity.helpers import reset_id_counters
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "recording_golden.json"
 
@@ -40,7 +39,6 @@ QUEUE_BYTES = 4096
 
 def run_scenario():
     """Run the script; returns ``(net, recorder, flight)``."""
-    reset_id_counters()  # uids, content tags and entry ids are recorded
     params = dataclasses.replace(DEFAULT_PARAMS, link_queue_bytes=QUEUE_BYTES)
     net = Network(linear(3, hosts_per_switch=1), params=params, seed=4)
     h1, h2, h3 = net.host("h1"), net.host("h2"), net.host("h3")

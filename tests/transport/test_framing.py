@@ -1,5 +1,8 @@
 """Unit tests for message framing over the TCP byte stream."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.net import Network, linear
@@ -109,3 +112,44 @@ def test_negative_size_rejected():
     tx, rx = connect(net, client, server)
     with pytest.raises(ValueError):
         tx.send("x", wire_size=-1)
+
+
+class _Message:
+    """A payload object a weak reference can watch."""
+
+
+def test_a_frame_never_claimed_dies_with_its_deployment():
+    """A frame registered by ``send`` and still in flight when the run stops
+    belongs to that deployment: dropping the deployment frees the message
+    (a process-wide registry pinned it for the life of the process)."""
+    net, client, server = build()
+    tx, rx = connect(net, client, server)
+    message = _Message()
+    tx.send(message, wire_size=200_000)
+    net.run(until=net.sim.now + 1e-4)  # stopped with bytes in flight
+    assert list(net.sim.frames_in_flight.values()) == [message]
+    watch = weakref.ref(message)
+    del message, net, client, server, tx, rx
+    gc.collect()
+    assert watch() is None
+
+
+def test_two_deployments_frames_do_not_meet():
+    """Both deployments number their first frame 1; each receiver claims its
+    own sender's object."""
+    got = {}
+    runs = []
+    for label in ("a", "b"):
+        net, client, server = build()
+        tx, rx = connect(net, client, server)
+
+        def receiver(rx=rx, label=label):
+            got[label], _size = yield from rx.recv()
+
+        net.sim.process(receiver())
+        tx.send(("from", label), wire_size=64)
+        runs.append(net)
+    for net in reversed(runs):
+        net.run(until=2.0)
+    assert got == {"a": ("from", "a"), "b": ("from", "b")}
+    assert all(not net.sim.frames_in_flight for net in runs)
