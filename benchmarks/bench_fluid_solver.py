@@ -14,14 +14,25 @@ hybrid scale benchmarks), measured two ways:
 
 Both perform the same float operations in the same order: the rates must be
 equal bit for bit and the number of filling rounds the same, which is checked
-on every timed solve.  The acceptance bar is >=2.5x on both sizes.  Run
-directly (``python benchmarks/bench_fluid_solver.py``) or through pytest; both
-write ``benchmarks/results/fluid_solver_microbench.json``.
+on every timed solve.  The acceptance bar is >=2.5x on both sizes.
+
+The second measurement is the hybrid engine's epoch around the solve: 4,000
+1 MB transfers on ``fat_tree(16)``, all started at once and run to
+quiescence, once through :class:`repro.net.HybridEngine` (one vector pass per
+phase over rows aligned with the solver) and once through the dict-based
+epoch it replaced (``tests/net/hybrid_oracle.py``).  It times the measure,
+solve, publish and advance phases of both and asserts that the two leave
+equal rates, published loads, per-flow progress, finish instants and
+counters after every epoch.  The bar is >=2x on the phases around the solve.
+
+Run directly (``python benchmarks/bench_fluid_solver.py``) or through
+pytest; both write ``benchmarks/results/fluid_solver_microbench.json``.
 """
 
 import json
 import os
 import pathlib
+import random
 import statistics
 import sys
 import time
@@ -29,8 +40,10 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests" / "net"))
 
 from fluid_oracle import ecmp_instance, full_scan_solve  # noqa: E402
+from hybrid_oracle import OracleEngine  # noqa: E402
 
-from repro.net import FluidSolver  # noqa: E402
+from repro.bench import fat_tree_path  # noqa: E402
+from repro.net import FluidSolver, HybridEngine, Network, fat_tree  # noqa: E402
 
 RESULTS = pathlib.Path(__file__).parent / "results"
 QUICK = bool(os.environ.get("BENCH_QUICK"))
@@ -38,6 +51,9 @@ QUICK = bool(os.environ.get("BENCH_QUICK"))
 K = 16
 SIZES = (4_000, 10_000)
 REPEATS = 3 if QUICK else 7
+EPOCH_FLOWS = 4_000
+EPOCH_REPEATS = 1 if QUICK else 3
+PHASES = ("measure", "solve", "publish", "advance")
 
 
 def _filled(caps, flows) -> FluidSolver:
@@ -84,9 +100,91 @@ def measure(n_flows: int, repeats: int = REPEATS) -> dict:
     }
 
 
+class _TimedEpochs:
+    """One engine on a fresh fabric: phase timers and per-epoch snapshots."""
+
+    def __init__(self, engine_cls):
+        net = Network(fat_tree(K))
+        self.eng = eng = engine_cls(net, epoch_s=0.010)
+        self.channels = [ch for link in net.links for ch in (link.forward, link.reverse)]
+        self.seconds = dict.fromkeys(PHASES, 0.0)
+        self.snapshots: list = []
+        for name in ("measure", "publish", "advance"):
+            setattr(eng, f"_{name}_phase", self._timed(name, getattr(eng, f"_{name}_phase")))
+        eng.solver._resolve = self._timed("solve", eng.solver._resolve)
+        tick = eng._ticker.fn
+
+        def recorded() -> None:
+            tick()
+            self.snapshots.append(self._snapshot())
+
+        eng._ticker.fn = recorded
+        hosts = net.topo.hosts()
+        rng = random.Random(EPOCH_FLOWS)
+        self.handles = []
+        for i in range(EPOCH_FLOWS):
+            src, dst = rng.sample(hosts, 2)
+            fid = f"ch-{i}"
+            self.handles.append(
+                eng.start_flow(fat_tree_path(K, src, dst, fid), 1_000_000, flow_id=fid)
+            )
+        net.run()
+        # the solve runs inside the publish phase
+        self.seconds["publish"] -= self.seconds["solve"]
+
+    def _timed(self, phase: str, fn):
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                self.seconds[phase] += time.perf_counter() - t0
+
+        return timed
+
+    def _snapshot(self):
+        eng = self.eng
+        return (
+            dict(eng.solver._rates),
+            [ch.fluid_load_bps for ch in self.channels],
+            [(fc.advanced_bytes, fc.finished_s) for fc in self.handles],
+            eng.bytes_advanced,
+            eng.debited_bytes,
+            eng.solver.rounds,
+        )
+
+
+def measure_epochs(repeats: int = EPOCH_REPEATS) -> dict:
+    """Median seconds per epoch phase, array engine against the dict epoch."""
+    timings: dict[str, list[dict]] = {"engine": [], "oracle": []}
+    for _ in range(repeats):
+        runs = {"engine": _TimedEpochs(HybridEngine), "oracle": _TimedEpochs(OracleEngine)}
+        engine, oracle = runs["engine"], runs["oracle"]
+        assert len(engine.snapshots) == len(oracle.snapshots)
+        for epoch, (got, want) in enumerate(zip(engine.snapshots, oracle.snapshots)):
+            assert got == want, f"engine and dict epoch differ after epoch {epoch + 1}"
+        for side, timed in runs.items():
+            timings[side].append(timed.seconds)
+    row = {
+        "flows": EPOCH_FLOWS,
+        "epochs": len(engine.snapshots),
+        "rounds": engine.eng.solver.rounds,
+        "link_rows_swept": engine.eng.solver.link_rows_swept,
+        "repeats": repeats,
+    }
+    for side, samples in timings.items():
+        for phase in PHASES:
+            row[f"{side}_{phase}_s"] = statistics.median(s[phase] for s in samples)
+    around = ("measure", "publish", "advance")
+    row["speedup_around_solve"] = sum(row[f"oracle_{p}_s"] for p in around) / sum(
+        row[f"engine_{p}_s"] for p in around
+    )
+    return row
+
+
 def run() -> dict:
-    """Both sizes on ``fat_tree(16)``."""
-    return {"k": K, "solves": [measure(n) for n in SIZES]}
+    """Both sizes on ``fat_tree(16)``, then the epoch phases around the solve."""
+    return {"k": K, "solves": [measure(n) for n in SIZES], "epochs": measure_epochs()}
 
 
 def _save(result: dict) -> pathlib.Path:
@@ -110,8 +208,19 @@ def test_incremental_fill_at_least_2_5x_the_full_scan():
             f" ({row['us_per_round_incremental']:.0f}us/round, {row['speedup']:.1f}x;"
             f" {row['incremental_kept_incidence_s'] * 1e3:.1f}ms on kept incidence)"
         )
+    row = result["epochs"]
+    print(
+        f"hybrid epoch, fat_tree({K}), {row['flows']} flows, {row['epochs']} epochs,"
+        f" {row['rounds']} rounds: "
+        + "  ".join(
+            f"{p} {row[f'oracle_{p}_s'] * 1e3:.1f} -> {row[f'engine_{p}_s'] * 1e3:.1f}ms"
+            for p in PHASES
+        )
+        + f"  ({row['speedup_around_solve']:.1f}x around the solve)"
+    )
     for row in result["solves"]:
         assert row["speedup"] >= 2.5, row
+    assert result["epochs"]["speedup_around_solve"] >= 2.0, result["epochs"]
 
 
 if __name__ == "__main__":

@@ -159,21 +159,23 @@ def max_min_fair(
 class _Incidence(NamedTuple):
     """Flow×link incidence of the current flow set, as flat arrays.
 
-    Rebuilt only after flow churn or a new link; capacity and external-load
-    changes reuse it.  Flows are numbered in registration order, physical
-    links by their row in the solver's link table, and each rate-capped
-    flow's virtual single-user cap link follows at ``n_phys + j``.
+    Rebuilt only after a flow is added or a link registered; removing flows
+    masks their entries out (:func:`_drop_flows`), and capacity and
+    external-load changes reuse it.  Flows are numbered in registration
+    order, physical links by their row in the solver's link table, and each
+    rate-capped flow's virtual single-user cap link follows at
+    ``n_phys + j``.
     """
 
     n_phys: int
+    #: the flow ids numbered, in registration order
+    flow_ids: list
     #: physical link rows, flow-major, and how many each flow has: the
     #: summation order of link loads
     link_of: np.ndarray
     lens: np.ndarray
-    #: flow -> its link rows (cap link included), CSR
-    f_ptr: np.ndarray
-    f_links: np.ndarray
-    #: link -> the flows on it, CSR (a flow listing a link twice is there twice)
+    #: link -> the flows on it, CSR (a flow listing a link twice is there
+    #: twice; a cap link lists its one flow)
     l_ptr: np.ndarray
     l_flows: np.ndarray
     #: entries per link, i.e. the user count while every flow is active
@@ -181,15 +183,38 @@ class _Incidence(NamedTuple):
     #: capacities of the virtual cap links
     cap_rates: np.ndarray
 
+    def capped_flows(self) -> np.ndarray:
+        """The flow of each cap link, in cap-link order."""
+        return self.l_flows[self.l_ptr[self.n_phys:-1]]
 
-def _csr_rows(ptr: np.ndarray, data: np.ndarray, which: np.ndarray) -> np.ndarray:
-    """Rows ``which`` of the CSR matrix ``(ptr, data)``, concatenated."""
-    starts = ptr[which]
-    if len(which) == 1:
-        return data[starts[0]:ptr[which[0] + 1]]
-    lens = ptr[which + 1] - starts
-    ends = np.cumsum(lens)
-    return data[np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)]
+
+def _drop_flows(inc: _Incidence, keep: np.ndarray, flow_ids: list) -> _Incidence:
+    """``inc`` without the flows ``keep`` is False for, renumbered.
+
+    Masking keeps every surviving entry in its relative order — flow-major
+    for the link rows, link-major for the link -> flows lists — which is the
+    order a rebuild over the surviving flows produces; cap links keep their
+    relative order too and close ranks behind the physical rows.
+    """
+    n_phys = inc.n_phys
+    cap_keep = keep[inc.capped_flows()]
+    link_of = inc.link_of[np.repeat(keep, inc.lens)]
+    users = np.concatenate((
+        np.bincount(link_of, minlength=n_phys),
+        np.ones(int(cap_keep.sum()), dtype=np.int64),
+    ))
+    l_flows = inc.l_flows[keep[inc.l_flows]]
+    np.take(np.cumsum(keep) - 1, l_flows, out=l_flows)
+    return _Incidence(
+        n_phys=n_phys,
+        flow_ids=flow_ids,
+        link_of=link_of,
+        lens=inc.lens[keep],
+        l_ptr=np.concatenate(([0], np.cumsum(users))),
+        l_flows=l_flows,
+        users=users.astype(np.float64),
+        cap_rates=inc.cap_rates[cap_keep],
+    )
 
 
 class FluidSolver:
@@ -209,11 +234,12 @@ class FluidSolver:
 
     Link names are resolved to rows of the capacity / external-load arrays
     once, in :meth:`add_flow` — a flow is stored as its tuple of rows — and
-    the flow×link incidence is kept between solves.  A filling round then
-    works on per-link arrays only: the water ``level`` every still-active
-    flow sits at is one scalar, each link keeps a count of its active users,
-    and freezing a flow decrements the counts along that flow's own row.  A
-    link whose last user froze is parked and never constrains a later round.
+    the flow×link incidence is kept between solves (removals mask it).  A
+    filling round then works on per-link arrays only: the water ``level``
+    every still-active flow sits at is one scalar, each link keeps a count
+    of its active users, and freezing a flow decrements the counts along
+    that flow's own row.  A link whose last user froze is parked, and parked
+    links are compacted out of the arrays the rounds sweep.
 
     Instances below ``_VECTOR_MIN_FLOWS`` flows go through
     :func:`max_min_fair` instead.  The two are deliberately not folded into
@@ -225,6 +251,8 @@ class FluidSolver:
 
     #: below this many flows the array loop costs more than it saves
     _VECTOR_MIN_FLOWS = 32
+    #: compact parked links out of the swept arrays past this share of them
+    _COMPACT_SHARE = 0.125
 
     def __init__(self, capacities_bps: Optional[dict[LinkId, float]] = None):
         #: link id -> row of the per-link arrays (registration order)
@@ -243,6 +271,9 @@ class FluidSolver:
         #: filling rounds of the array loop, summed over solves: the work
         #: counter that explains solve time (obs counter)
         self.rounds = 0
+        #: link rows the filling rounds swept, summed over rounds and solves
+        #: (live links plus parked ones awaiting compaction; obs counter)
+        self.link_rows_swept = 0
         #: opt-in self-profiler (repro.obs.prof.Profiler); None = off and
         #: the solve hook in rates() is statically dead.
         self._prof = None
@@ -312,11 +343,20 @@ class FluidSolver:
 
     def remove_flow(self, flow_id: str) -> None:
         """Remove one flow; dirties the allocation."""
-        del self._flows[flow_id]
-        self._rate_caps.pop(flow_id, None)
-        self._rates.pop(flow_id, None)
-        self._incidence = None
+        self.remove_flows((flow_id,))
+
+    def remove_flows(self, flow_ids: Iterable[str]) -> None:
+        """Remove several flows at once; dirties the allocation.
+
+        The incidence is not rebuilt: the next solve masks the removed
+        flows' entries out of it.
+        """
         self._dirty = True
+        flows, caps, rates = self._flows, self._rate_caps, self._rates
+        for flow_id in flow_ids:
+            del flows[flow_id]
+            caps.pop(flow_id, None)
+            rates.pop(flow_id, None)
 
     def __contains__(self, flow_id: str) -> bool:
         return flow_id in self._flows
@@ -334,6 +374,10 @@ class FluidSolver:
         ids = list(self._link_row)
         return [ids[row] for row in self._flows[flow_id]]
 
+    def flow_rows(self, flow_id: str) -> tuple[int, ...]:
+        """The rows (link registration indices) one registered flow traverses."""
+        return self._flows[flow_id]
+
     # -- solving ----------------------------------------------------------
     def _effective_array(self) -> np.ndarray:
         return np.maximum(np.frombuffer(self._cap) - np.frombuffer(self._ext), 0.0)
@@ -349,7 +393,7 @@ class FluidSolver:
                 self._resolve()
             else:
                 n_flows = len(self._flows)
-                rounds_before = self.rounds
+                rounds_before, swept_before = self.rounds, self.link_rows_swept
                 prof.enter("fluid.solve")
                 try:
                     vectorized = self._resolve()
@@ -361,6 +405,11 @@ class FluidSolver:
                 )
                 prof.count("fluid.solve", "flows.solved", n_flows)
                 prof.count("fluid.solve", "rounds", self.rounds - rounds_before)
+                prof.count(
+                    "fluid.solve",
+                    "link_rows.swept",
+                    self.link_rows_swept - swept_before,
+                )
         return self._rates
 
     def _resolve(self) -> bool:
@@ -387,6 +436,23 @@ class FluidSolver:
 
     def link_fluid_load_bps(self) -> dict[LinkId, float]:
         """Aggregate fluid load per physical link under the current rates."""
+        load, link_of = self._link_load()
+        loaded = np.flatnonzero(np.bincount(link_of, minlength=len(load)))
+        ids = list(self._link_row)
+        return {
+            ids[i]: v for i, v in zip(loaded.tolist(), load[loaded].tolist())
+        }
+
+    def link_load_array(self) -> np.ndarray:
+        """Fluid load of every physical link, by row in registration order.
+
+        The values of :meth:`link_fluid_load_bps`, with 0.0 for links no
+        finite-rate flow loads.
+        """
+        return self._link_load()[0]
+
+    def _link_load(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row load and the link rows of the finite-rate entries."""
         rates = self.rates()
         inc = self._incidence_arrays()
         rate_of = np.fromiter(
@@ -398,12 +464,7 @@ class FluidSolver:
             link_of, weight = link_of[finite], weight[finite]
         # bincount adds in entry order, which is flow-major: each link sums
         # its flows' rates in registration order
-        load = np.bincount(link_of, weights=weight, minlength=inc.n_phys)
-        loaded = np.flatnonzero(np.bincount(link_of, minlength=inc.n_phys))
-        ids = list(self._link_row)
-        return {
-            ids[i]: v for i, v in zip(loaded.tolist(), load[loaded].tolist())
-        }
+        return np.bincount(link_of, weights=weight, minlength=inc.n_phys), link_of
 
     def allocation(self) -> FluidAllocation:
         """The current allocation as a :class:`FluidAllocation` view."""
@@ -415,9 +476,17 @@ class FluidSolver:
 
     # -- vectorized water filling -----------------------------------------
     def _incidence_arrays(self) -> _Incidence:
-        """The flow×link incidence, rebuilt only after flow or link churn."""
+        """The flow×link incidence, rebuilt only after flow adds or a new link."""
         inc = self._incidence
         if inc is not None:
+            if len(inc.flow_ids) != len(self._flows):
+                # only removals since the build (an add drops the incidence)
+                keep = np.fromiter(
+                    map(self._flows.__contains__, inc.flow_ids),
+                    dtype=bool,
+                    count=len(inc.flow_ids),
+                )
+                inc = self._incidence = _drop_flows(inc, keep, list(self._flows))
             return inc
         n_phys, n_flows = len(self._cap), len(self._flows)
         rows = self._flows.values()
@@ -434,18 +503,14 @@ class FluidSolver:
             all_link = np.concatenate(
                 (link_of, np.arange(n_phys, n_phys + len(capped), dtype=np.intp))
             )
-            f_links = all_link[np.argsort(all_flow, kind="stable")]
         else:
-            all_flow, all_link, f_links = flow_of, link_of, link_of
+            all_flow, all_link = flow_of, link_of
         users = np.bincount(all_link, minlength=n_phys + len(capped))
         inc = self._incidence = _Incidence(
             n_phys=n_phys,
+            flow_ids=list(self._flows),
             link_of=link_of,
             lens=lens,
-            f_ptr=np.concatenate(
-                ([0], np.cumsum(np.bincount(all_flow, minlength=n_flows)))
-            ),
-            f_links=f_links,
             l_ptr=np.concatenate(([0], np.cumsum(users))),
             l_flows=all_flow[np.argsort(all_link, kind="stable")],
             users=users.astype(np.float64),
@@ -459,64 +524,102 @@ class FluidSolver:
         Every active flow has received every share so far, so its rate is
         the running ``level`` and a frozen flow's is the level it froze at —
         the same additions in the same order as raising each rate by each
-        share.  ``users`` (active entries per link) is decremented along the
-        rows of the flows a round freezes, duplicates accumulating.
+        share.  ``count`` (active entries per link) is decremented along the
+        links of the flows a round freezes, duplicates accumulating.
+
+        The rounds sweep only the links some flow uses: ``live`` holds their
+        rows in ascending order and ``remaining`` / ``sat_floor`` / ``count``
+        are aligned with it (``pos`` maps a row back to its place).  A link
+        whose last user froze is parked in place, then compacted out once
+        parked links are ``_COMPACT_SHARE`` of the swept rows.  A parked
+        link never gives the minimum share and never reads as saturated, so
+        each round's share and frozen set are those of a sweep over every
+        row; after a round whose share is inf, every live link holds nan and
+        the minimum is nan either way.
+
+        A round's share is a few vector passes; the flows it freezes are a
+        handful, so they are found and released through Python lists (the
+        flows of each saturated link, each frozen flow's own link rows).
+        Which flows freeze, not the order they are found in, decides every
+        value: levels are assigned, counts are whole numbers.
         """
         inc = self._incidence_arrays()
-        f_ptr, f_links, l_ptr, l_flows = inc.f_ptr, inc.f_links, inc.l_ptr, inc.l_flows
+        l_ptr, l_flows = inc.l_ptr.tolist(), inc.l_flows
         inf = float("inf")
-        remaining = np.concatenate((self._effective_array(), inc.cap_rates))
+        live = inc.users.nonzero()[0]
+        remaining = np.concatenate((self._effective_array(), inc.cap_rates))[live]
         # Relative saturation tolerance (reference uses absolute 1e-9; at
         # gigabit capacities float error alone exceeds that).
         sat_floor = np.maximum(remaining * 1e-9, 1e-9)
-        users = inc.users.copy()
+        count = inc.users[live]
+        pos = np.empty(len(inc.users), dtype=np.intp)
+        pos[live] = np.arange(len(live))
         share_of = np.empty_like(remaining)  # per-round scratch
         saturated = np.empty(len(remaining), dtype=bool)
-
-        def park(links: np.ndarray) -> None:
-            # A link nobody active uses: one phantom user of infinite
-            # capacity offers share inf (never the minimum) and cannot read
-            # as saturated, whatever its cap — an inf cap's floor is inf.
-            users[links] = 1.0
-            remaining[links] = inf
-            sat_floor[links] = -inf
-
-        park((users == 0.0).nonzero()[0])
+        parked = 0
+        # a frozen flow releases its physical rows and its cap link's row
+        rows_of = list(self._flows.values())
+        capped = inc.capped_flows()
+        cap_row = dict(zip(capped.tolist(), range(inc.n_phys, len(inc.users))))
         # Pathless flows are unconstrained (inf), mirroring the reference.
-        active = f_ptr[1:] > f_ptr[:-1]
-        rates = np.where(active, 0.0, inf)
-        n_active = int(active.sum())
+        has_links = inc.lens > 0
+        has_links[capped] = True
+        rates = np.where(has_links, 0.0, inf)
+        active = has_links.tolist()
+        n_active = int(has_links.sum())
         level = 0.0
-        flow_ids: Optional[list[str]] = None
-        rounds = 0
+        rounds = swept = 0
         while n_active:
             rounds += 1
-            np.divide(remaining, users, out=share_of)
-            share = max(float(share_of.min()), 0.0)
+            swept += len(remaining)
+            np.divide(remaining, count, out=share_of)
+            share = max(float(np.minimum.reduce(share_of)), 0.0)
             level += share
-            np.multiply(users, share, out=share_of)
+            np.multiply(count, share, out=share_of)
             np.subtract(remaining, share_of, out=remaining)
             np.less_equal(remaining, sat_floor, out=saturated)
-            hit = saturated.nonzero()[0]
-            on_hit = _csr_rows(l_ptr, l_flows, hit) if len(hit) else hit
-            # twice on one link, or on two links of this round: once
-            # (not np.unique: its first call imports numpy.ma, ~1 MB)
-            frozen = np.fromiter(
-                set(on_hit[active[on_hit]].tolist()), dtype=np.intp
-            )
-            if not len(frozen):
+            # every active flow on a saturated link, once
+            frozen = []
+            for row in live[saturated.nonzero()[0]].tolist():
+                for flow in l_flows[l_ptr[row]:l_ptr[row + 1]].tolist():
+                    if active[flow]:
+                        active[flow] = False
+                        frozen.append(flow)
+            if not frozen:
                 # Numerical safety, as in the reference: freeze the
                 # lexicographically-first active flow.
-                if flow_ids is None:
-                    flow_ids = list(self._flows)
-                frozen = np.array(
-                    [min(active.nonzero()[0].tolist(), key=flow_ids.__getitem__)]
+                flow = min(
+                    (i for i, on in enumerate(active) if on),
+                    key=inc.flow_ids.__getitem__,
                 )
-            active[frozen] = False
+                active[flow] = False
+                frozen.append(flow)
             rates[frozen] = level
             n_active -= len(frozen)
-            freed = _csr_rows(f_ptr, f_links, frozen)
-            np.subtract.at(users, freed, 1.0)
-            park(freed[users[freed] == 0.0])
+            freed = [row for flow in frozen for row in rows_of[flow]]
+            if cap_row:
+                freed += [cap_row[flow] for flow in frozen if flow in cap_row]
+            # a frozen flow's links are live, not parked: pos is current
+            at = pos[freed]
+            np.subtract.at(count, at, 1.0)
+            gone = at[count[at] == 0.0]
+            if not len(gone):
+                continue
+            # Park: one phantom user of infinite capacity offers share inf
+            # and cannot read as saturated, whatever its cap — an inf cap's
+            # floor is inf.
+            count[gone] = 1.0
+            remaining[gone] = inf
+            sat_floor[gone] = -inf
+            parked += len(set(gone.tolist()))
+            if parked > self._COMPACT_SHARE * len(remaining):
+                keep = sat_floor != -inf
+                live, remaining, sat_floor, count = (
+                    live[keep], remaining[keep], sat_floor[keep], count[keep]
+                )
+                pos[live] = np.arange(len(live))
+                share_of, saturated = share_of[: len(live)], saturated[: len(live)]
+                parked = 0
         self.rounds += rounds
+        self.link_rows_swept += swept
         return dict(zip(self._flows, rates.tolist()))

@@ -30,7 +30,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+
+import numpy as np
 
 from ..sim import Event, Periodic, SimulationError
 from .fluid import FluidSolver
@@ -56,6 +60,10 @@ __all__ = [
 #: their rates are comparable with packet-level link counters; goodput is
 #: reported through this factor.
 WIRE_EFFICIENCY = 1460.0 / 1514.0
+
+_BYTES = attrgetter("bytes")
+_WIRE_BYTES = attrgetter("wire_bytes")
+_STARTED_S = attrgetter("started_s")
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +117,10 @@ HANDOFF_CONTRACT: tuple[HandoffInvariant, ...] = (
     HandoffInvariant(
         "interpolated-finish",
         "A fluid flow finishing mid-epoch gets its finish time interpolated "
-        "from its last allocated rate, not rounded to the epoch edge; its "
-        "`done` event fires at the tick that observes completion.",
+        "from its last allocated rate, not rounded to the epoch edge — from "
+        "the epoch's start, or from its own start if it began mid-epoch, so "
+        "it never finishes before it starts; its `done` event fires at the "
+        "tick that observes completion.",
     ),
     HandoffInvariant(
         "no-fluid-no-op",
@@ -197,6 +207,9 @@ class FluidTransfer:
     against the allocated link rate so fluid and packet link counters are
     commensurable.  ``done`` is a sim :class:`~repro.sim.Event` succeeding
     with this handle when the transfer completes.
+
+    While the transfer is live its progress lives in the engine's per-flow
+    arrays; :attr:`advanced_bytes` reads it from there.
     """
 
     __slots__ = (
@@ -205,10 +218,11 @@ class FluidTransfer:
         "links",
         "payload_bytes",
         "wire_bytes",
-        "advanced_bytes",
         "started_s",
         "finished_s",
         "done",
+        "_engine",
+        "_advanced",
     )
 
     def __init__(
@@ -226,10 +240,20 @@ class FluidTransfer:
         self.links = tuple(links)
         self.payload_bytes = payload_bytes
         self.wire_bytes = payload_bytes / WIRE_EFFICIENCY
-        self.advanced_bytes = 0.0
         self.started_s = started_s
         self.finished_s: Optional[float] = None
         self.done = done
+        #: the engine advancing this transfer; None once finished
+        self._engine: Optional["HybridEngine"] = None
+        self._advanced = 0.0
+
+    @property
+    def advanced_bytes(self) -> float:
+        """Wire bytes advanced so far (``wire_bytes`` once finished)."""
+        engine = self._engine
+        if engine is None:
+            return self._advanced
+        return engine._advanced_bytes_of(self.flow_id)
 
     @property
     def finished(self) -> bool:
@@ -282,24 +306,55 @@ class HybridEngine:
         #: mirror of the flow set over raw capacities (no external debits):
         #: source of the non-circular peer reservations (``peer-share`` row)
         self._nominal = FluidSolver()
-        #: directed channel registry keyed by the solver's link id
-        self._channels: dict[str, "Channel"] = {}
+        #: directed channels; a channel's index is its row in both solvers
+        #: and in the per-channel arrays below
+        self._channels: list["Channel"] = []
         for link in net.links:
             for ch in (link.forward, link.reverse):
-                self._channels[ch.name] = ch
+                self._channels.append(ch)
                 self.solver.add_link(ch.name, ch.bandwidth_bps)
                 self._nominal.add_link(ch.name, ch.bandwidth_bps)
-        self._ticker = Periodic(net.sim, epoch_s, self._epoch_tick)
+        #: (node, next node) -> row of the channel from node to next node on
+        #: the link ``net.link_between`` names, keyed by the fabric's own
+        #: hop tuples (``net.port_map``'s keys) so no key is built twice
+        first_row = {id(link): 2 * i for i, link in enumerate(net.links)}
+        self._hop_row: dict[tuple[str, str], int] = {}
+        for hop in net.port_map:
+            link = net.link_between(*hop)
+            self._hop_row[hop] = first_row[id(link)] + (
+                link.forward.src.name != hop[0]
+            )
+        #: the channels' names, i.e. the solvers' link ids, by row
+        self._names = [ch.name for ch in self._channels]
+        #: the channels' packet counters (``Channel.stats`` is never replaced)
+        self._stats = [ch.stats for ch in self._channels]
+        n = len(self._channels)
+        # -- per-channel state, by row --
+        #: live fluid flows per channel; > 0 marks the hand-off boundary
+        self._users = np.zeros(n, dtype=np.int64)
+        #: packet byte counter at the last epoch tick (meaningful while shared)
+        self._marks = np.zeros(n, dtype=np.int64)
+        #: external load last handed to ``solver.set_external_load``
+        self._debit = np.zeros(n)
+        #: bandwidth reserved for peers at the last nominal solve
+        self._reserved = np.zeros(n)
+        #: ``fluid_load_bps`` last written to each channel
+        self._published = np.zeros(n)
+        # -- per-flow state, in ``_flows`` order --
         self._flows: dict[str, FluidTransfer] = {}
-        #: registered packet peers: solver flow id -> link ids on its path
-        self._peers: dict[str, tuple[str, ...]] = {}
-        #: per-link bandwidth reserved for peers at the last solve
-        self._peer_reserved: dict[str, float] = {}
-        self._rates: dict[str, float] = {}
-        #: channels traversed by >=1 live fluid flow (hand-off boundary)
-        self._shared: dict[str, int] = {}
-        #: packet byte counters at the last epoch tick, per shared channel
-        self._pkt_marks: dict[str, int] = {}
+        #: wire-byte targets and progress of the flows the last advance saw;
+        #: flows started since then are appended by the next advance
+        self._wire = np.zeros(0)
+        self._advanced = np.zeros(0)
+        #: allocated rates in ``_flows`` order, built from the solve numbered
+        #: ``_rates_solve``
+        self._rates = np.zeros(0)
+        self._rates_solve = -1
+        #: flow id -> index into the per-flow arrays, built on demand
+        self._flow_index: Optional[dict[str, int]] = None
+        #: registered packet peers: solver flow id -> channel rows on its path
+        self._peers: dict[str, tuple[int, ...]] = {}
+        self._ticker = Periodic(net.sim, epoch_s, self._epoch_tick)
         self._last_tick_s = net.sim.now
         self._pinned_nodes: set[str] = set()
         self._flow_seq = 0
@@ -365,13 +420,9 @@ class HybridEngine:
         return "fluid"
 
     # -- flow lifecycle -----------------------------------------------------
-    def _channels_on(self, path: Sequence[str]) -> list["Channel"]:
-        chans: list["Channel"] = []
-        for a, b in zip(path, path[1:]):
-            link = self.net.link_between(a, b)
-            ch = link.forward if link.forward.src.name == a else link.reverse
-            chans.append(ch)
-        return chans
+    def _rows_on(self, path: Sequence[str]) -> tuple[int, ...]:
+        """Channel rows along ``path`` (KeyError on a non-adjacent hop)."""
+        return tuple(map(self._hop_row.__getitem__, zip(path, path[1:])))
 
     def start_flow(
         self,
@@ -394,20 +445,22 @@ class HybridEngine:
         self._flow_seq += 1
         if flow_id in self._flows:
             raise SimulationError(f"duplicate fluid flow id {flow_id!r}")
-        chans = self._channels_on(path)
-        link_ids = [c.name for c in chans]
+        rows = self._rows_on(path)
+        link_ids = list(map(self._names.__getitem__, rows))
         self.solver.add_flow(flow_id, link_ids, rate_cap_bps=rate_cap_bps)
         self._nominal.add_flow(flow_id, link_ids, rate_cap_bps=rate_cap_bps)
         done = Event(self.net.sim)
         fc = FluidTransfer(
             flow_id, path, link_ids, payload_bytes, self.net.sim.now, done
         )
+        fc._engine = self
         self._flows[flow_id] = fc
-        for c in chans:
-            n = self._shared.get(c.name, 0)
-            self._shared[c.name] = n + 1
-            if n == 0:
-                self._pkt_marks[c.name] = c.stats.bytes
+        self._flow_index = None
+        users, stats = self._users, self._stats
+        for row in rows:
+            if not users[row]:
+                self._marks[row] = stats[row].bytes
+            users[row] += 1
         if not self._ticker.running:
             self._last_tick_s = self.net.sim.now
             self._ticker.start()
@@ -439,11 +492,11 @@ class HybridEngine:
             flow_id = f"peer-{self._peer_seq}"
         self._peer_seq += 1
         pid = f"pkt:{flow_id}"
-        chans = self._channels_on(path)
-        link_ids = [c.name for c in chans]
+        rows = self._rows_on(path)
+        link_ids = list(map(self._names.__getitem__, rows))
         self.solver.add_flow(pid, link_ids, rate_cap_bps=rate_cap_bps)
         self._nominal.add_flow(pid, link_ids, rate_cap_bps=rate_cap_bps)
-        self._peers[pid] = tuple(link_ids)
+        self._peers[pid] = rows
         return pid
 
     def end_peer(self, peer_id: str) -> None:
@@ -457,24 +510,59 @@ class HybridEngine:
         """Number of packet peers currently holding a reservation."""
         return len(self._peers)
 
-    def _finish_flow(self, fc: FluidTransfer, finished_s: float) -> None:
-        fc.finished_s = finished_s
-        fc.advanced_bytes = fc.wire_bytes
-        self.finished_flows += 1
-        for name in fc.links:
-            n = self._shared[name] - 1
-            if n:
-                self._shared[name] = n
-            else:
-                del self._shared[name]
-                self._pkt_marks.pop(name, None)
-                # the debit this channel carried dies with the boundary
-                self.solver.set_external_load(name, 0.0)
-        self.solver.remove_flow(fc.flow_id)
-        self._nominal.remove_flow(fc.flow_id)
-        del self._flows[fc.flow_id]
-        self._rates.pop(fc.flow_id, None)
-        fc.done.succeed(fc)
+    def _finish_flows(self, index: np.ndarray, finished_s: np.ndarray) -> None:
+        """Finish the flows at ``index`` (ascending) at the given instants.
+
+        The whole batch leaves the engine and both solvers first; then the
+        ``done`` events succeed in flow order, the order their wake-ups take
+        on the event heap.
+        """
+        handles = list(self._flows.values())
+        done = [handles[i] for i in index.tolist()]
+        keep = np.ones(len(handles), dtype=bool)
+        keep[index] = False
+        self._wire = self._wire[keep]
+        self._advanced = self._advanced[keep]
+        self._flow_index = None
+        for fc, at_s in zip(done, finished_s.tolist()):
+            fc.finished_s = at_s
+            fc._advanced = fc.wire_bytes
+            fc._engine = None
+            del self._flows[fc.flow_id]
+        fids = [fc.flow_id for fc in done]
+        # the solvers' link rows are the engine's channel rows
+        rows = np.fromiter(
+            chain.from_iterable(map(self.solver.flow_rows, fids)), dtype=np.intp
+        )
+        np.subtract.at(self._users, rows, 1)
+        # the debit a channel carried dies with the boundary
+        unshared = rows[(self._users[rows] == 0) & (self._debit[rows] != 0.0)]
+        self._debit[unshared] = 0.0
+        for row in dict.fromkeys(unshared.tolist()):
+            self.solver.set_external_load(self._names[row], 0.0)
+        self.solver.remove_flows(fids)
+        self._nominal.remove_flows(fids)
+        self.finished_flows += len(done)
+        for fc in done:
+            fc.done.succeed(fc)
+
+    def _advanced_bytes_of(self, flow_id: str) -> float:
+        index = self._flow_index
+        if index is None:
+            index = self._flow_index = dict(zip(self._flows, range(len(self._flows))))
+        i = index[flow_id]
+        # a flow started since the last advance has advanced nothing yet
+        return float(self._advanced[i]) if i < len(self._advanced) else 0.0
+
+    def _peer_load(self, rates: dict[str, float]) -> np.ndarray:
+        """Per channel, the peers' finite nonzero ``rates`` summed in peer order."""
+        load = np.zeros(len(self._channels))
+        for pid, rows in self._peers.items():
+            r = rates.get(pid, 0.0)
+            if r and r != float("inf"):
+                for row in rows:
+                    load[row] += r
+        return load
 
     # -- epoch machinery ----------------------------------------------------
     def _epoch_tick(self) -> None:
@@ -483,11 +571,12 @@ class HybridEngine:
         The freshly solved rates apply retroactively over the epoch that
         just elapsed — flows added at the previous tick advance from that
         instant instead of idling one epoch (a bias transfers shorter than
-        ~20 epochs would notice).  Flows added *mid*-epoch over-advance by
-        at most one epoch of bytes; the fidelity tests bound that error.
+        ~20 epochs would notice); a flow added mid-epoch advances from the
+        instant it started.
         """
         now = self.net.sim.now
-        dt = now - self._last_tick_s
+        prev = self._last_tick_s
+        dt = now - prev
         self._last_tick_s = now
         self.epochs += 1
         prof = self._prof
@@ -495,7 +584,7 @@ class HybridEngine:
             self._measure_phase(dt)
             if self._flows:
                 self._publish_phase()
-                self._advance_phase(now, dt)
+                self._advance_phase(now, dt, prev)
         else:
             prof.enter("hybrid.epoch")
             try:
@@ -509,7 +598,7 @@ class HybridEngine:
                     self._publish_phase()
                     prof.enter("hybrid.advance")
                     try:
-                        self._advance_phase(now, dt)
+                        self._advance_phase(now, dt, prev)
                     finally:
                         prof.exit()
             finally:
@@ -522,88 +611,118 @@ class HybridEngine:
         #    circularity that would otherwise starve registered peers).
         if self._peers:
             if self._nominal.dirty:
-                nrates = self._nominal.rates()
-                reserved: dict[str, float] = {}
-                for pid, links in self._peers.items():
-                    r = nrates.get(pid, 0.0)
-                    if r and r != float("inf"):
-                        for l in links:
-                            reserved[l] = reserved.get(l, 0.0) + r
-                self._peer_reserved = reserved
-        elif self._peer_reserved:
-            self._peer_reserved = {}
+                self._reserved = self._peer_load(self._nominal.rates())
+        elif self._reserved.any():
+            self._reserved = np.zeros(len(self._channels))
 
         # 1. Measure packet bytes carried on shared links over the epoch
         #    and debit them — net of reserved peer shares — from the
-        #    fluid-fillable capacity.
-        if dt > 0:
-            for name in self._shared:
-                ch = self._channels[name]
-                mark = self._pkt_marks.get(name, ch.stats.bytes)
-                delta_bytes = ch.stats.bytes - mark
-                self._pkt_marks[name] = ch.stats.bytes
-                self.debited_bytes += delta_bytes
-                reserved = self._peer_reserved.get(name, 0.0)
-                load_bps = max(delta_bytes * 8.0 / dt - reserved, 0.0)
-                self.solver.set_external_load(name, load_bps)
+        #    fluid-fillable capacity.  One gather of the byte counters; the
+        #    solver hears only of debits that changed.
+        shared = np.flatnonzero(self._users)
+        if dt <= 0 or not len(shared):
+            return
+        carried = np.fromiter(
+            map(_BYTES, self._stats), dtype=np.int64, count=len(self._stats)
+        )[shared]
+        delta = carried - self._marks[shared]
+        self._marks[shared] = carried
+        # whole byte counts: every running sum is exact below 2**53, so the
+        # integer total adds what the per-channel running sum added
+        self.debited_bytes += int(delta.sum())
+        load = delta * 8.0 / dt - self._reserved[shared]
+        load = np.where(0.0 > load, 0.0, load)  # max(load, 0.0); nan stays
+        moved = load != self._debit[shared]
+        if moved.any():
+            rows, load = shared[moved], load[moved]
+            self._debit[rows] = load
+            for row, value in zip(rows.tolist(), load.tolist()):
+                self.solver.set_external_load(self._names[row], value)
 
     def _publish_phase(self) -> None:
         # 2. Re-solve (lazy: a clean allocation costs nothing) and
         #    publish the fluid background load to the packet engine —
-        #    total allocated load minus the shares reserved for peers.
-        was_dirty = self.solver.dirty
-        self._rates = self.solver.rates()
+        #    total allocated load minus the shares reserved for peers —
+        #    writing only the channels whose load changed.
+        solver = self.solver
+        was_dirty = solver.dirty
+        rates = solver.rates()
+        if solver.resolves != self._rates_solve:
+            self._rates = np.fromiter(
+                map(rates.__getitem__, self._flows),
+                dtype=np.float64,
+                count=len(self._flows),
+            )
+            self._rates_solve = solver.resolves
         if was_dirty:
-            loads = self.solver.link_fluid_load_bps()
-            peer_load: dict[str, float] = {}
-            for pid, links in self._peers.items():
-                r = self._rates.get(pid, 0.0)
-                if r and r != float("inf"):
-                    for l in links:
-                        peer_load[l] = peer_load.get(l, 0.0) + r
-            for name, ch in self._channels.items():
-                ch.fluid_load_bps = max(
-                    loads.get(name, 0.0) - peer_load.get(name, 0.0), 0.0
-                )
+            load = solver.link_load_array()
+            if self._peers:
+                load = load - self._peer_load(rates)
+            fluid = np.where(0.0 > load, 0.0, load)
+            changed = np.flatnonzero(fluid != self._published)
+            channels = self._channels
+            for row, value in zip(changed.tolist(), fluid[changed].tolist()):
+                channels[row].fluid_load_bps = value
+            self._published = fluid
 
-    def _advance_phase(self, now: float, dt: float) -> None:
-        # 3. Advance live flows over the elapsed epoch.
-        if dt > 0:
-            finished: list[tuple[FluidTransfer, float]] = []
-            for fid, fc in self._flows.items():
-                rate = self._rates.get(fid, 0.0)
-                if rate <= 0:
-                    continue
-                if rate == float("inf"):
-                    finished.append((fc, now - dt))
-                    continue
-                delta = rate * dt / 8.0
-                remaining = fc.wire_bytes - fc.advanced_bytes
-                if delta >= remaining:
-                    # interpolated-finish: back out the sub-epoch instant
-                    self.bytes_advanced += remaining
-                    finished.append((fc, now - dt + remaining * 8.0 / rate))
-                else:
-                    fc.advanced_bytes += delta
-                    self.bytes_advanced += delta
-            for fc, at_s in finished:
-                self._finish_flow(fc, at_s)
+    def _advance_phase(self, now: float, dt: float, prev: float) -> None:
+        # 3. Advance live flows over the elapsed epoch — a flow started
+        #    after the previous tick (at ``prev``) over the part it lived.
+        if dt <= 0:
+            return
+        n = len(self._flows)
+        span, start = np.full(n, dt), np.full(n, now - dt)
+        seen = len(self._advanced)
+        if n > seen:
+            fresh = list(islice(self._flows.values(), seen, None))
+            self._wire = np.concatenate(
+                (self._wire, np.fromiter(map(_WIRE_BYTES, fresh), np.float64, n - seen))
+            )
+            self._advanced = np.concatenate((self._advanced, np.zeros(n - seen)))
+            began = np.fromiter(map(_STARTED_S, fresh), np.float64, n - seen)
+            late = began > prev
+            if late.any():
+                span[seen:][late] = now - began[late]
+                start[seen:][late] = began[late]
+        rate, advanced = self._rates, self._advanced
+        moving = ~(rate <= 0)  # nan moves, as it did past `if rate <= 0`
+        unbounded = rate == float("inf")
+        delta = rate * span / 8.0
+        remaining = self._wire - advanced
+        finishing = moving & (unbounded | (delta >= remaining))
+        advancing = moving & ~finishing
+        # bytes_advanced is a running sum in flow order: one accumulate
+        gained = np.where(finishing, remaining, delta)[moving & ~unbounded]
+        if len(gained):
+            self.bytes_advanced = float(
+                np.add.accumulate(np.concatenate(([self.bytes_advanced], gained)))[-1]
+            )
+        self._advanced = np.where(advancing, advanced + delta, advanced)
+        index = np.flatnonzero(finishing)
+        if len(index):
+            # interpolated-finish: back out the sub-epoch instant
+            at_s = np.where(
+                unbounded[index],
+                start[index],
+                start[index] + remaining[index] * 8.0 / rate[index],
+            )
+            self._finish_flows(index, at_s)
 
     def _maybe_quiesce(self) -> None:
         if not self._flows:
             # quiesce: clear published loads and stop scheduling, so the
             # simulator can drain and a fluid-free run stays byte-identical
-            self._rates = {}
-            self._peer_reserved = {}
-            for ch in self._channels.values():
-                ch.fluid_load_bps = 0.0
+            self._reserved = np.zeros(len(self._channels))
+            for row in np.flatnonzero(self._published).tolist():
+                self._channels[row].fluid_load_bps = 0.0
+            self._published = np.zeros(len(self._channels))
             self._ticker.stop()
 
     # -- views --------------------------------------------------------------
     def link_fluid_load_bps(self) -> dict[str, float]:
         """Current published fluid load per directed channel name."""
         return {
-            name: ch.fluid_load_bps
-            for name, ch in self._channels.items()
+            ch.name: ch.fluid_load_bps
+            for ch in self._channels
             if ch.fluid_load_bps
         }

@@ -79,8 +79,10 @@ class TcpConnection:
         self.ssthresh = DEFAULT_WINDOW
         self._dup_acks = 0
         self._last_ack_seen = 0
-        # sender side
+        # sender side: stream offsets stay absolute; the buffer holds the
+        # bytes from _buf_base on, released as the cumulative ACK passes them
         self._send_buf = bytearray()
+        self._buf_base = 0  # stream offset of _send_buf[0]
         self._snd_base = 0  # first unacked byte offset
         self._snd_next = 0  # next byte offset to transmit
         self._snd_fin_queued = False
@@ -161,16 +163,15 @@ class TcpConnection:
     def _pump(self) -> None:
         """Transmit whatever the window allows."""
         window = self.effective_window
+        base = self._buf_base
+        stream_end = base + len(self._send_buf)
         while (
-            self._snd_next < len(self._send_buf)
+            self._snd_next < stream_end
             and self._snd_next - self._snd_base < window
         ):
-            end = min(
-                self._snd_next + MSS,
-                len(self._send_buf),
-                self._snd_base + window,
-            )
-            chunk = bytes(self._send_buf[self._snd_next : end])
+            end = min(self._snd_next + MSS, stream_end, self._snd_base + window)
+            with memoryview(self._send_buf) as view:
+                chunk = bytes(view[self._snd_next - base : end - base])
             self._transmit_segment(
                 TcpSegment("data", seq=self._snd_next, ack=self._rcv_next, data=chunk)
             )
@@ -178,7 +179,7 @@ class TcpConnection:
         if (
             self._snd_fin_queued
             and self._fin_seq is None
-            and self._snd_next == len(self._send_buf)
+            and self._snd_next == stream_end
         ):
             self._fin_seq = self._snd_next
             self._transmit_segment(TcpSegment("fin", seq=self._fin_seq, ack=self._rcv_next))
@@ -267,7 +268,13 @@ class TcpConnection:
                 self._last_ack_seen = seg.ack
             self._snd_base = seg.ack
             self._last_progress = self.sim.now
-            # Drop acked prefix lazily: keep offsets absolute, buffer whole.
+            # Release the acknowledged prefix, but not past _snd_next: after
+            # a go-back-N rewind a late ACK can pass it, and the resend
+            # resumes from there.
+            keep_from = seg.ack if seg.ack < self._snd_next else self._snd_next
+            if keep_from > self._buf_base:
+                del self._send_buf[: keep_from - self._buf_base]
+                self._buf_base = keep_from
             self._pump()
         elif self.cc_enabled and seg.ack == self._last_ack_seen and (
             self._snd_base < self._snd_next

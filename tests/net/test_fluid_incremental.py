@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from fluid_oracle import ecmp_instance, full_scan_link_load, full_scan_solve
 from hypothesis import given, settings, strategies as st
@@ -174,6 +175,96 @@ def test_churn_sequence_equals_fresh_solver_after_every_step():
     assert len(caps) > 12, "the sequence never added a late link"
 
 
+def assert_incidence_is_a_fresh_build(solver, caps, flows, external):
+    """The kept (masked) incidence equals the one a new solver builds."""
+    kept = solver._incidence_arrays()
+    fresh = build(caps, flows, external)._incidence_arrays()
+    assert kept.n_phys == fresh.n_phys and kept.flow_ids == fresh.flow_ids
+    for field in kept._fields[2:]:
+        got, want = getattr(kept, field), getattr(fresh, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+
+
+def test_remove_heavy_churn_masks_the_incidence_round_for_round():
+    # removals far outnumber adds, so most solves run on a masked incidence;
+    # zero and inf capacities, inf rate caps, links listed twice and the
+    # no-saturated-link fallback all occur along the way
+    rng = random.Random(25)
+    caps = {f"l{i}": rng.choice((0.0, GBPS, GBPS, 4 * GBPS, INF)) for i in range(10)}
+    external: dict[str, float] = {}
+    flows: dict[str, FluidFlow] = {}
+    solver = FluidSolver(caps)
+    seq = 0
+
+    def add_flow():
+        nonlocal seq
+        fid = f"f{seq:03d}"
+        seq += 1
+        path = [rng.choice(sorted(caps)) for _ in range(rng.randint(0, 4))]
+        cap = rng.choice((None, None, None, 0.3 * GBPS, INF))
+        flows[fid] = FluidFlow(fid, path, rate_cap_bps=cap)
+        solver.add_flow(fid, path, rate_cap_bps=cap)
+
+    for _ in range(160):
+        add_flow()
+    masked = 0
+    while len(flows) > FluidSolver._VECTOR_MIN_FLOWS:
+        # stay on the array loop: the reference below 32 flows is another one
+        spare = len(flows) - FluidSolver._VECTOR_MIN_FLOWS
+        gone = rng.sample(sorted(flows), min(rng.randint(1, 5), spare))
+        for fid in gone:
+            del flows[fid]
+        if len(gone) == 1:
+            solver.remove_flow(gone[0])
+        else:
+            solver.remove_flows(gone)
+        if rng.random() < 0.1:
+            add_flow()
+        if rng.random() < 0.3:
+            link = rng.choice(sorted(caps))
+            external[link] = rng.choice((0.0, 0.2 * GBPS, 5 * GBPS))
+            solver.set_external_load(link, external[link])
+        masked += solver._incidence is not None
+        assert_matches_oracle(solver, caps, flows, external)
+        assert_incidence_is_a_fresh_build(solver, caps, flows, external)
+    assert masked > 20
+
+
+def test_removals_between_fallback_fills_stay_exact():
+    # only inf links in use: every round takes the fallback (share inf, then
+    # nan); the masked incidence must freeze the same flows in the same order.
+    # "a" carries the flows frozen first, so it parks and is compacted out
+    # while "b" and "c" hold nan (c's effective capacity inf - inf is nan
+    # from the start, its saturation floor too)
+    caps = {"a": INF, "b": INF, "c": INF}
+    external = {"c": INF}
+    flows = {
+        fid: FluidFlow(
+            fid,
+            ["a" if fid < "f2" else "c" if fid < "f3" else "b"] * (1 + i % 3),
+        )
+        for i, fid in enumerate(f"f{j}" for j in range(2, 48))
+    }
+    solver = build(caps, flows, external)
+    assert_matches_oracle(solver, caps, flows, external)
+    for fid in ("f10", "f2", "f33", "f4", "f40", "f41", "f47", "f5"):
+        del flows[fid]
+        solver.remove_flow(fid)
+        assert_matches_oracle(solver, caps, flows, external)
+        assert_incidence_is_a_fresh_build(solver, caps, flows, external)
+    # c's nan is the minimum share from the first round on
+    assert all(math.isnan(rate) for rate in solver.rates().values())
+
+
+def test_rounds_sweep_little_more_than_the_live_links():
+    # parked links leave the swept arrays: on fat_tree(16) hash-ECMP traffic
+    # about half of the 6,144 rows are live in an average round
+    caps, flows = ecmp_instance(16, 4000, seed=4000)
+    solver = build(caps, flows)
+    assert_matches_oracle(solver, caps, flows)
+    assert solver.link_rows_swept <= 0.55 * solver.rounds * len(caps)
+
+
 # ---------------------------------------------------------------------------
 # hazards of decrementing user counts instead of recounting them
 # ---------------------------------------------------------------------------
@@ -221,23 +312,21 @@ def test_flow_on_two_links_saturating_together_is_frozen_once():
     assert solver.rate("c2") == 90.0
 
 
+class _FlowsReadSpy(np.ndarray):
+    """A link -> flows array that records which links' flows are read."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.reads.append(key.start)
+        return super().__getitem__(key)
+
+
 @pytest.mark.parametrize("cap_on", ["link", "flow"])
-def test_inf_capacity_is_parked_not_saturated_forever(cap_on, monkeypatch):
+def test_inf_capacity_is_parked_not_saturated_forever(cap_on):
     # An inf link (or inf rate cap) has saturation floor inf.  In use it
     # reads saturated in its first round, like in the old loop; once its
     # flows froze it must stop reading so, or every later round would gather
     # its frozen flows again.
-    import repro.net.fluid as fluid
-
-    saturated_links = []
-    csr_rows = fluid._csr_rows
-
-    def spy(ptr, data, which):
-        if ptr is solver._incidence.l_ptr:
-            saturated_links.extend(which.tolist())
-        return csr_rows(ptr, data, which)
-
-    monkeypatch.setattr(fluid, "_csr_rows", spy)
     caps = {"wide": INF if cap_on == "link" else 1e12, "l": 50.0}
     flows = padded(
         [
@@ -248,11 +337,16 @@ def test_inf_capacity_is_parked_not_saturated_forever(cap_on, monkeypatch):
         n=40,
     )
     solver = build(caps, flows)
+    inc = solver._incidence_arrays()
+    spy = inc.l_flows.view(_FlowsReadSpy)
+    spy.reads = []
+    solver._incidence = inc._replace(l_flows=spy)
     assert_matches_oracle(solver, caps, flows)
     assert solver.rate("y") == 50.0
     assert solver.rate("pad0") == 1.0 / 40
-    # three rounds (pad, then the inf one, then "l"), each link read once
-    assert len(saturated_links) == len(set(saturated_links)) == 3
+    # three rounds (pad, then the inf one, then "l"), each saturated link's
+    # flows read once
+    assert len(spy.reads) == len(set(spy.reads)) == 3
 
 
 def test_zero_capacity_link_gives_share_zero_and_still_freezes():

@@ -34,6 +34,24 @@ def test_attach_registers_every_channel_and_rejects_double_attach():
         HybridEngine(net)
 
 
+def test_paths_resolve_to_channel_rows_without_asking_the_network():
+    net = Network(fat_tree(4))
+    eng = HybridEngine(net)
+    for (a, b), row in eng._hop_row.items():
+        ch = eng._channels[row]
+        assert (ch.src.name, ch.dst.name) == (a, b)
+        assert eng.solver._link_row[ch.name] == row  # one row space
+    assert len(eng._hop_row) == len(eng._channels)
+
+    def no_lookup(a, b):
+        raise AssertionError("start_flow looked a hop up per call")
+
+    net.link_between = no_lookup
+    fc = eng.start_flow(["h1", "p0e0", "p0a0", "p0e1", "h3"], 10_000)
+    assert [eng._channels[row].name for row in eng._rows_on(fc.path)] == list(fc.links)
+    assert [ch.split("[")[0] for ch in fc.links] == ["h1", "p0e0", "p0a0", "p0e1"]
+
+
 def test_engine_validates_parameters():
     with pytest.raises(SimulationError):
         HybridEngine(Network(linear(2)), epoch_s=0.0)
@@ -65,7 +83,7 @@ def test_quiesce_clears_published_load_and_stops_ticker():
     assert fc.finished
     assert eng.live_flows == 0
     assert not eng._ticker.running
-    assert all(ch.fluid_load_bps == 0.0 for ch in eng._channels.values())
+    assert all(ch.fluid_load_bps == 0.0 for ch in eng._channels)
     assert eng.link_fluid_load_bps() == {}
 
 
@@ -116,9 +134,8 @@ def test_handoff_conservation_debits_equal_packet_bytes():
     bed = Testbed.create(seed=0)
     eng = HybridEngine(bed.net, epoch_s=0.005)
     path = bed.l3.pair_paths[("h1", "h10")]
-    baseline = {
-        ch.name: ch.stats.bytes for ch in eng._channels_on(path)
-    }
+    on_path = [eng._channels[row] for row in eng._rows_on(path)]
+    baseline = {ch.name: ch.stats.bytes for ch in on_path}
     # Large fluid flow outlives a small packet transfer on the same path,
     # so every packet byte lands inside measured epochs.
     fc = eng.start_flow(path, 30_000_000)
@@ -138,9 +155,7 @@ def test_handoff_conservation_debits_equal_packet_bytes():
     run_process(bed.net, xfer())
     bed.net.run()
     assert fc.finished
-    carried = sum(
-        ch.stats.bytes - baseline[ch.name] for ch in eng._channels_on(path)
-    )
+    carried = sum(ch.stats.bytes - baseline[ch.name] for ch in on_path)
     assert carried > 2_000_000  # the transfer really crossed the path
     assert eng.debited_bytes == pytest.approx(carried)
     # and the fluid side advanced exactly its wire-byte target

@@ -1,5 +1,7 @@
 """Integration tests for simulated TCP over the data plane."""
 
+import random
+
 import pytest
 
 from repro.net import Network, fat_tree, linear
@@ -321,3 +323,84 @@ def test_listener_close_unbinds():
     listener = server.listen(80)
     listener.close()
     server.listen(80)  # no error after close
+
+
+def _checked_sender(conn, payload):
+    """Assert every data segment ``conn`` sends carries its stream bytes."""
+    transmit = conn._transmit_segment
+
+    def checked(seg):
+        if seg.kind == "data":
+            assert seg.data == payload[seg.seq : seg.seq + len(seg.data)]
+        transmit(seg)
+
+    conn._transmit_segment = checked
+
+
+def test_acknowledged_bytes_leave_the_send_buffer():
+    net = build_net()
+    client, server = stacks(net)
+    listener = server.listen(80)
+    payload = random.Random(7).randbytes(500_000)
+    got, sender = {}, {}
+
+    def srv():
+        conn = yield listener.accept()
+        got["data"] = yield from conn.recv_exactly(len(payload))
+
+    def cli():
+        conn = yield client.connect(server.host.ip, 80)
+        sender["conn"] = conn
+        _checked_sender(conn, payload)
+        conn.send(payload)
+        sender["held"] = []
+        while conn._snd_base < len(payload):
+            # everything below the cumulative ACK is gone
+            assert conn._buf_base == conn._snd_base
+            sender["held"].append(len(conn._send_buf))
+            yield net.sim.timeout(0.0005)
+
+    net.sim.process(srv())
+    net.sim.process(cli())
+    net.run()
+    conn = sender["conn"]
+    assert got["data"] == payload
+    assert len(conn._send_buf) == 0 and conn._buf_base == len(payload)
+    # the buffer shrank while the window slid, not only at the end
+    assert min(sender["held"]) < len(payload) // 4
+
+
+@pytest.mark.parametrize("congestion_control", [False, True])
+def test_transfer_through_a_loss_window_is_byte_exact(congestion_control):
+    """Go-back-N rewinds (and, with CC, late ACKs past the rewound
+    ``_snd_next``) resend bytes the buffer must still hold."""
+    from repro.net import NetParams
+
+    net = Network(
+        linear(1, hosts_per_switch=2), params=NetParams(link_queue_bytes=3 * MSS)
+    )
+    Controller(net).register(L3ShortestPathApp())
+    client = TcpStack(net.host("h1"), congestion_control=congestion_control)
+    server = TcpStack(net.host("h2"), congestion_control=congestion_control)
+    listener = server.listen(80)
+    payload = random.Random(11).randbytes(120 * MSS + 17)
+    got, sender = {}, {}
+
+    def srv():
+        conn = yield listener.accept()
+        got["data"] = yield from conn.recv_exactly(len(payload))
+
+    def cli():
+        conn = yield client.connect(server.host.ip, 80)
+        sender["conn"] = conn
+        _checked_sender(conn, payload)
+        conn.send(payload[:50_000])
+        yield net.sim.timeout(0.001)
+        conn.send(payload[50_000:])
+
+    net.sim.process(srv())
+    net.sim.process(cli())
+    net.run(until=60.0)
+    assert got.get("data") == payload
+    assert len(net.trace.by_category("link.drop")) > 0
+    assert len(sender["conn"]._send_buf) == 0

@@ -121,3 +121,26 @@ class TestClose:
         conn.close()
         conn.close()
         assert conn.state == "closing"
+
+
+class TestSendBuffer:
+    def test_cumulative_ack_releases_the_acked_prefix(self):
+        net, conn = make_conn()
+        conn.send(bytes(range(256)) * 20)
+        conn.handle_segment(TcpSegment("ack", ack=3 * MSS))
+        assert conn._buf_base == 3 * MSS
+        assert bytes(conn._send_buf) == (bytes(range(256)) * 20)[3 * MSS :]
+
+    def test_late_ack_past_a_rewound_snd_next_keeps_the_resend_bytes(self):
+        net, conn = make_conn()
+        conn.cc_enabled = True
+        payload = bytes(range(256)) * 60
+        conn.send(payload)
+        assert conn._snd_next == 10 * MSS  # the initial window
+        net.run(until=RTO_S * 1.5)  # timeout: rewind, cwnd = MSS
+        assert (conn._snd_base, conn._snd_next) == (0, MSS)
+        conn.handle_segment(TcpSegment("ack", ack=5 * MSS))  # a late ACK
+        assert conn._snd_base == 5 * MSS > MSS
+        # bytes from the rewound _snd_next on are still buffered
+        assert conn._buf_base == MSS
+        assert bytes(conn._send_buf) == payload[MSS:]
