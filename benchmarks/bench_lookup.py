@@ -5,7 +5,8 @@ MIC priority, decoy drops above them, a band of L3 ⟨src, dst⟩ pair rules
 below — the mix a production edge switch carries) and measures per-lookup
 cost three ways:
 
-* ``linear``   — :meth:`FlowTable.lookup_linear`, the reference classifier;
+* ``linear``   — ``lookup_linear`` (``tests/net/flowtable_oracle.py``), the
+  reference classifier;
 * ``indexed``  — the tuple-space tiers with the lookup cache disabled;
 * ``cached``   — the full two-tier pipeline (tiers + lookup cache).
 
@@ -15,12 +16,18 @@ the reference at 1k installed rules.  Run directly
 ``benchmarks/results/lookup_microbench.json``.
 """
 
+import functools
 import json
 import pathlib
 import statistics
+import sys
 import time
 
-from repro.net import FlowEntry, FlowTable, Match, Output, Packet, SetField, ip, mac
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests" / "net"))
+
+from flowtable_oracle import lookup_linear  # noqa: E402
+
+from repro.net import FlowEntry, FlowTable, Match, Output, Packet, SetField, ip, mac  # noqa: E402
 
 RESULTS = pathlib.Path(__file__).parent / "results"
 
@@ -94,12 +101,12 @@ def run(n_rules: int = 1000, rounds: int = 7) -> dict:
     # Sanity before timing: all three paths classify identically here.
     for pkt in packets[:: max(1, n_rules // 50)]:
         a = plain.lookup(pkt, 1)
-        b = plain.lookup_linear(pkt, 1)
+        b = lookup_linear(plain, pkt, 1)
         assert (a is None) == (b is None) and (
             a is None or a.match.key() == b.match.key()
         )
 
-    linear_s = _time_per_lookup(plain.lookup_linear, packets, rounds)
+    linear_s = _time_per_lookup(functools.partial(lookup_linear, plain), packets, rounds)
     indexed_s = _time_per_lookup(uncached.lookup, packets, rounds)
     plain.lookup(packets[0], 1)  # warm the cache structure
     cached_s = _time_per_lookup(plain.lookup, packets, rounds)

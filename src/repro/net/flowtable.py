@@ -400,9 +400,9 @@ class FlowTable:
     2. per-priority **tuple-space indexes** (:class:`_PriorityTier`) probed
        from the highest installed priority down.
 
-    Both tiers agree entry-for-entry with :meth:`lookup_linear`, the
-    reference priority-ordered linear scan kept for verification and as
-    the microbenchmark baseline.
+    Both tiers agree entry-for-entry with the reference priority-ordered
+    linear scan, kept as the test oracle
+    (``tests/net/flowtable_oracle.py``) and the microbenchmark baseline.
 
     :meth:`apply` classifies a packet and executes the matched entry's
     actions, returning the set of (port, packet) emissions and whether the
@@ -622,8 +622,8 @@ class FlowTable:
         """The highest-priority entry covering the packet, or None.
 
         Classifies through the lookup cache and the tuple-space indexes;
-        agrees with :meth:`lookup_linear` on every packet by construction
-        (and by the hypothesis equivalence suite).
+        agrees with the linear reference scan on every packet by
+        construction (and by the hypothesis equivalence suite).
         """
         prof = self._prof
         if prof is None:
@@ -680,26 +680,6 @@ class FlowTable:
             if best is not None:
                 return best
         return None
-
-    def lookup_linear(self, packet: Packet, in_port: int) -> Optional[FlowEntry]:
-        """Reference classifier: priority-ordered linear scan.
-
-        Semantically authoritative and deliberately kept: the indexed path
-        must agree with it entry-for-entry (see the equivalence property
-        suite), and the lookup microbenchmark uses it as the baseline.
-        """
-        prof = self._prof
-        if prof is not None:
-            prof.enter("flowtable.lookup")
-            prof.count("flowtable.lookup", "path.linear")
-        try:
-            for entry in self.iter_entries():
-                if entry.match.matches(packet, in_port):
-                    return entry
-            return None
-        finally:
-            if prof is not None:
-                prof.exit()
 
     def apply(
         self,

@@ -118,7 +118,7 @@ class Channel:
         self.stats.packets += 1
         self.stats.bytes += size
         if self.journey is not None:
-            self.journey.on_link_tx(self, packet, start - now, tx_time, backlog)
+            self.journey.on_link_tx(self, packet, start - now, tx_time, backlog, size)
         self.trace.emit(
             now, "link.tx", self.name, _TX_KEYS,
             packet.uid, packet.content_tag, size,

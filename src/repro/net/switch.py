@@ -97,8 +97,11 @@ class Switch(Node):
             return
         if self.mirror_taps:
             self._mirror(packet, in_port, "in")
+        # the journey's ingress header rides to _classify as the hop's
+        # pre-rewrite header (None: this hop records nothing)
+        header = None
         if self.journey is not None:
-            self.journey.on_switch_ingress(self, packet, in_port)
+            header = self.journey.on_switch_ingress(self, packet, in_port)
         table = self.table
         params = self.params
         entry = table.lookup(packet, in_port)
@@ -111,7 +114,7 @@ class Switch(Node):
         # during the pipeline delay.
         self.sim.call_later(
             params.switch_forward_delay_s + rewrites * params.setfield_delay_s,
-            self._classify, packet, in_port, entry, table.version,
+            self._classify, packet, in_port, entry, table.version, header,
         )
 
     def _classify(
@@ -120,6 +123,7 @@ class Switch(Node):
         in_port: int,
         resolved: Optional[FlowEntry],
         resolved_version: int,
+        header: Optional[tuple],
     ) -> None:
         if not self.alive:
             # Crashed mid-pipeline: the packet dies with the chassis.
@@ -134,10 +138,9 @@ class Switch(Node):
             self.trace.emit(
                 now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
             )
-            if self.journey is not None:
+            if header is not None and self.journey is not None:
                 self.journey.on_ttl_expired(self, packet, in_port)
             return
-        pre = self.journey.pre_apply(packet) if self.journey is not None else None
         emissions, to_controller, entry = self.table.apply(
             packet, in_port, resolved, resolved_version
         )
@@ -147,14 +150,16 @@ class Switch(Node):
                 now, "switch.miss", self.name, _MISS_KEYS,
                 packet.uid, packet.ip_src.text, packet.ip_dst.text,
             )
-            if self.journey is not None:
-                self.journey.on_switch_miss(self, packet, in_port)
+            if header is not None and self.journey is not None:
+                self.journey.on_switch_miss(self, packet, in_port, header)
             self._punt(packet, in_port)
             return
         entry.last_hit_s = now
-        if pre is not None:
+        # A header means the ingress was recorded; the journey may have
+        # been detached during the pipeline delay since.
+        if header is not None and self.journey is not None:
             self.journey.on_switch_applied(
-                self, packet, in_port, entry, pre, emissions
+                self, packet, in_port, entry, header, emissions
             )
         if to_controller:
             self._punt(packet, in_port)

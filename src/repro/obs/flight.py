@@ -10,7 +10,10 @@ post-hoc trace log alone cannot give you without retaining everything.
 The recorder rides on :class:`~repro.obs.journey.JourneyRecorder` hooks and
 sees every event regardless of the journey sampling decision (arming a
 flight recorder makes the hooks process every packet — retention stays
-bounded, and the sim-visible trace stays byte-identical either way).
+bounded, and the sim-visible trace stays byte-identical either way).  The
+journey recorder's one sink appends each row straight into its location's
+ring and calls :meth:`FlightRecorder.fire` only for kinds in
+:attr:`FlightRecorder.armed_kinds`.
 
 Triggers are contracted in :data:`ANOMALY_TRIGGERS` and doc-diffed both
 ways, like the metrics contract.  ``switch.miss`` is deliberately *not* a
@@ -20,8 +23,9 @@ by design, and a default-armed recorder must stay silent on a healthy run.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from .journey import JourneyEvent, row_column
@@ -105,7 +109,7 @@ def format_trigger_table() -> str:
 
 
 # journey rows (see repro.obs.journey) are read by position here too
-_TIME, _KIND, _WHERE = 0, 1, 2
+_TIME = 0
 _BACKLOG_AT = row_column("link.tx", "backlog_bytes")
 
 
@@ -186,11 +190,17 @@ class FlightRecorder:
         self.triggers = names
         self.queue_threshold_bytes = queue_threshold_bytes
         self.max_dumps = max_dumps
-        #: location -> the last ``capacity`` journey rows seen there
-        self._rings: dict[str, deque[tuple]] = {}
-        #: kinds that can fire an armed trigger (fast membership test)
-        self._armed_kinds = {
-            _TRIGGERS_BY_NAME[n].event_kind: n for n in names
+        #: location -> the last ``capacity`` journey rows seen there; the
+        #: bound journey recorder appends to these directly
+        self.rings: defaultdict[str, deque[tuple]] = defaultdict(
+            partial(deque, maxlen=capacity)
+        )
+        #: event kind -> the armed trigger it can fire.  ``link.tx`` is in
+        #: only when a ``queue_threshold_bytes`` arms ``queue_depth``.
+        self.armed_kinds = {
+            _TRIGGERS_BY_NAME[n].event_kind: n
+            for n in names
+            if n != "queue_depth" or queue_threshold_bytes is not None
         }
         self.dumps: list[FlightDump] = []
         self.dumps_suppressed = 0
@@ -200,22 +210,11 @@ class FlightRecorder:
         """Called by the journey recorder adopting this flight recorder."""
         self.recorder = recorder
 
-    def observe(self, row: tuple) -> None:
-        """Ring-buffer one journey row, then check anomaly triggers."""
-        ring = self._rings.get(row[_WHERE])
-        if ring is None:
-            ring = self._rings[row[_WHERE]] = deque(maxlen=self.capacity)
-        ring.append(row)
-        trigger = self._armed_kinds.get(row[_KIND])
-        if trigger is None:
+    def fire(self, trigger: str, cause: tuple) -> None:
+        """A row of an armed kind was ringed: dump every ring, unless the
+        row is under the ``queue_depth`` threshold or dumps are used up."""
+        if trigger == "queue_depth" and cause[_BACKLOG_AT] < self.queue_threshold_bytes:
             return
-        if trigger == "queue_depth":
-            threshold = self.queue_threshold_bytes
-            if threshold is None or row[_BACKLOG_AT] < threshold:
-                return
-        self._dump(trigger, row)
-
-    def _dump(self, trigger: str, cause: tuple) -> None:
         if len(self.dumps) >= self.max_dumps:
             self.dumps_suppressed += 1
             return
@@ -224,17 +223,17 @@ class FlightRecorder:
                 time_s=cause[_TIME],
                 trigger=trigger,
                 cause_row=cause,
-                rows={w: tuple(r) for w, r in self._rings.items()},
+                rows={w: tuple(r) for w, r in self.rings.items()},
             )
         )
 
     def ring(self, where: str) -> list[JourneyEvent]:
         """The currently retained events at one location (oldest first)."""
-        return [JourneyEvent.from_row(row) for row in self._rings.get(where, ())]
+        return [JourneyEvent.from_row(row) for row in self.rings.get(where, ())]
 
     def locations(self) -> list[str]:
         """Every location that has retained at least one event."""
-        return sorted(self._rings)
+        return sorted(self.rings)
 
     def __len__(self) -> int:
         return len(self.dumps)

@@ -373,6 +373,10 @@ class JourneyRecorder:
     packet inherits the original's decision and full-fidelity tracing stays
     opt-in.  An armed :class:`~repro.obs.flight.FlightRecorder` sees every
     event regardless of sampling (bounded ring buffers, dump on anomaly).
+
+    Each hook builds its row once and hands it to one sink, which counts
+    it, keeps it when the tag is sampled and appends it to its location's
+    flight ring.
     """
 
     def __init__(
@@ -389,8 +393,16 @@ class JourneyRecorder:
         self.sample_rate = sample_rate
         self.predicate = predicate
         self.flight = flight
+        #: every tag is kept: the sampling question is answered here, once
+        self._keep_all = predicate is None and sample_rate >= 1.0
+        #: an armed flight recorder rings every event, sampled or not
+        self._watch_all = flight is not None
+        self._rings = None
+        self._armed: dict[str, str] = {}
         if flight is not None:
             flight.bind(self)
+            self._rings = flight.rings
+            self._armed = flight.armed_kinds
         #: content_tag -> sampled?  Memoised only where the answer can vary
         #: by tag (a predicate, or a hashed rate strictly inside (0, 1)).
         self._decisions: dict[int, bool] = {}
@@ -401,9 +413,11 @@ class JourneyRecorder:
         self._intent: dict[tuple[str, HeaderTuple], HeaderTuple] = {}
         self._intent_armed = False
         self.events_recorded = 0
-        #: opt-in self-profiler (repro.obs.prof.Profiler); None = off and
-        #: the _emit hook is statically dead.
+        #: opt-in self-profiler (repro.obs.prof.Profiler), set through
+        #: set_profiler(); None = off and the sink is the bare _record
         self._prof = None
+        #: the one sink every hook hands its row to: ``sink(row, sampled)``
+        self._sink = self._record
 
     @property
     def never_records(self) -> bool:
@@ -464,6 +478,11 @@ class JourneyRecorder:
         if self.net.journey is self:
             self.net.journey = None
 
+    def set_profiler(self, prof) -> None:
+        """Bracket every sunk row in ``prof``'s ``obs.hook`` frame (None = off)."""
+        self._prof = prof
+        self._sink = self._record if prof is None else self._record_profiled
+
     # -- sampling -----------------------------------------------------------
     def wants(self, packet: "Packet") -> bool:
         """Sampling decision for this packet's content tag.
@@ -488,31 +507,28 @@ class JourneyRecorder:
             self._decisions[tag] = decided
         return decided
 
-    def _active(self, packet: "Packet") -> bool:
-        """True when this packet should generate events at all."""
-        return self.flight is not None or self.wants(packet)
+    # -- the sink -------------------------------------------------------------
+    def _record(self, row: tuple, sampled: bool) -> None:
+        """Count ``row``, keep it when sampled, ring it when a flight
+        recorder is armed, and let that recorder fire if the kind can."""
+        self.events_recorded += 1
+        if sampled:
+            self._rows.append(row)
+        rings = self._rings
+        if rings is not None:
+            rings[row[_WHERE]].append(row)
+            trigger = self._armed.get(row[_KIND])
+            if trigger is not None:
+                self.flight.fire(trigger, row)
 
-    def _emit(
-        self, kind: str, where: str, packet: "Packet",
-        keys: tuple[str, ...], *values: Any,
-    ) -> None:
+    def _record_profiled(self, row: tuple, sampled: bool) -> None:
         prof = self._prof
-        if prof is not None:
-            prof.enter("obs.hook")
-            prof.count("obs.hook", "journey_emit")
+        prof.enter("obs.hook")
+        prof.count("obs.hook", "journey_emit")
         try:
-            row = (
-                self.sim.now, kind, where, packet.uid, packet.content_tag,
-                keys, *values,
-            )
-            self.events_recorded += 1
-            if self.wants(packet):
-                self._rows.append(row)
-            if self.flight is not None:
-                self.flight.observe(row)
+            self._record(row, sampled)
         finally:
-            if prof is not None:
-                prof.exit()
+            prof.exit()
 
     # -- intent (the MC's planned rewrite chains) ---------------------------
     def arm_intent(self, mic: "MimicController") -> int:
@@ -563,27 +579,35 @@ class JourneyRecorder:
     # -- hot-path hooks (each guarded by an `is None` check at the caller) --
     def on_host_tx(self, host: "Host", packet: "Packet") -> None:
         """The origin host pushed a packet into its stack."""
-        if self._active(packet):
-            self._emit(
-                "host.tx", host.name, packet, _HOST_TX,
-                packet.ip_dst.text, packet.size,
-            )
+        sampled = self._keep_all or self.wants(packet)
+        if sampled or self._watch_all:
+            self._sink((
+                self.sim.now, "host.tx", host.name, packet.uid,
+                packet.content_tag, _HOST_TX, packet.ip_dst.text, packet.size,
+            ), sampled)
 
     def on_switch_ingress(
         self, switch: "Switch", packet: "Packet", in_port: int
-    ) -> None:
-        """A switch received a packet (pre-pipeline)."""
-        if self._active(packet):
-            self._emit(
-                "switch.ingress", switch.name, packet, _SWITCH_INGRESS,
-                in_port, header_tuple(packet), packet.size,
-            )
+    ) -> Optional[HeaderTuple]:
+        """A switch received a packet (pre-pipeline).
 
-    def pre_apply(self, packet: "Packet") -> Optional[HeaderTuple]:
-        """Capture the pre-rewrite header tuple, or None when not tracing."""
-        if self._active(packet):
-            return header_tuple(packet)
-        return None
+        Returns the header tuple it recorded, or None when the packet
+        generates no events.  The switch carries it to classification as
+        the hop's pre-rewrite header, and calls the classification hooks
+        below only when it is not None.
+        """
+        sampled = self._keep_all or self.wants(packet)
+        if not (sampled or self._watch_all):
+            return None
+        header = (
+            packet.ip_src.text, packet.ip_dst.text, packet.sport, packet.dport,
+            packet.mpls,
+        )
+        self._sink((
+            self.sim.now, "switch.ingress", switch.name, packet.uid,
+            packet.content_tag, _SWITCH_INGRESS, in_port, header, packet.size,
+        ), sampled)
+        return header
 
     def on_switch_applied(
         self,
@@ -594,47 +618,59 @@ class JourneyRecorder:
         old: HeaderTuple,
         emissions: list[tuple[int, "Packet"]],
     ) -> None:
-        """The pipeline matched ``entry`` and produced ``emissions``."""
-        new = header_tuple(packet)
+        """The pipeline matched ``entry`` and produced ``emissions``; ``old``
+        is the header :meth:`on_switch_ingress` returned for this hop."""
+        sampled = self._keep_all or self.wants(packet)
+        sink = self._sink
+        now = self.sim.now
+        where = switch.name
+        uid = packet.uid
+        new = (
+            packet.ip_src.text, packet.ip_dst.text, packet.sport, packet.dport,
+            packet.mpls,
+        )
         if new != old:
-            self._emit(
-                "switch.rewrite", switch.name, packet, _SWITCH_REWRITE,
-                in_port, entry.entry_id, entry.cookie, old, new,
-            )
-        emitted = [header_tuple(p) for _port, p in emissions]
+            sink((
+                now, "switch.rewrite", where, uid, packet.content_tag,
+                _SWITCH_REWRITE, in_port, entry.entry_id, entry.cookie, old, new,
+            ), sampled)
+        emitted = []
+        for _port, p in emissions:
+            emitted.append((p.ip_src.text, p.ip_dst.text, p.sport, p.dport, p.mpls))
         if self._intent_armed:
-            expected = self._intent.get((switch.name, old))
+            expected = self._intent.get((where, old))
             if expected is not None and expected not in emitted:
-                self._emit(
-                    "switch.divergence", switch.name, packet, _SWITCH_DIVERGENCE,
-                    in_port, entry.entry_id, entry.cookie, old, expected,
-                    emitted,
-                )
+                sink((
+                    now, "switch.divergence", where, uid, packet.content_tag,
+                    _SWITCH_DIVERGENCE, in_port, entry.entry_id, entry.cookie,
+                    old, expected, emitted,
+                ), sampled)
         for (port, out_pkt), header in zip(emissions, emitted):
-            self._emit(
-                "switch.egress", switch.name, out_pkt, _SWITCH_EGRESS,
-                port, packet.uid, entry.entry_id, header, out_pkt.size,
-            )
+            sink((
+                now, "switch.egress", where, out_pkt.uid, out_pkt.content_tag,
+                _SWITCH_EGRESS, port, uid, entry.entry_id, header, out_pkt.size,
+            ), sampled)
 
     def on_switch_miss(
-        self, switch: "Switch", packet: "Packet", in_port: int
+        self, switch: "Switch", packet: "Packet", in_port: int,
+        header: HeaderTuple,
     ) -> None:
-        """No rule matched; the packet is being punted."""
-        if self._active(packet):
-            self._emit(
-                "switch.miss", switch.name, packet, _SWITCH_MISS,
-                in_port, header_tuple(packet),
-            )
+        """No rule matched; the packet is being punted.  ``header`` is the
+        one :meth:`on_switch_ingress` returned (a miss rewrites nothing)."""
+        self._sink((
+            self.sim.now, "switch.miss", switch.name, packet.uid,
+            packet.content_tag, _SWITCH_MISS, in_port, header,
+        ), self._keep_all or self.wants(packet))
 
     def on_ttl_expired(
         self, switch: "Switch", packet: "Packet", in_port: int
     ) -> None:
-        """The packet died of TTL in this switch's pipeline."""
-        if self._active(packet):
-            self._emit(
-                "switch.ttl_expired", switch.name, packet, _SWITCH_TTL_EXPIRED,
-                in_port,
-            )
+        """The packet died of TTL in this switch's pipeline (called only when
+        :meth:`on_switch_ingress` recorded the hop)."""
+        self._sink((
+            self.sim.now, "switch.ttl_expired", switch.name, packet.uid,
+            packet.content_tag, _SWITCH_TTL_EXPIRED, in_port,
+        ), self._keep_all or self.wants(packet))
 
     def on_link_tx(
         self,
@@ -643,24 +679,27 @@ class JourneyRecorder:
         queue_wait_s: float,
         serialize_s: float,
         backlog_bytes: int,
+        size: int,
     ) -> None:
-        """A channel accepted the packet for transmission."""
-        if self._active(packet):
-            self._emit(
-                "link.tx", channel.name, packet, _LINK_TX,
-                queue_wait_s, serialize_s, channel.delay_s, backlog_bytes,
-                packet.size,
-            )
+        """A channel accepted the packet (``size`` bytes) for transmission."""
+        sampled = self._keep_all or self.wants(packet)
+        if sampled or self._watch_all:
+            self._sink((
+                self.sim.now, "link.tx", channel.name, packet.uid,
+                packet.content_tag, _LINK_TX, queue_wait_s, serialize_s,
+                channel.delay_s, backlog_bytes, size,
+            ), sampled)
 
     def on_link_drop(
         self, channel: "Channel", packet: "Packet", backlog_bytes: int
     ) -> None:
         """A channel tail-dropped the packet."""
-        if self._active(packet):
-            self._emit(
-                "link.drop", channel.name, packet, _LINK_DROP,
-                backlog_bytes, packet.size,
-            )
+        sampled = self._keep_all or self.wants(packet)
+        if sampled or self._watch_all:
+            self._sink((
+                self.sim.now, "link.drop", channel.name, packet.uid,
+                packet.content_tag, _LINK_DROP, backlog_bytes, packet.size,
+            ), sampled)
 
     def on_link_state(self, channel: "Channel", up: bool) -> None:
         """A directed channel was administratively brought down.
@@ -668,31 +707,34 @@ class JourneyRecorder:
         Not packet-scoped: the event carries uid 0 and content tag 0 and
         feeds only the flight recorder (there is no journey to append to) —
         it exists so an armed ``link_down`` trigger snapshots the traffic
-        leading up to the failure.
+        leading up to the failure.  It is not a hook body the profiler
+        brackets.
         """
-        if self.flight is None:
-            return
-        self.events_recorded += 1
-        self.flight.observe(
-            (self.sim.now, "link.down", channel.name, 0, 0, _LINK_DOWN, up)
-        )
+        if self._watch_all:
+            self._record(
+                (self.sim.now, "link.down", channel.name, 0, 0, _LINK_DOWN, up),
+                False,
+            )
 
     def on_host_rx(self, host: "Host", packet: "Packet") -> None:
         """The destination NIC accepted the packet."""
-        if self._active(packet):
-            self._emit(
-                "host.rx", host.name, packet, _HOST_RX,
-                packet.ip_src.text, self.sim.now - packet.created_at,
+        sampled = self._keep_all or self.wants(packet)
+        if sampled or self._watch_all:
+            now = self.sim.now
+            self._sink((
+                now, "host.rx", host.name, packet.uid, packet.content_tag,
+                _HOST_RX, packet.ip_src.text, now - packet.created_at,
                 packet.size,
-            )
+            ), sampled)
 
     def on_host_foreign_drop(self, host: "Host", packet: "Packet") -> None:
         """A NIC discarded a packet not addressed to it (decoy death)."""
-        if self._active(packet):
-            self._emit(
-                "host.foreign_drop", host.name, packet, _HOST_FOREIGN_DROP,
-                packet.ip_dst.text,
-            )
+        sampled = self._keep_all or self.wants(packet)
+        if sampled or self._watch_all:
+            self._sink((
+                self.sim.now, "host.foreign_drop", host.name, packet.uid,
+                packet.content_tag, _HOST_FOREIGN_DROP, packet.ip_dst.text,
+            ), sampled)
 
     # -- queries (the ground-truth linkage API) -----------------------------
     def journeys_by_content_tag(self) -> dict[int, Journey]:

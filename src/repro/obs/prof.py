@@ -89,10 +89,9 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
     ),
     ProfSubsystem(
         "flowtable.lookup",
-        "repro.net.flowtable.FlowTable.lookup / lookup_linear",
-        "classifying one packet through the cache and tuple-space indexes "
-        "(or the linear reference scan)",
-        "`path.cached`, `path.indexed`, `path.linear`",
+        "repro.net.flowtable.FlowTable.lookup",
+        "classifying one packet through the cache and tuple-space indexes",
+        "`path.cached`, `path.indexed`",
     ),
     ProfSubsystem(
         "fluid.solve",
@@ -128,7 +127,7 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
     ),
     ProfSubsystem(
         "obs.hook",
-        "repro.obs.Observer.on_host_rx / JourneyRecorder._emit",
+        "repro.obs.Observer.on_host_rx / JourneyRecorder._record",
         "the observability layer's own per-packet hook bodies",
         "`host_rx`, `journey_emit`",
     ),
@@ -398,7 +397,7 @@ class Profiler:
             sw.table._prof = self
             journey = getattr(sw, "journey", None)
             if journey is not None:
-                journey._prof = self
+                journey.set_profiler(self)
         hybrid = getattr(net, "hybrid", None)
         if hybrid is not None:
             self.hook_hybrid(hybrid)
@@ -407,7 +406,7 @@ class Profiler:
             if obs is not None and obs.profiler is not self:
                 obs.profiler = self
                 if obs.journey is not None:
-                    obs.journey._prof = self
+                    obs.journey.set_profiler(self)
         return self
 
     def hook_hybrid(self, engine) -> "Profiler":

@@ -1,7 +1,7 @@
 """Indexed classifier == reference linear classifier, by property.
 
 The tiered lookup pipeline (per-priority tuple-space indexes + bounded
-lookup cache) must agree with :meth:`FlowTable.lookup_linear` — the
+lookup cache) must agree with ``lookup_linear`` (``flowtable_oracle``) — the
 priority-ordered linear scan that defines the semantics — on every packet,
 for every rule set, through every mutation.  Rule sets here deliberately
 mix overlapping priorities, duplicate matches, wildcards of every arity and
@@ -10,6 +10,7 @@ drawn from small pools so overlaps and shadowing are common, not rare.
 """
 
 import pytest
+from flowtable_oracle import lookup_linear
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
@@ -94,7 +95,7 @@ def build_table(rules, **kw):
 def test_indexed_lookup_equals_linear_reference(rules, pkt, in_port):
     """Same entry *object* from both classifiers, for any rule set."""
     table = build_table(rules)
-    assert table.lookup(pkt, in_port) is table.lookup_linear(pkt, in_port)
+    assert table.lookup(pkt, in_port) is lookup_linear(table, pkt, in_port)
 
 
 @settings(max_examples=250, deadline=None)
@@ -102,7 +103,7 @@ def test_indexed_lookup_equals_linear_reference(rules, pkt, in_port):
 def test_equivalence_with_cache_disabled(rules, pkt, in_port):
     """The tuple-space tier alone (no cache) also agrees with the reference."""
     table = build_table(rules, cache_size=0)
-    assert table.lookup(pkt, in_port) is table.lookup_linear(pkt, in_port)
+    assert table.lookup(pkt, in_port) is lookup_linear(table, pkt, in_port)
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,13 +117,13 @@ def test_equivalence_survives_mutation_between_lookups(rules, pkts, in_port, dat
     """Install/remove between lookups: the cache never serves stale results."""
     table = build_table(rules)
     for pkt in pkts:
-        assert table.lookup(pkt, in_port) is table.lookup_linear(pkt, in_port)
+        assert table.lookup(pkt, in_port) is lookup_linear(table, pkt, in_port)
     # Mutate: remove one installed rule's match, install one new rule.
     victim = data.draw(st.sampled_from(rules))
     table.remove(victim.match, priority=victim.priority)
     table.install(data.draw(entries))
     for pkt in pkts:
-        assert table.lookup(pkt, in_port) is table.lookup_linear(pkt, in_port)
+        assert table.lookup(pkt, in_port) is lookup_linear(table, pkt, in_port)
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,7 +141,7 @@ def test_equivalence_after_setfield_rewrite(rules, pkt, in_port):
     table.install(rewrite)
     table.apply(pkt, in_port)  # mutates pkt via the SetFields
     table.remove(rewrite.match, priority=99)
-    assert table.lookup(pkt, in_port) is table.lookup_linear(pkt, in_port)
+    assert table.lookup(pkt, in_port) is lookup_linear(table, pkt, in_port)
 
 
 def _coinciding(v, w, swapped, proto, sport, dport, mpls):
@@ -182,7 +183,7 @@ def test_equivalence_when_address_values_coincide_across_positions(
     table = build_table(rules, cache_size=cache_size)
     for _ in range(2):  # the second pass is served from whatever stayed cached
         for pkt in pkts:
-            assert table.lookup(pkt, in_port) is table.lookup_linear(pkt, in_port)
+            assert table.lookup(pkt, in_port) is lookup_linear(table, pkt, in_port)
     assert len(table._lookup_cache) <= cache_size
 
 
@@ -236,7 +237,7 @@ def test_equal_priority_duplicate_matches_first_installed_wins():
         sport=1, dport=2, payload_size=10,
     )
     assert table.lookup(pkt, 1) is first
-    assert table.lookup_linear(pkt, 1) is first
+    assert lookup_linear(table, pkt, 1) is first
     # Removing the duplicated match removes both; reinstall re-sequences.
     assert table.remove(Match(ip_dst=ip(1)), priority=3) == 2
     table.install(second)

@@ -2,7 +2,8 @@
 is not met by dropping a record.
 
 The scenario is a scripted 8-switch rewriting chain (three ``SetField`` and
-one ``Output`` per switch, every hook off): the shape of a MIC path where
+one ``Output`` per switch, every hook off unless a case turns the journey
+recorder on): the shape of a MIC path where
 every switch is a Mimic Node.  Costs are *counts* from ``cProfile`` — calls
 of a 200-packet burst minus those of a 100-packet burst, so everything that
 does not scale with packets cancels — never wall-clock time.  Only Python
@@ -13,22 +14,31 @@ See docs/dataplane.md, "The cost of one hop".
 """
 
 import cProfile
+import gc
 from typing import Callable
 
 from packet_oracle import rebuild_copy
 
 from repro.net import FlowEntry, Match, Network, Output, Packet, SetField, ip, linear
+from repro.obs import FlightRecorder, JourneyRecorder
 
 SWITCHES = 8
 WARM_UP = 10
 #: Python frames one packet may cost per switch it crosses, host work
 #: included (the parent of the change that introduced this test: 47.25)
 FRAME_BUDGET = 32.0
+#: the same with every journey hook on (full sampling, an armed flight
+#: recorder) — pinned, not bounded: the one-sink hook path took it from
+#: 58.875 to this, and a second header build or sink call shows here
+HOOKS_ON_FRAMES = 39.625
 
 
-def rewriting_chain() -> tuple[Network, Callable[[int], None]]:
-    """The chain and ``send(n)``, which pushes ``n`` packets and runs dry."""
+def rewriting_chain(hooks: bool = False) -> tuple[Network, Callable[[int], None]]:
+    """The chain and ``send(n)``, which pushes ``n`` packets and runs dry;
+    ``hooks`` attaches a full-sampling journey with an armed flight recorder."""
     net = Network(linear(SWITCHES, hosts_per_switch=1))
+    if hooks:
+        JourneyRecorder.attach(net, sample_rate=1.0, flight=FlightRecorder())
     src, dst = net.host("h1"), net.host(f"h{SWITCHES}")
     # the header pair on each segment; addresses are built here, at set-up
     pairs = [(src.ip, ip("10.200.0.0"))]
@@ -58,9 +68,15 @@ def rewriting_chain() -> tuple[Network, Callable[[int], None]]:
 def profiled_calls(send, n: int) -> dict[tuple[str, str], int]:
     """Calls per Python function — ``(file tail, name)`` — of ``send(n)``."""
     profile = cProfile.Profile()
+    # paused collector: a gc.callbacks hook (hypothesis installs one) would
+    # count as frames whenever the run happens to cross a collection
+    gc.disable()
     profile.enable()
-    send(n)
-    profile.disable()
+    try:
+        send(n)
+    finally:
+        profile.disable()
+        gc.enable()
     calls: dict[tuple[str, str], int] = {}
     for entry in profile.getstats():
         code = entry.code
@@ -70,15 +86,20 @@ def profiled_calls(send, n: int) -> dict[tuple[str, str], int]:
     return calls
 
 
-def test_a_packet_hop_stays_inside_its_frame_budget():
-    net, send = rewriting_chain()
+def per_packet_calls(hooks: bool = False) -> dict[tuple[str, str], float]:
+    """Python calls per packet through the chain, by function."""
+    net, send = rewriting_chain(hooks)
     small = profiled_calls(send, 100)
     large = profiled_calls(send, 200)
     assert net.host(f"h{SWITCHES}").packets_received == WARM_UP + 300
-    per_packet = {
+    return {
         key: (large[key] - small.get(key, 0)) / 100
         for key in large if large[key] != small.get(key, 0)
     }
+
+
+def test_a_packet_hop_stays_inside_its_frame_budget():
+    per_packet = per_packet_calls()
     # the kernel's one per-event entry: 2 per switch (pipeline, link), the
     # sender's stack, its link, and the receiver's stack
     assert per_packet[("sim/engine.py", "step")] == 2 * SWITCHES + 3
@@ -88,6 +109,21 @@ def test_a_packet_hop_stays_inside_its_frame_budget():
     assert per_packet[("net/packet.py", "copy")] == SWITCHES  # one per emission
     frames_per_hop = sum(per_packet.values()) / SWITCHES
     assert frames_per_hop <= FRAME_BUDGET, sorted(
+        per_packet.items(), key=lambda kv: -kv[1])
+
+
+def test_a_recorded_hop_costs_one_row_build_per_event():
+    """Every hook on: each event is one hook frame and one sink frame, and
+    the ingress header is built once and carried to classification."""
+    per_packet = per_packet_calls(hooks=True)
+    # per hop: ingress, rewrite, egress and the outgoing link.tx; plus the
+    # sender's host.tx and link.tx and the receiver's host.rx
+    assert per_packet[("obs/journey.py", "_record")] == 4 * SWITCHES + 3
+    assert per_packet[("obs/journey.py", "on_switch_ingress")] == SWITCHES
+    assert per_packet[("obs/journey.py", "on_switch_applied")] == SWITCHES
+    assert ("obs/journey.py", "header_tuple") not in per_packet
+    frames_per_hop = sum(per_packet.values()) / SWITCHES
+    assert frames_per_hop == HOOKS_ON_FRAMES, sorted(
         per_packet.items(), key=lambda kv: -kv[1])
 
 

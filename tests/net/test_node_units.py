@@ -88,7 +88,7 @@ class TestChannelBacklog:
             def __init__(self):
                 self.tx, self.drops = [], []
 
-            def on_link_tx(self, channel, packet, wait_s, tx_time, backlog):
+            def on_link_tx(self, channel, packet, wait_s, tx_time, backlog, size):
                 self.tx.append((wait_s, tx_time, backlog))
 
             def on_link_drop(self, channel, packet, backlog):

@@ -399,20 +399,20 @@ def test_every_hook_passes_exactly_its_contracted_fields():
     ``zip`` would silently truncate a hook that drifted."""
     specs = {spec.kind: spec for spec in JOURNEY_EVENTS}
     seen = set()
-    observe = FlightRecorder.observe
+    record = JourneyRecorder._record
 
-    def checked(self, row):
+    def checked(self, row, sampled):
         spec = specs[row[1]]
         assert row[5] is spec.fields, f"{row[1]} does not share the contract tuple"
         assert len(row) == 6 + len(spec.fields), row
         seen.add(row[1])
-        observe(self, row)
+        record(self, row, sampled)
 
-    FlightRecorder.observe = checked
+    JourneyRecorder._record = checked
     try:
         run_scenario()
     finally:
-        FlightRecorder.observe = observe
+        JourneyRecorder._record = record
     assert seen == journey_event_kinds()
     assert row_column("link.tx", "backlog_bytes") == 6 + 3
 

@@ -7,7 +7,11 @@ periodic timeline sampling on top) and require the full trace logs to
 serialize identically.
 """
 
+import pytest
+
 from repro.core import deploy_mic
+from repro.net import FlowEntry, Match, Network, Output, SetField, linear
+from repro.obs import FlightRecorder, JourneyRecorder
 
 MESSAGE = b"m" * 300
 
@@ -113,7 +117,6 @@ def test_flight_armed_untriggered_is_byte_identical():
     """An armed flight recorder processes every packet (sampling or not),
     keeps its rings bounded, fires no trigger on a healthy run — and the
     trace stays byte-identical."""
-    from repro.obs import FlightRecorder
 
     plain, t_plain, _ = _echo_run(observe=False)
     flight = FlightRecorder(capacity=16)
@@ -138,3 +141,81 @@ def test_journey_detach_restores_the_unhooked_state():
         link.forward.journey is None and link.reverse.journey is None
         for link in dep.net.links
     )
+
+
+# ---------------------------------------------------------------------------
+# attaching or detaching while a packet sits in a switch pipeline
+# ---------------------------------------------------------------------------
+
+
+def _chain():
+    """linear(2), h1 -> s1 -> s2 -> h2 routed, with a rewrite at s1."""
+    net = Network(linear(2, hosts_per_switch=1), seed=3)
+    h1, h2 = net.host("h1"), net.host("h2")
+    net.switch("s1").table.install(FlowEntry(
+        Match(ip_dst=h2.ip), [SetField("sport", 4321), Output(net.port("s1", "s2"))]
+    ))
+    net.switch("s2").table.install(
+        FlowEntry(Match(ip_dst=h2.ip), [Output(net.port("s2", "h2"))])
+    )
+    h2.bind("udp", 9, lambda host, packet: None)
+    return net, h1, h2
+
+
+def _send(net, h1, dst, ttl=None):
+    packet = h1.make_packet(dst, proto="udp", sport=7, dport=9, payload_size=32)
+    if ttl is not None:
+        packet.ttl = ttl
+    h1.send_packet(packet)
+    return packet
+
+
+@pytest.mark.parametrize("fate", ["forwarded", "ttl_expired", "miss"])
+def test_detaching_mid_pipeline_finishes_the_hop_unrecorded(fate):
+    """The recorder leaves between s1's ingress and its classification:
+    the switch carries the ingress header into a pipeline with no journey,
+    must not call into it, and the packet's fate is untouched."""
+    net, h1, h2 = _chain()
+    rec = JourneyRecorder.attach(net, flight=FlightRecorder())
+    ingress = rec.on_switch_ingress
+
+    def ingress_then_detach(switch, packet, in_port):
+        header = ingress(switch, packet, in_port)
+        rec.detach()
+        return header
+
+    rec.on_switch_ingress = ingress_then_detach
+    dst = net.host("h1").ip if fate == "miss" else h2.ip  # s1 has no rule back
+    _send(net, h1, dst, ttl=1 if fate == "ttl_expired" else None)
+    net.run()
+    assert [row[1] for row in rec._rows] == ["host.tx", "link.tx", "switch.ingress"]
+    assert h2.packets_received == (fate == "forwarded")
+    s1 = net.switch("s1")
+    assert (s1.packets_forwarded, s1.packets_punted) == {
+        "forwarded": (1, 0), "ttl_expired": (0, 0), "miss": (0, 1)}[fate]
+
+
+def test_attaching_mid_pipeline_starts_at_the_next_ingress():
+    """A recorder attached while the packet sits in s1's pipeline records
+    nothing at s1 for that hop (its ingress was never seen); the packet's
+    switch events start at s2's ingress."""
+    net, h1, h2 = _chain()
+    attached = []
+
+    def attach_next(packet, port, direction):
+        if direction == "in" and not attached:
+            # after receive() returns: the packet is already in the pipeline
+            net.sim.call_later(0.0, lambda: attached.append(JourneyRecorder.attach(net)))
+
+    net.switch("s1").add_mirror_tap(attach_next)
+    _send(net, h1, h2.ip)
+    net.run()
+    (rec,) = attached
+    assert h2.packets_received == 1
+    assert [(row[1], row[2]) for row in rec._rows] == [
+        ("link.tx", "s1[2]->s2[1]"),
+        ("switch.ingress", "s2"),
+        ("switch.egress", "s2"),
+        ("link.tx", "s2[2]->h2[0]"),
+        ("host.rx", "h2"),
+    ]
