@@ -64,6 +64,7 @@ def _burst(mode: str) -> tuple[float, str]:
             FlowEntry(Match(ip_dst=h3.ip), [Output(net.port(*out))])
         )
     h3.bind("tcp", 80, lambda host, p: None)
+    trace = net.attach_trace()
     san = None
     if mode == "attached":
         san = SimSanitizer.attach(net.sim)
@@ -103,7 +104,7 @@ def _burst(mode: str) -> tuple[float, str]:
         san.detach()
     digest = "\n".join(
         f"{r.time:.9f} {r.category} {r.node} {sorted(r.detail.items())!r}"
-        for r in net.trace
+        for r in trace
     )
     return elapsed, digest
 

@@ -21,6 +21,7 @@ def main() -> None:
     ctrl = Controller(net)
     mic = ctrl.register(MimicController())
     ctrl.register(L3ShortestPathApp())
+    trace = net.attach_trace(categories={"mic.repair"})
     server = MicServer(net.host("h16"), 80)
     alice = MicEndpoint(net.host("h1"), mic)
     log = {}
@@ -52,7 +53,7 @@ def main() -> None:
     net.run(until=30.0)
 
     new_plan = next(iter(mic.channels.values())).flows[0]
-    repair = net.trace.by_category("mic.repair")
+    repair = trace.by_category("mic.repair")
     print(f"original walk : {' -> '.join(log['old_walk'])}")
     print(f"link failed   : {log['failed_link'][0]} <-> {log['failed_link'][1]} "
           f"at t={log['failed_at'] * 1e3:.1f} ms")

@@ -21,6 +21,8 @@ def main() -> None:
     ctrl = Controller(net)
     mic = ctrl.register(MimicController())
     ctrl.register(L3ShortestPathApp())
+    # The trace log is attached on demand; keep only the forwarding records.
+    trace = net.attach_trace(categories={"switch.fwd"})
     print(f"fabric: {net.topo!r}")
 
     # 2. Bob runs a MIC-aware server on port 80.
@@ -66,7 +68,7 @@ def main() -> None:
     real_pair = {str(net.host("h1").ip), str(net.host("h16").ip)}
     leaks = [
         rec.node
-        for rec in net.trace.by_category("switch.fwd")
+        for rec in trace.by_category("switch.fwd")
         if {rec["src_ip"], rec["dst_ip"]} == real_pair
     ]
     print(f"switches that saw the real (alice, bob) pair together: {leaks or 'none'}")

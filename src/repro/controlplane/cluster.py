@@ -350,10 +350,11 @@ class MimicControllerCluster(ControllerApp):
             # loop watches its own shard's channel table).
             adopter.strategy.on_established(channel)
         self.channels_adopted += adopted
-        self.net.trace.emit(
-            self.sim.now, "mic.shard.crash", "MC", _CRASH_KEYS,
-            shard_id, adopted, len(was_repairing), len(was_parked),
-        )
+        if self.net.trace is not None:
+            self.net.trace.emit(
+                self.sim.now, "mic.shard.crash", "MC", _CRASH_KEYS,
+                shard_id, adopted, len(was_repairing), len(was_parked),
+            )
         span.finish(channels_adopted=adopted)
 
     def rejoin_shard(self, shard_id: int) -> None:
@@ -365,9 +366,10 @@ class MimicControllerCluster(ControllerApp):
         self._alive_ids = tuple(
             i for i, s in enumerate(self.shards) if s.alive
         )
-        self.net.trace.emit(
-            self.sim.now, "mic.shard.rejoin", "MC", _REJOIN_KEYS, shard_id
-        )
+        if self.net.trace is not None:
+            self.net.trace.emit(
+                self.sim.now, "mic.shard.rejoin", "MC", _REJOIN_KEYS, shard_id
+            )
 
     # -- shared namespace / key management -------------------------------
     def client_key(self, host_name: str):

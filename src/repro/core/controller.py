@@ -398,10 +398,11 @@ class MimicController(ControllerApp):
         self.compiled.update(intents)
         if self.verify_installs:
             self.verify().raise_if_failed()
-        self.net.trace.emit(
-            self.sim.now, "mic.establish", "MC", _ESTABLISH_KEYS,
-            channel_id, initiator, responder_host, n_flows, n_mns,
-        )
+        if self.net.trace is not None:
+            self.net.trace.emit(
+                self.sim.now, "mic.establish", "MC", _ESTABLISH_KEYS,
+                channel_id, initiator, responder_host, n_flows, n_mns,
+            )
         self.strategy.on_established(channel)
         establish_span.finish()
         return ChannelGrant(
@@ -648,9 +649,10 @@ class MimicController(ControllerApp):
                 self._retract(plan.cookie, compiled)
             self._release_flow(channel_id, plan)
             self._parked.pop(plan.cookie, None)
-        self.net.trace.emit(
-            self.sim.now, "mic.teardown", "MC", _TEARDOWN_KEYS, channel_id
-        )
+        if self.net.trace is not None:
+            self.net.trace.emit(
+                self.sim.now, "mic.teardown", "MC", _TEARDOWN_KEYS, channel_id
+            )
         self.strategy.on_teardown(channel)
 
     def _release_flow(self, channel_id: int, plan: MFlowPlan) -> None:
@@ -808,13 +810,14 @@ class MimicController(ControllerApp):
                 self.repairs_completed += 1
             if self.verify_installs:
                 self.verify().raise_if_failed()
-            self.net.trace.emit(
-                self.sim.now,
-                "mic.rotate" if kind == "rotate" else "mic.repair",
-                "MC",
-                _REPAIR_KEYS,
-                channel.channel_id, old.flow_id, list(new_plan.walk),
-            )
+            if self.net.trace is not None:
+                self.net.trace.emit(
+                    self.sim.now,
+                    "mic.rotate" if kind == "rotate" else "mic.repair",
+                    "MC",
+                    _REPAIR_KEYS,
+                    channel.channel_id, old.flow_id, list(new_plan.walk),
+                )
             span.finish(outcome="rotated" if kind == "rotate" else "repaired")
         finally:
             self._repairing.discard(cookie)
@@ -826,10 +829,11 @@ class MimicController(ControllerApp):
         cookie = old.cookie
         self._parked[cookie] = (channel, idx)
         self.repairs_parked += 1
-        self.net.trace.emit(
-            self.sim.now, "mic.park", "MC", _PARK_KEYS,
-            channel.channel_id, old.flow_id, reason,
-        )
+        if self.net.trace is not None:
+            self.net.trace.emit(
+                self.sim.now, "mic.park", "MC", _PARK_KEYS,
+                channel.channel_id, old.flow_id, reason,
+            )
         if cookie not in self._park_loops:
             self._park_loops.add(cookie)
             self.sim.process(self._parked_retry_loop(cookie), name="mic.park")
@@ -916,9 +920,10 @@ class MimicController(ControllerApp):
         self.resyncs_completed += 1
         if self.verify_installs:
             self.verify().raise_if_failed()
-        self.net.trace.emit(
-            self.sim.now, "mic.resync", "MC", _RESYNC_KEYS, name, n_rules
-        )
+        if self.net.trace is not None:
+            self.net.trace.emit(
+                self.sim.now, "mic.resync", "MC", _RESYNC_KEYS, name, n_rules
+            )
         span.finish(rules=n_rules)
 
     def _expiry_loop(self):

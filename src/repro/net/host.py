@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..sim import Simulator, TraceLog
+from ..sim import Simulator
 from .addresses import IPv4Addr, MacAddr
 from .node import Node
 from .packet import Packet
@@ -43,13 +43,12 @@ class Host(Node):
     def __init__(
         self,
         sim: Simulator,
-        trace: TraceLog,
         name: str,
         params: NetParams,
         ip_addr: IPv4Addr,
         mac_addr: MacAddr,
     ):
-        super().__init__(sim, trace, name, params)
+        super().__init__(sim, name, params)
         self.ip = ip_addr
         self.mac = mac_addr
         self._bindings: dict[tuple[str, int], L4Handler] = {}
@@ -97,10 +96,11 @@ class Host(Node):
         self.bytes_sent += packet.size
         if self.journey is not None:
             self.journey.on_host_tx(self, packet)
-        self.trace.emit(
-            self.sim.now, "host.tx", self.name, _TX_KEYS,
-            packet.uid, packet.ip_dst.text, packet.size,
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                self.sim.now, "host.tx", self.name, _TX_KEYS,
+                packet.uid, packet.ip_dst.text, packet.size,
+            )
         self.sim.call_later(
             self.params.host_stack_delay_s, self.transmit, packet, NIC_PORT
         )
@@ -141,10 +141,11 @@ class Host(Node):
             # Not ours: a NIC without promiscuous mode discards it.  Decoy
             # packets from partial multicast die exactly this way when they
             # reach an innocent host instead of a dropping next-hop rule.
-            self.trace.emit(
-                self.sim.now, "host.foreign_drop", self.name, _FOREIGN_DROP_KEYS,
-                packet.uid, packet.ip_dst.text,
-            )
+            if self.trace is not None:
+                self.trace.emit(
+                    self.sim.now, "host.foreign_drop", self.name,
+                    _FOREIGN_DROP_KEYS, packet.uid, packet.ip_dst.text,
+                )
             if self.journey is not None:
                 self.journey.on_host_foreign_drop(self, packet)
             return
@@ -155,11 +156,12 @@ class Host(Node):
             self.obs.on_host_rx(self, packet)
         if self.journey is not None:
             self.journey.on_host_rx(self, packet)
-        self.trace.emit(
-            self.sim.now, "host.rx", self.name, _RX_KEYS,
-            packet.uid, packet.ip_src.text, packet.sport, packet.dport,
-            packet.size,
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                self.sim.now, "host.rx", self.name, _RX_KEYS,
+                packet.uid, packet.ip_src.text, packet.sport, packet.dport,
+                packet.size,
+            )
         self.sim.call_later(self.params.host_stack_delay_s, self._dispatch, packet)
 
     def _dispatch(self, packet: Packet) -> None:
@@ -168,7 +170,7 @@ class Host(Node):
             handler(self, packet)
         elif self.default_handler is not None:
             self.default_handler(self, packet)
-        else:
+        elif self.trace is not None:
             self.trace.emit(
                 self.sim.now, "host.refused", self.name, _REFUSED_KEYS,
                 packet.uid, packet.proto, packet.dport,

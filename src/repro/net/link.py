@@ -42,7 +42,6 @@ class Channel:
     def __init__(
         self,
         sim: Simulator,
-        trace: TraceLog,
         src: "Node",
         src_port: int,
         dst: "Node",
@@ -52,7 +51,8 @@ class Channel:
         queue_bytes: int,
     ):
         self.sim = sim
-        self.trace = trace
+        #: the network's attached trace log (None = nothing recorded)
+        self.trace: Optional[TraceLog] = None
         self.src = src
         self.src_port = src_port
         self.dst = dst
@@ -108,7 +108,10 @@ class Channel:
         backlog = int((pending_s if pending_s > 0.0 else 0.0) * bandwidth / 8.0)
         if not self.up or backlog + size > self.queue_bytes:
             self.stats.drops += 1
-            self.trace.emit(now, "link.drop", self.name, _DROP_KEYS, packet.uid, size)
+            if self.trace is not None:
+                self.trace.emit(
+                    now, "link.drop", self.name, _DROP_KEYS, packet.uid, size
+                )
             if self.journey is not None:
                 self.journey.on_link_drop(self, packet, backlog)
             return False
@@ -119,11 +122,12 @@ class Channel:
         self.stats.bytes += size
         if self.journey is not None:
             self.journey.on_link_tx(self, packet, start - now, tx_time, backlog, size)
-        self.trace.emit(
-            now, "link.tx", self.name, _TX_KEYS,
-            packet.uid, packet.content_tag, size,
-            packet.ip_src.text, packet.ip_dst.text, packet.mpls,
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                now, "link.tx", self.name, _TX_KEYS,
+                packet.uid, packet.content_tag, size,
+                packet.ip_src.text, packet.ip_dst.text, packet.mpls,
+            )
         self.sim.call_at(free_at + self.delay_s, self._deliver, packet)
         return True
 
@@ -134,10 +138,11 @@ class Channel:
             # silently returning here would leave drops uncounted and
             # journeys dangling mid-hop.
             self.stats.drops += 1
-            self.trace.emit(
-                self.sim.now, "link.drop", self.name, _DROP_IN_FLIGHT_KEYS,
-                packet.uid, packet.size, True,
-            )
+            if self.trace is not None:
+                self.trace.emit(
+                    self.sim.now, "link.drop", self.name, _DROP_IN_FLIGHT_KEYS,
+                    packet.uid, packet.size, True,
+                )
             if self.journey is not None:
                 self.journey.on_link_drop(self, packet, self.backlog_bytes())
             return
@@ -157,7 +162,6 @@ class Link:
     def __init__(
         self,
         sim: Simulator,
-        trace: TraceLog,
         a: "Node",
         a_port: int,
         b: "Node",
@@ -169,10 +173,10 @@ class Link:
         bw = bandwidth_bps if bandwidth_bps is not None else params.link_bandwidth_bps
         delay = delay_s if delay_s is not None else params.link_delay_s
         self.forward = Channel(
-            sim, trace, a, a_port, b, b_port, bw, delay, params.link_queue_bytes
+            sim, a, a_port, b, b_port, bw, delay, params.link_queue_bytes
         )
         self.reverse = Channel(
-            sim, trace, b, b_port, a, a_port, bw, delay, params.link_queue_bytes
+            sim, b, b_port, a, a_port, bw, delay, params.link_queue_bytes
         )
         a.attach(a_port, self.forward)
         b.attach(b_port, self.reverse)

@@ -1,6 +1,7 @@
 """Network assembly: turn a :class:`Topology` into live simulated devices.
 
-Owns the simulator, the trace log, the node registry and the port wiring.
+Owns the simulator, the node registry and the port wiring, and attaches
+the trace log (:meth:`Network.attach_trace`) when somebody asks for one.
 Port numbering: hosts use NIC port 0; switch ports are numbered 1..degree in
 the (stable) order the topology lists its edges.
 """
@@ -33,13 +34,14 @@ class Network:
         topo: Topology,
         params: NetParams = DEFAULT_PARAMS,
         seed: int = 0,
-        trace: Optional[TraceLog] = None,
     ):
         topo.validate()
         self.topo = topo
         self.params = params
         self.sim = Simulator(seed=seed)
-        self.trace = trace if trace is not None else TraceLog()
+        #: the attached :class:`TraceLog`, shared by every node and channel
+        #: (None = nothing recorded; see :meth:`attach_trace`)
+        self.trace: Optional[TraceLog] = None
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
         #: (node_name, neighbor_name) -> local port number
@@ -63,14 +65,12 @@ class Network:
         next_port: dict[str, int] = {}
         for name, data in g.nodes(data=True):
             if data["kind"] == "host":
-                host = Host(
-                    self.sim, self.trace, name, self.params, data["ip"], data["mac"]
-                )
+                host = Host(self.sim, name, self.params, data["ip"], data["mac"])
                 self.nodes[name] = host
                 self._ip_index[data["ip"]] = host
                 next_port[name] = 0  # NIC port
             else:
-                self.nodes[name] = Switch(self.sim, self.trace, name, self.params)
+                self.nodes[name] = Switch(self.sim, name, self.params)
                 next_port[name] = 1
 
         for a, b, edata in g.edges(data=True):
@@ -81,7 +81,6 @@ class Network:
             self.port_map[(b, a)] = pb
             link = Link(
                 self.sim,
-                self.trace,
                 self.nodes[a],
                 pa,
                 self.nodes[b],
@@ -93,6 +92,31 @@ class Network:
             self.links.append(link)
             self._link_index[(a, b)] = link
             self._link_index[(b, a)] = link
+
+    # -- the trace log ------------------------------------------------------
+    def attach_trace(self, categories: Optional[set[str]] = None) -> TraceLog:
+        """Start recording: a fresh :class:`TraceLog` on the network, every
+        host and switch, and both channels of every link.
+
+        Records start at this instant; nothing before it is kept.
+        ``categories`` limits what is kept (None keeps everything).  The
+        controllers read ``net.trace`` at each emit, so they follow.
+        """
+        log = TraceLog(categories=categories)
+        self._set_trace(log)
+        return log
+
+    def detach_trace(self) -> None:
+        """Stop recording: every node and channel goes back to no log."""
+        self._set_trace(None)
+
+    def _set_trace(self, log: Optional[TraceLog]) -> None:
+        self.trace = log
+        for node in self.nodes.values():
+            node.trace = log
+        for link in self.links:
+            link.forward.trace = log
+            link.reverse.trace = log
 
     # -- lookups ----------------------------------------------------------
     def node(self, name: str) -> Node:
@@ -137,9 +161,10 @@ class Network:
         """Bring a link down/up and notify listeners (port-status events)."""
         link = self.link_between(a, b)
         link.set_up(up)
-        self.trace.emit(
-            self.sim.now, "link.state", f"{a}<->{b}", _LINK_STATE_KEYS, up
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                self.sim.now, "link.state", f"{a}<->{b}", _LINK_STATE_KEYS, up
+            )
         for listener in list(self.link_listeners):
             listener(a, b, up)
 
@@ -160,9 +185,10 @@ class Network:
             sw.reboot()
         else:
             lost = sw.crash()
-        self.trace.emit(
-            self.sim.now, "switch.state", name, _SWITCH_STATE_KEYS, up, lost
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                self.sim.now, "switch.state", name, _SWITCH_STATE_KEYS, up, lost
+            )
         for listener in list(self.switch_listeners):
             listener(name, up)
 

@@ -50,9 +50,10 @@ class Node:
 
     kind = "node"
 
-    def __init__(self, sim: Simulator, trace: TraceLog, name: str, params: NetParams):
+    def __init__(self, sim: Simulator, name: str, params: NetParams):
         self.sim = sim
-        self.trace = trace
+        #: the network's attached trace log (None = nothing recorded)
+        self.trace: Optional[TraceLog] = None
         self.name = name
         self.params = params
         self.ports: dict[int, "Channel"] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..sim import Simulator, TraceLog
+from ..sim import Simulator
 from .flowtable import FlowEntry, FlowTable, TableFullError
 from .node import Node
 from .packet import Packet
@@ -40,8 +40,8 @@ class Switch(Node):
 
     kind = "switch"
 
-    def __init__(self, sim: Simulator, trace: TraceLog, name: str, params: NetParams):
-        super().__init__(sim, trace, name, params)
+    def __init__(self, sim: Simulator, name: str, params: NetParams):
+        super().__init__(sim, name, params)
         self.table = FlowTable(max_entries=params.switch_table_capacity, ids=sim.ids)
         self._packet_in: Optional[PacketInHandler] = None
         self.mirror_taps: list[Callable[[Packet, int, str], None]] = []
@@ -91,9 +91,11 @@ class Switch(Node):
         """Data-path entry: mirror, classify, then the pipeline delay."""
         if not self.alive:
             self.packets_dropped_dead += 1
-            self.trace.emit(
-                self.sim.now, "switch.dead_drop", self.name, _UID_KEYS, packet.uid
-            )
+            if self.trace is not None:
+                self.trace.emit(
+                    self.sim.now, "switch.dead_drop", self.name, _UID_KEYS,
+                    packet.uid,
+                )
             return
         if self.mirror_taps:
             self._mirror(packet, in_port, "in")
@@ -128,16 +130,19 @@ class Switch(Node):
         if not self.alive:
             # Crashed mid-pipeline: the packet dies with the chassis.
             self.packets_dropped_dead += 1
-            self.trace.emit(
-                self.sim.now, "switch.dead_drop", self.name, _UID_KEYS, packet.uid
-            )
+            if self.trace is not None:
+                self.trace.emit(
+                    self.sim.now, "switch.dead_drop", self.name, _UID_KEYS,
+                    packet.uid,
+                )
             return
         now = self.sim.now
         packet.ttl -= 1
         if packet.ttl <= 0:
-            self.trace.emit(
-                now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
-            )
+            if self.trace is not None:
+                self.trace.emit(
+                    now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
+                )
             if header is not None and self.journey is not None:
                 self.journey.on_ttl_expired(self, packet, in_port)
             return
@@ -146,10 +151,11 @@ class Switch(Node):
         )
         if entry is None:
             self.packets_punted += 1
-            self.trace.emit(
-                now, "switch.miss", self.name, _MISS_KEYS,
-                packet.uid, packet.ip_src.text, packet.ip_dst.text,
-            )
+            if self.trace is not None:
+                self.trace.emit(
+                    now, "switch.miss", self.name, _MISS_KEYS,
+                    packet.uid, packet.ip_src.text, packet.ip_dst.text,
+                )
             if header is not None and self.journey is not None:
                 self.journey.on_switch_miss(self, packet, in_port, header)
             self._punt(packet, in_port)
@@ -167,12 +173,13 @@ class Switch(Node):
             self.packets_forwarded += 1
             if self.mirror_taps:
                 self._mirror(out_pkt, port, "out")
-            self.trace.emit(
-                now, "switch.fwd", self.name, _FWD_KEYS,
-                out_pkt.uid, out_pkt.content_tag, in_port, port,
-                out_pkt.ip_src.text, out_pkt.ip_dst.text, out_pkt.mpls,
-                out_pkt.size,
-            )
+            if self.trace is not None:
+                self.trace.emit(
+                    now, "switch.fwd", self.name, _FWD_KEYS,
+                    out_pkt.uid, out_pkt.content_tag, in_port, port,
+                    out_pkt.ip_src.text, out_pkt.ip_dst.text, out_pkt.mpls,
+                    out_pkt.size,
+                )
             # Node.transmit, inlined: one frame per emission
             channel = self.ports.get(port)
             if channel is None:
@@ -203,7 +210,7 @@ class Switch(Node):
         at), each rule feeding the table's classification index
         incrementally, and the lookup cache is invalidated once per batch
         rather than per rule.  Emits one ``switch.flowmod`` trace record per
-        entry.  On a capacity overflow the event fails after installing the
+        entry while a trace log is attached.  On a capacity overflow the event fails after installing the
         groups and the entries that fit — the same observable state as
         issuing the installs one by one; a down switch applies nothing.
 
@@ -224,14 +231,16 @@ class Switch(Node):
             try:
                 self.table.install(entry)
             except TableFullError as exc:
-                self.trace.emit(
-                    self.sim.now, "switch.table_full", self.name,
-                    _ENTRY_KEYS, entry.describe(),
-                )
+                if self.trace is not None:
+                    self.trace.emit(
+                        self.sim.now, "switch.table_full", self.name,
+                        _ENTRY_KEYS, entry.describe(),
+                    )
                 ev.fail(exc)
                 return
-            self.trace.emit(
-                self.sim.now, "switch.flowmod", self.name,
-                _ENTRY_KEYS, entry.describe(),
-            )
+            if self.trace is not None:
+                self.trace.emit(
+                    self.sim.now, "switch.flowmod", self.name,
+                    _ENTRY_KEYS, entry.describe(),
+                )
         ev.succeed()

@@ -113,16 +113,18 @@ class Controller:
         if self.faults is not None and self.faults.packet_in_blocked(switch.name):
             # Control-channel partition: the punt never reaches the MC.
             self.packet_ins_blocked += 1
-            self.network.trace.emit(
-                self.sim.now, "ctrl.packet_in_blocked", switch.name,
-                _UID_KEYS, packet.uid,
-            )
+            if self.network.trace is not None:
+                self.network.trace.emit(
+                    self.sim.now, "ctrl.packet_in_blocked", switch.name,
+                    _UID_KEYS, packet.uid,
+                )
             return
         self.packet_in_count += 1
-        self.network.trace.emit(
-            self.sim.now, "ctrl.packet_in", switch.name, _PACKET_IN_KEYS,
-            packet.uid, packet.ip_src.text, packet.ip_dst.text,
-        )
+        if self.network.trace is not None:
+            self.network.trace.emit(
+                self.sim.now, "ctrl.packet_in", switch.name, _PACKET_IN_KEYS,
+                packet.uid, packet.ip_src.text, packet.ip_dst.text,
+            )
         for app in self.apps:
             if app.on_packet_in(switch, packet, in_port):
                 return
@@ -131,9 +133,10 @@ class Controller:
         self.detector.deliver(self._on_link_detected, a, b, up)
 
     def _on_link_detected(self, a: str, b: str, up: bool) -> None:
-        self.network.trace.emit(
-            self.sim.now, "ctrl.link_event", f"{a}<->{b}", _UP_KEYS, up
-        )
+        if self.network.trace is not None:
+            self.network.trace.emit(
+                self.sim.now, "ctrl.link_event", f"{a}<->{b}", _UP_KEYS, up
+            )
         self.view.set_link_state(a, b, up)
         for app in self.apps:
             app.on_link_event(a, b, up)
@@ -142,9 +145,10 @@ class Controller:
         self.detector.deliver(self._on_switch_detected, name, up)
 
     def _on_switch_detected(self, name: str, up: bool) -> None:
-        self.network.trace.emit(
-            self.sim.now, "ctrl.switch_event", name, _UP_KEYS, up
-        )
+        if self.network.trace is not None:
+            self.network.trace.emit(
+                self.sim.now, "ctrl.switch_event", name, _UP_KEYS, up
+            )
         for app in self.apps:
             app.on_switch_event(name, up)
 
@@ -212,10 +216,11 @@ class Controller:
                 lost, extra = self.faults.flowmod_fate(switch_name)
                 if lost:
                     self.flow_mods_lost += 1
-                    self.network.trace.emit(
-                        self.sim.now, "ctrl.flowmod_lost", switch_name,
-                        _ATTEMPT_KEYS, attempt,
-                    )
+                    if self.network.trace is not None:
+                        self.network.trace.emit(
+                            self.sim.now, "ctrl.flowmod_lost", switch_name,
+                            _ATTEMPT_KEYS, attempt,
+                        )
                     yield self.sim.timeout(timeout)
                     timeout *= 2
                     continue

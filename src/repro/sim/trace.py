@@ -1,11 +1,13 @@
 """Structured event tracing: the simulator's own ground-truth log.
 
 Every substrate component reports what it did through a shared
-:class:`TraceLog`.  The log is sim-side and omniscient — it sees plaintext
-endpoints at every hop, which no in-model adversary does (attacks read
-mirror taps and journeys, never this log).  It exists to be rendered
-(:mod:`repro.net.tracefmt`) and asserted on by tests, and its ``repr`` is
-the byte-identity witness of the observer-effect tests.
+:class:`TraceLog` — when one is attached (``Network.attach_trace``); by
+default there is none, and every emit site is one ``is None`` test.  The
+log is sim-side and omniscient — it sees plaintext endpoints at every hop,
+which no in-model adversary does (attacks read mirror taps and journeys,
+never this log).  It exists to be rendered (:mod:`repro.net.tracefmt`) and
+asserted on by tests, and its ``repr`` is the byte-identity witness of the
+observer-effect tests.
 
 Recording is on the per-packet path, so a stored record is one flat tuple
 ``(time, category, node, keys, *values)`` where ``keys`` is the call

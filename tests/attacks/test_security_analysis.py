@@ -154,6 +154,7 @@ class TestMnCorrelation:
 
     def test_decoy_packets_die_at_next_hop(self):
         net, ctrl, mic = build()
+        net.attach_trace()
         channel = run_channel(net, mic, n_mns=2, decoys=2)
         # Every packet that reached a host was addressed to it: no decoy
         # ever leaked to an application.

@@ -53,6 +53,7 @@ def test_interior_links_carry_cf_labels():
     tagger = CommonFlowTagger(mic)
     tagger.tag_all_recorded(l3)
     net.run()
+    net.attach_trace()
     exchange(net)
     path = l3.pair_paths[("h1", "h16")]
     interior_links = {
@@ -76,6 +77,7 @@ def test_hosts_never_see_labels():
     net.run()
     CommonFlowTagger(mic).tag_all_recorded(l3)
     net.run()
+    net.attach_trace()
     exchange(net)
     for rec in net.trace.by_category("link.tx"):
         dst = rec.node.split("->")[1]

@@ -34,6 +34,7 @@ class EchoRun:
             topo, seed=seed, journey=True, shards=shards,
             mic_kwargs={"strategy": strategy},
         )
+        self.trace = dep.net.attach_trace()
         self.echoed = []
         for a, b, port in pairs:
             dep.sim.process(self._server(dep.server(b, port)))
@@ -58,7 +59,7 @@ class EchoRun:
         dep = self.dep
         assert self.echoed == [MESSAGE, MESSAGE]
         return (
-            [repr(r) for r in dep.net.trace.records],
+            [repr(r) for r in self.trace.records],
             journeys_to_json(dep.journey),
             snapshot_json(intent_snapshot(dep)),
         )

@@ -100,6 +100,7 @@ class TestBCube:
         """BCube is the paper's compromised-server example topology; even
         there, no mid-path switch links the endpoints."""
         net, ctrl, mic = build(bcube(4, 1))
+        net.attach_trace()
         roundtrip(net, mic, "h1", "h16", n_mns=2)
         real = {str(net.host("h1").ip), str(net.host("h16").ip)}
         plan = next(iter(mic.channels.values())).flows[0]

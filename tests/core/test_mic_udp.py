@@ -98,6 +98,7 @@ class TestMicDatagrams:
         assert protos == {"udp"}
 
     def test_no_real_pair_on_interior(self, dep):
+        dep.net.attach_trace()
         self._channel(dep, n_mns=3)
         plan = next(iter(dep.mic.channels.values())).flows[0]
         first_mn, last_mn = plan.mn_names[0], plan.mn_names[-1]

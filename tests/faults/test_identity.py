@@ -16,6 +16,7 @@ MESSAGE = b"f" * 300
 def _echo_run(faults=None, seed=7):
     """One seeded MIC echo h1 <-> h16; returns (trace reprs, end time, dep)."""
     dep = deploy_mic(seed=seed, faults=faults)
+    trace = dep.net.attach_trace()
     server = dep.server("h16", 80)
     alice = dep.endpoint("h1")
 
@@ -32,7 +33,7 @@ def _echo_run(faults=None, seed=7):
     dep.sim.process(client())
     dep.sim.process(srv())
     dep.run_for(2.0)
-    return [repr(r) for r in dep.net.trace.records], dep.sim.now, dep
+    return [repr(r) for r in trace.records], dep.sim.now, dep
 
 
 def test_empty_schedule_is_byte_identical():

@@ -22,6 +22,7 @@ def _establish(dep, a="h1", b="h16", n_mns=3):
 
 def test_scheduled_flap_triggers_repair_and_heals():
     dep = deploy_mic(fat_tree(4), seed=3)
+    dep.net.attach_trace()
     grant = _establish(dep)
     plan = dep.mic.channels[grant.channel_id].flows[0]
     mid = len(plan.walk) // 2
@@ -62,6 +63,7 @@ def test_periodic_flap_fires_each_cycle():
 
 def test_switch_crash_wipes_and_reboot_resyncs():
     dep = deploy_mic(fat_tree(4), seed=3)
+    dep.net.attach_trace()
     grant = _establish(dep)
     plan = dep.mic.channels[grant.channel_id].flows[0]
     mn = plan.walk[plan.mn_positions[0]]
@@ -93,6 +95,7 @@ def test_switch_crash_wipes_and_reboot_resyncs():
 
 def test_dead_switch_blackholes_and_refuses_installs():
     dep = deploy_mic(fat_tree(4), seed=3)
+    dep.net.attach_trace()
     sw = dep.net.switch("p0e0")
     dep.net.set_switch_state("p0e0", False)
     h1 = dep.net.host("h1")

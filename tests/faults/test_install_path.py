@@ -120,8 +120,6 @@ def _drive(deploy_seed, sched):
     net, mic = dep.net, dep.mic
 
     def groups_precede_their_rules(rec):
-        if rec.category != "switch.flowmod":
-            return
         table = net.switch(rec.node).table
         for entry in table.iter_entries():
             for action in entry.actions:
@@ -129,7 +127,7 @@ def _drive(deploy_seed, sched):
                     action.group_id in table.groups
                 ), f"{rec.node} t={rec.time}: {entry.describe()} before its group"
 
-    net.trace.subscribe(groups_precede_their_rules)
+    net.attach_trace({"switch.flowmod"}).subscribe(groups_precede_their_rules)
     sock = _one_channel(dep)
     channel = mic.channels[sock.channel_id]
 

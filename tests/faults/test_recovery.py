@@ -82,6 +82,7 @@ def _assert_registry_consistent(dep):
 
 def test_no_surviving_path_parks_then_recovers():
     dep, sockets, channel_ids, _ = _deploy_channels(1)
+    dep.net.attach_trace()
     plan = dep.mic.channels[channel_ids[0]].flows[0]
     # The responder's access link is the only way in: repair cannot find a
     # surviving walk, so the flow parks instead of killing the sim.

@@ -98,7 +98,7 @@ def test_a_bundle_draws_one_fate_and_is_retried_as_a_unit():
     sched = _loss_schedule(net, ctrl, loss_prob=1.0, duration=0.003, seed=5)
     sw = net.switch("p0a0")
     group_seen_at_flowmod = []
-    net.trace.subscribe(
+    net.attach_trace().subscribe(
         lambda rec: rec.category == "switch.flowmod"
         and group_seen_at_flowmod.append(1 in sw.table.groups)
     )
@@ -148,6 +148,7 @@ def test_partition_blocks_packet_ins():
     sched = FaultSchedule()
     sched.control_partition("p0e0", at_s=0.0, duration_s=10.0)
     sched.attach(net, ctrl)
+    net.attach_trace()
     h1 = net.host("h1")
     # no rules anywhere: the first packet punts to the controller, but the
     # partition swallows the packet-in

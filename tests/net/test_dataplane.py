@@ -144,6 +144,7 @@ def test_foreign_packet_dropped_by_nic():
     s1.table.install(FlowEntry(Match(), [Output(net.port("s1", "h2"))]))
     got = []
     h2.bind("tcp", 80, lambda host, p: got.append(p))
+    net.attach_trace()
     h1.send_packet(h1.make_packet(ip("10.0.0.50"), dport=80))
     net.run()
     assert got == []
@@ -173,6 +174,7 @@ def test_output_to_the_controller_pseudo_port_is_a_punt_not_a_wire():
     s1.table.install(entry)
     punted = []
     s1.connect_controller(lambda sw, p, in_port: punted.append((sw.name, p, in_port)))
+    net.attach_trace()
     pkt = h1.make_packet(h2.ip, dport=80, payload_size=40)
     h1.send_packet(pkt)
     net.run()
@@ -212,6 +214,7 @@ def test_ttl_expiry_stops_loops():
     s1.table.install(FlowEntry(Match(), [Output(net.port("s1", "s2"))]))
     s2.table.install(FlowEntry(Match(), [Output(net.port("s2", "s1"))]))
     h1 = net.host("h1")
+    net.attach_trace()
     h1.send_packet(h1.make_packet(ip("10.0.0.99"), dport=80, payload_size=0))
     net.run()
     expiries = net.trace.by_category("switch.ttl_expired")
@@ -234,6 +237,7 @@ def test_link_queue_tail_drop():
     net = two_host_net(link_queue_bytes=1100)
     s1, h1, h2 = wire_direct(net)
     h2.bind("tcp", 80, lambda host, p: None)
+    net.attach_trace()
     for _ in range(5):
         h1.send_packet(h1.make_packet(h2.ip, dport=80, payload_size=1000))
     net.run()

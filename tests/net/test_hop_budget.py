@@ -2,8 +2,9 @@
 is not met by dropping a record.
 
 The scenario is a scripted 8-switch rewriting chain (three ``SetField`` and
-one ``Output`` per switch, every hook off unless a case turns the journey
-recorder on): the shape of a MIC path where
+one ``Output`` per switch, every hook off — the trace log included — unless
+a case turns the journey recorder on or attaches the log): the shape of a
+MIC path where
 every switch is a Mimic Node.  Costs are *counts* from ``cProfile`` — calls
 of a 200-packet burst minus those of a 100-packet burst, so everything that
 does not scale with packets cancels — never wall-clock time.  Only Python
@@ -27,10 +28,14 @@ WARM_UP = 10
 #: Python frames one packet may cost per switch it crosses, host work
 #: included (the parent of the change that introduced this test: 47.25)
 FRAME_BUDGET = 32.0
+#: what it costs today, pinned: the trace log attached on demand took it
+#: from 29.625 to this, and a new per-packet call shows here first
+HOOKS_OFF_FRAMES = 26.0
 #: the same with every journey hook on (full sampling, an armed flight
 #: recorder) — pinned, not bounded: the one-sink hook path took it from
-#: 58.875 to this, and a second header build or sink call shows here
-HOOKS_ON_FRAMES = 39.625
+#: 58.875 to 39.625, the trace log leaving the default path to this, and a
+#: second header build or sink call shows here
+HOOKS_ON_FRAMES = 36.0
 
 
 def rewriting_chain(hooks: bool = False) -> tuple[Network, Callable[[int], None]]:
@@ -108,8 +113,10 @@ def test_a_packet_hop_stays_inside_its_frame_budget():
     assert ("net/flowtable.py", "_lookup_indexed") not in per_packet
     assert per_packet[("net/packet.py", "copy")] == SWITCHES  # one per emission
     frames_per_hop = sum(per_packet.values()) / SWITCHES
-    assert frames_per_hop <= FRAME_BUDGET, sorted(
+    assert frames_per_hop <= FRAME_BUDGET
+    assert frames_per_hop == HOOKS_OFF_FRAMES, sorted(
         per_packet.items(), key=lambda kv: -kv[1])
+    assert ("sim/trace.py", "emit") not in per_packet  # no log attached
 
 
 def test_a_recorded_hop_costs_one_row_build_per_event():
@@ -130,9 +137,9 @@ def test_a_recorded_hop_costs_one_row_build_per_event():
 def test_the_budget_is_not_met_by_dropping_a_record(monkeypatch):
     def burst_rows() -> list[tuple]:
         net, send = rewriting_chain()
-        mark = len(net.trace._rows)
+        trace = net.attach_trace()
         send(50)
-        return net.trace._rows[mark:]
+        return trace._rows
 
     fast = burst_rows()
     monkeypatch.setattr(Packet, "copy", rebuild_copy)  # the old emission

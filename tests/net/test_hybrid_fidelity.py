@@ -75,13 +75,14 @@ def _wired_testbed(topo, pairs, seed=0):
 def test_sample_rate_one_is_byte_identical_to_packet_engine():
     def run_scenario(attach_engine):
         bed = Testbed.create(seed=0)
+        trace = bed.net.attach_trace()
         if attach_engine:
             eng = HybridEngine(bed.net, sample_rate=1.0)
             # every candidate is pinned; nothing ever reaches the solver
             assert eng.fidelity_for("any-flow") == "packet"
         _packet_goodputs(bed, FT4_PAIRS[:2])
         bed.net.run()
-        return bed.net.trace.records, bed.net.sim.now
+        return trace.records, bed.net.sim.now
 
     base_records, base_now = run_scenario(attach_engine=False)
     hybrid_records, hybrid_now = run_scenario(attach_engine=True)

@@ -2,8 +2,9 @@
 
 Regression test: a packet that is serializing or propagating when its link
 goes down used to vanish — delivered to nobody, counted by nothing.  Every
-drop path must bump ``stats.drops``, emit a ``link.drop`` trace, and notify
-an attached journey recorder so per-packet accounting stays closed.
+drop path must bump ``stats.drops``, emit a ``link.drop`` record into an
+attached trace log, and notify an attached journey recorder so per-packet
+accounting stays closed.
 """
 
 from repro.net import Network, fat_tree
@@ -30,6 +31,7 @@ def _channel(net, a="p0e0", b="p0a0"):
 
 def test_down_at_send_drop_is_counted_and_traced():
     net = Network(fat_tree(4), seed=0)
+    net.attach_trace()
     ch = _channel(net)
     spy = _JourneySpy()
     ch.journey = spy
@@ -45,6 +47,7 @@ def test_down_at_send_drop_is_counted_and_traced():
 
 def test_in_flight_drop_is_counted_traced_and_journeyed():
     net = Network(fat_tree(4), seed=0)
+    net.attach_trace()
     ch = _channel(net)
     spy = _JourneySpy()
     ch.journey = spy

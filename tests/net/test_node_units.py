@@ -60,6 +60,7 @@ class TestChannelName:
 
     def test_trace_records_carry_the_channel_name(self):
         net = Network(linear(1, hosts_per_switch=2))
+        net.attach_trace()
         ch = net.host("h1").ports[0]
         ch.send(net.host("h1").make_packet(net.host("h2").ip, payload_size=10))
         (rec,) = net.trace.by_category("link.tx")

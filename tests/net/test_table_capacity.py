@@ -72,6 +72,7 @@ class TestMicUnderPressure:
 
     def test_failure_event_traced(self):
         net, mic = self._deploy(capacity=1)
+        net.attach_trace()
 
         def try_one():
             try:

@@ -47,6 +47,7 @@ class TestFormatRecord:
 class TestCapture:
     def test_live_capture_from_channel(self):
         dep = deploy_mic(seed=8)
+        trace = dep.net.attach_trace()
         server = dep.server("h16", 80)
         alice = dep.endpoint("h1")
         done = {}
@@ -65,7 +66,7 @@ class TestCapture:
         dep.run_for(10.0)
         plan = next(iter(dep.mic.channels.values())).flows[0]
         mn = plan.mn_names[0]
-        text = capture_at(dep.net.trace, mn, limit=5)
+        text = capture_at(trace, mn, limit=5)
         assert text.count("\n") <= 4
         assert mn in text
 

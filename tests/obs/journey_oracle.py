@@ -461,16 +461,19 @@ def old_classify(self, packet, in_port, resolved, resolved_version, header=None)
     if not self.alive:
         # Crashed mid-pipeline: the packet dies with the chassis.
         self.packets_dropped_dead += 1
-        self.trace.emit(
-            self.sim.now, "switch.dead_drop", self.name, _UID_KEYS, packet.uid
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                self.sim.now, "switch.dead_drop", self.name, _UID_KEYS,
+                packet.uid,
+            )
         return
     now = self.sim.now
     packet.ttl -= 1
     if packet.ttl <= 0:
-        self.trace.emit(
-            now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
+            )
         if self.journey is not None:
             self.journey.on_ttl_expired(self, packet, in_port)
         return
@@ -480,10 +483,11 @@ def old_classify(self, packet, in_port, resolved, resolved_version, header=None)
     )
     if entry is None:
         self.packets_punted += 1
-        self.trace.emit(
-            now, "switch.miss", self.name, _MISS_KEYS,
-            packet.uid, packet.ip_src.text, packet.ip_dst.text,
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                now, "switch.miss", self.name, _MISS_KEYS,
+                packet.uid, packet.ip_src.text, packet.ip_dst.text,
+            )
         if self.journey is not None:
             self.journey.on_switch_miss(self, packet, in_port)
         self._punt(packet, in_port)
@@ -499,12 +503,13 @@ def old_classify(self, packet, in_port, resolved, resolved_version, header=None)
         self.packets_forwarded += 1
         if self.mirror_taps:
             self._mirror(out_pkt, port, "out")
-        self.trace.emit(
-            now, "switch.fwd", self.name, _FWD_KEYS,
-            out_pkt.uid, out_pkt.content_tag, in_port, port,
-            out_pkt.ip_src.text, out_pkt.ip_dst.text, out_pkt.mpls,
-            out_pkt.size,
-        )
+        if self.trace is not None:
+            self.trace.emit(
+                now, "switch.fwd", self.name, _FWD_KEYS,
+                out_pkt.uid, out_pkt.content_tag, in_port, port,
+                out_pkt.ip_src.text, out_pkt.ip_dst.text, out_pkt.mpls,
+                out_pkt.size,
+            )
         # Node.transmit, inlined: one frame per emission
         channel = self.ports.get(port)
         if channel is None:

@@ -4,9 +4,10 @@ Each example runs one seeded MIC echo twice, once with
 :class:`repro.obs.JourneyRecorder` on today's switch pipeline and once with
 the verbatim oracle (``journey_oracle.py``) on the old one, and requires
 the same rows, ``events_recorded``, flight rings and dumps, exported
-document and trace.  The matrix: sampling rate 0 / 0.3 / 1.0 or an
-always-no predicate; no flight recorder, an armed one, or an armed one
-with a ``queue_threshold_bytes``; with and without the self-profiler.
+document and (attached) trace log.  The matrix: sampling rate 0 / 0.3 /
+1.0 or an always-no predicate; no flight recorder, an armed one, or an
+armed one with a ``queue_threshold_bytes``; with and without the
+self-profiler.
 Every run carries ``decoys=1`` multicast emissions, intent armed with one
 expectation forced wrong (a divergence at that MN), a TTL death and a
 link flap on the channel's walk.
@@ -36,6 +37,7 @@ FLIGHT = st.sampled_from(["off", "armed", "threshold"])
 def _run(attach, flight_cls, seed, sampling, flight_mode, profiled, flap):
     """One echo h1 <-> h16 under ``attach``; returns everything recorded."""
     dep = deploy_mic(seed=seed)
+    trace = dep.net.attach_trace()
     flight = None
     if flight_mode != "off":
         flight = flight_cls(
@@ -80,7 +82,7 @@ def _run(attach, flight_cls, seed, sampling, flight_mode, profiled, flap):
         "rows": rec._rows,
         "events_recorded": rec.events_recorded,
         "document": json.dumps(journeys_to_json(rec)),
-        "trace": dep.net.trace._rows,
+        "trace": trace._rows,
         "rings": None if flight is None else {
             where: tuple(ring) for where, ring in flight.rings.items()
         },

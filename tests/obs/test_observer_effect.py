@@ -4,14 +4,18 @@ The observability layer must never perturb a run — its hooks schedule no
 events, emit no trace records, and touch no RNG.  These tests run the same
 seeded MIC echo twice (with and without an attached Observer, and with the
 periodic timeline sampling on top) and require the full trace logs to
-serialize identically.
+serialize identically.  The trace log itself is a probe of the same kind:
+attaching it changes nothing the run can see.
 """
+
+import json
 
 import pytest
 
 from repro.core import deploy_mic
 from repro.net import FlowEntry, Match, Network, Output, SetField, linear
 from repro.obs import FlightRecorder, JourneyRecorder
+from tests.recording_scenario import GOLDEN, read_back, run_scenario
 
 MESSAGE = b"m" * 300
 
@@ -21,14 +25,18 @@ def _echo_run(
     timeline_period: float = 0.0,
     seed: int = 7,
     journey_kwargs: dict = None,
+    trace: bool = True,
 ):
-    """One seeded MIC echo h1 <-> h16; returns (trace reprs, final sim time)."""
+    """One seeded MIC echo h1 <-> h16, the trace log attached before any
+    traffic unless ``trace`` is off; returns (trace reprs, final sim time,
+    deployment)."""
     dep = deploy_mic(
         seed=seed,
         observe=observe,
         journey=journey_kwargs is not None,
         journey_kwargs=journey_kwargs,
     )
+    log = dep.net.attach_trace() if trace else None
     if observe and timeline_period > 0:
         dep.obs.start_timeline(timeline_period)
     server = dep.server("h16", 80)
@@ -49,7 +57,8 @@ def _echo_run(
     dep.run_for(2.0)
     if observe:
         dep.obs.stop_timeline()
-    return [repr(r) for r in dep.net.trace.records], dep.sim.now, dep
+    reprs = [] if log is None else [repr(r) for r in log]
+    return reprs, dep.sim.now, dep
 
 
 def test_observed_run_is_byte_identical():
@@ -219,3 +228,89 @@ def test_attaching_mid_pipeline_starts_at_the_next_ingress():
         ("link.tx", "s2[2]->h2[0]"),
         ("host.rx", "h2"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the trace log: attached on demand, and attaching it perturbs nothing
+# ---------------------------------------------------------------------------
+
+
+def _journey_echo(trace: bool):
+    return _echo_run(
+        observe=False, journey_kwargs={"sample_rate": 1.0}, trace=trace
+    )
+
+
+def test_attaching_the_trace_log_perturbs_nothing():
+    bare, t_bare, dep_bare = _journey_echo(trace=False)
+    traced, t_traced, dep_traced = _journey_echo(trace=True)
+    assert bare == [] and traced  # not vacuous: one run recorded, one did not
+    assert dep_bare.net.trace is None
+    assert t_bare == t_traced
+    assert [(h.bytes_sent, h.bytes_received) for h in dep_bare.net.hosts()] == [
+        (h.bytes_sent, h.bytes_received) for h in dep_traced.net.hosts()
+    ]
+    assert dep_bare.journey._rows == dep_traced.journey._rows
+
+
+def test_the_recording_golden_is_identical_with_and_without_the_log():
+    """The scripted every-shape run: its trace section is the golden's once
+    the log is attached, and every other recorder reads the same without it."""
+    golden = json.loads(GOLDEN.read_text())
+    assert read_back(*run_scenario()) == golden
+    assert read_back(*run_scenario(trace=False)) == {**golden, "trace": []}
+
+
+def _every_trace(net):
+    return [net.trace] + [n.trace for n in net.nodes.values()] + [
+        ch.trace for link in net.links for ch in (link.forward, link.reverse)
+    ]
+
+
+#: what the chain records of one h1 -> h2 packet from s1's ingress on
+_FROM_S1 = [
+    ("switch.fwd", "s1"), ("link.tx", "s1[2]->s2[1]"),
+    ("switch.fwd", "s2"), ("link.tx", "s2[2]->h2[0]"), ("host.rx", "h2"),
+]
+
+
+@pytest.mark.parametrize("direction, rows", [
+    ("in", _FROM_S1),        # the packet sits in s1's pipeline
+    ("out", _FROM_S1[2:]),   # the packet is on the s1 -> s2 link
+])
+def test_attaching_mid_flight_records_from_that_instant_on(direction, rows):
+    net, h1, h2 = _chain()
+    assert all(t is None for t in _every_trace(net))
+    attached = []
+
+    def attach_next(packet, port, tap_direction):
+        if tap_direction == direction and not attached:
+            # runs after s1's receive / classification has returned
+            net.sim.call_later(0.0, lambda: attached.append(net.attach_trace()))
+
+    net.switch("s1").add_mirror_tap(attach_next)
+    _send(net, h1, h2.ip)
+    net.run()
+    (log,) = attached
+    assert h2.packets_received == 1
+    assert [(r.category, r.node) for r in log] == rows
+    assert all(t is log for t in _every_trace(net))
+
+
+def test_detach_stops_recording_at_once():
+    net, h1, h2 = _chain()
+    log = net.attach_trace()
+
+    def detach_after_s1(packet, port, direction):
+        if direction == "out":
+            net.sim.call_later(0.0, net.detach_trace)
+
+    net.switch("s1").add_mirror_tap(detach_after_s1)
+    _send(net, h1, h2.ip)
+    net.run()
+    assert h2.packets_received == 1
+    assert [(r.category, r.node) for r in log] == [
+        ("host.tx", "h1"), ("link.tx", "h1[0]->s1[1]"),
+        ("switch.fwd", "s1"), ("link.tx", "s1[2]->s2[1]"),
+    ]
+    assert all(t is None for t in _every_trace(net))

@@ -150,6 +150,7 @@ def _burst_run(profiled: bool):
             FlowEntry(Match(ip_dst=h3.ip), [Output(net.port(*out))])
         )
     h3.bind("tcp", 80, lambda host, p: None)
+    trace = net.attach_trace()
     prof = Profiler.attach(net, enabled=profiled, sample_every=10)
     for i in range(50):
         net.sim.call_at(
@@ -161,7 +162,7 @@ def _burst_run(profiled: bool):
         )
     net.run()
     assert h3.packets_received == 50
-    return [repr(r) for r in net.trace.records], net.sim.now, prof
+    return [repr(r) for r in trace.records], net.sim.now, prof
 
 
 def test_profiled_run_is_byte_identical():

@@ -37,10 +37,13 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "recording_golden.json"
 QUEUE_BYTES = 4096
 
 
-def run_scenario():
-    """Run the script; returns ``(net, recorder, flight)``."""
+def run_scenario(trace: bool = True):
+    """Run the script (the trace log attached from the start unless
+    ``trace`` is off); returns ``(net, recorder, flight)``."""
     params = dataclasses.replace(DEFAULT_PARAMS, link_queue_bytes=QUEUE_BYTES)
     net = Network(linear(3, hosts_per_switch=1), params=params, seed=4)
+    if trace:
+        net.attach_trace()
     h1, h2, h3 = net.host("h1"), net.host("h2"), net.host("h3")
     s1, s2, s3 = net.switch("s1"), net.switch("s2"), net.switch("s3")
     s1.table.install(FlowEntry(Match(ip_dst=h3.ip), [Output(net.port("s1", "s2"))]))
@@ -108,10 +111,9 @@ def read_back(net, rec, flight):
         return [e.time_s, e.kind, e.where, e.uid, e.content_tag, pairs(e.detail)]
 
     journeys = rec.journeys_by_content_tag()
+    records = [] if net.trace is None else net.trace.records
     return json.loads(json.dumps({
-        "trace": [
-            [r.time, r.category, r.node, pairs(r.detail)] for r in net.trace.records
-        ],
+        "trace": [[r.time, r.category, r.node, pairs(r.detail)] for r in records],
         "journeys": {
             str(tag): {
                 "events": [event(e) for e in j.events],

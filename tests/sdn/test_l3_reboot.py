@@ -35,6 +35,7 @@ def test_pair_wired_between_reboot_and_its_detection_is_not_installed_twice(
         sched.rule_install_loss(0.0, 10.0, delay_prob=1.0, extra_delay_s=extra_delay_s)
         sched.attach(net, ctrl)
     s2 = net.switch("s2")
+    net.attach_trace()
 
     _ping(net, "h1", "h3")  # wired before the crash, through s2
     net.run(until=0.1)

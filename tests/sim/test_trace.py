@@ -120,8 +120,36 @@ TRACE_KEYS = {
 }
 
 
+def _guarded_emits(tree: ast.AST) -> set[int]:
+    """``id`` of every ``X.trace.emit(...)`` call inside the body of an
+    ``if X.trace is not None:`` test on the same receiver ``X``."""
+    guarded = set()
+    for node in ast.walk(tree):
+        test = node.test if isinstance(node, ast.If) else None
+        if not (
+            isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Attribute)
+            and test.left.attr == "trace"
+            and [type(op) for op in test.ops] == [ast.IsNot]
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None
+        ):
+            continue
+        receiver = ast.dump(test.left)
+        for stmt in node.body:
+            guarded.update(
+                id(call) for call in ast.walk(stmt)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "emit"
+                and ast.dump(call.func.value) == receiver
+            )
+    return guarded
+
+
 def _emit_sites():
-    """``(path, lineno, categories, keys, n_values)`` per ``trace.emit`` call."""
+    """``(path, lineno, categories, keys, n_values)`` per ``trace.emit`` call;
+    every call must sit behind its receiver's ``trace is not None`` test."""
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
         constants = {
@@ -131,6 +159,7 @@ def _emit_sites():
             and isinstance(node.targets[0], ast.Name)
             and node.targets[0].id.endswith("_KEYS")
         }
+        guarded = _guarded_emits(tree)
         for node in ast.walk(tree):
             if not (
                 isinstance(node, ast.Call)
@@ -140,6 +169,10 @@ def _emit_sites():
                 and node.func.value.attr == "trace"
             ):
                 continue
+            assert id(node) in guarded, (
+                f"{path}:{node.lineno} emits without an "
+                f"`if {ast.unparse(node.func.value)} is not None` guard"
+            )
             assert not node.keywords, f"{path}:{node.lineno} passes kwargs"
             _time, category, _node, keys, *values = node.args
             categories = [

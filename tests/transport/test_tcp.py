@@ -260,6 +260,7 @@ def test_transfer_survives_packet_loss():
     )
     ctrl = Controller(net)
     ctrl.register(L3ShortestPathApp())
+    drops = net.attach_trace({"link.drop"})
     client, server = TcpStack(net.host("h1")), TcpStack(net.host("h2"))
     listener = server.listen(80)
     payload = b"z" * (40 * MSS)
@@ -278,7 +279,7 @@ def test_transfer_survives_packet_loss():
     net.run(until=30.0)
     assert got.get("data") == payload
     # Confirm the adverse condition actually occurred.
-    assert len(net.trace.by_category("link.drop")) > 0
+    assert len(drops) > 0
 
 
 def test_connect_latency_one_rtt_vs_reply():
@@ -380,6 +381,7 @@ def test_transfer_through_a_loss_window_is_byte_exact(congestion_control):
         linear(1, hosts_per_switch=2), params=NetParams(link_queue_bytes=3 * MSS)
     )
     Controller(net).register(L3ShortestPathApp())
+    drops = net.attach_trace({"link.drop"})
     client = TcpStack(net.host("h1"), congestion_control=congestion_control)
     server = TcpStack(net.host("h2"), congestion_control=congestion_control)
     listener = server.listen(80)
@@ -402,5 +404,5 @@ def test_transfer_through_a_loss_window_is_byte_exact(congestion_control):
     net.sim.process(cli())
     net.run(until=60.0)
     assert got.get("data") == payload
-    assert len(net.trace.by_category("link.drop")) > 0
+    assert len(drops) > 0
     assert len(sender["conn"]._send_buf) == 0
