@@ -68,7 +68,7 @@ chaos-demo:
 	done
 
 # Sharded control plane demo: the seed-0 chaos scenario on a 4-shard
-# MC cluster — the plan adds a controller-shard crash, the survivors
+# Mimic Controller — the plan adds a controller-shard crash, the survivors
 # adopt its channels from stored intents, and the scorecard grows a
 # `controlplane` section.  Exits non-zero if any flow stays parked.
 shard-demo:

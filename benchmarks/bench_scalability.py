@@ -134,7 +134,7 @@ def test_shard_scaleout(benchmark, save_table):
         assert results[s].setups == expected
         assert results[s].teardowns == expected
     # More shards must never be slower, and 4 shards must clear the
-    # scale-out floor over the single-shard cluster.
+    # scale-out floor over the single-shard controller.
     assert rates[2] >= rates[1]
     speedup = rates[4] / rates[1]
     assert speedup >= SHARD_MIN_SPEEDUP, (

@@ -249,8 +249,9 @@ class SimSanitizer:
         accounted: set[int] = set()
         for ch_id, channel in mic.channels.items():
             accounted.update(plan.cookie for plan in channel.flows)
+        # A parked flow belongs to a live channel, so it is accounted too.
         for cookie in mic.compiled:
-            if cookie in accounted or cookie in mic._parked:
+            if cookie in accounted:
                 continue
             self._emit(
                 "unfreed-cookie", now, f"c{cookie:#x}",

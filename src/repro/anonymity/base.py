@@ -18,6 +18,7 @@ kept in sync by a both-ways diff test.
 
 from __future__ import annotations
 
+import random
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -101,14 +102,15 @@ class Strategy:
 
     def finish_plan(
         self, plan: MFlowPlan, owner: str, endpoints: tuple[str, str],
-        alias_pins: tuple = (),
+        rng: random.Random, alias_pins: tuple = (),
     ) -> None:
         """Hook: amend a freshly drawn plan (e.g. draw alias addresses).
 
-        ``alias_pins`` carries the previous plan's aliases during a repair
-        re-plan: like the entry/delivery pins, alias addresses are
-        host-visible, so a strategy that granted them must reclaim the
-        same addresses on the new walk."""
+        ``rng`` is the planning shard's stream.  ``alias_pins`` carries the
+        previous plan's aliases during a repair re-plan: like the
+        entry/delivery pins, alias addresses are host-visible, so a strategy
+        that granted them must reclaim the same addresses on the new
+        walk."""
 
     # -- grants ----------------------------------------------------------
     def flow_grant(self, plan: MFlowPlan) -> FlowGrant:
@@ -155,15 +157,17 @@ class Strategy:
         first,
         last,
         owner: str,
-        endpoints: tuple[str, str] = (),
+        endpoints: tuple[str, str],
+        rng: random.Random,
     ) -> list[MAddress]:
         """Segment addresses A[0..N] for one direction of a walk.
 
         ``first`` pins the real fields of the initiator-side segment,
         ``last`` those of the delivery segment; everything unpinned is drawn
-        from the segment's plausible host pairs and the owning MN's hash
-        class (label), with a retry loop guarding against random-draw
-        collisions with already-registered keys.
+        on ``rng`` (the planning shard's stream) from the segment's
+        plausible host pairs and the owning MN's hash class (label), with a
+        retry loop guarding against random-draw collisions with
+        already-registered keys.
         """
         boundaries = [0] + mn_positions + [len(walk) - 1]
         addrs: list[MAddress] = []
@@ -180,7 +184,7 @@ class Strategy:
             labeled = 0 < seg < n_segments - 1
             mn_name = walk[mn_positions[seg - 1]] if labeled else None
             addr = self.draw_segment(
-                seg_nodes, pins, mn_name, flow_id, owner, endpoints
+                seg_nodes, pins, mn_name, flow_id, owner, endpoints, rng
             )
             addrs.append(addr)
         return addrs
@@ -230,7 +234,8 @@ class Strategy:
         mn_name: Optional[str],
         flow_id: int,
         owner: str,
-        endpoints: tuple[str, str] = (),
+        endpoints: tuple[str, str],
+        rng: random.Random,
     ) -> MAddress:
         """Draw one collision-free segment address (registry-registered)."""
         mic = self.mic
@@ -241,16 +246,16 @@ class Strategy:
 
         pool = self.plausible_pool(seg_nodes, pin_src, pin_dst, endpoints)
         for _attempt in range(64):
-            a, b = mic.restrictions.draw_pair(pool, mic.rng)
+            a, b = mic.restrictions.draw_pair(pool, rng)
             src_ip = pin_src if pin_src is not None else mic.net.topo.host_ip(a)
             dst_ip = pin_dst if pin_dst is not None else mic.net.topo.host_ip(b)
-            sport = pin_sport if pin_sport is not None else mic.rng.randint(1024, 65535)
-            dport = pin_dport if pin_dport is not None else mic.rng.randint(1024, 65535)
+            sport = pin_sport if pin_sport is not None else rng.randint(1024, 65535)
+            dport = pin_dport if pin_dport is not None else rng.randint(1024, 65535)
             if mn_name is None:
                 mpls = None  # unlabeled first segment (hosts cannot push MPLS)
             else:
                 mpls = mic.mn_spaces[mn_name].draw_label(
-                    flow_id, src_ip, dst_ip, mic.rng
+                    flow_id, src_ip, dst_ip, rng
                 )
             addr = MAddress(src_ip, dst_ip, sport, dport, mpls)
             key = (str(src_ip), str(dst_ip), mpls, sport, dport)
@@ -268,9 +273,10 @@ class Strategy:
 
     # -- rule compilation ------------------------------------------------
     def compile_flow(
-        self, plan: MFlowPlan, owner: str, decoys: int
+        self, plan: MFlowPlan, owner: str, decoys: int, rng: random.Random
     ) -> tuple[list, list, list]:
-        """Compile one plan into (rules, groups, drops) install intents."""
+        """Compile one plan into (rules, groups, drops) install intents
+        (decoy addresses drawn on ``rng``, the planning shard's stream)."""
         rules = self.compile_direction(
             plan.walk, plan.mn_positions, plan.fwd_addrs, plan.cookie,
             plan.proto,
@@ -283,7 +289,7 @@ class Strategy:
         groups: list = []
         drops: list = []
         if decoys > 0:
-            rules, groups, drops = self.add_decoys(plan, rules, decoys, owner)
+            rules, groups, drops = self.add_decoys(plan, rules, decoys, owner, rng)
         return rules, groups, drops
 
     def compile_direction(
@@ -363,6 +369,7 @@ class Strategy:
         rules: list[tuple[str, FlowEntry]],
         decoys: int,
         owner: str,
+        rng: random.Random,
     ) -> tuple[list, list, list]:
         """Convert the first forward MN's rule into a type-*all* group that
         also emits decoy copies toward other ports; the decoy next hops get
@@ -402,14 +409,14 @@ class Strategy:
         drops: list[tuple[str, FlowEntry]] = []
         for neighbor in chosen:
             seg = [mn_name, neighbor]
-            pair = mic.restrictions.sample_pair(seg, mic.rng)
+            pair = mic.restrictions.sample_pair(seg, rng)
             d_src = mic.net.topo.host_ip(pair[0])
             d_dst = mic.net.topo.host_ip(pair[1])
             label = mic.mn_spaces[mn_name].draw_label(
-                plan.flow_id, d_src, d_dst, mic.rng
+                plan.flow_id, d_src, d_dst, rng
             )
-            d_sport = mic.rng.randint(1024, 65535)
-            d_dport = mic.rng.randint(1024, 65535)
+            d_sport = rng.randint(1024, 65535)
+            d_dport = rng.randint(1024, 65535)
             bucket = [
                 SetField("ip_src", d_src),
                 SetField("eth_src", mic._mac_for(d_src)),

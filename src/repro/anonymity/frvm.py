@@ -19,6 +19,8 @@ re-drawn walk.
 
 from __future__ import annotations
 
+import random
+
 from ..core.channel import FlowGrant, MFlowPlan
 from ..net.flowtable import FlowEntry, Output
 from .base import Strategy, register_strategy
@@ -47,7 +49,7 @@ class FrvmMultiplex(Strategy):
     # -- alias draw ------------------------------------------------------
     def finish_plan(
         self, plan: MFlowPlan, owner: str, endpoints: tuple[str, str],
-        alias_pins: tuple = (),
+        rng: random.Random, alias_pins: tuple = (),
     ) -> None:
         """Draw ``k - 1`` alias entry addresses over the first segment."""
         first_mn = plan.mn_positions[0]
@@ -74,18 +76,18 @@ class FrvmMultiplex(Strategy):
         for pin in pins:
             aliases.append(
                 self.draw_segment(
-                    seg_nodes, [pin], None, plan.flow_id, owner, endpoints
+                    seg_nodes, [pin], None, plan.flow_id, owner, endpoints, rng
                 )
             )
         plan.aliases = tuple(aliases)
 
     # -- compilation -----------------------------------------------------
     def compile_flow(
-        self, plan: MFlowPlan, owner: str, decoys: int
+        self, plan: MFlowPlan, owner: str, decoys: int, rng: random.Random
     ) -> tuple[list, list, list]:
         """Base rules plus one segment-0 forwarding lane per alias, each
         converging onto the flow's rewrite chain at the first MN."""
-        rules, groups, drops = super().compile_flow(plan, owner, decoys)
+        rules, groups, drops = super().compile_flow(plan, owner, decoys, rng)
         mic = self.mic
         walk = plan.walk
         first_mn = plan.mn_positions[0]

@@ -53,9 +53,9 @@ class TarnHopping(Strategy):
         phase = rng.random() * self.phase_jitter * self.period_s
         if phase:
             yield sim.timeout(phase)
-        while channel.channel_id in mic.channels:
+        while mic.channel_of(channel.channel_id) is not None:
             yield sim.timeout(self.period_s)
-            if channel.channel_id not in mic.channels:
+            if mic.channel_of(channel.channel_id) is None:
                 return
             for idx in range(len(channel.flows)):
                 mic.rotate_flow(channel, idx)

@@ -282,7 +282,8 @@ def scalability_routing_calculation(
         mic = bed.mic
         # Warm the per-pair path/plausibility caches: the paper's MC builds
         # its all-pairs structures "when initiation", not per request.
-        warm = mic._plan_flow("h1", "h16", 80, 3, cookie=0, owner="warm")
+        shard = mic.shards[0]
+        warm = mic._plan_flow(shard, "h1", "h16", 80, 3, cookie=0, owner="warm")
         mic.registry.release_owner("warm")
         mic.flow_ids.release(warm.flow_id)
         # Median of per-rep wall times, with a collection first: this is a
@@ -295,7 +296,7 @@ def scalability_routing_calculation(
             owner = f"bench{r}-{count}"
             t0 = time.perf_counter()
             plans = [
-                mic._plan_flow("h1", "h16", 80, 3, cookie=r * 100 + i,
+                mic._plan_flow(shard, "h1", "h16", 80, 3, cookie=r * 100 + i,
                                owner=owner)
                 for i in range(count)
             ]
@@ -337,14 +338,16 @@ def scalability_vs_fabric(
         src, dst = hosts[0], hosts[-1]
         # Warm the path/plausibility caches (the MC does this at init in
         # the paper: "calculates all-pairs ... when initiation").
-        mic._plan_flow(src, dst, 80, 3, cookie=0, owner="warm")
+        shard = mic.shards[0]
+        mic._plan_flow(shard, src, dst, 80, 3, cookie=0, owner="warm")
         mic.registry.release_owner("warm")
         mic.flow_ids._live.clear()
         t0 = time.perf_counter()
         reps = 30
         for r in range(reps):
             owner = f"f{r}"
-            plan = mic._plan_flow(src, dst, 80, 3, cookie=r + 1, owner=owner)
+            plan = mic._plan_flow(shard, src, dst, 80, 3, cookie=r + 1,
+                                  owner=owner)
             mic.registry.release_owner(owner)
             mic.flow_ids.release(plan.flow_id)
         result.add("plan time", f"k={k} ({len(hosts)} hosts)",

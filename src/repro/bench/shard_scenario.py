@@ -1,15 +1,15 @@
 """Control-plane scale-out scenario: channel-setup churn vs shard count.
 
-The sharded control plane (:mod:`repro.controlplane`) exists to lift the
-Mimic Controller's channel-establishment throughput: with one MC every
+Controller shards (``MimicController(shards=N)``) exist to lift the
+Mimic Controller's channel-establishment throughput: with one shard every
 multi-segment walk installs serially through a single controller, while
-the cluster partitions switch ownership across shards and pipelines the
-``install_batch`` fan-out.  This driver measures exactly that effect in
+N shards split switch ownership and pipeline the ``install_batch``
+fan-out.  This driver measures exactly that effect in
 *simulated* time:
 
 * ``clients`` hosts, spread across distinct edge switches, each run a
   connect → shutdown churn loop for ``rounds`` iterations;
-* the cluster runs the ``"serialized"`` CPU model, so every shard is a
+* the controller runs the ``"serialized"`` CPU model, so every shard is a
   single-core controller: request decrypt/plan compute and per-flow-mod
   issue cost (``flowmod_cpu_s``) queue FIFO per shard;
 * the headline number is ``setups_per_sim_s`` — completed channel

@@ -104,4 +104,5 @@ class Testbed:
     def reset_meters(self) -> None:
         """Zero all CPU meters (network + MC)."""
         self.net.reset_cpu_meters()
-        self.mic.cpu_busy_s = 0.0
+        for shard in self.mic.shards:
+            shard.cpu_busy_s = 0.0

@@ -1,27 +1,20 @@
-"""Control-plane scale-out: the sharded, replicated Mimic Controller.
+"""Control-plane scale-out: who owns what in a sharded Mimic Controller.
 
 The paper flags the single MC as MIC's scalability ceiling (Sec VI-C).
-This package partitions the MAGA namespace and switch ownership across N
-controller shards behind a seeded rendezvous-hash ownership map, routes
-channel establishment to the owning shard, pipelines install fan-out
-across shards, and fails channels over to survivors on a shard crash.
-See ``docs/controlplane.md`` for the doc-diffed contract.
+``MimicController(shards=N)`` (:mod:`repro.core.controller`) splits switch
+ownership across N controller shards; this package holds the seeded
+rendezvous-hash ownership map it routes by and the doc-diffed contract.
+See ``docs/controlplane.md``.
 """
 
-from .cluster import MimicControllerCluster
 from .ownership import (
     CONTROLPLANE_CONTRACT,
     OwnershipMap,
-    PartitionedFlowIdAllocator,
     format_controlplane_table,
 )
-from .shard import MimicShard
 
 __all__ = [
-    "MimicControllerCluster",
-    "MimicShard",
     "OwnershipMap",
-    "PartitionedFlowIdAllocator",
     "CONTROLPLANE_CONTRACT",
     "format_controlplane_table",
 ]

@@ -2,10 +2,10 @@
 
 One MC computing every walk and serializing every flow-mod is the
 scalability ceiling the paper itself flags (Sec VI-C: O(|F|) routing
-cost through a single controller).  The shard layer splits that work
-across N controller shards, and this module answers its one central
-question — *which shard owns a switch* — with rendezvous (highest-random-
-weight) hashing:
+cost through a single controller).  ``MimicController(shards=N)`` splits
+that work across N controller shards, and this module answers its one
+central question — *which shard owns a switch* — with rendezvous
+(highest-random-weight) hashing:
 
 * ``weight(shard, switch)`` is SHA-256 over ``"{seed}:{shard}:{switch}"``,
   so the map depends only on the seed and the two ids — never on
@@ -16,8 +16,8 @@ weight) hashing:
   reassigns *only* the switches that shard owned; every surviving
   assignment is unchanged.  That keeps a shard crash from churning
   ownership (and therefore repair responsibility) fleet-wide.
-* With one shard the map is trivially constant, which is what keeps
-  single-shard mode byte-identical to the unsharded controller.
+* With one shard the map is trivially constant: every switch is shard
+  0's.
 
 The DHT-style peer routing in p2p-project and Quantum's plugin/agent
 split are the architectural exemplars: a logically central policy whose
@@ -32,7 +32,6 @@ from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "OwnershipMap",
-    "PartitionedFlowIdAllocator",
     "CONTROLPLANE_CONTRACT",
     "format_controlplane_table",
 ]
@@ -80,62 +79,6 @@ class OwnershipMap:
         return out
 
 
-class PartitionedFlowIdAllocator:
-    """One shard's slice of the flow-ID space: ids ≡ shard (mod n_shards).
-
-    Mirrors :class:`repro.core.collision.FlowIdAllocator` exactly —
-    LIFO recycling, sequential fresh ids, the same exhaustion error — so a
-    single-shard partition (``shard=0, n_shards=1``) allocates the
-    byte-identical 0, 1, 2, … sequence.  Disjoint residue classes mean no
-    two shards can ever hand out the same live flow ID without any
-    cross-shard coordination, which is what lets establishment proceed on
-    N shards in parallel while MAGA's uniqueness argument (Sec IV-B3)
-    still holds globally.
-    """
-
-    def __init__(self, n_values: int, shard: int = 0, n_shards: int = 1):
-        if n_values < 1:
-            raise ValueError("need a positive id space")
-        if not 0 <= shard < n_shards:
-            raise ValueError(f"shard {shard} outside 0..{n_shards - 1}")
-        self.n_values = n_values
-        self.shard = shard
-        self.n_shards = n_shards
-        self._next = shard
-        self._recycled: list[int] = []
-        self._live: set[int] = set()
-
-    def allocate(self) -> int:
-        """A unique ID among the currently live ones, from this partition."""
-        if self._recycled:
-            fid = self._recycled.pop()
-        elif self._next < self.n_values:
-            fid = self._next
-            self._next += self.n_shards
-        else:
-            raise RuntimeError(
-                f"flow-ID space exhausted ({self.n_values} live m-flows)"
-            )
-        self._live.add(fid)
-        return fid
-
-    def release(self, fid: int) -> None:
-        """Recycle a live ID for reuse."""
-        if fid not in self._live:
-            raise ValueError(f"flow id {fid} is not live")
-        self._live.remove(fid)
-        self._recycled.append(fid)
-
-    @property
-    def live_count(self) -> int:
-        """Number of currently live IDs."""
-        return len(self._live)
-
-    def is_live(self, fid: int) -> bool:
-        """True if the ID is currently live."""
-        return fid in self._live
-
-
 # ----------------------------------------------------------------------
 # Doc-diffed contract (docs/controlplane.md embeds the rendered table)
 # ----------------------------------------------------------------------
@@ -160,23 +103,26 @@ CONTROLPLANE_CONTRACT: tuple[ControlplaneRule, ...] = (
     ControlplaneRule(
         "channel ownership",
         "a channel lives on the shard owning its initiator's edge switch; "
-        "`establish`/`shutdown`/`notify` requests punted by that switch "
-        "route there",
+        "a request is served by the punting switch's owner, and "
+        "`shutdown`/`notify` act on whichever shard holds the channel",
         "the surviving owner of the edge switch adopts the channel, its "
         "compiled intents, and its parked flows — channels are never killed",
     ),
     ControlplaneRule(
         "flow-ID namespace",
-        "shard *i* of *N* allocates ids ≡ *i* (mod *N*): disjoint residue "
-        "classes keep MAGA uniqueness global with zero coordination",
-        "releases route back to the home partition by residue, so a "
-        "rejoined shard's allocator state is still exact",
+        "one `FlowIdAllocator` keeps *N* residue classes; shard *i* "
+        "allocates ids ≡ *i* (mod *N*), so MAGA uniqueness is global with "
+        "zero coordination",
+        "a release returns the id to its class by residue, so a rejoined "
+        "shard's class is still exact",
     ),
     ControlplaneRule(
         "labels / MN hashes",
         "`LabelSpace`, per-MN `ReversibleHash` spaces, the collision "
-        "registry and the hidden-service map are built once on the "
-        "canonical `mic-controller` stream and shared by reference",
+        "registry, the hidden-service map and the one anonymity strategy "
+        "(its counters and `flow_signatures`) belong to the controller, "
+        "built once on the `mic-controller` stream; shard *i* > 0 plans "
+        "on `mic-controller/shard{i}`",
         "nothing to rebuild: the namespace is shard-independent state",
     ),
     ControlplaneRule(
@@ -192,7 +138,8 @@ CONTROLPLANE_CONTRACT: tuple[ControlplaneRule, ...] = (
         "fault events fan out to alive shards; each repairs, parks, and "
         "resyncs only the channels it owns",
         "flows mid-repair or parked on the dead shard are re-scheduled on "
-        "the adopter from the stored compiled intents (PR 5/PR 9)",
+        "the adopter from the stored compiled intents; one idle-expiry "
+        "loop walks whatever the alive shards hold",
     ),
     ControlplaneRule(
         "rejoin",
@@ -202,11 +149,11 @@ CONTROLPLANE_CONTRACT: tuple[ControlplaneRule, ...] = (
     ),
     ControlplaneRule(
         "single-shard mode",
-        "`n_shards=1` routes everything to shard 0, whose attach path, RNG "
-        "stream and allocator sequence are the unsharded controller's — "
-        "byte-identical, golden-tested",
-        "no failover possible; `ShardCrash` on a 1-shard cluster is a "
-        "schedule validation error",
+        "`shards=1` (the default) is the unsharded controller: one shard "
+        "book, the same object `deploy_mic()` builds; `shards=0` is a "
+        "`ValueError`",
+        "no failover possible; `ShardCrash` on one shard is a schedule "
+        "validation error; the last alive shard cannot be crashed",
     ),
 )
 

@@ -335,9 +335,9 @@ class MicEndpoint:
 
     def _notify_loop(self, channel_id: int):
         """Periodic activity notifications (Sec IV-B1's dedicated module)."""
-        while channel_id in self.mic.channels:
+        while self.mic.channel_of(channel_id) is not None:
             yield self.sim.timeout(self.notify_interval_s)
-            if channel_id not in self.mic.channels:
+            if self.mic.channel_of(channel_id) is None:
                 return
             reply_port = self.host.ephemeral_port()
             inbox: Store = Store(self.sim)

@@ -30,23 +30,32 @@ __all__ = ["FlowIdAllocator", "MnAddressSpace", "CollisionRegistry", "MAddress"]
 
 
 class FlowIdAllocator:
-    """Unique live IDs with recycling, bounded by the hash value space."""
+    """Unique live IDs with recycling, bounded by the hash value space.
 
-    def __init__(self, n_values: int):
+    A sharded controller splits the space into ``n_shards`` residue
+    classes: shard *i* allocates ids ≡ *i* (mod ``n_shards``), fresh ids
+    in order and recycled ones LIFO, and a released id returns to its own
+    class.  Disjoint classes keep every live id unique without any
+    cross-shard coordination (MAGA's uniqueness argument, Sec IV-B3).
+    """
+
+    def __init__(self, n_values: int, n_shards: int = 1):
         if n_values < 1:
             raise ValueError("need a positive id space")
         self.n_values = n_values
-        self._next = 0
-        self._recycled: list[int] = []
+        self.n_shards = n_shards
+        self._next = list(range(n_shards))
+        self._recycled: list[list[int]] = [[] for _ in range(n_shards)]
         self._live: set[int] = set()
 
-    def allocate(self) -> int:
-        """A unique ID among the currently live ones."""
-        if self._recycled:
-            fid = self._recycled.pop()
-        elif self._next < self.n_values:
-            fid = self._next
-            self._next += 1
+    def allocate(self, shard: int = 0) -> int:
+        """A unique ID among the currently live ones, from ``shard``'s class."""
+        recycled = self._recycled[shard]
+        if recycled:
+            fid = recycled.pop()
+        elif self._next[shard] < self.n_values:
+            fid = self._next[shard]
+            self._next[shard] += self.n_shards
         else:
             raise RuntimeError(
                 f"flow-ID space exhausted ({self.n_values} live m-flows)"
@@ -55,11 +64,11 @@ class FlowIdAllocator:
         return fid
 
     def release(self, fid: int) -> None:
-        """Recycle a live ID for reuse."""
+        """Recycle a live ID into its residue class for reuse."""
         if fid not in self._live:
             raise ValueError(f"flow id {fid} is not live")
         self._live.remove(fid)
-        self._recycled.append(fid)
+        self._recycled[fid % self.n_shards].append(fid)
 
     @property
     def live_count(self) -> int:

@@ -14,13 +14,25 @@ The MC lives in the SDN controller.  It:
 * manages channel lifecycle: grants, activity notifications, reuse, idle
   expiry and teardown (Sec IV-B1),
 * keeps the hidden-service map for receiver anonymity (Sec IV-D).
+
+The paper answers the single-MC ceiling with several MCs (Sec VI-C).  Here
+that is ``MimicController(shards=N)``: one namespace (labels, MN hashes,
+registry, hidden services, one flow-ID allocator, one anonymity strategy)
+and N :class:`Shard` books.  A channel lives on the shard owning its
+initiator's edge switch under the rendezvous map of
+:mod:`repro.controlplane.ownership`; every bundle is routed to the shard
+owning its target switch; a crashed shard's channels are adopted by the
+survivors (:meth:`MimicController.crash_shard`).  ``shards=1`` (the
+default) is the unsharded controller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+from ..controlplane.ownership import OwnershipMap
 from ..crypto import DEFAULT_COSTS, CryptoCostModel, Key, seal, unseal
 from ..net.addresses import IPv4Addr, MacAddr, ip
 from ..net.graph import NoPathError
@@ -28,6 +40,7 @@ from ..net.packet import Packet
 from ..net.switch import Switch
 from ..obs.spans import begin as begin_span
 from ..sdn.controller import Controller, ControllerApp
+from ..sim.resources import Resource
 from .channel import (
     ChannelGrant,
     FlowGrant,
@@ -49,6 +62,7 @@ if TYPE_CHECKING:  # runtime import would cycle; see __init__
 
 __all__ = [
     "MimicController",
+    "Shard",
     "McRequest",
     "McReply",
     "MC_IP",
@@ -73,6 +87,10 @@ _TEARDOWN_KEYS = ("channel_id",)
 _REPAIR_KEYS = ("channel_id", "flow_id", "new_walk")
 _PARK_KEYS = ("channel_id", "flow_id", "reason")
 _RESYNC_KEYS = ("switch", "rules")
+_CRASH_KEYS = (
+    "shard", "channels_adopted", "repairs_rescheduled", "flows_reparked",
+)
+_REJOIN_KEYS = ("shard",)
 
 
 @dataclass(frozen=True)
@@ -103,14 +121,42 @@ class EstablishError(RuntimeError):
     """The MC could not set up a channel (bad responder, exhausted IDs…)."""
 
 
+@dataclass(eq=False)
+class Shard:
+    """One controller shard's books: the channels it holds, their compiled
+    intents, its repair and park bookkeeping, its planning RNG stream, its
+    CPU queue (``cpu_model="serialized"`` only) and its counters.
+
+    Every generator the controller runs for a shard holds that shard and
+    re-checks ``alive`` after resuming, so a crashed shard's in-flight work
+    stops without side effects and touches only its own books.
+    """
+
+    shard_id: int
+    rng: random.Random
+    cpu: Optional[Resource] = None
+    alive: bool = True
+    channels: dict[int, MimicChannel] = field(default_factory=dict)
+    #: cookie -> (rules, groups, drops) as installed — the channel intent a
+    #: rebooted switch is re-synced from
+    compiled: dict[int, tuple[list, list, list]] = field(default_factory=dict)
+    #: cookies with a repair process in flight (dedup: a second failure on
+    #: the same flow must not spawn a second repairer)
+    repairing: set[int] = field(default_factory=set)
+    #: cookie -> (channel, flow index) for flows parked with no surviving
+    #: path; retried on heal events and by backoff loops
+    parked: dict[int, tuple[MimicChannel, int]] = field(default_factory=dict)
+    park_loops: set[int] = field(default_factory=set)
+    requests_served: int = 0
+    #: flow-mods routed to this shard as the target switch's owner
+    installs_issued: int = 0
+    cpu_busy_s: float = 0.0  # MC-side compute accounting
+
+
 class MimicController(ControllerApp):
     """MIC's control application; register it on a :class:`Controller`."""
 
     name = "mic"
-    #: cleared by the control-plane shard layer on a simulated shard crash;
-    #: every long-running generator re-checks it after resuming so a dead
-    #: shard's in-flight work stops without side effects
-    alive = True
 
     def __init__(
         self,
@@ -125,9 +171,14 @@ class MimicController(ControllerApp):
         verify: bool = False,
         park_retry_s: float = 0.25,
         strategy: Union[str, "Strategy"] = "mic",
+        shards: int = 1,
+        cpu_model: str = "parallel",
+        flowmod_cpu_s: float = 100e-6,
     ):
         if mn_strategy not in ("random", "spread"):
             raise ValueError(f"unknown MN strategy {mn_strategy!r}")
+        if cpu_model not in ("parallel", "serialized"):
+            raise ValueError(f"unknown cpu model {cpu_model!r}")
         self.mn_strategy = mn_strategy
         # Imported here, not at module top: anonymity.base needs the core
         # channel/collision types at load time, so a top-level import would
@@ -149,28 +200,32 @@ class MimicController(ControllerApp):
         #: docs/verification.md)
         self.verify_installs = verify
         self.park_retry_s = park_retry_s
-        self.channels: dict[int, MimicChannel] = {}
-        self.requests_served = 0
-        self.cpu_busy_s = 0.0  # MC-side compute accounting
+        self.ownership = OwnershipMap(shards)
+        self.n_shards = shards
+        #: "parallel" (default) issues installs immediately; "serialized"
+        #: charges the owning shard's single CPU ``flowmod_cpu_s`` per mod,
+        #: modelling the control-plane serialization the paper's Sec VI-C
+        #: ceiling comes from
+        self.cpu_model = cpu_model
+        self.flowmod_cpu_s = flowmod_cpu_s
+        self._alive_ids: tuple[int, ...] = tuple(range(shards))
         #: optional attached repro.obs.Observer (control-plane spans)
         self.obs = None
-        #: cookie -> (rules, groups, drops) as installed — the channel
-        #: intent a rebooted switch is re-synced from
-        self.compiled: dict[int, tuple[list, list, list]] = {}
-        #: cookies with a repair process in flight (dedup: a second failure
-        #: on the same flow must not spawn a second repairer)
-        self._repairing: set[int] = set()
-        #: cookie -> (channel, flow index) for flows parked with no
-        #: surviving path; retried on heal events and by backoff loops
-        self._parked: dict[int, tuple[MimicChannel, int]] = {}
-        self._park_loops: set[int] = set()
         self.repairs_completed = 0
         self.repairs_parked = 0
         self.resyncs_completed = 0
+        self.failovers = 0
+        self.channels_adopted = 0
+        self.flows_reparked = 0
+        self.repairs_rescheduled = 0
+        #: installs whose target switch was owned by a different shard than
+        #: the one planning the flow (cross-shard fan-out volume)
+        self.remote_installs = 0
 
     # ------------------------------------------------------------------
     def attach(self, controller: Controller) -> None:
-        """Wire the app to a controller: build label spaces, MN hashes, restrictions."""
+        """Wire the app to a controller: build label spaces, MN hashes,
+        restrictions and the shard books."""
         super().attach(controller)
         self.net = controller.network
         self.sim = controller.sim
@@ -198,7 +253,7 @@ class MimicController(ControllerApp):
             )
         self.restrictions = AddressRestrictions(controller.view)
         flow_id_values = next(iter(self.mn_spaces.values())).flow_id_values
-        self.flow_ids = FlowIdAllocator(flow_id_values)
+        self.flow_ids = FlowIdAllocator(flow_id_values, self.n_shards)
         self.registry = CollisionRegistry()
         self.hidden = HiddenServiceMap()
         self.strategy.bind(self)
@@ -211,6 +266,16 @@ class MimicController(ControllerApp):
         self._ip_to_host = {
             self.net.topo.host_ip(h): h for h in self.net.topo.hosts()
         }
+        # Shard 0 plans on the stream that built the namespace; the others
+        # get streams of their own, so adding shards never moves its draws.
+        self.shards = [
+            Shard(
+                i,
+                self.rng if i == 0 else self.sim.rng(f"mic-controller/shard{i}"),
+                cpu=Resource(self.sim) if self.cpu_model == "serialized" else None,
+            )
+            for i in range(self.n_shards)
+        ]
         if self.idle_timeout_s is not None:
             self.sim.process(self._expiry_loop(), name="mic.expiry")
 
@@ -230,20 +295,54 @@ class MimicController(ControllerApp):
             raise ValueError(f"unknown host {host_name!r}")
         return self.hidden.register(nickname, host_name, port)
 
+    # -- ownership and routing -----------------------------------------------
+    def alive_shards(self) -> tuple[int, ...]:
+        """IDs of the currently alive shards."""
+        return self._alive_ids
+
+    def owner_of_switch(self, sw_name: str) -> Shard:
+        """The alive shard owning a switch under the rendezvous map."""
+        return self.shards[self.ownership.owner(sw_name, self._alive_ids)]
+
+    def shard_of_host(self, host: str) -> Shard:
+        """The shard owning a host's channels (its edge switch's owner)."""
+        topo = self.net.topo
+        edge = next(nb for nb in topo.neighbors(host) if topo.kind(nb) == "switch")
+        return self.owner_of_switch(edge)
+
+    def shard_of_channel(self, channel_id: int) -> Optional[Shard]:
+        """The shard currently holding a live channel, or None."""
+        for shard in self.shards:
+            if channel_id in shard.channels:
+                return shard
+        return None
+
+    def _route(self, sw_name: str, counter: str, n: int) -> Shard:
+        """``owner_of_switch``, profiled as ``controlplane.route``."""
+        prof = self.sim._prof
+        if prof is None:
+            return self.owner_of_switch(sw_name)
+        with prof.region("controlplane.route"):
+            prof.count("controlplane.route", counter, n)
+            return self.owner_of_switch(sw_name)
+
     # ------------------------------------------------------------------
     # Control-message path (packets addressed to MC_IP)
     # ------------------------------------------------------------------
     def on_packet_in(self, switch: Switch, packet: Packet, in_port: int) -> bool:
-        """Claim packets addressed to the MC's service address."""
+        """Claim packets addressed to the MC's service address; each is
+        served by the shard owning the punting switch."""
         if packet.ip_dst != MC_IP or packet.dport != MC_PORT:
             return False
+        shard = self._route(switch.name, "requests.routed", 1)
         self.sim.process(
-            self._serve_request(switch, packet, in_port), name="mic.serve"
+            self._serve_request(shard, switch, packet, in_port), name="mic.serve"
         )
         return True
 
-    def _serve_request(self, switch: Switch, packet: Packet, in_port: int):
-        self.requests_served += 1
+    def _serve_request(self, shard: Shard, switch: Switch, packet: Packet,
+                       in_port: int):
+        shard.requests_served += 1
         span = begin_span(self.obs, "mic.request")
         initiator_host = self._ip_to_host.get(packet.ip_src)
         if initiator_host is None:
@@ -255,9 +354,9 @@ class MimicController(ControllerApp):
             return  # not decryptable under the claimed sender's key
         # Decrypt cost + request-processing compute on the controller.
         cpu = self.costs.aes(REQUEST_WIRE_BYTES) + self.net.params.controller_request_cpu_s
-        self.cpu_busy_s += cpu
-        yield from self._request_cpu(cpu)
-        if not self.alive:
+        shard.cpu_busy_s += cpu
+        yield from self._request_cpu(shard, cpu)
+        if not shard.alive:
             return
 
         if request.kind == "establish":
@@ -277,18 +376,20 @@ class MimicController(ControllerApp):
                 # Establishment on a degraded fabric must answer, not crash:
                 # no-path and exhausted-draw conditions become clean refusals.
                 reply = McReply(ok=False, error=str(exc))
+        # A request naming a channel acts on the shard holding it: after a
+        # failover and a rejoin that need not be the one serving it.
         elif request.kind == "shutdown":
             self.teardown(request.channel_id)
             reply = McReply(ok=True)
         elif request.kind == "notify":
-            ch = self.channels.get(request.channel_id)
+            ch = self.channel_of(request.channel_id)
             if ch is not None:
                 ch.touch(self.sim.now)
             reply = McReply(ok=True)
         else:
             reply = McReply(ok=False, error=f"unknown request {request.kind!r}")
 
-        if not self.alive:
+        if not shard.alive:
             return  # crashed while serving: the initiator's retry re-asks
         out = Packet(
             eth_src=MacAddr(0xFFFFFF_000001),
@@ -319,7 +420,8 @@ class MimicController(ControllerApp):
         decoys: int = 0,
         proto: str = "tcp",
     ):
-        """Process generator: plan, install, and grant a mimic channel."""
+        """Process generator: plan, install, and grant a mimic channel on
+        the shard owning the initiator's edge switch."""
         if n_flows < 1 or n_mns < 1:
             raise EstablishError("need n_flows >= 1 and n_mns >= 1")
         if proto not in ("tcp", "udp"):
@@ -330,6 +432,7 @@ class MimicController(ControllerApp):
         if responder_host == initiator:
             raise EstablishError("initiator and responder are the same host")
 
+        shard = self.shard_of_host(initiator)
         channel_id = next(self.sim.ids("mic.channel"))
         establish_span = begin_span(
             self.obs, "mic.establish",
@@ -346,7 +449,7 @@ class MimicController(ControllerApp):
                 owner = f"ch{channel_id}/c{cookie}"
                 plan_span = begin_span(self.obs, "mic.plan_flow", channel=channel_id)
                 plan = self._plan_flow(
-                    initiator, responder_host, responder_port, n_mns,
+                    shard, initiator, responder_host, responder_port, n_mns,
                     cookie, owner, proto=proto,
                 )
                 plan_span.finish(flow_id=plan.flow_id)
@@ -363,8 +466,10 @@ class MimicController(ControllerApp):
         events: list = []
         for plan in plans:
             owner = f"ch{channel_id}/c{plan.cookie}"
-            intents[plan.cookie] = self.strategy.compile_flow(plan, owner, decoys)
-            events.extend(self._push(intents[plan.cookie]).values())
+            intents[plan.cookie] = self.strategy.compile_flow(
+                plan, owner, decoys, shard.rng
+            )
+            events.extend(self._push(shard, intents[plan.cookie]).values())
         install_span = begin_span(
             self.obs, "mic.install_batch", channel=channel_id,
             installs=sum(len(part) for c in intents.values() for part in c),
@@ -372,7 +477,7 @@ class MimicController(ControllerApp):
         failure = yield from self._settle(events)
         if failure is None:
             install_span.finish()
-        if failure is not None or not self.alive:
+        if failure is not None or not shard.alive:
             # A switch refused a bundle (e.g. table full), or the shard
             # crashed while the sends were in flight: every send has settled,
             # so removing now leaves no trace — no channel would own it.
@@ -394,8 +499,8 @@ class MimicController(ControllerApp):
             last_activity=self.sim.now,
             decoys=decoys,
         )
-        self.channels[channel_id] = channel
-        self.compiled.update(intents)
+        shard.channels[channel_id] = channel
+        shard.compiled.update(intents)
         if self.verify_installs:
             self.verify().raise_if_failed()
         if self.net.trace is not None:
@@ -434,6 +539,7 @@ class MimicController(ControllerApp):
     # -- planning -------------------------------------------------------
     def _plan_flow(
         self,
+        shard: Shard,
         initiator: str,
         responder: str,
         responder_port: int,
@@ -446,27 +552,28 @@ class MimicController(ControllerApp):
         alias_pins: tuple = (),
         proto: str = "tcp",
     ) -> MFlowPlan:
-        """Plan one m-flow.
+        """Plan one m-flow on ``shard``'s RNG stream and flow-ID class.
 
         ``flow_id``/``entry_pin``/``delivery_pin`` support repair: the flow
         keeps its identity and its host-visible addresses while the interior
         of the walk is re-drawn over the current routing view.
         """
+        rng = shard.rng
         view = self.controller.view
-        walk = view.paths_with_min_switches(initiator, responder, n_mns, self.rng)
+        walk = view.paths_with_min_switches(initiator, responder, n_mns, rng)
         switch_positions = [
             i for i in range(1, len(walk) - 1)
             if self.net.topo.kind(walk[i]) == "switch"
         ]
-        mn_positions = self._choose_mns(switch_positions, n_mns)
+        mn_positions = self._choose_mns(rng, switch_positions, n_mns)
         new_id = new_sport = None
         try:
             if flow_id is None:
-                flow_id = new_id = self.flow_ids.allocate()
+                flow_id = new_id = self.flow_ids.allocate(shard.shard_id)
             if entry_pin is not None:
                 sport = entry_pin.sport
             else:
-                sport = new_sport = self._assign_sport(initiator)
+                sport = new_sport = self._assign_sport(rng, initiator)
 
             init_ip = self.net.topo.host_ip(initiator)
             resp_ip = self.net.topo.host_ip(responder)
@@ -490,6 +597,7 @@ class MimicController(ControllerApp):
                 last=last,
                 owner=owner,
                 endpoints=endpoints,
+                rng=rng,
             )
             rwalk = list(reversed(walk))
             rev_positions = sorted(len(walk) - 1 - p for p in mn_positions)
@@ -507,6 +615,7 @@ class MimicController(ControllerApp):
                 ),
                 owner=owner,
                 endpoints=endpoints,
+                rng=rng,
             )
             plan = MFlowPlan(
                 flow_id=flow_id,
@@ -517,7 +626,7 @@ class MimicController(ControllerApp):
                 cookie=cookie,
                 proto=proto,
             )
-            self.strategy.finish_plan(plan, owner, endpoints,
+            self.strategy.finish_plan(plan, owner, endpoints, rng,
                                       alias_pins=alias_pins)
             return plan
         except Exception:
@@ -531,7 +640,8 @@ class MimicController(ControllerApp):
                 self._used_sports[initiator].discard(new_sport)
             raise
 
-    def _choose_mns(self, switch_positions: list[int], n_mns: int) -> list[int]:
+    def _choose_mns(self, rng: random.Random, switch_positions: list[int],
+                    n_mns: int) -> list[int]:
         if len(switch_positions) < n_mns:
             raise EstablishError(
                 f"path has {len(switch_positions)} switches, need {n_mns} MNs"
@@ -545,12 +655,12 @@ class MimicController(ControllerApp):
             while len(idx) < n_mns:
                 idx.append(pool.pop(0))
             return sorted(switch_positions[i] for i in sorted(idx)[:n_mns])
-        return sorted(self.rng.sample(switch_positions, n_mns))
+        return sorted(rng.sample(switch_positions, n_mns))
 
-    def _assign_sport(self, initiator: str) -> int:
+    def _assign_sport(self, rng: random.Random, initiator: str) -> int:
         used = self._used_sports.setdefault(initiator, set())
         for _ in range(4096):
-            candidate = self.rng.randint(20000, 60000)
+            candidate = rng.randint(20000, 60000)
             if candidate not in used:
                 used.add(candidate)
                 return candidate
@@ -561,18 +671,52 @@ class MimicController(ControllerApp):
     # switches agree with a compiled intent ``(rules, groups, drops)`` or
     # leave no trace.  Establish, repair / rotate / un-park, resync and
     # teardown are each "compile, push, settle, then commit or retract",
-    # with the liveness checks at that one commit point.  ``_send`` and
-    # ``_request_cpu`` are the seam the control-plane shard layer
-    # (:mod:`repro.controlplane`) overrides: a shard routes each bundle to
-    # the switch's owning shard and, under the serialized CPU model,
-    # charges that shard's CPU before the message goes out.
-    def _send(self, sw_name: str, entries: list, groups: list):
-        return self.controller.install_batch(sw_name, entries, groups)
+    # with the liveness checks at that one commit point.  Every bundle
+    # leaves through ``_send``, which routes it to the target switch's
+    # owning shard and, under the serialized CPU model, charges that
+    # shard's CPU before the message goes out.
+    def _send(self, origin: Shard, sw_name: str, entries: list, groups: list):
+        n_mods = len(entries) + len(groups)
+        owner = self._route(sw_name, "mods.routed", n_mods)
+        owner.installs_issued += n_mods
+        if owner is not origin:
+            self.remote_installs += n_mods
+            if self.sim._prof is not None:
+                self.sim._prof.count("controlplane.route", "mods.remote", n_mods)
+        if owner.cpu is None:
+            return self.controller.install_batch(sw_name, entries, groups)
+        cost = n_mods * self.flowmod_cpu_s
+        done = self.sim.event()
 
-    def _request_cpu(self, cpu: float):
-        yield self.sim.timeout(cpu)
+        def run():
+            yield from self._request_cpu(owner, cost)
+            owner.cpu_busy_s += cost
+            try:
+                result = yield self.controller.install_batch(
+                    sw_name, entries, groups
+                )
+            except Exception as exc:  # mirrored to the caller's barrier
+                done.fail(exc)
+            else:
+                done.succeed(result)
 
-    def _push(self, compiled: tuple, only: Optional[str] = None) -> dict:
+        self.sim.process(run(), name="mic.shard.issue")
+        return done
+
+    def _request_cpu(self, shard: Shard, cpu: float):
+        """Charge ``cpu`` seconds of compute (queued on the shard's CPU
+        under ``cpu_model="serialized"``)."""
+        if shard.cpu is None:
+            yield self.sim.timeout(cpu)
+            return
+        yield shard.cpu.request()
+        try:
+            yield self.sim.timeout(cpu)
+        finally:
+            shard.cpu.release()
+
+    def _push(self, shard: Shard, compiled: tuple,
+              only: Optional[str] = None) -> dict:
         """Send a compiled intent, one bundle per switch; ``{switch: event}``.
 
         A bundle carries the switch's groups with the rules that reference
@@ -587,7 +731,7 @@ class MimicController(ControllerApp):
         for sw_name, group in groups:
             bundles.setdefault(sw_name, ([], []))[1].append(group)
         return {
-            sw_name: self._send(sw_name, *bundle)
+            sw_name: self._send(shard, sw_name, *bundle)
             for sw_name, bundle in bundles.items()
             if only is None or sw_name == only
         }
@@ -621,11 +765,12 @@ class MimicController(ControllerApp):
             for sw_name in sorted(scope)
         ]
 
-    def _orphaned(self, channel: MimicChannel) -> Optional[str]:
+    @staticmethod
+    def _orphaned(shard: Shard, channel: MimicChannel) -> Optional[str]:
         """Why an in-flight install for ``channel`` must not commit."""
-        if not self.alive:
+        if not shard.alive:
             return "abandoned"  # shard crashed; the adopting shard re-drives
-        if channel.channel_id not in self.channels:
+        if channel.channel_id not in shard.channels:
             return "closed"  # torn down while the sends were in flight
         return None
 
@@ -636,19 +781,20 @@ class MimicController(ControllerApp):
     # -- lifecycle --------------------------------------------------------
     def teardown(self, channel_id: int) -> None:
         """Remove every rule of a channel and recycle its identifiers."""
-        channel = self.channels.pop(channel_id, None)
-        if channel is None:
+        shard = self.shard_of_channel(channel_id)
+        if shard is None:
             return
+        channel = shard.channels.pop(channel_id)
         channel.state = "closed"
         for plan in channel.flows:
             # A flow mid-repair or parked has no committed intent: its
             # repairer owns whatever is installed and retracts it on seeing
             # the channel gone.
-            compiled = self.compiled.pop(plan.cookie, None)
+            compiled = shard.compiled.pop(plan.cookie, None)
             if compiled is not None:
                 self._retract(plan.cookie, compiled)
             self._release_flow(channel_id, plan)
-            self._parked.pop(plan.cookie, None)
+            shard.parked.pop(plan.cookie, None)
         if self.net.trace is not None:
             self.net.trace.emit(
                 self.sim.now, "mic.teardown", "MC", _TEARDOWN_KEYS, channel_id
@@ -665,21 +811,24 @@ class MimicController(ControllerApp):
     def on_link_event(self, a: str, b: str, up: bool) -> None:
         """Repair every m-flow whose walk crossed a failed link.
 
-        The controller's routing view has already been updated; we re-plan
-        the affected flows over the surviving fabric while pinning their
-        entry and delivery addresses, so both endpoints' transport
-        connections survive the rerouting untouched.  A heal event instead
-        re-tries every parked flow — a flow parks when no surviving path
-        exists at repair time.
+        The controller's routing view has already been updated; each alive
+        shard re-plans its affected flows over the surviving fabric while
+        pinning their entry and delivery addresses, so both endpoints'
+        transport connections survive the rerouting untouched.  A heal
+        event instead re-tries every parked flow — a flow parks when no
+        surviving path exists at repair time.
         """
-        if up:
-            for cookie in list(self._parked):
-                self._try_unpark(cookie)
-            return
-        for channel in list(self.channels.values()):
-            for idx, plan in enumerate(channel.flows):
-                if self._walk_uses(plan.walk, a, b):
-                    self._schedule_repair(channel, idx)
+        for shard in self.shards:
+            if not shard.alive:
+                continue
+            if up:
+                for cookie in list(shard.parked):
+                    self._try_unpark(shard, cookie)
+                continue
+            for channel in list(shard.channels.values()):
+                for idx, plan in enumerate(channel.flows):
+                    if self._walk_uses(plan.walk, a, b):
+                        self._schedule_repair(shard, channel, idx)
 
     def on_switch_event(self, name: str, up: bool) -> None:
         """Re-sync a rebooted switch's rules from stored channel intent.
@@ -687,10 +836,14 @@ class MimicController(ControllerApp):
         A crash wipes the chassis but leaves its links up, so routing
         around it would be wrong — the installed walks are still the right
         ones, the switch just forgot its rules.  Nothing to do on the down
-        edge; the reboot drives the re-install.
+        edge; the reboot drives one re-install per alive shard.
         """
-        if up:
-            self.sim.process(self._resync_switch(name), name="mic.resync")
+        if not up:
+            return
+        for shard in self.shards:
+            if shard.alive:
+                self.sim.process(self._resync_switch(shard, name),
+                                 name="mic.resync")
 
     @staticmethod
     def _walk_uses(walk: Sequence[str], a: str, b: str) -> bool:
@@ -698,38 +851,37 @@ class MimicController(ControllerApp):
             (u, v) in ((a, b), (b, a)) for u, v in zip(walk, walk[1:])
         )
 
-    def _schedule_repair(self, channel: MimicChannel, idx: int) -> None:
+    def _schedule_repair(self, shard: Shard, channel: MimicChannel, idx: int,
+                         kind: str = "repair") -> bool:
         cookie = channel.flows[idx].cookie
-        if cookie in self._repairing or cookie in self._parked:
-            return  # a repairer is already driving (or waiting on) this flow
-        self._repairing.add(cookie)
-        self.sim.process(self._repair_flow(channel, idx), name="mic.repair")
+        if cookie in shard.repairing or cookie in shard.parked:
+            return False  # a repairer is already driving (or waiting on) it
+        shard.repairing.add(cookie)
+        self.sim.process(self._repair_flow(shard, channel, idx, kind),
+                         name=f"mic.{kind}")
+        return True
 
     def rotate_flow(self, channel: MimicChannel, idx: int) -> bool:
         """Re-draw a live flow's interior m-addresses (moving-target hop).
 
         Rides the repair machinery end to end — remove-by-cookie barrier,
         pinned entry/delivery, undo-on-failure — so a rotation is exactly a
-        repair without a triggering fault.  Skipped (returns False) while a
-        repairer or the parking lot already owns the flow.
+        repair without a triggering fault, run by the shard holding the
+        channel.  Skipped (returns False) while a repairer or the parking
+        lot already owns the flow.
         """
-        if channel.channel_id not in self.channels:
-            return False
-        cookie = channel.flows[idx].cookie
-        if cookie in self._repairing or cookie in self._parked:
-            return False
-        self._repairing.add(cookie)
-        self.sim.process(
-            self._repair_flow(channel, idx, kind="rotate"), name="mic.rotate"
+        shard = self.shard_of_channel(channel.channel_id)
+        return shard is not None and self._schedule_repair(
+            shard, channel, idx, kind="rotate"
         )
-        return True
 
     def _walk_alive(self, walk: Sequence[str]) -> bool:
         """Every edge of the walk still exists in the routing view."""
         graph = self.controller.view.graph
         return all(graph.has_edge(u, v) for u, v in zip(walk, walk[1:]))
 
-    def _repair_flow(self, channel: MimicChannel, idx: int, kind: str = "repair"):
+    def _repair_flow(self, shard: Shard, channel: MimicChannel, idx: int,
+                     kind: str = "repair"):
         old = channel.flows[idx]
         cookie = old.cookie
         owner = f"ch{channel.channel_id}/c{cookie}"
@@ -744,20 +896,21 @@ class MimicController(ControllerApp):
             # its walk.  The barrier matters — the new plan re-uses this
             # cookie, so a removal landing late (lossy control plane) would
             # eat the replacement rules.
-            stale = self.compiled.pop(cookie, None) or ([
+            stale = shard.compiled.pop(cookie, None) or ([
                 (node, None) for node in old.walk
                 if self.net.topo.kind(node) == "switch"
             ],)
             self.registry.release_owner(owner)
             yield self.sim.all_of(self._retract(cookie, stale))
             while True:
-                orphaned = self._orphaned(channel)
+                orphaned = self._orphaned(shard, channel)
                 if orphaned:
                     span.finish(outcome=orphaned)
                     return
                 # Re-plan over the surviving fabric, pinning the identity.
                 try:
                     new_plan = self._plan_flow(
+                        shard,
                         channel.initiator,
                         channel.responder,
                         old.delivery.dport,
@@ -775,14 +928,16 @@ class MimicController(ControllerApp):
                     # No surviving path (or not enough switches on any):
                     # park the flow instead of killing the sim; the parked
                     # loop and heal events will bring it back.
-                    self._park_flow(channel, idx, old, str(exc))
+                    self._park_flow(shard, channel, idx, old, str(exc))
                     span.finish(outcome="parked")
                     return
                 compiled = self.strategy.compile_flow(
-                    new_plan, owner, channel.decoys
+                    new_plan, owner, channel.decoys, shard.rng
                 )
-                failure = yield from self._settle(self._push(compiled).values())
-                orphaned = self._orphaned(channel)
+                failure = yield from self._settle(
+                    self._push(shard, compiled).values()
+                )
+                orphaned = self._orphaned(shard, channel)
                 if orphaned == "abandoned":
                     span.finish(outcome=orphaned)
                     return  # the adopter owns this cookie now: hands off
@@ -802,7 +957,7 @@ class MimicController(ControllerApp):
                     # re-plan over the by-then-current view after a backoff
                     yield self.sim.timeout(self.park_retry_s)
             channel.flows[idx] = new_plan
-            self.compiled[cookie] = compiled
+            shard.compiled[cookie] = compiled
             if kind == "rotate":
                 self.strategy.rotations_completed += 1
                 self.strategy.rotation_installs += sum(map(len, compiled))
@@ -820,44 +975,48 @@ class MimicController(ControllerApp):
                 )
             span.finish(outcome="rotated" if kind == "rotate" else "repaired")
         finally:
-            self._repairing.discard(cookie)
+            shard.repairing.discard(cookie)
 
     # -- parked flows (no surviving path) ----------------------------------
     def _park_flow(
-        self, channel: MimicChannel, idx: int, old: MFlowPlan, reason: str
+        self, shard: Shard, channel: MimicChannel, idx: int, old: MFlowPlan,
+        reason: str,
     ) -> None:
-        cookie = old.cookie
-        self._parked[cookie] = (channel, idx)
+        shard.parked[old.cookie] = (channel, idx)
         self.repairs_parked += 1
         if self.net.trace is not None:
             self.net.trace.emit(
                 self.sim.now, "mic.park", "MC", _PARK_KEYS,
                 channel.channel_id, old.flow_id, reason,
             )
-        if cookie not in self._park_loops:
-            self._park_loops.add(cookie)
-            self.sim.process(self._parked_retry_loop(cookie), name="mic.park")
+        self._ensure_park_loop(shard, old.cookie)
 
-    def _parked_retry_loop(self, cookie: int):
+    def _ensure_park_loop(self, shard: Shard, cookie: int) -> None:
+        if cookie not in shard.park_loops:
+            shard.park_loops.add(cookie)
+            self.sim.process(self._parked_retry_loop(shard, cookie),
+                             name="mic.park")
+
+    def _parked_retry_loop(self, shard: Shard, cookie: int):
         """Backoff retries for one parked flow (heal events also retry)."""
         try:
             delay = self.park_retry_s
-            while cookie in self._parked:
+            while cookie in shard.parked:
                 yield self.sim.timeout(delay)
-                if not self.alive:
+                if not shard.alive:
                     return
                 delay = min(delay * 2, 8 * self.park_retry_s)
-                self._try_unpark(cookie)
+                self._try_unpark(shard, cookie)
         finally:
-            self._park_loops.discard(cookie)
+            shard.park_loops.discard(cookie)
 
-    def _try_unpark(self, cookie: int) -> None:
-        entry = self._parked.get(cookie)
-        if entry is None or cookie in self._repairing:
+    def _try_unpark(self, shard: Shard, cookie: int) -> None:
+        entry = shard.parked.get(cookie)
+        if entry is None or cookie in shard.repairing:
             return
         channel, idx = entry
-        if channel.channel_id not in self.channels:
-            self._parked.pop(cookie, None)  # torn down while parked
+        if channel.channel_id not in shard.channels:
+            shard.parked.pop(cookie, None)  # torn down while parked
             return
         # Leave the parking lot only when the view offers a path again; the
         # repairer re-parks if the path is still too short for the MN count.
@@ -865,52 +1024,51 @@ class MimicController(ControllerApp):
             self.controller.view.shortest_path(channel.initiator, channel.responder)
         except (KeyError, NoPathError, IndexError):
             return
-        self._parked.pop(cookie)
-        self._repairing.add(cookie)
-        self.sim.process(self._repair_flow(channel, idx), name="mic.repair")
+        shard.parked.pop(cookie)
+        self._schedule_repair(shard, channel, idx)
 
     @property
     def parked_flows(self) -> int:
         """Number of flows currently parked awaiting a surviving path."""
-        return len(self._parked)
+        return sum(len(s.parked) for s in self.shards)
 
     @property
     def repairs_in_flight(self) -> int:
         """Number of flows with an active repair process right now."""
-        return len(self._repairing)
+        return sum(len(s.repairing) for s in self.shards)
 
     # -- switch resync (reboot recovery) ------------------------------------
-    def _resync_switch(self, name: str):
+    def _resync_switch(self, shard: Shard, name: str):
         """Re-install every live flow's rules on a rebooted switch.
 
-        Driven from stored compiled intent (:attr:`compiled`), so the
+        Driven from stored compiled intent (:attr:`Shard.compiled`), so the
         addresses and labels are exactly the ones the endpoints are already
         using — no re-draw, no RNG.  Flows mid-repair or parked are skipped;
         their repairer owns their rules.
         """
         span = begin_span(self.obs, "mic.resync", switch=name)
-        if not self.alive:
+        if not shard.alive:
             span.finish(outcome="abandoned")
             return
         pushed = []
         events = []
         n_rules = 0
-        for channel in list(self.channels.values()):
+        for channel in list(shard.channels.values()):
             for plan in channel.flows:
-                compiled = self.compiled.get(plan.cookie)
-                if compiled is None or plan.cookie in self._repairing:
+                compiled = shard.compiled.get(plan.cookie)
+                if compiled is None or plan.cookie in shard.repairing:
                     continue
                 pushed.append((channel, plan.cookie, compiled))
-                events.extend(self._push(compiled, only=name).values())
+                events.extend(self._push(shard, compiled, only=name).values())
                 n_rules += sum(
                     sw_name == name for sw_name, _e in compiled[0] + compiled[2]
                 )
         failure = yield from self._settle(events)
-        if not self.alive:
+        if not shard.alive:
             span.finish(outcome="abandoned")
             return
         for channel, cookie, compiled in pushed:
-            if channel.channel_id not in self.channels:
+            if channel.channel_id not in shard.channels:
                 # torn down while its bundle was in flight
                 self._retract(cookie, compiled)
         if failure is not None:
@@ -927,10 +1085,11 @@ class MimicController(ControllerApp):
         span.finish(rules=n_rules)
 
     def _expiry_loop(self):
+        # One loop per deployment: a dead shard holds no channels, so the
+        # walk covers exactly the alive shards, and a rejoin needs no
+        # restart.
         while True:
             yield self.sim.timeout(self.idle_timeout_s)
-            if not self.alive:
-                return
             now = self.sim.now
             stale = [
                 cid
@@ -939,6 +1098,72 @@ class MimicController(ControllerApp):
             ]
             for cid in stale:
                 self.teardown(cid)
+
+    # -- shard failover ------------------------------------------------------
+    def crash_shard(self, shard_id: int) -> None:
+        """Kill a shard; survivors adopt its channels from stored intents.
+
+        The dead shard's in-flight generators terminate at their next
+        resumption (the ``alive`` guards) without side effects; everything
+        durable it owned — channels, compiled intents, parked flows —
+        moves to the surviving owner of each channel's edge switch, and
+        repairs that died with the shard are re-driven there.
+        """
+        shard = self.shards[shard_id]
+        if not shard.alive:
+            return
+        alive = tuple(i for i in self._alive_ids if i != shard_id)
+        if not alive:
+            raise RuntimeError("cannot crash the last alive shard")
+        shard.alive = False
+        self._alive_ids = alive
+        self.failovers += 1
+        span = begin_span(self.obs, "mic.shard.failover", shard=shard_id)
+        was_repairing = set(shard.repairing)
+        was_parked = dict(shard.parked)
+        shard.repairing.clear()
+        shard.parked.clear()
+        adopted = 0
+        for channel_id, channel in sorted(shard.channels.items()):
+            adopter = self.shard_of_host(channel.initiator)
+            del shard.channels[channel_id]
+            adopter.channels[channel_id] = channel
+            adopted += 1
+            for idx, plan in enumerate(channel.flows):
+                compiled = shard.compiled.pop(plan.cookie, None)
+                if compiled is not None:
+                    adopter.compiled[plan.cookie] = compiled
+                if plan.cookie in was_parked:
+                    # Re-park on the adopter (no repairs_parked recount:
+                    # the original park already counted).
+                    adopter.parked[plan.cookie] = (channel, idx)
+                    self.flows_reparked += 1
+                    self._ensure_park_loop(adopter, plan.cookie)
+                elif plan.cookie in was_repairing:
+                    # The repair died with its shard; re-drive it on the
+                    # adopter (its removal scope comes from the adopted
+                    # compiled intent, so no rules leak).
+                    self._schedule_repair(adopter, channel, idx)
+                    self.repairs_rescheduled += 1
+        self.channels_adopted += adopted
+        if self.net.trace is not None:
+            self.net.trace.emit(
+                self.sim.now, "mic.shard.crash", "MC", _CRASH_KEYS,
+                shard_id, adopted, len(was_repairing), len(was_parked),
+            )
+        span.finish(channels_adopted=adopted)
+
+    def rejoin_shard(self, shard_id: int) -> None:
+        """Bring a crashed shard back (adopted channels do not fail back)."""
+        shard = self.shards[shard_id]
+        if shard.alive:
+            return
+        shard.alive = True
+        self._alive_ids = tuple(s.shard_id for s in self.shards if s.alive)
+        if self.net.trace is not None:
+            self.net.trace.emit(
+                self.sim.now, "mic.shard.rejoin", "MC", _REJOIN_KEYS, shard_id
+            )
 
     # -- introspection ------------------------------------------------------
     def verify(self):
@@ -952,14 +1177,35 @@ class MimicController(ControllerApp):
 
         return verify_network(self.net, mic=self)
 
+    @property
+    def channels(self) -> dict[int, MimicChannel]:
+        """Every live channel by ID, shard by shard (a fresh dict)."""
+        return {cid: ch for s in self.shards for cid, ch in s.channels.items()}
+
+    @property
+    def compiled(self) -> dict[int, tuple[list, list, list]]:
+        """Every committed compiled intent by cookie (a fresh dict)."""
+        return {c: intent for s in self.shards for c, intent in s.compiled.items()}
+
     def channel_of(self, channel_id: int) -> Optional[MimicChannel]:
         """Live channel state by ID, or None."""
-        return self.channels.get(channel_id)
+        shard = self.shard_of_channel(channel_id)
+        return None if shard is None else shard.channels[channel_id]
 
     @property
     def live_channels(self) -> int:
         """Number of live channels."""
-        return len(self.channels)
+        return sum(len(s.channels) for s in self.shards)
+
+    @property
+    def requests_served(self) -> int:
+        """Control requests served, over all shards."""
+        return sum(s.requests_served for s in self.shards)
+
+    @property
+    def cpu_busy_s(self) -> float:
+        """Simulated controller CPU seconds, over all shards."""
+        return sum(s.cpu_busy_s for s in self.shards)
 
     def rule_footprint(self) -> dict[str, int]:
         """MIC rules currently installed, per switch (TCAM load view)."""
@@ -987,6 +1233,11 @@ class MimicController(ControllerApp):
             "rules_total": sum(footprint.values()),
             "rules_max_per_switch": max(footprint.values(), default=0),
             "switches_touched": len(footprint),
+            "shards": self.n_shards,
+            "shards_alive": len(self._alive_ids),
+            "failovers": self.failovers,
+            "channels_adopted": self.channels_adopted,
+            "remote_installs": self.remote_installs,
         }
 
 

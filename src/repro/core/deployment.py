@@ -82,7 +82,7 @@ def deploy_mic(
     journey_kwargs: Optional[dict] = None,
     controller_kwargs: Optional[dict] = None,
     faults=None,
-    shards: int = 0,
+    shards: int = 1,
 ) -> MicDeployment:
     """Stand up a MIC-enabled network on ``topo`` (default: the paper's
     4-ary fat-tree).
@@ -99,23 +99,17 @@ def deploy_mic(
     knobs to the :class:`~repro.sdn.controller.Controller`; ``faults``
     attaches a :class:`repro.faults.FaultSchedule` (its injected events
     are scheduled before any traffic runs).
-    ``shards`` ≥ 1 deploys the sharded control plane
-    (:class:`repro.controlplane.MimicControllerCluster`) with that many
-    controller shards instead of the plain MC; ``mic_kwargs`` then also
-    accepts the cluster knobs (``cpu_model``, ``flowmod_cpu_s``,
-    ``ownership_seed``).  ``shards=0`` (default) keeps today's single
-    unsharded controller.
+    ``shards`` is the Mimic Controller's shard count (default 1, the
+    unsharded MC; ``shards=0`` raises ``ValueError``); with two or more,
+    channels and install fan-out spread over the shards by switch
+    ownership and a shard can be crashed (see
+    :meth:`~repro.core.controller.MimicController.crash_shard`).
+    ``mic_kwargs`` may also set the shards' ``cpu_model`` and
+    ``flowmod_cpu_s``.
     """
     net = Network(topo or fat_tree(4), params=params or NetParams(), seed=seed)
     ctrl = Controller(net, **(controller_kwargs or {}))
-    if shards:
-        from ..controlplane import MimicControllerCluster
-
-        mic = ctrl.register(
-            MimicControllerCluster(n_shards=shards, **(mic_kwargs or {}))
-        )
-    else:
-        mic = ctrl.register(MimicController(**(mic_kwargs or {})))
+    mic = ctrl.register(MimicController(shards=shards, **(mic_kwargs or {})))
     l3 = ctrl.register(L3ShortestPathApp())
     obs = Observer.attach(net, mic=mic, controller=ctrl) if observe else None
     rec = None

@@ -85,10 +85,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sanitize", action="store_true",
                    help="attach the race/determinism sanitizer; its report "
                         "goes to stderr and findings fail the run")
-    p.add_argument("--shards", type=int, default=0,
-                   help="run the sharded control plane with N controller "
-                        "shards (>= 2 adds a shard-crash fault and a "
-                        "controlplane scorecard section; 0 = plain MC)")
+    p.add_argument("--shards", type=int, default=1,
+                   help="controller shards (default 1; >= 2 adds a "
+                        "shard-crash fault and a controlplane scorecard "
+                        "section)")
 
 
 def main(argv=None) -> int:

@@ -83,13 +83,10 @@ def default_schedule(dep: MicDeployment, channel_ids: list[int],
                             extra_delay_s=0.002)
     # On a sharded control plane, crash the shard owning channel 0 while
     # its link-flap repair window is open; a survivor adopts its channels
-    # from the stored compiled intents.  Guarded so the unsharded (and
-    # 1-shard, golden-pinned) runs keep the schedule byte-identical.
-    if getattr(dep.mic, "n_shards", 1) >= 2:
-        victim = next(
-            i for i, shard in enumerate(dep.mic.shards)
-            if channel_ids[0] in shard.channels
-        )
+    # from the stored compiled intents.  Guarded so the unsharded
+    # (golden-pinned) run keeps the schedule byte-identical.
+    if dep.mic.n_shards >= 2:
+        victim = dep.mic.shard_of_channel(channel_ids[0]).shard_id
         sched.shard_crash(victim, at_s=t0 + 2.0, down_for_s=6.0)
     return sched
 
@@ -106,7 +103,7 @@ def run_chaos(
     sanitizer: Optional["SimSanitizer"] = None,
     profiler: Optional["Profiler"] = None,
     strategy: str = "mic",
-    shards: int = 0,
+    shards: int = 1,
 ) -> tuple[dict, MicDeployment]:
     """Run one seeded chaos scenario; returns ``(scorecard, deployment)``.
 
@@ -114,11 +111,10 @@ def run_chaos(
     :mod:`repro.anonymity`); the scorecard's ``anonymity`` section reports
     it along with rotation counters.
 
-    ``shards`` ≥ 1 runs the sharded control plane
-    (:class:`repro.controlplane.MimicControllerCluster`); with ≥ 2 shards
-    the default schedule adds a :class:`~repro.faults.ShardCrash` and the
-    scorecard gains a ``controlplane`` section.  ``shards=0`` (default)
-    keeps the plain controller.
+    ``shards`` is the controller's shard count (default 1, unsharded);
+    with ≥ 2 shards the default schedule adds a
+    :class:`~repro.faults.ShardCrash` and the scorecard gains a
+    ``controlplane`` section.
 
     With ``schedule=None`` the :func:`default_schedule` is built from the
     established channels.  A supplied schedule must not be attached yet —

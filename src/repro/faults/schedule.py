@@ -145,19 +145,15 @@ class FaultSchedule:
         """Resolve the sharded MC app a :class:`ShardCrash` targets."""
         if ctrl is None:
             raise ValueError("shard_crash requires attaching with a controller")
-        mic = next(
-            (app for app in ctrl.apps if getattr(app, "name", "") == "mic"),
-            None,
-        )
-        n_shards = getattr(mic, "n_shards", 1)
-        if mic is None or not hasattr(mic, "crash_shard") or n_shards < 2:
+        mic = next((app for app in ctrl.apps if app.name == "mic"), None)
+        if mic is None or mic.n_shards < 2:
             raise ValueError(
                 "shard_crash requires the sharded control plane "
                 "(deploy_mic(shards=N) with N >= 2)"
             )
-        if not 0 <= spec.shard < n_shards:
+        if not 0 <= spec.shard < mic.n_shards:
             raise ValueError(
-                f"shard {spec.shard} outside the cluster's 0..{n_shards - 1}"
+                f"shard {spec.shard} outside the cluster's 0..{mic.n_shards - 1}"
             )
         return mic
 

@@ -130,20 +130,14 @@ def build_scorecard(
             "detection_latency_s": ctrl.detector.latency_s,
         },
         "anonymity": {
-            "strategy": getattr(
-                getattr(mic, "strategy", None), "name", "mic"
-            ),
-            "rotations_completed": getattr(
-                getattr(mic, "strategy", None), "rotations_completed", 0
-            ),
-            "rotation_installs": getattr(
-                getattr(mic, "strategy", None), "rotation_installs", 0
-            ),
+            "strategy": mic.strategy.name,
+            "rotations_completed": mic.strategy.rotations_completed,
+            "rotation_installs": mic.strategy.rotation_installs,
         },
     }
-    # Sharded control plane only (>= 2 shards): the unsharded and 1-shard
-    # runs keep the card byte-identical to the golden-pinned shape.
-    if getattr(mic, "n_shards", 1) >= 2:
+    # Sharded control plane only (>= 2 shards): the unsharded run keeps
+    # the card byte-identical to the golden-pinned shape.
+    if mic.n_shards >= 2:
         card["controlplane"] = {
             "shards": mic.n_shards,
             "shards_alive": len(mic.alive_shards()),

@@ -281,15 +281,14 @@ class Observer:
             snap.add("mic.repairs.completed", self.mic.repairs_completed)
             snap.add("mic.repairs.parked", self.mic.repairs_parked)
             snap.add("mic.resyncs.completed", self.mic.resyncs_completed)
-            # Sharded control plane only: the unsharded controller has no
-            # .shards, so these samples never appear in its snapshots.
-            shards = getattr(self.mic, "shards", None)
-            if shards is not None:
+            # Sharded control plane only (>= 2 shards), so these samples
+            # never appear in an unsharded run's snapshots.
+            if self.mic.n_shards >= 2:
                 snap.add("mic.shard.alive", len(self.mic.alive_shards()))
                 snap.add("mic.shard.failovers", self.mic.failovers)
                 snap.add("mic.shard.channels.adopted",
                          self.mic.channels_adopted)
-                for sh in shards:
+                for sh in self.mic.shards:
                     label = str(sh.shard_id)
                     snap.add("mic.shard.requests.served",
                              sh.requests_served, shard=label)

@@ -133,9 +133,10 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
     ),
     ProfSubsystem(
         "controlplane.route",
-        "repro.controlplane.MimicControllerCluster.dispatch / on_packet_in",
+        "repro.core.controller.MimicController._send / on_packet_in",
         "routing one control request or install bundle to its owning "
-        "shard through the rendezvous ownership map",
+        "shard through the rendezvous ownership map (every run, sharded "
+        "or not)",
         "`requests.routed`, `mods.routed`, `mods.remote` (mods issued by a "
         "non-owning shard and forwarded)",
     ),

@@ -179,7 +179,6 @@ class TestTeardown:
         class FakeMic:
             channels = {}              # channel 7 is gone
             compiled = {99: ([], [], [])}
-            _parked = {}
             registry = FakeRegistry()
 
         san = SimSanitizer.attach(sim)

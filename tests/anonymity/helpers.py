@@ -19,19 +19,20 @@ from repro.net.topology import fat_tree
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 INTENTS_GOLDEN = DATA_DIR / "mic_intents_fat_tree4_seed0.json"
 SCORECARD_GOLDEN = DATA_DIR / "chaos_scorecard_seed0.json"
+#: the same two artifacts on a 4-shard controller (the shard crash the
+#: default chaos plan adds included)
+INTENTS_GOLDEN_SHARDS4 = DATA_DIR / "mic_intents_fat_tree4_seed0_shards4.json"
+SCORECARD_GOLDEN_SHARDS4 = DATA_DIR / "chaos_scorecard_seed0_shards4.json"
 
 #: the canonical cross-pod channel set used for intent snapshots
 CANONICAL_CHANNELS = (("h1", "h16", 7001), ("h2", "h15", 7002), ("h3", "h14", 7003))
 
 
 def establish_canonical(seed=0, decoys=2, n_mns=3, mic_kwargs=None, proto="udp",
-                        shards=0):
-    """Deploy fat_tree(4) and establish the canonical channels via the MC.
-
-    ``shards`` >= 1 deploys the sharded control plane instead of the plain
-    controller (see :func:`repro.core.deployment.deploy_mic`) — the
-    1-shard cluster must reproduce the goldens byte for byte.
-    """
+                        shards=1):
+    """Deploy fat_tree(4) and establish the canonical channels via the MC
+    (with ``shards`` controller shards, see
+    :func:`repro.core.deployment.deploy_mic`)."""
     dep = deploy_mic(fat_tree(4), seed=seed, mic_kwargs=dict(mic_kwargs or {}),
                      shards=shards)
     grants = []
@@ -90,8 +91,12 @@ def write_goldens():
     from repro.faults import run_chaos, scorecard_json
 
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    dep, _grants = establish_canonical()
-    INTENTS_GOLDEN.write_text(snapshot_json(intent_snapshot(dep)))
-    card, _dep = run_chaos(seed=0)
-    SCORECARD_GOLDEN.write_text(scorecard_json(card) + "\n")
-    print(f"wrote {INTENTS_GOLDEN}\nwrote {SCORECARD_GOLDEN}")
+    for shards, intents, scorecard in (
+        (1, INTENTS_GOLDEN, SCORECARD_GOLDEN),
+        (4, INTENTS_GOLDEN_SHARDS4, SCORECARD_GOLDEN_SHARDS4),
+    ):
+        dep, _grants = establish_canonical(shards=shards)
+        intents.write_text(snapshot_json(intent_snapshot(dep)))
+        card, _dep = run_chaos(seed=0, shards=shards)
+        scorecard.write_text(scorecard_json(card) + "\n")
+        print(f"wrote {intents}\nwrote {scorecard}")

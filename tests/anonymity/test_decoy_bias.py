@@ -16,9 +16,9 @@ from tests.anonymity.helpers import establish_canonical
 def _decoy_choice(dep, owner: str, decoys: int = 1, channel_id: int = 1):
     """The decoy branch switches add_decoys picks for ``owner``."""
     plan = dep.mic.channels[channel_id].flows[0]
-    strat = dep.mic.strategy
-    rules, _groups, _drops = strat.compile_flow(plan, owner, 0)
-    _rules, _groups, drops = strat.add_decoys(plan, rules, decoys, owner)
+    strat, rng = dep.mic.strategy, dep.mic.rng
+    rules, _groups, _drops = strat.compile_flow(plan, owner, 0, rng)
+    _rules, _groups, drops = strat.add_decoys(plan, rules, decoys, owner, rng)
     return tuple(sw for sw, _e in drops)
 
 

@@ -20,11 +20,11 @@ def _settle(dep, deadline_s=20.0):
     t_end = dep.sim.now + deadline_s
     while dep.sim.now < t_end:
         dep.run_for(0.5)
-        if not dep.mic._repairing and not dep.mic._parked:
+        if not dep.mic.repairs_in_flight and not dep.mic.parked_flows:
             return
     raise AssertionError(
-        f"control plane did not settle: repairing={dep.mic._repairing} "
-        f"parked={dep.mic._parked}"
+        f"control plane did not settle: repairing={dep.mic.repairs_in_flight} "
+        f"parked={dep.mic.parked_flows}"
     )
 
 

@@ -9,7 +9,9 @@ must converge with zero permanently-parked flows.
 
 import pytest
 
+from repro.core.deployment import deploy_mic
 from repro.faults import FaultSchedule, ShardCrash, run_chaos
+from repro.net.topology import fat_tree
 
 from tests.anonymity.helpers import establish_canonical
 
@@ -38,11 +40,13 @@ def test_establishment_spreads_across_shards():
     assert mic.live_channels == 3
     owners = {s.shard_id for s in mic.shards if s.channels}
     assert len(owners) >= 2, "all channels landed on one shard"
-    # The cluster's aggregate surface matches the per-shard truth.
+    # The controller's surface matches the per-shard truth, and every
+    # flow id comes from its planning shard's residue class.
     assert sum(len(s.channels) for s in mic.shards) == 3
-    assert mic.flow_ids.live_count == sum(
-        s.flow_ids.live_count for s in mic.shards
-    )
+    plans = [(s, p) for s in mic.shards for ch in s.channels.values()
+             for p in ch.flows]
+    assert mic.flow_ids.live_count == len(plans)
+    assert all(p.flow_id % 4 == s.shard_id for s, p in plans)
     assert mic.verify().violations == []
 
 
@@ -91,9 +95,9 @@ def test_crash_mid_repair_reschedules_on_adopter():
     # flight (advance in small steps until the repair process has begun).
     dep.net.set_link_state(plan.walk[mid - 1], plan.walk[mid], False)
     deadline = dep.sim.now + 2.0
-    while not mic.shards[victim]._repairing and dep.sim.now < deadline:
+    while not mic.shards[victim].repairing and dep.sim.now < deadline:
         dep.run_for(0.002)
-    assert mic.shards[victim]._repairing, "repair never started"
+    assert mic.shards[victim].repairing, "repair never started"
     mic.crash_shard(victim)
     dep.net.set_link_state(plan.walk[mid - 1], plan.walk[mid], True)
     _settle(dep)
@@ -136,6 +140,13 @@ def test_cannot_crash_the_last_shard():
     mic.crash_shard(0)
     with pytest.raises(RuntimeError, match="last alive shard"):
         mic.crash_shard(1)
+    # The refusal left everything as it was: shard 1 still serves.
+    assert mic.alive_shards() == (1,)
+    assert [s.alive for s in mic.shards] == [False, True]
+    assert mic.failovers == 1
+    assert len(mic.shards[1].channels) == mic.live_channels == 3
+    mic.rejoin_shard(0)
+    assert mic.alive_shards() == (0, 1)
 
 
 def test_shard_crash_spec_requires_sharded_control_plane():
@@ -181,3 +192,67 @@ def test_shard_crash_scorecard_converges():
     # The shard-crash fault actually appears in the timeline.
     events = [e["event"] for e in card["faults"]["timeline"]]
     assert any("controller shard" in e and "crash" in e for e in events)
+
+
+# -- requests and expiry across a crash and a rejoin --------------------------
+def _open(dep, opener):
+    """Run one opener generator to completion; returns its value."""
+    proc = dep.sim.process(opener)
+    dep.run(until=proc)
+    return proc.value
+
+
+def _crash_and_rejoin_home(dep, host="h1"):
+    """Crash ``host``'s owning shard and rejoin it at once: the edge switch
+    goes back to its old owner, the adopted channels stay on the adopter."""
+    mic = dep.mic
+    home = mic.shard_of_host(host)
+    mic.crash_shard(home.shard_id)
+    mic.rejoin_shard(home.shard_id)
+    assert mic.shard_of_host(host) is home
+    return home
+
+
+def test_shutdown_after_rejoin_reaches_the_adopted_channel():
+    dep = deploy_mic(fat_tree(4), seed=0, shards=2)
+    endpoint = dep.endpoint("h1")
+    sock = _open(dep, endpoint.connect_datagram("h16", service_port=7001))
+    home = _crash_and_rejoin_home(dep)
+    assert sock.channel_id not in home.channels  # held by the adopter
+    _open(dep, endpoint.shutdown(sock))
+    dep.run_for(1.0)
+    assert dep.mic.live_channels == 0
+    assert dep.mic.rule_footprint() == {}
+
+
+def test_notify_after_rejoin_keeps_the_adopted_channel_alive():
+    dep = deploy_mic(fat_tree(4), seed=0, shards=2,
+                     mic_kwargs={"idle_timeout_s": 1.0})
+    server = dep.server("h16", 80)
+
+    def accept():
+        yield server.accept()
+
+    dep.sim.process(accept())
+    endpoint = dep.endpoint("h1")
+    endpoint.notify_interval_s = 0.25
+    _open(dep, endpoint.connect("h16", service_port=80))
+    _crash_and_rejoin_home(dep)
+    dep.run_for(5.0)
+    # The notifies are served by the rejoined shard; they must still
+    # reach the adopter's channel, or its idle expiry kills it.
+    assert dep.mic.live_channels == 1
+
+
+def test_idle_expiry_runs_on_a_rejoined_shard():
+    dep = deploy_mic(fat_tree(4), seed=0, shards=2,
+                     mic_kwargs={"idle_timeout_s": 1.0})
+    home = dep.mic.shard_of_host("h1")
+    dep.mic.crash_shard(home.shard_id)
+    dep.run_for(1.5)  # an expiry tick lands while the shard is dead
+    dep.mic.rejoin_shard(home.shard_id)
+    sock = _open(dep, dep.endpoint("h1").connect_datagram(
+        "h16", service_port=7001))
+    assert sock.channel_id in home.channels
+    dep.run_for(10.0)
+    assert dep.mic.live_channels == 0

@@ -1,10 +1,10 @@
-"""The rendezvous ownership map and the partitioned flow-ID allocator.
+"""The rendezvous ownership map and the flow-ID allocator's residue classes.
 
 Everything the shard layer leans on is proven here in isolation: the map
 is a pure function of ``(seed, shard, switch)`` (no ``PYTHONHASHSEED``
 leak), covers every switch, and loses a shard with minimal disruption;
-the partitioned allocator's residue classes are disjoint and its
-single-shard form replays the plain allocator byte for byte.
+the allocator's residue classes are disjoint and a released id returns
+to its own class.
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.controlplane import (
     CONTROLPLANE_CONTRACT,
     OwnershipMap,
-    PartitionedFlowIdAllocator,
     format_controlplane_table,
 )
 from repro.core.collision import FlowIdAllocator
@@ -90,52 +89,42 @@ def test_owner_rejects_bad_alive_sets():
 
 
 # ---------------------------------------------------------------------------
-# PartitionedFlowIdAllocator
+# FlowIdAllocator residue classes
 # ---------------------------------------------------------------------------
-def test_single_shard_partition_replays_plain_allocator():
-    plain = FlowIdAllocator(16)
-    part = PartitionedFlowIdAllocator(16, shard=0, n_shards=1)
-    ids_plain = [plain.allocate() for _ in range(5)]
-    ids_part = [part.allocate() for _ in range(5)]
-    assert ids_plain == ids_part
-    # LIFO recycling matches too (release two, re-allocate three).
-    for alloc, taken in ((plain, ids_plain), (part, ids_part)):
-        alloc.release(taken[1])
-        alloc.release(taken[3])
-    assert [plain.allocate() for _ in range(3)] == [
-        part.allocate() for _ in range(3)
-    ]
-
-
 def test_residue_classes_are_disjoint():
-    shards = [PartitionedFlowIdAllocator(64, shard=i, n_shards=4)
-              for i in range(4)]
+    alloc = FlowIdAllocator(64, n_shards=4)
     seen = set()
-    for alloc in shards:
+    for shard in range(4):
         for _ in range(8):
-            fid = alloc.allocate()
-            assert fid % 4 == alloc.shard
+            fid = alloc.allocate(shard)
+            assert fid % 4 == shard
             assert fid not in seen
             seen.add(fid)
+    assert alloc.live_count == 32
 
 
 def test_partition_exhaustion_matches_plain_message():
-    alloc = PartitionedFlowIdAllocator(4, shard=1, n_shards=4)
-    assert alloc.allocate() == 1
+    alloc = FlowIdAllocator(4, n_shards=4)
+    assert alloc.allocate(1) == 1
     with pytest.raises(RuntimeError, match="flow-ID space exhausted"):
-        alloc.allocate()
+        alloc.allocate(1)
+    assert alloc.allocate(2) == 2  # the other classes are untouched
 
 
 def test_release_and_liveness():
-    alloc = PartitionedFlowIdAllocator(8, shard=0, n_shards=2)
-    fid = alloc.allocate()
+    alloc = FlowIdAllocator(8, n_shards=2)
+    fid = alloc.allocate(0)
     assert alloc.is_live(fid) and alloc.live_count == 1
     alloc.release(fid)
     assert not alloc.is_live(fid) and alloc.live_count == 0
     with pytest.raises(ValueError):
         alloc.release(fid)
-    with pytest.raises(ValueError):
-        PartitionedFlowIdAllocator(8, shard=2, n_shards=2)
+    # A released id returns to its own class: shard 1's id 1 is recycled
+    # by shard 1, never handed to shard 0.
+    assert [alloc.allocate(1), alloc.allocate(1)] == [1, 3]
+    alloc.release(1)
+    assert [alloc.allocate(0), alloc.allocate(0)] == [0, 2]
+    assert alloc.allocate(1) == 1
 
 
 def test_contract_table_has_one_row_per_rule():

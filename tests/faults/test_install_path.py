@@ -237,9 +237,9 @@ def _spy_on_send(mic):
     calls = []
     real = mic._send
 
-    def spy(sw_name, entries, groups):
+    def spy(origin, sw_name, entries, groups):
         calls.append((sw_name, len(entries), len(groups)))
-        return real(sw_name, entries, groups)
+        return real(origin, sw_name, entries, groups)
 
     mic._send = spy
     return calls

@@ -173,7 +173,7 @@ def _observed_names() -> set[str]:
     names |= dep.obs.snapshot().names()
 
     # Sharded control plane: mic.shard.* samples plus the failover span —
-    # emitted only while a MimicControllerCluster is deployed, so they need
+    # emitted only while two or more shards are deployed, so they need
     # their own leg (the unsharded runs above must never produce them).
     dep = deploy_mic(seed=7, observe=True, shards=2)
     server = dep.server("h16", 80)
