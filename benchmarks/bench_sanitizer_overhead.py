@@ -2,9 +2,10 @@
 
 The sim sanitizer's contract (``docs/analysis.md``) has two halves.  When
 *not* attached, the kernel pays only statically-dead ``if sanitizer is not
-None`` branches in ``_schedule``/``step`` — this bench measures that cost
-against a hookless kernel (the branches literally patched out) and holds
-it to the 2% budget.  When attached, the sanitizer observes but never
+None`` branches in ``_schedule``/``call_later``/``call_at``/``step`` — this
+bench measures that cost against a hookless kernel (the branches literally
+patched out, every heap entry the same ``(when, seq, fn, args)`` call) and
+holds it to the 2% budget.  When attached, the sanitizer observes but never
 perturbs: every mode below must produce a byte-identical trace digest and
 report zero findings on this clean packet-pushing run.  Attached modes do
 real per-event bookkeeping (root assignment, batch flushes) and carry a
@@ -41,17 +42,44 @@ def _hookless_schedule(self, event, delay):
     if event._scheduled:
         raise SimulationError("event already scheduled")
     event._scheduled = True
-    heapq.heappush(self._heap, (self.now + delay, next(self._counter), event))
+    heapq.heappush(
+        self._heap, (self.now + delay, next(self._counter), event._run_callbacks, ())
+    )
+
+
+def _hookless_call_later(self, delay, fn, *args):
+    """`Simulator.call_later` with the sanitizer branch removed."""
+    if delay < 0:
+        raise SimulationError(f"cannot schedule into the past (delay={delay})")
+    heapq.heappush(self._heap, (self.now + delay, next(self._counter), fn, args))
+
+
+def _hookless_call_at(self, when, fn, *args):
+    """`Simulator.call_at` with the sanitizer branch removed."""
+    now = self.now
+    delay = when - now
+    if delay < 0:
+        raise SimulationError(f"cannot schedule into the past (delay={delay})")
+    heapq.heappush(self._heap, (now + delay, next(self._counter), fn, args))
 
 
 def _hookless_step(self):
-    """`Simulator.step` with the sanitizer branch removed."""
+    """`Simulator.step` with the sanitizer and profiler branches removed."""
     if not self._heap:
         raise SimulationError("no more events")
-    when, _seq, event = heapq.heappop(self._heap)
+    when, _seq, fn, args = heapq.heappop(self._heap)
     self.now = when
-    event._run_callbacks()
+    fn(*args)
     return when
+
+
+#: the kernel entry points the ``no-hooks`` mode swaps for the copies above
+_HOOKLESS = {
+    "_schedule": _hookless_schedule,
+    "call_later": _hookless_call_later,
+    "call_at": _hookless_call_at,
+    "step": _hookless_step,
+}
 
 
 def _burst(mode: str) -> tuple[float, str]:
@@ -84,9 +112,9 @@ def _burst(mode: str) -> tuple[float, str]:
         _send(i)
     patched = mode == "no-hooks"
     if patched:
-        saved = Simulator._schedule, Simulator.step
-        Simulator._schedule = _hookless_schedule
-        Simulator.step = _hookless_step
+        saved = {name: getattr(Simulator, name) for name in _HOOKLESS}
+        for name, fn in _HOOKLESS.items():
+            setattr(Simulator, name, fn)
     gc.collect()
     gc.disable()
     try:
@@ -96,7 +124,8 @@ def _burst(mode: str) -> tuple[float, str]:
     finally:
         gc.enable()
         if patched:
-            Simulator._schedule, Simulator.step = saved
+            for name, fn in saved.items():
+                setattr(Simulator, name, fn)
     assert h3.packets_received == PACKETS
     if san is not None:
         san.check_teardown()
@@ -136,7 +165,8 @@ def test_sanitizer_overhead(benchmark, save_table):
     save_table("sanitizer_overhead", result)
 
     # The acceptance bar: with no sanitizer attached the dead branches in
-    # _schedule/step cost at most 2% versus a kernel without them.
+    # _schedule/call_later/call_at/step cost at most 2% versus a kernel
+    # without them.
     assert result.value("overhead", "baseline") <= 1.02
     # Attached modes do real per-event bookkeeping; loose sanity bounds.
     assert result.value("overhead", "attached") < 3.0

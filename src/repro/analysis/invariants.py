@@ -28,15 +28,21 @@ from typing import Optional
 
 from ..net.network import Network
 from .report import Severity, VerificationReport, Violation
-from .symbolic import SymbolicHeader, apply_actions
+from .symbolic import CandidateIndex, SymbolicHeader, apply_actions
 from .verifier import port_neighbor_map, table_indexes
 
 __all__ = ["verify_intents"]
 
 
-def verify_intents(net: Network, mic, report: VerificationReport) -> None:
+def verify_intents(
+    net: Network,
+    mic,
+    report: VerificationReport,
+    indexes: Optional[dict[str, CandidateIndex]] = None,
+) -> None:
     """Replay every live m-flow of ``mic`` against the installed tables."""
-    indexes = table_indexes(net)
+    if indexes is None:
+        indexes = table_indexes(net)
     neighbors = port_neighbor_map(net)
     for channel in mic.channels.values():
         for plan in channel.flows:

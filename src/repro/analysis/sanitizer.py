@@ -83,7 +83,7 @@ class SimSanitizer:
         self.max_findings = max_findings
         self.findings: list[SanitizerFinding] = []
         self.sim: Optional[Any] = None
-        # causal roots: event-id -> root assigned at schedule time
+        # causal roots: heap seq -> root assigned at schedule time
         self._root_counter = itertools.count(1)
         self._pending_root: dict[int, int] = {}
         self._current_root: Optional[int] = None
@@ -119,8 +119,8 @@ class SimSanitizer:
             self.findings.append(SanitizerFinding(kind, time, subject, detail))
 
     # -- kernel hooks (called by Simulator when attached) ---------------
-    def _on_schedule(self, event: Any, delay: float) -> None:
-        """Assign the event's causal root.
+    def _on_schedule(self, seq: int, delay: float) -> None:
+        """Assign the causal root of the heap entry numbered ``seq``.
 
         Zero-delay schedules issued while an event is being processed
         stay inside the current timestamp batch and inherit the current
@@ -128,15 +128,15 @@ class SimSanitizer:
         starts a fresh causal chain.
         """
         if delay == 0 and self._current_root is not None:
-            self._pending_root[id(event)] = self._current_root
+            self._pending_root[seq] = self._current_root
         else:
-            self._pending_root[id(event)] = next(self._root_counter)
+            self._pending_root[seq] = next(self._root_counter)
 
-    def _on_step(self, when: float, event: Any) -> None:
+    def _on_step(self, when: float, seq: int) -> None:
         if when != self._batch_time:
             self._flush_batch()
             self._batch_time = when
-        root = self._pending_root.pop(id(event), None)
+        root = self._pending_root.pop(seq, None)
         if root is None:
             root = next(self._root_counter)
         self._current_root = root

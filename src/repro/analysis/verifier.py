@@ -70,7 +70,12 @@ def match_key(match: Match) -> tuple:
 
 
 def table_indexes(net: Network) -> dict[str, CandidateIndex]:
-    """A fresh :class:`CandidateIndex` per switch, by switch name."""
+    """A fresh :class:`CandidateIndex` per switch, by switch name.
+
+    The layers below take one such map as ``indexes``; :func:`verify_network`
+    builds it once and hands it to all of them (an index is a snapshot of
+    its table and only memoizes what it derives from it).
+    """
     return {sw.name: CandidateIndex(sw.table) for sw in net.switches()}
 
 
@@ -81,11 +86,17 @@ def _actions_equal(a: FlowEntry, b: FlowEntry) -> bool:
 # ----------------------------------------------------------------------
 # Layer 1: table-local checks
 # ----------------------------------------------------------------------
-def verify_tables(net: Network, report: VerificationReport) -> None:
+def verify_tables(
+    net: Network,
+    report: VerificationReport,
+    indexes: Optional[dict[str, CandidateIndex]] = None,
+) -> None:
     """Per-switch structural checks on every installed table."""
+    if indexes is None:
+        indexes = table_indexes(net)
     neighbors = port_neighbor_map(net)
     for sw in net.switches():
-        index = CandidateIndex(sw.table)
+        index = indexes[sw.name]
         # Entry-view snapshot: priority-desc, insertion order.
         entries = index.entries
         groups = index.groups
@@ -240,7 +251,11 @@ def verify_match_keys(
 # ----------------------------------------------------------------------
 # Layer 3: rewrite-aware forwarding-graph traversal
 # ----------------------------------------------------------------------
-def verify_forwarding(net: Network, report: VerificationReport) -> None:
+def verify_forwarding(
+    net: Network,
+    report: VerificationReport,
+    indexes: Optional[dict[str, CandidateIndex]] = None,
+) -> None:
     """Detect forwarding loops from every installed rule.
 
     Each rule seeds a traversal with the header class of its own match;
@@ -256,7 +271,9 @@ def verify_forwarding(net: Network, report: VerificationReport) -> None:
     would have to expand more than ``_MAX_STATES_PER_ORIGIN`` new states
     stops there and says so with a ``traversal-truncated`` warning.
     """
-    search = _LoopSearch(net, report)
+    if indexes is None:
+        indexes = table_indexes(net)
+    search = _LoopSearch(net, report, indexes)
     for switch, index in search.indexes.items():
         for origin in index.entries:
             search.trace(switch, origin)
@@ -274,11 +291,16 @@ class _LoopSearch:
     reaches it explores (and reports) it again.
     """
 
-    def __init__(self, net: Network, report: VerificationReport) -> None:
+    def __init__(
+        self,
+        net: Network,
+        report: VerificationReport,
+        indexes: dict[str, CandidateIndex],
+    ) -> None:
         self.report = report
         self.port_map = net.port_map
         self.neighbors = port_neighbor_map(net)
-        self.indexes = table_indexes(net)
+        self.indexes = indexes
         self.clean: set[tuple] = set()
 
     def trace(self, origin_switch: str, origin: FlowEntry) -> None:
@@ -373,6 +395,8 @@ def verify_network(
     unlocks the intent-level invariants: per-m-flow rewrite-chain replay,
     plaintext-leak and partial-multicast checks, MAGA class membership, and
     the registry cross-check (``registry`` defaults to ``mic.registry``).
+    Every layer reads the same per-switch :class:`CandidateIndex`, built
+    once here.
     """
     report = VerificationReport()
     if registry is None and mic is not None:
@@ -381,12 +405,18 @@ def verify_network(
         from ..core.controller import DECOY_DROP_PRIORITY, MIC_PRIORITY
         mic_priorities = (MIC_PRIORITY, DECOY_DROP_PRIORITY)
 
+    check_intents = check_intents and mic is not None
+    indexes = (
+        table_indexes(net)
+        if check_tables or check_forwarding or check_intents
+        else None
+    )
     if check_tables:
-        verify_tables(net, report)
+        verify_tables(net, report, indexes)
     verify_match_keys(net, report, mic_priorities, registry=registry)
     if check_forwarding:
-        verify_forwarding(net, report)
-    if check_intents and mic is not None:
+        verify_forwarding(net, report, indexes)
+    if check_intents:
         from .invariants import verify_intents
-        verify_intents(net, mic, report)
+        verify_intents(net, mic, report, indexes)
     return report

@@ -37,15 +37,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
+from ..sim.engine import Event
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.network import Network
-    from ..sim.engine import Event
 
 __all__ = [
     "PROF_SUBSYSTEMS",
     "ProfSubsystem",
     "ProfileReport",
     "Profiler",
+    "dispatch_kind",
     "format_prof_table",
     "format_prof_top",
 ]
@@ -274,6 +276,19 @@ def format_prof_top(source: "ProfileReport | dict") -> str:
 # ---------------------------------------------------------------------------
 # Profiler
 # ---------------------------------------------------------------------------
+def dispatch_kind(fn: Callable[..., None]) -> str:
+    """The ``sim.dispatch`` counter one heap call lands in.
+
+    An event's callbacks (``fn`` is its bound ``_run_callbacks``) count as
+    ``event.<its class>``; every other call — a ``call_later`` /
+    ``call_at`` — counts as ``event.Callback``, a label, not a class.
+    """
+    owner = getattr(fn, "__self__", None)
+    if isinstance(owner, Event) and fn.__func__ is Event._run_callbacks:
+        return "event." + type(owner).__name__
+    return "event.Callback"
+
+
 class Profiler:
     """Frame-stack self-profiler the simulator's hook points drive.
 
@@ -347,12 +362,12 @@ class Profiler:
         c[key] = c.get(key, 0) + n
 
     # -- simulator dispatch hooks (the hottest path) -----------------------
-    def _on_step(self, when: float, event: "Event", heap_depth: int) -> None:
-        """Called by ``Simulator.step`` before running an event's callbacks."""
+    def _on_step(self, when: float, fn: Callable[..., None], heap_depth: int) -> None:
+        """Called by ``Simulator.step`` before it runs the heap call ``fn``."""
         c = self.counters.get("sim.dispatch")
         if c is None:
             c = self.counters["sim.dispatch"] = {}
-        kind = "event." + type(event).__name__
+        kind = dispatch_kind(fn)
         c[kind] = c.get(kind, 0) + 1
         c["heap.depth.sum"] = c.get("heap.depth.sum", 0) + heap_depth
         if heap_depth > c.get("heap.depth.max", 0):
@@ -371,7 +386,7 @@ class Profiler:
         self._stack.append(["sim.dispatch", self._clock(), 0])
 
     def _on_step_end(self) -> None:
-        """Called by ``Simulator.step`` after the event's callbacks ran."""
+        """Called by ``Simulator.step`` after the heap call returned."""
         self.exit()
 
     # -- derived rates -----------------------------------------------------

@@ -9,15 +9,20 @@ moved during the closed period.  Samples land in two places:
   histograms, so queue-depth percentiles fall out of the same summary path
   as packet latency.
 
-A running timeline keeps one pending event on the simulator heap, so a
-bare ``sim.run()`` (run-until-drained) would never return while it is
-started — drive observed runs with an explicit horizon (``until=...`` /
-``run_for``) or :meth:`stop` the timeline first.
+The sampler is a :class:`~repro.sim.Periodic`: a running timeline keeps
+one pending call on the simulator heap, so a bare ``sim.run()``
+(run-until-drained) would never return while it is started — drive
+observed runs with an explicit horizon (``until=...`` / ``run_for``) or
+:meth:`stop` the timeline first.  A stop and a restart within one period
+leave one sampling chain, not two: the wakeup scheduled before the stop
+never samples.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+from ..sim import Periodic
 
 if TYPE_CHECKING:  # pragma: no cover
     from .observer import Observer
@@ -36,26 +41,23 @@ class MetricsTimeline:
         #: (metric name, channel name) -> [(sim time, value), ...]
         self.series: dict[tuple[str, str], list[tuple[float, float]]] = {}
         self._prev_bytes: dict[str, int] = {}
-        self._running = False
+        self._ticker = Periodic(observer.sim, period_s, self._tick)
 
     # ------------------------------------------------------------------
     def start(self) -> "MetricsTimeline":
         """Begin sampling; the first sample lands one period from now."""
-        if self._running:
+        if self._ticker.running:
             return self
-        self._running = True
         for ch in self.observer.channels():
             self._prev_bytes[ch.name] = ch.stats.bytes
-        self.observer.sim.call_later(self.period_s, self._tick)
+        self._ticker.start()
         return self
 
     def stop(self) -> None:
         """Stop sampling (the already-scheduled wakeup fires as a no-op)."""
-        self._running = False
+        self._ticker.stop()
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         obs = self.observer
         now = obs.sim.now
         capacity_per_period = None
@@ -69,7 +71,6 @@ class MetricsTimeline:
             util = sent / capacity_per_period if capacity_per_period > 0 else 0.0
             self._record("link.utilization", ch.name, now, util)
             obs.histogram("link.utilization", channel=ch.name).observe(util)
-        obs.sim.call_later(self.period_s, self._tick)
 
     def _record(self, metric: str, channel: str, t: float, value: float) -> None:
         self.series.setdefault((metric, channel), []).append((t, value))

@@ -8,7 +8,6 @@ on a single deterministic simulated clock.
 from .engine import (
     AllOf,
     AnyOf,
-    Callback,
     Event,
     Interrupt,
     Periodic,
@@ -23,7 +22,6 @@ from .trace import TraceLog, TraceRecord
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Callback",
     "Event",
     "Interrupt",
     "Periodic",

@@ -88,7 +88,7 @@ class TcpConnection:
         self._snd_fin_queued = False
         self._fin_seq: Optional[int] = None
         self.window_bytes = DEFAULT_WINDOW
-        self._timer_event: Optional[Event] = None
+        self._timer_armed = False
         self._last_progress = 0.0
         # receiver side
         self._rcv_next = 0
@@ -198,15 +198,16 @@ class TcpConnection:
         self.host.send_packet(pkt)
 
     def _arm_timer(self) -> None:
-        if self._timer_event is not None:
+        if self._timer_armed:
             return
         if self._snd_base >= self._snd_next and self._fin_seq is None:
             return  # nothing outstanding
         self._last_progress = self.sim.now
-        self._timer_event = self.sim.call_later(RTO_S, self._on_timer)
+        self._timer_armed = True
+        self.sim.call_later(RTO_S, self._on_timer)
 
     def _on_timer(self) -> None:
-        self._timer_event = None
+        self._timer_armed = False
         outstanding = self._snd_base < self._snd_next or (
             self._fin_seq is not None and self.state == "closing"
         )

@@ -18,7 +18,8 @@ import verifier_oracle as oracle
 from analysis_helpers import build, establish_batch
 from test_verifier_units import ring_net
 
-from repro.analysis import symbolic, verifier, verify_network
+from repro.analysis import invariants, symbolic, verifier, verify_network
+from repro.analysis.report import VerificationReport
 from repro.analysis.symbolic import (
     ANY,
     CandidateIndex,
@@ -27,6 +28,7 @@ from repro.analysis.symbolic import (
     refine,
 )
 from repro.core import MIC_PRIORITY, deploy_mic
+from repro.core.controller import DECOY_DROP_PRIORITY
 from repro.net import Network, fat_tree, linear
 from repro.net.addresses import IPv4Addr
 from repro.net.flowtable import (
@@ -390,10 +392,10 @@ def test_deployment_report_equals_the_oracle(deployment):
     assert_same_report(got, want)
 
 
-def test_poisoned_deployment_report_equals_the_oracle(deployment):
-    net, mic = deployment
+def _poison(net):
+    """(switch, entry) pairs that break a clean deployment three ways."""
     ip_a, ip_b = net.topo.host_ip("h16"), net.topo.host_ip("h12")
-    poison = [
+    return [
         # swallows every m-flow entering at this edge: shadows + blackholes
         ("p0e0", FlowEntry(Match(), [Drop()], priority=MIC_PRIORITY + 10)),
         # a two-switch rewrite loop above everything else
@@ -408,6 +410,11 @@ def test_poisoned_deployment_report_equals_the_oracle(deployment):
             priority=MIC_PRIORITY + 20,
         )),
     ]
+
+
+def test_poisoned_deployment_report_equals_the_oracle(deployment):
+    net, mic = deployment
+    poison = _poison(net)
     for switch, entry in poison:
         net.switch(switch).table.install(entry)
     try:
@@ -420,6 +427,42 @@ def test_poisoned_deployment_report_equals_the_oracle(deployment):
     for kind in ("shadowed-rule", "loop", "blackhole"):
         assert got.by_kind(kind), kind
     assert_same_report(got, want)
+
+
+def test_verify_builds_one_candidate_index_per_switch(deployment, monkeypatch):
+    """The table, loop and intent layers share one index per switch, and
+    the report is the one each layer gives with indexes of its own."""
+    net, mic = deployment
+    poison = _poison(net)
+    for switch, entry in poison:
+        net.switch(switch).table.install(entry)
+    try:
+        separate = VerificationReport()
+        verifier.verify_tables(net, separate)
+        verifier.verify_match_keys(
+            net, separate, (MIC_PRIORITY, DECOY_DROP_PRIORITY),
+            registry=mic.registry)
+        verifier.verify_forwarding(net, separate)
+        invariants.verify_intents(net, mic, separate)
+
+        built = []
+        real_init = CandidateIndex.__init__
+
+        def counted_init(self, table):
+            built.append(table)
+            real_init(self, table)
+
+        monkeypatch.setattr(CandidateIndex, "__init__", counted_init)
+        got = mic.verify()
+    finally:
+        for switch, entry in poison:
+            net.switch(switch).table.remove(entry.match, entry.priority)
+    tables = [sw.table for sw in net.switches()]
+    assert len(built) == len(tables)
+    assert all(a is b for a, b in zip(built, tables))
+    assert got.by_kind("loop") and got.by_kind("blackhole")
+    assert got.format() == separate.format()
+    assert_same_report(got, separate)
 
 
 def test_verify_network_never_scans(deployment, monkeypatch):

@@ -134,6 +134,20 @@ class TestTimeline:
         net.run()  # must return: the pending wakeup fires as a no-op
         assert net.sim.now >= 0.02
 
+    def test_a_restart_within_one_period_keeps_one_sampling_chain(self):
+        net = Network(linear(2), seed=3)
+        obs = Observer.attach(net)
+        obs.start_timeline(1.0)
+        # the wakeup due at 1.0 was scheduled before the stop: it must not
+        # sample, nor keep a second chain ticking next to the new one
+        net.sim.call_at(0.5, obs.stop_timeline)
+        net.sim.call_at(0.6, obs.start_timeline, 1.0)
+        net.run(until=3.0)
+        ch = net.host("h1").ports[0]
+        for metric in ("link.queue_sample.bytes", "link.utilization"):
+            series = obs.timeline.samples(metric, ch.name)
+            assert [t for t, _ in series] == pytest.approx([1.6, 2.6])
+
     def test_start_is_idempotent(self):
         net, h1, h2 = self._busy_net()
         obs = Observer.attach(net)

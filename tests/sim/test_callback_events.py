@@ -1,8 +1,8 @@
-"""``call_later`` / ``call_at`` schedule a first-class event kind.
+"""``call_later`` / ``call_at`` put a plain call on the heap.
 
-The returned :class:`Callback` is the heap entry itself — and still a full
-:class:`Event`: waitable, extendable with callbacks, ordered by
-``(time, seq)`` like everything else, and visible to the opt-in sanitizer
+A heap entry is ``(when, seq, fn, args)``: the call is not an event, so it
+returns nothing and nothing can wait on it, yet it is ordered by
+``(time, seq)`` like every event and stays visible to the opt-in sanitizer
 and profiler hooks.
 """
 
@@ -10,18 +10,16 @@ import pytest
 
 from repro.analysis.sanitizer import SimSanitizer
 from repro.obs.prof import Profiler
-from repro.sim import Callback, Event, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
 
-def test_call_later_returns_an_event_that_runs_the_function_with_its_args():
+def test_call_later_returns_nothing_and_runs_the_function_with_its_args():
     sim = Simulator()
     seen = []
-    ev = sim.call_later(2.0, lambda a, b: seen.append((sim.now, a, b)), "x", 7)
-    assert isinstance(ev, Callback) and isinstance(ev, Event)
-    assert ev.triggered and not ev.processed
+    assert sim.call_later(2.0, lambda a, b: seen.append((sim.now, a, b)), "x", 7) is None
+    assert sim.call_at(3.0, seen.append, "at") is None
     sim.run()
-    assert seen == [(2.0, "x", 7)]
-    assert ev.processed and ev.ok and ev.value is None
+    assert seen == [(2.0, "x", 7), "at"]
 
 
 def test_call_at_takes_args_too():
@@ -32,44 +30,29 @@ def test_call_at_takes_args_too():
     assert seen == ["late"] and sim.now == 5.0
 
 
-def test_a_process_can_wait_on_a_callback_event():
+def test_a_process_yielding_a_call_fails_naming_the_process():
+    sim = Simulator()
+
+    def waiter():
+        yield sim.call_later(3.0, lambda: None)
+
+    sim.process(waiter(), name="rto-waiter")
+    with pytest.raises(SimulationError, match="process 'rto-waiter' yielded None"):
+        sim.run()
+
+
+def test_a_process_waits_on_a_timeout_instead():
     sim = Simulator()
     order = []
 
     def waiter():
-        got = yield sim.call_later(3.0, order.append, "fn")
+        sim.call_later(3.0, order.append, "fn")
+        got = yield sim.timeout(3.0, "woke")
         order.append(("resumed", sim.now, got))
 
     sim.process(waiter())
     sim.run()
-    assert order == ["fn", ("resumed", 3.0, None)]
-
-
-def test_a_process_can_wait_on_an_already_processed_callback_event():
-    sim = Simulator()
-    ev = sim.call_later(1.0, lambda: None)
-    sim.run()
-    assert ev.processed
-    resumed = []
-
-    def waiter():
-        yield ev
-        resumed.append(sim.now)
-
-    sim.process(waiter())
-    sim.run()
-    assert resumed == [1.0]
-
-
-def test_appended_callbacks_run_after_the_function_in_append_order():
-    sim = Simulator()
-    order = []
-    ev = sim.call_later(1.0, order.append, "fn")
-    ev.callbacks.append(lambda e: order.append(("cb1", e is ev, e.processed)))
-    ev.callbacks.append(lambda e: order.append("cb2"))
-    sim.run()
-    assert order == ["fn", ("cb1", True, False), "cb2"]
-    assert ev.processed
+    assert order == ["fn", ("resumed", 3.0, "woke")]
 
 
 def test_negative_delay_raises_and_schedules_nothing():
@@ -97,32 +80,23 @@ def test_same_time_callbacks_run_in_schedule_order_among_other_event_kinds():
 
 
 def test_a_raising_function_propagates_and_leaves_the_event_unprocessed():
-    sim = Simulator()
-
-    def boom():
+    def boom(*_):
         raise ValueError("boom")
 
-    ev = sim.call_later(1.0, boom)
+    sim = Simulator()
+    sim.call_later(1.0, boom)
+    sim.call_later(2.0, boom)
     with pytest.raises(ValueError, match="boom"):
         sim.run()
-    assert not ev.processed
+    assert sim.now == 1.0 and sim.peek() == 2.0  # the raising call is gone
 
-
-def test_the_stored_timer_event_of_a_call_can_be_kept_and_compared():
-    # TcpConnection keeps the returned event to tell a stale timer from the
-    # current one; identity is all it needs.
+    # An event whose callback raises stays unprocessed.
     sim = Simulator()
-    fired = []
-    current = {}
-
-    def on_timer(tag):
-        fired.append((tag, current["ev"] is events[tag]))
-
-    events = {}
-    events["old"] = sim.call_later(1.0, on_timer, "old")
-    events["new"] = current["ev"] = sim.call_later(2.0, on_timer, "new")
-    sim.run()
-    assert fired == [("old", False), ("new", True)]
+    ev = sim.timeout(1.0)
+    ev.callbacks.append(boom)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert ev.triggered and not ev.processed
 
 
 class _Shared:
@@ -164,8 +138,12 @@ def test_profiler_counts_callback_dispatches_under_their_public_kind():
     for i in range(5):
         sim.call_later(float(i), lambda: None)
     sim.timeout(9.0)
+    gate = sim.event()
+    sim.call_later(10.0, gate.succeed)  # an event's method, called: a call
     sim.run()
     counts = prof.counters["sim.dispatch"]
-    assert counts["event.Callback"] == 5
+    # `event.Callback` is a label for a plain call, not a class
+    assert counts["event.Callback"] == 6
     assert counts["event.Timeout"] == 1
-    assert prof.dispatches == 6
+    assert counts["event.Event"] == 1
+    assert prof.dispatches == 8
