@@ -9,12 +9,15 @@ Two pillars:
 * a **determinism lint** (:mod:`repro.analysis.lint`) catching wall-clock
   reads, global RNG draws and unordered-set iteration in simulation code.
 
+The package re-exports the verifier only: ``mic.verify()`` imports it
+mid-run, so importing the package must not also compile the lint and the
+docs check.  Import those from their modules (``repro.analysis.lint``,
+``repro.analysis.docs_check``).
+
 CLI: ``python -m repro.analysis verify-network`` / ``python -m
 repro.analysis lint``; see :doc:`docs/verification.md`.
 """
 
-from .docs_check import DocsIssue, check_code_paths, check_docs, check_internal_links
-from .lint import Finding, lint_paths, lint_source
 from .report import (
     Severity,
     VerificationError,
@@ -33,18 +36,11 @@ from .verifier import (
 
 __all__ = [
     "ANY",
-    "DocsIssue",
-    "Finding",
     "Severity",
     "SymbolicHeader",
     "VerificationError",
     "VerificationReport",
     "Violation",
-    "check_code_paths",
-    "check_docs",
-    "check_internal_links",
-    "lint_paths",
-    "lint_source",
     "match_key",
     "port_neighbor_map",
     "verify_forwarding",

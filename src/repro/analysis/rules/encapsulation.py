@@ -27,7 +27,6 @@ PRIVATE_STORAGE_ATTRS = frozenset({
     "_lookup_cache",
     "_flat",
     "_remove_where",
-    "_version",  # read it through the public FlowTable.version
 })
 
 #: the one module allowed to touch the attributes above

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..sim import Simulator
 from .addresses import IPv4Addr, MacAddr
-from .packet import Packet
+from .packet import MPLS_SHIM, Packet
 
 __all__ = [
     "Match",
@@ -434,7 +434,14 @@ class FlowTable:
         self._count = 0
         self._next_seq = 1
         self._flat: Optional[list[FlowEntry]] = None
-        self._version = 0
+        #: mutation counter: moves on every install, removal, group change
+        #: and :meth:`clear`.  A :meth:`lookup` result stays the table's
+        #: answer for that packet exactly as long as this value does not
+        #: move — the contract :meth:`apply` relies on to reuse a resolved
+        #: entry.  A plain attribute, read once per hop; only ``__init__``
+        #: and :meth:`_bump` write it (``tests/net/test_switch_resolved_entry.py``
+        #: walks ``src/`` for stores).
+        self.version = 0
         self._lookup_cache: dict[tuple, Optional[FlowEntry]] = {}
         self._lookup_cache_version = 0
         self.cache_size = cache_size
@@ -442,22 +449,25 @@ class FlowTable:
         #: classification statistics (diagnostics; not part of forwarding)
         self.cache_hits = 0
         self.cache_misses = 0
-        #: opt-in self-profiler (repro.obs.prof.Profiler); None = off and
-        #: the lookup hooks below are statically dead.
+        #: opt-in self-profiler (repro.obs.prof.Profiler), set through
+        #: :meth:`set_profiler`; None = off and :meth:`lookup` is the class's
+        #: own, unbracketed classifier
         self._prof: Optional[Any] = None
 
     def _bump(self) -> None:
         """Record a table mutation: stale the flat view and the cache."""
-        self._version += 1
+        self.version += 1
         self._flat = None
 
-    @property
-    def version(self) -> int:
-        """Mutation counter: moves on every install, removal, group change
-        and :meth:`clear`.  A :meth:`lookup` result stays the table's answer
-        for that packet exactly as long as this value does not move — the
-        contract :meth:`apply` relies on to reuse a resolved entry."""
-        return self._version
+    def set_profiler(self, prof: Optional[Any]) -> None:
+        """Bracket every :meth:`lookup` in ``prof``'s ``flowtable.lookup``
+        frame (None = off): the instance's ``lookup`` becomes the profiled
+        variant, or the class's own method again."""
+        self._prof = prof
+        if prof is None:
+            self.__dict__.pop("lookup", None)
+        else:
+            self.lookup = self._lookup_profiled
 
     # -- management ------------------------------------------------------
     def install(self, entry: FlowEntry) -> None:
@@ -623,31 +633,16 @@ class FlowTable:
 
         Classifies through the lookup cache and the tuple-space indexes;
         agrees with the linear reference scan on every packet by
-        construction (and by the hypothesis equivalence suite).
+        construction (and by the hypothesis equivalence suite).  A profiled
+        table (:meth:`set_profiler`) runs this same body inside one
+        ``flowtable.lookup`` frame.
         """
-        prof = self._prof
-        if prof is None:
-            return self._lookup(packet, in_port)
-        prof.enter("flowtable.lookup")
-        try:
-            hits_before = self.cache_hits
-            entry = self._lookup(packet, in_port)
-            prof.count(
-                "flowtable.lookup",
-                "path.cached" if self.cache_hits > hits_before else "path.indexed",
-            )
-            return entry
-        finally:
-            prof.exit()
-
-    def _lookup(self, packet: Packet, in_port: int) -> Optional[FlowEntry]:
-        """The cache-then-index classification pipeline behind :meth:`lookup`."""
         if self.cache_size <= 0:
             return self._lookup_indexed(packet, in_port)
         cache = self._lookup_cache
-        if self._lookup_cache_version != self._version:
+        if self._lookup_cache_version != self.version:
             cache.clear()
-            self._lookup_cache_version = self._version
+            self._lookup_cache_version = self.version
         # Builtin scalars only, so hashing and comparing the key never
         # enters a Python frame; positions fix each field's type, so the
         # key stays injective over the nine fields.
@@ -672,6 +667,22 @@ class FlowTable:
             cache.pop(next(iter(cache)))  # FIFO eviction of the oldest key
         cache[key] = entry
         return entry
+
+    def _lookup_profiled(self, packet: Packet, in_port: int) -> Optional[FlowEntry]:
+        """:meth:`lookup` bracketed in the profiler's frame, counting which
+        tier answered; what :meth:`set_profiler` installs as ``lookup``."""
+        prof = self._prof
+        prof.enter("flowtable.lookup")
+        try:
+            hits_before = self.cache_hits
+            entry = FlowTable.lookup(self, packet, in_port)
+            prof.count(
+                "flowtable.lookup",
+                "path.cached" if self.cache_hits > hits_before else "path.indexed",
+            )
+            return entry
+        finally:
+            prof.exit()
 
     def _lookup_indexed(self, packet: Packet, in_port: int) -> Optional[FlowEntry]:
         """Probe the per-priority tuple-space indexes, highest tier first."""
@@ -706,20 +717,25 @@ class FlowTable:
         with *k* buckets charges all *k* copies.  A rule that emits nothing
         (drop, punt-only) charges the matched packet's ingress size.
         """
-        if resolved_version == self._version:
+        if resolved_version == self.version:
             entry = resolved
         else:
             entry = self.lookup(packet, in_port)
         if entry is None:
             return [], True, None
         entry.packet_count += 1
-        ingress_size = packet.size
+        ingress_mpls = packet.mpls
         emissions, to_controller = self._run_actions(entry.actions, packet)
         if emissions:
             for _, out_pkt in emissions:
                 entry.byte_count += out_pkt.size
         else:
-            entry.byte_count += ingress_size
+            # The ingress size, derived on this rare path only: of the
+            # fields a rule can set, just the MPLS shim changes ``size``.
+            size = packet.size
+            if (ingress_mpls is None) != (packet.mpls is None):
+                size += MPLS_SHIM if packet.mpls is None else -MPLS_SHIM
+            entry.byte_count += size
         return emissions, to_controller, entry
 
     def _run_actions(

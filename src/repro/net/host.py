@@ -90,20 +90,30 @@ class Host(Node):
 
     # -- sending ---------------------------------------------------------------
     def send_packet(self, packet: Packet) -> None:
-        """Push a fully-formed packet out of the NIC through the stack."""
-        self._book_stack_work(packet)
+        """Push a fully-formed packet out of the NIC through the stack.
+
+        The stack delay ends in the NIC channel's ``send``, scheduled
+        directly; a host whose port 0 is unwired raises ``ValueError`` here,
+        before anything is booked.
+        """
+        # Node.transmit, resolved up front: one frame less per packet
+        channel = self.ports.get(NIC_PORT)
+        if channel is None:
+            raise ValueError(f"{self.name}: no channel on port {NIC_PORT}")
+        params = self.params
+        size = packet.size
+        # the stack's CPU, booked inline: NetParams rejects a negative cost
+        self.cpu.busy_s += params.host_stack_cpu_s + size * params.host_per_byte_cpu_s
         self.packets_sent += 1
-        self.bytes_sent += packet.size
+        self.bytes_sent += size
         if self.journey is not None:
             self.journey.on_host_tx(self, packet)
         if self.trace is not None:
             self.trace.emit(
                 self.sim.now, "host.tx", self.name, _TX_KEYS,
-                packet.uid, packet.ip_dst.text, packet.size,
+                packet.uid, packet.ip_dst.text, size,
             )
-        self.sim.call_later(
-            self.params.host_stack_delay_s, self.transmit, packet, NIC_PORT
-        )
+        self.sim.call_later(params.host_stack_delay_s, channel.send, packet)
 
     def make_packet(
         self,
@@ -137,7 +147,8 @@ class Host(Node):
     # -- receiving ----------------------------------------------------------
     def receive(self, packet: Packet, in_port: int) -> None:
         """NIC entry point: demux or drop a delivered packet."""
-        if packet.ip_dst != self.ip and not self.promiscuous:
+        # the integers, as the lookup cache keys them: no dataclass __eq__
+        if packet.ip_dst.value != self.ip.value and not self.promiscuous:
             # Not ours: a NIC without promiscuous mode discards it.  Decoy
             # packets from partial multicast die exactly this way when they
             # reach an innocent host instead of a dropping next-hop rule.
@@ -149,9 +160,12 @@ class Host(Node):
             if self.journey is not None:
                 self.journey.on_host_foreign_drop(self, packet)
             return
-        self._book_stack_work(packet)
+        params = self.params
+        size = packet.size
+        # the stack's CPU, booked inline: NetParams rejects a negative cost
+        self.cpu.busy_s += params.host_stack_cpu_s + size * params.host_per_byte_cpu_s
         self.packets_received += 1
-        self.bytes_received += packet.size
+        self.bytes_received += size
         if self.obs is not None:
             self.obs.on_host_rx(self, packet)
         if self.journey is not None:
@@ -160,9 +174,9 @@ class Host(Node):
             self.trace.emit(
                 self.sim.now, "host.rx", self.name, _RX_KEYS,
                 packet.uid, packet.ip_src.text, packet.sport, packet.dport,
-                packet.size,
+                size,
             )
-        self.sim.call_later(self.params.host_stack_delay_s, self._dispatch, packet)
+        self.sim.call_later(params.host_stack_delay_s, self._dispatch, packet)
 
     def _dispatch(self, packet: Packet) -> None:
         handler = self._bindings.get((packet.proto, packet.dport))
@@ -175,9 +189,3 @@ class Host(Node):
                 self.sim.now, "host.refused", self.name, _REFUSED_KEYS,
                 packet.uid, packet.proto, packet.dport,
             )
-
-    def _book_stack_work(self, packet: Packet) -> None:
-        self.cpu.consume(
-            self.params.host_stack_cpu_s
-            + packet.size * self.params.host_per_byte_cpu_s
-        )

@@ -27,7 +27,12 @@ class CpuMeter:
     window_start: float = 0.0
 
     def consume(self, seconds: float) -> None:
-        """Book CPU-seconds of work."""
+        """Book CPU-seconds of work computed at run time (crypto, relaying).
+
+        The packet data path adds its per-packet costs to :attr:`busy_s`
+        directly: those come from :class:`NetParams`, which rejects a
+        negative one at construction.
+        """
         if seconds < 0:
             raise ValueError("negative CPU time")
         self.busy_s += seconds

@@ -18,7 +18,7 @@ node performs books seconds of CPU against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = ["NetParams", "DEFAULT_PARAMS"]
 
@@ -52,6 +52,19 @@ class NetParams:
     # Host <-> controller request path (MIC channel establishment goes over
     # the normal network, this is the controller-side compute per request)
     controller_request_cpu_s: float = 20e-6
+
+    def __post_init__(self) -> None:
+        # The data path books CPU costs with a bare ``+=`` on the node's
+        # meter, so every delay and cost (``*_delay_s`` / ``*_cpu_s``) is
+        # checked here, once, rather than at every packet; NaN fails too.
+        if not self.link_bandwidth_bps > 0:
+            raise ValueError(
+                f"link_bandwidth_bps must be > 0, got {self.link_bandwidth_bps!r}"
+            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith(("_delay_s", "_cpu_s")) and not value >= 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
 
     def tx_time(self, size_bytes: int) -> float:
         """Serialization time for a packet on a link."""

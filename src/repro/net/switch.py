@@ -88,7 +88,8 @@ class Switch(Node):
 
     # -- data path -----------------------------------------------------------
     def receive(self, packet: Packet, in_port: int) -> None:
-        """Data-path entry: mirror, classify, then the pipeline delay."""
+        """Data-path entry: mirror, classify, book the CPU, then the
+        pipeline delay."""
         if not self.alive:
             self.packets_dropped_dead += 1
             if self.trace is not None:
@@ -108,7 +109,8 @@ class Switch(Node):
         params = self.params
         entry = table.lookup(packet, in_port)
         rewrites = entry.rewrite_count if entry else 0
-        self.cpu.consume(
+        # CpuMeter.consume, inlined: NetParams rejects a negative cost
+        self.cpu.busy_s += (
             params.switch_forward_cpu_s + rewrites * params.setfield_cpu_s
         )
         # The entry rides along with the table version it was resolved at:

@@ -91,7 +91,7 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
     ),
     ProfSubsystem(
         "flowtable.lookup",
-        "repro.net.flowtable.FlowTable.lookup",
+        "repro.net.flowtable.FlowTable.lookup (swapped in by set_profiler)",
         "classifying one packet through the cache and tuple-space indexes",
         "`path.cached`, `path.indexed`",
     ),
@@ -403,14 +403,15 @@ class Profiler:
     def hook(self, net: "Network") -> "Profiler":
         """Wire this profiler into a live network's instrumented points.
 
-        Sets the ``_prof`` slot on the simulator, every switch's flow
-        table, the hybrid engine and its solvers (when attached), and the
-        observer/journey hooks (when attached).  Safe to call again after
-        attaching more layers.
+        Sets the ``_prof`` slot on the simulator, the hybrid engine and its
+        solvers (when attached); swaps every switch's flow-table lookup
+        (:meth:`FlowTable.set_profiler`) and the journey's sink for their
+        bracketed variants, and wires the observer hooks (when attached).
+        Safe to call again after attaching more layers.
         """
         net.sim._prof = self
         for sw in net.switches():
-            sw.table._prof = self
+            sw.table.set_profiler(self)
             journey = getattr(sw, "journey", None)
             if journey is not None:
                 journey.set_profiler(self)

@@ -252,6 +252,14 @@ class TcpConnection:
                 self._rcv_stream.extend(chunk)
                 self._rcv_next += len(chunk)
                 self.bytes_received += len(chunk)
+            if self._rcv_ooo:
+                # A retransmission arrived in order and stepped past these
+                # buffered copies; the drain looks up _rcv_next only, so
+                # they could never be read again.
+                rcv_next = self._rcv_next
+                self._rcv_ooo = {
+                    seq: data for seq, data in self._rcv_ooo.items() if seq >= rcv_next
+                }
         elif seg.seq > self._rcv_next:
             self._rcv_ooo.setdefault(seg.seq, seg.data)
         # else: duplicate of already-received data; just re-ACK.

@@ -2,8 +2,12 @@
 
 from pathlib import Path
 
-from repro.analysis import check_code_paths, check_docs, check_internal_links
-from repro.analysis.docs_check import heading_anchors
+from repro.analysis.docs_check import (
+    check_code_paths,
+    check_docs,
+    check_internal_links,
+    heading_anchors,
+)
 
 REPO = Path(__file__).resolve().parents[2]
 

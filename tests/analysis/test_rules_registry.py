@@ -142,8 +142,9 @@ class TestEncapsulationRule:
         assert [f.rule for f in findings] == ["flowtable-encapsulation"]
 
     def test_mutation_counter_is_read_through_the_public_property(self):
+        # ``version`` is a plain public attribute; the tiers stay private
         private = lint_source(
-            "def f(sw):\n    return sw.table._version\n",
+            "def f(sw):\n    return sw.table._neg_prios\n",
             path="src/repro/net/switch.py",
         )
         assert [f.rule for f in private] == ["flowtable-encapsulation"]
@@ -267,6 +268,23 @@ class TestThirdPartyImportRule:
                 assert out.getvalue().strip(), argv
             assert "repro.core.controller" in sys.modules and "numpy" in sys.modules
             assert "networkx" not in sys.modules
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_importing_the_package_loads_the_verifier_not_the_lint(self):
+        """``mic.verify()`` imports ``repro.analysis`` mid-run: the lint, the
+        docs check and their CLI plumbing stay out of that process."""
+        root = Path(__file__).resolve().parents[2]
+        script = textwrap.dedent("""
+            import sys
+            import repro.analysis
+            assert "repro.analysis.verifier" in sys.modules
+            for name in ("repro.analysis.lint", "repro.analysis.docs_check"):
+                assert name not in sys.modules, name
         """)
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,

@@ -5,13 +5,17 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
+    CONTROLLER_PORT,
     Drop,
     FlowEntry,
     FlowTable,
     Match,
     Output,
     Packet,
+    PopMpls,
+    PushMpls,
     SetField,
+    ToController,
     ip,
     mac,
 )
@@ -113,3 +117,47 @@ def test_counters_sum_to_applied_packets(seed):
     entry = table.entries[0]
     assert entry.packet_count == len(pkts)
     assert entry.byte_count == sum(p.size for p in pkts)
+
+
+#: header rewrites a rule can run before it drops or punts: every way to
+#: add, change or strip the MPLS shim, and fields that leave the size alone
+_REWRITES = st.one_of(
+    st.builds(PushMpls, st.integers(0, (1 << 20) - 1)),
+    st.just(PopMpls()),
+    st.builds(
+        SetField, st.just("mpls"), st.one_of(st.none(), st.integers(0, (1 << 20) - 1))
+    ),
+    st.builds(SetField, st.just("sport"), st.integers(0, 0xFFFF)),
+    st.builds(SetField, st.just("ttl"), st.integers(1, 255)),
+)
+
+#: how a rule can end without emitting anything
+_SILENT_ENDS = st.sampled_from([
+    [Drop()], [ToController()], [Output(CONTROLLER_PORT)], [], [Drop(), Output(1)],
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ingress_mpls=st.one_of(st.none(), st.integers(0, (1 << 20) - 1)),
+    proto=st.sampled_from(["tcp", "udp"]),
+    payload_size=st.integers(0, 1500),
+    rewrites=st.lists(_REWRITES, max_size=5),
+    end=_SILENT_ENDS,
+)
+def test_a_rule_that_emits_nothing_charges_the_ingress_size(
+    ingress_mpls, proto, payload_size, rewrites, end
+):
+    """The drop / punt-only byte charge is the size the packet arrived with,
+    whatever the rule rewrote before it stopped."""
+    table = FlowTable()
+    entry = FlowEntry(Match(), [*rewrites, *end])
+    table.install(entry)
+    p = Packet(
+        eth_src=mac(1), eth_dst=mac(2), ip_src=ip(1), ip_dst=ip(2),
+        proto=proto, mpls=ingress_mpls, payload_size=payload_size,
+    )
+    ingress_size = p.size
+    emissions, _, matched = table.apply(p, 1)
+    assert matched is entry and emissions == []
+    assert entry.byte_count == ingress_size

@@ -1,9 +1,27 @@
 """Unit tests for node/link internals: CPU meters, backlog math, params."""
 
+import dataclasses
+
 import pytest
 
 from repro.net import Network, NetParams, linear
 from repro.net.node import CpuMeter
+
+#: every delay and CPU cost NetParams carries; each must be >= 0
+COSTS = (
+    "link_delay_s",
+    "switch_forward_delay_s",
+    "setfield_delay_s",
+    "switch_forward_cpu_s",
+    "setfield_cpu_s",
+    "host_stack_delay_s",
+    "host_stack_cpu_s",
+    "host_per_byte_cpu_s",
+    "flow_install_delay_s",
+    "packet_in_delay_s",
+    "packet_out_delay_s",
+    "controller_request_cpu_s",
+)
 
 
 class TestCpuMeter:
@@ -144,6 +162,16 @@ class TestChannelBacklog:
         with pytest.raises(ValueError):
             h1.transmit(h1.make_packet(net.host("h2").ip), port=9)
 
+    def test_send_on_an_unwired_nic_raises_before_booking_anything(self):
+        from repro.net import Host, ip, mac
+        from repro.sim import Simulator
+
+        host = Host(Simulator(), "lonely", NetParams(), ip("10.0.0.9"), mac(9))
+        with pytest.raises(ValueError, match="^lonely: no channel on port 0$"):
+            host.send_packet(host.make_packet(ip("10.0.0.1")))
+        assert host.packets_sent == 0 and host.cpu.busy_s == 0.0
+        assert host.sim.peek() == float("inf")  # nothing was scheduled
+
 
 class TestParams:
     def test_tx_time(self):
@@ -154,6 +182,26 @@ class TestParams:
         p = NetParams()
         with pytest.raises(Exception):
             p.link_delay_s = 1.0
+
+    @pytest.mark.parametrize("name", COSTS)
+    def test_a_negative_delay_or_cpu_cost_is_refused_by_name(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            NetParams(**{name: -1e-9})
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            NetParams(**{name: float("nan")})
+        assert getattr(NetParams(**{name: 0.0}), name) == 0.0
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1e9, float("nan")])
+    def test_link_bandwidth_must_be_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="^link_bandwidth_bps must be > 0"):
+            NetParams(link_bandwidth_bps=bandwidth)
+
+    def test_every_delay_and_cost_is_checked(self):
+        timed = {
+            f.name for f in dataclasses.fields(NetParams)
+            if f.name.endswith(("_delay_s", "_cpu_s"))
+        }
+        assert timed == set(COSTS)
 
     def test_overrides_flow_through_network(self):
         params = NetParams(link_bandwidth_bps=5e8, link_delay_s=1e-3)

@@ -1,8 +1,9 @@
 """One classification per hop, and never a stale one.
 
 ``Switch.receive`` classifies the packet to price the pipeline delay and
-hands the entry it found — together with ``FlowTable.version`` — to
-``_classify``, which reuses it.  Whatever changes the table *between* the
+hands the entry it found — together with ``FlowTable.version``, a plain
+attribute only the table's own mutators write — to ``_classify``, which
+reuses it.  Whatever changes the table *between* the
 two (a rule installed or removed, a cookie wiped, a crash) must decide the
 packet's fate exactly as a fresh lookup at ``_classify`` time would; the
 scenarios below land each mutation in the middle of the second switch's
@@ -15,6 +16,7 @@ import pytest
 from repro.net import (
     Drop,
     FlowEntry,
+    FlowTable,
     GroupEntry,
     Match,
     Network,
@@ -22,6 +24,7 @@ from repro.net import (
     SetField,
     linear,
 )
+from tests.attribute_stores import attribute_writers
 
 CACHE_SIZES = pytest.mark.parametrize("cache_size", [1024, 0], ids=["cached", "uncached"])
 
@@ -188,8 +191,15 @@ def test_version_moves_on_every_mutation_and_only_on_mutations():
     assert moved()
     table.clear()
     assert moved()
-    with pytest.raises(AttributeError):
-        table.version = 0  # read-only
+
+
+def test_only_the_table_writes_its_version():
+    """``version`` is a plain attribute, read once per hop; what keeps it
+    honest is that nothing but the table's own mutators stores it."""
+    # the initial 0 and the one bump every mutation goes through
+    assert attribute_writers("version") == {"net/flowtable.py": {"__init__", "_bump"}}
+    table = Chain(cache_size=1024).s2.table
+    assert "version" in vars(table) and not hasattr(FlowTable, "version")
 
 
 def test_apply_reuses_a_resolved_entry_only_at_the_version_it_was_resolved_at():

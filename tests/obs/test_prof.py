@@ -14,13 +14,24 @@ Three properties carry the layer:
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.sanitizer import SimSanitizer
 from repro.faults import run_chaos, scorecard_json
-from repro.net import FlowEntry, Match, Network, Output, linear
+from repro.net import (
+    FlowEntry,
+    FlowTable,
+    Match,
+    Network,
+    Output,
+    Packet,
+    ip,
+    linear,
+    mac,
+)
 from repro.obs import (
     PROF_SUBSYSTEMS,
     MetricsSnapshot,
@@ -177,6 +188,53 @@ def test_profiled_run_is_byte_identical():
     assert {"sim.run", "sim.dispatch", "flowtable.lookup"} <= rows
     assert report.dispatches > 0
     assert report.samples and report.samples[0]["dispatches"] == 10
+
+
+def test_flowtable_set_profiler_swaps_lookup_and_back():
+    """A profiled table answers every lookup exactly as a bare one, with the
+    same hit/miss counters, counts which tier answered, and
+    ``set_profiler(None)`` leaves ``lookup`` the class's own method."""
+    rng = random.Random(5)
+    hosts = [ip(f"10.1.0.{i}") for i in range(1, 9)]
+    bare, profiled = FlowTable(cache_size=4), FlowTable(cache_size=4)
+    for table in (bare, profiled):
+        for i, dst in enumerate(hosts[:6]):
+            table.install(FlowEntry(Match(ip_dst=dst), [Output(i)], cookie=i + 1))
+    prof = Profiler()
+    profiled.set_profiler(prof)
+    assert profiled.lookup.__func__ is FlowTable._lookup_profiled
+    packets = [
+        Packet(eth_src=mac(1), eth_dst=mac(2), ip_src=hosts[0], ip_dst=rng.choice(hosts))
+        for _ in range(200)
+    ]
+    for p in packets:
+        plain, seen = bare.lookup(p, 1), profiled.lookup(p, 1)
+        assert (plain and plain.cookie) == (seen and seen.cookie)
+    assert (bare.cache_hits, bare.cache_misses) == (
+        profiled.cache_hits, profiled.cache_misses)
+    assert 0 < profiled.cache_hits and 0 < profiled.cache_misses
+    # a stale resolved version re-classifies through the profiled lookup
+    profiled.apply(packets[0].copy(), 1, None, profiled.version - 1)
+    assert prof.report().counts()["flowtable.lookup"] == {
+        "calls": len(packets) + 1,
+        "counters": {
+            "path.cached": profiled.cache_hits,
+            "path.indexed": profiled.cache_misses,
+        },
+    }
+    profiled.set_profiler(None)
+    assert "lookup" not in vars(profiled)
+    assert profiled.lookup.__func__ is FlowTable.lookup
+    profiled.lookup(packets[0], 1)
+    assert prof.calls["flowtable.lookup"] == len(packets) + 1  # off again
+
+
+def test_profiler_hook_swaps_every_switch_lookup():
+    net = Network(linear(3, hosts_per_switch=1), seed=0)
+    prof = Profiler.attach(net)
+    for sw in net.switches():
+        assert sw.table.lookup.__func__ is FlowTable._lookup_profiled
+        assert sw.table._prof is prof
 
 
 @pytest.fixture(scope="module")

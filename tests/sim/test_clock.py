@@ -2,47 +2,16 @@
 ``call_at`` is ``call_later`` on the same arithmetic without the second call.
 """
 
-import ast
-import pathlib
-
 import pytest
 from hypothesis import given, strategies as st
 
-import repro
 from repro.sim import SimulationError, Simulator
-
-SRC = pathlib.Path(repro.__file__).parent
-
-
-def _now_writers(path: pathlib.Path) -> set[str]:
-    """Names of the functions in ``path`` that assign, augment or delete a
-    ``<anything>.now`` attribute ('<module>' for code outside any function)."""
-    writers = set()
-
-    def visit(node: ast.AST, scope: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "now"
-            and isinstance(node.ctx, (ast.Store, ast.Del))
-        ):
-            writers.add(scope)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return writers
+from tests.attribute_stores import attribute_writers
 
 
 def test_only_the_kernel_writes_the_clock():
-    offenders = {}
-    for path in sorted(SRC.rglob("*.py")):
-        writers = _now_writers(path)
-        if writers:
-            offenders[path.relative_to(SRC).as_posix()] = writers
     # the initial 0.0, the event being stepped, and run(until=...)'s clamp
-    assert offenders == {"sim/engine.py": {"__init__", "step", "_run"}}
+    assert attribute_writers("now") == {"sim/engine.py": {"__init__", "step", "_run"}}
 
 
 def test_now_is_an_instance_attribute_not_a_property():

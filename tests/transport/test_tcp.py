@@ -406,3 +406,44 @@ def test_transfer_through_a_loss_window_is_byte_exact(congestion_control):
     assert got.get("data") == payload
     assert len(drops) > 0
     assert len(sender["conn"]._send_buf) == 0
+
+
+def test_receiver_drops_buffered_segments_a_retransmission_passed():
+    """A segment buffered ahead of ``_rcv_next`` whose retransmitted copy then
+    arrives in order is dead: the drain only ever looks ``_rcv_next`` up.
+    Nothing may stay buffered below ``_rcv_next`` for the connection's life.
+    """
+    from repro.net import FlowEntry, Match, NetParams, Output
+
+    net = Network(
+        linear(2, hosts_per_switch=1), params=NetParams(link_queue_bytes=60_000)
+    )
+    h1, h2 = net.host("h1"), net.host("h2")
+    for sw, (to_h1, to_h2) in {"s1": ("h1", "s2"), "s2": ("s1", "h2")}.items():
+        table = net.switch(sw).table
+        table.install(FlowEntry(Match(ip_dst=h1.ip), [Output(net.port(sw, to_h1))]))
+        table.install(FlowEntry(Match(ip_dst=h2.ip), [Output(net.port(sw, to_h2))]))
+    drops = net.attach_trace({"link.drop"})
+    client, server = TcpStack(h1), TcpStack(h2)
+    listener = server.listen(80)
+    payload = random.Random(3).randbytes(1_000_000)
+    got, receiver = {}, {}
+
+    def srv():
+        conn = yield listener.accept()
+        receiver["conn"] = conn
+        got["data"] = yield from conn.recv_exactly(len(payload))
+
+    def cli():
+        conn = yield client.connect(h2.ip, 80)
+        for i in range(0, len(payload), 3000):
+            conn.send(payload[i : i + 3000])
+
+    net.sim.process(srv())
+    net.sim.process(cli())
+    net.run(until=60.0)
+    assert got.get("data") == payload
+    assert len(drops) > 0  # the go-back-N retransmissions happened
+    conn = receiver["conn"]
+    assert [seq for seq in conn._rcv_ooo if seq < conn._rcv_next] == []
+    assert conn._rcv_ooo == {}
