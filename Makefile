@@ -4,7 +4,7 @@ PYTHON ?= python
 # Same invocation the CI tier-1 gate uses (src/ layout, no install needed).
 PYPATH = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test test-order test-verbose lint verify obs-demo journey-demo chaos-demo shard-demo prof-demo trajectory tournament bench bench-quick bench-scale perf perf-smoke perf-pairs figures quick-figures examples clean
+.PHONY: install test test-order test-verbose lint verify obs-demo journey-demo chaos-demo shard-demo prof-demo tournament bench bench-quick bench-scale perf perf-smoke perf-pairs figures quick-figures examples clean
 
 install:
 	pip install -e . --no-build-isolation || pip install -e .
@@ -103,8 +103,8 @@ bench-quick:
 		--benchmark-json=benchmarks/results/bench_quick.json
 
 # Hybrid-mode scale run: 10k concurrent channels on fat_tree(16) with the
-# self-profiler hooked, emitting the committed trajectory entry under
-# benchmarks/trajectory/ + an Observer snapshot under benchmarks/results/.
+# self-profiler hooked, writing its document, an Observer snapshot and the
+# profile's top table under benchmarks/results/.
 bench-scale:
 	@mkdir -p benchmarks/results
 	$(PYPATH) $(PYTHON) -m pytest benchmarks/bench_hybrid_scale.py -q \
@@ -139,11 +139,6 @@ prof-demo:
 	prof = Profiler(sample_every=200); \
 	card, dep = run_chaos(seed=0, profiler=prof); \
 	print(format_prof_top(prof.report()))"
-
-# Validate the committed perf trajectory and print one line per entry.
-trajectory:
-	$(PYPATH) $(PYTHON) -m repro.bench trajectory validate
-	$(PYPATH) $(PYTHON) -m repro.bench trajectory show
 
 figures:
 	$(PYPATH) $(PYTHON) -m repro.bench --save benchmarks/results

@@ -8,9 +8,8 @@ m-flows per channel.
 Also drives a full end-to-end MIC scenario on a k=8 fat tree (80 switches,
 128 hosts) — the topology scale the indexed classification pipeline exists
 for — and the control-plane scale-out sweep: channel-setup churn throughput
-vs controller shard count (``repro.controlplane``), committed to the perf
-trajectory as ``benchmarks/trajectory/BENCH_13.json`` (``BENCH_10.json`` is
-the same sweep before the vectorised plausibility index).
+vs controller shard count (``repro.controlplane``), whose wall time, RSS and
+profile go to ``benchmarks/results/shard_scaleout.json``.
 
 Set ``BENCH_QUICK=1`` to trim the sweeps for CI (``make bench-quick``).
 """
@@ -35,7 +34,7 @@ FLOW_COUNTS = (1, 2) if QUICK else (1, 2, 4, 8)
 FABRIC_KS = (4, 6) if QUICK else (4, 6, 8)
 SCENARIO_PAIRS = 2 if QUICK else 4
 
-TRAJECTORY_DIR = pathlib.Path(__file__).parent / "trajectory"
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 # Shard scale-out sweep: fat_tree(8) churn in full, fat_tree(4) in quick.
 SHARD_COUNTS = (1, 2, 4)
@@ -102,8 +101,7 @@ def test_shard_scaleout(benchmark, save_table):
 
     Runs the serialized-CPU churn scenario once per shard count and gates
     on the *simulated* throughput ratio (machine-independent); wall time,
-    RSS and the 4-shard profile land in the committed trajectory entry
-    ``BENCH_13[.quick].json``.
+    RSS and the 4-shard profile land in ``results/shard_scaleout.json``.
     """
     t0 = time.perf_counter()
     results = benchmark.pedantic(
@@ -157,7 +155,6 @@ def test_shard_scaleout(benchmark, save_table):
 
     doc = {
         "bench": "shard_scaleout",
-        "trajectory_entry": 13,
         "quick": QUICK,
         "params": {
             "k": SHARD_K, "clients": SHARD_CLIENTS, "rounds": SHARD_ROUNDS,
@@ -170,9 +167,9 @@ def test_shard_scaleout(benchmark, save_table):
         # process-wide peak (includes interpreter + earlier benches in the
         # same session)
         "peak_rss_mb": round(peak_rss_mb, 1),
-        # wall-clock throughput of the whole sweep, for the trajectory's
-        # regression axes; the scale-out claim itself is the simulated
-        # setups_per_sim_s ratio below, which machines cannot perturb.
+        # wall-clock throughput of the whole sweep; the scale-out claim
+        # itself is the simulated setups_per_sim_s ratio below, which
+        # machines cannot perturb.
         "channels_per_s": round(len(SHARD_COUNTS) * expected / wall_s, 1),
         "setups_per_sim_s": {
             str(s): round(rates[s], 1) for s in SHARD_COUNTS
@@ -183,9 +180,8 @@ def test_shard_scaleout(benchmark, save_table):
         },
         "profile": profile,
     }
-    TRAJECTORY_DIR.mkdir(exist_ok=True)
-    entry_name = "BENCH_13.quick.json" if QUICK else "BENCH_13.json"
-    (TRAJECTORY_DIR / entry_name).write_text(json.dumps(doc, indent=2) + "\n")
+    # replaces the figure JSON save_table wrote: the rates are in the document
+    (RESULTS_DIR / "shard_scaleout.json").write_text(json.dumps(doc, indent=2) + "\n")
     print(
         f"\nshard scale-out: fat_tree({SHARD_K}) {SHARD_CLIENTS} clients x "
         f"{SHARD_ROUNDS} rounds — "

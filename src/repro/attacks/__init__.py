@@ -16,10 +16,16 @@ from .anonymity_set import (
 from .compromise import LeakReport, analyze_position, unlinkability_holds
 from .correlation import (
     CorrelationResult,
+    FlowSizeEstimate,
     GroundTruthCorrelation,
     correlate_at_mn,
+    correlate_by_timing,
+    correlate_timing_with_truth,
     correlate_with_truth,
-    end_to_end_correlation,
+    estimate_flow_sizes,
+    interarrival_signature,
+    rate_similarity,
+    size_estimate_error,
 )
 from .metrics import (
     anonymity_set_size,
@@ -45,7 +51,6 @@ from .observer import (
     node_vantage,
     observe_switches,
 )
-from .size_analysis import FlowSizeEstimate, estimate_flow_sizes, size_estimate_error
 from .suite import (
     ChurnExploit,
     MnCorrelation,
@@ -54,12 +59,6 @@ from .suite import (
     Watermark,
 )
 from .targeting import TargetRanking, rank_targets
-from .timing import (
-    correlate_by_timing,
-    correlate_timing_with_truth,
-    interarrival_signature,
-    rate_similarity,
-)
 from .tournament import frontier_json, run_scenario, run_tournament, score_strategy
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "anonymity_set_size",
     "correlate_at_mn",
     "correlate_by_timing",
-    "end_to_end_correlation",
     "interarrival_signature",
     "rate_similarity",
     "rank_targets",

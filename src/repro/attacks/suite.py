@@ -22,14 +22,15 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .base import Attack, AttackContext, AttackResult, register_attack
-from .correlation import correlate_with_truth
-from .observer import host_outbound, node_vantage
-from .size_analysis import estimate_flow_sizes, size_estimate_error
-from .timing import (
+from .correlation import (
     correlate_timing_with_truth,
+    correlate_with_truth,
+    estimate_flow_sizes,
     interarrival_signature,
     rate_similarity,
+    size_estimate_error,
 )
+from .observer import host_outbound, node_vantage
 
 __all__ = [
     "ChurnExploit",
@@ -160,8 +161,9 @@ class Watermark(Attack):
     bucket_s = 0.05
 
     def run(self, ctx: AttackContext) -> AttackResult:
-        """Fraction of channels whose argmax-similarity edge is correct."""
-        correct = 0
+        """Expected fraction of channels linked correctly when the attacker
+        picks uniformly among the most similar responder edges."""
+        correct = 0.0
         scores: dict[str, dict[str, float]] = {}
         for ch in ctx.channels:
             out = host_outbound(ctx.point(ch.initiator_edge), ch.initiator_ip)
@@ -176,8 +178,10 @@ class Watermark(Attack):
                 )
                 sims[cand.responder] = rate_similarity(sig, cand_sig)
             scores[ch.initiator] = sims
-            if sims and max(sims, key=lambda k: (sims[k], k)) == ch.responder:
-                correct += 1
+            best = max(sims.values())
+            ties = [name for name, sim in sims.items() if sim == best]
+            if ch.responder in ties:
+                correct += 1 / len(ties)
         n = len(ctx.channels)
         return AttackResult(
             attack=self.name,

@@ -15,7 +15,6 @@ from .harness import FigureResult, fmt_si, run_process
 from .hybrid_scenario import HybridScenarioResult, fat_tree_path, run_hybrid_scenario
 from .shard_scenario import ShardChurnResult, run_shard_churn
 from .testbed import Testbed
-from .trajectory import compare, load_trajectory, validate_entry
 
 __all__ = [
     "FigureResult",
@@ -40,7 +39,4 @@ __all__ = [
     "ShardChurnResult",
     "scalability_routing_calculation",
     "scalability_vs_fabric",
-    "validate_entry",
-    "load_trajectory",
-    "compare",
 ]

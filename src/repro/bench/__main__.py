@@ -6,8 +6,6 @@ Usage::
     python -m repro.bench fig7 fig9a      # a subset
     python -m repro.bench --quick         # reduced sweeps (smoke test)
     python -m repro.bench --list
-    python -m repro.bench trajectory ...  # perf-trajectory tools
-                                          # (see repro.bench.trajectory)
     python -m repro.bench hybrid --strategy tarn   # hybrid scale scenario
                                           # under an anonymity traffic model
 
@@ -96,7 +94,7 @@ def _hybrid_main(argv: list[str]) -> int:
     print(
         f"  finished: {r.fluid_finished}/{r.fluid_flows} fluid, "
         f"{r.packet_finished}/{r.packet_flows} packet "
-        f"in {r.sim_time_s:.2f} sim-s ({wall_s:.1f}s wall)"
+        f"in {r.sim_time_s:.4f} sim-s ({wall_s:.1f}s wall)"
     )
     print(
         f"  overhead: {r.rules_installed} rules installed, "
@@ -117,10 +115,6 @@ def _hybrid_main(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trajectory":
-        from .trajectory import main as trajectory_main
-
-        return trajectory_main(argv[1:])
     if argv and argv[0] == "hybrid":
         return _hybrid_main(argv[1:])
     parser = argparse.ArgumentParser(

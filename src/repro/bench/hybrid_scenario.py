@@ -116,6 +116,7 @@ class HybridScenarioResult:
     packet_flows: int = 0
     fluid_finished: int = 0
     packet_finished: int = 0
+    #: when the last lane finished (the time limit when one never did)
     sim_time_s: float = 0.0
     epochs: int = 0
     resolves: int = 0
@@ -246,10 +247,12 @@ def run_hybrid_scenario(
     result.fluid_flows = eng.live_flows + len(fluid_rotors)
     result.packet_flows = len(packet_jobs)
 
+    # When each rotating fluid lane / packet transfer finished (sim-s).
+    rotor_ends: list[float] = []
+    xfer_ends: list[float] = []
+
     # Fluid rotation lanes: each segment is its own fluid flow over a
     # freshly salted path, started when the previous segment drains.
-    rotor_state = {"finished": 0}
-
     def rotate_fluid(fid: str, seg_paths: list[list[str]], nbytes: int):
         t0 = net.sim.now
         done = 0
@@ -266,7 +269,7 @@ def run_hybrid_scenario(
         result.fluid_goodput_bps[fid] = (
             done * 8 / elapsed if elapsed > 0 else 0.0
         )
-        rotor_state["finished"] += 1
+        rotor_ends.append(net.sim.now)
 
     for fid, seg_paths, nbytes in fluid_rotors:
         net.sim.process(
@@ -330,7 +333,7 @@ def run_hybrid_scenario(
             result.packet_goodput_bps[fid] = (
                 done * 8 / elapsed if elapsed > 0 else 0.0
             )
-        result.packet_finished += 1
+        xfer_ends.append(net.sim.now)
 
     for j, (fid, src, dst, seg_paths, nbytes) in enumerate(packet_jobs):
         net.sim.process(
@@ -343,14 +346,21 @@ def run_hybrid_scenario(
         prof.hook(net)  # also hooks the engine via net.hybrid
 
     net.run(until=time_limit_s)
-    result.sim_time_s = net.sim.now
+    # The clock runs on to ``time_limit_s`` once the heap drains: report
+    # when the last lane finished, unless some lane never did.
+    ends = [fc.finished_s for fc in fluid_handles] + rotor_ends + xfer_ends
+    if None in ends or len(ends) < result.lanes:
+        result.sim_time_s = net.sim.now
+    else:
+        result.sim_time_s = max(ends, default=0.0)
     result.epochs = eng.epochs
     result.resolves = eng.solver.resolves
     result.bytes_advanced = eng.bytes_advanced
     result.debited_bytes = eng.debited_bytes
     result.fluid_finished = (
-        rotor_state["finished"] if fluid_rotors else eng.finished_flows
+        len(rotor_ends) if fluid_rotors else eng.finished_flows
     )
+    result.packet_finished = len(xfer_ends)
     for fc in fluid_handles:
         if fc.finished:
             result.fluid_goodput_bps[fc.flow_id] = fc.goodput_bps()

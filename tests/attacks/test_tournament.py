@@ -9,6 +9,9 @@ from repro.anonymity import STRATEGIES
 from repro.attacks import (
     ATTACKS,
     Attack,
+    AttackContext,
+    ChannelTruth,
+    ObservationPoint,
     format_attack_table,
     frontier_json,
     get_attack,
@@ -48,6 +51,35 @@ def test_register_attack_rejects_duplicate_names():
 
     with pytest.raises(ValueError, match="duplicate"):
         register_attack(Dup)
+
+
+def _blind_watermark_accuracy(responders):
+    """Watermark accuracy on channels whose taps saw nothing at all."""
+    channels = [
+        ChannelTruth(
+            channel_id=i, initiator=f"h{i + 1}", responder=resp,
+            initiator_ip=f"10.0.0.{i + 1}", responder_ip=f"10.0.1.{i + 1}",
+            service_port=7001 + i, payload_bytes=0, first_mn="c1",
+            initiator_edge=f"e{i}", responder_edge=f"r{i}",
+        )
+        for i, resp in enumerate(responders)
+    ]
+    points = {}
+    for ch in channels:
+        for edge in (ch.initiator_edge, ch.responder_edge):
+            point = ObservationPoint.__new__(ObservationPoint)
+            point.network, point.switch_name, point.observations = None, edge, []
+            points[edge] = point
+    ctx = AttackContext(dep=None, strategy_name="mic", channels=channels,
+                        points=points)
+    return get_attack("watermark").run(ctx).accuracy
+
+
+def test_watermark_ties_are_a_uniform_guess_not_a_name_order():
+    """Every similarity is 0.0, so each channel's pick is a coin toss
+    between the two responders: 1/2, whichever name sorts last."""
+    assert _blind_watermark_accuracy(["h9", "h9", "h1"]) == pytest.approx(0.5)
+    assert _blind_watermark_accuracy(["h1", "h1", "h9"]) == pytest.approx(0.5)
 
 
 def test_attack_table_has_one_row_per_attack():

@@ -72,12 +72,22 @@ def test_small_scenario_finishes_all_channels():
     assert r.fluid_flows + r.packet_flows == 40
     assert r.fluid_finished == r.fluid_flows
     assert r.packet_finished == r.packet_flows
+    # the last lane finishes within its epochs, not at the time limit
+    assert 0.0 < r.sim_time_s <= r.epochs * 0.010 < 1.0
     assert r.epochs > 0 and r.bytes_advanced > 0
     assert len(r.fluid_goodput_bps) == r.fluid_flows
     assert all(v > 0 for v in r.fluid_goodput_bps.values())
     if r.packet_flows:
         assert r.debited_bytes > 0
         assert all(v > 0 for v in r.packet_goodput_bps.values())
+
+
+def test_sim_time_is_the_limit_when_a_lane_is_unfinished():
+    r = run_hybrid_scenario(
+        k=4, channels=10, payload_bytes=1_000_000, seed=7, time_limit_s=0.002,
+    )
+    assert r.fluid_finished < r.fluid_flows
+    assert r.sim_time_s == 0.002
 
 
 def test_scenario_is_deterministic_across_runs():

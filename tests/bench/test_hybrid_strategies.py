@@ -42,6 +42,9 @@ def test_tarn_rotates_each_lane_through_segments():
     assert r.rules_installed > mic.rules_installed
     assert r.fluid_finished == r.fluid_flows
     assert r.packet_finished == r.packet_flows
+    # rotating lanes finish well before the time limit, and later than
+    # the single-path lanes they would otherwise be
+    assert mic.sim_time_s < r.sim_time_s < 1.0
 
 
 def test_unknown_strategy_rejected():

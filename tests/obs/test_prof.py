@@ -45,6 +45,7 @@ from repro.obs import (
 )
 from repro.obs.__main__ import main as obs_main
 from repro.obs.prof import ProfileReport
+from tests.profile_counts import GOLDEN as COUNTS_GOLDEN, chaos_counts, counts_doc, render
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
 
@@ -259,6 +260,15 @@ def test_chaos_frame_counts_are_deterministic(chaos_trio):
     assert [s["sim_time_s"] for s in prof_a.samples] == [
         s["sim_time_s"] for s in prof_b.samples
     ]
+
+
+def test_work_counters_match_the_committed_golden(chaos_trio):
+    """The exact work-counter gate: calls and counters of three seeded runs
+    (seed-0 chaos, its 4-shard twin, a small hybrid run) are the committed
+    ones.  A change that moves one regenerates the file on purpose."""
+    (_card_a, prof_a), _, _ = chaos_trio
+    doc = counts_doc(chaos=chaos_counts(profiler=prof_a))
+    assert render(doc) == COUNTS_GOLDEN.read_text()
 
 
 def test_sanitized_chaos_run_stays_clean_with_profiling(chaos_trio):
