@@ -376,7 +376,9 @@ class JourneyRecorder:
 
     Each hook builds its row once and hands it to one sink, which counts
     it, keeps it when the tag is sampled and appends it to its location's
-    flight ring.
+    flight ring.  A sampled row's header tuples come from one shared table,
+    so retained rows hold one instance per distinct header.  A network
+    carries one attached recorder at a time.
     """
 
     def __init__(
@@ -409,6 +411,13 @@ class JourneyRecorder:
         #: every sampled event row, in recording order; grouped by content
         #: tag when read (journeys_by_content_tag)
         self._rows: list[tuple] = []
+        #: header tuple -> the one instance every retained row holds.  Every
+        #: packet of a flow crosses a switch with the same header, so rows
+        #: share it instead of each keeping a copy; only sampled packets
+        #: enter, so the table never outgrows the rows it serves
+        self._headers: dict[HeaderTuple, HeaderTuple] = {}
+        #: False until attach() and after detach()
+        self.attached = False
         #: (switch, in-tuple) -> MC-planned out-tuple, armed by arm_intent()
         self._intent: dict[tuple[str, HeaderTuple], HeaderTuple] = {}
         self._intent_armed = False
@@ -448,9 +457,17 @@ class JourneyRecorder:
 
         A statically dead configuration (:attr:`never_records`) installs no
         hooks: the data plane keeps its bare ``is None`` checks and pays
-        nothing.
+        nothing.  A network carries one recorder at a time: attaching while
+        another is attached raises ``ValueError`` (its hooks would go dead
+        with its rows still readable); detach that one first.
         """
+        held = net.journey
+        if held is not None:
+            raise ValueError(
+                f"{held!r} is already attached to this network; detach it first"
+            )
         rec = cls(net, sample_rate=sample_rate, predicate=predicate, flight=flight)
+        rec.attached = True
         if rec.never_records:
             return rec
         for sw in net.switches():
@@ -465,6 +482,7 @@ class JourneyRecorder:
 
     def detach(self) -> None:
         """Unhook from the network (recording stops immediately)."""
+        self.attached = False
         for sw in self.net.switches():
             if getattr(sw, "journey", None) is self:
                 sw.journey = None
@@ -603,6 +621,8 @@ class JourneyRecorder:
             packet.ip_src.text, packet.ip_dst.text, packet.sport, packet.dport,
             packet.mpls,
         )
+        if sampled:
+            header = self._headers.setdefault(header, header)
         self._sink((
             self.sim.now, "switch.ingress", switch.name, packet.uid,
             packet.content_tag, _SWITCH_INGRESS, in_port, header, packet.size,
@@ -630,13 +650,22 @@ class JourneyRecorder:
             packet.mpls,
         )
         if new != old:
+            if sampled:
+                new = self._headers.setdefault(new, new)
             sink((
                 now, "switch.rewrite", where, uid, packet.content_tag,
                 _SWITCH_REWRITE, in_port, entry.entry_id, entry.cookie, old, new,
             ), sampled)
+        else:
+            new = old
         emitted = []
         for _port, p in emissions:
-            emitted.append((p.ip_src.text, p.ip_dst.text, p.sport, p.dport, p.mpls))
+            header = (p.ip_src.text, p.ip_dst.text, p.sport, p.dport, p.mpls)
+            if header == new:  # the usual emission: the rewritten packet
+                header = new
+            elif sampled:  # a group bucket's own rewrite
+                header = self._headers.setdefault(header, header)
+            emitted.append(header)
         if self._intent_armed:
             expected = self._intent.get((where, old))
             if expected is not None and expected not in emitted:

@@ -152,13 +152,15 @@ class Observer:
         predicate: Optional[SamplePredicate] = None,
         flight: Optional["FlightRecorder"] = None,
     ) -> JourneyRecorder:
-        """Attach (or return the already-attached) per-packet journey tracer.
+        """Attach (or return the still-attached) per-packet journey tracer.
 
-        If the MC is known and any channels are live, the recorder's intent
-        map stays cold until :meth:`arm_intent` — arm explicitly after
-        establishing channels to enable divergence checking.
+        A recorder detached since — by its own :meth:`JourneyRecorder.detach`
+        — is replaced by a fresh one.  If the MC is known and any channels
+        are live, the recorder's intent map stays cold until
+        :meth:`arm_intent` — arm explicitly after establishing channels to
+        enable divergence checking.
         """
-        if self.journey is None:
+        if self.journey is None or not self.journey.attached:
             self.journey = JourneyRecorder.attach(
                 self.net,
                 sample_rate=sample_rate,

@@ -252,13 +252,17 @@ def test_journey_pin_follows_attach_and_detach_whenever_they_happen():
     early.detach()
     assert net.journey is None
     assert eng.fidelity_for("f", path) == eng.fidelity_for("f") == "fluid"
-    # attached late, replaced, and detached out of order
+    # attached late; a second recorder is refused until the first detaches
     first = JourneyRecorder.attach(net)
+    with pytest.raises(ValueError):
+        JourneyRecorder.attach(net)
+    assert net.journey is first
+    first.detach()
     second = JourneyRecorder.attach(net)
     assert net.journey is second
-    first.detach()  # its hooks were already overwritten: nothing to unhook
-    assert net.journey is second
     assert eng.fidelity_for("f", path) == "packet"
+    first.detach()  # already detached: touches nothing of the second
+    assert net.journey is second
     second.detach()
     assert eng.fidelity_for("f", path) == "fluid"
     assert all(

@@ -488,3 +488,85 @@ def test_predicate_is_called_exactly_once_per_tag_at_any_rate():
                 p.content_tag % 2 == 1 for p in pkts
             ]
         assert calls == [p.content_tag for p in pkts]
+
+
+# ---------------------------------------------------------------------------
+# shared header tuples
+# ---------------------------------------------------------------------------
+
+
+def _rewriting_burst(n, **journey_kwargs):
+    """``n`` packets of one flow through the scripted chain (a group bucket
+    rewrite at s2, an in-place rewrite at s3)."""
+    net, h1, _h2, h3 = _scripted_chain()
+    rec = JourneyRecorder.attach(net, **journey_kwargs)
+    for _ in range(n):
+        h1.send_packet(h1.make_packet(h3.ip, sport=1234, dport=80, payload_size=64))
+    net.run()
+    return rec
+
+
+def test_sampled_rows_share_one_header_instance_per_value():
+    """Every packet of a flow crosses a switch with the same header: the
+    retained rows hold one tuple per distinct header, not one per row."""
+    rec = _rewriting_burst(20)
+    header_columns = {
+        "switch.ingress": ("header",), "switch.egress": ("header",),
+        "switch.rewrite": ("old", "new"),
+    }
+    held = [
+        row[row_column(kind, name)]
+        for row in rec._rows
+        for kind, names in header_columns.items() if row[1] == kind
+        for name in names
+    ]
+    # per packet: ingress at 3 switches, 4 egress copies, one in-place rewrite
+    assert len(held) == 20 * (3 + 4 + 2)
+    distinct = set(held)
+    assert len({id(h) for h in held}) == len(distinct) == len(rec._headers)
+    assert all(rec._headers[h] is h for h in held)
+
+
+def test_a_flight_only_recorder_shares_no_headers():
+    """Unsampled rows go to the bounded rings only: the header table stays
+    empty, so a flight-only recorder's memory stays bounded."""
+    flight = FlightRecorder(capacity=4)
+    rec = _rewriting_burst(20, sample_rate=0.0, flight=flight)
+    assert rec.events_recorded > 0 and rec._rows == []
+    assert any(flight.rings.values())
+    assert rec._headers == {}
+
+
+# ---------------------------------------------------------------------------
+# one recorder per network
+# ---------------------------------------------------------------------------
+
+
+def test_a_second_recorder_is_refused_while_one_is_attached():
+    """A second attach used to take every hook from the first, which kept
+    its rows but silently stopped recording."""
+    net, h1, _h2, h3 = _scripted_chain()
+    first = JourneyRecorder.attach(net)
+    with pytest.raises(ValueError, match="already attached"):
+        JourneyRecorder.attach(net)
+    assert net.journey is first and net.switch("s2").journey is first
+    h1.send_packet(h1.make_packet(h3.ip, sport=1, dport=80, payload_size=64))
+    net.run()
+    assert len(first) == 1
+    first.detach()
+    assert not first.attached
+    second = JourneyRecorder.attach(net)
+    assert second.attached and net.switch("s2").journey is second
+
+
+def test_start_journey_replaces_a_recorder_detached_on_its_own():
+    """``Observer.start_journey`` used to hand back a recorder detached by
+    its own ``detach()``, which recorded nothing."""
+    dep = deploy_mic(seed=0, observe=True)
+    rec = dep.obs.start_journey()
+    assert dep.obs.start_journey() is rec
+    rec.detach()
+    fresh = dep.obs.start_journey()
+    assert fresh is not rec and fresh.attached
+    assert all(sw.journey is fresh for sw in dep.net.switches())
+    assert dep.obs.journey is fresh
