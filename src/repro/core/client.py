@@ -20,6 +20,7 @@ sockets plus header bytes, exactly the paper's deployability goal.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional, Union
 
 from ..crypto import DEFAULT_COSTS, CryptoCostModel, seal, unseal
@@ -66,8 +67,10 @@ class MicStream:
         self.conns: list[TcpConnection] = []
         self._slicer = Slicer(token, 1, rng)
         self._reassembler = Reassembler(token)
-        self._waiters: list[tuple[int, Event]] = []
-        self._eof = False
+        #: parked reads, served in order: ``(n, exact, event)``
+        self._waiters: deque[tuple[int, bool, Event]] = deque()
+        #: attached m-flows that have hit EOF
+        self._eof_flows = 0
         self.bytes_sent = 0
         self.bytes_received = 0
 
@@ -106,22 +109,33 @@ class MicStream:
         self._serve()
 
     def feed_eof(self) -> None:
-        """Signal that an underlying connection hit EOF."""
-        self._eof = True
+        """Signal that one attached m-flow connection hit EOF; the stream
+        ends once every attached m-flow has."""
+        self._eof_flows += 1
         self._serve()
 
     def _serve(self) -> None:
-        while self._waiters:
-            n, ev = self._waiters[0]
-            if ev.triggered:
-                self._waiters.pop(0)
-                continue
-            if self._reassembler.available:
-                self._waiters.pop(0)
-                ev.succeed(self._reassembler.take(n))
-            elif self._eof and not self._reassembler.pending_chunks:
-                self._waiters.pop(0)
-                ev.succeed(b"")
+        """Complete parked reads in order: a ``recv`` once any byte is
+        reassembled, a ``recv_exactly`` once all of its ``n`` are; at the
+        stream's EOF the first fires with ``b""`` and the second fails."""
+        waiters = self._waiters
+        reassembler = self._reassembler
+        while waiters:
+            n, exact, ev = waiters[0]
+            have = reassembler.available
+            if have >= n or (have and not exact):
+                waiters.popleft()
+                ev.succeed(reassembler.take(n))
+            elif (
+                self._eof_flows
+                and self._eof_flows >= len(self.conns)
+                and not reassembler.pending_chunks
+            ):
+                waiters.popleft()
+                if exact:
+                    ev.fail(MicError("mic stream closed before full read"))
+                else:
+                    ev.succeed(b"")
             else:
                 break
 
@@ -144,21 +158,24 @@ class MicStream:
         if n <= 0:
             raise ValueError("recv size must be positive")
         ev = self.sim.event()
-        self._waiters.append((n, ev))
+        self._waiters.append((n, False, ev))
         self._serve()
         return ev
 
     def recv_exactly(self, n: int):
-        """Process helper: ``data = yield from stream.recv_exactly(n)``."""
-        chunks = []
-        remaining = n
-        while remaining > 0:
-            chunk = yield self.recv(remaining)
-            if not chunk:
-                raise MicError("mic stream closed before full read")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+        """Process helper: ``data = yield from stream.recv_exactly(n)``.
+
+        The read parks once and resumes its process once, with all ``n``
+        bytes, in FIFO order with :meth:`recv`.  Raises :class:`MicError`
+        if the stream ends first; the bytes that did arrive stay readable.
+        ``n == 0`` returns ``b""`` without waiting.
+        """
+        if n <= 0:
+            return b""
+        ev = self.sim.event()
+        self._waiters.append((n, True, ev))
+        self._serve()
+        return (yield ev)
 
     def close(self) -> None:
         """Close every underlying m-flow connection."""

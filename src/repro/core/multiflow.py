@@ -84,10 +84,12 @@ class Reassembler:
 
     def take(self, n: Optional[int] = None) -> bytes:
         """Up to ``n`` contiguous bytes (all available if ``n`` is None)."""
-        if n is None:
-            n = len(self._ready)
-        out = bytes(self._ready[:n])
-        del self._ready[: len(out)]
+        ready = self._ready
+        if n is None or n > len(ready):
+            n = len(ready)
+        with memoryview(ready) as view:
+            out = bytes(view[:n])
+        del ready[:n]
         return out
 
     @property

@@ -271,6 +271,32 @@ class FlowEntry:
             if isinstance(a, (SetField, PushMpls, PopMpls))
         ])
 
+    @cached_property
+    def program(self) -> Optional[tuple[tuple[tuple[str, Any], ...], int]]:
+        """``(writes, port)`` when the actions are header writes
+        (``SetField``, ``PushMpls``, ``PopMpls``) then one ``Output`` to a
+        wire port — every L3 and Mimic Node rule — else None.  ``writes``
+        holds ``(field, value)`` pairs in action order (a pop writes
+        ``mpls=None``); :meth:`FlowTable.apply` runs them with ``setattr``
+        instead of interpreting the action list.  Derived on first use and
+        kept, like :attr:`rewrite_count`."""
+        if not self.actions:
+            return None
+        *head, last = self.actions
+        if not isinstance(last, Output) or last.port == CONTROLLER_PORT:
+            return None
+        writes = []
+        for action in head:
+            if isinstance(action, SetField):
+                writes.append((action.field, action.value))
+            elif isinstance(action, PushMpls):
+                writes.append(("mpls", action.label))
+            elif isinstance(action, PopMpls):
+                writes.append(("mpls", None))
+            else:
+                return None
+        return tuple(writes), last.port
+
     def describe(self) -> str:
         """One-line rule rendering for traces and debugging."""
         acts = ", ".join([_fmt_action(a) for a in self.actions])
@@ -408,7 +434,9 @@ class FlowTable:
     actions, returning the set of (port, packet) emissions and whether the
     packet must be punted to the controller.  Emitted packets are distinct
     objects when a rule outputs more than once (multicast), so downstream
-    mutation cannot alias.
+    mutation cannot alias.  A rule of header writes then one wire output
+    runs as its :attr:`FlowEntry.program`; ``_run_actions`` interprets the
+    rest (groups, punts, drops).
 
     ``max_entries`` models the switch's TCAM budget: installs beyond it
     raise :class:`TableFullError` (None = unbounded).  ``cache_size``
@@ -724,6 +752,16 @@ class FlowTable:
         if entry is None:
             return [], True, None
         entry.packet_count += 1
+        program = entry.program
+        if program is not None:
+            # header writes then one wire output: no action interpreter,
+            # and the one copy keeps the packet's uid
+            writes, port = program
+            for name, value in writes:
+                setattr(packet, name, value)
+            out_pkt = packet.copy()
+            entry.byte_count += out_pkt.size
+            return [(port, out_pkt)], False, entry
         ingress_mpls = packet.mpls
         emissions, to_controller = self._run_actions(entry.actions, packet)
         if emissions:

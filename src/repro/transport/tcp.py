@@ -22,6 +22,7 @@ boundary of the hybrid engine — ``docs/scale.md``).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,7 +96,8 @@ class TcpConnection:
         self._rcv_ooo: dict[int, bytes] = {}
         self._rcv_stream = bytearray()
         self._rcv_eof = False
-        self._rcv_waiters: list[tuple[int, Event]] = []
+        #: parked reads, served in order: ``(n, exact, event)``
+        self._rcv_waiters: deque[tuple[int, bool, Event]] = deque()
         # lifecycle
         self._connect_event: Optional[Event] = None
         self.bytes_sent = 0
@@ -119,25 +121,25 @@ class TcpConnection:
         if n <= 0:
             raise ValueError("recv size must be positive")
         ev = self.sim.event()
-        self._rcv_waiters.append((n, ev))
+        self._rcv_waiters.append((n, False, ev))
         self._serve_receivers()
         return ev
 
     def recv_exactly(self, n: int):
         """Process helper: yields until exactly ``n`` bytes are read.
 
-        Usage: ``data = yield from conn.recv_exactly(100)``.  Raises
-        :class:`TcpError` if EOF arrives first.
+        Usage: ``data = yield from conn.recv_exactly(100)``.  The read parks
+        once and resumes its process once, with all ``n`` bytes, in FIFO
+        order with :meth:`recv`.  Raises :class:`TcpError` if EOF arrives
+        first; the bytes that did arrive stay buffered for a later read.
+        ``n == 0`` returns ``b""`` without waiting.
         """
-        chunks = []
-        remaining = n
-        while remaining > 0:
-            chunk = yield self.recv(remaining)
-            if not chunk:
-                raise TcpError("connection closed before full read")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+        if n <= 0:
+            return b""
+        ev = self.sim.event()
+        self._rcv_waiters.append((n, True, ev))
+        self._serve_receivers()
+        return (yield ev)
 
     def close(self) -> None:
         """Flush pending data then send FIN."""
@@ -321,20 +323,27 @@ class TcpConnection:
                 self._connect_event = None
 
     def _serve_receivers(self) -> None:
-        while self._rcv_waiters:
-            n, ev = self._rcv_waiters[0]
-            if ev.triggered:
-                self._rcv_waiters.pop(0)
-                continue
-            if self._rcv_stream:
-                take = min(n, len(self._rcv_stream))
-                chunk = bytes(self._rcv_stream[:take])
-                del self._rcv_stream[:take]
-                self._rcv_waiters.pop(0)
+        """Complete parked reads in order: a ``recv`` once any byte is
+        buffered, a ``recv_exactly`` once all of its ``n`` are; at EOF the
+        first fires with ``b""`` and the second fails."""
+        waiters = self._rcv_waiters
+        stream = self._rcv_stream
+        while waiters:
+            n, exact, ev = waiters[0]
+            have = len(stream)
+            if have >= n or (have and not exact):
+                take = n if n < have else have
+                with memoryview(stream) as view:
+                    chunk = bytes(view[:take])
+                del stream[:take]
+                waiters.popleft()
                 ev.succeed(chunk)
             elif self._rcv_eof:
-                self._rcv_waiters.pop(0)
-                ev.succeed(b"")
+                waiters.popleft()
+                if exact:
+                    ev.fail(TcpError("connection closed before full read"))
+                else:
+                    ev.succeed(b"")
             else:
                 break
 

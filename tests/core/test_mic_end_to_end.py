@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MicEndpoint, MicServer, MimicController, MIC_PRIORITY
+from repro.core import MicEndpoint, MicServer, MimicController, MIC_PRIORITY, deploy_mic
 from repro.net import Network, fat_tree
 from repro.sdn import Controller, L3ShortestPathApp
 
@@ -157,6 +157,32 @@ class TestDataPath:
         # All three m-flow connections carried some bytes.
         for conn in result["client"].conns:
             assert conn.bytes_sent > 0
+
+    @pytest.mark.parametrize("size,n_flows", [
+        (25_600, 3),  # one m-flow's FIN used to end the stream mid-transfer
+        (2_560, 3), (25_600, 1), (25_600, 2),
+    ])
+    def test_stream_ends_only_when_every_m_flow_has(self, size, n_flows):
+        dep = deploy_mic(fat_tree(4), seed=0)
+        server = dep.server("h16", 7000)
+        payload = bytes(range(256)) * (size // 256)
+        got = {}
+
+        def srv():
+            stream = yield server.accept()
+            got["data"] = yield from stream.recv_exactly(size)
+            got["eof"] = yield stream.recv(1)
+
+        def cli():
+            stream = yield from dep.endpoint("h1").connect(
+                "h16", service_port=7000, n_flows=n_flows, n_mns=3)
+            stream.send(payload)
+            stream.close()
+
+        dep.sim.process(srv())
+        dep.sim.process(cli())
+        dep.run(until=5.0)
+        assert got == {"data": payload, "eof": b""}
 
     def test_intermediate_switches_never_see_real_pair(self):
         """Unlinkability: no switch between the first and last MN ever

@@ -32,15 +32,17 @@ FRAME_BUDGET = 32.0
 #: from 29.625 to 26.0, a heap of plain calls (no event object per
 #: ``call_later``, two frames per kernel step less) to 21.25, bookkeeping
 #: read as attributes (table version, CPU meter, ingress size, the NIC
-#: channel) and a one-frame lookup to this, and a new per-packet call
-#: shows here first
-HOOKS_OFF_FRAMES = 16.25
+#: channel) and a one-frame lookup to 16.25, a rule run as its compiled
+#: write list (no ``_run_actions`` frame) to this, and a new per-packet
+#: call shows here first
+HOOKS_OFF_FRAMES = 15.25
 #: the same with every journey hook on (full sampling, an armed flight
 #: recorder) — pinned, not bounded: the one-sink hook path took it from
 #: 58.875 to 39.625, the trace log leaving the default path to 36.0, the
-#: heap of plain calls to 31.25, attribute bookkeeping to this, and a
-#: second header build or sink call shows here
-HOOKS_ON_FRAMES = 26.25
+#: heap of plain calls to 31.25, attribute bookkeeping to 26.25, the
+#: compiled write list to this, and a second header build or sink call
+#: shows here
+HOOKS_ON_FRAMES = 25.25
 #: bookkeeping that is an attribute read or write on the hop, never a call
 BOOKKEEPING = (
     ("net/flowtable.py", "version"),
@@ -125,6 +127,8 @@ def test_a_packet_hop_stays_inside_its_frame_budget():
     assert per_packet[("net/flowtable.py", "lookup")] == SWITCHES
     assert ("net/flowtable.py", "_lookup_indexed") not in per_packet
     assert per_packet[("net/packet.py", "copy")] == SWITCHES  # one per emission
+    # every rule is writes then one output: it runs as its program
+    assert ("net/flowtable.py", "_run_actions") not in per_packet
     # sizes are read where they are used: once per host stack, once per
     # link send, once per emission's byte count — and no ingress size in
     # apply, since the rule emits
@@ -148,6 +152,7 @@ def test_a_recorded_hop_costs_one_row_build_per_event():
     assert per_packet[("obs/journey.py", "on_switch_ingress")] == SWITCHES
     assert per_packet[("obs/journey.py", "on_switch_applied")] == SWITCHES
     assert ("obs/journey.py", "header_tuple") not in per_packet
+    assert ("net/flowtable.py", "_run_actions") not in per_packet
     for key in BOOKKEEPING:
         assert key not in per_packet, key
     frames_per_hop = sum(per_packet.values()) / SWITCHES
