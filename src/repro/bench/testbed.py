@@ -66,8 +66,8 @@ class Testbed:
             if obs is not None:
                 obs.journey = rec
         if pre_wire:
-            l3.wire_all_pairs()
-            net.run()  # let installs finish before any measurement
+            # let the bundles land before any measurement
+            net.run(until=net.sim.all_of(l3.wire_all_pairs()))
         directory = TorDirectory()
         relay_params = tor_params or TorRelayParams()
         relays = [

@@ -88,7 +88,10 @@ def deploy_mic(
     4-ary fat-tree).
 
     ``pre_wire=True`` proactively installs baseline routes for every host
-    pair (no packet-ins later); otherwise the L3 app wires reactively.
+    pair (no packet-ins later) and runs only until those bundles land, so
+    an attached fault plan is still ahead; a bundle that cannot land
+    raises its ``TableFullError`` / ``InstallLostError``, naming the
+    switch.  Otherwise the L3 app wires reactively.
     ``observe=True`` attaches a :class:`repro.obs.Observer` before any
     traffic runs; it is exposed as the deployment's ``obs`` field.
     ``journey=True`` additionally attaches a
@@ -120,6 +123,5 @@ def deploy_mic(
     if faults is not None:
         faults.attach(net, ctrl)
     if pre_wire:
-        l3.wire_all_pairs()
-        net.run()
+        net.run(until=net.sim.all_of(l3.wire_all_pairs()))
     return MicDeployment(net=net, ctrl=ctrl, mic=mic, l3=l3, obs=obs, journey=rec)

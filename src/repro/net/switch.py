@@ -212,9 +212,11 @@ class Switch(Node):
         at), each rule feeding the table's classification index
         incrementally, and the lookup cache is invalidated once per batch
         rather than per rule.  Emits one ``switch.flowmod`` trace record per
-        entry while a trace log is attached.  On a capacity overflow the event fails after installing the
-        groups and the entries that fit — the same observable state as
-        issuing the installs one by one; a down switch applies nothing.
+        entry while a trace log is attached.  On a capacity overflow the
+        event fails, with a ``TableFullError`` naming the switch, after
+        installing the groups and the entries that fit — the same
+        observable state as issuing the installs one by one; a down switch
+        applies nothing.
 
         Returns an event that fires when the whole bundle is active.
         """
@@ -238,7 +240,7 @@ class Switch(Node):
                         self.sim.now, "switch.table_full", self.name,
                         _ENTRY_KEYS, entry.describe(),
                     )
-                ev.fail(exc)
+                ev.fail(TableFullError(f"{self.name}: {exc}"))
                 return
             if self.trace is not None:
                 self.trace.emit(

@@ -341,8 +341,10 @@ class Controller:
     ) -> list:
         """Install a plain forwarding rule on every switch along ``path``.
 
-        Returns the list of install-complete events (installs proceed in
-        parallel, as a real controller would batch them).
+        One flow-mod per hop rule, all sent at once; returns their
+        install-complete events in hop order.  Reactive L3 wiring uses
+        this; proactive wiring sends a switch's rules as one
+        :meth:`install_batch` bundle instead.
         """
         events = []
         for sw_name, out_port in self.ports_along(path):

@@ -4,7 +4,8 @@ This is the non-anonymous routing that plain TCP/SSL traffic uses — the
 paper's baseline.  Reactive mode answers packet-ins by installing exact
 ⟨ip_src, ip_dst⟩ rules along a randomly chosen equal-cost shortest path (both
 directions, so the reply does not punt again); proactive mode pre-wires all
-host pairs, which the throughput benchmarks use to avoid measuring setup.
+host pairs, one bundle per switch, which the throughput benchmarks use to
+avoid measuring setup.
 """
 
 from __future__ import annotations
@@ -66,43 +67,59 @@ class L3ShortestPathApp(ControllerApp):
         return True
 
     # ------------------------------------------------------------------
-    def wire_pair(
-        self,
-        src_name: str,
-        dst_name: str,
-        release_pair: Optional[tuple] = None,
-    ) -> list:
-        """Install forward+reverse rules for a host pair.
+    def _plan_pair(self, src_name: str, dst_name: str) -> tuple[int, tuple]:
+        """Pick a host pair's path and cookie and record both directions.
 
-        Returns install events.  When ``release_pair`` is given, packets
-        queued for that pair are re-injected once all installs complete.
+        The one place a pair is planned: one path draw from the
+        controller's rng, the next cookie.  Returns ``(cookie, directions)``
+        with ``directions`` the forward then the reverse ``(node path,
+        exact ⟨ip_src, ip_dst⟩ match)``.
         """
         ctrl = self.controller
         net = ctrl.network
         src = net.host(src_name)
         dst = net.host(dst_name)
         path = ctrl.view.pick_path(src_name, dst_name, ctrl.rng)
+        back = list(reversed(path))
         self.pair_paths[(src_name, dst_name)] = path
-        self.pair_paths[(dst_name, src_name)] = list(reversed(path))
+        self.pair_paths[(dst_name, src_name)] = back
         self._next_cookie += 1
         cookie = self._next_cookie
         self._pair_cookies[(src_name, dst_name)] = cookie
         self._pair_cookies[(dst_name, src_name)] = cookie
-        events = []
-        for hop_path, match in (
+        self._installed_pairs.add((src.ip, dst.ip))
+        self._installed_pairs.add((dst.ip, src.ip))
+        return cookie, (
             (path, Match(ip_src=src.ip, ip_dst=dst.ip)),
-            (list(reversed(path)), Match(ip_src=dst.ip, ip_dst=src.ip)),
-        ):
+            (back, Match(ip_src=dst.ip, ip_dst=src.ip)),
+        )
+
+    def wire_pair(
+        self,
+        src_name: str,
+        dst_name: str,
+        release_pair: Optional[tuple] = None,
+    ) -> list:
+        """Install forward+reverse rules for a host pair, one flow-mod per
+        hop rule.
+
+        Returns install events.  When ``release_pair`` is given, packets
+        queued for that pair are re-injected once all installs complete.
+        Per rule because the outage bookkeeping (:meth:`on_switch_event`)
+        keys on each hop's own install event.
+        """
+        ctrl = self.controller
+        cookie, directions = self._plan_pair(src_name, dst_name)
+        events = []
+        for hop_path, match in directions:
             hop_events = ctrl.install_unicast_path(
                 hop_path, match, priority=self.priority, cookie=cookie
             )
             events += hop_events
-            if self._down:  # wired during an outage; never on the pre-wire path
+            if self._down:  # wired during an outage
                 for (sw_name, _port), ev in zip(ctrl.ports_along(hop_path), hop_events):
                     if sw_name in self._down:
                         self._down[sw_name][match] = ev
-        self._installed_pairs.add((src.ip, dst.ip))
-        self._installed_pairs.add((dst.ip, src.ip))
         if release_pair is not None:
             done = ctrl.sim.all_of(events)
             done.callbacks.append(lambda _ev: self._release(release_pair))
@@ -198,11 +215,34 @@ class L3ShortestPathApp(ControllerApp):
 
     # ------------------------------------------------------------------
     def wire_all_pairs(self) -> list:
-        """Proactively install routes for every ordered host pair."""
+        """Proactively route every unordered host pair (both directions),
+        one bundle per switch.
+
+        Each pair is planned as :meth:`wire_pair` plans it — same path
+        draws, cookies and rule order — then every switch gets its rules as
+        one :meth:`Controller.install_batch` bundle: one control message,
+        one fate draw under a fault plane.  Entry ids are minted here in
+        the order per-rule installs would land them, so ids and per-table
+        order are those of wiring pair by pair.  Returns one install event
+        per switch bundle.
+        """
         ctrl = self.controller
+        entry_ids = ctrl.sim.ids("flowtable.entry")
+        bundles: dict[str, list[FlowEntry]] = {}
         hosts = ctrl.network.topo.hosts()
-        events = []
         for i, a in enumerate(hosts):
             for b in hosts[i + 1 :]:
-                events += self.wire_pair(a, b)
+                cookie, directions = self._plan_pair(a, b)
+                for hop_path, match in directions:
+                    for sw_name, out_port in ctrl.ports_along(hop_path):
+                        bundles.setdefault(sw_name, []).append(FlowEntry(
+                            match, [Output(out_port)], priority=self.priority,
+                            cookie=cookie, entry_id=next(entry_ids),
+                        ))
+        events = []
+        for sw_name, entries in bundles.items():
+            ev = ctrl.install_batch(sw_name, entries)
+            events.append(ev)
+            if sw_name in self._down:  # see on_switch_event
+                self._down[sw_name].update((e.match, ev) for e in entries)
         return events

@@ -263,9 +263,10 @@ def test_chaos_frame_counts_are_deterministic(chaos_trio):
 
 
 def test_work_counters_match_the_committed_golden(chaos_trio):
-    """The exact work-counter gate: calls and counters of three seeded runs
-    (seed-0 chaos, its 4-shard twin, a small hybrid run) are the committed
-    ones.  A change that moves one regenerates the file on purpose."""
+    """The exact work-counter gate: calls and counters of four seeded runs
+    (seed-0 chaos, its 4-shard twin, a small hybrid run, a pre-wired
+    fat_tree(4)) are the committed ones.  A change that moves one
+    regenerates the file on purpose."""
     (_card_a, prof_a), _, _ = chaos_trio
     doc = counts_doc(chaos=chaos_counts(profiler=prof_a))
     assert render(doc) == COUNTS_GOLDEN.read_text()

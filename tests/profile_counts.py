@@ -10,7 +10,9 @@ pins them for:
 * ``chaos_shards4`` — the same plan on a 4-shard controller, which pins
   ``controlplane.route`` including ``mods.remote``;
 * ``hybrid`` — a small ``fat_tree(4)`` hybrid run, which pins
-  ``fluid.solve``, the ``hybrid.*`` epoch phases and ``flowtable.lookup``.
+  ``fluid.solve``, the ``hybrid.*`` epoch phases and ``flowtable.lookup``;
+* ``prewire`` — proactive L3 wiring of ``fat_tree(4)`` at seed 0, which
+  pins the events one bundle per switch costs (``sim.dispatch``).
 
 A change that moves a count is a change in the work the simulator does:
 regenerate the file on purpose and name the counters that moved.
@@ -25,8 +27,10 @@ import pathlib
 
 from repro.bench import run_hybrid_scenario
 from repro.faults import run_chaos
+from repro.net import Network, fat_tree
 from repro.obs import Profiler
 from repro.obs.prof import ProfileReport
+from repro.sdn import Controller, L3ShortestPathApp
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "profile_counts_seed0.json"
 
@@ -52,12 +56,23 @@ def hybrid_counts() -> dict:
     return ProfileReport.from_doc(r.profile).counts()
 
 
+def prewire_counts() -> dict:
+    """``counts()`` of pre-wiring every host pair of ``fat_tree(4)`` at
+    seed 0, profiled from before ``wire_all_pairs`` until the bundles land."""
+    net = Network(fat_tree(4), seed=0)
+    l3 = Controller(net).register(L3ShortestPathApp())
+    profiler = Profiler().hook(net)
+    net.run(until=net.sim.all_of(l3.wire_all_pairs()))
+    return profiler.report().counts()
+
+
 def counts_doc(chaos: dict | None = None) -> dict:
     """The golden's document; ``chaos`` reuses an already-made seed-0 run."""
     return {
         "chaos": chaos if chaos is not None else chaos_counts(),
         "chaos_shards4": chaos_counts(shards=4),
         "hybrid": hybrid_counts(),
+        "prewire": prewire_counts(),
     }
 
 

@@ -73,3 +73,18 @@ def test_pair_wired_into_a_dead_chassis_is_still_reinstalled_on_reboot():
     net.set_switch_state("s2", True)
     net.run(until=0.3)
     assert len(list(net.switch("s2").table.iter_entries())) == 2
+
+
+def test_prewire_bundle_landed_between_reboot_and_its_detection_is_not_resent():
+    """A pre-wire bundle sent while the app still believes a switch down
+    lands on the rebooted chassis; the reboot re-install skips its rules."""
+    net = Network(linear(3), seed=0)
+    ctrl = Controller(net, detection_latency_s=0.002)
+    l3 = ctrl.register(L3ShortestPathApp())
+    net.set_switch_state("s2", False)
+    net.run(until=0.1)
+    net.set_switch_state("s2", True)  # heard at 0.102; the bundle lands at 0.101
+    l3.wire_all_pairs()
+    net.run(until=0.2)
+    rules = Counter((e.match, e.priority) for e in net.switch("s2").table.iter_entries())
+    assert len(rules) == 6 and max(rules.values()) == 1
