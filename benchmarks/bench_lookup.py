@@ -92,11 +92,13 @@ def run(n_rules: int = 1000, rounds: int = 7) -> dict:
     entries, packets = build_rules(n_rules)
 
     plain = FlowTable()
-    plain.install_many(entries)
+    for entry in entries:
+        plain.install(entry)
     # Fresh entry objects for the no-cache table: entries belong to one table.
     entries2, _ = build_rules(n_rules)
     uncached = FlowTable(cache_size=0)
-    uncached.install_many(entries2)
+    for entry in entries2:
+        uncached.install(entry)
 
     # Sanity before timing: all three paths classify identically here.
     for pkt in packets[:: max(1, n_rules // 50)]:

@@ -13,9 +13,8 @@ MC load.
 Run:  python examples/datacenter_mix.py
 """
 
-from repro.core import MicEndpoint, MicServer, MimicController
-from repro.net import Network, fat_tree
-from repro.sdn import Controller, L3ShortestPathApp
+from repro.core import deploy_mic
+from repro.net import fat_tree
 from repro.workloads import poisson_arrivals
 
 BACKEND = "h16"
@@ -26,11 +25,9 @@ RATE_PER_CLIENT = 20.0  # RPCs per second
 
 
 def run(reuse: bool) -> dict:
-    net = Network(fat_tree(4), seed=11)
-    ctrl = Controller(net)
-    mic = ctrl.register(MimicController())
-    ctrl.register(L3ShortestPathApp())
-    server = MicServer(net.host(BACKEND), 9000)
+    dep = deploy_mic(fat_tree(4), seed=11)
+    net = dep.net
+    server = dep.server(BACKEND, 9000)
 
     def backend():
         while True:
@@ -51,7 +48,7 @@ def run(reuse: bool) -> dict:
     latencies: list[float] = []
 
     def client(host_name: str):
-        endpoint = MicEndpoint(net.host(host_name), mic)
+        endpoint = dep.endpoint(host_name)
         rng = net.sim.rng(f"workload-{host_name}")
         arrivals = list(poisson_arrivals(rng, RATE_PER_CLIENT, HORIZON_S))
         for when in arrivals:
@@ -74,8 +71,8 @@ def run(reuse: bool) -> dict:
         "rpcs": len(latencies),
         "mean_ms": 1e3 * sum(latencies) / len(latencies),
         "p99_ms": 1e3 * latencies[int(0.99 * (len(latencies) - 1))],
-        "channels": mic.requests_served,
-        "flow_mods": ctrl.flow_mods_sent,
+        "channels": dep.mic.requests_served,
+        "flow_mods": dep.ctrl.flow_mods_sent,
     }
 
 

@@ -9,21 +9,18 @@ blackout window is covered by ordinary TCP retransmission.
 Run:  python examples/failure_recovery.py
 """
 
-from repro.core import MicEndpoint, MicServer, MimicController
-from repro.net import Network, fat_tree
-from repro.sdn import Controller, L3ShortestPathApp
+from repro.core import deploy_mic
+from repro.net import fat_tree
 
 PAYLOAD = bytes(range(256)) * 512  # 128 KiB
 
 
 def main() -> None:
-    net = Network(fat_tree(4), seed=5)
-    ctrl = Controller(net)
-    mic = ctrl.register(MimicController())
-    ctrl.register(L3ShortestPathApp())
+    dep = deploy_mic(fat_tree(4), seed=5)
+    net, mic = dep.net, dep.mic
     trace = net.attach_trace(categories={"mic.repair"})
-    server = MicServer(net.host("h16"), 80)
-    alice = MicEndpoint(net.host("h1"), mic)
+    server = dep.server("h16", 80)
+    alice = dep.endpoint("h1")
     log = {}
 
     def client():

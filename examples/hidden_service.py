@@ -10,24 +10,20 @@ who its clients are.
 Run:  python examples/hidden_service.py
 """
 
-from repro.core import MicEndpoint, MicServer, MimicController
-from repro.net import Network, fat_tree
-from repro.sdn import Controller, L3ShortestPathApp
+from repro.core import deploy_mic
+from repro.net import fat_tree
 
 SERVICE_HOST = "h11"
 CLIENTS = ["h1", "h6", "h16"]
 
 
 def main() -> None:
-    net = Network(fat_tree(4), seed=7)
-    ctrl = Controller(net)
-    mic = ctrl.register(MimicController())
-    ctrl.register(L3ShortestPathApp())
+    dep = deploy_mic(fat_tree(4), seed=7)
+    net = dep.net
 
     # The hidden receiver registers out of band with the MC (and nowhere
     # else — there is no public mapping from nickname to address).
-    mic.register_hidden_service("metadata", SERVICE_HOST, 7000)
-    server = MicServer(net.host(SERVICE_HOST), 7000)
+    server = dep.hidden_service("metadata", SERVICE_HOST, 7000)
     print(f"hidden service 'metadata' running on {SERVICE_HOST} "
           f"({net.host(SERVICE_HOST).ip}) — clients will never see this\n")
 
@@ -46,7 +42,7 @@ def main() -> None:
             net.sim.process(serve(stream))
 
     def client(host_name: str):
-        endpoint = MicEndpoint(net.host(host_name), mic)
+        endpoint = dep.endpoint(host_name)
         # Connect by nickname: the responder's address never reaches us.
         stream = yield from endpoint.connect("metadata")
         stream.send(f"lookup /vol/{host_name:<11}".encode()[:24].ljust(24))

@@ -10,26 +10,23 @@ segments.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import MicEndpoint, MicServer, MimicController
-from repro.net import Network, fat_tree
-from repro.sdn import Controller, L3ShortestPathApp
+from repro.core import deploy_mic
+from repro.net import fat_tree
 
 
 def main() -> None:
     # 1. Build the fabric and the control plane.
-    net = Network(fat_tree(4), seed=42)
-    ctrl = Controller(net)
-    mic = ctrl.register(MimicController())
-    ctrl.register(L3ShortestPathApp())
+    dep = deploy_mic(fat_tree(4), seed=42)
+    net, mic = dep.net, dep.mic
     # The trace log is attached on demand; keep only the forwarding records.
     trace = net.attach_trace(categories={"switch.fwd"})
     print(f"fabric: {net.topo!r}")
 
     # 2. Bob runs a MIC-aware server on port 80.
-    server = MicServer(net.host("h16"), 80)
+    server = dep.server("h16", 80)
 
     # 3. Alice gets a MIC endpoint (the paper's user-end module).
-    alice = MicEndpoint(net.host("h1"), mic)
+    alice = dep.endpoint("h1")
 
     transcript = {}
 

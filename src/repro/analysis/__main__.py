@@ -75,20 +75,11 @@ def _code_taint_violations(paths: list[str], baseline_arg: Optional[str]):
 
 def _cmd_verify_network(args: argparse.Namespace) -> int:
     # Imported here so `lint` works even if the simulator stack is broken.
-    from ..core import MimicController
-    from ..net import Network, fat_tree
-    from ..sdn import Controller, L3ShortestPathApp
+    from ..core import deploy_mic
+    from ..net import fat_tree
 
-    net = Network(fat_tree(args.k), seed=args.seed)
-    ctrl = Controller(net)
-    mic = ctrl.register(MimicController())
-    ctrl.register(L3ShortestPathApp())
-
-    obs = None
-    if args.metrics_out:
-        from ..obs import Observer
-
-        obs = Observer.attach(net, mic=mic, controller=ctrl)
+    dep = deploy_mic(fat_tree(args.k), seed=args.seed, observe=bool(args.metrics_out))
+    net, mic, obs = dep.net, dep.mic, dep.obs
 
     rng = random.Random(args.seed)
     n_channels = -(-args.flows // args.flows_per_channel)  # ceil div

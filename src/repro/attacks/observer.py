@@ -78,19 +78,6 @@ class ObservationPoint:
         """All packets observed leaving the switch."""
         return [o for o in self.observations if o.direction == "out"]
 
-    def seen_address_pairs(self) -> set[tuple[str, str]]:
-        """Every ⟨src, dst⟩ this observer ever saw together in one packet."""
-        return {(o.src_ip, o.dst_ip) for o in self.observations}
-
-    def saw_pair(self, src_ip: str, dst_ip: str) -> bool:
-        """True if the observer saw the two addresses together, either way."""
-        pairs = self.seen_address_pairs()
-        return (src_ip, dst_ip) in pairs or (dst_ip, src_ip) in pairs
-
-    def bytes_seen(self) -> int:
-        """Total bytes across observed ingress packets."""
-        return sum(o.size for o in self.ingress())
-
     def clear(self) -> None:
         """Forget everything observed so far."""
         self.observations.clear()

@@ -116,8 +116,8 @@ def open_mic(
     after the clock stops) materializes the server-side stream.
     """
     sim = bed.net.sim
-    server = bed.mic_server(dst, port)
-    endpoint = bed.mic_endpoint(src)
+    server = bed.server(dst, port)
+    endpoint = bed.endpoint(src)
     holder: dict = {}
 
     def acceptor():

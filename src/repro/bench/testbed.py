@@ -7,13 +7,11 @@ local Tor deployment (directory + relays on a subset of hosts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..core import MicEndpoint, MicServer, MimicController
-from ..net import Network, NetParams, Topology, fat_tree
-from ..obs import JourneyRecorder, Observer
-from ..sdn import Controller, L3ShortestPathApp
+from ..core import MicDeployment, deploy_mic
+from ..net import NetParams, Topology
 from ..tor import TorClient, TorDirectory, TorRelay, TorRelayParams
 from ..transport import SslStack, TcpStack
 
@@ -24,22 +22,14 @@ __all__ = ["Testbed"]
 DEFAULT_RELAY_HOSTS = ("h5", "h6", "h7", "h8", "h9", "h10", "h11")
 
 
-@dataclass
-class Testbed:
-    """A fully wired evaluation platform."""
+@dataclass(kw_only=True)
+class Testbed(MicDeployment):
+    """A fully wired evaluation platform: a MIC deployment plus Tor."""
 
     __test__ = False  # not a pytest test class despite the name
 
-    net: Network
-    ctrl: Controller
-    mic: MimicController
-    l3: L3ShortestPathApp
-    directory: TorDirectory
-    relays: list[TorRelay]
-    #: attached observer when created with ``observe=True``, else None
-    obs: Optional[Observer] = None
-    #: attached journey recorder when created with ``journey=True``, else None
-    journey: Optional[JourneyRecorder] = None
+    directory: TorDirectory = field(default_factory=TorDirectory)
+    relays: list[TorRelay] = field(default_factory=list)
 
     @classmethod
     def create(
@@ -55,26 +45,18 @@ class Testbed:
         journey: bool = False,
         journey_kwargs: Optional[dict] = None,
     ) -> "Testbed":
-        net = Network(topo or fat_tree(4), params=params or NetParams(), seed=seed)
-        ctrl = Controller(net)
-        mic = ctrl.register(MimicController(**(mic_kwargs or {})))
-        l3 = ctrl.register(L3ShortestPathApp())
-        obs = Observer.attach(net, mic=mic, controller=ctrl) if observe else None
-        rec = None
-        if journey:
-            rec = JourneyRecorder.attach(net, **(journey_kwargs or {}))
-            if obs is not None:
-                obs.journey = rec
-        if pre_wire:
-            # let the bundles land before any measurement
-            net.run(until=net.sim.all_of(l3.wire_all_pairs()))
-        directory = TorDirectory()
+        # pre-wired by default: the bundles land before any measurement
+        bed = cls(**vars(deploy_mic(
+            topo, seed=seed, params=params, pre_wire=pre_wire,
+            mic_kwargs=mic_kwargs, observe=observe, journey=journey,
+            journey_kwargs=journey_kwargs,
+        )))
         relay_params = tor_params or TorRelayParams()
-        relays = [
-            TorRelay(net.host(h), directory, params=relay_params)
+        bed.relays = [
+            TorRelay(bed.net.host(h), bed.directory, params=relay_params)
             for h in relay_hosts
         ]
-        return cls(net, ctrl, mic, l3, directory, relays, obs=obs, journey=rec)
+        return bed
 
     # -- convenience constructors for protocol endpoints --------------------
     def tcp_stack(self, host_name: str) -> TcpStack:
@@ -85,21 +67,9 @@ class Testbed:
         """A fresh SSL-over-TCP stack on a host."""
         return SslStack(self.tcp_stack(host_name))
 
-    def mic_endpoint(self, host_name: str) -> MicEndpoint:
-        """A MIC user-end module on a host."""
-        return MicEndpoint(self.net.host(host_name), self.mic)
-
-    def mic_server(self, host_name: str, port: int) -> MicServer:
-        """A MIC server on a host/port."""
-        return MicServer(self.net.host(host_name), port)
-
     def tor_client(self, host_name: str) -> TorClient:
         """A Tor onion proxy on a host."""
         return TorClient(self.net.host(host_name), self.directory)
-
-    def run(self, until=None):
-        """Run the testbed's simulator."""
-        return self.net.run(until=until)
 
     def reset_meters(self) -> None:
         """Zero all CPU meters (network + MC)."""

@@ -46,10 +46,6 @@ class MFlowPlan:
         """The responder-facing segment address (A[N])."""
         return self.fwd_addrs[-1]
 
-    def segment_count(self) -> int:
-        """Number of per-segment addresses (N+1)."""
-        return len(self.fwd_addrs)
-
 
 @dataclass
 class MimicChannel:

@@ -77,7 +77,7 @@ class CommonFlowTagger:
                               mpls=label)
                 actions = [Output(out_port)]
             entry = FlowEntry(match, actions, priority=TAG_PRIORITY, cookie=cookie)
-            events.append(self.controller.install(sw, entry))
+            events.append(self.controller.install_batch(sw, [entry]))
         return events
 
     def tag_all_recorded(self, l3_app) -> list:

@@ -35,10 +35,6 @@ class HiddenServiceMap:
         self._services[nickname] = svc
         return svc
 
-    def unregister(self, nickname: str) -> None:
-        """Remove a nickname if present."""
-        self._services.pop(nickname, None)
-
     def resolve(self, nickname: str) -> Optional[HiddenService]:
         """The service behind a nickname, or None."""
         return self._services.get(nickname)

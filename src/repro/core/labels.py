@@ -79,10 +79,6 @@ class LabelSpace:
             raise ValueError("reserved owner name")
         return self._allocate(mn_name)
 
-    def sid_of(self, owner: str) -> int:
-        """The S_ID assigned to an owner."""
-        return self._sid_by_owner[owner]
-
     @property
     def capacity(self) -> int:
         """Number of assignable S_ID values."""

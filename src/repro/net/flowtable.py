@@ -521,16 +521,6 @@ class FlowTable:
         self._count += 1
         self._bump()
 
-    def install_many(self, entries: Sequence[FlowEntry]) -> None:
-        """Install a batch of entries (one incremental index feed each).
-
-        The capacity check runs per entry, so a batch overflowing the TCAM
-        budget raises after installing exactly the entries that fit — the
-        same observable state as issuing the installs one by one.
-        """
-        for entry in entries:
-            self.install(entry)
-
     def _remove_where(self, pred) -> int:
         """Remove every entry satisfying ``pred``; returns the count."""
         removed = 0

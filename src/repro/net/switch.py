@@ -196,13 +196,6 @@ class Switch(Node):
         )
 
     # -- controller-side management (flow-mod with install latency) ----------
-    def install_later(self, entry, delay: Optional[float] = None):
-        """Install a flow entry after the control-channel latency.
-
-        Returns an event that fires when the rule is active.
-        """
-        return self.install_many_later((entry,), delay)
-
     def install_many_later(self, entries, delay: Optional[float] = None, groups=()):
         """Install one bundle — groups, then flow entries — after one
         control-channel latency.

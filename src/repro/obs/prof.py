@@ -389,16 +389,6 @@ class Profiler:
         """Called by ``Simulator.step`` after the heap call returned."""
         self.exit()
 
-    # -- derived rates -----------------------------------------------------
-    def callbacks_per_sim_second(self) -> float:
-        """Dispatches over the simulated span they covered (0.0 if none)."""
-        if self.sim_first_s is None or self.sim_last_s is None:
-            return 0.0
-        span = self.sim_last_s - self.sim_first_s
-        if span <= 0:
-            return float(self.dispatches)
-        return self.dispatches / span
-
     # -- wiring ------------------------------------------------------------
     def hook(self, net: "Network") -> "Profiler":
         """Wire this profiler into a live network's instrumented points.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..net.flowtable import FlowEntry, GroupEntry, Match, Output
+from ..net.flowtable import FlowEntry, GroupEntry
 from ..net.network import Network
 from ..net.packet import Packet
 from ..net.switch import Switch
@@ -153,22 +153,6 @@ class Controller:
             app.on_switch_event(name, up)
 
     # -- southbound operations ---------------------------------------------
-    def install(self, switch_name: str, entry: FlowEntry, delay: Optional[float] = None):
-        """Send a flow-mod; returns the event that fires once active.
-
-        With a fault plane attached the mod may be lost or delayed in the
-        control channel; lost mods are re-driven with backoff (acked
-        installs) and the returned event fails only when every retry is
-        exhausted.
-        """
-        self.flow_mods_sent += 1
-        sw = self.network.switch(switch_name)
-        if self.faults is None:
-            return sw.install_later(entry, delay=delay)
-        return self._reliable_send(
-            switch_name, lambda d: sw.install_later(entry, delay=d), delay
-        )
-
     def install_batch(
         self,
         switch_name: str,
@@ -177,7 +161,8 @@ class Controller:
         delay: Optional[float] = None,
     ):
         """Send one bundle — a switch's ``groups`` and flow ``entries`` in
-        one control message.
+        one control message.  The controller's only install call: a single
+        rule goes as a one-entry bundle.
 
         The switch applies the groups, then the entries, in one callback, so
         a rule never goes live before the group it references; the entries
@@ -298,18 +283,6 @@ class Controller:
         )
 
     # -- introspection / verification -----------------------------------------
-    def iter_rules(self):
-        """Yield ``(switch_name, FlowEntry)`` for every installed rule."""
-        for sw in self.network.switches():
-            for entry in sw.table.iter_entries():
-                yield sw.name, entry
-
-    def iter_groups(self):
-        """Yield ``(switch_name, GroupEntry)`` for every installed group."""
-        for sw in self.network.switches():
-            for group in sw.table.groups.values():
-                yield sw.name, group
-
     def verify(self):
         """Statically verify the installed data plane.
 
@@ -331,23 +304,3 @@ class Controller:
                 continue
             hops.append((node, self.network.port(node, path[i + 1])))
         return hops
-
-    def install_unicast_path(
-        self,
-        path: Sequence[str],
-        match: Match,
-        priority: int = 10,
-        cookie: int = 0,
-    ) -> list:
-        """Install a plain forwarding rule on every switch along ``path``.
-
-        One flow-mod per hop rule, all sent at once; returns their
-        install-complete events in hop order.  Reactive L3 wiring uses
-        this; proactive wiring sends a switch's rules as one
-        :meth:`install_batch` bundle instead.
-        """
-        events = []
-        for sw_name, out_port in self.ports_along(path):
-            entry = FlowEntry(match, [Output(out_port)], priority=priority, cookie=cookie)
-            events.append(self.install(sw_name, entry))
-        return events

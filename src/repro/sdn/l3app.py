@@ -16,6 +16,7 @@ from ..net.flowtable import FlowEntry, Match, Output
 from ..net.graph import NoPathError
 from ..net.packet import Packet
 from ..net.switch import Switch
+from ..sim.engine import Event
 from .controller import ControllerApp
 
 __all__ = ["L3ShortestPathApp"]
@@ -67,32 +68,44 @@ class L3ShortestPathApp(ControllerApp):
         return True
 
     # ------------------------------------------------------------------
-    def _plan_pair(self, src_name: str, dst_name: str) -> tuple[int, tuple]:
+    def _plan_pair(self, src_name: str, dst_name: str) -> tuple[int, list[str]]:
         """Pick a host pair's path and cookie and record both directions.
 
         The one place a pair is planned: one path draw from the
-        controller's rng, the next cookie.  Returns ``(cookie, directions)``
-        with ``directions`` the forward then the reverse ``(node path,
-        exact ⟨ip_src, ip_dst⟩ match)``.
+        controller's rng, the next cookie.  Returns ``(cookie, path)``.
         """
         ctrl = self.controller
         net = ctrl.network
-        src = net.host(src_name)
-        dst = net.host(dst_name)
         path = ctrl.view.pick_path(src_name, dst_name, ctrl.rng)
-        back = list(reversed(path))
         self.pair_paths[(src_name, dst_name)] = path
-        self.pair_paths[(dst_name, src_name)] = back
+        self.pair_paths[(dst_name, src_name)] = list(reversed(path))
         self._next_cookie += 1
         cookie = self._next_cookie
         self._pair_cookies[(src_name, dst_name)] = cookie
         self._pair_cookies[(dst_name, src_name)] = cookie
-        self._installed_pairs.add((src.ip, dst.ip))
-        self._installed_pairs.add((dst.ip, src.ip))
-        return cookie, (
-            (path, Match(ip_src=src.ip, ip_dst=dst.ip)),
-            (back, Match(ip_src=dst.ip, ip_dst=src.ip)),
-        )
+        src_ip, dst_ip = net.host(src_name).ip, net.host(dst_name).ip
+        self._installed_pairs.add((src_ip, dst_ip))
+        self._installed_pairs.add((dst_ip, src_ip))
+        return cookie, path
+
+    def _hop_rules(
+        self, src_name: str, dst_name: str, path: list[str], cookie: int
+    ) -> list[tuple[str, FlowEntry]]:
+        """``(switch, rule)`` for every hop of a pair's path: the forward
+        direction's exact ⟨ip_src, ip_dst⟩ rules, then the reverse's."""
+        ctrl = self.controller
+        src_ip = ctrl.network.host(src_name).ip
+        dst_ip = ctrl.network.host(dst_name).ip
+        rules = []
+        for hop_path, match in (
+            (path, Match(ip_src=src_ip, ip_dst=dst_ip)),
+            (list(reversed(path)), Match(ip_src=dst_ip, ip_dst=src_ip)),
+        ):
+            for sw_name, out_port in ctrl.ports_along(hop_path):
+                rules.append((sw_name, FlowEntry(
+                    match, [Output(out_port)], priority=self.priority, cookie=cookie
+                )))
+        return rules
 
     def wire_pair(
         self,
@@ -103,27 +116,80 @@ class L3ShortestPathApp(ControllerApp):
         """Install forward+reverse rules for a host pair, one flow-mod per
         hop rule.
 
-        Returns install events.  When ``release_pair`` is given, packets
-        queued for that pair are re-injected once all installs complete.
-        Per rule because the outage bookkeeping (:meth:`on_switch_event`)
-        keys on each hop's own install event.
+        Returns install events.  When ``release_pair`` is given (a
+        packet-in), packets queued for that pair are re-injected once all
+        installs complete, or dropped with the pair if one fails (see
+        :meth:`_settle`).  One message per rule, not one bundle per switch:
+        bundling would change the fault plane's fate draws under the chaos
+        goldens.
         """
-        ctrl = self.controller
-        cookie, directions = self._plan_pair(src_name, dst_name)
-        events = []
-        for hop_path, match in directions:
-            hop_events = ctrl.install_unicast_path(
-                hop_path, match, priority=self.priority, cookie=cookie
-            )
-            events += hop_events
-            if self._down:  # wired during an outage
-                for (sw_name, _port), ev in zip(ctrl.ports_along(hop_path), hop_events):
-                    if sw_name in self._down:
-                        self._down[sw_name][match] = ev
+        cookie, path = self._plan_pair(src_name, dst_name)
+        events = [
+            self._send(sw_name, [rule])
+            for sw_name, rule in self._hop_rules(src_name, dst_name, path, cookie)
+        ]
         if release_pair is not None:
-            done = ctrl.sim.all_of(events)
-            done.callbacks.append(lambda _ev: self._release(release_pair))
+            self._settle(src_name, dst_name, cookie, events, release_pair)
         return events
+
+    def _send(self, sw_name: str, entries: list[FlowEntry]) -> Event:
+        """Send one ``install_batch`` message; while the app believes the
+        switch down, book its rules in ``_down`` (see :meth:`on_switch_event`)."""
+        ev = self.controller.install_batch(sw_name, entries)
+        if sw_name in self._down:
+            self._down[sw_name].update((e.match, ev) for e in entries)
+        return ev
+
+    def _settle(
+        self,
+        src_name: str,
+        dst_name: str,
+        cookie: int,
+        events: list[Event],
+        release_pair: Optional[tuple] = None,
+    ) -> None:
+        """Release the pair's held packets, or retract it if an install failed.
+
+        Every install landed: the packets held for ``release_pair`` are
+        re-injected through one ``all_of`` over the installs (the
+        work-counter golden counts its dispatch).  One failed: once all have
+        settled, the held packets are dropped and the pair is retracted, so
+        the next punt wires it afresh.  Settled is a count, not ``all_of``'s
+        fail-fast, which would retract while a sibling is still being
+        retried and let its rule land after the retraction.  A pair
+        re-planned meanwhile is left alone.
+        """
+        if release_pair is not None:
+            self.controller.sim.all_of(events).callbacks.append(
+                lambda done: self._release(release_pair) if done.ok else None
+            )
+        left = len(events)
+
+        def settled(_ev: Event) -> None:
+            nonlocal left
+            left -= 1
+            if left or all(ev.ok for ev in events):
+                return
+            if release_pair is not None:
+                self._pending.pop(release_pair, None)
+            if self._pair_cookies.get((src_name, dst_name)) == cookie:
+                self._forget(src_name, dst_name)
+
+        for ev in events:
+            ev.callbacks.append(settled)
+
+    def _forget(self, src_name: str, dst_name: str) -> None:
+        """Remove a wired pair's rules along its path and forget both
+        directions, so the next packet-in for it wires it again."""
+        ctrl = self.controller
+        net = ctrl.network
+        cookie = self._pair_cookies[(src_name, dst_name)]
+        for node in self.pair_paths[(src_name, dst_name)][1:-1]:
+            ctrl.remove_by_cookie(node, cookie)
+        for a, b in ((src_name, dst_name), (dst_name, src_name)):
+            self.pair_paths.pop((a, b), None)
+            self._pair_cookies.pop((a, b), None)
+            self._installed_pairs.discard((net.host(a).ip, net.host(b).ip))
 
     def _release(self, pair: tuple) -> None:
         ctrl = self.controller
@@ -152,16 +218,7 @@ class L3ShortestPathApp(ControllerApp):
                 continue  # forward+reverse repaired together
             repaired.add(key)
             src, dst = pair
-            old_path = self.pair_paths[pair]
-            cookie = self._pair_cookies[pair]
-            for node in old_path[1:-1]:
-                self.controller.remove_by_cookie(node, cookie)
-            for p in (pair, (dst, src)):
-                self.pair_paths.pop(p, None)
-                self._pair_cookies.pop(p, None)
-                src_ip = self.controller.network.host(p[0]).ip
-                dst_ip = self.controller.network.host(p[1]).ip
-                self._installed_pairs.discard((src_ip, dst_ip))
+            self._forget(src, dst)
             try:
                 self.wire_pair(src, dst)
             except (NoPathError, KeyError, IndexError):
@@ -184,8 +241,6 @@ class L3ShortestPathApp(ControllerApp):
             self._down[name] = {}
             return
         landed = self._down.pop(name, {})
-        ctrl = self.controller
-        net = ctrl.network
         reinstalled: set[frozenset] = set()
         for pair, path in list(self.pair_paths.items()):
             if name not in path:
@@ -196,22 +251,13 @@ class L3ShortestPathApp(ControllerApp):
             reinstalled.add(key)
             src, dst = pair
             cookie = self._pair_cookies[pair]
-            src_ip = net.host(src).ip
-            dst_ip = net.host(dst).ip
-            for hop_path, match in (
-                (path, Match(ip_src=src_ip, ip_dst=dst_ip)),
-                (list(reversed(path)), Match(ip_src=dst_ip, ip_dst=src_ip)),
-            ):
-                for sw_name, out_port in ctrl.ports_along(hop_path):
-                    if sw_name != name or (match in landed and landed[match].ok):
-                        continue
-                    ctrl.install(
-                        sw_name,
-                        FlowEntry(
-                            match, [Output(out_port)],
-                            priority=self.priority, cookie=cookie,
-                        ),
-                    )
+            events = [
+                self._send(sw_name, [rule])
+                for sw_name, rule in self._hop_rules(src, dst, path, cookie)
+                if sw_name == name
+                and not (rule.match in landed and landed[rule.match].ok)
+            ]
+            self._settle(src, dst, cookie, events)
 
     # ------------------------------------------------------------------
     def wire_all_pairs(self) -> list:
@@ -232,17 +278,8 @@ class L3ShortestPathApp(ControllerApp):
         hosts = ctrl.network.topo.hosts()
         for i, a in enumerate(hosts):
             for b in hosts[i + 1 :]:
-                cookie, directions = self._plan_pair(a, b)
-                for hop_path, match in directions:
-                    for sw_name, out_port in ctrl.ports_along(hop_path):
-                        bundles.setdefault(sw_name, []).append(FlowEntry(
-                            match, [Output(out_port)], priority=self.priority,
-                            cookie=cookie, entry_id=next(entry_ids),
-                        ))
-        events = []
-        for sw_name, entries in bundles.items():
-            ev = ctrl.install_batch(sw_name, entries)
-            events.append(ev)
-            if sw_name in self._down:  # see on_switch_event
-                self._down[sw_name].update((e.match, ev) for e in entries)
-        return events
+                cookie, path = self._plan_pair(a, b)
+                for sw_name, rule in self._hop_rules(a, b, path, cookie):
+                    rule.entry_id = next(entry_ids)
+                    bundles.setdefault(sw_name, []).append(rule)
+        return [self._send(sw_name, entries) for sw_name, entries in bundles.items()]

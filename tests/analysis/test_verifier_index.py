@@ -216,7 +216,8 @@ def test_no_shim_header_meets_no_mpls_rules_only():
     bare = FlowEntry(Match(mpls=Match.NO_MPLS), [Drop()], priority=10)
     labelled = FlowEntry(Match(mpls=11), [Drop()], priority=10)
     anything = FlowEntry(Match(ip_dst=_IPS[0]), [Drop()], priority=5)
-    table.install_many([bare, labelled, anything])
+    for entry in (bare, labelled, anything):
+        table.install(entry)
     index = CandidateIndex(table)
     assert index.candidates(SymbolicHeader(mpls=None)) == [bare]
     assert index.candidates(SymbolicHeader(mpls=11)) == [labelled]

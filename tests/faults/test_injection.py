@@ -111,8 +111,8 @@ def test_dead_switch_blackholes_and_refuses_installs():
         from repro.net import FlowEntry, Match, Output
 
         try:
-            yield sw.install_later(
-                FlowEntry(Match(ip_dst=h1.ip), [Output(1)]), delay=0.001
+            yield sw.install_many_later(
+                [FlowEntry(Match(ip_dst=h1.ip), [Output(1)])], delay=0.001
             )
         except SwitchDownError:
             failed["yes"] = True

@@ -27,7 +27,7 @@ def test_lost_installs_are_retried_until_the_window_ends():
     ctrl = Controller(net, ack_timeout_s=0.004)
     sched = _loss_schedule(net, ctrl, loss_prob=1.0, duration=0.05)
     sw = net.switch("p0e0")
-    done = ctrl.install("p0e0", _entry(net))
+    done = ctrl.install_batch("p0e0", [_entry(net)])
     net.run(until=1.0)
     assert done.ok
     assert len(list(sw.table.iter_entries())) == 1  # landed exactly once
@@ -44,7 +44,7 @@ def test_retry_budget_exhaustion_fails_the_install_event():
 
     def go():
         try:
-            yield ctrl.install("p0e0", _entry(net))
+            yield ctrl.install_batch("p0e0", [_entry(net)])
             result["outcome"] = "ok"
         except InstallLostError:
             result["outcome"] = "lost"
@@ -61,7 +61,7 @@ def test_delay_fault_defers_but_does_not_lose():
     _loss_schedule(net, ctrl, loss_prob=0.0, duration=10.0,
                    delay_prob=1.0, extra_delay_s=0.05)
     base = net.params.flow_install_delay_s
-    done = ctrl.install("p0e0", _entry(net))
+    done = ctrl.install_batch("p0e0", [_entry(net)])
     net.run(until=base + 0.01)
     assert not done.triggered  # still riding out the injected delay
     net.run(until=base + 0.06)
@@ -76,7 +76,7 @@ def test_loss_scope_spares_other_switches():
     sched.rule_install_loss(at_s=0.0, duration_s=10.0, loss_prob=1.0,
                             switches=("p0e0",))
     sched.attach(net, ctrl)
-    clean = ctrl.install("p0e1", _entry(net))
+    clean = ctrl.install_batch("p0e1", [_entry(net)])
     net.run(until=0.01)
     assert clean.ok
     assert ctrl.flow_mods_lost == 0
@@ -167,7 +167,7 @@ def test_same_seed_same_fates():
         sched = _loss_schedule(net, ctrl, loss_prob=0.5, duration=10.0,
                                seed=seed)
         for _ in range(16):
-            ctrl.install("p0e0", _entry(net))
+            ctrl.install_batch("p0e0", [_entry(net)])
         net.run(until=2.0)
         return (ctrl.flow_mods_lost, ctrl.flow_mods_retried,
                 sched.flowmods_lost)

@@ -273,7 +273,7 @@ def test_flow_install_delay():
     net = two_host_net()
     s1 = net.switch("s1")
     entry = FlowEntry(Match(), [Output(1)])
-    ev = s1.install_later(entry)
+    ev = s1.install_many_later([entry])
     net.run(until=ev)
     assert net.sim.now == pytest.approx(net.params.flow_install_delay_s)
     assert len(s1.table) == 1

@@ -58,12 +58,12 @@ def run_scenario(trace: bool = True):
     )
     s2.table.install(FlowEntry(Match(ip_dst=h3.ip), [Group(1)]))
     # the last rule arrives as a flow-mod (one switch.flowmod record)
-    s3.install_later(
+    s3.install_many_later([
         FlowEntry(
             Match(ip_dst=h3.ip),
             [SetField("sport", 4321), Output(net.port("s3", "h3"))],
         )
-    )
+    ])
     h3.bind("tcp", 80, lambda host, p: None)
 
     # queue_depth armed low so a healthy link.tx behind a backlog dumps too

@@ -2,7 +2,7 @@
 
 How ``L3ShortestPathApp.wire_all_pairs`` wired a fabric before it sent one
 bundle per switch: every unordered host pair through ``wire_pair``, each hop
-rule its own ``Controller.install``.  The bundled pre-wire must leave the
+rule its own one-entry ``Controller.install_batch``.  The bundled pre-wire must leave the
 same path draws, cookies, entry ids and per-table rule order behind.
 """
 

@@ -43,8 +43,8 @@ def test_app_chain_stops_at_consumer():
 
 def test_install_counts_flow_mods():
     net, ctrl = build(linear(2, hosts_per_switch=1))
-    ctrl.install("s1", FlowEntry(Match(), [Output(1)]))
-    ctrl.install("s2", FlowEntry(Match(), [Output(1)]))
+    ctrl.install_batch("s1", [FlowEntry(Match(), [Output(1)])])
+    ctrl.install_batch("s2", [FlowEntry(Match(), [Output(1)])])
     net.run()
     assert ctrl.flow_mods_sent == 2
     assert len(net.switch("s1").table) == 1
@@ -135,7 +135,7 @@ def test_l3_proactive_wiring_no_packet_ins():
 
 def test_remove_by_cookie_tears_down():
     net, ctrl = build(linear(1, hosts_per_switch=2))
-    ctrl.install("s1", FlowEntry(Match(), [Output(1)], cookie=7))
+    ctrl.install_batch("s1", [FlowEntry(Match(), [Output(1)], cookie=7)])
     net.run()
     ctrl.remove_by_cookie("s1", 7)
     net.run()
