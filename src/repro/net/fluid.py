@@ -2,25 +2,30 @@
 
 Long-running bulk transfers (the paper's iperf measurements, Fig 9) settle at
 a bandwidth-sharing fixed point rather than being interesting packet by
-packet.  This module computes the classic **max-min fair** allocation by
-progressive filling over the links each flow traverses.
+packet.  This module computes the classic **max-min fair** allocation over
+the links each flow traverses.
 
 Per-flow rate caps (e.g. a Tor relay whose AES throughput is CPU-bound) are
-modeled as single-user virtual links, which keeps the water-filling loop
-uniform.
+modeled as single-user virtual links, which keeps the filling loop uniform.
+A flow whose links all have infinite effective capacity gets ``inf``, like a
+flow with no links at all.  No input yields ``nan``: an infinite external
+load on an infinite link leaves it no capacity, like any external load at or
+above capacity.
 
 Two implementations share the model:
 
-* :func:`max_min_fair` — the pure-python **reference** solver (exact,
-  deterministic, one-shot).  Everything else is tested against it.
+* :func:`max_min_fair` — the pure-python **reference** solver (progressive
+  filling, one bottleneck level per iteration, deterministic, one-shot).
+  Everything else is tested against it.
 * :class:`FluidSolver` — the **incremental** engine behind
   :mod:`repro.net.hybrid`: array-backed per-link state, flow/capacity churn
   that dirties the allocation instead of rebuilding it, per-link external
-  (packet-level) load debits, and a numpy water-filling loop whose rounds
-  cost the live links rather than every flow×link entry.
+  (packet-level) load debits, and a numpy loop that freezes every local
+  bottleneck in the same round.
   ``tests/net/test_fluid_solver.py`` holds its rates equal to the reference
-  on random instances; ``tests/net/test_fluid_incremental.py`` holds them
-  bit-equal to the full-scan loop it replaced.
+  on random instances; ``tests/net/test_fluid_incremental.py`` checks the
+  max-min certificate on every instance it generates and compares with the
+  one-level-per-round loop it replaced.
 """
 
 from __future__ import annotations
@@ -72,6 +77,12 @@ class FluidAllocation:
         ]
 
 
+def _check_rate_cap(flow_id: str, rate_cap_bps: float) -> None:
+    # ``not >=`` also refuses nan
+    if not rate_cap_bps >= 0:
+        raise ValueError(f"flow {flow_id}: negative or nan rate cap {rate_cap_bps!r}")
+
+
 def max_min_fair(
     flows: Iterable[FluidFlow],
     capacities_bps: dict[LinkId, float],
@@ -81,6 +92,7 @@ def max_min_fair(
     Every iteration finds the most constrained resource (least remaining
     capacity per active flow), freezes its flows at the fair share, and
     repeats.  Runs in O(iterations × links); iterations ≤ number of flows.
+    A negative or nan rate cap is a ``ValueError``.
     """
     flows = list(flows)
     ids = [f.flow_id for f in flows]
@@ -98,6 +110,7 @@ def max_min_fair(
                 raise KeyError(f"flow {f.flow_id} uses unknown link {l!r}")
             resolved.append(l)
         if f.rate_cap_bps is not None:
+            _check_rate_cap(f.flow_id, f.rate_cap_bps)
             cap_link: LinkId = ("__cap__", f.flow_id)
             capacity[cap_link] = f.rate_cap_bps
             users[cap_link] = set()
@@ -125,7 +138,10 @@ def max_min_fair(
             if share < bottleneck_share:
                 bottleneck_share = share
         if bottleneck_share == float("inf"):
-            break  # no active flow uses any link (already handled above)
+            # every active flow is on infinite links only: unconstrained
+            for fid in active:
+                rates[fid] = float("inf")
+            break
         # Raise every active flow by the bottleneck share.
         for fid in active:
             rates[fid] += bottleneck_share
@@ -170,50 +186,32 @@ class _Incidence(NamedTuple):
     n_phys: int
     #: the flow ids numbered, in registration order
     flow_ids: list
-    #: physical link rows, flow-major, and how many each flow has: the
-    #: summation order of link loads
+    #: link rows, flow-major — each flow's physical rows, then its cap
+    #: link's — and how many each flow has: the summation order of loads
     link_of: np.ndarray
     lens: np.ndarray
-    #: link -> the flows on it, CSR (a flow listing a link twice is there
-    #: twice; a cap link lists its one flow)
-    l_ptr: np.ndarray
-    l_flows: np.ndarray
-    #: entries per link, i.e. the user count while every flow is active
-    users: np.ndarray
     #: capacities of the virtual cap links
     cap_rates: np.ndarray
-
-    def capped_flows(self) -> np.ndarray:
-        """The flow of each cap link, in cap-link order."""
-        return self.l_flows[self.l_ptr[self.n_phys:-1]]
 
 
 def _drop_flows(inc: _Incidence, keep: np.ndarray, flow_ids: list) -> _Incidence:
     """``inc`` without the flows ``keep`` is False for, renumbered.
 
-    Masking keeps every surviving entry in its relative order — flow-major
-    for the link rows, link-major for the link -> flows lists — which is the
+    Masking keeps every surviving entry in its relative order, which is the
     order a rebuild over the surviving flows produces; cap links keep their
     relative order too and close ranks behind the physical rows.
     """
     n_phys = inc.n_phys
-    cap_keep = keep[inc.capped_flows()]
-    link_of = inc.link_of[np.repeat(keep, inc.lens)]
-    users = np.concatenate((
-        np.bincount(link_of, minlength=n_phys),
-        np.ones(int(cap_keep.sum()), dtype=np.int64),
-    ))
-    l_flows = inc.l_flows[keep[inc.l_flows]]
-    np.take(np.cumsum(keep) - 1, l_flows, out=l_flows)
+    kept = np.repeat(keep, inc.lens)
+    link_of = inc.link_of[kept]
+    cap_rates = inc.cap_rates[kept[inc.link_of >= n_phys]]
+    link_of[link_of >= n_phys] = np.arange(n_phys, n_phys + len(cap_rates))
     return _Incidence(
         n_phys=n_phys,
         flow_ids=flow_ids,
         link_of=link_of,
         lens=inc.lens[keep],
-        l_ptr=np.concatenate(([0], np.cumsum(users))),
-        l_flows=l_flows,
-        users=users.astype(np.float64),
-        cap_rates=inc.cap_rates[cap_keep],
+        cap_rates=cap_rates,
     )
 
 
@@ -235,24 +233,20 @@ class FluidSolver:
     Link names are resolved to rows of the capacity / external-load arrays
     once, in :meth:`add_flow` — a flow is stored as its tuple of rows — and
     the flow×link incidence is kept between solves (removals mask it).  A
-    filling round then works on per-link arrays only: the water ``level``
-    every still-active flow sits at is one scalar, each link keeps a count
-    of its active users, and freezing a flow decrements the counts along
-    that flow's own row.  A link whose last user froze is parked, and parked
-    links are compacted out of the arrays the rounds sweep.
+    filling round gives every link its fair level and freezes the flows of
+    every link that is a bottleneck for all of them at once, so the rounds
+    follow the depth of the bottleneck structure, not the number of
+    distinct rates.
 
     Instances below ``_VECTOR_MIN_FLOWS`` flows go through
-    :func:`max_min_fair` instead.  The two are deliberately not folded into
-    one: the array loop freezes flows on saturated links with a *relative*
-    tolerance (gigabit-scale capacities would otherwise trip the
-    numerical-safety fallback), the reference with an absolute one, so
-    moving an instance from one to the other moves simulated results.
+    :func:`max_min_fair` instead.  Both compute the max-min allocation, but
+    not with the same float operations, and the hybrid runs this repo pins
+    solve small instances on that path: moving them onto the array loop
+    would move their rates in the last bits.
     """
 
     #: below this many flows the array loop costs more than it saves
     _VECTOR_MIN_FLOWS = 32
-    #: compact parked links out of the swept arrays past this share of them
-    _COMPACT_SHARE = 0.125
 
     def __init__(self, capacities_bps: Optional[dict[LinkId, float]] = None):
         #: link id -> row of the per-link arrays (registration order)
@@ -271,9 +265,10 @@ class FluidSolver:
         #: filling rounds of the array loop, summed over solves: the work
         #: counter that explains solve time (obs counter)
         self.rounds = 0
-        #: link rows the filling rounds swept, summed over rounds and solves
-        #: (live links plus parked ones awaiting compaction; obs counter)
-        self.link_rows_swept = 0
+        #: flow×link entries (cap links included) of the flows still active
+        #: at the start of each round, summed over rounds and solves (obs
+        #: counter)
+        self.entries_swept = 0
         #: opt-in self-profiler (repro.obs.prof.Profiler); None = off and
         #: the solve hook in rates() is statically dead.
         self._prof = None
@@ -327,9 +322,14 @@ class FluidSolver:
         links: Sequence[LinkId],
         rate_cap_bps: Optional[float] = None,
     ) -> None:
-        """Add one flow over ``links``; dirties the allocation."""
+        """Add one flow over ``links``; dirties the allocation.
+
+        A negative or nan ``rate_cap_bps`` is a ``ValueError``.
+        """
         if flow_id in self._flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
+        if rate_cap_bps is not None:
+            _check_rate_cap(flow_id, rate_cap_bps)
         try:
             self._flows[flow_id] = tuple(map(self._link_row.__getitem__, links))
         except KeyError as exc:
@@ -380,7 +380,9 @@ class FluidSolver:
 
     # -- solving ----------------------------------------------------------
     def _effective_array(self) -> np.ndarray:
-        return np.maximum(np.frombuffer(self._cap) - np.frombuffer(self._ext), 0.0)
+        # fmax: an infinite external load on an infinite link (inf - inf)
+        # leaves nothing, so no nan reaches the filling loop
+        return np.fmax(np.frombuffer(self._cap) - np.frombuffer(self._ext), 0.0)
 
     def _effective_capacities(self) -> dict[LinkId, float]:
         return dict(zip(self._link_row, self._effective_array().tolist()))
@@ -393,7 +395,7 @@ class FluidSolver:
                 self._resolve()
             else:
                 n_flows = len(self._flows)
-                rounds_before, swept_before = self.rounds, self.link_rows_swept
+                rounds_before, swept_before = self.rounds, self.entries_swept
                 prof.enter("fluid.solve")
                 try:
                     vectorized = self._resolve()
@@ -406,9 +408,7 @@ class FluidSolver:
                 prof.count("fluid.solve", "flows.solved", n_flows)
                 prof.count("fluid.solve", "rounds", self.rounds - rounds_before)
                 prof.count(
-                    "fluid.solve",
-                    "link_rows.swept",
-                    self.link_rows_swept - swept_before,
+                    "fluid.solve", "entries.swept", self.entries_swept - swept_before
                 )
         return self._rates
 
@@ -459,9 +459,12 @@ class FluidSolver:
             map(rates.__getitem__, self._flows), np.float64, len(self._flows)
         )
         link_of, weight = inc.link_of, np.repeat(rate_of, inc.lens)
-        finite = weight != float("inf")
-        if not finite.all():
-            link_of, weight = link_of[finite], weight[finite]
+        # physical entries of finite-rate flows
+        use = weight != float("inf")
+        if len(inc.cap_rates):
+            use &= link_of < inc.n_phys
+        if not use.all():
+            link_of, weight = link_of[use], weight[use]
         # bincount adds in entry order, which is flow-major: each link sums
         # its flows' rates in registration order
         return np.bincount(link_of, weights=weight, minlength=inc.n_phys), link_of
@@ -488,138 +491,85 @@ class FluidSolver:
                 )
                 inc = self._incidence = _drop_flows(inc, keep, list(self._flows))
             return inc
-        n_phys, n_flows = len(self._cap), len(self._flows)
-        rows = self._flows.values()
-        lens = np.fromiter(map(len, rows), np.intp, n_flows)
-        link_of = np.fromiter(chain.from_iterable(rows), np.intp, int(lens.sum()))
-        flow_of = np.repeat(np.arange(n_flows, dtype=np.intp), lens)
+        n_phys, caps = len(self._cap), self._rate_caps
+        rows = list(self._flows.values())
         # Virtual single-user cap links keep the filling loop uniform.
-        caps = self._rate_caps
-        capped = [(i, caps[fid]) for i, fid in enumerate(self._flows) if fid in caps]
-        if capped:
-            all_flow = np.concatenate(
-                (flow_of, np.array([i for i, _ in capped], dtype=np.intp))
-            )
-            all_link = np.concatenate(
-                (link_of, np.arange(n_phys, n_phys + len(capped), dtype=np.intp))
-            )
-        else:
-            all_flow, all_link = flow_of, link_of
-        users = np.bincount(all_link, minlength=n_phys + len(capped))
+        cap_rates = []
+        for i, fid in enumerate(self._flows):
+            if fid in caps:
+                rows[i] += (n_phys + len(cap_rates),)
+                cap_rates.append(caps[fid])
+        lens = np.fromiter(map(len, rows), np.intp, len(rows))
         inc = self._incidence = _Incidence(
             n_phys=n_phys,
             flow_ids=list(self._flows),
-            link_of=link_of,
+            link_of=np.fromiter(chain.from_iterable(rows), np.intp, int(lens.sum())),
             lens=lens,
-            l_ptr=np.concatenate(([0], np.cumsum(users))),
-            l_flows=all_flow[np.argsort(all_link, kind="stable")],
-            users=users.astype(np.float64),
-            cap_rates=np.array([cap for _, cap in capped], dtype=np.float64),
+            cap_rates=np.array(cap_rates, dtype=np.float64),
         )
         return inc
 
     def _solve_vectorized(self) -> dict[str, float]:
-        """Progressive filling; a round costs the links, not the incidence.
+        """Parallel water filling: every local bottleneck freezes per round.
 
-        Every active flow has received every share so far, so its rate is
-        the running ``level`` and a frozen flow's is the level it froze at —
-        the same additions in the same order as raising each rate by each
-        share.  ``count`` (active entries per link) is decremented along the
-        links of the flows a round freezes, duplicates accumulating.
+        A round gives every link the fair ``level`` its remaining capacity
+        offers each of its active entries, ``(effective - frozen load) /
+        active entries``, floored at 0.  An active flow's ``fair`` rate is
+        the least level along it.  A link is a bottleneck when none of its
+        active flows has a fair rate below its level; every active flow on a
+        bottleneck link freezes at its fair rate, its rate is added to the
+        frozen load of each of its entries (a link listed twice counts
+        twice), and its entries leave the active set.
 
-        The rounds sweep only the links some flow uses: ``live`` holds their
-        rows in ascending order and ``remaining`` / ``sat_floor`` / ``count``
-        are aligned with it (``pos`` maps a row back to its place).  A link
-        whose last user froze is parked in place, then compacted out once
-        parked links are ``_COMPACT_SHARE`` of the swept rows.  A parked
-        link never gives the minimum share and never reads as saturated, so
-        each round's share and frozen set are those of a sweep over every
-        row; after a round whose share is inf, every live link holds nan and
-        the minimum is nan either way.
-
-        A round's share is a few vector passes; the flows it freezes are a
-        handful, so they are found and released through Python lists (the
-        flows of each saturated link, each frozen flow's own link rows).
-        Which flows freeze, not the order they are found in, decides every
-        value: levels are assigned, counts are whole numbers.
+        This is the bottleneck characterization of max-min fairness
+        (Bertsekas & Gallager, *Data Networks*, §6.5.2): a link's level
+        never falls while its flows freeze below it, so a frozen flow's
+        bottleneck ends saturated with no flow on it above that rate.  The
+        lowest level is a bottleneck, so every round freezes at least one
+        flow — there is no saturation tolerance and no fallback, and at most
+        as many rounds as flows.  Infinite rates load nothing: an
+        infinite link's level stays infinite.
         """
         inc = self._incidence_arrays()
-        l_ptr, l_flows = inc.l_ptr.tolist(), inc.l_flows
-        inf = float("inf")
-        live = inc.users.nonzero()[0]
-        remaining = np.concatenate((self._effective_array(), inc.cap_rates))[live]
-        # Relative saturation tolerance (reference uses absolute 1e-9; at
-        # gigabit capacities float error alone exceeds that).
-        sat_floor = np.maximum(remaining * 1e-9, 1e-9)
-        count = inc.users[live]
-        pos = np.empty(len(inc.users), dtype=np.intp)
-        pos[live] = np.arange(len(live))
-        share_of = np.empty_like(remaining)  # per-round scratch
-        saturated = np.empty(len(remaining), dtype=bool)
-        parked = 0
-        # a frozen flow releases its physical rows and its cap link's row
-        rows_of = list(self._flows.values())
-        capped = inc.capped_flows()
-        cap_row = dict(zip(capped.tolist(), range(inc.n_phys, len(inc.users))))
-        # Pathless flows are unconstrained (inf), mirroring the reference.
-        has_links = inc.lens > 0
-        has_links[capped] = True
-        rates = np.where(has_links, 0.0, inf)
-        active = has_links.tolist()
-        n_active = int(has_links.sum())
-        level = 0.0
+        capacity = np.concatenate((self._effective_array(), inc.cap_rates))
+        n_links, n_flows, inf = len(capacity), len(inc.lens), float("inf")
+        # the active entries and their flows; pathless flows have none and
+        # stay unconstrained (inf), mirroring the reference
+        link_of = inc.link_of
+        flow_of = np.repeat(np.arange(n_flows), inc.lens)
+        rates = np.full(n_flows, inf)
+        count = np.bincount(link_of, minlength=n_links).astype(np.float64)
+        load = np.zeros(n_links)
+        level, least = np.empty(n_links), np.empty(n_links)
+        fair, frozen = np.empty(n_flows), np.empty(n_flows, dtype=bool)
         rounds = swept = 0
-        while n_active:
-            rounds += 1
-            swept += len(remaining)
-            np.divide(remaining, count, out=share_of)
-            share = max(float(np.minimum.reduce(share_of)), 0.0)
-            level += share
-            np.multiply(count, share, out=share_of)
-            np.subtract(remaining, share_of, out=remaining)
-            np.less_equal(remaining, sat_floor, out=saturated)
-            # every active flow on a saturated link, once
-            frozen = []
-            for row in live[saturated.nonzero()[0]].tolist():
-                for flow in l_flows[l_ptr[row]:l_ptr[row + 1]].tolist():
-                    if active[flow]:
-                        active[flow] = False
-                        frozen.append(flow)
-            if not frozen:
-                # Numerical safety, as in the reference: freeze the
-                # lexicographically-first active flow.
-                flow = min(
-                    (i for i, on in enumerate(active) if on),
-                    key=inc.flow_ids.__getitem__,
+        # a link no active entry is on divides by zero; its level is unread
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while len(link_of):
+                rounds += 1
+                swept += len(link_of)
+                np.subtract(capacity, load, out=level)
+                np.divide(level, count, out=level)
+                np.maximum(level, 0.0, out=level)
+                at = level[link_of]
+                fair.fill(inf)
+                np.minimum.at(fair, flow_of, at)
+                fair_at = fair[flow_of]
+                # the least fair rate on each link: a bottleneck's is its level
+                least.fill(inf)
+                np.minimum.at(least, link_of, fair_at)
+                frozen.fill(False)
+                frozen[flow_of[(least >= level)[link_of]]] = True
+                np.copyto(rates, fair, where=frozen)
+                gone = frozen[flow_of]
+                freed, rate = link_of[gone], fair_at[gone]
+                np.subtract(count, np.bincount(freed, minlength=n_links), out=count)
+                finite = rate != inf
+                load += np.bincount(
+                    freed[finite], weights=rate[finite], minlength=n_links
                 )
-                active[flow] = False
-                frozen.append(flow)
-            rates[frozen] = level
-            n_active -= len(frozen)
-            freed = [row for flow in frozen for row in rows_of[flow]]
-            if cap_row:
-                freed += [cap_row[flow] for flow in frozen if flow in cap_row]
-            # a frozen flow's links are live, not parked: pos is current
-            at = pos[freed]
-            np.subtract.at(count, at, 1.0)
-            gone = at[count[at] == 0.0]
-            if not len(gone):
-                continue
-            # Park: one phantom user of infinite capacity offers share inf
-            # and cannot read as saturated, whatever its cap — an inf cap's
-            # floor is inf.
-            count[gone] = 1.0
-            remaining[gone] = inf
-            sat_floor[gone] = -inf
-            parked += len(set(gone.tolist()))
-            if parked > self._COMPACT_SHARE * len(remaining):
-                keep = sat_floor != -inf
-                live, remaining, sat_floor, count = (
-                    live[keep], remaining[keep], sat_floor[keep], count[keep]
-                )
-                pos[live] = np.arange(len(live))
-                share_of, saturated = share_of[: len(live)], saturated[: len(live)]
-                parked = 0
+                live = ~gone
+                link_of, flow_of = link_of[live], flow_of[live]
         self.rounds += rounds
-        self.link_rows_swept += swept
+        self.entries_swept += swept
         return dict(zip(self._flows, rates.tolist()))

@@ -102,9 +102,9 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
         "`path.vectorized`, `path.scalar`, `flows.solved` (flow-set size "
         "summed over solves), `rounds` (water-filling rounds of the array "
         "loop summed over solves — `FluidSolver.rounds`, the work that "
-        "explains the self time), `link_rows.swept` (link rows those "
-        "rounds swept: live links plus parked ones awaiting compaction — "
-        "`FluidSolver.link_rows_swept`)",
+        "explains the self time), `entries.swept` (flow×link entries, cap "
+        "links included, still active at the start of those rounds — "
+        "`FluidSolver.entries_swept`)",
     ),
     ProfSubsystem(
         "hybrid.epoch",

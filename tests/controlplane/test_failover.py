@@ -256,3 +256,47 @@ def test_idle_expiry_runs_on_a_rejoined_shard():
     assert sock.channel_id in home.channels
     dep.run_for(10.0)
     assert dep.mic.live_channels == 0
+
+
+_ORPHAN = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1 PR C: a shard that dies between push and settle "
+    "orphans what it pushed (docs/resilience.md Known limits)",
+)
+
+
+@pytest.mark.parametrize("gap_s", [
+    0.0,
+    0.0005,
+    pytest.param(0.001, marks=_ORPHAN),
+    pytest.param(0.0015, marks=_ORPHAN),
+    pytest.param(0.002, marks=_ORPHAN),
+    0.005,
+])
+def test_crashing_the_adopter_mid_repair_leaves_no_orphan(gap_s):
+    """Kill a repairing shard, then its adopter ``gap_s`` later.
+
+    The reproducer of the in-flight-push orphan: at a gap of 1 to 2 ms the
+    adopter dies between pushing and settling the repair it re-drove, and
+    ``verify()`` reports three rules no live intent owns
+    (``registry-mismatch``).
+    """
+    dep, _ = establish_canonical(shards=4)
+    mic = dep.mic
+    victim = mic.shards[_owning_shard(mic)]
+    cid = min(victim.channels)
+    walk = victim.channels[cid].flows[0].walk
+    hop = walk[len(walk) // 2 - 1:len(walk) // 2 + 1]
+    dep.net.set_link_state(*hop, False)
+    deadline = dep.sim.now + 2.0
+    while not victim.repairing and dep.sim.now < deadline:
+        dep.run_for(0.002)
+    assert victim.repairing, "repair never started"
+    mic.crash_shard(victim.shard_id)
+    if gap_s:
+        dep.run_for(gap_s)
+    mic.crash_shard(mic.shard_of_channel(cid).shard_id)
+    dep.net.set_link_state(*hop, True)
+    dep.run_for(5.0)
+    assert mic.live_channels == 3
+    assert [v.format() for v in mic.verify().violations] == []

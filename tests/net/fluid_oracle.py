@@ -1,23 +1,36 @@
-"""The full-scan water-filling loop ``FluidSolver`` ran before the incremental one.
+"""Oracles for ``FluidSolver``: the loop it replaced, and the max-min certificate.
 
-Kept verbatim as the test oracle (and the baseline of
-``benchmarks/bench_fluid_solver.py``): every round re-gathers the whole
-flow×link incidence — ``active[flow_of]``, a fresh ``np.bincount``,
-``rates[active] += share``, ``saturated[link_of]`` — to freeze a handful of
-flows.  The incremental loop in :mod:`repro.net.fluid` performs the same
-float operations in the same order, so its rates, link loads and round count
-must equal this one's **exactly**, not approximately.
+``full_scan_solve`` is the one-level-per-round water-filling loop
+``FluidSolver`` ran before the incremental loop, kept verbatim (and the
+baseline of ``benchmarks/bench_fluid_solver.py``): every round re-gathers
+the whole flow×link incidence — ``active[flow_of]``, a fresh
+``np.bincount``, ``rates[active] += share``, ``saturated[link_of]`` — to
+freeze a handful of flows, and reads a link as saturated within a relative
+1e-9 of its capacity.  The parallel loop in :mod:`repro.net.fluid` does not
+perform the same float operations, so rates are compared with it to a
+relative tolerance, on instances whose capacities and caps are finite (this
+loop reads an infinite link as saturated in its first round).
 
 The only edits against the replaced method are the signature (the solver's
 three dicts arrive as arguments instead of ``self._flows`` /
 ``self._capacity`` / ``self._external``) and the ``rounds`` counter.
+
+:func:`assert_max_min_fair` checks any solver's rates against the definition
+instead.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
+
 import numpy as np
 
 from repro.net import FluidFlow
+
+INF = float("inf")
+#: relative slack of the certificate: float error, not a saturation floor
+REL = 1e-12
 
 
 def full_scan_solve(
@@ -135,3 +148,39 @@ def ecmp_instance(
             f"ch-{i}", [f"{a}->{b}" for a, b in zip(path, path[1:])]
         )
     return capacities, flows
+
+
+def assert_max_min_fair(solver):
+    """The bottleneck certificate of max-min fairness for ``solver.rates()``.
+
+    Every link carries at most its effective capacity, and every finite-rate
+    flow has a bottleneck: a saturated link — physical, or its own rate cap —
+    on which no flow has a higher rate (Bertsekas & Gallager, *Data
+    Networks*, §6.5.2).  A flow gets inf exactly when every link along it,
+    cap included, has infinite effective capacity, and no rate is nan.
+    """
+    rates = solver.rates()
+    alloc = solver.allocation()
+    eff, load = alloc.link_capacity_bps, alloc.link_load_bps
+    assert not any(math.isnan(r) for r in rates.values())
+    for link, carried in load.items():
+        assert carried <= eff[link] * (1 + REL), (link, carried, eff[link])
+    rates_on = defaultdict(list)
+    for fid, r in rates.items():
+        for link in set(solver.flow_links(fid)):
+            rates_on[link].append(r)
+    caps = solver._rate_caps
+    for fid, r in rates.items():
+        links = solver.flow_links(fid)
+        bounds = [eff[link] for link in links] + [caps.get(fid, INF)]
+        if all(b == INF for b in bounds):
+            assert r == INF, fid
+            continue
+        assert r < INF, fid
+        if fid in caps and r >= caps[fid] * (1 - REL):
+            continue  # its cap link is saturated and has no other user
+        assert any(
+            load[link] >= eff[link] * (1 - REL)
+            and max(x for x in rates_on[link] if x < INF) <= r * (1 + REL)
+            for link in links
+        ), f"{fid} at {r} has no bottleneck"

@@ -1,10 +1,14 @@
-"""The incremental water-filling loop against the full-scan loop it replaced.
+"""The parallel water-filling loop: the max-min certificate, and the loop it replaced.
 
-``FluidSolver`` keeps per-link user counts and one scalar water level
-instead of re-gathering the flow×link incidence every round.  The float
-operations are the same ones in the same order, so everything here compares
-with ``==`` — rates, link loads and the number of filling rounds — against
-``fluid_oracle.full_scan_solve``, the old loop kept verbatim.
+``FluidSolver`` freezes every local bottleneck in the same round (see
+``FluidSolver._solve_vectorized``).  That is not the arithmetic of the
+one-level-per-round loop it replaced, which ``fluid_oracle.full_scan_solve``
+keeps, so rates are compared with it to a relative 1e-8 — that loop read a
+link as saturated within a relative 1e-9 of its capacity — wherever both
+define them (every capacity and cap finite).  What is checked exactly is the
+model: every instance here passes :func:`assert_max_min_fair`, the
+bottleneck certificate of max-min fairness, and the hand-built instances
+keep their hand-computed rates and round counts.
 """
 
 import math
@@ -15,14 +19,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fluid_oracle import ecmp_instance, full_scan_link_load, full_scan_solve
+from fluid_oracle import (
+    assert_max_min_fair,
+    ecmp_instance,
+    full_scan_link_load,
+    full_scan_solve,
+)
 from hypothesis import given, settings, strategies as st
 
-from repro.net import FluidFlow, FluidSolver
+from repro.net import FluidFlow, FluidSolver, max_min_fair
 
 INF = float("inf")
 GBPS = 1e9
-# inf capacities make the old loop compute inf - inf too
+# inf capacities make the old loop compute inf - inf
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
@@ -44,14 +53,26 @@ def same(got: dict, want: dict) -> bool:
     )
 
 
-def assert_matches_oracle(solver, caps, flows, external=None):
-    """Rates, link loads and round count equal the full-scan loop's exactly."""
-    rounds_before = solver.rounds
-    want, want_rounds = full_scan_solve(flows, caps, external or {})
+def assert_near_oracle(solver, caps, flows, external=None):
+    """The certificate; rates near the full-scan loop's; loads of those rates.
+
+    The full scan read an infinite link as saturated in its first round, so
+    it is compared only on instances whose used capacities and caps are all
+    finite.  Link loads are those of the solver's own rates, exactly.
+    """
+    assert_max_min_fair(solver)
     got = solver.rates()
-    assert same(got, want)
-    assert solver.rounds - rounds_before == want_rounds
-    assert same(solver.link_fluid_load_bps(), full_scan_link_load(flows, want))
+    assert same(solver.link_fluid_load_bps(), full_scan_link_load(flows, got))
+    eff = solver.allocation().link_capacity_bps
+    if any(
+        f.rate_cap_bps == INF or any(eff[link] == INF for link in f.links)
+        for f in flows.values()
+    ):
+        return
+    want, _ = full_scan_solve(flows, caps, external or {})
+    assert got.keys() == want.keys()
+    for fid, w in want.items():
+        assert math.isclose(got[fid], w, rel_tol=1e-8, abs_tol=1e-9), fid
 
 
 def padded(flows, caps, n=FluidSolver._VECTOR_MIN_FLOWS):
@@ -91,20 +112,23 @@ def instances(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(instances())
-def test_generated_instances_equal_the_full_scan_exactly(instance):
+def test_generated_instances_are_max_min_fair(instance):
     caps, flows, external = instance
-    assert_matches_oracle(build(caps, flows, external), caps, flows, external)
+    solver = build(caps, flows, external)
+    assert_near_oracle(solver, caps, flows, external)
+    assert solver.rounds <= len(flows)
 
 
-def test_fat_tree8_hash_ecmp_round_for_round():
+def test_fat_tree8_hash_ecmp_in_a_few_rounds():
     caps, flows = ecmp_instance(8, 1500, seed=3)
     solver = build(caps, flows)
-    assert_matches_oracle(solver, caps, flows)
-    assert solver.rounds > 100  # a real multi-round fill, not one sweep
-    # a re-solve on the kept incidence (capacity churn only) stays exact
+    assert_near_oracle(solver, caps, flows)
+    # the full scan raises the water one level at a time
+    assert solver.rounds <= 40 < 200 < full_scan_solve(flows, caps, {})[1]
+    # a re-solve on the kept incidence (capacity churn only)
     link = flows["ch-0"].links[1]
     solver.set_external_load(link, 0.25 * GBPS)
-    assert_matches_oracle(solver, caps, flows, {link: 0.25 * GBPS})
+    assert_near_oracle(solver, caps, flows, {link: 0.25 * GBPS})
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +189,7 @@ def test_churn_sequence_equals_fresh_solver_after_every_step():
         else:
             rng.choice(steps)()
         fresh = build(caps, flows, external)
-        assert_matches_oracle(fresh, caps, flows, external)
+        assert_near_oracle(fresh, caps, flows, external)
         assert len(solver) == len(flows) >= FluidSolver._VECTOR_MIN_FLOWS
         assert same(solver.rates(), fresh.rates())
         assert same(solver.link_fluid_load_bps(), fresh.link_fluid_load_bps())
@@ -186,9 +210,10 @@ def assert_incidence_is_a_fresh_build(solver, caps, flows, external):
 
 
 def test_remove_heavy_churn_masks_the_incidence_round_for_round():
-    # removals far outnumber adds, so most solves run on a masked incidence;
-    # zero and inf capacities, inf rate caps, links listed twice and the
-    # no-saturated-link fallback all occur along the way
+    # removals far outnumber adds, so most solves run on a masked incidence,
+    # which must equal a fresh build (and so solve to the same rates, bit for
+    # bit) after every round of churn; zero and inf capacities, inf rate caps
+    # and links listed twice all occur along the way
     rng = random.Random(25)
     caps = {f"l{i}": rng.choice((0.0, GBPS, GBPS, 4 * GBPS, INF)) for i in range(10)}
     external: dict[str, float] = {}
@@ -225,17 +250,15 @@ def test_remove_heavy_churn_masks_the_incidence_round_for_round():
             external[link] = rng.choice((0.0, 0.2 * GBPS, 5 * GBPS))
             solver.set_external_load(link, external[link])
         masked += solver._incidence is not None
-        assert_matches_oracle(solver, caps, flows, external)
+        assert_near_oracle(solver, caps, flows, external)
         assert_incidence_is_a_fresh_build(solver, caps, flows, external)
+        assert same(solver.rates(), build(caps, flows, external).rates())
     assert masked > 20
 
 
-def test_removals_between_fallback_fills_stay_exact():
-    # only inf links in use: every round takes the fallback (share inf, then
-    # nan); the masked incidence must freeze the same flows in the same order.
-    # "a" carries the flows frozen first, so it parks and is compacted out
-    # while "b" and "c" hold nan (c's effective capacity inf - inf is nan
-    # from the start, its saturation floor too)
+def test_removals_among_inf_links_stay_exact():
+    # only inf links in use: "a" and "b" flows are unconstrained (inf); an
+    # infinite external load leaves "c" no capacity (inf - inf is not nan)
     caps = {"a": INF, "b": INF, "c": INF}
     external = {"c": INF}
     flows = {
@@ -246,27 +269,33 @@ def test_removals_between_fallback_fills_stay_exact():
         for i, fid in enumerate(f"f{j}" for j in range(2, 48))
     }
     solver = build(caps, flows, external)
-    assert_matches_oracle(solver, caps, flows, external)
     for fid in ("f10", "f2", "f33", "f4", "f40", "f41", "f47", "f5"):
         del flows[fid]
         solver.remove_flow(fid)
-        assert_matches_oracle(solver, caps, flows, external)
         assert_incidence_is_a_fresh_build(solver, caps, flows, external)
-    # c's nan is the minimum share from the first round on
-    assert all(math.isnan(rate) for rate in solver.rates().values())
+        assert same(solver.rates(), build(caps, flows, external).rates())
+        assert_max_min_fair(solver)
+    rates = solver.rates()
+    for fid, flow in flows.items():
+        assert rates[fid] == (0.0 if flow.links[0] == "c" else INF), fid
+    assert solver.allocation().link_capacity_bps == {"a": INF, "b": INF, "c": 0.0}
+    assert solver.link_fluid_load_bps() == {"c": 0.0}
 
 
 def test_rounds_sweep_little_more_than_the_live_links():
-    # parked links leave the swept arrays: on fat_tree(16) hash-ECMP traffic
-    # about half of the 6,144 rows are live in an average round
+    # a round sweeps the entries still active, not the incidence: on
+    # fat_tree(16) hash-ECMP traffic the ~23,500 entries freeze within
+    # 20 rounds, about a third of them per round on average
     caps, flows = ecmp_instance(16, 4000, seed=4000)
     solver = build(caps, flows)
-    assert_matches_oracle(solver, caps, flows)
-    assert solver.link_rows_swept <= 0.55 * solver.rounds * len(caps)
+    assert_near_oracle(solver, caps, flows)
+    entries = sum(len(f.links) for f in flows.values())
+    assert 0 < solver.rounds <= 20
+    assert entries <= solver.entries_swept <= 0.5 * solver.rounds * entries
 
 
 # ---------------------------------------------------------------------------
-# hazards of decrementing user counts instead of recounting them
+# hand-built instances: rates and round counts computed by hand
 # ---------------------------------------------------------------------------
 def test_link_listed_twice_counts_twice():
     caps = {"l": 90.0}
@@ -274,24 +303,27 @@ def test_link_listed_twice_counts_twice():
         [FluidFlow("twice", ["l", "l"]), FluidFlow("once", ["l"])], caps
     )
     solver = build(caps, flows)
-    assert_matches_oracle(solver, caps, flows)
-    # three users on "l": both flows freeze at 30, and "twice" loads it twice
+    assert_near_oracle(solver, caps, flows)
+    # three entries on "l": both flows freeze at 30, and "twice" loads it
+    # twice; "l" and "pad" are both bottlenecks of the first round
     assert solver.rate("twice") == solver.rate("once") == 30.0
     assert solver.link_fluid_load_bps()["l"] == 90.0
+    assert solver.rounds == 1
 
 
 def test_duplicate_links_are_all_released_when_the_flow_freezes():
-    # "dup" freezes early on "thin"; unless both of its entries on "fat" are
-    # given back, "rest" is held below the 100 it should reach
+    # "dup" freezes on "thin" in the first round; unless both of its entries
+    # on "fat" are charged at 10, "rest" misses the 100 it should reach
     caps = {"thin": 10.0, "fat": 100.0 + 10.0 + 10.0}
     flows = padded(
         [FluidFlow("dup", ["fat", "thin", "fat"]), FluidFlow("rest", ["fat"])],
         caps,
     )
     solver = build(caps, flows)
-    assert_matches_oracle(solver, caps, flows)
+    assert_near_oracle(solver, caps, flows)
     assert solver.rate("dup") == 10.0
     assert solver.rate("rest") == 100.0
+    assert solver.rounds == 2
 
 
 def test_flow_on_two_links_saturating_together_is_frozen_once():
@@ -306,47 +338,34 @@ def test_flow_on_two_links_saturating_together_is_frozen_once():
         caps,
     )
     solver = build(caps, flows)
-    assert_matches_oracle(solver, caps, flows)
+    assert_near_oracle(solver, caps, flows)
     assert solver.rate("both") == 10.0
-    # had "both" been released from "c" twice, c2 would stop short of 90
+    # had "both" been charged to "c" twice, c2 would stop short of 90
     assert solver.rate("c2") == 90.0
-
-
-class _FlowsReadSpy(np.ndarray):
-    """A link -> flows array that records which links' flows are read."""
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            self.reads.append(key.start)
-        return super().__getitem__(key)
+    assert solver.rounds == 2
 
 
 @pytest.mark.parametrize("cap_on", ["link", "flow"])
-def test_inf_capacity_is_parked_not_saturated_forever(cap_on):
-    # An inf link (or inf rate cap) has saturation floor inf.  In use it
-    # reads saturated in its first round, like in the old loop; once its
-    # flows froze it must stop reading so, or every later round would gather
-    # its frozen flows again.
+def test_inf_capacity_never_freezes_a_finite_flow(cap_on):
+    # "x" crosses an inf link (or has an inf rate cap) and shares "l" with
+    # "y": an inf level never binds, so both get half of "l" in the round
+    # the pads freeze in.  The full scan read the inf link as saturated in
+    # its first round and froze "x" at the pads' level.
     caps = {"wide": INF if cap_on == "link" else 1e12, "l": 50.0}
     flows = padded(
         [
-            FluidFlow("x", ["wide"], rate_cap_bps=INF if cap_on == "flow" else None),
+            FluidFlow("x", ["wide", "l"], rate_cap_bps=INF if cap_on == "flow" else None),
             FluidFlow("y", ["l"]),
         ],
         caps,
         n=40,
     )
     solver = build(caps, flows)
-    inc = solver._incidence_arrays()
-    spy = inc.l_flows.view(_FlowsReadSpy)
-    spy.reads = []
-    solver._incidence = inc._replace(l_flows=spy)
-    assert_matches_oracle(solver, caps, flows)
-    assert solver.rate("y") == 50.0
+    assert_max_min_fair(solver)
+    assert solver.rate("x") == solver.rate("y") == 25.0
     assert solver.rate("pad0") == 1.0 / 40
-    # three rounds (pad, then the inf one, then "l"), each saturated link's
-    # flows read once
-    assert len(spy.reads) == len(set(spy.reads)) == 3
+    assert solver.rounds == 1
+    assert full_scan_solve(flows, caps, {})[0]["x"] == 1.0 / 40
 
 
 def test_zero_capacity_link_gives_share_zero_and_still_freezes():
@@ -356,27 +375,31 @@ def test_zero_capacity_link_gives_share_zero_and_still_freezes():
     )
     external = {"dead": 250.0}  # external load >= capacity
     solver = build(caps, flows, external)
-    assert_matches_oracle(solver, caps, flows, external)
+    assert_near_oracle(solver, caps, flows, external)
     assert solver.rate("starved") == 0.0
     assert solver.rate("ok") == 60.0
     assert solver.link_fluid_load_bps()["dead"] == 0.0
+    assert solver.rounds == 2
 
 
-def test_no_saturated_link_fallback_freezes_min_flow_id():
-    # Only inf links in use: the first share is inf, inf - inf leaves nan
-    # behind and no link ever reads saturated again, so every round takes the
-    # fallback — lexicographic flow-id order, "f10" before "f2".
-    caps = {"a": INF, "b": INF}
+@pytest.mark.parametrize("n", [3, 34])
+def test_flows_on_inf_links_only_get_inf(n):
+    # a flow whose links all have infinite capacity is unconstrained, like a
+    # pathless one — on the array loop (34 flows) and the reference (3) alike;
+    # no finite input yields nan.  "mixed" takes what "l" offers.
+    caps = {"a": INF, "b": INF, "l": 5.0}
     flows = {
-        fid: FluidFlow(fid, [("a", "b")[i % 2]])
-        for i, fid in enumerate(f"f{j}" for j in range(2, 36))
+        fid: FluidFlow(fid, [("a", "b")[i % 2]] * (1 + i % 3))
+        for i, fid in enumerate(f"f{j}" for j in range(2, 2 + n))
     }
+    flows["mixed"] = FluidFlow("mixed", ["a", "l", "b"])
     solver = build(caps, flows)
-    assert_matches_oracle(solver, caps, flows)
-    rates = solver.rates()
-    assert min(flows) == "f10" and rates["f10"] == INF
-    assert all(math.isnan(r) for fid, r in rates.items() if fid != "f10")
-    assert solver.rounds == len(flows)  # one fallback freeze per round
+    assert_max_min_fair(solver)
+    rates = dict(solver.rates())
+    assert rates.pop("mixed") == 5.0
+    assert set(rates.values()) == {INF}
+    assert solver.link_fluid_load_bps() == {"a": 5.0, "l": 5.0, "b": 5.0}
+    assert max_min_fair(flows.values(), caps).rates_bps == solver.rates()
 
 
 def test_add_link_after_first_solve_grows_the_link_table():
@@ -391,11 +414,11 @@ def test_add_link_after_first_solve_grows_the_link_table():
         fid = f"late-flow{i}"
         flows[fid] = FluidFlow(fid, [f"late{i}", f"late{(i * 7) % 40}"])
         solver.add_flow(fid, flows[fid].links)
-    assert_matches_oracle(solver, caps, flows)
+    assert_near_oracle(solver, caps, flows)
     assert solver.flow_links("late-flow3") == ["late3", "late21"]
     solver.set_external_load("late39", 1e6)
     assert solver.external_load_bps("late39") == 1e6
-    assert_matches_oracle(solver, caps, flows, {"late39": 1e6})
+    assert_near_oracle(solver, caps, flows, {"late39": 1e6})
 
 
 def test_rounds_accumulate_and_the_scalar_path_adds_none():
@@ -403,7 +426,7 @@ def test_rounds_accumulate_and_the_scalar_path_adds_none():
     solver = build(caps, flows)
     solver.rates()
     first = solver.rounds
-    assert first == full_scan_solve(flows, caps, {})[1] > 0
+    assert 0 < first <= len(flows)
     solver.rates()
     assert solver.rounds == first  # clean read
     solver.set_capacity(next(iter(caps)), 5e8)
@@ -415,17 +438,17 @@ def test_rounds_accumulate_and_the_scalar_path_adds_none():
 
 
 def test_a_solve_allocates_per_solve_not_per_round():
-    """Round temporaries live in preallocated scratch.
+    """A round's temporaries are freed by the next round.
 
-    The old loop allocated several incidence-sized arrays every round; the
-    traced peak of a warm re-solve must stay within a few link-sized and
-    flow-sized arrays plus the returned dict, whatever the number of rounds
-    (the full scan peaks at 3.5x that on this instance).
+    The traced peak of a warm re-solve stays within six 8-byte words per
+    flow×link entry and six per link (~4.6 per entry and 5 per link
+    measured here), plus the returned dict, whatever the number of rounds.
     """
     caps, flows = ecmp_instance(8, 1500, seed=3)
     solver = build(caps, flows)
     solver.rates()
     solver.set_external_load(next(iter(caps)), 1.0)
+    rounds = solver.rounds
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -433,11 +456,12 @@ def test_a_solve_allocates_per_solve_not_per_round():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert solver.rounds > 2 * 200
-    per_solve = 8 * (6 * len(caps) + 3 * len(flows))  # float64 arrays
+    assert solver.rounds - rounds > 10
+    entries = len(solver._incidence_arrays().link_of)
+    per_solve = 8 * 6 * (entries + len(caps))
     result = sys.getsizeof(rates) + 2 * 32 * len(rates)  # dict + list + floats
     assert kept - base < result
-    assert peak - base < per_solve + result + 16_384
+    assert peak - base < per_solve + result
 
 
 def test_solving_does_not_import_numpy_ma():

@@ -59,6 +59,18 @@ def test_engine_validates_parameters():
         HybridEngine(Network(linear(2)), sample_rate=1.5)
 
 
+@pytest.mark.parametrize("cap", [-5.0, float("nan")])
+def test_negative_or_nan_rate_cap_is_refused(cap):
+    net = Network(linear(2))
+    eng = HybridEngine(net, epoch_s=0.01)
+    path = ["h1", "s1", "s2", "h2"]
+    with pytest.raises(ValueError):
+        eng.start_flow(path, 10_000, rate_cap_bps=cap)
+    with pytest.raises(ValueError):
+        eng.peer_flow(path, rate_cap_bps=cap)
+    assert (eng.live_flows, eng.live_peers, len(eng.solver)) == (0, 0, 0)
+
+
 def test_two_fluid_flows_share_a_bottleneck_exactly():
     net = Network(linear(2))
     eng = HybridEngine(net, epoch_s=0.01)

@@ -401,9 +401,12 @@ def test_profiled_hybrid_scenario_attributes_most_of_the_run():
     # 57 fluid flows start together, so the first solve runs the array loop
     assert rows["fluid.solve"]["counters"]["path.vectorized"] >= 1
     counters = rows["fluid.solve"]["counters"]
-    # a round sweeps at least one link row, and at most fat_tree(4)'s 96
-    assert 0 < counters["rounds"] <= counters["link_rows.swept"]
-    assert counters["link_rows.swept"] <= 96 * counters["rounds"]
+    # a round sweeps at least one active entry, and at most every flow×link
+    # entry of its solve: no rate caps, and a fat_tree(4) path has <= 6 links
+    assert 0 < counters["rounds"] <= counters["entries.swept"]
+    assert counters["entries.swept"] <= (
+        6 * counters["flows.solved"] * counters["rounds"]
+    )
     # epoch frames contain their phases: cum >= the phases' cum
     assert rows["hybrid.epoch"]["cum_ns"] >= (
         rows["hybrid.measure"]["cum_ns"] + rows["hybrid.advance"]["cum_ns"]
