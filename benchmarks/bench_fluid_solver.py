@@ -130,7 +130,8 @@ class _TimedEpochs:
         self.snapshots: list = []
         for name in ("measure", "publish", "advance"):
             setattr(eng, f"_{name}_phase", self._timed(name, getattr(eng, f"_{name}_phase")))
-        eng.solver._resolve = self._timed("solve", eng.solver._resolve)
+        # no peers here: every solve is a rates() solve, inside the publish phase
+        eng.solver._solve = self._timed("solve", eng.solver._solve)
         tick = eng._ticker.fn
 
         def recorded() -> None:

@@ -7,7 +7,10 @@ seed.  Each pair runs one repetition of each checkout's *own*
 ``benchmarks/perf/worker.py`` (fresh interpreter, ``PYTHONHASHSEED=0``), the
 side that goes first alternating, and corrects host times by the drift the
 worker measured around that repetition, as ``benchmarks/perf/run.py`` does.
-Exits non-zero if any ``sim_digest`` differs or any operation failed.
+After the per-metric lines it prints, per metric, whether the claim rule
+holds (:func:`verdict`).  It warns when the two checkouts' paths differ in
+length: ``peak_rss_mb`` moves with the path.  Exits non-zero if any
+``sim_digest`` differs or any operation failed.
 """
 
 from __future__ import annotations
@@ -39,6 +42,31 @@ def run_side(root: str, workload: str, seed: int, rep: int) -> dict:
     return doc
 
 
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """q1, median, q3 of ``xs`` (``statistics.quantiles``' default method)."""
+    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return q1, med, q3
+
+
+def verdict(base: list[float], head: list[float]) -> dict:
+    """The ROADMAP claim rule for one lower-is-better metric over paired runs.
+
+    The claim holds when head beat base in at least 9 of every 10 pairs and
+    the gap between the medians (base - head) exceeds the base runs' IQR.
+    """
+    wins = sum(h < b for b, h in zip(base, head))
+    q1, base_median, q3 = quartiles(base)
+    gap = base_median - quartiles(head)[1]
+    iqr = q3 - q1
+    return {
+        "wins": wins,
+        "pairs": len(base),
+        "gap": gap,
+        "base_iqr": iqr,
+        "holds": 10 * wins >= 9 * len(base) and gap > iqr,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="checkout of the parent commit")
@@ -47,6 +75,9 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
     sides = {"base": os.path.abspath(args.base), "head": HEAD}
+    if len(sides["base"]) != len(sides["head"]):
+        print(f"warning: checkout paths differ in length ({sides['base']} vs "
+              f"{sides['head']}); peak_rss_mb moves with the path", file=sys.stderr)
     docs: dict[str, list[dict]] = {"base": [], "head": []}
     for i in range(args.pairs):
         for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
@@ -57,12 +88,16 @@ def main() -> int:
     for m in METRICS:
         line = f"{m:12s}"
         for side in ("base", "head"):
-            xs = [d[m] for d in docs[side]]
-            q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+            q1, med, q3 = quartiles([d[m] for d in docs[side]])
             line += f"  {side} median {med:.4g} [q1 {q1:.4g}, q3 {q3:.4g}]"
         wins = sum(h[m] < b[m] for b, h in zip(docs["base"], docs["head"]))
         losses = sum(h[m] > b[m] for b, h in zip(docs["base"], docs["head"]))
         print(f"{line}  head wins {wins}, loses {losses} of {args.pairs}")
+    for m in METRICS:
+        v = verdict([d[m] for d in docs["base"]], [d[m] for d in docs["head"]])
+        print(f"claim {m:12s} median gap {v['gap']:.4g} vs base IQR {v['base_iqr']:.4g}, "
+              f"head won {v['wins']}/{v['pairs']}: "
+              f"{'holds' if v['holds'] else 'does not hold'}")
     every = docs["base"] + docs["head"]
     digests = sorted({d["sim_digest"] for d in every})
     failed = sum(d["failed"] for d in every)

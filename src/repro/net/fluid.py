@@ -8,9 +8,9 @@ the links each flow traverses.
 Per-flow rate caps (e.g. a Tor relay whose AES throughput is CPU-bound) are
 modeled as single-user virtual links, which keeps the filling loop uniform.
 A flow whose links all have infinite effective capacity gets ``inf``, like a
-flow with no links at all.  No input yields ``nan``: an infinite external
-load on an infinite link leaves it no capacity, like any external load at or
-above capacity.
+flow with no links at all.  No input yields ``nan``: a negative or nan
+capacity, external load or rate cap is a ``ValueError`` (``inf`` is legal),
+and an infinite external load on an infinite link leaves it no capacity.
 
 Two implementations share the model:
 
@@ -20,8 +20,8 @@ Two implementations share the model:
 * :class:`FluidSolver` — the **incremental** engine behind
   :mod:`repro.net.hybrid`: array-backed per-link state, flow/capacity churn
   that dirties the allocation instead of rebuilding it, per-link external
-  (packet-level) load debits, and a numpy loop that freezes every local
-  bottleneck in the same round.
+  (packet-level) load debits, a cached nominal solve over raw capacities,
+  and a numpy loop that freezes every local bottleneck in the same round.
   ``tests/net/test_fluid_solver.py`` holds its rates equal to the reference
   on random instances; ``tests/net/test_fluid_incremental.py`` checks the
   max-min certificate on every instance it generates and compares with the
@@ -77,10 +77,16 @@ class FluidAllocation:
         ]
 
 
-def _check_rate_cap(flow_id: str, rate_cap_bps: float) -> None:
-    # ``not >=`` also refuses nan
-    if not rate_cap_bps >= 0:
-        raise ValueError(f"flow {flow_id}: negative or nan rate cap {rate_cap_bps!r}")
+def _negative_or_nan(what: str, value: float) -> ValueError:
+    # callers test ``not value >= 0`` inline (it also refuses nan; inf
+    # passes), so a valid value costs no call
+    return ValueError(f"{what}: negative or nan {value!r}")
+
+
+def _check_capacities(capacities_bps: dict[LinkId, float]) -> None:
+    for link, cap in capacities_bps.items():
+        if not cap >= 0:
+            raise _negative_or_nan(f"link {link!r} capacity", cap)
 
 
 def max_min_fair(
@@ -92,8 +98,9 @@ def max_min_fair(
     Every iteration finds the most constrained resource (least remaining
     capacity per active flow), freezes its flows at the fair share, and
     repeats.  Runs in O(iterations × links); iterations ≤ number of flows.
-    A negative or nan rate cap is a ``ValueError``.
+    A negative or nan capacity or rate cap is a ``ValueError``.
     """
+    _check_capacities(capacities_bps)
     flows = list(flows)
     ids = [f.flow_id for f in flows]
     if len(set(ids)) != len(ids):
@@ -110,7 +117,8 @@ def max_min_fair(
                 raise KeyError(f"flow {f.flow_id} uses unknown link {l!r}")
             resolved.append(l)
         if f.rate_cap_bps is not None:
-            _check_rate_cap(f.flow_id, f.rate_cap_bps)
+            if not f.rate_cap_bps >= 0:
+                raise _negative_or_nan(f"flow {f.flow_id} rate cap", f.rate_cap_bps)
             cap_link: LinkId = ("__cap__", f.flow_id)
             capacity[cap_link] = f.rate_cap_bps
             users[cap_link] = set()
@@ -230,8 +238,12 @@ class FluidSolver:
     simulator carried on a shared link are debited from the capacity the
     fluid flows may fill (``effective = max(capacity - external, 0)``).
 
+    :meth:`nominal_rates` is the same solve over raw capacities, blind to
+    external loads (the hybrid engine's peer reservations), cached apart.
+
     Link names are resolved to rows of the capacity / external-load arrays
-    once, in :meth:`add_flow` — a flow is stored as its tuple of rows — and
+    once, in :meth:`add_flow` (a caller holding rows hands them to
+    :meth:`add_flow_rows`) — a flow is stored as its tuple of rows — and
     the flow×link incidence is kept between solves (removals mask it).  A
     filling round gives every link its fair level and freezes the flows of
     every link that is a bottleneck for all of them at once, so the rounds
@@ -249,17 +261,21 @@ class FluidSolver:
     _VECTOR_MIN_FLOWS = 32
 
     def __init__(self, capacities_bps: Optional[dict[LinkId, float]] = None):
+        caps = capacities_bps or {}
+        _check_capacities(caps)
         #: link id -> row of the per-link arrays (registration order)
-        self._link_row: dict[LinkId, int] = {}
-        self._cap = array("d")
-        self._ext = array("d")
-        #: flow id -> link rows along it, resolved once at add_flow
+        self._link_row: dict[LinkId, int] = dict(zip(caps, range(len(caps))))
+        self._cap = array("d", caps.values())
+        self._ext = array("d", bytes(8 * len(caps)))
+        #: flow id -> link rows along it, as add_flow_rows registered them
         self._flows: dict[str, tuple[int, ...]] = {}
         #: rate caps of the flows that have one
         self._rate_caps: dict[str, float] = {}
         self._incidence: Optional[_Incidence] = None
         self._rates: dict[str, float] = {}
         self._dirty = True
+        #: the cached nominal allocation; None = stale
+        self._nominal: Optional[dict[str, float]] = None
         #: how many times the allocation was recomputed (obs counter)
         self.resolves = 0
         #: filling rounds of the array loop, summed over solves: the work
@@ -272,20 +288,19 @@ class FluidSolver:
         #: opt-in self-profiler (repro.obs.prof.Profiler); None = off and
         #: the solve hook in rates() is statically dead.
         self._prof = None
-        for link, cap in (capacities_bps or {}).items():
-            self.add_link(link, cap)
 
     # -- link table -------------------------------------------------------
     def add_link(self, link: LinkId, capacity_bps: float) -> None:
         """Register a link (idempotent only via :meth:`set_capacity`)."""
         if link in self._link_row:
             raise ValueError(f"link {link!r} already registered")
-        if capacity_bps < 0:
-            raise ValueError("negative link capacity")
+        if not capacity_bps >= 0:
+            raise _negative_or_nan(f"link {link!r} capacity", capacity_bps)
         self._link_row[link] = len(self._cap)
         self._cap.append(capacity_bps)
         self._ext.append(0.0)
         self._incidence = None  # cap links are numbered after the physical ones
+        self._nominal = None
         self._dirty = True
 
     def set_capacity(self, link: LinkId, capacity_bps: float) -> None:
@@ -293,10 +308,11 @@ class FluidSolver:
         row = self._link_row.get(link)
         if row is None:
             raise KeyError(f"unknown link {link!r}")
-        if capacity_bps < 0:
-            raise ValueError("negative link capacity")
+        if not capacity_bps >= 0:
+            raise _negative_or_nan(f"link {link!r} capacity", capacity_bps)
         if self._cap[row] != capacity_bps:
             self._cap[row] = capacity_bps
+            self._nominal = None
             self._dirty = True
 
     def set_external_load(self, link: LinkId, load_bps: float) -> None:
@@ -304,8 +320,8 @@ class FluidSolver:
         row = self._link_row.get(link)
         if row is None:
             raise KeyError(f"unknown link {link!r}")
-        if load_bps < 0:
-            raise ValueError("negative external load")
+        if not load_bps >= 0:
+            raise _negative_or_nan(f"link {link!r} external load", load_bps)
         if self._ext[row] != load_bps:
             self._ext[row] = load_bps
             self._dirty = True
@@ -322,23 +338,34 @@ class FluidSolver:
         links: Sequence[LinkId],
         rate_cap_bps: Optional[float] = None,
     ) -> None:
-        """Add one flow over ``links``; dirties the allocation.
-
-        A negative or nan ``rate_cap_bps`` is a ``ValueError``.
-        """
-        if flow_id in self._flows:
-            raise ValueError(f"duplicate flow id {flow_id!r}")
-        if rate_cap_bps is not None:
-            _check_rate_cap(flow_id, rate_cap_bps)
+        """Add one flow over ``links``; see :meth:`add_flow_rows`."""
         try:
-            self._flows[flow_id] = tuple(map(self._link_row.__getitem__, links))
+            rows = tuple(map(self._link_row.__getitem__, links))
         except KeyError as exc:
             raise KeyError(
                 f"flow {flow_id} uses unknown link {exc.args[0]!r}"
             ) from None
+        self.add_flow_rows(flow_id, rows, rate_cap_bps)
+
+    def add_flow_rows(
+        self, flow_id: str, rows: tuple[int, ...], rate_cap_bps: Optional[float] = None
+    ) -> None:
+        """Add one flow over link ``rows``; dirties both allocations.
+
+        ``rows`` are registration indices of links already added, in path
+        order, as :meth:`flow_rows` returns them; they are not checked.  A
+        duplicate ``flow_id``, or a negative or nan ``rate_cap_bps``, is a
+        ``ValueError``.
+        """
+        if flow_id in self._flows:
+            raise ValueError(f"duplicate flow id {flow_id!r}")
         if rate_cap_bps is not None:
+            if not rate_cap_bps >= 0:
+                raise _negative_or_nan(f"flow {flow_id} rate cap", rate_cap_bps)
             self._rate_caps[flow_id] = rate_cap_bps
+        self._flows[flow_id] = rows
         self._incidence = None
+        self._nominal = None
         self._dirty = True
 
     def remove_flow(self, flow_id: str) -> None:
@@ -352,6 +379,7 @@ class FluidSolver:
         flows' entries out of it.
         """
         self._dirty = True
+        self._nominal = None
         flows, caps, rates = self._flows, self._rate_caps, self._rates
         for flow_id in flow_ids:
             del flows[flow_id]
@@ -384,51 +412,56 @@ class FluidSolver:
         # leaves nothing, so no nan reaches the filling loop
         return np.fmax(np.frombuffer(self._cap) - np.frombuffer(self._ext), 0.0)
 
-    def _effective_capacities(self) -> dict[LinkId, float]:
-        return dict(zip(self._link_row, self._effective_array().tolist()))
-
     def rates(self) -> dict[str, float]:
         """Per-flow allocated rates (bps), re-solving only when dirty."""
         if self._dirty:
-            prof = self._prof
-            if prof is None:
-                self._resolve()
-            else:
-                n_flows = len(self._flows)
-                rounds_before, swept_before = self.rounds, self.entries_swept
-                prof.enter("fluid.solve")
-                try:
-                    vectorized = self._resolve()
-                finally:
-                    prof.exit()
-                prof.count(
-                    "fluid.solve",
-                    "path.vectorized" if vectorized else "path.scalar",
-                )
-                prof.count("fluid.solve", "flows.solved", n_flows)
-                prof.count("fluid.solve", "rounds", self.rounds - rounds_before)
-                prof.count(
-                    "fluid.solve", "entries.swept", self.entries_swept - swept_before
-                )
+            self._rates, rounds, swept = self._solve(self._effective_array())
+            self._dirty = False
+            self.resolves += 1
+            self.rounds += rounds
+            self.entries_swept += swept
         return self._rates
 
-    def _resolve(self) -> bool:
-        """Recompute the allocation; returns True on the vectorized path."""
-        vectorized = len(self._flows) >= self._VECTOR_MIN_FLOWS
-        if vectorized:
-            self._rates = self._solve_vectorized()
-        else:
-            ids, caps = list(self._link_row), self._rate_caps
-            flows = [
-                FluidFlow(fid, [ids[row] for row in rows], caps.get(fid))
-                for fid, rows in self._flows.items()
-            ]
-            self._rates = dict(
-                max_min_fair(flows, self._effective_capacities()).rates_bps
-            )
-        self._dirty = False
-        self.resolves += 1
-        return vectorized
+    def nominal_rates(self) -> dict[str, float]:
+        """Per-flow rates (bps) over raw capacities, ignoring external loads.
+
+        Cached until the flow set, a link or a capacity changes (an external
+        load leaves it clean); ``resolves``, ``rounds`` and ``entries_swept``
+        count :meth:`rates` solves only.
+        """
+        if self._nominal is None:
+            self._nominal = self._solve(np.frombuffer(self._cap))[0]
+        return self._nominal
+
+    def _solve(self, capacity: np.ndarray) -> tuple[dict[str, float], int, int]:
+        """Max-min rates over per-row ``capacity``, rounds, entries swept."""
+        prof = self._prof
+        if prof is None:
+            return self._fill(capacity)
+        n_flows = len(self._flows)
+        prof.enter("fluid.solve")
+        try:
+            solved = self._fill(capacity)
+        finally:
+            prof.exit()
+        vectorized = n_flows >= self._VECTOR_MIN_FLOWS
+        prof.count("fluid.solve", "path.vectorized" if vectorized else "path.scalar")
+        prof.count("fluid.solve", "flows.solved", n_flows)
+        prof.count("fluid.solve", "rounds", solved[1])
+        prof.count("fluid.solve", "entries.swept", solved[2])
+        return solved
+
+    def _fill(self, capacity: np.ndarray) -> tuple[dict[str, float], int, int]:
+        # the array loop from _VECTOR_MIN_FLOWS flows up, else the reference
+        if len(self._flows) >= self._VECTOR_MIN_FLOWS:
+            return self._solve_vectorized(capacity)
+        ids, caps = list(self._link_row), self._rate_caps
+        flows = [
+            FluidFlow(fid, [ids[row] for row in rows], caps.get(fid))
+            for fid, rows in self._flows.items()
+        ]
+        capacities = dict(zip(ids, capacity.tolist()))
+        return dict(max_min_fair(flows, capacities).rates_bps), 0, 0
 
     def rate(self, flow_id: str) -> float:
         """One flow's allocated rate in bps."""
@@ -474,7 +507,7 @@ class FluidSolver:
         return FluidAllocation(
             rates_bps=dict(self.rates()),
             link_load_bps=self.link_fluid_load_bps(),
-            link_capacity_bps=self._effective_capacities(),
+            link_capacity_bps=dict(zip(self._link_row, self._effective_array().tolist())),
         )
 
     # -- vectorized water filling -----------------------------------------
@@ -509,7 +542,7 @@ class FluidSolver:
         )
         return inc
 
-    def _solve_vectorized(self) -> dict[str, float]:
+    def _solve_vectorized(self, effective: np.ndarray) -> tuple[dict[str, float], int, int]:
         """Parallel water filling: every local bottleneck freezes per round.
 
         A round gives every link the fair ``level`` its remaining capacity
@@ -528,10 +561,11 @@ class FluidSolver:
         lowest level is a bottleneck, so every round freezes at least one
         flow — there is no saturation tolerance and no fallback, and at most
         as many rounds as flows.  Infinite rates load nothing: an
-        infinite link's level stays infinite.
+        infinite link's level stays infinite.  Returns the rates, the rounds
+        and the entries swept.
         """
         inc = self._incidence_arrays()
-        capacity = np.concatenate((self._effective_array(), inc.cap_rates))
+        capacity = np.concatenate((effective, inc.cap_rates))
         n_links, n_flows, inf = len(capacity), len(inc.lens), float("inf")
         # the active entries and their flows; pathless flows have none and
         # stay unconstrained (inf), mirroring the reference
@@ -570,6 +604,4 @@ class FluidSolver:
                 )
                 live = ~gone
                 link_of, flow_of = link_of[live], flow_of[live]
-        self.rounds += rounds
-        self.entries_swept += swept
-        return dict(zip(self._flows, rates.tolist()))
+        return dict(zip(self._flows, rates.tolist())), rounds, swept

@@ -302,41 +302,33 @@ class HybridEngine:
         self.net = net
         self.epoch_s = epoch_s
         self.sample_rate = sample_rate
-        self.solver = FluidSolver()
-        #: mirror of the flow set over raw capacities (no external debits):
-        #: source of the non-circular peer reservations (``peer-share`` row)
-        self._nominal = FluidSolver()
-        #: directed channels; a channel's index is its row in both solvers
+        #: directed channels; a channel's index is its row in the solver
         #: and in the per-channel arrays below
-        self._channels: list["Channel"] = []
-        for link in net.links:
-            for ch in (link.forward, link.reverse):
-                self._channels.append(ch)
-                self.solver.add_link(ch.name, ch.bandwidth_bps)
-                self._nominal.add_link(ch.name, ch.bandwidth_bps)
-        #: (node, next node) -> row of the channel from node to next node on
-        #: the link ``net.link_between`` names, keyed by the fabric's own
-        #: hop tuples (``net.port_map``'s keys) so no key is built twice
-        first_row = {id(link): 2 * i for i, link in enumerate(net.links)}
-        self._hop_row: dict[tuple[str, str], int] = {}
-        for hop in net.port_map:
-            link = net.link_between(*hop)
-            self._hop_row[hop] = first_row[id(link)] + (
-                link.forward.src.name != hop[0]
-            )
-        #: the channels' names, i.e. the solvers' link ids, by row
+        self._channels: list["Channel"] = [
+            ch for link in net.links for ch in (link.forward, link.reverse)
+        ]
+        #: the one solver: its rates and, for peer reservations, its
+        #: nominal solve over raw capacities (``peer-share`` row)
+        self.solver = FluidSolver({ch.name: ch.bandwidth_bps for ch in self._channels})
+        #: node -> next node -> row of the channel between them; a later
+        #: parallel link wins, as in ``net.link_between``
+        self._next_row: dict[str, dict[str, int]] = {}
+        for row, ch in enumerate(self._channels):
+            self._next_row.setdefault(ch.src.name, {})[ch.dst.name] = row
+        #: the channels' names, i.e. the solver's link ids, by row
         self._names = [ch.name for ch in self._channels]
         #: the channels' packet counters (``Channel.stats`` is never replaced)
         self._stats = [ch.stats for ch in self._channels]
         n = len(self._channels)
         # -- per-channel state, by row --
-        #: live fluid flows per channel; > 0 marks the hand-off boundary
-        self._users = np.zeros(n, dtype=np.int64)
+        #: live fluid flows per channel; > 0 marks the hand-off boundary (a
+        #: list: ``start_flow`` counts per hop without numpy scalars)
+        self._users = [0] * n
         #: packet byte counter at the last epoch tick (meaningful while shared)
         self._marks = np.zeros(n, dtype=np.int64)
         #: external load last handed to ``solver.set_external_load``
         self._debit = np.zeros(n)
-        #: bandwidth reserved for peers at the last nominal solve
+        #: bandwidth reserved for peers at the last measure phase
         self._reserved = np.zeros(n)
         #: ``fluid_load_bps`` last written to each channel
         self._published = np.zeros(n)
@@ -422,7 +414,8 @@ class HybridEngine:
     # -- flow lifecycle -----------------------------------------------------
     def _rows_on(self, path: Sequence[str]) -> tuple[int, ...]:
         """Channel rows along ``path`` (KeyError on a non-adjacent hop)."""
-        return tuple(map(self._hop_row.__getitem__, zip(path, path[1:])))
+        next_row = self._next_row
+        return tuple([next_row[a][b] for a, b in zip(path, path[1:])])
 
     def start_flow(
         self,
@@ -446,20 +439,17 @@ class HybridEngine:
         if flow_id in self._flows:
             raise SimulationError(f"duplicate fluid flow id {flow_id!r}")
         rows = self._rows_on(path)
-        link_ids = list(map(self._names.__getitem__, rows))
-        self.solver.add_flow(flow_id, link_ids, rate_cap_bps=rate_cap_bps)
-        self._nominal.add_flow(flow_id, link_ids, rate_cap_bps=rate_cap_bps)
+        self.solver.add_flow_rows(flow_id, rows, rate_cap_bps)
         done = Event(self.net.sim)
-        fc = FluidTransfer(
-            flow_id, path, link_ids, payload_bytes, self.net.sim.now, done
-        )
+        links = tuple(map(self._names.__getitem__, rows))
+        fc = FluidTransfer(flow_id, path, links, payload_bytes, self.net.sim.now, done)
         fc._engine = self
         self._flows[flow_id] = fc
         self._flow_index = None
-        users, stats = self._users, self._stats
+        users, stats, marks = self._users, self._stats, self._marks
         for row in rows:
             if not users[row]:
-                self._marks[row] = stats[row].bytes
+                marks[row] = stats[row].bytes
             users[row] += 1
         if not self._ticker.running:
             self._last_tick_s = self.net.sim.now
@@ -493,9 +483,7 @@ class HybridEngine:
         self._peer_seq += 1
         pid = f"pkt:{flow_id}"
         rows = self._rows_on(path)
-        link_ids = list(map(self._names.__getitem__, rows))
-        self.solver.add_flow(pid, link_ids, rate_cap_bps=rate_cap_bps)
-        self._nominal.add_flow(pid, link_ids, rate_cap_bps=rate_cap_bps)
+        self.solver.add_flow_rows(pid, rows, rate_cap_bps)
         self._peers[pid] = rows
         return pid
 
@@ -503,7 +491,6 @@ class HybridEngine:
         """Release a registered packet peer's reserved share."""
         self._peers.pop(peer_id)
         self.solver.remove_flow(peer_id)
-        self._nominal.remove_flow(peer_id)
 
     @property
     def live_peers(self) -> int:
@@ -513,7 +500,7 @@ class HybridEngine:
     def _finish_flows(self, index: np.ndarray, finished_s: np.ndarray) -> None:
         """Finish the flows at ``index`` (ascending) at the given instants.
 
-        The whole batch leaves the engine and both solvers first; then the
+        The whole batch leaves the engine and the solver first; then the
         ``done`` events succeed in flow order, the order their wake-ups take
         on the event heap.
         """
@@ -530,18 +517,19 @@ class HybridEngine:
             fc._engine = None
             del self._flows[fc.flow_id]
         fids = [fc.flow_id for fc in done]
-        # the solvers' link rows are the engine's channel rows
+        # the solver's link rows are the engine's channel rows
         rows = np.fromiter(
             chain.from_iterable(map(self.solver.flow_rows, fids)), dtype=np.intp
         )
-        np.subtract.at(self._users, rows, 1)
+        n = len(self._users)
+        users = np.fromiter(self._users, np.int64, n) - np.bincount(rows, minlength=n)
+        self._users = users.tolist()
         # the debit a channel carried dies with the boundary
-        unshared = rows[(self._users[rows] == 0) & (self._debit[rows] != 0.0)]
+        unshared = rows[(users[rows] == 0) & (self._debit[rows] != 0.0)]
         self._debit[unshared] = 0.0
         for row in dict.fromkeys(unshared.tolist()):
             self.solver.set_external_load(self._names[row], 0.0)
         self.solver.remove_flows(fids)
-        self._nominal.remove_flows(fids)
         self.finished_flows += len(done)
         for fc in done:
             fc.done.succeed(fc)
@@ -609,9 +597,9 @@ class HybridEngine:
         # 0. Refresh peer reservations from the nominal allocation (raw
         #    capacities, no external debits — breaks the measure/reserve
         #    circularity that would otherwise starve registered peers).
+        #    The nominal solve is cached: only churn re-solves it.
         if self._peers:
-            if self._nominal.dirty:
-                self._reserved = self._peer_load(self._nominal.rates())
+            self._reserved = self._peer_load(self.solver.nominal_rates())
         elif self._reserved.any():
             self._reserved = np.zeros(len(self._channels))
 
@@ -619,7 +607,7 @@ class HybridEngine:
         #    and debit them — net of reserved peer shares — from the
         #    fluid-fillable capacity.  One gather of the byte counters; the
         #    solver hears only of debits that changed.
-        shared = np.flatnonzero(self._users)
+        shared = np.flatnonzero(np.fromiter(self._users, np.int64, len(self._users)))
         if dt <= 0 or not len(shared):
             return
         carried = np.fromiter(

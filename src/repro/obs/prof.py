@@ -417,10 +417,9 @@ class Profiler:
         return self
 
     def hook_hybrid(self, engine) -> "Profiler":
-        """Wire into a hybrid engine and both of its fluid solvers."""
+        """Wire into a hybrid engine and its fluid solver."""
         engine._prof = self
         engine.solver._prof = self
-        engine._nominal._prof = self
         return self
 
     @classmethod

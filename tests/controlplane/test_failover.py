@@ -300,3 +300,31 @@ def test_crashing_the_adopter_mid_repair_leaves_no_orphan(gap_s):
     dep.run_for(5.0)
     assert mic.live_channels == 3
     assert [v.format() for v in mic.verify().violations] == []
+
+
+@_ORPHAN
+def test_crashing_a_repairing_shard_during_a_link_flap_leaves_no_orphan():
+    """Kill a shard mid-repair while the link it repairs around flaps.
+
+    The second shape of the in-flight-push orphan, with one crash: a 50 ms
+    flap of the channel's middle hop starts the repair, the shard dies
+    once ``repairing``, and ``verify()`` reports six rules no live intent
+    owns (``registry-mismatch`` on c1, p0a0 and p3a0; channel 1, hop
+    p0a1–c4).
+    """
+    dep, _ = establish_canonical(shards=4)
+    mic = dep.mic
+    victim = mic.shards[_owning_shard(mic)]
+    walk = victim.channels[min(victim.channels)].flows[0].walk
+    hop = walk[len(walk) // 2 - 1:len(walk) // 2 + 1]
+    sched = FaultSchedule(seed=0)
+    sched.link_flap(*hop, at_s=dep.sim.now, down_for_s=0.05)
+    sched.attach(dep.net, dep.ctrl)
+    deadline = dep.sim.now + 2.0
+    while not victim.repairing and dep.sim.now < deadline:
+        dep.run_for(0.002)
+    assert victim.repairing, "repair never started"
+    mic.crash_shard(victim.shard_id)
+    dep.run_for(5.0)
+    assert mic.live_channels == 3
+    assert [v.format() for v in mic.verify().violations] == []

@@ -16,14 +16,16 @@ of the epoch it lived, from the instant it started (the mid-epoch-start fix
 both implementations carry).  The flow lifecycle methods are the replaced
 ones too, since the phases read their dicts; only the transfer handle class
 differs, because a live ``FluidTransfer`` now reads its progress from the
-engine.
+engine.  The peer reservations come from a mirror ``FluidSolver`` of the
+flow set over raw capacities, as they did before the engine's solver grew
+its own nominal solve.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.net import FluidTransfer, HybridEngine
+from repro.net import FluidSolver, FluidTransfer, HybridEngine
 from repro.sim import Event, SimulationError
 
 
@@ -42,6 +44,9 @@ class OracleEngine(HybridEngine):
 
     def __init__(self, net, epoch_s: float = 0.010, sample_rate: float = 0.0):
         super().__init__(net, epoch_s=epoch_s, sample_rate=sample_rate)
+        #: mirror of the flow set over raw capacities (no external debits):
+        #: source of the non-circular peer reservations (``peer-share`` row)
+        self._nominal = FluidSolver({ch.name: ch.bandwidth_bps for ch in self._channels})
         #: directed channel registry keyed by the solver's link id
         self._channels = {ch.name: ch for ch in self._channels}
         #: registered packet peers: solver flow id -> link ids on its path

@@ -11,6 +11,7 @@ bottleneck certificate of max-min fairness, and the hand-built instances
 keep their hand-computed rates and round counts.
 """
 
+import itertools
 import math
 import random
 import subprocess
@@ -477,3 +478,68 @@ def test_solving_does_not_import_numpy_ma():
         "assert 'numpy.ma' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+# ---------------------------------------------------------------------------
+# the nominal solve: the same flows over raw capacities
+# ---------------------------------------------------------------------------
+STEPS = ("add", "remove", "external", "capacity", "late link")
+
+
+@pytest.mark.parametrize(
+    "start", [(0, FluidSolver._VECTOR_MIN_FLOWS - 1), (FluidSolver._VECTOR_MIN_FLOWS, 44)],
+    ids=["scalar", "vector"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_nominal_solve_equals_a_fresh_solver_without_external_loads(start, data):
+    draw = data.draw
+    caps = {f"l{i}": draw(capacity) for i in range(draw(st.integers(1, 6)))}
+    flows: dict[str, FluidFlow] = {}
+    solver = FluidSolver(caps)
+    serial = itertools.count()
+
+    def add_flow():
+        fid = f"f{next(serial):03d}"
+        path = draw(st.lists(st.sampled_from(list(caps)), max_size=4))
+        flows[fid] = FluidFlow(fid, path, draw(st.one_of(st.none(), st.none(), capacity)))
+        solver.add_flow(fid, path, rate_cap_bps=flows[fid].rate_cap_bps)
+
+    def checked_nominal():
+        counters = (solver.resolves, solver.rounds, solver.entries_swept, solver.dirty)
+        nominal = solver.nominal_rates()
+        # nominal solves leave rates()'s counters and cache alone
+        assert (solver.resolves, solver.rounds, solver.entries_swept, solver.dirty) == counters
+        assert same(nominal, build(caps, flows).rates())
+        return nominal
+
+    for _ in range(draw(st.integers(*start))):
+        add_flow()
+    nominal = checked_nominal()
+    for step in draw(st.lists(st.sampled_from(STEPS), max_size=8)):
+        if step == "external":
+            link = draw(st.sampled_from(list(caps)))
+            solver.set_external_load(link, draw(st.floats(0.0, 2e10) | st.just(INF)))
+            solver.rates()
+            assert solver.nominal_rates() is nominal  # still clean
+            continue
+        if step == "add":
+            for _ in range(draw(st.integers(1, 12))):
+                add_flow()
+        elif step == "remove" and flows:
+            gone = draw(st.lists(st.sampled_from(list(flows)), min_size=1, unique=True))
+            solver.remove_flows(gone)
+            for fid in gone:
+                del flows[fid]
+        elif step == "capacity":
+            link = draw(st.sampled_from(list(caps)))
+            caps[link] = draw(capacity)
+            solver.set_capacity(link, caps[link])
+        elif step == "late link":
+            link = f"l{len(caps)}"
+            caps[link] = draw(capacity)
+            solver.add_link(link, caps[link])
+            add_flow()
+        # a rates() solve between steps shares (and masks) the incidence
+        solver.rates()
+        nominal = checked_nominal()

@@ -129,6 +129,42 @@ def test_negative_or_nan_rate_cap_rejected(cap):
     assert s.rates() == {"b": 10.0, "z": 0.0}
 
 
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_negative_or_nan_capacity_or_load_rejected(bad):
+    # a -1 capacity once came back as a rate of -1 and a nan one as inf
+    # from the reference; the solver gave 0.0 for a nan capacity or load
+    with pytest.raises(ValueError):
+        max_min_fair([FluidFlow("a", ["l"])], {"l": bad})
+    with pytest.raises(ValueError):
+        FluidSolver({"l": bad})
+    s = make_solver({"l": 10.0})
+    with pytest.raises(ValueError):
+        s.add_link("m", bad)
+    s.add_flow("a", ["l"])
+    with pytest.raises(ValueError):
+        s.set_capacity("l", bad)
+    with pytest.raises(ValueError):
+        s.set_external_load("l", bad)
+    # nothing was registered or changed
+    assert (s.rates(), s.external_load_bps("l"), s.nominal_rates()) == (
+        {"a": 10.0}, 0.0, {"a": 10.0},
+    )
+    with pytest.raises(KeyError):
+        s.add_flow("b", ["m"])
+
+
+def test_infinite_capacity_and_load_stay_legal():
+    inf = float("inf")
+    assert max_min_fair([FluidFlow("a", ["l"])], {"l": inf}).rates_bps == {"a": inf}
+    s = make_solver({"l": 10.0, "m": 10.0})
+    s.add_flow("a", ["l"])
+    s.add_flow("b", ["m"])
+    s.set_capacity("l", inf)
+    s.set_external_load("m", inf)
+    assert s.rates() == {"a": inf, "b": 0.0}
+    assert s.nominal_rates() == {"a": inf, "b": 10.0}
+
+
 def test_allocation_view_matches_reference():
     caps = {"A": 10.0, "B": 5.0}
     s = make_solver(caps)

@@ -5,14 +5,19 @@ The cross-mode fidelity suite (fluid vs packet within tolerance) lives in
 mechanics on small fabrics.
 """
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.bench import Testbed, open_tcp, run_process
 from repro.faults import FaultSchedule, LinkFlap, SwitchCrash
 from repro.net import (
     HANDOFF_CONTRACT,
     PACKET_PINS,
     WIRE_EFFICIENCY,
+    FluidSolver,
     HybridEngine,
     Network,
     fat_tree,
@@ -37,11 +42,13 @@ def test_attach_registers_every_channel_and_rejects_double_attach():
 def test_paths_resolve_to_channel_rows_without_asking_the_network():
     net = Network(fat_tree(4))
     eng = HybridEngine(net)
-    for (a, b), row in eng._hop_row.items():
+    hops = {(a, b): row for a, nxt in eng._next_row.items() for b, row in nxt.items()}
+    for (a, b), row in hops.items():
         ch = eng._channels[row]
         assert (ch.src.name, ch.dst.name) == (a, b)
         assert eng.solver._link_row[ch.name] == row  # one row space
-    assert len(eng._hop_row) == len(eng._channels)
+    assert hops.keys() == net.port_map.keys()
+    assert len(hops) == len(eng._channels)
 
     def no_lookup(a, b):
         raise AssertionError("start_flow looked a hop up per call")
@@ -50,6 +57,84 @@ def test_paths_resolve_to_channel_rows_without_asking_the_network():
     fc = eng.start_flow(["h1", "p0e0", "p0a0", "p0e1", "h3"], 10_000)
     assert [eng._channels[row].name for row in eng._rows_on(fc.path)] == list(fc.links)
     assert [ch.split("[")[0] for ch in fc.links] == ["h1", "p0e0", "p0a0", "p0e1"]
+
+
+def _solver_call_sites() -> dict[str, set[tuple[str, str]]]:
+    """``{callee: {(module under src/repro, Class.function)}}`` for every call
+    that builds a ``FluidSolver`` or registers or removes one of its flows."""
+    callees = ("FluidSolver", "add_flow", "add_flow_rows", "remove_flow", "remove_flows")
+    sites: dict[str, set[tuple[str, str]]] = {name: set() for name in callees}
+    src = pathlib.Path(repro.__file__).parent
+
+    def visit(node: ast.AST, path: str, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in sites:
+                sites[name].add((path, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for file in sorted(src.rglob("*.py")):
+        visit(ast.parse(file.read_text(encoding="utf-8")), file.relative_to(src).as_posix(), ())
+    return sites
+
+
+def test_one_solver_per_engine_and_one_registration_path():
+    sites = _solver_call_sites()
+    assert sites["FluidSolver"] == {("net/hybrid.py", "HybridEngine.__init__")}
+    # names resolve to rows, then every flow enters through add_flow_rows
+    assert sites["add_flow"] == set()
+    assert sites["add_flow_rows"] == {
+        ("net/fluid.py", "FluidSolver.add_flow"),
+        ("net/hybrid.py", "HybridEngine.start_flow"),
+        ("net/hybrid.py", "HybridEngine.peer_flow"),
+    }
+    assert sites["remove_flow"] == {("net/hybrid.py", "HybridEngine.end_peer")}
+    assert sites["remove_flows"] == {
+        ("net/fluid.py", "FluidSolver.remove_flow"),
+        ("net/hybrid.py", "HybridEngine._finish_flows"),
+    }
+
+
+def test_each_flow_registers_once_with_the_engines_one_solver(monkeypatch):
+    built, log = [], []
+    init, add_rows, remove = (
+        FluidSolver.__init__, FluidSolver.add_flow_rows, FluidSolver.remove_flows
+    )
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def logging_add(self, flow_id, *args, **kwargs):
+        log.append(("add", flow_id))
+        add_rows(self, flow_id, *args, **kwargs)
+
+    def logging_remove(self, flow_ids):
+        flow_ids = list(flow_ids)
+        log.extend(("remove", fid) for fid in flow_ids)
+        remove(self, flow_ids)
+
+    monkeypatch.setattr(FluidSolver, "__init__", counting_init)
+    monkeypatch.setattr(FluidSolver, "add_flow_rows", logging_add)
+    monkeypatch.setattr(FluidSolver, "remove_flows", logging_remove)
+    net = Network(fat_tree(4))
+    eng = HybridEngine(net, epoch_s=0.01)
+    assert built == [eng.solver]
+    assert [v for v in vars(eng).values() if isinstance(v, FluidSolver)] == built
+    assert len(eng.solver._link_row) == len(eng._channels)
+    path = ["h1", "p0e0", "p0a0", "p0e1", "h3"]
+    fc = eng.start_flow(path, 10_000)
+    pid = eng.peer_flow(path)
+    assert log == [("add", fc.flow_id), ("add", pid)]
+    eng.end_peer(pid)
+    assert log[2:] == [("remove", pid)]
+    net.run()
+    assert fc.finished and log[3:] == [("remove", fc.flow_id)]
+    assert len(eng.solver) == 0 and built == [eng.solver]
 
 
 def test_engine_validates_parameters():
