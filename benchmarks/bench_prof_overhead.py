@@ -1,11 +1,11 @@
 """Self-profiler overhead: the disabled path must cost (almost) nothing.
 
-The acceptance bar for the profiling layer is that an unhooked run — every
-``_prof`` slot still ``None`` — slows a packet-pushing run by at most 2%
-of wall time.  The hooks are statically dead (one ``is None`` check at
-each site, most of them folded into branches the sanitizer already pays
-for), so the bar holds by construction; this bench keeps it honest by
-measuring.  ``Profiler.attach(net, enabled=False)`` — the call-site idiom
+The acceptance bar for the profiling layer is that an unhooked run — the
+simulator's ``_prof`` slot still ``None`` and no method bracketed — slows
+a packet-pushing run by at most 2% of wall time.  The only check left on
+an unhooked run is the event kernel's one ``is None`` per dispatch,
+folded into the branch the sanitizer already pays for, so the bar holds
+by construction; this bench keeps it honest by measuring.  ``Profiler.attach(net, enabled=False)`` — the call-site idiom
 — and a fully hooked profiler (with and without dispatch sampling) are
 reported alongside; live frames do real clock reads per event and carry
 no 2% bar.

@@ -36,7 +36,6 @@ from .rules import Finding, LintContext, Rule, all_rules, explain, rule_ids
 from .taint import TaintProject, collect_project
 
 __all__ = [
-    "RULES",
     "Finding",
     "lint_source",
     "lint_paths",
@@ -47,38 +46,6 @@ __all__ = [
 
 _PRAGMA = re.compile(r"#\s*lint:\s*allow\(([\w, -]+)\)")
 _FILE_PRAGMA = re.compile(r"#\s*lint:\s*file-allow\(([\w, -]+)\)")
-
-
-def _rules_map() -> dict[str, str]:
-    return {rule.id: rule.summary for rule in all_rules()}
-
-
-class _RulesView(dict):
-    """Lazy ``RULES`` mapping (kept for API compatibility with PR 1)."""
-
-    def _fill(self) -> None:
-        if not super().__len__():
-            super().update(_rules_map())
-
-    def __getitem__(self, key):  # pragma: no cover - trivial delegation
-        self._fill()
-        return super().__getitem__(key)
-
-    def __iter__(self):
-        self._fill()
-        return super().__iter__()
-
-    def __len__(self):
-        self._fill()
-        return super().__len__()
-
-    def __contains__(self, key):
-        self._fill()
-        return super().__contains__(key)
-
-
-#: rule id -> one-line summary (back-compat alias of the registry)
-RULES = _RulesView()
 
 
 def module_name_for(path: str) -> Optional[str]:

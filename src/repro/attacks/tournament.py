@@ -22,10 +22,9 @@ import json
 from typing import Optional, Sequence
 
 from ..anonymity import STRATEGIES
-from ..core.client import MicDatagramServer
 from ..core.deployment import deploy_mic
 from ..faults.schedule import FaultSchedule
-from ..faults.scorecard import ChannelProbeStats, build_scorecard
+from ..faults.scorecard import EchoChannels, build_scorecard
 from ..net.topology import fat_tree
 from .base import ATTACKS, AttackContext, ChannelTruth, get_attack
 
@@ -64,47 +63,18 @@ def run_scenario(
         journey=True,
         mic_kwargs={"strategy": strategy, "mn_bits": mn_bits},
     )
-    sim = dep.sim
-    n_hosts = k * k * k // 4
-    pairs = [
-        (f"h{i + 1}", f"h{n_hosts - i}", 7001 + i)
-        for i in range(len(CHANNEL_SHAPES))
-    ]
 
     # -- establish the channels (setup latency measured per channel) -------
-    sockets: dict[int, object] = {}
-    setup_s: dict[int, float] = {}
-
-    def serve(server):
-        while True:
-            dg = yield server.recv()
-            server.reply(dg, dg.data)
-
-    def establish(idx: int, a: str, b: str, port: int):
-        t0 = sim.now
-        sock = yield from dep.endpoint(a).connect_datagram(
-            b, service_port=port, n_mns=n_mns, decoys=decoys
-        )
-        sockets[idx] = sock
-        setup_s[idx] = sim.now - t0
-
-    for idx, (a, b, port) in enumerate(pairs):
-        server = MicDatagramServer(dep.net.host(b), port)
-        sim.process(serve(server), name=f"tourney.server{idx}")
-        sim.process(establish(idx, a, b, port), name=f"tourney.establish{idx}")
-    dep.run_for(5.0)
-    if len(sockets) != len(pairs):
-        raise RuntimeError(
-            f"only {len(sockets)}/{len(pairs)} channels established"
-        )
+    echo = EchoChannels(CHANNEL_SHAPES, PUMP_HORIZON_S)
+    channel_ids = echo.establish(dep, n_mns, decoys)
 
     # -- ground truth + adversary taps -------------------------------------
     channels: list[ChannelTruth] = []
-    for idx, (a, b, port) in enumerate(pairs):
-        plan = dep.mic.channels[sockets[idx].channel_id].flows[0]
+    for cid, (a, b, port) in zip(channel_ids, echo.pairs):
+        plan = dep.mic.channels[cid].flows[0]
         channels.append(
             ChannelTruth(
-                channel_id=sockets[idx].channel_id,
+                channel_id=cid,
                 initiator=a,
                 responder=b,
                 initiator_ip=str(dep.net.host(a).ip),
@@ -126,54 +96,20 @@ def run_scenario(
     points = {name: ObservationPoint(dep.net, name) for name in tap_names}
 
     # -- churn: one mid-walk link flap on channel 0 ------------------------
-    t0 = sim.now
-    walk0 = dep.mic.channels[channels[0].channel_id].flows[0].walk
+    t0 = dep.sim.now
+    walk0 = dep.mic.channels[channel_ids[0]].flows[0].walk
     mid = len(walk0) // 2
     schedule = FaultSchedule(seed=seed)
     schedule.link_flap(walk0[mid - 1], walk0[mid], at_s=t0 + 1.5, down_for_s=1.0)
     schedule.attach(dep.net, dep.ctrl)
 
-    # -- probe pumps with per-channel traffic shapes -----------------------
-    probes = [
-        ChannelProbeStats(channel_id=ch.channel_id,
-                          initiator=ch.initiator, responder=ch.responder)
-        for ch in channels
-    ]
-    payload_sent = [0] * len(pairs)
-
-    def pump(idx: int, stats: ChannelProbeStats):
-        sock = sockets[idx]
-        period_s, size = CHANNEL_SHAPES[idx]
-        end = t0 + PUMP_HORIZON_S
-        seq = 0
-        while sim.now < end:
-            data = f"probe:{idx}:{seq}:".encode().ljust(size, b"x")
-            sock.send(data)
-            stats.sent += 1
-            payload_sent[idx] += len(data)
-            seq += 1
-            yield sim.timeout(period_s)
-
-    def drain(idx: int, stats: ChannelProbeStats):
-        sock = sockets[idx]
-        while True:
-            yield sock.recv()
-            stats.answered += 1
-
-    for idx, stats in enumerate(probes):
-        sim.process(pump(idx, stats), name=f"tourney.pump{idx}")
-        sim.process(drain(idx, stats), name=f"tourney.drain{idx}")
-
-    # -- run, settle, score ------------------------------------------------
-    dep.run_for(PUMP_HORIZON_S + 1.0)
-    deadline = sim.now + 20.0
-    while (dep.mic.parked_flows or dep.mic.repairs_in_flight) and sim.now < deadline:
-        dep.run_for(0.5)
-    dep.run_for(1.0)
+    # -- probe pumps with per-channel traffic shapes; run, settle, score ----
+    probes = echo.start()
+    echo.settle(max_settle_s=20.0, drain_s=1.0)
 
     channels = [
-        dataclasses.replace(ch, payload_bytes=payload_sent[idx])
-        for idx, ch in enumerate(channels)
+        dataclasses.replace(ch, payload_bytes=stats.bytes_sent)
+        for ch, stats in zip(channels, probes)
     ]
     journeys = (
         dep.journey.journeys_by_content_tag() if dep.journey is not None else {}
@@ -189,7 +125,7 @@ def run_scenario(
     verification = dep.mic.verify()
     card = build_scorecard(dep, probes, schedule, verification=verification)
     strat = dep.mic.strategy
-    setups = [setup_s[i] for i in sorted(setup_s)]
+    setups = [echo.setup_s[i] for i in sorted(echo.setup_s)]
     stats = {
         "availability": card["availability"]["overall"],
         "repairs_completed": card["repair"]["completed"],

@@ -137,7 +137,7 @@ def run_shard_churn(
 
     if prof is not None:
         prof.exit()
-        prof.hook(dep.net)
+        prof.hook(dep.net).hook_mic(dep.mic)
 
     t0 = sim.now
     for idx, (a, b, port) in enumerate(pairs):

@@ -318,13 +318,9 @@ class MimicController(ControllerApp):
         return None
 
     def _route(self, sw_name: str, counter: str, n: int) -> Shard:
-        """``owner_of_switch``, profiled as ``controlplane.route``."""
-        prof = self.sim._prof
-        if prof is None:
-            return self.owner_of_switch(sw_name)
-        with prof.region("controlplane.route"):
-            prof.count("controlplane.route", counter, n)
-            return self.owner_of_switch(sw_name)
+        """``owner_of_switch`` for ``n`` requests or mods of kind ``counter``
+        (the profiler's ``controlplane.route`` frame brackets this call)."""
+        return self.owner_of_switch(sw_name)
 
     # ------------------------------------------------------------------
     # Control-message path (packets addressed to MC_IP)
@@ -681,8 +677,6 @@ class MimicController(ControllerApp):
         owner.installs_issued += n_mods
         if owner is not origin:
             self.remote_installs += n_mods
-            if self.sim._prof is not None:
-                self.sim._prof.count("controlplane.route", "mods.remote", n_mods)
         if owner.cpu is None:
             return self.controller.install_batch(sw_name, entries, groups)
         cost = n_mods * self.flowmod_cpu_s

@@ -18,6 +18,7 @@ from .chaos import default_schedule, run_chaos
 from .schedule import FaultSchedule
 from .scorecard import (
     ChannelProbeStats,
+    EchoChannels,
     build_scorecard,
     format_scorecard,
     scorecard_json,
@@ -34,6 +35,7 @@ from .specs import (
 __all__ = [
     "ChannelProbeStats",
     "ControlPartition",
+    "EchoChannels",
     "FaultSchedule",
     "FaultSpec",
     "LinkFlap",

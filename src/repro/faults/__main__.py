@@ -72,8 +72,9 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="scenario seed")
-    p.add_argument("--channels", type=int, default=3,
-                   help="number of mimic channels (default 3)")
+    p.add_argument("--channels", type=int, default=3, choices=range(3, 9),
+                   metavar="{3..8}",
+                   help="number of mimic channels, 3 to 8 (default 3)")
     p.add_argument("--probe-period", type=float, default=0.2,
                    help="seconds between availability probes")
     p.add_argument("--detection-latency", type=float, default=0.002,

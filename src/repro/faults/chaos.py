@@ -29,12 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.prof import Profiler
 
 from ..attacks import ObservationPoint, correlate_with_truth
-from ..core.client import MicDatagramServer
 from ..core.deployment import MicDeployment, deploy_mic
 from ..net.topology import fat_tree
 from ..obs.flight import FlightRecorder
 from .schedule import FaultSchedule
-from .scorecard import ChannelProbeStats, build_scorecard
+from .scorecard import EchoChannels, build_scorecard
 
 __all__ = ["default_schedule", "run_chaos"]
 
@@ -116,8 +115,10 @@ def run_chaos(
     :class:`~repro.faults.ShardCrash` and the scorecard gains a
     ``controlplane`` section.
 
-    With ``schedule=None`` the :func:`default_schedule` is built from the
-    established channels.  A supplied schedule must not be attached yet —
+    ``n_channels`` lies in [1, 8] and ``probe_period_s`` is positive; both
+    are checked before anything is deployed.  With ``schedule=None`` (which
+    needs at least three channels) the :func:`default_schedule` is built
+    from the established channels.  A supplied schedule must not be attached yet —
     its absolute times should assume faults start a few seconds into the
     run (establishment takes ~1 simulated second).
 
@@ -128,13 +129,19 @@ def run_chaos(
     must produce a byte-identical card.
 
     ``profiler`` (a :class:`repro.obs.Profiler`) is hooked into the
-    simulator, flow tables, hybrid engine (if any), and journey/observer
-    hooks before the scenario starts; read ``profiler.report()`` after the
-    call.  Like the sanitizer, it must not perturb the card — frame counts
-    and named counters are deterministic per seed, only wall-ns vary.
+    simulator, flow tables, hybrid engine (if any), journey/observer hooks
+    and the MC's shard routing before the scenario starts; read
+    ``profiler.report()`` after the call.  Like the sanitizer, it must not
+    perturb the card — frame counts and named counters are deterministic
+    per seed, only wall-ns vary.
     """
     if n_channels < 1 or n_channels > 8:
         raise ValueError(f"n_channels {n_channels} out of [1, 8]")
+    if schedule is None and n_channels < 3:
+        raise ValueError(
+            f"the default schedule needs >= 3 channels, got {n_channels}"
+        )
+    echo = EchoChannels([(probe_period_s, 0)] * n_channels, PROBE_HORIZON_S)
     flight = FlightRecorder()
     dep = deploy_mic(
         fat_tree(4),
@@ -151,39 +158,12 @@ def run_chaos(
         sanitizer.sim = sim
         sim._sanitizer = sanitizer
     if profiler is not None:
-        profiler.hook(dep.net)
+        profiler.hook(dep.net).hook_mic(dep.mic)
 
     # -- establish n datagram channels on cross-pod host pairs -------------
-    pairs = [(f"h{i}", f"h{17 - i}", 7000 + i) for i in range(1, n_channels + 1)]
-    servers = []
-    sockets: dict[int, object] = {}
-
-    def serve(server):
-        while True:
-            dg = yield server.recv()
-            server.reply(dg, dg.data)
-
-    def establish(idx: int, a: str, b: str, port: int):
-        sock = yield from dep.endpoint(a).connect_datagram(
-            b, service_port=port, n_mns=n_mns, decoys=decoys
-        )
-        sockets[idx] = sock
-
-    for idx, (a, b, port) in enumerate(pairs):
-        srv = MicDatagramServer(dep.net.host(b), port)
-        servers.append(srv)
-        sim.process(serve(srv), name=f"chaos.server{idx}")
-        sim.process(establish(idx, a, b, port), name=f"chaos.establish{idx}")
-    dep.run_for(5.0)
-    if len(sockets) != len(pairs):
-        raise RuntimeError(
-            f"only {len(sockets)}/{len(pairs)} channels established"
-        )
-
-    channel_ids = [sockets[i].channel_id for i in range(len(pairs))]
-    t0 = sim.now
+    channel_ids = echo.establish(dep, n_mns, decoys)
     if schedule is None:
-        schedule = default_schedule(dep, channel_ids, seed, t0)
+        schedule = default_schedule(dep, channel_ids, seed, sim.now)
     schedule.attach(dep.net, dep.ctrl)
 
     # The compromised MN: one of channel 0's mimic nodes, tapped before
@@ -191,38 +171,9 @@ def run_chaos(
     plan0 = dep.mic.channels[channel_ids[0]].flows[0]
     point = ObservationPoint(dep.net, plan0.walk[plan0.mn_positions[0]])
 
-    # -- probe loops -------------------------------------------------------
-    probes = [
-        ChannelProbeStats(channel_id=cid, initiator=a, responder=b)
-        for cid, (a, b, _port) in zip(channel_ids, pairs)
-    ]
-
-    def pump(idx: int, stats: ChannelProbeStats):
-        sock = sockets[idx]
-        end = t0 + PROBE_HORIZON_S
-        seq = 0
-        while sim.now < end:
-            sock.send(f"probe:{idx}:{seq}".encode())
-            stats.sent += 1
-            seq += 1
-            yield sim.timeout(probe_period_s)
-
-    def drain(idx: int, stats: ChannelProbeStats):
-        sock = sockets[idx]
-        while True:
-            yield sock.recv()
-            stats.answered += 1
-
-    for idx, stats in enumerate(probes):
-        sim.process(pump(idx, stats), name=f"chaos.pump{idx}")
-        sim.process(drain(idx, stats), name=f"chaos.drain{idx}")
-
-    # -- run the scenario, then settle until recovery converges ------------
-    dep.run_for(PROBE_HORIZON_S + 1.0)
-    deadline = sim.now + max_settle_s
-    while (dep.mic.parked_flows or dep.mic.repairs_in_flight) and sim.now < deadline:
-        dep.run_for(0.5)
-    dep.run_for(2.0)  # drain the last in-flight replies
+    # -- probe loops; run the scenario, then settle until recovery converges
+    probes = echo.start()
+    echo.settle(max_settle_s, drain_s=2.0)
 
     # -- score -------------------------------------------------------------
     journeys = (

@@ -14,18 +14,23 @@ One chaos run produces one scorecard — a plain JSON-ready dict covering:
 
 Everything is derived from simulated state, so the same seed yields the
 same scorecard byte for byte (`` scorecard_json`` sorts keys).
+
+:class:`EchoChannels` is the probe driver behind those availability
+numbers, shared by the chaos scenario and the attack tournament.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
+from ..core.client import MicDatagramServer
 from ..obs.metrics import Histogram
 
 __all__ = [
     "ChannelProbeStats",
+    "EchoChannels",
     "build_scorecard",
     "format_scorecard",
     "scorecard_json",
@@ -41,6 +46,8 @@ class ChannelProbeStats:
     responder: str
     sent: int = 0
     answered: int = 0
+    #: payload bytes of the probes sent
+    bytes_sent: int = 0
 
     @property
     def availability(self) -> float:
@@ -57,6 +64,114 @@ class ChannelProbeStats:
             "probes_answered": self.answered,
             "availability": self.availability,
         }
+
+
+class EchoChannels:
+    """Datagram echo channels probed open loop.
+
+    Channel ``idx`` (from 0) joins ``h{idx+1}`` to ``h{n_hosts-idx}`` — a
+    cross-pod pair on a fat-tree — on service port ``7001 + idx``, and the
+    responder echoes every datagram.  ``shapes[idx]`` is its
+    ``(period_s, payload_bytes)``: once :meth:`start` runs, its pump sends
+    ``probe:<idx>:<seq>`` padded with ``x`` to that size every period for
+    ``horizon_s``, and its drain counts the echoes.  The shapes are
+    checked here, before anything is deployed.
+    """
+
+    def __init__(self, shapes: Sequence[tuple[float, int]], horizon_s: float):
+        for period_s, _size in shapes:
+            if not period_s > 0:
+                raise ValueError(f"probe period must be positive, got {period_s!r}")
+        self.shapes = list(shapes)
+        self.horizon_s = horizon_s
+        self.dep = None
+        #: (initiator, responder, service port) per channel
+        self.pairs: list[tuple[str, str, int]] = []
+        #: channel index -> the initiator's datagram socket
+        self.sockets: dict[int, Any] = {}
+        #: channel index -> simulated seconds its establishment took
+        self.setup_s: dict[int, float] = {}
+
+    def establish(self, dep, n_mns: int, decoys: int) -> list[int]:
+        """Start the echo servers on ``dep``, connect every channel within
+        five simulated seconds, and return the channel ids in channel order."""
+        self.dep = dep
+        sim = dep.sim
+        n_hosts = len(dep.net.hosts())
+        self.pairs = [
+            (f"h{idx + 1}", f"h{n_hosts - idx}", 7001 + idx)
+            for idx in range(len(self.shapes))
+        ]
+
+        def serve(server):
+            while True:
+                dg = yield server.recv()
+                server.reply(dg, dg.data)
+
+        def connect(idx: int, a: str, b: str, port: int):
+            t0 = sim.now
+            sock = yield from dep.endpoint(a).connect_datagram(
+                b, service_port=port, n_mns=n_mns, decoys=decoys
+            )
+            self.sockets[idx] = sock
+            self.setup_s[idx] = sim.now - t0
+
+        for idx, (a, b, port) in enumerate(self.pairs):
+            server = MicDatagramServer(dep.net.host(b), port)
+            sim.process(serve(server), name=f"echo.server{idx}")
+            sim.process(connect(idx, a, b, port), name=f"echo.establish{idx}")
+        dep.run_for(5.0)
+        if len(self.sockets) != len(self.pairs):
+            raise RuntimeError(
+                f"only {len(self.sockets)}/{len(self.pairs)} channels established"
+            )
+        return [self.sockets[idx].channel_id for idx in range(len(self.pairs))]
+
+    def start(self) -> list[ChannelProbeStats]:
+        """Start every channel's pump and drain; returns their stats."""
+        sim = self.dep.sim
+        end = sim.now + self.horizon_s
+        probes = [
+            ChannelProbeStats(channel_id=self.sockets[idx].channel_id,
+                              initiator=a, responder=b)
+            for idx, (a, b, _port) in enumerate(self.pairs)
+        ]
+
+        def pump(idx: int, stats: ChannelProbeStats):
+            sock = self.sockets[idx]
+            period_s, size = self.shapes[idx]
+            seq = 0
+            while sim.now < end:
+                data = f"probe:{idx}:{seq}".encode().ljust(size, b"x")
+                sock.send(data)
+                stats.sent += 1
+                stats.bytes_sent += len(data)
+                seq += 1
+                yield sim.timeout(period_s)
+
+        def drain(idx: int, stats: ChannelProbeStats):
+            sock = self.sockets[idx]
+            while True:
+                yield sock.recv()
+                stats.answered += 1
+
+        for idx, stats in enumerate(probes):
+            sim.process(pump(idx, stats), name=f"echo.pump{idx}")
+            sim.process(drain(idx, stats), name=f"echo.drain{idx}")
+        return probes
+
+    def settle(self, max_settle_s: float, drain_s: float) -> None:
+        """Run out the probe horizon plus a second, keep running while the
+        MC still has flows parked or repairs in flight (at most
+        ``max_settle_s``), then ``drain_s`` more for the last replies."""
+        dep = self.dep
+        dep.run_for(self.horizon_s + 1.0)
+        deadline = dep.sim.now + max_settle_s
+        while (
+            dep.mic.parked_flows or dep.mic.repairs_in_flight
+        ) and dep.sim.now < deadline:
+            dep.run_for(0.5)
+        dep.run_for(drain_s)
 
 
 def _latency_summary(durations: list[float]) -> dict[str, float]:

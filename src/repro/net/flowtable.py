@@ -477,25 +477,11 @@ class FlowTable:
         #: classification statistics (diagnostics; not part of forwarding)
         self.cache_hits = 0
         self.cache_misses = 0
-        #: opt-in self-profiler (repro.obs.prof.Profiler), set through
-        #: :meth:`set_profiler`; None = off and :meth:`lookup` is the class's
-        #: own, unbracketed classifier
-        self._prof: Optional[Any] = None
 
     def _bump(self) -> None:
         """Record a table mutation: stale the flat view and the cache."""
         self.version += 1
         self._flat = None
-
-    def set_profiler(self, prof: Optional[Any]) -> None:
-        """Bracket every :meth:`lookup` in ``prof``'s ``flowtable.lookup``
-        frame (None = off): the instance's ``lookup`` becomes the profiled
-        variant, or the class's own method again."""
-        self._prof = prof
-        if prof is None:
-            self.__dict__.pop("lookup", None)
-        else:
-            self.lookup = self._lookup_profiled
 
     # -- management ------------------------------------------------------
     def install(self, entry: FlowEntry) -> None:
@@ -652,8 +638,8 @@ class FlowTable:
         Classifies through the lookup cache and the tuple-space indexes;
         agrees with the linear reference scan on every packet by
         construction (and by the hypothesis equivalence suite).  A profiled
-        table (:meth:`set_profiler`) runs this same body inside one
-        ``flowtable.lookup`` frame.
+        table runs this same body inside one ``flowtable.lookup`` frame
+        (``repro.obs.prof.Profiler.hook``).
         """
         if self.cache_size <= 0:
             return self._lookup_indexed(packet, in_port)
@@ -685,22 +671,6 @@ class FlowTable:
             cache.pop(next(iter(cache)))  # FIFO eviction of the oldest key
         cache[key] = entry
         return entry
-
-    def _lookup_profiled(self, packet: Packet, in_port: int) -> Optional[FlowEntry]:
-        """:meth:`lookup` bracketed in the profiler's frame, counting which
-        tier answered; what :meth:`set_profiler` installs as ``lookup``."""
-        prof = self._prof
-        prof.enter("flowtable.lookup")
-        try:
-            hits_before = self.cache_hits
-            entry = FlowTable.lookup(self, packet, in_port)
-            prof.count(
-                "flowtable.lookup",
-                "path.cached" if self.cache_hits > hits_before else "path.indexed",
-            )
-            return entry
-        finally:
-            prof.exit()
 
     def _lookup_indexed(self, packet: Packet, in_port: int) -> Optional[FlowEntry]:
         """Probe the per-priority tuple-space indexes, highest tier first."""

@@ -248,17 +248,9 @@ class FluidSolver:
     filling round gives every link its fair level and freezes the flows of
     every link that is a bottleneck for all of them at once, so the rounds
     follow the depth of the bottleneck structure, not the number of
-    distinct rates.
-
-    Instances below ``_VECTOR_MIN_FLOWS`` flows go through
-    :func:`max_min_fair` instead.  Both compute the max-min allocation, but
-    not with the same float operations, and the hybrid runs this repo pins
-    solve small instances on that path: moving them onto the array loop
-    would move their rates in the last bits.
+    distinct rates.  Every instance, however small, takes that one loop;
+    :func:`max_min_fair` stays as the reference it is checked against.
     """
-
-    #: below this many flows the array loop costs more than it saves
-    _VECTOR_MIN_FLOWS = 32
 
     def __init__(self, capacities_bps: Optional[dict[LinkId, float]] = None):
         caps = capacities_bps or {}
@@ -285,9 +277,6 @@ class FluidSolver:
         #: at the start of each round, summed over rounds and solves (obs
         #: counter)
         self.entries_swept = 0
-        #: opt-in self-profiler (repro.obs.prof.Profiler); None = off and
-        #: the solve hook in rates() is statically dead.
-        self._prof = None
 
     # -- link table -------------------------------------------------------
     def add_link(self, link: LinkId, capacity_bps: float) -> None:
@@ -433,36 +422,6 @@ class FluidSolver:
             self._nominal = self._solve(np.frombuffer(self._cap))[0]
         return self._nominal
 
-    def _solve(self, capacity: np.ndarray) -> tuple[dict[str, float], int, int]:
-        """Max-min rates over per-row ``capacity``, rounds, entries swept."""
-        prof = self._prof
-        if prof is None:
-            return self._fill(capacity)
-        n_flows = len(self._flows)
-        prof.enter("fluid.solve")
-        try:
-            solved = self._fill(capacity)
-        finally:
-            prof.exit()
-        vectorized = n_flows >= self._VECTOR_MIN_FLOWS
-        prof.count("fluid.solve", "path.vectorized" if vectorized else "path.scalar")
-        prof.count("fluid.solve", "flows.solved", n_flows)
-        prof.count("fluid.solve", "rounds", solved[1])
-        prof.count("fluid.solve", "entries.swept", solved[2])
-        return solved
-
-    def _fill(self, capacity: np.ndarray) -> tuple[dict[str, float], int, int]:
-        # the array loop from _VECTOR_MIN_FLOWS flows up, else the reference
-        if len(self._flows) >= self._VECTOR_MIN_FLOWS:
-            return self._solve_vectorized(capacity)
-        ids, caps = list(self._link_row), self._rate_caps
-        flows = [
-            FluidFlow(fid, [ids[row] for row in rows], caps.get(fid))
-            for fid, rows in self._flows.items()
-        ]
-        capacities = dict(zip(ids, capacity.tolist()))
-        return dict(max_min_fair(flows, capacities).rates_bps), 0, 0
-
     def rate(self, flow_id: str) -> float:
         """One flow's allocated rate in bps."""
         return self.rates()[flow_id]
@@ -510,7 +469,7 @@ class FluidSolver:
             link_capacity_bps=dict(zip(self._link_row, self._effective_array().tolist())),
         )
 
-    # -- vectorized water filling -----------------------------------------
+    # -- water filling ----------------------------------------------------
     def _incidence_arrays(self) -> _Incidence:
         """The flow×link incidence, rebuilt only after flow adds or a new link."""
         inc = self._incidence
@@ -542,11 +501,12 @@ class FluidSolver:
         )
         return inc
 
-    def _solve_vectorized(self, effective: np.ndarray) -> tuple[dict[str, float], int, int]:
-        """Parallel water filling: every local bottleneck freezes per round.
+    def _solve(self, link_capacity: np.ndarray) -> tuple[dict[str, float], int, int]:
+        """Max-min rates over per-row ``link_capacity`` by parallel water
+        filling: every local bottleneck freezes per round.
 
         A round gives every link the fair ``level`` its remaining capacity
-        offers each of its active entries, ``(effective - frozen load) /
+        offers each of its active entries, ``(capacity - frozen load) /
         active entries``, floored at 0.  An active flow's ``fair`` rate is
         the least level along it.  A link is a bottleneck when none of its
         active flows has a fair rate below its level; every active flow on a
@@ -565,7 +525,7 @@ class FluidSolver:
         and the entries swept.
         """
         inc = self._incidence_arrays()
-        capacity = np.concatenate((effective, inc.cap_rates))
+        capacity = np.concatenate((link_capacity, inc.cap_rates))
         n_links, n_flows, inf = len(capacity), len(inc.lens), float("inf")
         # the active entries and their flows; pathless flows have none and
         # stay unconstrained (inf), mirroring the reference

@@ -351,9 +351,6 @@ class HybridEngine:
         self._pinned_nodes: set[str] = set()
         self._flow_seq = 0
         self._peer_seq = 0
-        #: opt-in self-profiler (repro.obs.prof.Profiler); None = off and
-        #: the epoch-phase hooks are statically dead.
-        self._prof = None
         # -- counters surfaced through the obs contract --
         self.epochs = 0
         self.finished_flows = 0
@@ -567,30 +564,10 @@ class HybridEngine:
         dt = now - prev
         self._last_tick_s = now
         self.epochs += 1
-        prof = self._prof
-        if prof is None:
-            self._measure_phase(dt)
-            if self._flows:
-                self._publish_phase()
-                self._advance_phase(now, dt, prev)
-        else:
-            prof.enter("hybrid.epoch")
-            try:
-                prof.enter("hybrid.measure")
-                try:
-                    self._measure_phase(dt)
-                finally:
-                    prof.exit()
-                if self._flows:
-                    # the solve inside nests its own fluid.solve frame
-                    self._publish_phase()
-                    prof.enter("hybrid.advance")
-                    try:
-                        self._advance_phase(now, dt, prev)
-                    finally:
-                        prof.exit()
-            finally:
-                prof.exit()
+        self._measure_phase(dt)
+        if self._flows:
+            self._publish_phase()
+            self._advance_phase(now, dt, prev)
         self._maybe_quiesce()
 
     def _measure_phase(self, dt: float) -> None:

@@ -422,11 +422,6 @@ class JourneyRecorder:
         self._intent: dict[tuple[str, HeaderTuple], HeaderTuple] = {}
         self._intent_armed = False
         self.events_recorded = 0
-        #: opt-in self-profiler (repro.obs.prof.Profiler), set through
-        #: set_profiler(); None = off and the sink is the bare _record
-        self._prof = None
-        #: the one sink every hook hands its row to: ``sink(row, sampled)``
-        self._sink = self._record
 
     @property
     def never_records(self) -> bool:
@@ -496,11 +491,6 @@ class JourneyRecorder:
         if self.net.journey is self:
             self.net.journey = None
 
-    def set_profiler(self, prof) -> None:
-        """Bracket every sunk row in ``prof``'s ``obs.hook`` frame (None = off)."""
-        self._prof = prof
-        self._sink = self._record if prof is None else self._record_profiled
-
     # -- sampling -----------------------------------------------------------
     def wants(self, packet: "Packet") -> bool:
         """Sampling decision for this packet's content tag.
@@ -538,15 +528,6 @@ class JourneyRecorder:
             trigger = self._armed.get(row[_KIND])
             if trigger is not None:
                 self.flight.fire(trigger, row)
-
-    def _record_profiled(self, row: tuple, sampled: bool) -> None:
-        prof = self._prof
-        prof.enter("obs.hook")
-        prof.count("obs.hook", "journey_emit")
-        try:
-            self._record(row, sampled)
-        finally:
-            prof.exit()
 
     # -- intent (the MC's planned rewrite chains) ---------------------------
     def arm_intent(self, mic: "MimicController") -> int:
@@ -599,7 +580,7 @@ class JourneyRecorder:
         """The origin host pushed a packet into its stack."""
         sampled = self._keep_all or self.wants(packet)
         if sampled or self._watch_all:
-            self._sink((
+            self._record((
                 self.sim.now, "host.tx", host.name, packet.uid,
                 packet.content_tag, _HOST_TX, packet.ip_dst.text, packet.size,
             ), sampled)
@@ -623,7 +604,7 @@ class JourneyRecorder:
         )
         if sampled:
             header = self._headers.setdefault(header, header)
-        self._sink((
+        self._record((
             self.sim.now, "switch.ingress", switch.name, packet.uid,
             packet.content_tag, _SWITCH_INGRESS, in_port, header, packet.size,
         ), sampled)
@@ -641,7 +622,7 @@ class JourneyRecorder:
         """The pipeline matched ``entry`` and produced ``emissions``; ``old``
         is the header :meth:`on_switch_ingress` returned for this hop."""
         sampled = self._keep_all or self.wants(packet)
-        sink = self._sink
+        sink = self._record
         now = self.sim.now
         where = switch.name
         uid = packet.uid
@@ -686,7 +667,7 @@ class JourneyRecorder:
     ) -> None:
         """No rule matched; the packet is being punted.  ``header`` is the
         one :meth:`on_switch_ingress` returned (a miss rewrites nothing)."""
-        self._sink((
+        self._record((
             self.sim.now, "switch.miss", switch.name, packet.uid,
             packet.content_tag, _SWITCH_MISS, in_port, header,
         ), self._keep_all or self.wants(packet))
@@ -696,7 +677,7 @@ class JourneyRecorder:
     ) -> None:
         """The packet died of TTL in this switch's pipeline (called only when
         :meth:`on_switch_ingress` recorded the hop)."""
-        self._sink((
+        self._record((
             self.sim.now, "switch.ttl_expired", switch.name, packet.uid,
             packet.content_tag, _SWITCH_TTL_EXPIRED, in_port,
         ), self._keep_all or self.wants(packet))
@@ -713,7 +694,7 @@ class JourneyRecorder:
         """A channel accepted the packet (``size`` bytes) for transmission."""
         sampled = self._keep_all or self.wants(packet)
         if sampled or self._watch_all:
-            self._sink((
+            self._record((
                 self.sim.now, "link.tx", channel.name, packet.uid,
                 packet.content_tag, _LINK_TX, queue_wait_s, serialize_s,
                 channel.delay_s, backlog_bytes, size,
@@ -725,7 +706,7 @@ class JourneyRecorder:
         """A channel tail-dropped the packet."""
         sampled = self._keep_all or self.wants(packet)
         if sampled or self._watch_all:
-            self._sink((
+            self._record((
                 self.sim.now, "link.drop", channel.name, packet.uid,
                 packet.content_tag, _LINK_DROP, backlog_bytes, packet.size,
             ), sampled)
@@ -740,7 +721,9 @@ class JourneyRecorder:
         brackets.
         """
         if self._watch_all:
-            self._record(
+            # the class's own sink, past any profiler bracket on the instance
+            JourneyRecorder._record(
+                self,
                 (self.sim.now, "link.down", channel.name, 0, 0, _LINK_DOWN, up),
                 False,
             )
@@ -750,7 +733,7 @@ class JourneyRecorder:
         sampled = self._keep_all or self.wants(packet)
         if sampled or self._watch_all:
             now = self.sim.now
-            self._sink((
+            self._record((
                 now, "host.rx", host.name, packet.uid, packet.content_tag,
                 _HOST_RX, packet.ip_src.text, now - packet.created_at,
                 packet.size,
@@ -760,7 +743,7 @@ class JourneyRecorder:
         """A NIC discarded a packet not addressed to it (decoy death)."""
         sampled = self._keep_all or self.wants(packet)
         if sampled or self._watch_all:
-            self._sink((
+            self._record((
                 self.sim.now, "host.foreign_drop", host.name, packet.uid,
                 packet.content_tag, _HOST_FOREIGN_DROP, packet.ip_dst.text,
             ), sampled)

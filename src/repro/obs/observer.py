@@ -60,9 +60,9 @@ class Observer:
         self._rx_latency: dict[str, Histogram] = {}
         self.timeline: Optional[MetricsTimeline] = None
         self.journey: Optional["JourneyRecorder"] = None
-        #: opt-in self-profiler (repro.obs.prof.Profiler); set by
-        #: Profiler.hook().  None = off: the hot-path hook below stays a
-        #: single is-None check and snapshots carry no profile section.
+        #: the self-profiler (repro.obs.prof.Profiler) Profiler.hook() wired
+        #: in, read by snapshot(); None = off and snapshots carry no profile
+        #: section.
         self.profiler = None
 
     # -- construction -------------------------------------------------------
@@ -114,22 +114,14 @@ class Observer:
     # -- hot-path hooks -----------------------------------------------------
     def on_host_rx(self, host: "Host", packet: "Packet") -> None:
         """Observe one delivered packet's source-to-sink latency."""
-        prof = self.profiler
-        if prof is not None:
-            prof.enter("obs.hook")
-            prof.count("obs.hook", "host_rx")
-        try:
-            created = getattr(packet, "created_at", None)
-            if created is not None:
-                hist = self._rx_latency.get(host.name)
-                if hist is None:
-                    hist = self._rx_latency[host.name] = self.histogram(
-                        "net.packet_latency_s", host=host.name
-                    )
-                hist.observe(self.sim.now - created)
-        finally:
-            if prof is not None:
-                prof.exit()
+        created = getattr(packet, "created_at", None)
+        if created is not None:
+            hist = self._rx_latency.get(host.name)
+            if hist is None:
+                hist = self._rx_latency[host.name] = self.histogram(
+                    "net.packet_latency_s", host=host.name
+                )
+            hist.observe(self.sim.now - created)
 
     # -- timeline -----------------------------------------------------------
     def start_timeline(self, period_s: float) -> MetricsTimeline:

@@ -3,20 +3,24 @@
 Every prior obs layer instruments the *simulated network*; this one
 instruments the *simulator* — where does a run's wall time actually go?
 A :class:`Profiler` is wired into a contracted set of subsystems
-(:data:`PROF_SUBSYSTEMS`, doc-diffed against ``docs/observability.md``)
-through explicit enter/exit hooks: the event-loop dispatch, flow-table
-classification, fluid re-solves, hybrid epoch phases and the obs/journey
-hot-path hooks.  No ``sys.setprofile``, no tracing of arbitrary frames —
-each hook is a single ``is None`` check that the disabled default leaves
-statically dead, so an unprofiled run is byte-identical and pays ≤2%
-(``benchmarks/bench_prof_overhead.py`` keeps that honest).
+(:data:`PROF_SUBSYSTEMS`, doc-diffed against ``docs/observability.md``):
+the event-loop dispatch, flow-table classification, fluid re-solves,
+hybrid epoch phases, the MC's shard routing and the obs/journey hot-path
+hooks.  No ``sys.setprofile``, no tracing of arbitrary frames.  The event
+kernel keeps one ``_prof`` slot for its per-dispatch hook; everything else
+is bracketed from here: :meth:`Profiler.hook` (and :meth:`~Profiler.hook_hybrid`,
+:meth:`~Profiler.hook_mic`) installs a wrapper around each instrumented
+method on the hooked instance, so the instrumented modules never see the
+profiler.  An unprofiled run carries no wrapper at all: it is
+byte-identical and pays only the kernel's one ``is None`` check per
+dispatch (``benchmarks/bench_prof_overhead.py`` keeps that honest).
 
 Attribution follows the classic self/cumulative split: a frame's
 *cumulative* time is enter-to-exit wall-ns; its *self* time excludes the
 nanoseconds attributed to nested frames (a ``fluid.solve`` inside a
 ``hybrid.epoch`` counts once, at the leaf).  Invocation counts and the
-named per-subsystem counters (event kinds, lookup path split, solver path
-split, heap depth) are **deterministic** for a seeded run — only the
+named per-subsystem counters (event kinds, lookup path split, solver
+work, heap depth) are **deterministic** for a seeded run — only the
 wall-ns fields vary machine to machine — which is what the determinism
 tests pin.
 
@@ -91,7 +95,7 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
     ),
     ProfSubsystem(
         "flowtable.lookup",
-        "repro.net.flowtable.FlowTable.lookup (swapped in by set_profiler)",
+        "repro.net.flowtable.FlowTable.lookup",
         "classifying one packet through the cache and tuple-space indexes",
         "`path.cached`, `path.indexed`",
     ),
@@ -99,10 +103,9 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
         "fluid.solve",
         "repro.net.fluid.FluidSolver.rates",
         "re-solving a dirtied max-min allocation (clean reads open no frame)",
-        "`path.vectorized`, `path.scalar`, `flows.solved` (flow-set size "
-        "summed over solves), `rounds` (water-filling rounds of the array "
-        "loop summed over solves — `FluidSolver.rounds`, the work that "
-        "explains the self time), `entries.swept` (flow×link entries, cap "
+        "`flows.solved` (flow-set size summed over solves), `rounds` "
+        "(water-filling rounds summed over solves — `FluidSolver.rounds`, "
+        "the work that explains the self time), `entries.swept` (flow×link entries, cap "
         "links included, still active at the start of those rounds — "
         "`FluidSolver.entries_swept`)",
     ),
@@ -115,14 +118,14 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
     ),
     ProfSubsystem(
         "hybrid.measure",
-        "repro.net.hybrid.HybridEngine._epoch_tick (measure phase)",
+        "repro.net.hybrid.HybridEngine._measure_phase",
         "refreshing peer reservations and debiting measured packet bytes "
         "from fluid-fillable capacity",
         "—",
     ),
     ProfSubsystem(
         "hybrid.advance",
-        "repro.net.hybrid.HybridEngine._epoch_tick (advance phase)",
+        "repro.net.hybrid.HybridEngine._advance_phase",
         "advancing live fluid transfers by rate × dt and finishing those "
         "that complete",
         "—",
@@ -135,7 +138,7 @@ PROF_SUBSYSTEMS: tuple[ProfSubsystem, ...] = (
     ),
     ProfSubsystem(
         "controlplane.route",
-        "repro.core.controller.MimicController._send / on_packet_in",
+        "repro.core.controller.MimicController._route / _send",
         "routing one control request or install bundle to its owning "
         "shard through the rendezvous ownership map (every run, sharded "
         "or not)",
@@ -289,6 +292,31 @@ def dispatch_kind(fn: Callable[..., None]) -> str:
     return "event.Callback"
 
 
+# What one bracketed call counts: ``tally(args, result, moved)`` -> (key, n)
+# pairs (see Profiler._bracket).
+def _lookup_path(args: tuple, entry: Any, hits: int) -> tuple:
+    return (("path.cached" if hits else "path.indexed", 1),)
+
+
+def _host_rx(args: tuple, result: Any, moved: int) -> tuple:
+    return (("host_rx", 1),)
+
+
+def _journey_emit(args: tuple, result: Any, moved: int) -> tuple:
+    return (("journey_emit", 1),)
+
+
+def _routed(args: tuple, shard: Any, moved: int) -> tuple:
+    # MimicController._route(sw_name, counter, n)
+    return ((args[1], args[2]),)
+
+
+def _remote(args: tuple, result: Any, remote: int) -> tuple:
+    # mods issued by a non-owning shard: MimicController._send moved
+    # remote_installs by that many
+    return (("mods.remote", remote),) if remote else ()
+
+
 class Profiler:
     """Frame-stack self-profiler the simulator's hook points drive.
 
@@ -390,36 +418,107 @@ class Profiler:
         self.exit()
 
     # -- wiring ------------------------------------------------------------
+    def _bracket(
+        self,
+        obj: Any,
+        method: str,
+        frame: str,
+        tally: Optional[Callable[[tuple, Any, int], Iterable[tuple[str, float]]]] = None,
+        watch: str = "",
+        opens: bool = True,
+    ) -> None:
+        """Install ``obj.<method>`` as its class's method bracketed in ``frame``.
+
+        The wrapper is an instance attribute, so every call that looks the
+        method up on ``obj`` runs it; the class and every other instance
+        are untouched.  ``tally(args, result, moved)`` returns the
+        ``(key, n)`` pairs one call counts under ``frame``, where ``moved``
+        is how far the call moved the counter attribute ``obj.<watch>``
+        (0 without ``watch``).  ``opens=False`` counts without opening the
+        frame.  Bracketing again replaces the wrapper, so the same profiler
+        adds no second frame and another profiler takes over.
+        """
+        inner = getattr(type(obj), method).__get__(obj)
+        enter, leave, count = self.enter, self.exit, self.count
+
+        def bracketed(*args: Any, **kwargs: Any) -> Any:
+            if opens:
+                enter(frame)
+            try:
+                before = getattr(obj, watch) if watch else 0
+                result = inner(*args, **kwargs)
+                if tally is not None:
+                    moved = getattr(obj, watch) - before if watch else 0
+                    for key, n in tally(args, result, moved):
+                        count(frame, key, n)
+                return result
+            finally:
+                if opens:
+                    leave()
+
+        setattr(obj, method, bracketed)
+
     def hook(self, net: "Network") -> "Profiler":
         """Wire this profiler into a live network's instrumented points.
 
-        Sets the ``_prof`` slot on the simulator, the hybrid engine and its
-        solvers (when attached); swaps every switch's flow-table lookup
-        (:meth:`FlowTable.set_profiler`) and the journey's sink for their
-        bracketed variants, and wires the observer hooks (when attached).
-        Safe to call again after attaching more layers.
+        Sets the simulator's per-dispatch ``_prof`` slot, brackets
+        ``sim.run``, every switch's flow-table lookup, the journey sink and
+        the observer's delivery hook (when attached), and the hybrid
+        engine (:meth:`hook_hybrid`, when attached).  Safe to call again
+        after attaching more layers.
         """
         net.sim._prof = self
+        self._bracket(net.sim, "run", "sim.run")
+        # hosts share one observer and switches one recorder: bracketing
+        # one again only replaces its wrapper
+        journeys = [getattr(sw, "journey", None) for sw in net.switches()]
         for sw in net.switches():
-            sw.table.set_profiler(self)
-            journey = getattr(sw, "journey", None)
+            self._bracket(
+                sw.table, "lookup", "flowtable.lookup", _lookup_path, "cache_hits"
+            )
+        for host in net.hosts():
+            obs = getattr(host, "obs", None)
+            if obs is not None:
+                obs.profiler = self
+                self._bracket(obs, "on_host_rx", "obs.hook", _host_rx)
+                journeys.append(obs.journey)
+        for journey in journeys:
             if journey is not None:
-                journey.set_profiler(self)
+                self._bracket(journey, "_record", "obs.hook", _journey_emit)
         hybrid = getattr(net, "hybrid", None)
         if hybrid is not None:
             self.hook_hybrid(hybrid)
-        for host in net.hosts():
-            obs = getattr(host, "obs", None)
-            if obs is not None and obs.profiler is not self:
-                obs.profiler = self
-                if obs.journey is not None:
-                    obs.journey.set_profiler(self)
         return self
 
-    def hook_hybrid(self, engine) -> "Profiler":
-        """Wire into a hybrid engine and its fluid solver."""
-        engine._prof = self
-        engine.solver._prof = self
+    def hook_hybrid(self, engine: Any) -> "Profiler":
+        """Wire into a hybrid engine's epoch phases and its fluid solver."""
+        self._bracket(engine, "_epoch_tick", "hybrid.epoch")
+        self._bracket(engine, "_measure_phase", "hybrid.measure")
+        self._bracket(engine, "_advance_phase", "hybrid.advance")
+        # the ticker holds the bound method it was built with
+        engine._ticker.fn = engine._epoch_tick
+        solver = engine.solver
+        self._bracket(
+            solver, "_solve", "fluid.solve",
+            lambda args, solved, _: (
+                ("flows.solved", len(solver)),
+                ("rounds", solved[1]),
+                ("entries.swept", solved[2]),
+            ),
+        )
+        return self
+
+    def hook_mic(self, mic: Any) -> "Profiler":
+        """Wire into a Mimic Controller's shard routing.
+
+        The network holds no reference to its MC, so :meth:`hook` cannot
+        reach it; a profiled MIC run calls this too.
+        """
+        self._bracket(mic, "_route", "controlplane.route", _routed)
+        self._bracket(
+            mic, "_send", "controlplane.route", _remote, "remote_installs",
+            opens=False,
+        )
         return self
 
     @classmethod

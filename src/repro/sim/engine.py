@@ -507,16 +507,6 @@ class Simulator:
         until it is processed, returning its value).  ``max_events`` guards
         against runaway simulations.
         """
-        prof = self._prof
-        if prof is None:
-            return self._run(until, max_events)
-        prof.enter("sim.run")
-        try:
-            return self._run(until, max_events)
-        finally:
-            prof.exit()
-
-    def _run(self, until: Optional[float | Event], max_events: int) -> Any:
         steps = 0
         if isinstance(until, Event):
             target = until

@@ -2,65 +2,27 @@
 concurrent repairs that never leak registry state or duplicate cookies."""
 
 from repro.core import deploy_mic
-from repro.core.client import MicDatagramServer
+from repro.faults import EchoChannels
 from repro.net import fat_tree
 
 
 def _deploy_channels(n, seed=3, n_mns=3, decoys=1):
-    """MIC on fat_tree(4) with ``n`` datagram channels h_i <-> h_(17-i).
+    """MIC on fat_tree(4) with ``n`` echo channels h_i <-> h_(17-i), each
+    probed three times 0.1 s apart once started.
 
-    Returns ``(dep, sockets, channel_ids, servers)`` with echo servers
-    already looping.
+    Returns ``(dep, echo, channel_ids)`` with the echo servers already
+    looping.
     """
     dep = deploy_mic(fat_tree(4), seed=seed)
-    sim = dep.sim
-    pairs = [(f"h{i}", f"h{17 - i}", 7000 + i) for i in range(1, n + 1)]
-    sockets = {}
-
-    def serve(server):
-        while True:
-            dg = yield server.recv()
-            server.reply(dg, dg.data)
-
-    def establish(idx, a, b, port):
-        sock = yield from dep.endpoint(a).connect_datagram(
-            b, service_port=port, n_mns=n_mns, decoys=decoys
-        )
-        sockets[idx] = sock
-
-    servers = []
-    for idx, (a, b, port) in enumerate(pairs):
-        srv = MicDatagramServer(dep.net.host(b), port)
-        servers.append(srv)
-        sim.process(serve(srv))
-        sim.process(establish(idx, a, b, port))
-    dep.run_for(5.0)
-    assert len(sockets) == n, "establishment failed"
-    channel_ids = [sockets[i].channel_id for i in range(n)]
-    return dep, sockets, channel_ids, servers
+    echo = EchoChannels([(0.1, 0)] * n, horizon_s=0.25)
+    return dep, echo, echo.establish(dep, n_mns, decoys)
 
 
-def _probe_all(dep, sockets, rounds=3, gap_s=0.1):
-    """Send ``rounds`` fresh probes on every socket; return answered/sent."""
-    sent = {idx: 0 for idx in sockets}
-    answered = {idx: 0 for idx in sockets}
-
-    def pump(idx):
-        for seq in range(rounds):
-            sockets[idx].send(f"ping:{idx}:{seq}".encode())
-            sent[idx] += 1
-            yield dep.sim.timeout(gap_s)
-
-    def drain(idx):
-        while True:
-            yield sockets[idx].recv()
-            answered[idx] += 1
-
-    for idx in sockets:
-        dep.sim.process(pump(idx))
-        dep.sim.process(drain(idx))
-    dep.run_for(rounds * gap_s + 2.0)
-    return sent, answered
+def _probe_all(echo):
+    """Probe every channel; return its stats once the replies are in."""
+    probes = echo.start()
+    echo.dep.run_for(echo.horizon_s + 2.0)
+    return probes
 
 
 def _live_owners(dep):
@@ -81,7 +43,7 @@ def _assert_registry_consistent(dep):
 
 
 def test_no_surviving_path_parks_then_recovers():
-    dep, sockets, channel_ids, _ = _deploy_channels(1)
+    dep, echo, channel_ids = _deploy_channels(1)
     dep.net.attach_trace()
     plan = dep.mic.channels[channel_ids[0]].flows[0]
     # The responder's access link is the only way in: repair cannot find a
@@ -105,13 +67,13 @@ def test_no_surviving_path_parks_then_recovers():
     assert dep.mic.repairs_completed >= 1
     assert not dep.mic.verify().violations
 
-    sent, answered = _probe_all(dep, sockets)
-    assert answered[0] == sent[0] > 0
+    (probe,) = _probe_all(echo)
+    assert probe.answered == probe.sent == 3
     _assert_registry_consistent(dep)
 
 
 def test_simultaneous_failures_across_channels():
-    dep, sockets, channel_ids, _ = _deploy_channels(3)
+    dep, echo, channel_ids = _deploy_channels(3)
     # Interior (switch-switch) hop of each of the first two walks; both go
     # down at the same instant, so the two repairs run concurrently.
     edges = []
@@ -142,14 +104,12 @@ def test_simultaneous_failures_across_channels():
     _assert_registry_consistent(dep)
     assert not dep.mic.verify().violations
 
-    sent, answered = _probe_all(dep, sockets)
-    assert sent[0] > 0
-    for idx in sockets:
-        assert answered[idx] == sent[idx], f"channel {idx} lost probes"
+    for probe in _probe_all(echo):
+        assert probe.answered == probe.sent == 3, f"channel {probe.channel_id} lost probes"
 
 
 def test_second_failure_mid_repair():
-    dep, sockets, channel_ids, _ = _deploy_channels(2)
+    dep, echo, channel_ids = _deploy_channels(2)
     cid = channel_ids[0]
     walk = dep.mic.channels[cid].flows[0].walk
     mid = len(walk) // 2
@@ -179,6 +139,5 @@ def test_second_failure_mid_repair():
     _assert_registry_consistent(dep)
     assert not dep.mic.verify().violations
 
-    sent, answered = _probe_all(dep, sockets)
-    for idx in sockets:
-        assert answered[idx] == sent[idx] > 0
+    for probe in _probe_all(echo):
+        assert probe.answered == probe.sent == 3

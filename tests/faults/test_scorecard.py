@@ -83,3 +83,40 @@ def test_format_scorecard_mentions_key_fields(chaos3):
     assert "repair" in text
     for ch in card["availability"]["channels"]:
         assert ch["initiator"] in text
+
+
+# ---------------------------------------------------------------------------
+# inputs are checked before anything is deployed
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def no_deploy(monkeypatch):
+    """``run_chaos`` fails loudly if it gets as far as deploying."""
+    import repro.faults.chaos as chaos
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("deployed before checking its inputs")
+
+    monkeypatch.setattr(chaos, "deploy_mic", refuse)
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0])
+def test_non_positive_probe_period_is_refused_before_deploying(no_deploy, period):
+    # period 0 used to livelock the pumps at one instant
+    with pytest.raises(ValueError, match="probe period must be positive"):
+        run_chaos(probe_period_s=period)
+
+
+def test_default_schedule_channel_floor_is_checked_before_deploying(no_deploy):
+    with pytest.raises(ValueError, match=">= 3 channels"):
+        run_chaos(n_channels=2)
+
+
+@pytest.mark.parametrize("channels", ["2", "9"])
+def test_cli_channels_outside_3_to_8_is_a_usage_error(channels, capsys):
+    from repro.faults.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--channels", channels])
+    assert exc.value.code == 2
+    assert "--channels" in capsys.readouterr().err
+

@@ -1,7 +1,7 @@
 """The parallel water-filling loop: the max-min certificate, and the loop it replaced.
 
 ``FluidSolver`` freezes every local bottleneck in the same round (see
-``FluidSolver._solve_vectorized``).  That is not the arithmetic of the
+``FluidSolver._solve``, which every instance takes, however small).  That is not the arithmetic of the
 one-level-per-round loop it replaced, which ``fluid_oracle.full_scan_solve``
 keeps, so rates are compared with it to a relative 1e-8 — that loop read a
 link as saturated within a relative 1e-9 of its capacity — wherever both
@@ -76,13 +76,9 @@ def assert_near_oracle(solver, caps, flows, external=None):
         assert math.isclose(got[fid], w, rel_tol=1e-8, abs_tol=1e-9), fid
 
 
-def padded(flows, caps, n=FluidSolver._VECTOR_MIN_FLOWS):
-    """``flows`` plus bystanders on a private link, enough for the array loop."""
-    caps["pad"] = 1.0
-    flows = {f.flow_id: f for f in flows}
-    for i in range(n):
-        flows[f"pad{i}"] = FluidFlow(f"pad{i}", ["pad"])
-    return flows
+def by_id(flows):
+    """``{flow_id: flow}`` of a list of flows."""
+    return {f.flow_id: f for f in flows}
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +99,7 @@ def instances(draw):
         for l in draw(st.lists(st.sampled_from(links), max_size=3, unique=True))
     }
     flows = {}
-    for j in range(draw(st.integers(32, 48))):
+    for j in range(draw(st.integers(0, 48))):
         # min_size 0: pathless flows; not unique: a link listed twice
         path = draw(st.lists(st.sampled_from(links), min_size=0, max_size=5))
         cap = draw(st.one_of(st.none(), st.none(), capacity))
@@ -191,7 +187,7 @@ def test_churn_sequence_equals_fresh_solver_after_every_step():
             rng.choice(steps)()
         fresh = build(caps, flows, external)
         assert_near_oracle(fresh, caps, flows, external)
-        assert len(solver) == len(flows) >= FluidSolver._VECTOR_MIN_FLOWS
+        assert len(solver) == len(flows)
         assert same(solver.rates(), fresh.rates())
         assert same(solver.link_fluid_load_bps(), fresh.link_fluid_load_bps())
         assert solver.allocation().link_capacity_bps == {
@@ -234,10 +230,9 @@ def test_remove_heavy_churn_masks_the_incidence_round_for_round():
     for _ in range(160):
         add_flow()
     masked = 0
-    while len(flows) > FluidSolver._VECTOR_MIN_FLOWS:
-        # stay on the array loop: the reference below 32 flows is another one
-        spare = len(flows) - FluidSolver._VECTOR_MIN_FLOWS
-        gone = rng.sample(sorted(flows), min(rng.randint(1, 5), spare))
+    while flows:
+        # down to the last flow: small instances take the same loop
+        gone = rng.sample(sorted(flows), min(rng.randint(1, 5), len(flows)))
         for fid in gone:
             del flows[fid]
         if len(gone) == 1:
@@ -300,13 +295,11 @@ def test_rounds_sweep_little_more_than_the_live_links():
 # ---------------------------------------------------------------------------
 def test_link_listed_twice_counts_twice():
     caps = {"l": 90.0}
-    flows = padded(
-        [FluidFlow("twice", ["l", "l"]), FluidFlow("once", ["l"])], caps
-    )
+    flows = by_id([FluidFlow("twice", ["l", "l"]), FluidFlow("once", ["l"])])
     solver = build(caps, flows)
     assert_near_oracle(solver, caps, flows)
-    # three entries on "l": both flows freeze at 30, and "twice" loads it
-    # twice; "l" and "pad" are both bottlenecks of the first round
+    # three entries on "l": both flows freeze at 30 in the first round, and
+    # "twice" loads it twice
     assert solver.rate("twice") == solver.rate("once") == 30.0
     assert solver.link_fluid_load_bps()["l"] == 90.0
     assert solver.rounds == 1
@@ -316,9 +309,8 @@ def test_duplicate_links_are_all_released_when_the_flow_freezes():
     # "dup" freezes on "thin" in the first round; unless both of its entries
     # on "fat" are charged at 10, "rest" misses the 100 it should reach
     caps = {"thin": 10.0, "fat": 100.0 + 10.0 + 10.0}
-    flows = padded(
-        [FluidFlow("dup", ["fat", "thin", "fat"]), FluidFlow("rest", ["fat"])],
-        caps,
+    flows = by_id(
+        [FluidFlow("dup", ["fat", "thin", "fat"]), FluidFlow("rest", ["fat"])]
     )
     solver = build(caps, flows)
     assert_near_oracle(solver, caps, flows)
@@ -329,15 +321,12 @@ def test_duplicate_links_are_all_released_when_the_flow_freezes():
 
 def test_flow_on_two_links_saturating_together_is_frozen_once():
     caps = {"a": 20.0, "b": 20.0, "c": 100.0}
-    flows = padded(
-        [
-            FluidFlow("both", ["a", "b", "c"]),
-            FluidFlow("a2", ["a"]),
-            FluidFlow("b2", ["b"]),
-            FluidFlow("c2", ["c"]),
-        ],
-        caps,
-    )
+    flows = by_id([
+        FluidFlow("both", ["a", "b", "c"]),
+        FluidFlow("a2", ["a"]),
+        FluidFlow("b2", ["b"]),
+        FluidFlow("c2", ["c"]),
+    ])
     solver = build(caps, flows)
     assert_near_oracle(solver, caps, flows)
     assert solver.rate("both") == 10.0
@@ -350,16 +339,15 @@ def test_flow_on_two_links_saturating_together_is_frozen_once():
 def test_inf_capacity_never_freezes_a_finite_flow(cap_on):
     # "x" crosses an inf link (or has an inf rate cap) and shares "l" with
     # "y": an inf level never binds, so both get half of "l" in the round
-    # the pads freeze in.  The full scan read the inf link as saturated in
-    # its first round and froze "x" at the pads' level.
-    caps = {"wide": INF if cap_on == "link" else 1e12, "l": 50.0}
-    flows = padded(
+    # the 40 bystanders on "pad" freeze in.  The full scan read the inf link
+    # as saturated in its first round and froze "x" at the bystanders' level.
+    caps = {"wide": INF if cap_on == "link" else 1e12, "l": 50.0, "pad": 1.0}
+    flows = by_id(
         [
             FluidFlow("x", ["wide", "l"], rate_cap_bps=INF if cap_on == "flow" else None),
             FluidFlow("y", ["l"]),
-        ],
-        caps,
-        n=40,
+        ]
+        + [FluidFlow(f"pad{i}", ["pad"]) for i in range(40)]
     )
     solver = build(caps, flows)
     assert_max_min_fair(solver)
@@ -371,9 +359,7 @@ def test_inf_capacity_never_freezes_a_finite_flow(cap_on):
 
 def test_zero_capacity_link_gives_share_zero_and_still_freezes():
     caps = {"dead": 100.0, "l": 60.0}
-    flows = padded(
-        [FluidFlow("starved", ["dead", "l"]), FluidFlow("ok", ["l"])], caps
-    )
+    flows = by_id([FluidFlow("starved", ["dead", "l"]), FluidFlow("ok", ["l"])])
     external = {"dead": 250.0}  # external load >= capacity
     solver = build(caps, flows, external)
     assert_near_oracle(solver, caps, flows, external)
@@ -386,8 +372,8 @@ def test_zero_capacity_link_gives_share_zero_and_still_freezes():
 @pytest.mark.parametrize("n", [3, 34])
 def test_flows_on_inf_links_only_get_inf(n):
     # a flow whose links all have infinite capacity is unconstrained, like a
-    # pathless one — on the array loop (34 flows) and the reference (3) alike;
-    # no finite input yields nan.  "mixed" takes what "l" offers.
+    # pathless one — in a small instance and a larger one alike, and as in
+    # the reference; no finite input yields nan.  "mixed" takes what "l" offers.
     caps = {"a": INF, "b": INF, "l": 5.0}
     flows = {
         fid: FluidFlow(fid, [("a", "b")[i % 2]] * (1 + i % 3))
@@ -422,7 +408,7 @@ def test_add_link_after_first_solve_grows_the_link_table():
     assert_near_oracle(solver, caps, flows, {"late39": 1e6})
 
 
-def test_rounds_accumulate_and_the_scalar_path_adds_none():
+def test_rounds_accumulate_over_solves():
     caps, flows = ecmp_instance(4, 64, seed=2)
     solver = build(caps, flows)
     solver.rates()
@@ -433,9 +419,10 @@ def test_rounds_accumulate_and_the_scalar_path_adds_none():
     solver.set_capacity(next(iter(caps)), 5e8)
     solver.rates()
     assert solver.rounds > first
+    # one flow is one round of the same loop
     small = build({"l": 1.0}, [FluidFlow("a", ["l"])])
     small.rates()
-    assert (small.resolves, small.rounds) == (1, 0)
+    assert (small.resolves, small.rounds, small.entries_swept) == (1, 1, 1)
 
 
 def test_a_solve_allocates_per_solve_not_per_round():
@@ -486,10 +473,9 @@ def test_solving_does_not_import_numpy_ma():
 STEPS = ("add", "remove", "external", "capacity", "late link")
 
 
-@pytest.mark.parametrize(
-    "start", [(0, FluidSolver._VECTOR_MIN_FLOWS - 1), (FluidSolver._VECTOR_MIN_FLOWS, 44)],
-    ids=["scalar", "vector"],
-)
+# the ids name the two flow-count ranges that once chose a scalar or an
+# array loop; both ranges now take the one loop, and both stay drawn
+@pytest.mark.parametrize("start", [(0, 31), (32, 44)], ids=["scalar", "vector"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_nominal_solve_equals_a_fresh_solver_without_external_loads(start, data):

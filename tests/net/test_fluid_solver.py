@@ -183,7 +183,7 @@ def test_allocation_view_matches_reference():
 
 
 def test_vectorized_path_matches_reference_at_gigabit_scale():
-    """Force the numpy path (>= _VECTOR_MIN_FLOWS) on gigabit capacities."""
+    """The array loop against the reference on 64 flows at gigabit capacities."""
     n_links, n_flows = 12, 64
     caps = {f"l{i}": GBPS * (1 + i % 3) for i in range(n_links)}
     flows = [

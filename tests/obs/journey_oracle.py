@@ -13,7 +13,8 @@ classification.  Three small pieces let it run on today's data plane:
   carried ingress header and calls ``pre_apply``), bound per switch by
   :func:`attach_oracle`;
 * :class:`OracleRecorder` accepts the ``size`` argument ``Channel.send``
-  now passes to ``on_link_tx`` and the profiler's ``set_profiler`` call.
+  now passes to ``on_link_tx``, and keeps the old profiler recipe: the
+  differential harness calls its ``set_profiler`` directly.
 """
 
 import types

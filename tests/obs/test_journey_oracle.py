@@ -16,7 +16,7 @@ link flap on the channel's walk.
 import json
 
 from hypothesis import given, settings, strategies as st
-from journey_oracle import OracleFlightRecorder, attach_oracle
+from journey_oracle import OracleFlightRecorder, OracleRecorder, attach_oracle
 
 from repro.core import deploy_mic
 from repro.obs import FlightRecorder, JourneyRecorder, Profiler, journeys_to_json
@@ -45,7 +45,13 @@ def _run(attach, flight_cls, seed, sampling, flight_mode, profiled, flap):
             queue_threshold_bytes=600 if flight_mode == "threshold" else None,
         )
     rec = attach(dep.net, flight=flight, **sampling)
-    prof = Profiler.attach(dep.net) if profiled else None
+    prof = None
+    if profiled:
+        prof = Profiler()
+        if isinstance(rec, OracleRecorder):
+            rec.set_profiler(prof)  # the old recipe: the recorder brackets itself
+        else:
+            prof.hook(dep.net)
     server, alice = dep.server("h16", 80), dep.endpoint("h1")
     link_at, down_at, down_for = flap
 

@@ -12,6 +12,7 @@ Three properties carry the layer:
   stays clean with profiling enabled.
 """
 
+import ast
 import itertools
 import json
 import random
@@ -44,7 +45,7 @@ from repro.obs import (
     to_perfetto,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.prof import ProfileReport
+from repro.obs.prof import ProfileReport, _lookup_path
 from tests.profile_counts import GOLDEN as COUNTS_GOLDEN, chaos_counts, counts_doc, render
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
@@ -152,28 +153,39 @@ def test_sample_every_validation():
 # ---------------------------------------------------------------------------
 # no side effects: byte-identity and determinism
 # ---------------------------------------------------------------------------
-def _burst_run(profiled: bool):
-    """A seeded 3-switch burst; returns (trace reprs, final time, profiler)."""
-    net = Network(linear(3, hosts_per_switch=1), seed=11)
-    h1, h3 = net.host("h1"), net.host("h3")
+def _wired_linear3(seed):
+    """``linear(3)`` with h1 -> h3 wired and a sink on h3; returns the net."""
+    net = Network(linear(3, hosts_per_switch=1), seed=seed)
+    h3 = net.host("h3")
     for sw, out in (("s1", ("s1", "s2")), ("s2", ("s2", "s3")),
                     ("s3", ("s3", "h3"))):
         net.switch(sw).table.install(
             FlowEntry(Match(ip_dst=h3.ip), [Output(net.port(*out))])
         )
     h3.bind("tcp", 80, lambda host, p: None)
-    trace = net.attach_trace()
-    prof = Profiler.attach(net, enabled=profiled, sample_every=10)
-    for i in range(50):
+    return net
+
+
+def _burst(net, n=20):
+    """Send ``n`` packets h1 -> h3 and run until they land."""
+    h1, h3 = net.host("h1"), net.host("h3")
+    for i in range(n):
         net.sim.call_at(
-            i * 1e-4,
+            net.sim.now + i * 1e-4,
             (lambda j: lambda: h1.send_packet(
-                h1.make_packet(h3.ip, sport=1000 + j, dport=80,
-                               payload_size=100)
+                h1.make_packet(h3.ip, sport=1000 + j, dport=80, payload_size=100)
             ))(i),
         )
     net.run()
-    assert h3.packets_received == 50
+
+
+def _burst_run(profiled: bool):
+    """A seeded 3-switch burst; returns (trace reprs, final time, profiler)."""
+    net = _wired_linear3(seed=11)
+    trace = net.attach_trace()
+    prof = Profiler.attach(net, enabled=profiled, sample_every=10)
+    _burst(net, 50)
+    assert net.host("h3").packets_received == 50
     return [repr(r) for r in trace.records], net.sim.now, prof
 
 
@@ -191,19 +203,20 @@ def test_profiled_run_is_byte_identical():
     assert report.samples and report.samples[0]["dispatches"] == 10
 
 
-def test_flowtable_set_profiler_swaps_lookup_and_back():
-    """A profiled table answers every lookup exactly as a bare one, with the
-    same hit/miss counters, counts which tier answered, and
-    ``set_profiler(None)`` leaves ``lookup`` the class's own method."""
+def test_bracketed_lookup_answers_as_the_bare_one_and_counts_each_tier():
+    """A hooked table answers every lookup exactly as a bare one, with the
+    same hit/miss counters, and counts which tier answered; an unhooked
+    table's ``lookup`` is the class's own method."""
     rng = random.Random(5)
     hosts = [ip(f"10.1.0.{i}") for i in range(1, 9)]
     bare, profiled = FlowTable(cache_size=4), FlowTable(cache_size=4)
     for table in (bare, profiled):
         for i, dst in enumerate(hosts[:6]):
             table.install(FlowEntry(Match(ip_dst=dst), [Output(i)], cookie=i + 1))
+    assert "lookup" not in vars(bare) and bare.lookup.__func__ is FlowTable.lookup
     prof = Profiler()
-    profiled.set_profiler(prof)
-    assert profiled.lookup.__func__ is FlowTable._lookup_profiled
+    prof._bracket(profiled, "lookup", "flowtable.lookup", _lookup_path, "cache_hits")
+    assert "lookup" in vars(profiled)
     packets = [
         Packet(eth_src=mac(1), eth_dst=mac(2), ip_src=hosts[0], ip_dst=rng.choice(hosts))
         for _ in range(200)
@@ -214,7 +227,7 @@ def test_flowtable_set_profiler_swaps_lookup_and_back():
     assert (bare.cache_hits, bare.cache_misses) == (
         profiled.cache_hits, profiled.cache_misses)
     assert 0 < profiled.cache_hits and 0 < profiled.cache_misses
-    # a stale resolved version re-classifies through the profiled lookup
+    # a stale resolved version re-classifies through the bracketed lookup
     profiled.apply(packets[0].copy(), 1, None, profiled.version - 1)
     assert prof.report().counts()["flowtable.lookup"] == {
         "calls": len(packets) + 1,
@@ -223,19 +236,83 @@ def test_flowtable_set_profiler_swaps_lookup_and_back():
             "path.indexed": profiled.cache_misses,
         },
     }
-    profiled.set_profiler(None)
-    assert "lookup" not in vars(profiled)
-    assert profiled.lookup.__func__ is FlowTable.lookup
-    profiled.lookup(packets[0], 1)
-    assert prof.calls["flowtable.lookup"] == len(packets) + 1  # off again
 
 
 def test_profiler_hook_swaps_every_switch_lookup():
     net = Network(linear(3, hosts_per_switch=1), seed=0)
-    prof = Profiler.attach(net)
-    for sw in net.switches():
-        assert sw.table.lookup.__func__ is FlowTable._lookup_profiled
-        assert sw.table._prof is prof
+    bare = Network(linear(3, hosts_per_switch=1), seed=0)
+    Profiler.attach(net)
+    for sw, plain in zip(net.switches(), bare.switches()):
+        assert "lookup" in vars(sw.table)
+        assert "lookup" not in vars(plain.table)
+        assert plain.table.lookup.__func__ is FlowTable.lookup
+    assert "run" in vars(net.sim) and "run" not in vars(bare.sim)
+
+
+def test_hooking_twice_adds_no_frame_and_a_second_profiler_takes_over():
+    net = _wired_linear3(seed=2)
+    Observer.attach(net)
+    first = Profiler.attach(net)
+    first.hook(net)  # the same profiler again: no second bracket
+    _burst(net)
+    counts = first.report().counts()
+    lookups = sum(sw.table.cache_hits + sw.table.cache_misses for sw in net.switches())
+    assert counts["flowtable.lookup"]["calls"] == lookups == 3 * 20
+    assert counts["sim.run"]["calls"] == 1
+    assert counts["obs.hook"] == {"calls": 20, "counters": {"host_rx": 20}}
+    second = Profiler.attach(net)
+    _burst(net)
+    assert first.report().counts() == counts  # replaced: it sees nothing new
+    again = second.report().counts()
+    assert again["sim.run"]["calls"] == 1
+    assert again["flowtable.lookup"]["calls"] == 3 * 20
+    assert again["obs.hook"]["calls"] == 20
+    assert net.host("h1").obs.profiler is second
+
+
+def test_shard_churn_profile_routes_through_the_mc():
+    """``run_shard_churn`` hooks the MC (``hook_mic``): its profile keeps
+    ``controlplane.route`` with the mods it routed."""
+    from repro.bench import run_shard_churn
+
+    r = run_shard_churn(k=4, shards=2, clients=2, rounds=1, seed=0, profile=True)
+    rows = {row["name"]: row for row in r.profile["subsystems"]}
+    route = rows["controlplane.route"]
+    assert route["calls"] > 0
+    assert route["counters"]["mods.routed"] > 0
+    assert route["counters"]["requests.routed"] > 0
+    assert route["counters"].get("mods.remote", 0) == r.remote_installs
+
+
+def test_only_the_event_kernel_carries_profiler_wiring():
+    """Outside ``obs/prof.py`` nothing in ``src/`` reads a ``_prof`` slot
+    but ``Simulator.__init__`` / ``step``, only the observer (its
+    ``__init__`` and the snapshot) reads ``.profiler``, and no module
+    defines a ``set_profiler`` or a ``*_profiled`` twin or drives a
+    profiler reached through such a slot."""
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    allowed = {
+        ("sim/engine.py", "_prof"): {"__init__", "step"},
+        ("obs/observer.py", "profiler"): {"__init__", "_snapshot_prof"},
+    }
+    found = []
+
+    def visit(node, rel, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "set_profiler" or node.name.endswith("_profiled"):
+                found.append(f"{rel}: defines {node.name}")
+            where = node.name
+        elif isinstance(node, ast.Attribute) and node.attr in ("_prof", "profiler"):
+            if where not in allowed.get((rel, node.attr), ()):
+                found.append(f"{rel}:{node.lineno} {where} reads .{node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, rel, where)
+
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        if rel != "obs/prof.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), rel, "<module>")
+    assert found == []
 
 
 @pytest.fixture(scope="module")
@@ -398,8 +475,6 @@ def test_profiled_hybrid_scenario_attributes_most_of_the_run():
     assert rows["scenario.setup"]["calls"] == 1
     assert rows["hybrid.epoch"]["calls"] >= 1
     assert rows["fluid.solve"]["counters"]["flows.solved"] > 0
-    # 57 fluid flows start together, so the first solve runs the array loop
-    assert rows["fluid.solve"]["counters"]["path.vectorized"] >= 1
     counters = rows["fluid.solve"]["counters"]
     # a round sweeps at least one active entry, and at most every flow×link
     # entry of its solve: no rate caps, and a fat_tree(4) path has <= 6 links

@@ -11,7 +11,7 @@ from tests.attribute_stores import attribute_writers
 
 def test_only_the_kernel_writes_the_clock():
     # the initial 0.0, the event being stepped, and run(until=...)'s clamp
-    assert attribute_writers("now") == {"sim/engine.py": {"__init__", "step", "_run"}}
+    assert attribute_writers("now") == {"sim/engine.py": {"__init__", "step", "run"}}
 
 
 def test_now_is_an_instance_attribute_not_a_property():
