@@ -3,7 +3,7 @@
 The :class:`Controller` connects to every switch in a :class:`Network`,
 receives packet-ins, dispatches them to registered apps, and offers the
 southbound operations apps need: flow-mod bundles (with install latency),
-packet-out, and path-rule compilation helpers.
+cookie removal and packet-out.
 
 Apps subclass :class:`ControllerApp` and override ``on_packet_in``.
 """
@@ -294,13 +294,3 @@ class Controller:
 
         mic = next((app for app in self.apps if app.name == "mic"), None)
         return verify_network(self.network, mic=mic)
-
-    # -- helpers --------------------------------------------------------------
-    def ports_along(self, path: Sequence[str]) -> list[tuple[str, int]]:
-        """(switch, out_port) pairs for the switch hops of a node path."""
-        hops: list[tuple[str, int]] = []
-        for i, node in enumerate(path[:-1]):
-            if self.network.topo.kind(node) != "switch":
-                continue
-            hops.append((node, self.network.port(node, path[i + 1])))
-        return hops

@@ -185,6 +185,8 @@ class TopologyView:
     """Read-only graph queries over a :class:`Topology`."""
 
     def __init__(self, topo: Topology, max_equal_cost_paths: int = 16):
+        if max_equal_cost_paths < 1:
+            raise ValueError(f"max_equal_cost_paths {max_equal_cost_paths} must be >= 1")
         self.topo = topo
         # The controller's own copy of the graph: link failures mutate this
         # routing view without touching the physical topology description.
@@ -220,6 +222,7 @@ class TopologyView:
             [self._index[h] for h in ranked], dtype=np.intp
         )
         self._path_cache: dict[tuple[str, str], list[list[str]]] = {}
+        self._nearer: dict[str, tuple] = {}  # source -> (distances, predecessor map)
         self._rebuild_distances()
 
     def _rebuild_distances(self) -> None:
@@ -266,6 +269,7 @@ class TopologyView:
             self._names, index, matrix
         )
         self._path_cache.clear()
+        self._nearer.clear()
         # Distance from every node to every host, hosts in rank order.  The
         # graph is undirected, so a row is also "from every host to the node".
         to_hosts = matrix[:, self._ranked_cols]
@@ -297,28 +301,39 @@ class TopologyView:
         """All shortest routing paths between two nodes (up to the cap).
 
         Enumerated over the absorbing-host metric: interiors are switches.
+        A depth-first walk back from ``dst`` over ``src``'s predecessor map:
+        per node, its neighbours one hop nearer ``src`` that may relay
+        (switches, or ``src``), in adjacency order — filled the first time
+        a walk from ``src`` reaches the node, kept until the next link
+        event.  A node's distance from ``src`` is its slot in one path
+        buffer, copied once per path found.
         """
-        key = (src, dst)
-        if key not in self._path_cache:
-            d_src = self.dist[src]
+        paths = self._path_cache.get((src, dst))
+        if paths is None:
+            if src not in self._nearer:
+                self._nearer[src] = (self.dist[src], {})
+            d_src, nearer = self._nearer[src]
             if dst not in d_src:
                 raise NoPathError(f"no routing path {src} -> {dst}")
-            adj = self.graph.adj
-            paths: list[list[str]] = []
-            stack: list[list[str]] = [[dst]]
+            adj, switches = self.graph.adj, self._switches
+            paths, walk, stack = [], [src] * (d_src[dst] + 1), [dst]
             while stack and len(paths) < self.max_equal_cost_paths:
-                partial = stack.pop()
-                head = partial[0]
-                if head == src:
-                    paths.append(partial)
+                head = stack.pop()
+                hops = d_src[head]
+                walk[hops] = head
+                if hops <= 1:  # only src is nearer, and it already fills slot 0
+                    paths.append(walk[:])
                     continue
-                for u in adj[head]:
-                    if u in d_src and d_src[u] + 1 == d_src[head]:
-                        if u == src or u in self._switches:
-                            stack.append([u] + partial)
+                step = nearer.get(head)
+                if step is None:  # a plain loop: a comprehension is a profiled call
+                    nearer[head] = step = []
+                    for u in adj[head]:
+                        if d_src.get(u) == hops - 1 and (u == src or u in switches):
+                            step.append(u)
+                stack.extend(step)
             paths.sort()
-            self._path_cache[key] = paths
-        return self._path_cache[key]
+            self._path_cache[(src, dst)] = paths
+        return paths
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """One shortest routing path (the first equal-cost one), as a list

@@ -45,66 +45,75 @@ class L3ShortestPathApp(ControllerApp):
     # ------------------------------------------------------------------
     def on_packet_in(self, switch: Switch, packet: Packet, in_port: int) -> bool:
         """Wire the punted packet's host pair and hold it until rules land."""
-        ctrl = self.controller
-        net = ctrl.network
+        net = self.controller.network
         src_host = net.host_by_ip(packet.ip_src)
         dst_host = net.host_by_ip(packet.ip_dst)
         if src_host is None or dst_host is None:
             return False  # not ours (maybe an m-flow packet; let MIC decide)
         pair = (packet.ip_src, packet.ip_dst)
-        if pair in self._installed_pairs:
-            # Rules are already (being) installed; hold the packet.
-            self._pending.setdefault(pair, []).append((switch, packet, in_port))
-            return True
-        self._installed_pairs.add(pair)
         self._pending.setdefault(pair, []).append((switch, packet, in_port))
+        if pair in self._installed_pairs:
+            return True  # rules are already (being) installed: hold the packet
         try:
             self.wire_pair(src_host.name, dst_host.name, release_pair=pair)
         except (NoPathError, KeyError, IndexError):
-            # No surviving path right now: drop the held packets and forget
-            # the pair so a later packet-in retries once the fabric heals.
-            self._installed_pairs.discard(pair)
+            # No surviving path right now: drop the held packets; the pair
+            # is not planned, so a later packet-in retries once it heals.
             self._pending.pop(pair, None)
         return True
 
     # ------------------------------------------------------------------
-    def _plan_pair(self, src_name: str, dst_name: str) -> tuple[int, list[str]]:
-        """Pick a host pair's path and cookie and record both directions.
+    def attach(self, controller) -> None:
+        """Bind the app and resolve, once, what every wiring path reads:
+        host IPs, the switch set and one shared ``Output`` per port."""
+        super().attach(controller)
+        net = controller.network
+        self._ips = {h.name: h.ip for h in net.hosts()}
+        self._switches = frozenset(net.topo.switches())
+        self._outputs = {port: Output(port) for port in dict.fromkeys(net.port_map.values())}
 
-        The one place a pair is planned: one path draw from the
-        controller's rng, the next cookie.  Returns ``(cookie, path)``.
-        """
-        ctrl = self.controller
-        net = ctrl.network
-        path = ctrl.view.pick_path(src_name, dst_name, ctrl.rng)
-        self.pair_paths[(src_name, dst_name)] = path
-        self.pair_paths[(dst_name, src_name)] = list(reversed(path))
-        self._next_cookie += 1
-        cookie = self._next_cookie
-        self._pair_cookies[(src_name, dst_name)] = cookie
-        self._pair_cookies[(dst_name, src_name)] = cookie
-        src_ip, dst_ip = net.host(src_name).ip, net.host(dst_name).ip
-        self._installed_pairs.add((src_ip, dst_ip))
-        self._installed_pairs.add((dst_ip, src_ip))
-        return cookie, path
+    def _plan(self, pairs: list[tuple[str, str]]) -> list[tuple]:
+        """The one place pairs are planned: per pair one path draw from the
+        controller's rng and the next cookie, both directions recorded;
+        ``(src, dst, cookie, path)`` each.  A pair already wired is a
+        ``ValueError`` before any draw — a second path under a new cookie
+        would strand the first one's rules."""
+        for a, b in pairs:
+            if (a, b) in self._pair_cookies:
+                raise ValueError(f"host pair {a}-{b} is already wired")
+        view, rng, ips = self.controller.view, self.controller.rng, self._ips
+        plans = []
+        for a, b in pairs:
+            path = view.pick_path(a, b, rng)
+            self.pair_paths[(a, b)] = path
+            self.pair_paths[(b, a)] = path[::-1]
+            self._next_cookie += 1
+            cookie = self._next_cookie
+            self._pair_cookies[(a, b)] = self._pair_cookies[(b, a)] = cookie
+            self._installed_pairs.update(((ips[a], ips[b]), (ips[b], ips[a])))
+            plans.append((a, b, cookie, path))
+        return plans
 
-    def _hop_rules(
-        self, src_name: str, dst_name: str, path: list[str], cookie: int
-    ) -> list[tuple[str, FlowEntry]]:
-        """``(switch, rule)`` for every hop of a pair's path: the forward
-        direction's exact ⟨ip_src, ip_dst⟩ rules, then the reverse's."""
-        ctrl = self.controller
-        src_ip = ctrl.network.host(src_name).ip
-        dst_ip = ctrl.network.host(dst_name).ip
+    def _rules(self, plans: list[tuple], only: Optional[str] = None) -> list[tuple]:
+        """``(switch, rule)`` for every switch hop of each planned pair, in
+        plan order: the forward direction's exact ⟨ip_src, ip_dst⟩ rules
+        along the path, then the reverse's.  ``only`` keeps one switch's."""
+        port_map = self.controller.network.port_map
+        ips, switches, outputs = self._ips, self._switches, self._outputs
         rules = []
-        for hop_path, match in (
-            (path, Match(ip_src=src_ip, ip_dst=dst_ip)),
-            (list(reversed(path)), Match(ip_src=dst_ip, ip_dst=src_ip)),
-        ):
-            for sw_name, out_port in ctrl.ports_along(hop_path):
-                rules.append((sw_name, FlowEntry(
-                    match, [Output(out_port)], priority=self.priority, cookie=cookie
-                )))
+        for a, b, cookie, path in plans:
+            for hops, match in (
+                (path, Match(ip_src=ips[a], ip_dst=ips[b])),
+                (path[::-1], Match(ip_src=ips[b], ip_dst=ips[a])),
+            ):
+                node = hops[0]
+                for nxt in hops[1:]:
+                    if node in switches and (only is None or node == only):
+                        out = outputs[port_map[(node, nxt)]]
+                        rules.append((node, FlowEntry(
+                            match, [out], priority=self.priority, cookie=cookie
+                        )))
+                    node = nxt
         return rules
 
     def wire_pair(
@@ -121,15 +130,12 @@ class L3ShortestPathApp(ControllerApp):
         installs complete, or dropped with the pair if one fails (see
         :meth:`_settle`).  One message per rule, not one bundle per switch:
         bundling would change the fault plane's fate draws under the chaos
-        goldens.
+        goldens.  ``ValueError`` if the pair is already wired.
         """
-        cookie, path = self._plan_pair(src_name, dst_name)
-        events = [
-            self._send(sw_name, [rule])
-            for sw_name, rule in self._hop_rules(src_name, dst_name, path, cookie)
-        ]
+        plans = self._plan([(src_name, dst_name)])
+        events = [self._send(sw_name, [rule]) for sw_name, rule in self._rules(plans)]
         if release_pair is not None:
-            self._settle(src_name, dst_name, cookie, events, release_pair)
+            self._settle(src_name, dst_name, plans[0][2], events, release_pair)
         return events
 
     def _send(self, sw_name: str, entries: list[FlowEntry]) -> Event:
@@ -182,14 +188,13 @@ class L3ShortestPathApp(ControllerApp):
         """Remove a wired pair's rules along its path and forget both
         directions, so the next packet-in for it wires it again."""
         ctrl = self.controller
-        net = ctrl.network
         cookie = self._pair_cookies[(src_name, dst_name)]
         for node in self.pair_paths[(src_name, dst_name)][1:-1]:
             ctrl.remove_by_cookie(node, cookie)
         for a, b in ((src_name, dst_name), (dst_name, src_name)):
             self.pair_paths.pop((a, b), None)
             self._pair_cookies.pop((a, b), None)
-            self._installed_pairs.discard((net.host(a).ip, net.host(b).ip))
+            self._installed_pairs.discard((self._ips[a], self._ips[b]))
 
     def _release(self, pair: tuple) -> None:
         ctrl = self.controller
@@ -206,18 +211,9 @@ class L3ShortestPathApp(ControllerApp):
         if up:
             return
         dead = {(a, b), (b, a)}
-        affected = [
-            pair
-            for pair, path in self.pair_paths.items()
-            if any((u, v) in dead for u, v in zip(path, path[1:]))
-        ]
-        repaired: set[frozenset] = set()
-        for pair in affected:
-            key = frozenset(pair)
-            if key in repaired:
-                continue  # forward+reverse repaired together
-            repaired.add(key)
-            src, dst = pair
+        for src, dst, _cookie, _path in self._wired(
+            lambda path: any((u, v) in dead for u, v in zip(path, path[1:]))
+        ):
             self._forget(src, dst)
             try:
                 self.wire_pair(src, dst)
@@ -241,45 +237,43 @@ class L3ShortestPathApp(ControllerApp):
             self._down[name] = {}
             return
         landed = self._down.pop(name, {})
-        reinstalled: set[frozenset] = set()
-        for pair, path in list(self.pair_paths.items()):
-            if name not in path:
-                continue
-            key = frozenset(pair)
-            if key in reinstalled:
-                continue  # forward+reverse share the path and cookie
-            reinstalled.add(key)
-            src, dst = pair
-            cookie = self._pair_cookies[pair]
+        for plan in self._wired(lambda path: name in path):
+            src, dst, cookie, _path = plan
             events = [
                 self._send(sw_name, [rule])
-                for sw_name, rule in self._hop_rules(src, dst, path, cookie)
-                if sw_name == name
-                and not (rule.match in landed and landed[rule.match].ok)
+                for sw_name, rule in self._rules([plan], only=name)
+                if not (rule.match in landed and landed[rule.match].ok)
             ]
             self._settle(src, dst, cookie, events)
+
+    def _wired(self, affected) -> list[tuple]:
+        """Each wired pair whose path ``affected`` accepts, once (both
+        directions share a cookie), as the plan it was wired with:
+        ``(src, dst, cookie, path)``."""
+        plans: dict[int, tuple] = {}
+        for (a, b), path in self.pair_paths.items():
+            cookie = self._pair_cookies[(a, b)]
+            if cookie not in plans and affected(path):
+                plans[cookie] = (a, b, cookie, path)
+        return list(plans.values())
 
     # ------------------------------------------------------------------
     def wire_all_pairs(self) -> list:
         """Proactively route every unordered host pair (both directions),
         one bundle per switch.
 
-        Each pair is planned as :meth:`wire_pair` plans it — same path
-        draws, cookies and rule order — then every switch gets its rules as
-        one :meth:`Controller.install_batch` bundle: one control message,
-        one fate draw under a fault plane.  Entry ids are minted here in
-        the order per-rule installs would land them, so ids and per-table
-        order are those of wiring pair by pair.  Returns one install event
-        per switch bundle.
+        One :meth:`_plan` and one :meth:`_rules` pass over every pair — the
+        path draws, cookies and rule order of :meth:`wire_pair` pair by pair
+        — then each switch's rules go as one :meth:`Controller.install_batch`
+        bundle: one control message, one fate draw under a fault plane.
+        Entry ids are minted in the order per-rule installs would land them.
+        Returns one install event per switch bundle.
         """
-        ctrl = self.controller
-        entry_ids = ctrl.sim.ids("flowtable.entry")
+        entry_ids = self.controller.sim.ids("flowtable.entry")
+        hosts = self.controller.view.hosts
+        pairs = [(a, b) for i, a in enumerate(hosts) for b in hosts[i + 1 :]]
         bundles: dict[str, list[FlowEntry]] = {}
-        hosts = ctrl.network.topo.hosts()
-        for i, a in enumerate(hosts):
-            for b in hosts[i + 1 :]:
-                cookie, path = self._plan_pair(a, b)
-                for sw_name, rule in self._hop_rules(a, b, path, cookie):
-                    rule.entry_id = next(entry_ids)
-                    bundles.setdefault(sw_name, []).append(rule)
+        for sw_name, rule in self._rules(self._plan(pairs)):
+            rule.entry_id = next(entry_ids)
+            bundles.setdefault(sw_name, []).append(rule)
         return [self._send(sw_name, entries) for sw_name, entries in bundles.items()]

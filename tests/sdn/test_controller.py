@@ -50,13 +50,24 @@ def test_install_counts_flow_mods():
     assert len(net.switch("s1").table) == 1
 
 
-def test_ports_along_skips_hosts():
+def test_l3_hop_rules_skip_hosts():
     net, ctrl = build(linear(3, hosts_per_switch=1))
-    path = ["h1", "s1", "s2", "s3", "h3"]
-    hops = ctrl.ports_along(path)
-    assert [s for s, _ in hops] == ["s1", "s2", "s3"]
-    assert hops[0][1] == net.port("s1", "s2")
-    assert hops[-1][1] == net.port("s3", "h3")
+    l3 = ctrl.register(L3ShortestPathApp())
+    l3.wire_pair("h1", "h3")
+    net.run()
+    assert l3.pair_paths[("h1", "h3")] == ["h1", "s1", "s2", "s3", "h3"]
+    h1, h3 = net.host("h1").ip, net.host("h3").ip
+    for ip_src, ip_dst, hops in (
+        (h1, h3, [("s1", "s2"), ("s2", "s3"), ("s3", "h3")]),
+        (h3, h1, [("s3", "s2"), ("s2", "s1"), ("s1", "h1")]),
+    ):
+        for sw, nxt in hops:
+            (rule,) = [
+                e for e in net.switch(sw).table.iter_entries()
+                if (e.match.ip_src, e.match.ip_dst) == (ip_src, ip_dst)
+            ]
+            assert list(rule.actions) == [Output(net.port(sw, nxt))]
+    assert ctrl.flow_mods_sent == 6  # the hosts at the ends carry no rule
 
 
 def test_l3_reactive_first_packet_delivered():

@@ -89,6 +89,7 @@ def assert_view_equals_the_oracle(view, reference, rng):
     # the same enumeration over the oracle's rows: same lists, same refusals
     reference.dist = dist
     reference._path_cache.clear()
+    reference._nearer.clear()
     for _ in range(24):
         src, dst = rng.choice(nodes), rng.choice(nodes)
         assert paths_or_refusal(view, src, dst) == paths_or_refusal(reference, src, dst)
