@@ -16,15 +16,22 @@ The acceptance bar is a >=10x speedup with identical output on every link.
 
 Then, for every segment of a fixed seeded set of MIC walks (``n_mns=3``,
 both directions, the pins and the endpoint ban ``_plan_flow`` applies), one
-segment-address draw two ways, segment caches warm:
+segment-address draw two ways:
 
 * ``oracle_draw`` — what ``Strategy.draw_segment`` did before it drew on
   the array: materialise the pool's name tuples, up to three filtered
   copies, ``rng.choice`` (kept as ``tests/core/plausibility_oracle.py``);
-* ``draw``        — :meth:`Strategy.plausible_pool` (vector compares on the
-  cached int32 index) plus :meth:`AddressRestrictions.draw_pair`.
+* ``draw``        — :meth:`Strategy.plausible_pool` (one geodesic compare
+  per segment, a row of it for a pinned source) plus
+  :meth:`AddressRestrictions.draw_pair`.
 
-The bar is >=5x with the same pick on every segment.
+The bar is >=5x with the same pick on every segment.  Two rows carry no
+bar: ``cold_draw`` is the first draw pass on a fresh deployment (what a
+controller start, or a link event, leaves to the first plan), and
+``setups_k16`` is ``fat_tree(16)`` channel set-ups — 64 clients on distinct
+edge switches, 2 closed-loop rounds of ``connect_datagram(n_mns=3,
+decoys=1)`` and ``shutdown`` — timed, with their peak resident set, in a
+fresh interpreter (``python benchmarks/bench_restrictions.py setups``).
 
 Last, what both of those read — the routing view's all-pairs distances,
 rebuilt at every controller start and on every link event — two ways on
@@ -190,6 +197,82 @@ def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> d
     }
 
 
+def run_cold_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 5) -> dict:
+    """Time the first draw pass over ``mic_segments`` on a fresh deployment,
+    ``rounds`` deployments."""
+    cold_s = []
+    for _ in range(rounds):
+        dep = deploy_mic(fat_tree(k), seed=0, mic_kwargs={"mn_shift": 1})
+        mic, rng = dep.mic, random.Random(seed)
+        segments = mic_segments(dep, walks, seed)
+        t0 = time.perf_counter()
+        for nodes, pin_src, pin_dst, endpoints in segments:
+            mic.restrictions.draw_pair(
+                mic.strategy.plausible_pool(nodes, pin_src, pin_dst, endpoints), rng
+            )
+        cold_s.append(time.perf_counter() - t0)
+    return {"cold_draw": {
+        "segments": len(segments),
+        "s_per_segment": min(cold_s) / len(segments),
+    }}
+
+
+def setups(k: int = 16, clients: int = 64, rounds: int = 2, seed: int = 0) -> dict:
+    """``clients`` initiators on distinct edge switches of ``fat_tree(k)``,
+    each with a responder in another pod, ``rounds`` closed-loop datagram
+    set-ups and shutdowns each.  Meant for a fresh interpreter."""
+    rng, half = random.Random(seed), k // 2
+    edges = rng.sample(range(k * half), clients)
+    initiators = [f"h{edge * half + rng.randrange(half) + 1}" for edge in edges]
+    taken, pairs = set(initiators), []
+    for edge, a in zip(edges, initiators):
+        while True:
+            b = f"h{rng.randrange(k * half * half) + 1}"
+            if b not in taken and (int(b[1:]) - 1) // (half * half) != edge // half:
+                break
+        taken.add(b)
+        pairs.append((a, b, 7000 + len(pairs)))
+    t0 = time.perf_counter()
+    dep = deploy_mic(
+        fat_tree(k), seed=seed,
+        mic_kwargs={"cpu_model": "serialized", "flowmod_cpu_s": 200e-6,
+                    "mn_bits": 20, "mn_shift": 1},
+    )
+    t1 = time.perf_counter()
+    latencies: list[float] = []
+
+    def client(a, b, port):
+        endpoint = dep.endpoint(a)
+        for _ in range(rounds):
+            start = dep.sim.now
+            sock = yield from endpoint.connect_datagram(
+                b, service_port=port, n_mns=3, decoys=1)
+            latencies.append(dep.sim.now - start)
+            yield from endpoint.shutdown(sock)
+
+    procs = [dep.sim.process(client(*pair)) for pair in pairs]
+    dep.net.run(until=dep.sim.all_of(procs))
+    t2 = time.perf_counter()
+    assert len(latencies) == clients * rounds and dep.mic.live_channels == 0
+    latencies.sort()
+    return {
+        "setups": len(latencies),
+        "deploy_s": t1 - t0,
+        "setups_s": t2 - t1,
+        "peak_rss_mb": _peak_rss_kb() / 1024,
+        "sim_latency_p50_s": latencies[len(latencies) // 2],
+        "sim_latency_max_s": latencies[-1],
+    }
+
+
+def run_setups() -> dict:
+    """:func:`setups` in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, __file__, "setups"], check=True, capture_output=True, text=True,
+    ).stdout
+    return {"setups_k16": json.loads(out)}
+
+
 def _peak_rss_kb() -> int:
     """This process's resident high-water mark — ``VmHWM``, which starts
     afresh at ``exec``; ``ru_maxrss`` starts at the spawning process's."""
@@ -287,6 +370,18 @@ def test_index_draw_at_least_5x_on_fat_tree8():
     assert result["speedup_draw"] >= 5.0
 
 
+def test_cold_draw_and_fat_tree16_setups_are_reported():
+    result = {**run_cold_draw(), **run_setups()}
+    _save(result)
+    cold, k16 = result["cold_draw"], result["setups_k16"]
+    print(
+        f"\ncold draw, fat_tree(8), {cold['segments']} segments:"
+        f" {cold['s_per_segment'] * 1e6:.0f}us/draw"
+        f"\nfat_tree(16), {k16['setups']} set-ups: {k16['setups_s']:.2f}s"
+        f" after a {k16['deploy_s']:.2f}s deploy, peak {k16['peak_rss_mb']:.0f} MB"
+    )
+
+
 def test_distance_matrix_at_least_4x_on_fat_tree8_and_2x_on_fat_tree16():
     for k, rounds, bar in VIEW_BUILDS:
         result = run_view_build(k, rounds)
@@ -306,7 +401,10 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["rss"]:
         print(rss_growth_mb(int(sys.argv[2]), sys.argv[3]))
         sys.exit()
-    res = {**run(), **run_draw()}
+    if sys.argv[1:2] == ["setups"]:
+        print(json.dumps(setups()))
+        sys.exit()
+    res = {**run(), **run_draw(), **run_cold_draw(), **run_setups()}
     for k, rounds, _bar in VIEW_BUILDS:
         res.update(run_view_build(k, rounds))
     path = _save(res)

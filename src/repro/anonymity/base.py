@@ -196,36 +196,38 @@ class Strategy:
         """A segment's pool as flat pair indices in pool order, narrowed to
         the pinned IPs' hosts and away from the channel's real endpoints.
 
-        Each rule is a vector compare on the pairs' host ranks and is
-        relaxed when nothing else would be left; survivors keep their
-        order.  An IP no host owns ranks -1 and so narrows nothing.
+        Each rule clears rows (sources) or columns (destinations) of the
+        segment's mask and is relaxed when nothing else would be left;
+        survivors keep their order.  An IP no host owns ranks -1 and so
+        narrows nothing.  A pinned source reads only its row of the mask
+        when that row has a pair, which is all the source rule would keep.
         """
         mic = self.mic
-        view = mic.restrictions.view
-        pool = mic.restrictions.segment_index(seg_nodes)
-        src, dst = view.pair_ranks(pool)
-        rules = []
-        if pin_src is not None:
-            rules.append(src == view.host_rank(mic._ip_to_host.get(pin_src)))
-        if pin_dst is not None:
-            rules.append(dst == view.host_rank(mic._ip_to_host.get(pin_dst)))
+        restrictions = mic.restrictions
+        view = restrictions.view
+        src = view.host_rank(mic._ip_to_host.get(pin_src))
+        dst = view.host_rank(mic._ip_to_host.get(pin_dst))
+        mask, top, fallback = restrictions.segment_mask(seg_nodes, src)
+        if src >= 0 and len(mask) > 1 and mask[src].any():
+            mask, top = mask[src : src + 1], src
+        if dst >= 0 and mask[:, dst].any():
+            mask = mask & (np.arange(mask.shape[1]) == dst)
         # Fake draws must never name the channel's real endpoints: a drawn
         # address equal to the true initiator/responder would hand the
         # adversary a correct identity (the entry address "hides the address
-        # of the responder", Sec IV-A1).  One rule over both unpinned sides.
-        ban = None
-        for rank in map(view.host_rank, endpoints):
-            for side, pin in ((src, pin_src), (dst, pin_dst)):
-                if pin is None:
-                    ban = side != rank if ban is None else ban & (side != rank)
-        if ban is not None:
-            rules.append(ban)
-        keep = None
-        for rule in rules:
-            narrowed = rule if keep is None else keep & rule
-            if np.count_nonzero(narrowed):
-                keep = narrowed
-        return pool if keep is None else pool[keep]
+        # of the responder", Sec IV-A1).  One rule over both unpinned sides
+        # (an unpinned source leaves ``top`` at 0).
+        ranks = set(map(view.host_rank, endpoints)) - {-1}
+        if ranks and (pin_src is None or pin_dst is None):
+            narrowed = mask.copy()
+            for rank in ranks:  # basic indexing: a list index costs ~3 µs
+                if pin_src is None:
+                    narrowed[rank] = False
+                if pin_dst is None:
+                    narrowed[:, rank] = False
+            if narrowed.any():
+                mask = narrowed
+        return restrictions.pool_index(mask, top, fallback)
 
     def draw_segment(
         self,

@@ -45,6 +45,8 @@ class OwnershipMap:
             raise ValueError("need at least one shard")
         self.n_shards = n_shards
         self.seed = seed
+        #: (switch, sorted alive ids) -> owner: a pure function of the ids
+        self._owners: dict[tuple[str, tuple[int, ...]], int] = {}
 
     def weight(self, shard: int, switch: str) -> int:
         """The HRW weight of ``shard`` for ``switch`` (independent of
@@ -53,8 +55,11 @@ class OwnershipMap:
         return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
     def owner(self, switch: str, alive: Optional[Iterable[int]] = None) -> int:
-        """The owning shard among ``alive`` (default: all shards)."""
-        candidates = sorted(alive) if alive is not None else range(self.n_shards)
+        """The owning shard among ``alive`` (default: all shards), memoized."""
+        candidates = tuple(sorted(range(self.n_shards) if alive is None else alive))
+        key = (switch, candidates)
+        if key in self._owners:
+            return self._owners[key]
         best = -1
         best_weight = -1
         for shard in candidates:
@@ -65,6 +70,7 @@ class OwnershipMap:
                 best, best_weight = shard, w
         if best < 0:
             raise ValueError("no live shard to own " + repr(switch))
+        self._owners[key] = best
         return best
 
     def partition(

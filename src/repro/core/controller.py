@@ -28,6 +28,8 @@ default) is the unsharded controller.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -179,6 +181,8 @@ class MimicController(ControllerApp):
             raise ValueError(f"unknown MN strategy {mn_strategy!r}")
         if cpu_model not in ("parallel", "serialized"):
             raise ValueError(f"unknown cpu model {cpu_model!r}")
+        if not 0.0 <= flowmod_cpu_s < math.inf:
+            raise ValueError(f"flowmod_cpu_s {flowmod_cpu_s} must be finite and >= 0")
         self.mn_strategy = mn_strategy
         # Imported here, not at module top: anonymity.base needs the core
         # channel/collision types at load time, so a top-level import would
@@ -418,8 +422,9 @@ class MimicController(ControllerApp):
     ):
         """Process generator: plan, install, and grant a mimic channel on
         the shard owning the initiator's edge switch."""
-        if n_flows < 1 or n_mns < 1:
-            raise EstablishError("need n_flows >= 1 and n_mns >= 1")
+        for name, value, low in ("n_flows", n_flows, 1), ("n_mns", n_mns, 1), ("decoys", decoys, 0):
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise EstablishError(f"need an integer {name} >= {low}, not {value!r}")
         if proto not in ("tcp", "udp"):
             raise EstablishError(f"unsupported transport {proto!r}")
         responder_host, responder_port = self._resolve_responder(

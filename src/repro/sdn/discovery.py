@@ -4,8 +4,8 @@ The MC "obtains the global view of the network and calculates all-pairs
 equal-cost shortest paths when initiation" (Sec IV-B2).  :class:`TopologyView`
 is that database: shortest-path distances, equal-cost path enumeration
 between host pairs, the is-this-link-on-a-shortest-path predicate and the
-vectorised per-link plausibility index the m-address restrictions are built
-on.
+vectorised walk-segment plausibility compare the m-address restrictions are
+built on.
 
 :class:`FailureDetector` models *how soon* the controller learns about a
 data-plane state change.  Port-status and chassis events do not reach the
@@ -19,7 +19,7 @@ oracle wiring the controller used before.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -37,6 +37,9 @@ __all__ = ["FailureDetector", "TopologyView"]
 #: sum with an unreachable leg never equals a host-to-host distance and an
 #: unreachable host pair never equals a real sum.
 _FAR = 1 << 20
+#: "No route" from a node in :meth:`TopologyView.on_geodesic`'s int16 copies:
+#: above any distance in a view of at most this many nodes, and two fit in one.
+_FAR16 = 1 << 13
 
 
 class FailureDetector:
@@ -187,6 +190,8 @@ class TopologyView:
     def __init__(self, topo: Topology, max_equal_cost_paths: int = 16):
         if max_equal_cost_paths < 1:
             raise ValueError(f"max_equal_cost_paths {max_equal_cost_paths} must be >= 1")
+        if len(topo.graph) > _FAR16:
+            raise ValueError(f"{topo.name} has more than {_FAR16} nodes")
         self.topo = topo
         # The controller's own copy of the graph: link failures mutate this
         # routing view without touching the physical topology description.
@@ -275,6 +280,12 @@ class TopologyView:
         to_hosts = matrix[:, self._ranked_cols]
         self._to_hosts = dict(zip(index, to_hosts))
         self._host_dist = to_hosts[self._ranked_cols]
+        # int16 copies for :meth:`on_geodesic` (half the int32 compare's time),
+        # cast as written; between hosts "no route" is -1, which no sum equals.
+        self._geo_to_hosts = np.empty(to_hosts.shape, np.int16)
+        np.minimum(to_hosts, _FAR16, out=self._geo_to_hosts, casting="unsafe")
+        geo = self._geo_host_dist = self._host_dist.astype(np.int16)
+        geo[self._host_dist == _FAR] = -1
 
     def set_link_state(self, u: str, v: str, up: bool) -> None:
         """Apply a port-status event to the routing view and recompute.
@@ -425,21 +436,32 @@ class TopologyView:
         except KeyError:
             return False
 
+    def on_geodesic(
+        self, nodes: Sequence[str], src_rank: Optional[int] = None
+    ) -> np.ndarray:
+        """Which host pairs (a, b) have every link of the walk ``nodes`` on
+        some shortest a→b path: booleans by rank, ``H x H`` (sources down,
+        destinations across), or row ``src_rank`` alone.
+
+        For a walk n0…nk (k >= 1) over the view's links with switches inside
+        that is one compare of the *current* distances, ``d(a, n0) + k +
+        d(nk, b) == d(a, b)`` (docs/architecture.md has the proof).
+        ``a == b`` cannot match: the left side is at least ``k``.  A node
+        the view does not know, or one no host can reach, matches nothing.
+        """
+        head, tail = self._index.get(nodes[0]), self._index.get(nodes[-1])
+        dist = self._geo_host_dist if src_rank is None else self._geo_host_dist[src_rank]
+        if head is None or tail is None:
+            return np.zeros(dist.shape, dtype=bool)
+        to_hosts = self._geo_to_hosts
+        to_head = to_hosts[head][:, None] if src_rank is None else int(to_hosts[head, src_rank])
+        return to_head + (len(nodes) - 1) + to_hosts[tail] == dist
+
     def plausible_pair_index(self, u: str, v: str) -> np.ndarray:
         """Host pairs for which directed link u→v is on a shortest path, as
-        sorted flat indices ``rank(a) * H + rank(b)`` (int32).
-
-        One broadcast compare of :meth:`link_on_shortest_path` over the
-        whole host-distance matrix (``a == b`` cannot match: the left side
-        is at least 1).  A node the view does not know, or one no host can
-        reach, yields an empty array.
-        """
-        to_u = self._to_hosts.get(u)
-        from_v = self._to_hosts.get(v)
-        if to_u is None or from_v is None:
-            return np.empty(0, dtype=np.int32)
-        on_path = to_u[:, None] + 1 + from_v[None, :] == self._host_dist
-        return np.flatnonzero(on_path).astype(np.int32)
+        sorted flat indices ``rank(a) * H + rank(b)`` (int32): the one-link
+        walk's :meth:`on_geodesic`."""
+        return np.flatnonzero(self.on_geodesic((u, v))).astype(np.int32)
 
     def host_rank(self, name: Optional[str]) -> int:
         """A host's lexicographic rank — what :meth:`pair_ranks` halves are

@@ -8,12 +8,14 @@ to its own class.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.controlplane import (
     CONTROLPLANE_CONTRACT,
     OwnershipMap,
     format_controlplane_table,
 )
+from repro.core import deploy_mic
 from repro.core.collision import FlowIdAllocator
 from repro.net.topology import fat_tree
 
@@ -86,6 +88,39 @@ def test_owner_rejects_bad_alive_sets():
         m.owner("e0s0", alive=())
     with pytest.raises(ValueError):
         OwnershipMap(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_shards=st.integers(1, 5),
+    seed=st.integers(0, 3),
+    alive_sets=st.lists(st.sets(st.integers(0, 4), min_size=1), max_size=6),
+)
+def test_memoized_owner_equals_a_fresh_maps(n_shards, seed, alive_sets):
+    """Asked again and again, in any order, the memo answers what a map
+    that never saw a question answers."""
+    memo = OwnershipMap(n_shards, seed=seed)
+    for alive in alive_sets + [None] + alive_sets:
+        if alive is not None:
+            alive = [i for i in alive if i < n_shards] or [0]
+        for sw in SWITCHES:
+            assert memo.owner(sw, alive) == OwnershipMap(n_shards, seed).owner(sw, alive)
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=8))
+def test_owner_of_switch_after_shard_crashes_and_rejoins(steps):
+    """Through ``crash_shard`` / ``rejoin_shard`` the controller's owner of
+    every switch is a fresh map's owner over the alive shards."""
+    mic = deploy_mic(fat_tree(4), seed=0, shards=4).mic
+    for crash, shard in steps:
+        if crash and mic.alive_shards() != (shard,):
+            mic.crash_shard(shard)
+        elif not crash:
+            mic.rejoin_shard(shard)
+        fresh = OwnershipMap(4)
+        for sw in SWITCHES:
+            assert mic.owner_of_switch(sw).shard_id == fresh.owner(sw, mic.alive_shards())
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ The all-pairs scan the Mimic Controller used to run in ``src/``: evaluate
 It reads the view's *current* ``dist``, so it is the oracle for a freshly
 computed link set, healthy or degraded.  :func:`oracle_narrow` is the
 list-building pool narrowing ``Strategy.draw_segment`` ran before it
-narrowed and drew on the index array.
+narrowed and drew on the index array.  :func:`oracle_segment_index` is the
+per-link intersection ``AddressRestrictions`` ran before a segment's pool
+became one geodesic compare, minus its caches.
 """
+
+import numpy as np
 
 
 def oracle_pairs(view, u, v):
@@ -44,6 +48,47 @@ def oracle_segment(view, nodes):
     if common:
         return sorted(common)
     return oracle_pairs(view, *links[0]) or universe
+
+
+def oracle_link_index(view, u, v):
+    """``plausible_pair_index(u, v)`` as a per-link compare of the view's
+    int32 distance arrays: sorted flat indices ``rank(a) * H + rank(b)``."""
+    to_u = view._to_hosts.get(u)
+    from_v = view._to_hosts.get(v)
+    if to_u is None or from_v is None:
+        return np.empty(0, dtype=np.int32)
+    on_path = to_u[:, None] + 1 + from_v[None, :] == view._host_dist
+    return np.flatnonzero(on_path).astype(np.int32)
+
+
+def oracle_universe(view):
+    """Every ordered pair of distinct hosts, in ``hosts()`` order."""
+    off_diagonal = ~np.eye(len(view.hosts), dtype=bool)
+    return view.host_order(np.flatnonzero(off_diagonal).astype(np.int32))
+
+
+def oracle_segment_index(view, nodes):
+    """``segment_index`` as the per-link intersection: link sets intersected
+    in order, stopping at the first empty intersection, then the fallbacks
+    (first link's set, then the universe) in ``hosts()`` order."""
+    links = list(zip(nodes, nodes[1:]))
+    if not links:
+        return oracle_universe(view)
+    first = common = oracle_link_index(view, *links[0])
+    for u, v in links[1:]:
+        if not common.size:
+            break
+        # Both are sorted and unique: one binary-search membership pass
+        # of the shorter through the longer — never empty, ``common``
+        # is not.  A slot past the end wraps to slot 0, whose value the
+        # searched one exceeds.
+        few, many = sorted((common, oracle_link_index(view, u, v)), key=len)
+        at = many.searchsorted(few)
+        at[at == many.size] = 0
+        common = few[many[at] == few]
+    if common.size:
+        return common
+    return view.host_order(first) if first.size else oracle_universe(view)
 
 
 def oracle_narrow(pool, ip_to_host, pin_src, pin_dst, endpoints=()):

@@ -1,6 +1,9 @@
 """Edge cases and failure paths of the Mimic Controller."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import MimicController, MC_IP, MC_PORT, McReply, McRequest, deploy_mic
 from repro.core.controller import EstablishError
@@ -31,6 +34,20 @@ class TestEstablishValidation:
             run_gen(net, mic.establish("h1", "h2", service_port=80, n_flows=0))
         with pytest.raises(EstablishError):
             run_gen(net, mic.establish("h1", "h2", service_port=80, n_mns=0))
+
+    def test_bad_counts_are_refused_before_planning(self):
+        net, ctrl, mic = build()
+        for bad in ({"decoys": math.nan}, {"decoys": -1}, {"n_mns": 1.5},
+                    {"n_flows": 2.0}):
+            name = next(iter(bad))
+            with pytest.raises(EstablishError, match=f"integer {name}"):
+                run_gen(net, mic.establish("h1", "h16", service_port=80, **bad))
+        assert "mic.channel" not in net.sim._ids
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -1e-4])
+    def test_bad_flowmod_cost_is_refused_at_construction(self, cost):
+        with pytest.raises(ValueError, match="flowmod_cpu_s"):
+            MimicController(cpu_model="serialized", flowmod_cpu_s=cost)
 
     def test_address_responder_requires_port(self):
         net, ctrl, mic = build()
@@ -65,6 +82,43 @@ class TestEstablishValidation:
                                        n_flows=3, n_mns=6))
         assert mic.flow_ids.live_count == live_before
         assert mic.registry.total_keys() == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    param=st.sampled_from(["flowmod_cpu_s", "decoys", "n_mns", "n_flows"]),
+    value=st.sampled_from([0, -1, math.nan, math.inf, 1.5]),
+)
+def test_a_bad_number_works_or_fails_before_any_simulated_work(param, value):
+    """A bad cost is refused at construction; a bad count before the
+    establish draws a number, mints an id or touches a table.  Whatever
+    gets through must grant a channel."""
+    kwargs = {"cpu_model": "serialized"}
+    request = {"decoys": 1}
+    if param == "flowmod_cpu_s":
+        kwargs[param] = value
+    else:
+        request[param] = value
+    try:
+        net, ctrl, mic = build(**kwargs)
+    except ValueError:
+        assert param == "flowmod_cpu_s"
+        return
+    proc = net.sim.process(mic.establish("h1", "h16", service_port=80, **request))
+    before = (
+        mic.rng.getstate(), {k: repr(v) for k, v in net.sim._ids.items()},
+        sum(len(sw.table) for sw in net.switches()),
+    )
+    try:
+        net.run(until=proc)
+    except EstablishError:
+        after = (
+            mic.rng.getstate(), {k: repr(v) for k, v in net.sim._ids.items()},
+            sum(len(sw.table) for sw in net.switches()),
+        )
+        assert param != "flowmod_cpu_s" and after == before and net.sim.now == 0
+        return
+    assert proc.value.flows and mic.channels
 
 
 def fail_nth_draw(mic, nth):

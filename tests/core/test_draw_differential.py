@@ -5,7 +5,9 @@ vector compares and ``AddressRestrictions.draw_pair`` draws by position;
 the oracle (``plausibility_oracle.oracle_narrow`` over the brute-force
 ``oracle_segment`` pool, then ``rng.choice``) is what ``draw_segment`` did
 with name-tuple lists.  Same surviving pool element for element, same
-pick, same RNG state afterwards — so every seeded simulation is unchanged.
+pick, same RNG state afterwards — so every seeded simulation is unchanged
+— on a healthy fabric, a degraded one, and one whose link fails after the
+first draw.
 """
 
 import functools
@@ -34,7 +36,7 @@ GHOST_IP = ip("10.99.99.99")  # an address no host owns
 @functools.lru_cache(maxsize=None)
 def deployment(fabric, degraded):
     """One MC per (fabric, state); the link goes down before the first
-    touch, so the first-touch caches snapshot the degraded view."""
+    draw."""
     dep = deploy_mic(FABRICS[fabric](), seed=0, mic_kwargs={"mn_shift": 1})
     if degraded:
         topo = dep.net.topo
@@ -45,6 +47,21 @@ def deployment(fabric, degraded):
         )
         dep.ctrl.view.set_link_state(u, v, up=False)
     return dep
+
+
+def _fail_off(view, segment, rng):
+    """Take down a link the segment does not use, so it stays a walk on
+    the view (a fabric link when there is one; BCube only has server
+    links)."""
+    topo, used = view.topo, set(zip(segment, segment[1:]))
+    links = [
+        (u, v) for u, v in sorted(view.graph.edges)
+        if (u, v) not in used and (v, u) not in used
+    ]
+    fabric = [l for l in links if topo.kind(l[0]) == topo.kind(l[1]) == "switch"]
+    link = rng.choice(fabric or links)
+    view.set_link_state(*link, up=False)
+    return link
 
 
 def _segment(view, rng, kind):
@@ -90,7 +107,7 @@ PINS = st.sampled_from(["none", "in-pool", "any-host", "ghost"])
 @settings(max_examples=250, deadline=None)
 @given(
     fabric=st.sampled_from(sorted(FABRICS)),
-    degraded=st.booleans(),
+    state=st.sampled_from(["healthy", "degraded", "fails-after-first-draw"]),
     kind=st.sampled_from(
         ["shortest", "bounce", "no-link", "unknown-head", "unknown-tail"]
     ),
@@ -100,14 +117,28 @@ PINS = st.sampled_from(["none", "in-pool", "any-host", "ghost"])
     seed=st.integers(0, 2**32 - 1),
 )
 def test_index_draw_equals_the_list_draw(
-    fabric, degraded, kind, src_pin, dst_pin, ban, seed
+    fabric, state, kind, src_pin, dst_pin, ban, seed
 ):
-    dep = deployment(fabric, degraded)
+    dep = deployment(fabric, state == "degraded")
     mic, view = dep.mic, dep.ctrl.view
     rng = random.Random(seed)
     segment = _segment(view, rng, kind)
     if segment is None:
         return
+    if state != "fails-after-first-draw":
+        _check_draw(mic, view, segment, src_pin, dst_pin, ban, seed, rng)
+        return
+    # one draw on the healthy view, then a link event the next draws must
+    # see; the shared healthy deployment gets its link back afterwards
+    mic.strategy.plausible_pool(segment, None, None)
+    link = _fail_off(view, segment, rng)
+    try:
+        _check_draw(mic, view, segment, src_pin, dst_pin, ban, seed, rng)
+    finally:
+        view.set_link_state(*link, up=True)
+
+
+def _check_draw(mic, view, segment, src_pin, dst_pin, ban, seed, rng):
     pool = oracle_segment(view, segment)
     assert mic.restrictions.pairs_for_segment(segment) == pool
     pin_src = _pin(mic, rng, src_pin, 0, pool)

@@ -26,15 +26,6 @@ class TestLinkPlausibility:
         pairs = r.plausible_pairs("p0e0", "h1")
         assert pairs and all(b == "h1" for _, b in pairs)
 
-    def test_cached(self, ft):
-        view, r = ft
-        first = r.plausible_pairs("h1", "p0e0")
-        computed = r.links_computed
-        assert r.plausible_pairs("h1", "p0e0") == first
-        assert r.is_plausible("h1", "p0e0", "h1", "h5")
-        assert r.pairs_for_segment(["h1", "p0e0"]) == sorted(first)
-        assert r.links_computed == computed  # one computation served them all
-
     def test_is_plausible(self, ft):
         view, r = ft
         assert r.is_plausible("h1", "p0e0", "h1", "h5")

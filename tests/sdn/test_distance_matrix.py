@@ -158,6 +158,15 @@ def test_a_fabric_without_hosts_still_has_its_arrays(build):
     assert {n: dict(view.dist[n]) for n in view.graph.nodes} == oracle_dist(view)
 
 
+def test_a_view_refuses_more_nodes_than_its_int16_copies_hold():
+    """The plausibility compare reads int16 copies whose "no route" is
+    2**13, above every distance only while the view has at most that many
+    nodes."""
+    topo = linear((1 << 13) + 1, hosts_per_switch=0)
+    with pytest.raises(ValueError, match="more than 8192 nodes"):
+        TopologyView(topo)
+
+
 def test_dist_is_a_mapping_of_the_nodes_and_refuses_other_names():
     view = TopologyView(fat_tree(4))
     assert "h1" in view.dist and "nope" not in view.dist
