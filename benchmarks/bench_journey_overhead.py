@@ -19,10 +19,20 @@ armed flight recorder are timed a second time with the collector **on**,
 over ten times the packets (``overhead, gc on``) — the column that would
 move if stored events became collector-tracked objects again (see "What
 recording costs" in docs/observability.md).
+
+What recorded history costs in memory is a separate, deterministic row
+(``-k retained``): ``tracemalloc`` bytes retained per recorded event over
+1,000 packets, once every flight ring is full, for full sampling and the
+armed flight recorder, without the journey log's growth slack (how far
+the bytearray over-allocated depends only on where its last resize fell).
+Its bar is 64 B (a packed journey record is 37–65
+bytes by kind; the row tuples it replaced held ~150).
 """
 
 import gc
+import sys
 import time
+import tracemalloc
 
 from repro.bench import FigureResult
 from repro.net import FlowEntry, Match, Network, Output, linear
@@ -35,10 +45,15 @@ REPS = 10
 GC_ON_PACKETS = 10 * PACKETS
 GC_ON_REPS = 3
 GC_ON_MODES = ("baseline", "flight-armed", "full-sampling")
+#: the retained-memory row: its modes, its bar and its packet counts
+RETAINED_MODES = ("flight-armed", "full-sampling")
+RETAINED_BYTES_PER_EVENT = 64
+RETAINED_WARM_UP = 100  # past every ring's 64-event capacity
+RETAINED_PACKETS = 1000
 
 
-def _burst_time(mode: str, packets: int = PACKETS, collector: bool = False) -> float:
-    """CPU seconds to push ``packets`` packets through a 3-switch chain."""
+def _chain(mode: str):
+    """The 3-switch chain with ``mode``'s recorder; ``(net, h1, h3, recorder)``."""
     net = Network(linear(3, hosts_per_switch=1), seed=11)
     h1, h3 = net.host("h1"), net.host("h3")
     for sw, out in (("s1", ("s1", "s2")), ("s2", ("s2", "s3")),
@@ -47,16 +62,23 @@ def _burst_time(mode: str, packets: int = PACKETS, collector: bool = False) -> f
             FlowEntry(Match(ip_dst=h3.ip), [Output(net.port(*out))])
         )
     h3.bind("tcp", 80, lambda host, p: None)
+    rec = None
     if mode == "sampling-zero":
-        JourneyRecorder.attach(net, sample_rate=0.0)
+        rec = JourneyRecorder.attach(net, sample_rate=0.0)
     elif mode == "predicate-no":
-        JourneyRecorder.attach(net, predicate=lambda p: False)
+        rec = JourneyRecorder.attach(net, predicate=lambda p: False)
     elif mode == "flight-armed":
-        JourneyRecorder.attach(
+        rec = JourneyRecorder.attach(
             net, sample_rate=0.0, flight=FlightRecorder(capacity=64)
         )
     elif mode == "full-sampling":
-        JourneyRecorder.attach(net, sample_rate=1.0)
+        rec = JourneyRecorder.attach(net, sample_rate=1.0)
+    return net, h1, h3, rec
+
+
+def _burst_time(mode: str, packets: int = PACKETS, collector: bool = False) -> float:
+    """CPU seconds to push ``packets`` packets through a 3-switch chain."""
+    net, h1, h3, _rec = _chain(mode)
 
     def _send(i):
         net.sim.call_at(
@@ -128,3 +150,51 @@ def test_journey_overhead(benchmark, save_table):
     # not cost more than recording them did.
     assert result.value("overhead, gc on", "flight-armed") < 3.0
     assert result.value("overhead, gc on", "full-sampling") < 3.0
+
+
+def _log_slack(rec: JourneyRecorder) -> int:
+    """Bytes the journey log has allocated past its records (its growth
+    slack, which depends only on where its last resize fell)."""
+    return sys.getsizeof(rec._log) - len(rec._log)
+
+
+def _retained_per_event(mode: str) -> float:
+    """``tracemalloc`` bytes left behind per recorded event by
+    ``RETAINED_PACKETS`` packets, after a warm-up that fills every ring,
+    the journey log's growth slack left out."""
+    tracemalloc.start()
+    try:
+        net, h1, h3, rec = _chain(mode)
+
+        def burst(n):
+            # one 5-tuple: neither the switches' lookup caches nor the
+            # recorder's intern table may grow
+            for _ in range(n):
+                h1.send_packet(h1.make_packet(h3.ip, sport=1000, dport=80,
+                                              payload_size=100))
+                net.run()
+
+        burst(RETAINED_WARM_UP)
+        gc.collect()
+        before, events = tracemalloc.get_traced_memory()[0], rec.events_recorded
+        slack = _log_slack(rec)
+        burst(RETAINED_PACKETS)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+        retained -= _log_slack(rec) - slack
+    finally:
+        tracemalloc.stop()
+    return retained / (rec.events_recorded - events)
+
+
+def test_retained_bytes_per_event(save_table):
+    result = FigureResult(
+        "Journey retained memory",
+        "bytes left behind per recorded event, every ring full",
+        x_label="configuration", y_label="retained", unit="B/event",
+    )
+    for mode in RETAINED_MODES:
+        result.add("retained", mode, _retained_per_event(mode))
+    save_table("journey_retained", result)
+    for mode in RETAINED_MODES:
+        assert result.value("retained", mode) <= RETAINED_BYTES_PER_EVENT, mode

@@ -37,7 +37,7 @@ MODES = ("no-hooks", "baseline", "attached", "strict")
 
 def _hookless_schedule(self, event, delay):
     """`Simulator._schedule` with the sanitizer branch removed."""
-    if delay < 0:
+    if not delay >= 0:
         raise SimulationError(f"cannot schedule into the past (delay={delay})")
     if event._scheduled:
         raise SimulationError("event already scheduled")
@@ -49,7 +49,7 @@ def _hookless_schedule(self, event, delay):
 
 def _hookless_call_later(self, delay, fn, *args):
     """`Simulator.call_later` with the sanitizer branch removed."""
-    if delay < 0:
+    if not delay >= 0:
         raise SimulationError(f"cannot schedule into the past (delay={delay})")
     heapq.heappush(self._heap, (self.now + delay, next(self._counter), fn, args))
 
@@ -58,7 +58,7 @@ def _hookless_call_at(self, when, fn, *args):
     """`Simulator.call_at` with the sanitizer branch removed."""
     now = self.now
     delay = when - now
-    if delay < 0:
+    if not delay >= 0:
         raise SimulationError(f"cannot schedule into the past (delay={delay})")
     heapq.heappush(self._heap, (now + delay, next(self._counter), fn, args))
 

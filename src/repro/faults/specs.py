@@ -12,6 +12,7 @@ so schedules serialize and compare cleanly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -23,6 +24,22 @@ __all__ = [
     "ShardCrash",
     "SwitchCrash",
 ]
+
+
+def _check_seconds(name: str, value: float, positive: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite
+    number of seconds, ``>= 0`` (``> 0`` when ``positive``).  nan, an
+    infinity and an int past the float range are refused here, before any
+    simulated work, rather than as a heap entry that never fires."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(
+            f"{name} must be a finite number of seconds {bound}, got {value!r:.40}"
+        )
 
 
 @dataclass(frozen=True)
@@ -43,8 +60,10 @@ class LinkFlap:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on an impossible window or parameter."""
-        if self.at_s < 0.0 or self.down_for_s <= 0.0:
-            raise ValueError(f"bad flap window at={self.at_s} down={self.down_for_s}")
+        _check_seconds("at_s", self.at_s)
+        _check_seconds("down_for_s", self.down_for_s, positive=True)
+        if self.period_s is not None:
+            _check_seconds("period_s", self.period_s, positive=True)
         if self.count < 1:
             raise ValueError(f"count {self.count} must be >= 1")
         if self.period_s is not None and self.period_s <= self.down_for_s:
@@ -85,10 +104,8 @@ class SwitchCrash:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on an impossible window or parameter."""
-        if self.at_s < 0.0 or self.down_for_s <= 0.0:
-            raise ValueError(
-                f"bad crash window at={self.at_s} down={self.down_for_s}"
-            )
+        _check_seconds("at_s", self.at_s)
+        _check_seconds("down_for_s", self.down_for_s, positive=True)
 
     def windows(self) -> Iterator[tuple[float, float]]:
         """Yield each ``(down_at, up_at)`` cycle."""
@@ -116,10 +133,8 @@ class ControlPartition:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on an impossible window or parameter."""
-        if self.at_s < 0.0 or self.duration_s <= 0.0:
-            raise ValueError(
-                f"bad partition window at={self.at_s} for={self.duration_s}"
-            )
+        _check_seconds("at_s", self.at_s)
+        _check_seconds("duration_s", self.duration_s, positive=True)
 
     def active(self, now: float, switch_name: str) -> bool:
         """True when this spec applies to ``switch_name`` at ``now``."""
@@ -156,15 +171,12 @@ class RuleInstallLoss:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on an impossible window or parameter."""
-        if self.at_s < 0.0 or self.duration_s <= 0.0:
-            raise ValueError(
-                f"bad loss window at={self.at_s} for={self.duration_s}"
-            )
+        _check_seconds("at_s", self.at_s)
+        _check_seconds("duration_s", self.duration_s, positive=True)
         for p in (self.loss_prob, self.delay_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p} out of [0, 1]")
-        if self.extra_delay_s < 0.0:
-            raise ValueError(f"extra_delay_s {self.extra_delay_s} must be >= 0")
+        _check_seconds("extra_delay_s", self.extra_delay_s)
         if self.loss_prob == 0.0 and self.delay_prob == 0.0:
             raise ValueError("loss window with neither loss nor delay")
 
@@ -208,10 +220,9 @@ class ShardCrash:
         """Raise ``ValueError`` on an impossible window or parameter."""
         if self.shard < 0:
             raise ValueError(f"shard {self.shard} must be >= 0")
-        if self.at_s < 0.0:
-            raise ValueError(f"bad crash time at={self.at_s}")
-        if self.down_for_s is not None and self.down_for_s <= 0.0:
-            raise ValueError(f"down_for_s {self.down_for_s} must be positive")
+        _check_seconds("at_s", self.at_s)
+        if self.down_for_s is not None:
+            _check_seconds("down_for_s", self.down_for_s, positive=True)
 
     def windows(self) -> Iterator[tuple[float, Optional[float]]]:
         """Yield the single ``(down_at, up_at_or_None)`` cycle."""

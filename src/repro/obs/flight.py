@@ -11,9 +11,11 @@ The recorder rides on :class:`~repro.obs.journey.JourneyRecorder` hooks and
 sees every event regardless of the journey sampling decision (arming a
 flight recorder makes the hooks process every packet — retention stays
 bounded, and the sim-visible trace stays byte-identical either way).  The
-journey recorder's one sink appends each row straight into its location's
-ring and calls :meth:`FlightRecorder.fire` only for kinds in
-:attr:`FlightRecorder.armed_kinds`.
+journey recorder's one sink appends each record straight into its
+location's ring and calls :meth:`FlightRecorder.fire` only for kinds in
+:attr:`FlightRecorder.armed_kinds`.  A ring holds what the journey
+recorder keeps for the event (its packed record when sampled, its row
+otherwise) and decodes it through that recorder only when read.
 
 Triggers are contracted in :data:`ANOMALY_TRIGGERS` and doc-diffed both
 ways, like the metrics contract.  ``switch.miss`` is deliberately *not* a
@@ -23,12 +25,14 @@ by design, and a default-armed recorder must stay silent on a healthy run.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-from .journey import JourneyEvent, row_column
+from .journey import JourneyEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from .journey import JourneyRecorder
@@ -108,35 +112,38 @@ def format_trigger_table() -> str:
     return "\n".join(lines)
 
 
-# journey rows (see repro.obs.journey) are read by position here too
-_TIME = 0
-_BACKLOG_AT = row_column("link.tx", "backlog_bytes")
-
-
 @dataclass
 class FlightDump:
     """One anomaly snapshot: the trigger plus every ring's retained events.
 
-    Holds the journey rows as recorded; :attr:`cause` and :attr:`events`
-    build the :class:`~repro.obs.journey.JourneyEvent` values on read.
+    Holds the records as the rings held them; :attr:`cause`, :attr:`events`
+    and :attr:`time_s` decode them (``decode``, the recording
+    :meth:`~repro.obs.journey.JourneyRecorder.decode`) into
+    :class:`~repro.obs.journey.JourneyEvent` values on read.
     """
 
-    time_s: float
     trigger: str
-    cause_row: tuple
-    rows: dict[str, tuple[tuple, ...]]
+    cause_record: Any
+    records: dict[str, tuple]
+    decode: Callable[[Any], tuple] = field(repr=False, compare=False)
 
     @property
     def cause(self) -> JourneyEvent:
         """The event that fired the trigger."""
-        return JourneyEvent.from_row(self.cause_row)
+        return JourneyEvent.from_row(self.decode(self.cause_record))
+
+    @property
+    def time_s(self) -> float:
+        """When the trigger fired: the cause's time."""
+        return self.cause.time_s
 
     @property
     def events(self) -> dict[str, list[JourneyEvent]]:
         """Every ring's retained events at dump time, keyed by location."""
+        decode = self.decode
         return {
-            where: [JourneyEvent.from_row(row) for row in ring]
-            for where, ring in self.rows.items()
+            where: [JourneyEvent.from_row(decode(record)) for record in ring]
+            for where, ring in self.records.items()
         }
 
     def to_dict(self) -> dict[str, Any]:
@@ -152,22 +159,31 @@ class FlightDump:
         }
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class FlightRecorder:
     """Bounded per-location rings of journey events, dumped on anomalies.
 
     Parameters
     ----------
     capacity:
-        Events retained per location (node name or directed channel name).
+        Events retained per location (node name or directed channel name),
+        an int in [1, ``sys.maxsize``].
     triggers:
         Trigger names to arm (see :data:`ANOMALY_TRIGGERS`); defaults to
         every default-armed trigger.  Unknown names raise ``ValueError``.
     queue_threshold_bytes:
-        Backlog level at which the ``queue_depth`` trigger fires; ``None``
-        (default) disarms it even when listed.
+        Backlog level at which the ``queue_depth`` trigger fires, finite
+        and >= 0; ``None`` (default) disarms it even when listed.
     max_dumps:
         Dumps retained before further triggers only count
-        (:attr:`dumps_suppressed`) — an anomaly storm must not unbound memory.
+        (:attr:`dumps_suppressed`) — an anomaly storm must not unbound
+        memory.  An int >= 0.
+
+    A bad number is a ``ValueError`` naming its argument, here, before any
+    simulated work.
     """
 
     def __init__(
@@ -177,8 +193,19 @@ class FlightRecorder:
         queue_threshold_bytes: Optional[int] = None,
         max_dumps: int = 8,
     ):
-        if capacity < 1:
-            raise ValueError(f"capacity {capacity} must be >= 1")
+        if not (_is_int(capacity) and 1 <= capacity <= sys.maxsize):
+            raise ValueError(
+                f"capacity {capacity!r} must be an int in [1, {sys.maxsize}]"
+            )
+        if not (_is_int(max_dumps) and max_dumps >= 0):
+            raise ValueError(f"max_dumps {max_dumps!r} must be an int >= 0")
+        if queue_threshold_bytes is not None and not (
+            0 <= queue_threshold_bytes < math.inf
+        ):
+            raise ValueError(
+                f"queue_threshold_bytes {queue_threshold_bytes!r} must be "
+                "None or finite and >= 0"
+            )
         names = DEFAULT_TRIGGERS if triggers is None else frozenset(triggers)
         unknown = names - set(_TRIGGERS_BY_NAME)
         if unknown:
@@ -190,9 +217,9 @@ class FlightRecorder:
         self.triggers = names
         self.queue_threshold_bytes = queue_threshold_bytes
         self.max_dumps = max_dumps
-        #: location -> the last ``capacity`` journey rows seen there; the
+        #: location -> the last ``capacity`` journey records seen there; the
         #: bound journey recorder appends to these directly
-        self.rings: defaultdict[str, deque[tuple]] = defaultdict(
+        self.rings: defaultdict[str, deque] = defaultdict(
             partial(deque, maxlen=capacity)
         )
         #: event kind -> the armed trigger it can fire.  ``link.tx`` is in
@@ -207,29 +234,48 @@ class FlightRecorder:
         self.recorder: Optional["JourneyRecorder"] = None
 
     def bind(self, recorder: "JourneyRecorder") -> None:
-        """Called by the journey recorder adopting this flight recorder."""
+        """Called by the journey recorder adopting this flight recorder.
+
+        The rings hold the previous recorder's records, which only it can
+        decode: they are decoded into rows here.  One still attached keeps
+        recording into the rings, so it must be detached first.
+        """
+        held = self.recorder
+        if held is not None and held is not recorder:
+            if held.attached:
+                raise ValueError(
+                    f"this flight recorder serves {held!r}, which is still "
+                    "attached; detach it first"
+                )
+            for ring in self.rings.values():
+                rows = [held.decode(record) for record in ring]
+                ring.clear()
+                ring.extend(rows)
         self.recorder = recorder
 
-    def fire(self, trigger: str, cause: tuple) -> None:
-        """A row of an armed kind was ringed: dump every ring, unless the
-        row is under the ``queue_depth`` threshold or dumps are used up."""
-        if trigger == "queue_depth" and cause[_BACKLOG_AT] < self.queue_threshold_bytes:
+    def fire(self, trigger: str, cause: Any) -> None:
+        """A record of an armed kind was ringed: dump every ring, unless the
+        event is under the ``queue_depth`` threshold or dumps are used up."""
+        recorder = self.recorder
+        if trigger == "queue_depth" and (
+            recorder.field(cause, "backlog_bytes") < self.queue_threshold_bytes
+        ):
             return
         if len(self.dumps) >= self.max_dumps:
             self.dumps_suppressed += 1
             return
-        self.dumps.append(
-            FlightDump(
-                time_s=cause[_TIME],
-                trigger=trigger,
-                cause_row=cause,
-                rows={w: tuple(r) for w, r in self.rings.items()},
-            )
-        )
+        self.dumps.append(FlightDump(
+            trigger, cause, {w: tuple(r) for w, r in self.rings.items()},
+            recorder.decode,
+        ))
 
     def ring(self, where: str) -> list[JourneyEvent]:
         """The currently retained events at one location (oldest first)."""
-        return [JourneyEvent.from_row(row) for row in self.rings.get(where, ())]
+        ring = self.rings.get(where, ())
+        if not ring:
+            return []
+        decode = self.recorder.decode
+        return [JourneyEvent.from_row(decode(record)) for record in ring]
 
     def locations(self) -> list[str]:
         """Every location that has retained at least one event."""

@@ -28,9 +28,11 @@ installs no hooks at all, so the disabled default costs nothing.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.controller import MimicController
@@ -173,17 +175,18 @@ def format_journey_table() -> str:
 # events and journeys
 # ---------------------------------------------------------------------------
 
-# A stored event is one flat row
+# An event reads back as one flat row
 #   (time_s, kind, where, uid, content_tag, keys, *values)
 # with ``keys`` the kind's ``fields`` tuple from JOURNEY_EVENTS.  It holds
 # scalars, strings and header tuples only, so the collector stops tracking
 # it (see repro.sim.trace).  The queries read the columns they need by
 # position; a JourneyEvent is built only for callers that ask for events.
+# How a recorder stores a row is the packed log below.
 _TIME, _KIND, _WHERE, _UID, _TAG, _KEYS, _VALUES = range(7)
 
 
 def row_column(kind: str, name: str) -> int:
-    """Position, in a stored row, of one contracted field of an event kind."""
+    """Position, in a row as read back, of one contracted field of a kind."""
     return _VALUES + _EVENTS_BY_KIND[kind].fields.index(name)
 
 
@@ -228,15 +231,40 @@ _QUEUE_WAIT_AT = row_column("link.tx", "queue_wait_s")
 _LATENCY_AT = row_column("host.rx", "latency_s")
 
 
+def _parent_map(rows: Iterable[tuple]) -> dict[int, int]:
+    return {
+        row[_UID]: row[_PARENT_UID_AT] for row in rows if row[_KIND] == "switch.egress"
+    }
+
+
+def _delivered_uids(rows: list[tuple]) -> set[int]:
+    parents = _parent_map(rows)
+    delivered: set[int] = set()
+    for row in rows:
+        if row[_KIND] != "host.rx":
+            continue
+        uid = row[_UID]
+        while uid not in delivered:
+            delivered.add(uid)
+            nxt = parents.get(uid, uid)
+            if nxt == uid:
+                break
+            uid = nxt
+    return delivered
+
+
 class Journey:
     """Every recorded event for one wire content (one ``content_tag``).
 
     Multicast decoy copies share the tag, so a journey is a *tree*: the
     original instance plus every copy, linked through the ``parent_uid``
     field of ``switch.egress`` events.
+
+    ``rows`` is any sized collection of rows; a recorder's journeys pass one
+    that decodes its records on each pass, so every query reads it once.
     """
 
-    def __init__(self, content_tag: int, rows: list[tuple]):
+    def __init__(self, content_tag: int, rows: Collection[tuple]):
         self.content_tag = content_tag
         self._rows = rows
 
@@ -272,11 +300,7 @@ class Journey:
 
     def parent_map(self) -> dict[int, int]:
         """uid → parent uid links from egress events (identity maps to self)."""
-        return {
-            row[_UID]: row[_PARENT_UID_AT]
-            for row in self._rows
-            if row[_KIND] == "switch.egress"
-        }
+        return _parent_map(self._rows)
 
     def delivered_uids(self) -> set[int]:
         """Uids on a lineage chain that ends in a ``host.rx`` delivery.
@@ -285,19 +309,7 @@ class Journey:
         against: a decoy copy (dropped next hop or dying at an innocent NIC)
         never appears here, the true continuation always does.
         """
-        parents = self.parent_map()
-        delivered: set[int] = set()
-        for row in self._rows:
-            if row[_KIND] != "host.rx":
-                continue
-            uid = row[_UID]
-            while uid not in delivered:
-                delivered.add(uid)
-                nxt = parents.get(uid, uid)
-                if nxt == uid:
-                    break
-                uid = nxt
-        return delivered
+        return _delivered_uids(list(self._rows))
 
     def rewrites(self) -> list[JourneyEvent]:
         """The old→new rewrite events, in hop order."""
@@ -313,9 +325,10 @@ class Journey:
 
     def path(self) -> list[str]:
         """Node names touched by the *delivered* lineage, in hop order."""
-        live = self.delivered_uids()
+        rows = list(self._rows)
+        live = _delivered_uids(rows)
         out: list[str] = []
-        for row in self._rows:
+        for row in rows:
             if row[_KIND] in ("host.tx", "switch.ingress", "host.rx") and (
                 not live or row[_UID] in live
             ):
@@ -337,6 +350,121 @@ class Journey:
             if row[_KIND] == "host.rx":
                 return row[_LATENCY_AT]
         return None
+
+
+# ---------------------------------------------------------------------------
+# the packed log
+# ---------------------------------------------------------------------------
+
+# A recorder keeps every sampled row in one bytearray.  A row of a hot kind
+# (one a packet hop writes) is one fixed-layout binary record, packed by its
+# kind's struct inside the hook:
+#   code, time_s, where, uid, content_tag, *values
+# where ``where``, the IP texts and the header tuples are indexes into the
+# recorder's intern table, so a record holds no object at all.  A row of a
+# rare kind stays the tuple the hook built, in a side list; the log holds a
+# (code, index) reference to it.  So does a hot row with a value its record
+# cannot hold (a port past 2**31, a cookie past 2**64, a float size): the
+# struct refuses it and the hook keeps the row as it would a rare one.
+# Rows are decoded back into the tuples above only when read.
+_HEAD = "<BdIqq"  # code, time_s, where, uid, content_tag
+#: a hot kind's value fields: their struct codes, and which are interned
+_FIELD_FORMATS = {
+    "in_port": "i", "out_port": "i", "size": "I", "entry_id": "q",
+    "cookie": "Q", "parent_uid": "q", "backlog_bytes": "q",
+    "queue_wait_s": "d", "serialize_s": "d", "delay_s": "d", "latency_s": "d",
+}
+_INTERNED_FIELDS = frozenset({"dst_ip", "src_ip", "header", "old", "new"})
+_HOT_KINDS = (
+    "host.tx", "switch.ingress", "switch.rewrite", "switch.egress",
+    "link.tx", "host.rx",
+)
+
+
+class _Layout:
+    """One hot kind's record: its struct and how to decode it."""
+
+    __slots__ = ("kind", "fields", "struct", "interned", "at")
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.fields = _EVENTS_BY_KIND[kind].fields
+        self.struct = struct.Struct(_HEAD + "".join(
+            "I" if name in _INTERNED_FIELDS else _FIELD_FORMATS[name]
+            for name in self.fields
+        ))
+        #: value positions that hold intern-table indexes
+        self.interned = tuple(
+            i for i, name in enumerate(self.fields) if name in _INTERNED_FIELDS
+        )
+        #: field name -> its position in an unpacked record
+        self.at = {name: 5 + i for i, name in enumerate(self.fields)}
+
+    def row(self, unpacked: tuple, table: list) -> tuple:
+        """The row an unpacked record stands for."""
+        values = list(unpacked[5:])
+        for i in self.interned:
+            values[i] = table[values[i]]
+        return (
+            unpacked[1], self.kind, table[unpacked[2]], unpacked[3],
+            unpacked[4], self.fields, *values,
+        )
+
+
+#: record code -> its layout; the code after the hot kinds marks a
+#: reference to a rare row
+_LAYOUTS: tuple[Optional[_Layout], ...] = (
+    *(_Layout(kind) for kind in _HOT_KINDS), None,
+)
+_RARE = len(_HOT_KINDS)
+_RARE_REF = struct.Struct("<BI")  # code, index into the rare rows
+_RARE_REF_PACK = _RARE_REF.pack
+#: record code -> its size in the log
+_SIZES = (*(layout.struct.size for layout in _LAYOUTS[:_RARE]), _RARE_REF.size)
+#: a hot record's content tag: its offset and how to read it alone
+_TAG_AT = struct.calcsize(_HEAD) - 8
+_TAG_UNPACK = struct.Struct("<q").unpack_from
+
+# what each hook packs with: its kind's code and bound struct.pack
+(_HOST_TX_PACK, _INGRESS_PACK, _REWRITE_PACK, _EGRESS_PACK, _LINK_TX_PACK,
+ _HOST_RX_PACK) = (layout.struct.pack for layout in _LAYOUTS[:_RARE])
+(_HOST_TX_CODE, _INGRESS_CODE, _REWRITE_CODE, _EGRESS_CODE, _LINK_TX_CODE,
+ _HOST_RX_CODE) = range(_RARE)
+
+
+class _Places(dict):
+    """Location name -> (its intern index, its flight ring or None): one
+    dict read per sampled row, filled on the first sampled row there."""
+
+    def __init__(self, interned: dict, rings: Optional[dict]):
+        super().__init__()
+        self.interned = interned
+        self.rings = rings
+
+    def __missing__(self, where: str) -> tuple:
+        interned, rings = self.interned, self.rings
+        place = self[where] = (
+            interned.setdefault(where, len(interned)),
+            None if rings is None else rings[where],
+        )
+        return place
+
+
+class _LoggedRows:
+    """One journey's rows as the offsets of its records in the recorder's
+    log: a sized collection that decodes them on every pass."""
+
+    __slots__ = ("recorder", "offsets")
+
+    def __init__(self, recorder: "JourneyRecorder", offsets: list[int]):
+        self.recorder = recorder
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.recorder._decode(self.offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +502,12 @@ class JourneyRecorder:
     opt-in.  An armed :class:`~repro.obs.flight.FlightRecorder` sees every
     event regardless of sampling (bounded ring buffers, dump on anomaly).
 
-    Each hook builds its row once and hands it to one sink, which counts
-    it, keeps it when the tag is sampled and appends it to its location's
-    flight ring.  A sampled row's header tuples come from one shared table,
-    so retained rows hold one instance per distinct header.  A network
+    Each hook builds its record once and hands it to one sink, which counts
+    it, appends it to the packed log when the tag is sampled and appends it
+    to its location's flight ring.  A sampled row is a binary record whose
+    names, addresses and headers are indexes into one intern table; an
+    unsampled row (rings only) stays a tuple and interns nothing.  Read
+    the rows back with :meth:`rows` or the journey queries.  A network
     carries one attached recorder at a time.
     """
 
@@ -408,14 +538,16 @@ class JourneyRecorder:
         #: content_tag -> sampled?  Memoised only where the answer can vary
         #: by tag (a predicate, or a hashed rate strictly inside (0, 1)).
         self._decisions: dict[int, bool] = {}
-        #: every sampled event row, in recording order; grouped by content
-        #: tag when read (journeys_by_content_tag)
-        self._rows: list[tuple] = []
-        #: header tuple -> the one instance every retained row holds.  Every
-        #: packet of a flow crosses a switch with the same header, so rows
-        #: share it instead of each keeping a copy; only sampled packets
-        #: enter, so the table never outgrows the rows it serves
-        self._headers: dict[HeaderTuple, HeaderTuple] = {}
+        #: every sampled row, in recording order, as packed records
+        self._log = bytearray()
+        #: the sampled rows of rare kinds, which the log references by index
+        self._rare: list[tuple] = []
+        #: name, IP text or header tuple -> its index in a record.  Only
+        #: sampled rows intern, so the table never outgrows the rows it
+        #: serves; it is append-only, and read back in insertion order
+        self._interned: dict[Any, int] = {}
+        self._table: list[Any] = []
+        self._places = _Places(self._interned, self._rings)
         #: False until attach() and after detach()
         self.attached = False
         #: (switch, in-tuple) -> MC-planned out-tuple, armed by arm_intent()
@@ -516,18 +648,85 @@ class JourneyRecorder:
         return decided
 
     # -- the sink -------------------------------------------------------------
-    def _record(self, row: tuple, sampled: bool) -> None:
-        """Count ``row``, keep it when sampled, ring it when a flight
-        recorder is armed, and let that recorder fire if the kind can."""
+    def _record(self, record: Any, kind: str, ring: Any, keep: bool) -> None:
+        """Count one event, append ``record`` to the log when ``keep``,
+        append it to ``ring`` when a flight recorder is armed, and let that
+        recorder fire if ``kind`` can."""
         self.events_recorded += 1
-        if sampled:
-            self._rows.append(row)
-        rings = self._rings
-        if rings is not None:
-            rings[row[_WHERE]].append(row)
-            trigger = self._armed.get(row[_KIND])
+        if keep:
+            self._log += record
+        if ring is not None:
+            ring.append(record)
+            trigger = self._armed.get(kind)
             if trigger is not None:
-                self.flight.fire(trigger, row)
+                self.flight.fire(trigger, record)
+
+    def _keep_row(self, row: tuple) -> None:
+        """Keep a sampled row as a tuple: it joins the rare rows and the log
+        keeps a reference to it (the caller still hands it to the sink)."""
+        self._log += _RARE_REF_PACK(_RARE, len(self._rare))
+        self._rare.append(row)
+
+    def _record_rare(self, row: tuple, sampled: bool) -> None:
+        """The sink for a rare kind's row, which stays a tuple (kept as
+        :meth:`_keep_row` keeps one, inline: no call per rare row)."""
+        if sampled:
+            self._log += _RARE_REF_PACK(_RARE, len(self._rare))
+            self._rare.append(row)
+        rings = self._rings
+        self._record(
+            row, row[_KIND], None if rings is None else rings[row[_WHERE]], False
+        )
+
+    # -- reading the log back -------------------------------------------------
+    def _values(self) -> list[Any]:
+        """The intern table by index (extended when it has grown)."""
+        table = self._table
+        if len(table) != len(self._interned):
+            table += islice(self._interned, len(table), None)
+        return table
+
+    def _offsets(self) -> Iterator[int]:
+        """Where each record starts in the log, in recording order."""
+        log = self._log
+        at, end = 0, len(log)
+        while at < end:
+            yield at
+            at += _SIZES[log[at]]
+
+    def _decode(self, offsets: Iterable[int]) -> list[tuple]:
+        """The rows the log's records at ``offsets`` stand for."""
+        log, rare, table = self._log, self._rare, self._values()
+        rows: list[tuple] = []
+        for at in offsets:
+            layout = _LAYOUTS[log[at]]
+            if layout is None:
+                rows.append(rare[_RARE_REF.unpack_from(log, at)[1]])
+            else:
+                rows.append(layout.row(layout.struct.unpack_from(log, at), table))
+        return rows
+
+    def rows(self) -> list[tuple]:
+        """Every sampled row, decoded, in recording order."""
+        return self._decode(self._offsets())
+
+    def decode(self, record: Any) -> tuple:
+        """The row one record this recorder made stands for (a flight ring
+        holds the record of a sampled row, the row itself otherwise)."""
+        if record.__class__ is tuple:
+            return record
+        layout = _LAYOUTS[record[0]]
+        return layout.row(layout.struct.unpack(record), self._values())
+
+    def field(self, record: Any, name: str) -> Any:
+        """One contracted field of a record this recorder made, read
+        without decoding the rest (a flight trigger's threshold reads it)."""
+        if record.__class__ is tuple:
+            return record[row_column(record[_KIND], name)]
+        layout = _LAYOUTS[record[0]]
+        at = layout.at[name]
+        value = layout.struct.unpack(record)[at]
+        return self._values()[value] if at - 5 in layout.interned else value
 
     # -- intent (the MC's planned rewrite chains) ---------------------------
     def arm_intent(self, mic: "MimicController") -> int:
@@ -576,14 +775,37 @@ class JourneyRecorder:
             )
 
     # -- hot-path hooks (each guarded by an `is None` check at the caller) --
+    # A sampled event packs its record; an unsampled one an armed flight
+    # recorder watches is ringed as a tuple, and so is a sampled one whose
+    # values its record cannot hold (kept through _keep_row).
     def on_host_tx(self, host: "Host", packet: "Packet") -> None:
         """The origin host pushed a packet into its stack."""
         sampled = self._keep_all or self.wants(packet)
-        if sampled or self._watch_all:
-            self._record((
-                self.sim.now, "host.tx", host.name, packet.uid,
-                packet.content_tag, _HOST_TX, packet.ip_dst.text, packet.size,
-            ), sampled)
+        if sampled:
+            interned = self._interned
+            where, ring = self._places[host.name]
+            try:
+                record = _HOST_TX_PACK(
+                    _HOST_TX_CODE, self.sim.now, where, packet.uid,
+                    packet.content_tag,
+                    interned.setdefault(packet.ip_dst.text, len(interned)),
+                    packet.size,
+                )
+            except struct.error:  # a value past the record's widths
+                pass
+            else:
+                return self._record(record, "host.tx", ring, True)
+        elif self._watch_all:
+            ring = self._rings[host.name]
+        else:
+            return
+        row = (
+            self.sim.now, "host.tx", host.name, packet.uid, packet.content_tag,
+            _HOST_TX, packet.ip_dst.text, packet.size,
+        )
+        if sampled:
+            self._keep_row(row)
+        self._record(row, "host.tx", ring, False)
 
     def on_switch_ingress(
         self, switch: "Switch", packet: "Packet", in_port: int
@@ -603,11 +825,28 @@ class JourneyRecorder:
             packet.mpls,
         )
         if sampled:
-            header = self._headers.setdefault(header, header)
-        self._record((
+            interned = self._interned
+            where, ring = self._places[switch.name]
+            try:
+                record = _INGRESS_PACK(
+                    _INGRESS_CODE, self.sim.now, where, packet.uid,
+                    packet.content_tag, in_port,
+                    interned.setdefault(header, len(interned)), packet.size,
+                )
+            except struct.error:  # a value past the record's widths
+                pass
+            else:
+                self._record(record, "switch.ingress", ring, True)
+                return header
+        else:
+            ring = self._rings[switch.name]
+        row = (
             self.sim.now, "switch.ingress", switch.name, packet.uid,
             packet.content_tag, _SWITCH_INGRESS, in_port, header, packet.size,
-        ), sampled)
+        )
+        if sampled:
+            self._keep_row(row)
+        self._record(row, "switch.ingress", ring, False)
         return header
 
     def on_switch_applied(
@@ -624,42 +863,75 @@ class JourneyRecorder:
         sampled = self._keep_all or self.wants(packet)
         sink = self._record
         now = self.sim.now
-        where = switch.name
+        name = switch.name
         uid = packet.uid
         new = (
             packet.ip_src.text, packet.ip_dst.text, packet.sport, packet.dport,
             packet.mpls,
         )
-        if new != old:
-            if sampled:
-                new = self._headers.setdefault(new, new)
-            sink((
-                now, "switch.rewrite", where, uid, packet.content_tag,
-                _SWITCH_REWRITE, in_port, entry.entry_id, entry.cookie, old, new,
-            ), sampled)
-        else:
-            new = old
+        rewrote = new != old
         emitted = []
         for _port, p in emissions:
-            header = (p.ip_src.text, p.ip_dst.text, p.sport, p.dport, p.mpls)
-            if header == new:  # the usual emission: the rewritten packet
-                header = new
-            elif sampled:  # a group bucket's own rewrite
-                header = self._headers.setdefault(header, header)
-            emitted.append(header)
+            emitted.append((p.ip_src.text, p.ip_dst.text, p.sport, p.dport, p.mpls))
+        if sampled:
+            interned = self._interned
+            where, ring = self._places[name]
+            new_at = interned.setdefault(new, len(interned))
+        else:
+            ring = self._rings[name]
+        if rewrote:
+            record = None
+            if sampled:
+                try:
+                    record = _REWRITE_PACK(
+                        _REWRITE_CODE, now, where, uid, packet.content_tag,
+                        in_port, entry.entry_id, entry.cookie,
+                        interned.setdefault(old, len(interned)), new_at,
+                    )
+                except struct.error:  # a value past the record's widths
+                    pass
+            if record is not None:
+                sink(record, "switch.rewrite", ring, True)
+            else:
+                row = (
+                    now, "switch.rewrite", name, uid, packet.content_tag,
+                    _SWITCH_REWRITE, in_port, entry.entry_id, entry.cookie,
+                    old, new,
+                )
+                if sampled:
+                    self._keep_row(row)
+                sink(row, "switch.rewrite", ring, False)
         if self._intent_armed:
-            expected = self._intent.get((where, old))
+            expected = self._intent.get((name, old))
             if expected is not None and expected not in emitted:
-                sink((
-                    now, "switch.divergence", where, uid, packet.content_tag,
+                self._record_rare((
+                    now, "switch.divergence", name, uid, packet.content_tag,
                     _SWITCH_DIVERGENCE, in_port, entry.entry_id, entry.cookie,
                     old, expected, emitted,
                 ), sampled)
         for (port, out_pkt), header in zip(emissions, emitted):
-            sink((
-                now, "switch.egress", where, out_pkt.uid, out_pkt.content_tag,
+            if sampled:
+                try:
+                    record = _EGRESS_PACK(
+                        _EGRESS_CODE, now, where, out_pkt.uid,
+                        out_pkt.content_tag, port, uid, entry.entry_id,
+                        # the usual emission carries the hop's new header
+                        new_at if header == new
+                        else interned.setdefault(header, len(interned)),
+                        out_pkt.size,
+                    )
+                except struct.error:  # a value past the record's widths
+                    pass
+                else:
+                    sink(record, "switch.egress", ring, True)
+                    continue
+            row = (
+                now, "switch.egress", name, out_pkt.uid, out_pkt.content_tag,
                 _SWITCH_EGRESS, port, uid, entry.entry_id, header, out_pkt.size,
-            ), sampled)
+            )
+            if sampled:
+                self._keep_row(row)
+            sink(row, "switch.egress", ring, False)
 
     def on_switch_miss(
         self, switch: "Switch", packet: "Packet", in_port: int,
@@ -667,7 +939,7 @@ class JourneyRecorder:
     ) -> None:
         """No rule matched; the packet is being punted.  ``header`` is the
         one :meth:`on_switch_ingress` returned (a miss rewrites nothing)."""
-        self._record((
+        self._record_rare((
             self.sim.now, "switch.miss", switch.name, packet.uid,
             packet.content_tag, _SWITCH_MISS, in_port, header,
         ), self._keep_all or self.wants(packet))
@@ -677,7 +949,7 @@ class JourneyRecorder:
     ) -> None:
         """The packet died of TTL in this switch's pipeline (called only when
         :meth:`on_switch_ingress` recorded the hop)."""
-        self._record((
+        self._record_rare((
             self.sim.now, "switch.ttl_expired", switch.name, packet.uid,
             packet.content_tag, _SWITCH_TTL_EXPIRED, in_port,
         ), self._keep_all or self.wants(packet))
@@ -693,12 +965,30 @@ class JourneyRecorder:
     ) -> None:
         """A channel accepted the packet (``size`` bytes) for transmission."""
         sampled = self._keep_all or self.wants(packet)
-        if sampled or self._watch_all:
-            self._record((
-                self.sim.now, "link.tx", channel.name, packet.uid,
-                packet.content_tag, _LINK_TX, queue_wait_s, serialize_s,
-                channel.delay_s, backlog_bytes, size,
-            ), sampled)
+        if sampled:
+            where, ring = self._places[channel.name]
+            try:
+                record = _LINK_TX_PACK(
+                    _LINK_TX_CODE, self.sim.now, where, packet.uid,
+                    packet.content_tag, queue_wait_s, serialize_s,
+                    channel.delay_s, backlog_bytes, size,
+                )
+            except struct.error:  # a value past the record's widths
+                pass
+            else:
+                return self._record(record, "link.tx", ring, True)
+        elif self._watch_all:
+            ring = self._rings[channel.name]
+        else:
+            return
+        row = (
+            self.sim.now, "link.tx", channel.name, packet.uid,
+            packet.content_tag, _LINK_TX, queue_wait_s, serialize_s,
+            channel.delay_s, backlog_bytes, size,
+        )
+        if sampled:
+            self._keep_row(row)
+        self._record(row, "link.tx", ring, False)
 
     def on_link_drop(
         self, channel: "Channel", packet: "Packet", backlog_bytes: int
@@ -706,7 +996,7 @@ class JourneyRecorder:
         """A channel tail-dropped the packet."""
         sampled = self._keep_all or self.wants(packet)
         if sampled or self._watch_all:
-            self._record((
+            self._record_rare((
                 self.sim.now, "link.drop", channel.name, packet.uid,
                 packet.content_tag, _LINK_DROP, backlog_bytes, packet.size,
             ), sampled)
@@ -725,25 +1015,43 @@ class JourneyRecorder:
             JourneyRecorder._record(
                 self,
                 (self.sim.now, "link.down", channel.name, 0, 0, _LINK_DOWN, up),
-                False,
+                "link.down", self._rings[channel.name], False,
             )
 
     def on_host_rx(self, host: "Host", packet: "Packet") -> None:
         """The destination NIC accepted the packet."""
+        now = self.sim.now
         sampled = self._keep_all or self.wants(packet)
-        if sampled or self._watch_all:
-            now = self.sim.now
-            self._record((
-                now, "host.rx", host.name, packet.uid, packet.content_tag,
-                _HOST_RX, packet.ip_src.text, now - packet.created_at,
-                packet.size,
-            ), sampled)
+        if sampled:
+            interned = self._interned
+            where, ring = self._places[host.name]
+            try:
+                record = _HOST_RX_PACK(
+                    _HOST_RX_CODE, now, where, packet.uid, packet.content_tag,
+                    interned.setdefault(packet.ip_src.text, len(interned)),
+                    now - packet.created_at, packet.size,
+                )
+            except struct.error:  # a value past the record's widths
+                pass
+            else:
+                return self._record(record, "host.rx", ring, True)
+        elif self._watch_all:
+            ring = self._rings[host.name]
+        else:
+            return
+        row = (
+            now, "host.rx", host.name, packet.uid, packet.content_tag,
+            _HOST_RX, packet.ip_src.text, now - packet.created_at, packet.size,
+        )
+        if sampled:
+            self._keep_row(row)
+        self._record(row, "host.rx", ring, False)
 
     def on_host_foreign_drop(self, host: "Host", packet: "Packet") -> None:
         """A NIC discarded a packet not addressed to it (decoy death)."""
         sampled = self._keep_all or self.wants(packet)
         if sampled or self._watch_all:
-            self._record((
+            self._record_rare((
                 self.sim.now, "host.foreign_drop", host.name, packet.uid,
                 packet.content_tag, _HOST_FOREIGN_DROP, packet.ip_dst.text,
             ), sampled)
@@ -751,18 +1059,30 @@ class JourneyRecorder:
     # -- queries (the ground-truth linkage API) -----------------------------
     def journeys_by_content_tag(self) -> dict[int, Journey]:
         """Every sampled journey, keyed by content tag — the exact-linkage
-        ground truth :mod:`repro.attacks` scores adversaries against."""
-        grouped: dict[int, list[tuple]] = {}
-        for row in self._rows:
-            grouped.setdefault(row[_TAG], []).append(row)
-        return {tag: Journey(tag, rows) for tag, rows in grouped.items()}
+        ground truth :mod:`repro.attacks` scores adversaries against.
+
+        A journey holds where its records sit in the log, not its rows, and
+        decodes them on each query: reading the history back keeps no row
+        tuples beyond the query at hand."""
+        log, rare = self._log, self._rare
+        grouped: dict[int, list[int]] = {}
+        for at in self._offsets():
+            if log[at] == _RARE:
+                tag = rare[_RARE_REF.unpack_from(log, at)[1]][_TAG]
+            else:
+                tag = _TAG_UNPACK(log, at + _TAG_AT)[0]
+            grouped.setdefault(tag, []).append(at)
+        return {
+            tag: Journey(tag, _LoggedRows(self, offsets))
+            for tag, offsets in grouped.items()
+        }
 
     def journey(self, content_tag: int) -> Journey:
         """One journey by tag (KeyError if never sampled)."""
         return self.journeys_by_content_tag()[content_tag]
 
     def __len__(self) -> int:
-        return len({row[_TAG] for row in self._rows})
+        return len(self.journeys_by_content_tag())
 
 
 # ---------------------------------------------------------------------------
@@ -778,18 +1098,16 @@ def journeys_to_json(  # taint: sink
     ``summarize`` detects the ``journeys`` key and renders the hop table.
     """
     flight = flight if flight is not None else recorder.flight
-    doc: dict[str, Any] = {
-        "sim_time_s": recorder.sim.now,
-        "journeys": [
-            {
-                "content_tag": j.content_tag,
-                "origin": j.origin(),
-                "delivered_to": j.delivered_to(),
-                "events": [e.to_dict() for e in j],
-            }
-            for j in recorder.journeys_by_content_tag().values()
-        ],
-    }
+    journeys = []
+    for j in recorder.journeys_by_content_tag().values():
+        j = Journey(j.content_tag, list(j._rows))  # decoded once, read thrice
+        journeys.append({
+            "content_tag": j.content_tag,
+            "origin": j.origin(),
+            "delivered_to": j.delivered_to(),
+            "events": [e.to_dict() for e in j],
+        })
+    doc: dict[str, Any] = {"sim_time_s": recorder.sim.now, "journeys": journeys}
     if flight is not None:
         doc["flight_dumps"] = [d.to_dict() for d in flight.dumps]
     return doc

@@ -1,7 +1,11 @@
 """Fault spec validation and schedule compilation."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import deploy_mic
 from repro.faults import (
     ControlPartition,
     FaultSchedule,
@@ -152,3 +156,45 @@ class TestSchedule:
         assert sched.packet_in_blocked("s1")
         assert not sched.packet_in_blocked("s2")
         assert sched.rng.getstate() == state
+
+
+#: every time or duration each builder takes, with a value that works
+TIMED = {
+    "link_flap": {"at_s": 0.5, "down_for_s": 0.2, "period_s": None},
+    "switch_crash": {"at_s": 0.5, "down_for_s": 0.2},
+    "control_partition": {"at_s": 0.5, "duration_s": 0.2},
+    "rule_install_loss": {"at_s": 0.5, "duration_s": 0.2, "extra_delay_s": 0.001},
+    "shard_crash": {"at_s": 0.5, "down_for_s": 0.2},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from([(b, p) for b, params in TIMED.items() for p in params]),
+    value=st.sampled_from([0, -1, math.nan, math.inf, 10**400]),
+)
+def test_a_bad_time_works_or_fails_before_any_simulated_work(case, value):
+    """A time or duration that is negative, zero where it must not be, nan,
+    infinite or past the float range is refused by its builder, naming the
+    parameter, before anything is scheduled; whatever gets through runs."""
+    builder, param = case
+    dep = deploy_mic(seed=0, shards=2)
+    link = dep.net.links[0].forward
+    schedule = FaultSchedule(seed=0)
+    kwargs = dict(TIMED[builder], **{param: value})
+    build = {
+        "link_flap": lambda: schedule.link_flap(link.src.name, link.dst.name, **kwargs),
+        "switch_crash": lambda: schedule.switch_crash(link.src.name, **kwargs),
+        "control_partition": lambda: schedule.control_partition(link.src.name, **kwargs),
+        "rule_install_loss": lambda: schedule.rule_install_loss(loss_prob=0.5, **kwargs),
+        "shard_crash": lambda: schedule.shard_crash(1, **kwargs),
+    }[builder]
+    try:
+        build()
+    except ValueError as err:
+        assert param in str(err)
+        assert len(schedule) == 0
+        return
+    schedule.attach(dep.net, dep.ctrl)
+    dep.run_for(2.0)
+    assert dep.sim.now == 2.0

@@ -16,6 +16,8 @@ See docs/dataplane.md, "The cost of one hop".
 
 import cProfile
 import gc
+import sys
+import tracemalloc
 from typing import Callable
 
 from packet_oracle import rebuild_copy
@@ -43,6 +45,14 @@ HOOKS_OFF_FRAMES = 15.25
 #: compiled write list to this, and a second header build or sink call
 #: shows here
 HOOKS_ON_FRAMES = 25.25
+#: bytes a recorded event may leave behind once every flight ring is full,
+#: the log's growth slack left out: its packed record in the journey log
+#: (37–65 B by kind); a row tuple and its boxed floats left ~160
+RETAINED_BYTES_PER_EVENT = 64
+#: the same with every journey read back and held: the record and its
+#: offset in a journey (~117 B); decoded row tuples held ~300, the rows
+#: the hooks kept before records ~180
+READ_BACK_BYTES_PER_EVENT = 128
 #: bookkeeping that is an attribute read or write on the hop, never a call
 BOOKKEEPING = (
     ("net/flowtable.py", "version"),
@@ -158,6 +168,60 @@ def test_a_recorded_hop_costs_one_row_build_per_event():
     frames_per_hop = sum(per_packet.values()) / SWITCHES
     assert frames_per_hop == HOOKS_ON_FRAMES, sorted(
         per_packet.items(), key=lambda kv: -kv[1])
+
+
+def log_slack(rec: JourneyRecorder) -> int:
+    """Bytes the journey log has allocated past its records: its growth
+    slack, which depends only on where its last resize fell."""
+    return sys.getsizeof(rec._log) - len(rec._log)
+
+
+def test_a_recorded_event_retains_at_most_64_bytes():
+    """Every hook on, the flight rings already full: what 1,000 packets
+    leave behind, per recorded event, measured by ``tracemalloc`` without
+    the log's growth slack."""
+    tracemalloc.start()
+    try:
+        net, send = rewriting_chain(hooks=True)
+        rec = net.journey
+        send(100)  # past every ring's capacity
+        gc.collect()
+        before, events = tracemalloc.get_traced_memory()[0], rec.events_recorded
+        slack = log_slack(rec)
+        send(1000)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+        retained -= log_slack(rec) - slack
+    finally:
+        tracemalloc.stop()
+    events = rec.events_recorded - events
+    assert events == 1000 * (4 * SWITCHES + 3)
+    assert retained / events <= RETAINED_BYTES_PER_EVENT, retained / events
+
+
+def test_reading_the_journeys_back_holds_no_row_per_event():
+    """The same 1,000 packets, then every journey grouped and its lineage
+    read, the journeys still held: a journey keeps its records' offsets and
+    decodes per query, so this stays well under a row tuple per event."""
+    tracemalloc.start()
+    try:
+        net, send = rewriting_chain(hooks=True)
+        rec = net.journey
+        send(100)
+        gc.collect()
+        before, events = tracemalloc.get_traced_memory()[0], rec.events_recorded
+        slack = log_slack(rec)
+        send(1000)
+        journeys = rec.journeys_by_content_tag()
+        lineages = [j.delivered_uids() for j in journeys.values()]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+        retained -= log_slack(rec) - slack
+    finally:
+        tracemalloc.stop()
+    events = rec.events_recorded - events
+    assert len(lineages) == 1000 + 100 + WARM_UP
+    assert retained / events <= READ_BACK_BYTES_PER_EVENT, retained / events
 
 
 def test_the_budget_is_not_met_by_dropping_a_record(monkeypatch):

@@ -5,25 +5,30 @@ the differential test oracle (``test_journey_oracle.py``).
 sampling, ``_emit`` builds the row and asks ``wants`` again, the flight
 recorder is fed through ``FlightRecorder.observe``, and the switch builds
 the pre-rewrite header a second time through ``pre_apply`` at
-classification.  Three small pieces let it run on today's data plane:
+classification.  It is also the store of row tuples: every sampled row is
+kept as the tuple its hook built, which is what today's packed log must
+read back.  A few small pieces let it run on today's data plane:
 
 * :class:`OracleFlightRecorder` puts back ``observe`` and its trigger check,
-  verbatim but for the rings' public name;
+  verbatim but for the rings' public name, and :class:`OracleFlightDump`
+  (the dump of row tuples) with the ring reader that goes with it;
 * :func:`old_classify` is ``Switch._classify`` as it was (it ignores the
   carried ingress header and calls ``pre_apply``), bound per switch by
   :func:`attach_oracle`;
 * :class:`OracleRecorder` accepts the ``size`` argument ``Channel.send``
-  now passes to ``on_link_tx``, and keeps the old profiler recipe: the
-  differential harness calls its ``set_profiler`` directly.
+  now passes to ``on_link_tx``, reads its rows back through ``rows()``,
+  and keeps the old profiler recipe: the differential harness calls its
+  ``set_profiler`` directly.
 """
 
 import types
 import zlib
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.net.switch import _FWD_KEYS, _MISS_KEYS, _UID_KEYS
-from repro.obs.flight import _TRIGGERS_BY_NAME, FlightDump, FlightRecorder
+from repro.obs.flight import _TRIGGERS_BY_NAME, FlightRecorder
 from repro.obs.journey import (
     _EVENTS_BY_KIND,
     _KIND,
@@ -31,12 +36,48 @@ from repro.obs.journey import (
     _WHERE,
     HeaderTuple,
     Journey,
+    JourneyEvent,
     header_tuple,
     row_column,
 )
 
 _TIME = 0
 _BACKLOG_AT = row_column("link.tx", "backlog_bytes")
+
+
+@dataclass
+class OracleFlightDump:
+    """One anomaly snapshot holding the journey rows as recorded."""
+
+    time_s: float
+    trigger: str
+    cause_row: tuple
+    rows: dict[str, tuple[tuple, ...]]
+
+    @property
+    def cause(self) -> JourneyEvent:
+        """The event that fired the trigger."""
+        return JourneyEvent.from_row(self.cause_row)
+
+    @property
+    def events(self) -> dict[str, list[JourneyEvent]]:
+        """Every ring's retained events at dump time, keyed by location."""
+        return {
+            where: [JourneyEvent.from_row(row) for row in ring]
+            for where, ring in self.rows.items()
+        }
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready form (what journey dumps embed under ``flight_dumps``)."""
+        return {
+            "time_s": self.time_s,
+            "trigger": self.trigger,
+            "cause": self.cause.to_dict(),
+            "events": {
+                where: [e.to_dict() for e in ring]
+                for where, ring in self.events.items()
+            },
+        }
 
 
 class OracleFlightRecorder(FlightRecorder):
@@ -69,13 +110,17 @@ class OracleFlightRecorder(FlightRecorder):
             self.dumps_suppressed += 1
             return
         self.dumps.append(
-            FlightDump(
+            OracleFlightDump(
                 time_s=cause[_TIME],
                 trigger=trigger,
                 cause_row=cause,
                 rows={w: tuple(r) for w, r in self.rings.items()},
             )
         )
+
+    def ring(self, where: str) -> list[JourneyEvent]:
+        """The currently retained events at one location (oldest first)."""
+        return [JourneyEvent.from_row(row) for row in self.rings.get(where, ())]
 
 
 # each hook's field names: the contract table's own tuples, shared by every
@@ -455,6 +500,9 @@ class OracleRecorder(JourneyRecorder):
 
     def set_profiler(self, prof) -> None:
         self._prof = prof
+
+    def rows(self) -> list[tuple]:
+        return list(self._rows)
 
 
 def old_classify(self, packet, in_port, resolved, resolved_version, header=None):

@@ -1,6 +1,8 @@
 """Flight recorder: bounded rings, anomaly triggers, dump discipline."""
 
 import json
+import math
+import sys
 
 import pytest
 
@@ -151,6 +153,51 @@ def test_constructor_validation():
         FlightRecorder(triggers=["drop", "nonsense"])
     # every contracted trigger name is accepted
     FlightRecorder(triggers=[t.name for t in ANOMALY_TRIGGERS])
+
+
+@pytest.mark.parametrize("name, value", [
+    # nan and 1.5 used to raise TypeError, and 10**20 OverflowError, at the
+    # first ring append in mid-simulation
+    ("capacity", math.nan), ("capacity", 1.5), ("capacity", 10**20),
+    ("capacity", True),
+    # nan used to remove the dump cap silently
+    ("max_dumps", math.nan), ("max_dumps", -1), ("max_dumps", 2.0),
+    # nan used to fire queue_depth on every link.tx
+    ("queue_threshold_bytes", math.nan), ("queue_threshold_bytes", math.inf),
+    ("queue_threshold_bytes", -1),
+])
+def test_a_bad_number_is_refused_at_construction(name, value):
+    with pytest.raises(ValueError, match=name):
+        FlightRecorder(**{name: value})
+
+
+def test_the_numbers_at_their_bounds_are_accepted():
+    flight = FlightRecorder(capacity=sys.maxsize, max_dumps=0,
+                            queue_threshold_bytes=0)
+    assert flight.rings["s1"].maxlen == sys.maxsize
+    assert FlightRecorder(capacity=1, queue_threshold_bytes=0.5).capacity == 1
+
+
+def test_a_flight_recorder_moves_to_a_new_journey_recorder_readable():
+    """A ring holds its journey recorder's packed records, which only that
+    recorder can decode: handing the flight recorder to a fresh recorder
+    decodes them first, and is refused while the old one still records."""
+    net, h1, h2 = _wired()
+    flight = FlightRecorder(capacity=4)
+    first = JourneyRecorder.attach(net, flight=flight)
+    h1.send_packet(h1.make_packet(h2.ip, sport=1, dport=80, payload_size=64))
+    net.run()
+    before = {where: flight.ring(where) for where in flight.locations()}
+    other, *_ = _wired()
+    with pytest.raises(ValueError, match="still attached"):
+        JourneyRecorder.attach(other, flight=flight)
+    first.detach()
+    second = JourneyRecorder.attach(net, flight=flight)
+    assert flight.recorder is second
+    assert {where: flight.ring(where) for where in flight.locations()} == before
+    h1.send_packet(h1.make_packet(h2.ip, sport=2, dport=80, payload_size=64))
+    net.run()
+    assert flight.ring("h2")[-1].time_s > before["h2"][-1].time_s
 
 
 def test_default_triggers_match_the_contract():

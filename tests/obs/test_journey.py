@@ -394,26 +394,33 @@ def test_decoy_bearing_journey_answers_as_before():
 
 
 def test_every_hook_passes_exactly_its_contracted_fields():
-    """A row is ``(time_s, kind, where, uid, content_tag, fields, *values)``
-    with ``fields`` the contract table's own tuple and one value per field —
-    ``zip`` would silently truncate a hook that drifted."""
+    """Read back, every event is ``(time_s, kind, where, uid, content_tag,
+    fields, *values)`` with ``fields`` the contract table's own tuple and one
+    value per field — ``zip`` would silently truncate a hook that drifted.
+    Checked at the sink for packed records (full sampling) and for the
+    tuples an armed flight recorder rings unsampled (rate 0); a record is
+    packed exactly when the log keeps it."""
     specs = {spec.kind: spec for spec in JOURNEY_EVENTS}
-    seen = set()
     record = JourneyRecorder._record
+    for sample_rate in (1.0, 0.0):
+        seen = set()
 
-    def checked(self, row, sampled):
-        spec = specs[row[1]]
-        assert row[5] is spec.fields, f"{row[1]} does not share the contract tuple"
-        assert len(row) == 6 + len(spec.fields), row
-        seen.add(row[1])
-        record(self, row, sampled)
+        def checked(self, kept, kind, ring, keep):
+            row = self.decode(kept)
+            spec = specs[kind]
+            assert row[1] == kind
+            assert row[5] is spec.fields, f"{kind} does not share the contract tuple"
+            assert len(row) == 6 + len(spec.fields), row
+            assert keep == isinstance(kept, bytes), kind
+            seen.add(kind)
+            record(self, kept, kind, ring, keep)
 
-    JourneyRecorder._record = checked
-    try:
-        run_scenario()
-    finally:
-        JourneyRecorder._record = record
-    assert seen == journey_event_kinds()
+        JourneyRecorder._record = checked
+        try:
+            run_scenario(sample_rate=sample_rate)
+        finally:
+            JourneyRecorder._record = record
+        assert seen == journey_event_kinds(), sample_rate
     assert row_column("link.tx", "backlog_bytes") == 6 + 3
 
 
@@ -508,7 +515,8 @@ def _rewriting_burst(n, **journey_kwargs):
 
 def test_sampled_rows_share_one_header_instance_per_value():
     """Every packet of a flow crosses a switch with the same header: the
-    retained rows hold one tuple per distinct header, not one per row."""
+    packed log holds an index into the intern table, which keeps one tuple
+    per distinct header, so the rows read back share that one instance."""
     rec = _rewriting_burst(20)
     header_columns = {
         "switch.ingress": ("header",), "switch.egress": ("header",),
@@ -516,25 +524,46 @@ def test_sampled_rows_share_one_header_instance_per_value():
     }
     held = [
         row[row_column(kind, name)]
-        for row in rec._rows
+        for row in rec.rows()
         for kind, names in header_columns.items() if row[1] == kind
         for name in names
     ]
     # per packet: ingress at 3 switches, 4 egress copies, one in-place rewrite
     assert len(held) == 20 * (3 + 4 + 2)
     distinct = set(held)
-    assert len({id(h) for h in held}) == len(distinct) == len(rec._headers)
-    assert all(rec._headers[h] is h for h in held)
+    table = list(rec._interned)
+    headers = [value for value in table if isinstance(value, tuple)]
+    assert len({id(h) for h in held}) == len(distinct) == len(headers)
+    assert all(table[rec._interned[h]] is h for h in held)
 
 
 def test_a_flight_only_recorder_shares_no_headers():
-    """Unsampled rows go to the bounded rings only: the header table stays
-    empty, so a flight-only recorder's memory stays bounded."""
+    """Unsampled rows go to the bounded rings only, as tuples: the intern
+    table and the log stay empty, so a flight-only recorder's memory stays
+    bounded."""
     flight = FlightRecorder(capacity=4)
     rec = _rewriting_burst(20, sample_rate=0.0, flight=flight)
-    assert rec.events_recorded > 0 and rec._rows == []
+    assert rec.events_recorded > 0 and rec.rows() == []
     assert any(flight.rings.values())
-    assert rec._headers == {}
+    assert all(
+        isinstance(kept, tuple) for ring in flight.rings.values() for kept in ring
+    )
+    assert rec._interned == {} and not rec._log
+
+
+def test_one_field_of_a_record_reads_as_its_decoded_row_holds_it():
+    """``field`` reads one contracted value of a ringed record — packed or a
+    tuple, interned or not — and it is the decoded row's value."""
+    for sample_rate in (1.0, 0.0):
+        _net, rec, flight = run_scenario(sample_rate=sample_rate)
+        kinds = set()
+        for ring in flight.rings.values():
+            for kept in ring:
+                row = rec.decode(kept)
+                for name in row[5]:
+                    assert rec.field(kept, name) == row[row_column(row[1], name)]
+                kinds.add((row[1], isinstance(kept, bytes)))
+        assert ("switch.rewrite", sample_rate == 1.0) in kinds
 
 
 # ---------------------------------------------------------------------------

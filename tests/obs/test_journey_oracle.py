@@ -1,25 +1,42 @@
-"""The one-sink journey recorder against the recorder it replaced.
+"""The packed, one-sink journey recorder against the recorder it replaced.
 
-Each example runs one seeded MIC echo twice, once with
+Each example runs one seeded scenario twice, once with
 :class:`repro.obs.JourneyRecorder` on today's switch pipeline and once with
-the verbatim oracle (``journey_oracle.py``) on the old one, and requires
-the same rows, ``events_recorded``, flight rings and dumps, exported
-document and (attached) trace log.  The matrix: sampling rate 0 / 0.3 /
-1.0 or an always-no predicate; no flight recorder, an armed one, or an
-armed one with a ``queue_threshold_bytes``; with and without the
-self-profiler.
-Every run carries ``decoys=1`` multicast emissions, intent armed with one
-expectation forced wrong (a divergence at that MN), a TTL death and a
-link flap on the channel's walk.
+the verbatim oracle (``journey_oracle.py``, which keeps every row as a
+tuple) on the old one, and requires the same decoded rows,
+``events_recorded``, flight rings and ``FlightDump.to_dict()`` dumps,
+exported document, Perfetto bytes and (attached) trace log.
+
+Three scenarios: a MIC echo (``decoys=1`` multicast emissions, intent
+armed with one expectation forced wrong so that MN diverges, a TTL death, a
+punt to an unrouted address and a link flap on the channel's walk, with or
+without the self-profiler), the scripted every-kind chain of
+``tests/recording_scenario.py``, and a chain whose cookies, entry id and
+packet size no record's fixed widths hold.  The sampling matrix: rate 0 / 0.3 (hashed)
+/ 1.0, a predicate that keeps some tags and one that keeps none; no flight
+recorder, an armed one, or an armed one with a ``queue_threshold_bytes``.
 """
 
+import dataclasses
 import json
 
 from hypothesis import given, settings, strategies as st
 from journey_oracle import OracleFlightRecorder, OracleRecorder, attach_oracle
 
 from repro.core import deploy_mic
+from repro.net import (
+    DEFAULT_PARAMS,
+    FlowEntry,
+    Match,
+    Network,
+    Output,
+    SetField,
+    ip,
+    linear,
+)
 from repro.obs import FlightRecorder, JourneyRecorder, Profiler, journeys_to_json
+from repro.obs.perfetto import to_perfetto
+from tests.recording_scenario import FLIGHT, run_scenario
 
 MESSAGE = b"q" * 3000  # several segments back to back: a backlog
 #: an out-tuple no rule ever emits
@@ -29,9 +46,34 @@ SAMPLING = st.sampled_from([
     {"sample_rate": 0.0},
     {"sample_rate": 0.3},
     {"sample_rate": 1.0},
+    {"predicate": lambda packet: packet.content_tag % 3 == 1},
     {"predicate": lambda packet: False},
 ])
-FLIGHT = st.sampled_from(["off", "armed", "threshold"])
+FLIGHT_MODE = st.sampled_from(["off", "armed", "threshold"])
+
+
+def _recorded(rec, flight, trace, prof=None) -> dict:
+    """Everything a run recorded, as its readers return it."""
+    document = journeys_to_json(rec)
+    return {
+        "rows": rec.rows(),
+        "events_recorded": rec.events_recorded,
+        "document": json.dumps(document),
+        "perfetto": json.dumps(to_perfetto(document), indent=1),
+        "trace": None if trace is None else trace._rows,
+        "rings": None if flight is None else {
+            where: flight.ring(where) for where in flight.rings
+        },
+        "dumps": None if flight is None else [d.to_dict() for d in flight.dumps],
+        "dumps_suppressed": None if flight is None else flight.dumps_suppressed,
+        "obs.hook": None if prof is None else prof.report().counts().get("obs.hook"),
+    }
+
+
+def _assert_same(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for key in got:
+        assert got[key] == want[key], key
 
 
 def _run(attach, flight_cls, seed, sampling, flight_mode, profiled, flap):
@@ -70,6 +112,10 @@ def _run(attach, flight_cls, seed, sampling, flight_mode, profiled, flap):
         doomed = alice.host.make_packet(dep.net.host("h16").ip, payload_size=10)
         doomed.ttl = 1
         alice.host.send_packet(doomed)
+        # no rule anywhere matches this destination: a miss, then a punt
+        alice.host.send_packet(
+            alice.host.make_packet(ip("10.99.99.99"), payload_size=10)
+        )
         for _ in range(6):
             stream.send(MESSAGE)
             yield from stream.recv_exactly(len(MESSAGE))
@@ -84,25 +130,14 @@ def _run(attach, flight_cls, seed, sampling, flight_mode, profiled, flap):
     dep.sim.process(client())
     dep.sim.process(srv())
     dep.run_for(2.0)
-    return {
-        "rows": rec._rows,
-        "events_recorded": rec.events_recorded,
-        "document": json.dumps(journeys_to_json(rec)),
-        "trace": trace._rows,
-        "rings": None if flight is None else {
-            where: tuple(ring) for where, ring in flight.rings.items()
-        },
-        "dumps": None if flight is None else flight.dumps,
-        "dumps_suppressed": None if flight is None else flight.dumps_suppressed,
-        "obs.hook": None if prof is None else prof.report().counts().get("obs.hook"),
-    }
+    return _recorded(rec, flight, trace, prof)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 5),
     sampling=SAMPLING,
-    flight_mode=FLIGHT,
+    flight_mode=FLIGHT_MODE,
     profiled=st.booleans(),
     flap=st.tuples(
         st.integers(1, 4),
@@ -112,24 +147,109 @@ def _run(attach, flight_cls, seed, sampling, flight_mode, profiled, flap):
 )
 def test_one_sink_recorder_matches_the_oracle(seed, sampling, flight_mode, profiled, flap):
     args = (seed, sampling, flight_mode, profiled, flap)
-    got = _run(JourneyRecorder.attach, FlightRecorder, *args)
-    want = _run(attach_oracle, OracleFlightRecorder, *args)
-    assert got.keys() == want.keys()
-    for key in got:
-        assert got[key] == want[key], key
+    _assert_same(
+        _run(JourneyRecorder.attach, FlightRecorder, *args),
+        _run(attach_oracle, OracleFlightRecorder, *args),
+    )
+
+
+def _scripted(attach, flight_cls, sampling, flight_mode):
+    flight_kwargs = {
+        "off": None,
+        "armed": dict(FLIGHT, queue_threshold_bytes=None),
+        "threshold": FLIGHT,
+    }[flight_mode]
+    net, rec, flight = run_scenario(
+        attach=attach, flight_cls=flight_cls, flight_kwargs=flight_kwargs,
+        **sampling,
+    )
+    return _recorded(rec, flight, net.trace)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sampling=SAMPLING, flight_mode=FLIGHT_MODE)
+def test_packed_log_reads_back_the_oracle_rows_for_every_kind(sampling, flight_mode):
+    """The scripted chain writes all twelve kinds — group copies, a
+    divergence from armed intent, a TTL death, a miss, tail and in-flight
+    drops, a link-down — and every reader agrees with the tuple store."""
+    _assert_same(
+        _scripted(JourneyRecorder.attach, FlightRecorder, sampling, flight_mode),
+        _scripted(attach_oracle, OracleFlightRecorder, sampling, flight_mode),
+    )
+
+
+#: a cookie past a signed 64-bit field, one below an unsigned one, and one
+#: past both
+WIDE_COOKIES = (2**63, -1, 2**64)
+
+
+def _wide(attach, flight_cls, sampling, flight_mode):
+    """linear(3) with rules and a packet whose values no record's fixed
+    widths hold: cookies past 2**63, below 0 and past 2**64, an entry id of
+    2**63 and a packet of 2**32 payload bytes (links queue it whole)."""
+    params = dataclasses.replace(DEFAULT_PARAMS, link_queue_bytes=2**40)
+    net = Network(linear(3, hosts_per_switch=1), params=params, seed=2)
+    trace = net.attach_trace()
+    h1, h3 = net.host("h1"), net.host("h3")
+    for (switch, there), cookie in zip(
+        [("s1", "s2"), ("s2", "s3"), ("s3", "h3")], WIDE_COOKIES
+    ):
+        net.switch(switch).table.install(FlowEntry(
+            Match(ip_dst=h3.ip),
+            [SetField("sport", 4000 + cookie % 7), Output(net.port(switch, there))],
+            cookie=cookie, entry_id=2**63 if switch == "s2" else 0,
+        ))
+    h3.bind("udp", 9, lambda host, packet: None)
+    flight = None
+    if flight_mode != "off":
+        flight = flight_cls(
+            capacity=8,
+            queue_threshold_bytes=1024 if flight_mode == "threshold" else None,
+        )
+    rec = attach(net, flight=flight, **sampling)
+    for payload in (100, 2**32, 100):
+        h1.send_packet(h1.make_packet(h3.ip, dport=9, payload_size=payload))
+    net.run()
+    return _recorded(rec, flight, trace)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sampling=SAMPLING, flight_mode=FLIGHT_MODE)
+def test_values_past_a_records_widths_read_back_as_recorded(sampling, flight_mode):
+    """A row whose value its record cannot hold is kept as a tuple, so
+    recording never fails mid-run and every reader agrees with the oracle."""
+    _assert_same(
+        _wide(JourneyRecorder.attach, FlightRecorder, sampling, flight_mode),
+        _wide(attach_oracle, OracleFlightRecorder, sampling, flight_mode),
+    )
+
+
+def test_a_cookie_of_2_63_is_recorded_exactly():
+    got = _wide(JourneyRecorder.attach, FlightRecorder, {"sample_rate": 1.0}, "armed")
+    rewrites = [row for row in got["rows"] if row[1] == "switch.rewrite"]
+    assert [row[8] for row in rewrites[:3]] == list(WIDE_COOKIES)
+    assert rewrites[1][7] == 2**63  # the entry id
+    sizes = {row[-1] for row in got["rows"] if row[1] in ("host.tx", "host.rx")}
+    assert max(sizes) > 2**32 and len(got["rows"]) == 3 * 15
 
 
 def test_the_matrix_reaches_every_shape():
     """Not vacuous: full sampling with a threshold-armed flight recorder
-    sees decoy copies, a divergence, a TTL death, a link-down and dumps."""
+    sees decoy copies, a divergence, a TTL death, a miss, a link-down and
+    dumps; the scripted chain keeps every kind but the unsampled link-down."""
     got = _run(JourneyRecorder.attach, FlightRecorder, 0, {"sample_rate": 1.0},
                "threshold", True, (2, 0.005, 0.03))
     kinds = {row[1] for row in got["rows"]}
-    assert {"switch.divergence", "switch.ttl_expired", "switch.rewrite",
-            "link.tx", "host.rx"} <= kinds
+    assert {"switch.divergence", "switch.ttl_expired", "switch.miss",
+            "switch.rewrite", "link.tx", "host.rx"} <= kinds
     # a multicast copy: an egress whose uid is not its parent's
     assert any(row[1] == "switch.egress" and row[3] != row[7] for row in got["rows"])
-    assert any(row[1] == "link.down" for ring in got["rings"].values() for row in ring)
-    assert {d.trigger for d in got["dumps"]} >= {"divergence", "queue_depth"}
+    assert any(e.kind == "link.down" for ring in got["rings"].values() for e in ring)
+    assert {d["trigger"] for d in got["dumps"]} >= {"divergence", "queue_depth"}
     assert got["dumps_suppressed"] > 0
     assert got["obs.hook"]["counters"]["journey_emit"] > 0
+    scripted = _scripted(JourneyRecorder.attach, FlightRecorder,
+                         {"sample_rate": 1.0}, "threshold")
+    assert len({row[1] for row in scripted["rows"]}) == 11
+    assert any(e.kind == "link.down"
+               for ring in scripted["rings"].values() for e in ring)

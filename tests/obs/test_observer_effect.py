@@ -197,7 +197,7 @@ def test_detaching_mid_pipeline_finishes_the_hop_unrecorded(fate):
     dst = net.host("h1").ip if fate == "miss" else h2.ip  # s1 has no rule back
     _send(net, h1, dst, ttl=1 if fate == "ttl_expired" else None)
     net.run()
-    assert [row[1] for row in rec._rows] == ["host.tx", "link.tx", "switch.ingress"]
+    assert [row[1] for row in rec.rows()] == ["host.tx", "link.tx", "switch.ingress"]
     assert h2.packets_received == (fate == "forwarded")
     s1 = net.switch("s1")
     assert (s1.packets_forwarded, s1.packets_punted) == {
@@ -221,7 +221,7 @@ def test_attaching_mid_pipeline_starts_at_the_next_ingress():
     net.run()
     (rec,) = attached
     assert h2.packets_received == 1
-    assert [(row[1], row[2]) for row in rec._rows] == [
+    assert [(row[1], row[2]) for row in rec.rows()] == [
         ("link.tx", "s1[2]->s2[1]"),
         ("switch.ingress", "s2"),
         ("switch.egress", "s2"),
@@ -250,7 +250,7 @@ def test_attaching_the_trace_log_perturbs_nothing():
     assert [(h.bytes_sent, h.bytes_received) for h in dep_bare.net.hosts()] == [
         (h.bytes_sent, h.bytes_received) for h in dep_traced.net.hosts()
     ]
-    assert dep_bare.journey._rows == dep_traced.journey._rows
+    assert dep_bare.journey.rows() == dep_traced.journey.rows()
 
 
 def test_the_recording_golden_is_identical_with_and_without_the_log():

@@ -37,9 +37,24 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "recording_golden.json"
 QUEUE_BYTES = 4096
 
 
-def run_scenario(trace: bool = True):
+#: the scenario's flight recorder: ``queue_depth`` armed low so a healthy
+#: link.tx behind a backlog dumps too
+FLIGHT = {"capacity": 8, "queue_threshold_bytes": 1024, "max_dumps": 8}
+
+
+def run_scenario(
+    trace: bool = True,
+    attach=JourneyRecorder.attach,
+    flight_cls=FlightRecorder,
+    flight_kwargs=FLIGHT,
+    **journey_kwargs,
+):
     """Run the script (the trace log attached from the start unless
-    ``trace`` is off); returns ``(net, recorder, flight)``."""
+    ``trace`` is off); returns ``(net, recorder, flight)``.
+
+    ``attach`` builds the journey recorder from ``journey_kwargs`` and a
+    ``flight_cls(**flight_kwargs)`` flight recorder (none when
+    ``flight_kwargs`` is None); the defaults are what the golden holds."""
     params = dataclasses.replace(DEFAULT_PARAMS, link_queue_bytes=QUEUE_BYTES)
     net = Network(linear(3, hosts_per_switch=1), params=params, seed=4)
     if trace:
@@ -66,9 +81,8 @@ def run_scenario(trace: bool = True):
     ])
     h3.bind("tcp", 80, lambda host, p: None)
 
-    # queue_depth armed low so a healthy link.tx behind a backlog dumps too
-    flight = FlightRecorder(capacity=8, queue_threshold_bytes=1024, max_dumps=8)
-    rec = JourneyRecorder.attach(net, flight=flight)
+    flight = None if flight_kwargs is None else flight_cls(**flight_kwargs)
+    rec = attach(net, flight=flight, **journey_kwargs)
     rec.expect("s2", (str(h1.ip), str(h3.ip), 1, 80, None),
                (str(h1.ip), str(h3.ip), 1, 2, None))
     net.run()

@@ -37,6 +37,24 @@ def test_call_at_into_the_past_raises_what_call_later_raises():
     assert messages[0] == messages[1] == "cannot schedule into the past (delay=-0.75)"
 
 
+@pytest.mark.parametrize("schedule", [
+    lambda sim: sim.call_later(float("nan"), lambda: None),
+    lambda sim: sim.call_at(float("nan"), lambda: None),
+    lambda sim: sim.timeout(float("nan")),
+], ids=["call_later", "call_at", "timeout"])
+def test_a_nan_delay_is_refused_and_later_calls_still_run(schedule):
+    """``delay < 0`` let nan through: the nan heap entry then stopped
+    ``run()`` silently, before calls due after it ever ran."""
+    sim = Simulator()
+    ran = []
+    for i in range(1, 11):
+        sim.call_later(i * 0.5, ran.append, i * 0.5)
+    with pytest.raises(SimulationError, match="nan"):
+        schedule(sim)
+    sim.run()
+    assert ran == [i * 0.5 for i in range(1, 11)] and sim.now == 5.0
+
+
 class _Schedules:
     """The one sanitizer hook the scheduling calls reach: it gets the heap
     entry's sequence number, not an event (a call is none)."""
