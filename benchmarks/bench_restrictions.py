@@ -305,8 +305,9 @@ def run_view_build(k: int, rounds: int) -> dict:
         oracle_s.append(t1 - t0)
         matrix_s.append(t2 - t1)
     assert {n: dict(view.dist[n]) for n in view.graph.nodes} == dist
+    matrix = view.dist._matrix
     for ours, theirs in [(view._host_dist, host_dist)] + [
-        (view._to_hosts[n], to_hosts[n]) for n in to_hosts
+        (matrix[view._index[n], view._ranked_cols], to_hosts[n]) for n in to_hosts
     ]:
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
     growth = {

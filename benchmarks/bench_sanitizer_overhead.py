@@ -6,8 +6,8 @@ None`` branches in ``_schedule``/``call_later``/``call_at``/``step`` — this
 bench measures that cost against a hookless kernel (the branches literally
 patched out, every heap entry the same ``(when, seq, fn, args)`` call) and
 holds it to the 2% budget.  When attached, the sanitizer observes but never
-perturbs: every mode below must produce a byte-identical trace digest and
-report zero findings on this clean packet-pushing run.  Attached modes do
+perturbs: every mode below must produce a byte-identical digest of the
+run's journey rows (every packet event) and report zero findings on this clean packet-pushing run.  Attached modes do
 real per-event bookkeeping (root assignment, batch flushes) and carry a
 loose sanity bound instead of the 2% bar.
 
@@ -23,6 +23,7 @@ import time
 from repro.analysis.sanitizer import SimSanitizer
 from repro.bench import FigureResult
 from repro.net import FlowEntry, Match, Network, Output, linear
+from repro.obs import JourneyRecorder
 from repro.sim.engine import SimulationError, Simulator
 
 # The quantity under test (two dead pointer-compare branches per event)
@@ -83,7 +84,7 @@ _HOOKLESS = {
 
 
 def _burst(mode: str) -> tuple[float, str]:
-    """(CPU seconds, trace digest) for one packet burst under ``mode``."""
+    """(CPU seconds, journey digest) for one packet burst under ``mode``."""
     net = Network(linear(3, hosts_per_switch=1), seed=11)
     h1, h3 = net.host("h1"), net.host("h3")
     for sw, out in (("s1", ("s1", "s2")), ("s2", ("s2", "s3")),
@@ -92,7 +93,7 @@ def _burst(mode: str) -> tuple[float, str]:
             FlowEntry(Match(ip_dst=h3.ip), [Output(net.port(*out))])
         )
     h3.bind("tcp", 80, lambda host, p: None)
-    trace = net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     san = None
     if mode == "attached":
         san = SimSanitizer.attach(net.sim)
@@ -131,10 +132,7 @@ def _burst(mode: str) -> tuple[float, str]:
         san.check_teardown()
         assert san.findings == [], san.report()  # observes, never perturbs
         san.detach()
-    digest = "\n".join(
-        f"{r.time:.9f} {r.category} {r.node} {sorted(r.detail.items())!r}"
-        for r in trace
-    )
+    digest = "\n".join(map(repr, journey.rows()))
     return elapsed, digest
 
 
@@ -147,8 +145,9 @@ def run_overhead() -> FigureResult:
     digests = {}
     for mode in MODES:  # warm-up pass: imports, allocator, branch caches
         _, digests[mode] = _burst(mode)
-    # Byte-identity: sanitized, unsanitized and hookless runs emit the
-    # exact same trace — the sanitizer only watched.
+    # Byte-identity: sanitized, unsanitized and hookless runs record the
+    # exact same journey rows — the sanitizer only watched.
+    assert digests["no-hooks"], "the journey recorded nothing"
     for mode in MODES[1:]:
         assert digests[mode] == digests["no-hooks"], f"{mode} perturbed the run"
     best = {mode: float("inf") for mode in MODES}

@@ -12,14 +12,14 @@ Run:  python examples/quickstart.py
 
 from repro.core import deploy_mic
 from repro.net import fat_tree
+from repro.obs import JourneyEvent
 
 
 def main() -> None:
-    # 1. Build the fabric and the control plane.
-    dep = deploy_mic(fat_tree(4), seed=42)
+    # 1. Build the fabric and the control plane; the journey recorder keeps
+    #    every packet's hops (what each switch emitted, header included).
+    dep = deploy_mic(fat_tree(4), seed=42, journey=True)
     net, mic = dep.net, dep.mic
-    # The trace log is attached on demand; keep only the forwarding records.
-    trace = net.attach_trace(categories={"switch.fwd"})
     print(f"fabric: {net.topo!r}")
 
     # 2. Bob runs a MIC-aware server on port 80.
@@ -63,11 +63,11 @@ def main() -> None:
     print(f"alice got reply:   {transcript['reply'].decode()}")
 
     real_pair = {str(net.host("h1").ip), str(net.host("h16").ip)}
-    leaks = [
-        rec.node
-        for rec in trace.by_category("switch.fwd")
-        if {rec["src_ip"], rec["dst_ip"]} == real_pair
+    egress = [
+        JourneyEvent.from_row(row)
+        for row in dep.journey.rows() if row[1] == "switch.egress"
     ]
+    leaks = sorted({ev.where for ev in egress if set(ev["header"][:2]) == real_pair})
     print(f"switches that saw the real (alice, bob) pair together: {leaks or 'none'}")
 
 

@@ -29,9 +29,6 @@ NIC_PORT = 0
 _BROADCAST_MAC = MacAddr(0xFFFFFFFFFFFF)
 
 # trace field names, one shared tuple per record shape (see repro.sim.trace)
-_TX_KEYS = ("uid", "dst_ip", "size")
-_RX_KEYS = ("uid", "src_ip", "sport", "dport", "size")
-_FOREIGN_DROP_KEYS = ("uid", "dst_ip")
 _REFUSED_KEYS = ("uid", "proto", "dport")
 
 
@@ -108,11 +105,6 @@ class Host(Node):
         self.bytes_sent += size
         if self.journey is not None:
             self.journey.on_host_tx(self, packet)
-        if self.trace is not None:
-            self.trace.emit(
-                self.sim.now, "host.tx", self.name, _TX_KEYS,
-                packet.uid, packet.ip_dst.text, size,
-            )
         self.sim.call_later(params.host_stack_delay_s, channel.send, packet)
 
     def make_packet(
@@ -152,11 +144,6 @@ class Host(Node):
             # Not ours: a NIC without promiscuous mode discards it.  Decoy
             # packets from partial multicast die exactly this way when they
             # reach an innocent host instead of a dropping next-hop rule.
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now, "host.foreign_drop", self.name,
-                    _FOREIGN_DROP_KEYS, packet.uid, packet.ip_dst.text,
-                )
             if self.journey is not None:
                 self.journey.on_host_foreign_drop(self, packet)
             return
@@ -170,12 +157,6 @@ class Host(Node):
             self.obs.on_host_rx(self, packet)
         if self.journey is not None:
             self.journey.on_host_rx(self, packet)
-        if self.trace is not None:
-            self.trace.emit(
-                self.sim.now, "host.rx", self.name, _RX_KEYS,
-                packet.uid, packet.ip_src.text, packet.sport, packet.dport,
-                size,
-            )
         self.sim.call_later(params.host_stack_delay_s, self._dispatch, packet)
 
     def _dispatch(self, packet: Packet) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..sim import Simulator, TraceLog
+from ..sim import Simulator
 from .packet import Packet
 from .params import NetParams
 
@@ -20,11 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
 
 __all__ = ["Channel", "Link", "LinkStats"]
-
-# trace field names, one shared tuple per record shape (see repro.sim.trace)
-_TX_KEYS = ("uid", "content_tag", "size", "src_ip", "dst_ip", "mpls")
-_DROP_KEYS = ("uid", "size")
-_DROP_IN_FLIGHT_KEYS = ("uid", "size", "in_flight")
 
 
 @dataclass
@@ -51,8 +46,6 @@ class Channel:
         queue_bytes: int,
     ):
         self.sim = sim
-        #: the network's attached trace log (None = nothing recorded)
-        self.trace: Optional[TraceLog] = None
         self.src = src
         self.src_port = src_port
         self.dst = dst
@@ -60,7 +53,7 @@ class Channel:
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
         self.queue_bytes = queue_bytes
-        #: directed link label, e.g. ``a[1]->b[2]`` — every trace record of
+        #: directed link label, e.g. ``a[1]->b[2]`` — every journey row of
         #: the channel carries it, so it is rendered once, here
         self.name = f"{src.name}[{src_port}]->{dst.name}[{dst_port}]"
         self.stats = LinkStats()
@@ -108,10 +101,6 @@ class Channel:
         backlog = int((pending_s if pending_s > 0.0 else 0.0) * bandwidth / 8.0)
         if not self.up or backlog + size > self.queue_bytes:
             self.stats.drops += 1
-            if self.trace is not None:
-                self.trace.emit(
-                    now, "link.drop", self.name, _DROP_KEYS, packet.uid, size
-                )
             if self.journey is not None:
                 self.journey.on_link_drop(self, packet, backlog)
             return False
@@ -122,12 +111,6 @@ class Channel:
         self.stats.bytes += size
         if self.journey is not None:
             self.journey.on_link_tx(self, packet, start - now, tx_time, backlog, size)
-        if self.trace is not None:
-            self.trace.emit(
-                now, "link.tx", self.name, _TX_KEYS,
-                packet.uid, packet.content_tag, size,
-                packet.ip_src.text, packet.ip_dst.text, packet.mpls,
-            )
         self.sim.call_at(free_at + self.delay_s, self._deliver, packet)
         return True
 
@@ -138,11 +121,6 @@ class Channel:
             # silently returning here would leave drops uncounted and
             # journeys dangling mid-hop.
             self.stats.drops += 1
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now, "link.drop", self.name, _DROP_IN_FLIGHT_KEYS,
-                    packet.uid, packet.size, True,
-                )
             if self.journey is not None:
                 self.journey.on_link_drop(self, packet, self.backlog_bytes())
             return

@@ -39,7 +39,7 @@ class Network:
         self.topo = topo
         self.params = params
         self.sim = Simulator(seed=seed)
-        #: the attached :class:`TraceLog`, shared by every node and channel
+        #: the attached :class:`TraceLog`, shared by every node
         #: (None = nothing recorded; see :meth:`attach_trace`)
         self.trace: Optional[TraceLog] = None
         self.nodes: dict[str, Node] = {}
@@ -95,28 +95,32 @@ class Network:
 
     # -- the trace log ------------------------------------------------------
     def attach_trace(self, categories: Optional[set[str]] = None) -> TraceLog:
-        """Start recording: a fresh :class:`TraceLog` on the network, every
-        host and switch, and both channels of every link.
+        """Start recording: a fresh :class:`TraceLog` on the network and
+        every host and switch.
 
         Records start at this instant; nothing before it is kept.
         ``categories`` limits what is kept (None keeps everything).  The
-        controllers read ``net.trace`` at each emit, so they follow.
+        controllers read ``net.trace`` at each emit, so they follow.  A
+        network carries one log at a time: attaching while one is attached
+        raises ``ValueError`` (the first would stop recording with its rows
+        still readable); :meth:`detach_trace` that one first.
         """
+        if self.trace is not None:
+            raise ValueError(
+                "a trace log is already attached to this network; detach it first"
+            )
         log = TraceLog(categories=categories)
         self._set_trace(log)
         return log
 
     def detach_trace(self) -> None:
-        """Stop recording: every node and channel goes back to no log."""
+        """Stop recording: every node goes back to no log."""
         self._set_trace(None)
 
     def _set_trace(self, log: Optional[TraceLog]) -> None:
         self.trace = log
         for node in self.nodes.values():
             node.trace = log
-        for link in self.links:
-            link.forward.trace = log
-            link.reverse.trace = log
 
     # -- lookups ----------------------------------------------------------
     def node(self, name: str) -> Node:

@@ -21,10 +21,6 @@ __all__ = ["Switch", "SwitchDownError"]
 
 # trace field names, one shared tuple per record shape (see repro.sim.trace)
 _UID_KEYS = ("uid",)
-_MISS_KEYS = ("uid", "src_ip", "dst_ip")
-_FWD_KEYS = (
-    "uid", "content_tag", "in_port", "out_port", "src_ip", "dst_ip", "mpls", "size",
-)
 _ENTRY_KEYS = ("entry",)
 
 
@@ -138,13 +134,8 @@ class Switch(Node):
                     packet.uid,
                 )
             return
-        now = self.sim.now
         packet.ttl -= 1
         if packet.ttl <= 0:
-            if self.trace is not None:
-                self.trace.emit(
-                    now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
-                )
             if header is not None and self.journey is not None:
                 self.journey.on_ttl_expired(self, packet, in_port)
             return
@@ -153,16 +144,11 @@ class Switch(Node):
         )
         if entry is None:
             self.packets_punted += 1
-            if self.trace is not None:
-                self.trace.emit(
-                    now, "switch.miss", self.name, _MISS_KEYS,
-                    packet.uid, packet.ip_src.text, packet.ip_dst.text,
-                )
             if header is not None and self.journey is not None:
                 self.journey.on_switch_miss(self, packet, in_port, header)
             self._punt(packet, in_port)
             return
-        entry.last_hit_s = now
+        entry.last_hit_s = self.sim.now
         # A header means the ingress was recorded; the journey may have
         # been detached during the pipeline delay since.
         if header is not None and self.journey is not None:
@@ -175,13 +161,6 @@ class Switch(Node):
             self.packets_forwarded += 1
             if self.mirror_taps:
                 self._mirror(out_pkt, port, "out")
-            if self.trace is not None:
-                self.trace.emit(
-                    now, "switch.fwd", self.name, _FWD_KEYS,
-                    out_pkt.uid, out_pkt.content_tag, in_port, port,
-                    out_pkt.ip_src.text, out_pkt.ip_dst.text, out_pkt.mpls,
-                    out_pkt.size,
-                )
             # Node.transmit, inlined: one frame per emission
             channel = self.ports.get(port)
             if channel is None:

@@ -6,8 +6,9 @@ recorder follows packets anyway — from the *inside* — keyed on the sim-side
 identities that survive rewrites (:attr:`Packet.uid` per instance,
 :attr:`Packet.content_tag` per wire content, shared by multicast decoy
 copies).  Each hop records ingress port, matched rule, the rewrite applied
-(old → new header tuple), queue wait, serialization time, and egress, which
-gives three things the trace log cannot:
+(old → new header tuple), queue wait, serialization time, and egress.  It
+is the simulator's one per-packet record (the trace log keeps control-plane
+actions and state changes), and it gives:
 
 * **ground truth** for the attack modules — adversary success is scored
   against exact packet linkage instead of heuristics

@@ -278,7 +278,6 @@ class TopologyView:
         # Distance from every node to every host, hosts in rank order.  The
         # graph is undirected, so a row is also "from every host to the node".
         to_hosts = matrix[:, self._ranked_cols]
-        self._to_hosts = dict(zip(index, to_hosts))
         self._host_dist = to_hosts[self._ranked_cols]
         # int16 copies for :meth:`on_geodesic` (half the int32 compare's time),
         # cast as written; between hosts "no route" is -1, which no sum equals.

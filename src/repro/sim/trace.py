@@ -1,13 +1,16 @@
-"""Structured event tracing: the simulator's own ground-truth log.
+"""Structured event tracing: the control plane's and the fabric's state log.
 
-Every substrate component reports what it did through a shared
-:class:`TraceLog` — when one is attached (``Network.attach_trace``); by
-default there is none, and every emit site is one ``is None`` test.  The
-log is sim-side and omniscient — it sees plaintext endpoints at every hop,
-which no in-model adversary does (attacks read mirror taps and journeys,
-never this log).  It exists to be rendered (:mod:`repro.net.tracefmt`) and
-asserted on by tests, and its ``repr`` is the byte-identity witness of the
-observer-effect tests.
+The controllers, the switches and the network report control-plane actions
+and state changes through a shared :class:`TraceLog` — when one is
+attached (``Network.attach_trace``); by default there is none, and every
+emit site is one ``is None`` test.  The categories are ``mic.*``,
+``ctrl.*``, ``switch.flowmod``, ``switch.table_full``, ``switch.state`` and
+``link.state``, plus the two packet deaths no journey kind records
+(``switch.dead_drop``, ``host.refused``).  Packets themselves are the
+journey recorder's (:mod:`repro.obs.journey`): a hop, a transmission, a
+delivery or a drop is one journey row, never a trace record.  The log is
+sim-side — no in-model adversary reads it — and exists to be asserted on
+by tests.
 
 Recording is on the per-packet path, so a stored record is one flat tuple
 ``(time, category, node, keys, *values)`` where ``keys`` is the call

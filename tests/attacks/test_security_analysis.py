@@ -13,7 +13,9 @@ from repro.attacks import (
 )
 from repro.core import MicEndpoint, MicServer, MimicController
 from repro.net import Network, fat_tree
+from repro.obs import JourneyRecorder
 from repro.sdn import Controller, L3ShortestPathApp
+from tests.journey_rows import events
 
 
 def build(seed=0, **mic_kw):
@@ -154,13 +156,24 @@ class TestMnCorrelation:
 
     def test_decoy_packets_die_at_next_hop(self):
         net, ctrl, mic = build()
-        net.attach_trace()
+        journey = JourneyRecorder.attach(net)
+        net.attach_trace({"host.refused"})
         channel = run_channel(net, mic, n_mns=2, decoys=2)
-        # Every packet that reached a host was addressed to it: no decoy
-        # ever leaked to an application.
-        foreign = net.trace.by_category("host.foreign_drop")
-        refused = net.trace.by_category("host.refused")
-        assert len(foreign) == 0 and len(refused) == 0
+        # Decoy copies (multicast copies never delivered) were made, and
+        # each died in the pipeline of the switch it reached next: every
+        # packet that reached a host was addressed to it, and no decoy ever
+        # leaked to an application.
+        rows = events(journey)
+        delivered = {ev.uid for ev in rows if ev.kind == "host.rx"}
+        decoys = {
+            ev.uid for ev in rows
+            if ev.kind == "switch.egress" and ev["parent_uid"] != ev.uid
+        } - delivered
+        assert decoys, "no decoy copy was recorded"
+        last = {ev.uid: ev.kind for ev in rows}
+        assert {last[uid] for uid in decoys} == {"switch.ingress"}
+        assert events(journey, "host.foreign_drop") == []
+        assert net.trace.by_category("host.refused") == []
 
 
 class TestSizeAnalysis:

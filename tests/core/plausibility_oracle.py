@@ -50,14 +50,27 @@ def oracle_segment(view, nodes):
     return oracle_pairs(view, *links[0]) or universe
 
 
+#: a leg with no route: past every path length, so no sum of legs equals it
+#: and no unreachable pair's distance equals a sum of two finite legs
+FAR = 1 << 20
+
+
 def oracle_link_index(view, u, v):
-    """``plausible_pair_index(u, v)`` as a per-link compare of the view's
-    int32 distance arrays: sorted flat indices ``rank(a) * H + rank(b)``."""
-    to_u = view._to_hosts.get(u)
-    from_v = view._to_hosts.get(v)
-    if to_u is None or from_v is None:
+    """``plausible_pair_index(u, v)`` from the view's public ``dist``: the
+    sorted flat indices ``rank(a) * H + rank(b)`` (hosts ranked by name) of
+    every pair with ``d(a, u) + 1 + d(v, b) == d(a, b)``."""
+    dist = view.dist
+    if u not in dist or v not in dist:
         return np.empty(0, dtype=np.int32)
-    on_path = to_u[:, None] + 1 + from_v[None, :] == view._host_dist
+    ranked = sorted(view.hosts)
+
+    def legs(row):
+        return np.array([row.get(h, FAR) for h in ranked], dtype=np.int64)
+
+    host_dist = np.array(
+        [legs(dist[a]) for a in ranked], dtype=np.int64
+    ).reshape(len(ranked), len(ranked))
+    on_path = legs(dist[u])[:, None] + 1 + legs(dist[v])[None, :] == host_dist
     return np.flatnonzero(on_path).astype(np.int32)
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core import CommonFlowTagger, MimicController
 from repro.net import Network, fat_tree
+from repro.obs import JourneyRecorder
 from repro.sdn import Controller, L3ShortestPathApp
 from repro.transport import TcpStack
+from tests.journey_rows import channel_dst, link_headers
 
 
 def build():
@@ -53,7 +55,7 @@ def test_interior_links_carry_cf_labels():
     tagger = CommonFlowTagger(mic)
     tagger.tag_all_recorded(l3)
     net.run()
-    net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     exchange(net)
     path = l3.pair_paths[("h1", "h16")]
     interior_links = {
@@ -61,14 +63,14 @@ def test_interior_links_carry_cf_labels():
         for u, v in zip(path[1:-2], path[2:-1])
     }
     labeled = [
-        rec
-        for rec in net.trace.by_category("link.tx")
-        if rec.node in interior_links and rec["mpls"] is not None
+        header[4]
+        for ev, header in link_headers(journey)
+        if ev.where in interior_links and header[4] is not None
     ]
     assert labeled, "no CF-labeled packets observed on interior links"
     # Every observed label classifies as a *common* label only to the MC.
-    for rec in labeled:
-        assert mic.labels.is_common(rec["mpls"])
+    for label in labeled:
+        assert mic.labels.is_common(label)
 
 
 def test_hosts_never_see_labels():
@@ -77,12 +79,15 @@ def test_hosts_never_see_labels():
     net.run()
     CommonFlowTagger(mic).tag_all_recorded(l3)
     net.run()
-    net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     exchange(net)
-    for rec in net.trace.by_category("link.tx"):
-        dst = rec.node.split("->")[1]
-        if dst.startswith("h"):
-            assert rec["mpls"] is None
+    into_hosts = [
+        header for ev, header in link_headers(journey)
+        if channel_dst(ev.where).startswith("h")
+    ]
+    assert into_hosts, "no transmission into a host was recorded"
+    for header in into_hosts:
+        assert header[4] is None
 
 
 def test_cf_and_mf_labels_disjoint():

@@ -58,9 +58,11 @@ class EchoRun:
         """Everything the run can show an id in."""
         dep = self.dep
         assert self.echoed == [MESSAGE, MESSAGE]
+        journeys = journeys_to_json(dep.journey)
+        assert journeys["journeys"], "no packet was recorded"
         return (
             [repr(r) for r in self.trace.records],
-            journeys_to_json(dep.journey),
+            journeys,
             snapshot_json(intent_snapshot(dep)),
         )
 

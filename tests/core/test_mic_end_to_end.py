@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import MicEndpoint, MicServer, MimicController, MIC_PRIORITY, deploy_mic
 from repro.net import Network, fat_tree
+from repro.obs import JourneyRecorder
 from repro.sdn import Controller, L3ShortestPathApp
+from tests.journey_rows import channel_dst, events, link_headers
 
 
 def build(topo=None, seed=0, **mic_kw):
@@ -188,7 +190,7 @@ class TestDataPath:
         """Unlinkability: no switch between the first and last MN ever
         forwards a packet carrying both real addresses (Sec V)."""
         net, ctrl, mic = build()
-        net.attach_trace()
+        journey = JourneyRecorder.attach(net)
         endpoint, server, result = self._channel(net, mic, n_mns=3)
 
         def talk():
@@ -206,17 +208,20 @@ class TestDataPath:
         h1_ip, h16_ip = str(net.host("h1").ip), str(net.host("h16").ip)
         plan = next(iter(mic.channels.values())).flows[0]
         first_mn, last_mn = plan.mn_names[0], plan.mn_names[-1]
-        for rec in net.trace.by_category("switch.fwd"):
-            if rec.node in (first_mn, last_mn):
+        examined = 0
+        for ev in events(journey, "switch.egress"):
+            if ev.where in (first_mn, last_mn):
                 continue
-            pair = (rec["src_ip"], rec["dst_ip"])
+            pair = ev["header"][:2]
             assert pair != (h1_ip, h16_ip) and pair != (h16_ip, h1_ip), (
-                f"real pair visible at {rec.node}"
+                f"real pair visible at {ev.where}"
             )
+            examined += 1
+        assert examined, "no interior egress was recorded"
 
     def test_mpls_labels_on_interior_segments_only(self):
         net, ctrl, mic = build()
-        net.attach_trace()
+        journey = JourneyRecorder.attach(net)
         endpoint, server, result = self._channel(net, mic, n_mns=3)
 
         def talk():
@@ -229,12 +234,15 @@ class TestDataPath:
 
         net.sim.process(talk())
         net.run(until=30.0)
-        # Hosts never receive a labeled packet (host.rx does not log mpls,
-        # so check the links into hosts).
-        for rec in net.trace.by_category("link.tx"):
-            src, dst = rec.node.split("->")
-            if dst.startswith("h"):
-                assert rec["mpls"] is None, f"labeled packet delivered to {dst}"
+        # Hosts never receive a labeled packet: check the header on every
+        # link into a host.
+        into_hosts = [
+            (ev, header) for ev, header in link_headers(journey)
+            if channel_dst(ev.where).startswith("h")
+        ]
+        assert into_hosts, "no transmission into a host was recorded"
+        for ev, header in into_hosts:
+            assert header[4] is None, f"labeled packet delivered over {ev.where}"
 
     def test_hidden_service_by_nickname(self):
         net, ctrl, mic = build()

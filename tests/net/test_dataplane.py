@@ -17,6 +17,8 @@ from repro.net import (
     ip,
     linear,
 )
+from repro.obs import JourneyRecorder
+from tests.journey_rows import events
 
 
 def two_host_net(**param_overrides):
@@ -144,13 +146,13 @@ def test_foreign_packet_dropped_by_nic():
     s1.table.install(FlowEntry(Match(), [Output(net.port("s1", "h2"))]))
     got = []
     h2.bind("tcp", 80, lambda host, p: got.append(p))
-    net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     h1.send_packet(h1.make_packet(ip("10.0.0.50"), dport=80))
     net.run()
     assert got == []
     assert h2.packets_received == 0
-    drops = net.trace.by_category("host.foreign_drop")
-    assert len(drops) == 1
+    drops = events(journey, "host.foreign_drop")
+    assert [(ev.where, ev["dst_ip"]) for ev in drops] == [("h2", "10.0.0.50")]
 
 
 def test_table_miss_punts_to_controller():
@@ -174,14 +176,15 @@ def test_output_to_the_controller_pseudo_port_is_a_punt_not_a_wire():
     s1.table.install(entry)
     punted = []
     s1.connect_controller(lambda sw, p, in_port: punted.append((sw.name, p, in_port)))
-    net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     pkt = h1.make_packet(h2.ip, dport=80, payload_size=40)
     h1.send_packet(pkt)
     net.run()
     assert punted == [("s1", pkt, net.port("s1", "h1"))]  # once, the packet itself
     assert s1.packets_forwarded == 0 and s1.packets_punted == 0  # a hit, not a miss
     assert net.switch("s2").table.cache_misses == 0 and h2.packets_received == 0
-    assert net.trace.by_category("switch.fwd") == []
+    # the packet entered s1 and left on no port
+    assert [ev.kind for ev in events(journey) if ev.where == "s1"] == ["switch.ingress"]
     assert (entry.packet_count, entry.byte_count) == (1, pkt.size)  # ingress size
     # the model and the verifier agree
     symbolic = apply_actions(entry.actions, SymbolicHeader(ip_dst=h2.ip), {})
@@ -214,10 +217,10 @@ def test_ttl_expiry_stops_loops():
     s1.table.install(FlowEntry(Match(), [Output(net.port("s1", "s2"))]))
     s2.table.install(FlowEntry(Match(), [Output(net.port("s2", "s1"))]))
     h1 = net.host("h1")
-    net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     h1.send_packet(h1.make_packet(ip("10.0.0.99"), dport=80, payload_size=0))
     net.run()
-    expiries = net.trace.by_category("switch.ttl_expired")
+    expiries = events(journey, "switch.ttl_expired")
     assert len(expiries) == 1
 
 
@@ -237,11 +240,11 @@ def test_link_queue_tail_drop():
     net = two_host_net(link_queue_bytes=1100)
     s1, h1, h2 = wire_direct(net)
     h2.bind("tcp", 80, lambda host, p: None)
-    net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     for _ in range(5):
         h1.send_packet(h1.make_packet(h2.ip, dport=80, payload_size=1000))
     net.run()
-    drops = net.trace.by_category("link.drop")
+    drops = events(journey, "link.drop")
     assert len(drops) >= 1
     assert h2.packets_received < 5
 

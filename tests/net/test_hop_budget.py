@@ -227,13 +227,14 @@ def test_reading_the_journeys_back_holds_no_row_per_event():
 def test_the_budget_is_not_met_by_dropping_a_record(monkeypatch):
     def burst_rows() -> list[tuple]:
         net, send = rewriting_chain()
-        trace = net.attach_trace()
+        journey = JourneyRecorder.attach(net)
         send(50)
-        return trace._rows
+        return journey.rows()
 
     fast = burst_rows()
     monkeypatch.setattr(Packet, "copy", rebuild_copy)  # the old emission
     reference = burst_rows()
-    # host.tx, link.tx, then (switch.fwd, link.tx) per switch, host.rx
-    assert len(reference) == 50 * (2 + 2 * SWITCHES + 1)
+    # host.tx, link.tx, then (switch.ingress, switch.rewrite, switch.egress,
+    # link.tx) per switch, host.rx
+    assert len(reference) == 50 * (2 + 4 * SWITCHES + 1)
     assert fast == reference

@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench import Testbed, open_tcp, run_process
 from repro.net import HybridEngine, fat_tree
+from repro.obs import JourneyRecorder
 from repro.workloads.iperf import measure_transfer
 
 NBYTES = 2_000_000
@@ -75,19 +76,19 @@ def _wired_testbed(topo, pairs, seed=0):
 def test_sample_rate_one_is_byte_identical_to_packet_engine():
     def run_scenario(attach_engine):
         bed = Testbed.create(seed=0)
-        trace = bed.net.attach_trace()
+        journey = JourneyRecorder.attach(bed.net)
         if attach_engine:
             eng = HybridEngine(bed.net, sample_rate=1.0)
             # every candidate is pinned; nothing ever reaches the solver
             assert eng.fidelity_for("any-flow") == "packet"
         _packet_goodputs(bed, FT4_PAIRS[:2])
         bed.net.run()
-        return trace.records, bed.net.sim.now
+        return journey.rows(), bed.net.sim.now
 
     base_records, base_now = run_scenario(attach_engine=False)
     hybrid_records, hybrid_now = run_scenario(attach_engine=True)
     assert hybrid_now == base_now
-    assert len(hybrid_records) == len(base_records)
+    assert len(hybrid_records) == len(base_records) > 0
     assert hybrid_records == base_records
 
 

@@ -2,27 +2,13 @@
 
 Regression test: a packet that is serializing or propagating when its link
 goes down used to vanish — delivered to nobody, counted by nothing.  Every
-drop path must bump ``stats.drops``, emit a ``link.drop`` record into an
-attached trace log, and notify an attached journey recorder so per-packet
-accounting stays closed.
+drop path must bump ``stats.drops`` and record a ``link.drop`` row in an
+attached journey recorder, so per-packet accounting stays closed.
 """
 
 from repro.net import Network, fat_tree
-
-
-class _JourneySpy:
-    """Minimal stand-in for a JourneyRecorder's link-drop hook."""
-
-    def __init__(self):
-        self.drops = []
-
-    def on_link_drop(self, channel, packet, backlog):
-        self.drops.append((channel.name, packet.uid))
-
-    def __getattr__(self, name):
-        if name.startswith("on_"):  # ignore the other recorder hooks
-            return lambda *args, **kwargs: None
-        raise AttributeError(name)
+from repro.obs import JourneyRecorder
+from tests.journey_rows import events, in_flight_drops
 
 
 def _channel(net, a="p0e0", b="p0a0"):
@@ -31,26 +17,21 @@ def _channel(net, a="p0e0", b="p0a0"):
 
 def test_down_at_send_drop_is_counted_and_traced():
     net = Network(fat_tree(4), seed=0)
-    net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     ch = _channel(net)
-    spy = _JourneySpy()
-    ch.journey = spy
     ch.set_state(False)
     pkt = net.host("h1").make_packet(net.host("h2").ip, payload_size=100)
     assert ch.send(pkt) is False
     assert ch.stats.drops == 1
-    drops = [r for r in net.trace.records if r.category == "link.drop"]
-    assert len(drops) == 1
-    assert drops[0].detail["uid"] == pkt.uid
-    assert spy.drops == [(ch.name, pkt.uid)]
+    drops = events(journey, "link.drop")
+    assert [(ev.where, ev.uid) for ev in drops] == [(ch.name, pkt.uid)]
+    assert in_flight_drops(journey) == []  # refused at the queue, never sent
 
 
 def test_in_flight_drop_is_counted_traced_and_journeyed():
     net = Network(fat_tree(4), seed=0)
-    net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     ch = _channel(net)
-    spy = _JourneySpy()
-    ch.journey = spy
     delivered = []
     ch.dst.receive = lambda packet, port: delivered.append(packet)
 
@@ -62,11 +43,9 @@ def test_in_flight_drop_is_counted_traced_and_journeyed():
 
     assert delivered == []
     assert ch.stats.drops == 1
-    drops = [r for r in net.trace.records if r.category == "link.drop"]
-    assert len(drops) == 1
-    assert drops[0].detail["in_flight"] is True
-    assert drops[0].detail["uid"] == pkt.uid
-    assert spy.drops == [(ch.name, pkt.uid)]
+    drops = in_flight_drops(journey)
+    assert [(ev.where, ev.uid) for ev in drops] == [(ch.name, pkt.uid)]
+    assert events(journey, "link.drop") == drops
 
 
 def test_up_link_still_delivers():

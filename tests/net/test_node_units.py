@@ -6,6 +6,8 @@ import pytest
 
 from repro.net import Network, NetParams, linear
 from repro.net.node import CpuMeter
+from repro.obs import JourneyRecorder
+from tests.journey_rows import events
 
 #: every delay and CPU cost NetParams carries; each must be >= 0
 COSTS = (
@@ -77,12 +79,13 @@ class TestChannelName:
         assert first == second and len(set(first)) == len(first)
 
     def test_trace_records_carry_the_channel_name(self):
+        """A channel's journey rows name it by its directed port label."""
         net = Network(linear(1, hosts_per_switch=2))
-        net.attach_trace()
+        journey = JourneyRecorder.attach(net)
         ch = net.host("h1").ports[0]
         ch.send(net.host("h1").make_packet(net.host("h2").ip, payload_size=10))
-        (rec,) = net.trace.by_category("link.tx")
-        assert rec.node is ch.name
+        (ev,) = events(journey, "link.tx")
+        assert ev.where == ch.name
 
 
 class TestChannelBacklog:

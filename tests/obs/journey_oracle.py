@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.net.switch import _FWD_KEYS, _MISS_KEYS, _UID_KEYS
+from repro.net.switch import _UID_KEYS
 from repro.obs.flight import _TRIGGERS_BY_NAME, FlightRecorder
 from repro.obs.journey import (
     _EVENTS_BY_KIND,
@@ -519,10 +519,6 @@ def old_classify(self, packet, in_port, resolved, resolved_version, header=None)
     now = self.sim.now
     packet.ttl -= 1
     if packet.ttl <= 0:
-        if self.trace is not None:
-            self.trace.emit(
-                now, "switch.ttl_expired", self.name, _UID_KEYS, packet.uid
-            )
         if self.journey is not None:
             self.journey.on_ttl_expired(self, packet, in_port)
         return
@@ -532,11 +528,6 @@ def old_classify(self, packet, in_port, resolved, resolved_version, header=None)
     )
     if entry is None:
         self.packets_punted += 1
-        if self.trace is not None:
-            self.trace.emit(
-                now, "switch.miss", self.name, _MISS_KEYS,
-                packet.uid, packet.ip_src.text, packet.ip_dst.text,
-            )
         if self.journey is not None:
             self.journey.on_switch_miss(self, packet, in_port)
         self._punt(packet, in_port)
@@ -552,13 +543,6 @@ def old_classify(self, packet, in_port, resolved, resolved_version, header=None)
         self.packets_forwarded += 1
         if self.mirror_taps:
             self._mirror(out_pkt, port, "out")
-        if self.trace is not None:
-            self.trace.emit(
-                now, "switch.fwd", self.name, _FWD_KEYS,
-                out_pkt.uid, out_pkt.content_tag, in_port, port,
-                out_pkt.ip_src.text, out_pkt.ip_dst.text, out_pkt.mpls,
-                out_pkt.size,
-            )
         # Node.transmit, inlined: one frame per emission
         channel = self.ports.get(port)
         if channel is None:

@@ -3,11 +3,15 @@
 The observability layer must never perturb a run — its hooks schedule no
 events, emit no trace records, and touch no RNG.  These tests run the same
 seeded MIC echo twice (with and without an attached Observer, and with the
-periodic timeline sampling on top) and require the full trace logs to
-serialize identically.  The trace log itself is a probe of the same kind:
-attaching it changes nothing the run can see.
+periodic timeline sampling on top) and require the same witness from both:
+the trace log (control-plane actions and state), a mirror-tap log of every
+packet at every switch and every channel's counters.  The witness reads no
+journey, so it holds the journey recorder to the same rule.  The trace log
+itself is a probe of the same kind: attaching it changes nothing the run
+can see.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +19,7 @@ import pytest
 from repro.core import deploy_mic
 from repro.net import FlowEntry, Match, Network, Output, SetField, linear
 from repro.obs import FlightRecorder, JourneyRecorder
+from repro.obs.journey import header_tuple
 from tests.recording_scenario import GOLDEN, read_back, run_scenario
 
 MESSAGE = b"m" * 300
@@ -28,8 +33,8 @@ def _echo_run(
     trace: bool = True,
 ):
     """One seeded MIC echo h1 <-> h16, the trace log attached before any
-    traffic unless ``trace`` is off; returns (trace reprs, final sim time,
-    deployment)."""
+    traffic unless ``trace`` is off; returns ((trace reprs, tap log, channel
+    stats), final sim time, deployment)."""
     dep = deploy_mic(
         seed=seed,
         observe=observe,
@@ -37,6 +42,7 @@ def _echo_run(
         journey_kwargs=journey_kwargs,
     )
     log = dep.net.attach_trace() if trace else None
+    taps = _tap_every_switch(dep.net)
     if observe and timeline_period > 0:
         dep.obs.start_timeline(timeline_period)
     server = dep.server("h16", 80)
@@ -58,7 +64,30 @@ def _echo_run(
     if observe:
         dep.obs.stop_timeline()
     reprs = [] if log is None else [repr(r) for r in log]
-    return reprs, dep.sim.now, dep
+    assert taps, "no switch saw a packet"
+    return (reprs, taps, _channel_stats(dep.net)), dep.sim.now, dep
+
+
+def _tap_every_switch(net):
+    """``(time, switch, port, direction, uid, header, size)`` of every packet
+    every switch receives or emits, appended as the run goes."""
+    seen = []
+    for sw in net.switches():
+        def tap(packet, port, direction, name=sw.name):
+            seen.append((
+                net.sim.now, name, port, direction, packet.uid,
+                header_tuple(packet), packet.size,
+            ))
+        sw.add_mirror_tap(tap)
+    return seen
+
+
+def _channel_stats(net):
+    """Every channel's packets, bytes and drops, by channel name."""
+    return [
+        (ch.name, dataclasses.astuple(ch.stats))
+        for link in net.links for ch in (link.forward, link.reverse)
+    ]
 
 
 def test_observed_run_is_byte_identical():
@@ -171,8 +200,8 @@ def _chain():
     return net, h1, h2
 
 
-def _send(net, h1, dst, ttl=None):
-    packet = h1.make_packet(dst, proto="udp", sport=7, dport=9, payload_size=32)
+def _send(net, h1, dst, ttl=None, dport=9):
+    packet = h1.make_packet(dst, proto="udp", sport=7, dport=dport, payload_size=32)
     if ttl is not None:
         packet.ttl = ttl
     h1.send_packet(packet)
@@ -242,9 +271,10 @@ def _journey_echo(trace: bool):
 
 
 def test_attaching_the_trace_log_perturbs_nothing():
-    bare, t_bare, dep_bare = _journey_echo(trace=False)
-    traced, t_traced, dep_traced = _journey_echo(trace=True)
+    (bare, *bare_packets), t_bare, dep_bare = _journey_echo(trace=False)
+    (traced, *traced_packets), t_traced, dep_traced = _journey_echo(trace=True)
     assert bare == [] and traced  # not vacuous: one run recorded, one did not
+    assert bare_packets == traced_packets
     assert dep_bare.net.trace is None
     assert t_bare == t_traced
     assert [(h.bytes_sent, h.bytes_received) for h in dep_bare.net.hosts()] == [
@@ -262,25 +292,27 @@ def test_the_recording_golden_is_identical_with_and_without_the_log():
 
 
 def _every_trace(net):
-    return [net.trace] + [n.trace for n in net.nodes.values()] + [
-        ch.trace for link in net.links for ch in (link.forward, link.reverse)
-    ]
+    return [net.trace] + [n.trace for n in net.nodes.values()]
 
 
-#: what the chain records of one h1 -> h2 packet from s1's ingress on
-_FROM_S1 = [
-    ("switch.fwd", "s1"), ("link.tx", "s1[2]->s2[1]"),
-    ("switch.fwd", "s2"), ("link.tx", "s2[2]->h2[0]"), ("host.rx", "h2"),
-]
+#: h2 binds udp/9 only: a packet to this port is refused, which the trace
+#: log records (``host.refused``, a death no journey kind records)
+_UNBOUND = 10
+
+#: what the log keeps of a refused h1 -> h2 packet sent before the attach
+#: and of one in flight at the attach: the second one's refusal
+_REFUSED = [("host.refused", "h2")]
 
 
 @pytest.mark.parametrize("direction, rows", [
-    ("in", _FROM_S1),        # the packet sits in s1's pipeline
-    ("out", _FROM_S1[2:]),   # the packet is on the s1 -> s2 link
+    ("in", _REFUSED),    # the packet sits in s1's pipeline
+    ("out", _REFUSED),   # the packet is on the s1 -> s2 link
 ])
 def test_attaching_mid_flight_records_from_that_instant_on(direction, rows):
     net, h1, h2 = _chain()
     assert all(t is None for t in _every_trace(net))
+    _send(net, h1, h2.ip, dport=_UNBOUND)  # refused before anything is attached
+    net.run()
     attached = []
 
     def attach_next(packet, port, tap_direction):
@@ -289,28 +321,49 @@ def test_attaching_mid_flight_records_from_that_instant_on(direction, rows):
             net.sim.call_later(0.0, lambda: attached.append(net.attach_trace()))
 
     net.switch("s1").add_mirror_tap(attach_next)
-    _send(net, h1, h2.ip)
+    packet = _send(net, h1, h2.ip, dport=_UNBOUND)
     net.run()
     (log,) = attached
-    assert h2.packets_received == 1
+    assert h2.packets_received == 2
     assert [(r.category, r.node) for r in log] == rows
+    assert [r["uid"] for r in log] == [packet.uid]
     assert all(t is log for t in _every_trace(net))
+
+
+def test_a_second_attach_is_refused_until_the_first_detaches():
+    """A second ``attach_trace()`` used to rewire every node to a fresh log
+    and leave the first one readable but silent; it is refused instead."""
+    net, h1, h2 = _chain()
+    first = net.attach_trace()
+    with pytest.raises(ValueError, match="already attached"):
+        net.attach_trace()
+    assert all(t is first for t in _every_trace(net))
+    _send(net, h1, h2.ip, dport=_UNBOUND)
+    net.run()
+    assert [(r.category, r.node) for r in first] == _REFUSED
+    net.detach_trace()
+    second = net.attach_trace()
+    _send(net, h1, h2.ip, dport=_UNBOUND)
+    net.run()
+    assert len(first) == len(second) == 1
+    assert all(t is second for t in _every_trace(net))
 
 
 def test_detach_stops_recording_at_once():
     net, h1, h2 = _chain()
     log = net.attach_trace()
+    first = _send(net, h1, h2.ip, dport=_UNBOUND)
+    net.run()
 
     def detach_after_s1(packet, port, direction):
         if direction == "out":
             net.sim.call_later(0.0, net.detach_trace)
 
     net.switch("s1").add_mirror_tap(detach_after_s1)
-    _send(net, h1, h2.ip)
+    _send(net, h1, h2.ip, dport=_UNBOUND)
     net.run()
-    assert h2.packets_received == 1
-    assert [(r.category, r.node) for r in log] == [
-        ("host.tx", "h1"), ("link.tx", "h1[0]->s1[1]"),
-        ("switch.fwd", "s1"), ("link.tx", "s1[2]->s2[1]"),
+    assert h2.packets_received == 2
+    assert [(r.category, r.node, r["uid"]) for r in log] == [
+        ("host.refused", "h2", first.uid),
     ]
     assert all(t is None for t in _every_trace(net))

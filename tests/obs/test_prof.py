@@ -36,6 +36,7 @@ from repro.net import (
 from repro.obs import (
     PROF_SUBSYSTEMS,
     MetricsSnapshot,
+    JourneyRecorder,
     Observer,
     Profiler,
     contract_names,
@@ -180,13 +181,13 @@ def _burst(net, n=20):
 
 
 def _burst_run(profiled: bool):
-    """A seeded 3-switch burst; returns (trace reprs, final time, profiler)."""
+    """A seeded 3-switch burst; returns (journey rows, final time, profiler)."""
     net = _wired_linear3(seed=11)
-    trace = net.attach_trace()
+    journey = JourneyRecorder.attach(net)
     prof = Profiler.attach(net, enabled=profiled, sample_every=10)
     _burst(net, 50)
     assert net.host("h3").packets_received == 50
-    return [repr(r) for r in trace.records], net.sim.now, prof
+    return journey.rows(), net.sim.now, prof
 
 
 def test_profiled_run_is_byte_identical():
@@ -194,7 +195,9 @@ def test_profiled_run_is_byte_identical():
     seen, t_seen, prof = _burst_run(profiled=True)
     assert none_prof is None  # enabled=False is statically dead
     assert t_plain == t_seen
-    assert plain == seen
+    # every event of every packet: host.tx, link.tx, then (switch.ingress,
+    # switch.egress, link.tx) at each of the three switches, host.rx
+    assert plain == seen and len(plain) == 50 * 12
     # ... and the profiled run actually profiled something (not vacuous).
     report = prof.report()
     rows = {r["name"] for r in report.subsystems}

@@ -3,10 +3,12 @@
 linear(3) with a multicast group (one decoy bucket) at s2 and an in-place
 rewrite at s3, driven through a delivery with an injected divergence, a TTL
 death, a table miss, a refused port, a tail drop, an in-flight drop, a
-``link.down`` and a switch crash — every ``JOURNEY_EVENTS`` kind and every
-data-plane trace category.  ``tests/data/recording_golden.json`` holds what
-the eager-record implementation (the parent of PR 16) read back from this
-run; the trace, journey and flight tests compare today's reads against it.
+``link.down`` and a switch crash — every ``JOURNEY_EVENTS`` kind and the
+trace log's flow-mod, state and packet-death categories.
+``tests/data/recording_golden.json`` holds what the eager-record
+implementation (the parent of PR 16) read back from this run, less the
+trace rows of the per-packet categories the journey alone records since;
+the trace, journey and flight tests compare today's reads against it.
 
 Regenerate (only when a recorded value is *meant* to change)::
 

@@ -74,9 +74,10 @@ def assert_view_equals_the_oracle(view, reference, rng):
     assert {n: dict(view.dist[n]) for n in nodes} == dist
     assert list(view.dist) == nodes and len(view.dist) == len(nodes)
     assert_same_array(view._host_dist, host_dist)
-    assert list(view._to_hosts) == nodes
+    # every node's column slice to the hosts in rank order, ``_FAR`` and all
+    matrix = view.dist._matrix
     for n in nodes:
-        assert_same_array(view._to_hosts[n], to_hosts[n])
+        assert_same_array(matrix[view._index[n], view._ranked_cols], to_hosts[n])
 
     links = [d for u, v in view.topo.graph.edges for d in ((u, v), (v, u))]
     for u, v in rng.sample(links, min(len(links), 48)):
@@ -154,7 +155,7 @@ def test_every_link_of_the_hand_built_fabric_down_then_up():
 def test_a_fabric_without_hosts_still_has_its_arrays(build):
     view = TopologyView(build())
     assert view._host_dist.shape == (0, 0) and view._host_dist.dtype == np.int32
-    assert all(row.shape == (0,) for row in view._to_hosts.values())
+    assert view._geo_to_hosts.shape == (len(view.graph.nodes), 0)
     assert {n: dict(view.dist[n]) for n in view.graph.nodes} == oracle_dist(view)
 
 
