@@ -1,14 +1,15 @@
 """Self-profiler overhead: the disabled path must cost (almost) nothing.
 
-The acceptance bar for the profiling layer is that an unhooked run — the
-simulator's ``_prof`` slot still ``None`` and no method bracketed — slows
-a packet-pushing run by at most 2% of wall time.  The only check left on
-an unhooked run is the event kernel's one ``is None`` per dispatch,
-folded into the branch the sanitizer already pays for, so the bar holds
-by construction; this bench keeps it honest by measuring.  ``Profiler.attach(net, enabled=False)`` — the call-site idiom
-— and a fully hooked profiler (with and without dispatch sampling) are
-reported alongside; live frames do real clock reads per event and carry
-no 2% bar.
+The acceptance bar for the profiling layer is that an unhooked run — no
+method of the simulator, flow tables or hosts wrapped — slows a
+packet-pushing run by at most 2% of wall time.  The profiler wraps every
+instrumented method, ``Simulator.step`` included, on the hooked instance
+from outside; no kernel slot is left, so an unhooked run executes exactly
+the code a profiler-free build would and the bar holds by construction;
+this bench keeps it honest by measuring.  ``Profiler.attach(net,
+enabled=False)`` — the call-site idiom — and a fully hooked profiler (with
+and without dispatch sampling) are reported alongside; live frames do real
+clock reads per event and carry no 2% bar.
 
 Timing is CPU time (``time.process_time``) with the garbage collector
 paused, min-of-N over interleaved repetitions — wall clocks on shared CI

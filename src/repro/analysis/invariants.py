@@ -49,21 +49,8 @@ def verify_intents(
             report.checked_flows += 1
             _verify_maga(mic, channel, plan, report)
             # The anonymity strategy names the views to replay (forward,
-            # reverse, plus any alias lanes under multiplexing); fall back
-            # to the classic fwd/rev pair for strategy-less controllers.
-            strategy = getattr(mic, "strategy", None)
-            if strategy is not None:
-                views = strategy.replay_views(plan)
-            else:
-                rev_walk = list(reversed(plan.walk))
-                rev_mns = sorted(
-                    len(plan.walk) - 1 - p for p in plan.mn_positions
-                )
-                views = [
-                    (plan.walk, plan.mn_positions, plan.fwd_addrs),
-                    (rev_walk, rev_mns, plan.rev_addrs),
-                ]
-            for walk, mns, addrs in views:
+            # reverse, plus any alias lanes under multiplexing).
+            for walk, mns, addrs in mic.strategy.replay_views(plan):
                 _replay_direction(
                     net, mic, channel, plan, walk, addrs, indexes, neighbors,
                     report,
@@ -329,16 +316,7 @@ def _trace_decoy(
 
 def _verify_maga(mic, channel, plan, report: VerificationReport) -> None:
     """Label-space and hash-class membership of every drawn m-address."""
-    directions = (
-        (plan.walk, plan.mn_positions, plan.fwd_addrs, "fwd"),
-        (
-            list(reversed(plan.walk)),
-            sorted(len(plan.walk) - 1 - p for p in plan.mn_positions),
-            plan.rev_addrs,
-            "rev",
-        ),
-    )
-    for walk, mns, addrs, tag in directions:
+    for (walk, mns, addrs), tag in zip(plan.directions(), ("fwd", "rev")):
         last_seg = len(addrs) - 1
         for k, addr in enumerate(addrs):
             labeled = 0 < k < last_seg

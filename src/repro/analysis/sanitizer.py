@@ -27,12 +27,16 @@ and watches for exactly those hazards while the simulation runs:
   whose channel is gone, and compiled cookies no live or parked flow
   accounts for.
 
-The sanitizer only observes: it never mutates kernel state, draws no
-randomness, and when *not* attached the kernel takes statically-dead
-``if self._sanitizer is not None`` branches only — the unsanitized run
-is byte-identical (``benchmarks/bench_sanitizer_overhead.py`` holds this
-to a ≤2% overhead budget, and the chaos scorecard is asserted equal
-with and without it).
+The sanitizer only observes: it never mutates kernel state and draws no
+randomness.  It watches from outside, the way the profiler brackets its
+frames: :meth:`SimSanitizer.hook` sets instance-level wrappers on the
+simulator's ``step`` and ``rng`` and taps its sequence counter, and
+:meth:`~SimSanitizer.detach` takes them off again.  An unsanitized
+simulator carries no wrapper and no kernel method names the sanitizer;
+only the shared-state probes in :mod:`repro.sim.resources` read the
+``sim._sanitizer`` slot.  A sanitized run is byte-identical to a bare
+one (``benchmarks/bench_sanitizer_overhead.py`` and the chaos scorecard
+assert it).
 """
 
 from __future__ import annotations
@@ -83,9 +87,13 @@ class SimSanitizer:
         self.max_findings = max_findings
         self.findings: list[SanitizerFinding] = []
         self.sim: Optional[Any] = None
-        # causal roots: heap seq -> root assigned at schedule time
+        #: the live ``step`` wrapper and the counter the tap draws from
+        self._step: Optional[Any] = None
+        self._counter: Optional[Any] = None
+        # causal roots: heap seq -> (time scheduled at, the scheduling
+        # event's root), for calls scheduled while an event ran
         self._root_counter = itertools.count(1)
-        self._pending_root: dict[int, int] = {}
+        self._pending_root: dict[int, tuple[float, int]] = {}
         self._current_root: Optional[int] = None
         # one batch = all events processed at one timestamp
         self._batch_time: Optional[float] = None
@@ -101,52 +109,91 @@ class SimSanitizer:
     # -- lifecycle ------------------------------------------------------
     @classmethod
     def attach(cls, sim: Any, strict: bool = False) -> "SimSanitizer":
-        """Create a sanitizer and hook it into ``sim``."""
-        san = cls(strict=strict)
-        san.sim = sim
-        sim._sanitizer = san
-        return san
+        """Create a sanitizer and :meth:`hook` it into ``sim``."""
+        return cls(strict=strict).hook(sim)
+
+    def hook(self, sim: Any) -> "SimSanitizer":
+        """Watch ``sim``: wrap its ``step`` and ``rng``, tap its counter.
+
+        The ``step`` wrapper reads the next heap entry's ``(when, seq)``
+        before the inner ``step`` pops it, and the counter tap gives each
+        sequence number drawn while an event runs that event's causal root.
+        A simulator that already has a sanitizer raises ``ValueError``.
+        """
+        if sim._sanitizer is not None:
+            raise ValueError(
+                f"{sim._sanitizer!r} is already attached to this simulator; "
+                f"detach it first"
+            )
+        inner_step, inner_rng = sim.step, sim.rng
+
+        def step() -> float:
+            heap = sim._heap
+            if not heap or self._step is not step:  # empty, or detached
+                return inner_step()
+            when, seq = heap[0][0], heap[0][1]
+            if when != self._batch_time:
+                self._flush_batch()
+                self._batch_time = when
+            root = self._pending_root.pop(seq, None)
+            # a zero delay keeps the scheduling event's root: program order
+            # fixes it; every other call starts a fresh causal chain
+            if root is not None and root[0] == when:
+                self._current_root = root[1]
+            else:
+                self._current_root = next(self._root_counter)
+            try:
+                return inner_step()
+            finally:
+                self._current_root = None
+
+        def rng(stream: str = "default") -> Any:
+            self._note_rng(stream)
+            return inner_rng(stream)
+
+        step.__wrapped__ = inner_step  # type: ignore[attr-defined]
+        self._step, self._counter = step, sim._counter
+        self.sim = sim
+        sim.step, sim.rng, sim._counter = step, rng, self._tap(sim._counter)
+        sim._sanitizer = self
+        return self
+
+    def _tap(self, counter: Any) -> Any:
+        """Draw from ``counter``, noting the running event's root per seq."""
+        sim = self.sim
+        for seq in counter:
+            if self._current_root is not None:
+                self._pending_root[seq] = (sim.now, self._current_root)
+            yield seq
 
     def detach(self) -> None:
-        """Unhook from the simulator, flushing the open batch first."""
+        """Unhook from the simulator, flushing the open batch first.
+
+        The simulator gets back what :meth:`hook` replaced; a ``step``
+        wrapper that a profiler has since wrapped stays in its chain and
+        only passes through.
+        """
         self._flush_batch()
-        if self.sim is not None and getattr(self.sim, "_sanitizer", None) is self:
-            self.sim._sanitizer = None
-        self.sim = None
+        sim = self.sim
+        if sim is not None:
+            if vars(sim).get("step") is self._step:
+                inner = self._step.__wrapped__
+                if getattr(inner, "__func__", None) is type(sim).step:
+                    del sim.step
+                else:
+                    sim.step = inner
+            del sim.rng
+            sim._counter = self._counter
+            sim._sanitizer = None
+        self.sim = self._step = None
 
     def _emit(self, kind: str, time: float, subject: str, detail: str) -> None:
         if len(self.findings) < self.max_findings:
             self.findings.append(SanitizerFinding(kind, time, subject, detail))
 
-    # -- kernel hooks (called by Simulator when attached) ---------------
-    def _on_schedule(self, seq: int, delay: float) -> None:
-        """Assign the causal root of the heap entry numbered ``seq``.
-
-        Zero-delay schedules issued while an event is being processed
-        stay inside the current timestamp batch and inherit the current
-        root (program order fixes their relative order); everything else
-        starts a fresh causal chain.
-        """
-        if delay == 0 and self._current_root is not None:
-            self._pending_root[seq] = self._current_root
-        else:
-            self._pending_root[seq] = next(self._root_counter)
-
-    def _on_step(self, when: float, seq: int) -> None:
-        if when != self._batch_time:
-            self._flush_batch()
-            self._batch_time = when
-        root = self._pending_root.pop(seq, None)
-        if root is None:
-            root = next(self._root_counter)
-        self._current_root = root
-
-    def _on_step_end(self) -> None:
-        self._current_root = None
-
     def _note_rng(self, stream: str) -> None:
         """Record the module asking for a named stream; flag sharing."""
-        frame = sys._getframe(2)  # 0=_note_rng, 1=Simulator.rng, 2=caller
+        frame = sys._getframe(2)  # 0=_note_rng, 1=the rng wrapper, 2=caller
         module = frame.f_globals.get("__name__", "<unknown>")
         callers = self._rng_callers.setdefault(stream, set())
         callers.add(module)

@@ -124,11 +124,7 @@ class Strategy:
     # -- verifier views --------------------------------------------------
     def replay_views(self, plan: MFlowPlan) -> list[tuple]:
         """(walk, mn_positions, addrs) triples the verifier must replay."""
-        rev_positions = sorted(len(plan.walk) - 1 - p for p in plan.mn_positions)
-        return [
-            (plan.walk, plan.mn_positions, plan.fwd_addrs),
-            (list(reversed(plan.walk)), rev_positions, plan.rev_addrs),
-        ]
+        return plan.directions()
 
     # -- accounting ------------------------------------------------------
     @property
@@ -279,15 +275,9 @@ class Strategy:
     ) -> tuple[list, list, list]:
         """Compile one plan into (rules, groups, drops) install intents
         (decoy addresses drawn on ``rng``, the planning shard's stream)."""
-        rules = self.compile_direction(
-            plan.walk, plan.mn_positions, plan.fwd_addrs, plan.cookie,
-            plan.proto,
-        )
-        rev_positions = sorted(len(plan.walk) - 1 - p for p in plan.mn_positions)
-        rules += self.compile_direction(
-            list(reversed(plan.walk)), rev_positions, plan.rev_addrs,
-            plan.cookie, plan.proto,
-        )
+        rules: list = []
+        for walk, mns, addrs in plan.directions():
+            rules += self.compile_direction(walk, mns, addrs, plan.cookie, plan.proto)
         groups: list = []
         drops: list = []
         if decoys > 0:

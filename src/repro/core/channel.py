@@ -36,6 +36,14 @@ class MFlowPlan:
         """The switches acting as MNs, in path order."""
         return [self.walk[p] for p in self.mn_positions]
 
+    def directions(self) -> list[tuple[list[str], list[int], list[MAddress]]]:
+        """``(walk, mn_positions, addrs)`` of the forward and the reply direction."""
+        last = len(self.walk) - 1
+        return [
+            (self.walk, self.mn_positions, self.fwd_addrs),
+            (self.walk[::-1], sorted(last - p for p in self.mn_positions), self.rev_addrs),
+        ]
+
     @property
     def entry(self) -> MAddress:
         """The initiator-facing segment address (A[0])."""

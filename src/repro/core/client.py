@@ -229,7 +229,7 @@ class MicEndpoint:
             return self._cache[cache_key]
 
         span = begin_span(
-            self.host.obs, "mic.connect",
+            self.mic.obs, "mic.connect",
             initiator=self.host.name, responder=responder, n_mns=n_mns,
         )
         grant = yield from self._request_channel(

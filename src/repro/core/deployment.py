@@ -96,8 +96,8 @@ def deploy_mic(
     traffic runs; it is exposed as the deployment's ``obs`` field.
     ``journey=True`` additionally attaches a
     :class:`repro.obs.JourneyRecorder` (``journey_kwargs`` forwards
-    ``sample_rate``/``predicate``/``flight``), exposed as ``journey`` —
-    when an observer is also attached the recorder registers on it too.
+    ``sample_rate``/``predicate``/``flight``), exposed as ``journey`` (and
+    as ``net.journey``).
     ``controller_kwargs`` forwards failure-detection and install-retry
     knobs to the :class:`~repro.sdn.controller.Controller`; ``faults``
     attaches a :class:`repro.faults.FaultSchedule` (its injected events
@@ -115,11 +115,7 @@ def deploy_mic(
     mic = ctrl.register(MimicController(shards=shards, **(mic_kwargs or {})))
     l3 = ctrl.register(L3ShortestPathApp())
     obs = Observer.attach(net, mic=mic, controller=ctrl) if observe else None
-    rec = None
-    if journey:
-        rec = JourneyRecorder.attach(net, **(journey_kwargs or {}))
-        if obs is not None:
-            obs.journey = rec
+    rec = JourneyRecorder.attach(net, **(journey_kwargs or {})) if journey else None
     if faults is not None:
         faults.attach(net, ctrl)
     if pre_wire:

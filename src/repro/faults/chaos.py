@@ -155,8 +155,7 @@ def run_chaos(
     )
     sim = dep.sim
     if sanitizer is not None:
-        sanitizer.sim = sim
-        sim._sanitizer = sanitizer
+        sanitizer.hook(sim)
     if profiler is not None:
         profiler.hook(dep.net).hook_mic(dep.mic)
 

@@ -58,8 +58,6 @@ class Host(Node):
         self._ephemeral_next = 49152
         self._uids = sim.ids("packet.uid")
         self._tags = sim.ids("packet.tag")
-        #: optional attached repro.obs.Observer (packet-latency histogram)
-        self.obs = None
 
     # -- L4 demux ------------------------------------------------------------
     def bind(self, proto: str, port: int, handler: L4Handler) -> None:
@@ -153,8 +151,6 @@ class Host(Node):
         self.cpu.busy_s += params.host_stack_cpu_s + size * params.host_per_byte_cpu_s
         self.packets_received += 1
         self.bytes_received += size
-        if self.obs is not None:
-            self.obs.on_host_rx(self, packet)
         if self.journey is not None:
             self.journey.on_host_rx(self, packet)
         self.sim.call_later(params.host_stack_delay_s, self._dispatch, packet)

@@ -293,7 +293,7 @@ class HybridEngine:
         epoch_s: float = 0.010,
         sample_rate: float = 0.0,
     ):
-        if epoch_s <= 0:
+        if not epoch_s > 0:  # nan included
             raise SimulationError(f"epoch_s must be > 0, got {epoch_s}")
         if not 0.0 <= sample_rate <= 1.0:
             raise SimulationError(f"sample_rate must be in [0,1], got {sample_rate}")

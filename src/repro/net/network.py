@@ -57,6 +57,9 @@ class Network:
         #: the repro.obs.journey.JourneyRecorder whose hooks are live on this
         #: fabric's nodes and channels (None = no journeys recorded)
         self.journey = None
+        #: the attached repro.obs.Observer (None = nothing observed); its
+        #: wrapper on every host's ``receive`` is what observes
+        self.observer = None
         self._build()
 
     # ------------------------------------------------------------------

@@ -741,13 +741,8 @@ class JourneyRecorder:
         self._intent.clear()
         for channel in mic.channels.values():
             for plan in channel.flows:
-                self._arm_direction(plan.walk, plan.mn_positions, plan.fwd_addrs)
-                rev_positions = sorted(
-                    len(plan.walk) - 1 - p for p in plan.mn_positions
-                )
-                self._arm_direction(
-                    list(reversed(plan.walk)), rev_positions, plan.rev_addrs
-                )
+                for walk, mns, addrs in plan.directions():
+                    self._arm_direction(walk, mns, addrs)
         self._intent_armed = True
         return len(self._intent)
 

@@ -11,17 +11,19 @@ MIC control application) and provides:
 * a :class:`~repro.obs.timeline.MetricsTimeline` for periodic sampling.
 
 Observation is opt-in and cost-free when absent: counters and gauges are
-*read* at snapshot time from tallies the simulation keeps anyway, and the
-only hot-path hooks (``host.obs``, controller/MC spans) are single
-``is None`` checks that schedule nothing, trace nothing, and never touch an
-RNG — an observed run's trace is byte-identical to an unobserved one.
+*read* at snapshot time from tallies the simulation keeps anyway.  Packet
+latency is observed from outside, by a wrapper :meth:`Observer.attach` sets
+on each host's ``receive`` (no host knows an observer exists); the MC's
+spans sit behind its ``obs`` slot.  Neither schedules, traces or touches an
+RNG — an observed run's trace is byte-identical to an unobserved one.  The
+per-packet journey recorder is attached on its own
+(:meth:`repro.obs.JourneyRecorder.attach`, ``deploy_mic(journey=True)``).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
-from .journey import JourneyRecorder, SamplePredicate
 from .metrics import Histogram, MetricsSnapshot, labels_key
 from .spans import Span, SpanLog
 from .timeline import MetricsTimeline
@@ -33,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..net.network import Network
     from ..net.packet import Packet
     from ..sdn.controller import Controller
-    from .flight import FlightRecorder
 
 __all__ = ["Observer"]
 
@@ -59,7 +60,6 @@ class Observer:
         #: (on_host_rx runs per delivered packet)
         self._rx_latency: dict[str, Histogram] = {}
         self.timeline: Optional[MetricsTimeline] = None
-        self.journey: Optional["JourneyRecorder"] = None
         #: the self-profiler (repro.obs.prof.Profiler) Profiler.hook() wired
         #: in, read by snapshot(); None = off and snapshots carry no profile
         #: section.
@@ -75,26 +75,44 @@ class Observer:
     ) -> "Observer":
         """Create an observer and wire it into the run's hook points.
 
-        Sets ``host.obs`` on every host (packet-latency observations) and
-        ``mic.obs`` on the MIC app (control-plane spans).
+        Wraps every host's ``receive`` (packet-latency observations), sets
+        ``mic.obs`` on the MIC app (control-plane spans) and registers as
+        ``net.observer``.  A network that already has an observer raises
+        ``ValueError``.
         """
+        if net.observer is not None:
+            raise ValueError(
+                f"{net.observer!r} is already attached to this network; "
+                f"detach it first"
+            )
         obs = cls(net, mic=mic, controller=controller)
         for host in net.hosts():
-            host.obs = obs
+            obs._wrap_receive(host)
         if mic is not None:
             mic.obs = obs
+        net.observer = obs
         return obs
+
+    def _wrap_receive(self, host: "Host") -> None:
+        """Observe each packet ``host`` accepts (its ``packets_received`` moved)."""
+        inner = host.receive
+
+        def receive(packet: "Packet", in_port: int) -> None:
+            before = host.packets_received
+            inner(packet, in_port)
+            if host.packets_received != before:
+                self.on_host_rx(host, packet)
+
+        host.receive = receive  # type: ignore[method-assign]
 
     def detach(self) -> None:
         """Unhook from the network and MC (observation stops immediately)."""
-        for host in self.net.hosts():
-            if getattr(host, "obs", None) is self:
-                host.obs = None
+        if self.net.observer is self:
+            self.net.observer = None
+            for host in self.net.hosts():
+                vars(host).pop("receive", None)
         if self.mic is not None and getattr(self.mic, "obs", None) is self:
             self.mic.obs = None
-        if self.journey is not None:
-            self.journey.detach()
-            self.journey = None
         self.stop_timeline()
 
     # -- histograms ---------------------------------------------------------
@@ -136,37 +154,7 @@ class Observer:
         if self.timeline is not None:
             self.timeline.stop()
 
-    # -- journey tracing ----------------------------------------------------
-    def start_journey(
-        self,
-        *,
-        sample_rate: float = 1.0,
-        predicate: Optional[SamplePredicate] = None,
-        flight: Optional["FlightRecorder"] = None,
-    ) -> JourneyRecorder:
-        """Attach (or return the still-attached) per-packet journey tracer.
-
-        A recorder detached since — by its own :meth:`JourneyRecorder.detach`
-        — is replaced by a fresh one.  If the MC is known and any channels
-        are live, the recorder's intent map stays cold until
-        :meth:`arm_intent` — arm explicitly after establishing channels to
-        enable divergence checking.
-        """
-        if self.journey is None or not self.journey.attached:
-            self.journey = JourneyRecorder.attach(
-                self.net,
-                sample_rate=sample_rate,
-                predicate=predicate,
-                flight=flight,
-            )
-        return self.journey
-
-    def arm_intent(self) -> int:
-        """Arm divergence checking from the MC's live channel plans."""
-        if self.journey is None or self.mic is None:
-            return 0
-        return self.journey.arm_intent(self.mic)
-
+    # -- topology -----------------------------------------------------------
     def channels(self) -> Iterator["Channel"]:
         """Every directed link channel in the network, stable order."""
         for link in self.net.links:

@@ -6,14 +6,13 @@ A :class:`Profiler` is wired into a contracted set of subsystems
 (:data:`PROF_SUBSYSTEMS`, doc-diffed against ``docs/observability.md``):
 the event-loop dispatch, flow-table classification, fluid re-solves,
 hybrid epoch phases, the MC's shard routing and the obs/journey hot-path
-hooks.  No ``sys.setprofile``, no tracing of arbitrary frames.  The event
-kernel keeps one ``_prof`` slot for its per-dispatch hook; everything else
+hooks.  No ``sys.setprofile``, no tracing of arbitrary frames.  Everything
 is bracketed from here: :meth:`Profiler.hook` (and :meth:`~Profiler.hook_hybrid`,
 :meth:`~Profiler.hook_mic`) installs a wrapper around each instrumented
-method on the hooked instance, so the instrumented modules never see the
-profiler.  An unprofiled run carries no wrapper at all: it is
-byte-identical and pays only the kernel's one ``is None`` check per
-dispatch (``benchmarks/bench_prof_overhead.py`` keeps that honest).
+method on the hooked instance — the simulator's ``step`` included — so the
+instrumented modules never see the profiler.  An unprofiled run carries no
+wrapper at all: it is byte-identical and pays nothing
+(``benchmarks/bench_prof_overhead.py`` keeps that honest).
 
 Attribution follows the classic self/cumulative split: a frame's
 *cumulative* time is enter-to-exit wall-ns; its *self* time excludes the
@@ -323,9 +322,9 @@ class Profiler:
     ``enter``/``exit`` bracket one subsystem frame; nesting is explicit
     (the instrumented call tree, not the Python stack).  ``count``
     accumulates named deterministic counters under a subsystem.  The
-    simulator's per-event hooks (``_on_step``/``_on_step_end``) are the
-    hottest path and do the minimum: one kind-count, heap-depth bookkeeping
-    and a ``sim.dispatch`` frame.
+    per-event hooks the ``step`` wrapper calls (``_on_step``/``_on_step_end``)
+    are the hottest path and do the minimum: one kind-count, heap-depth
+    bookkeeping and a ``sim.dispatch`` frame.
 
     ``sample_every=N`` records every Nth dispatch as a timeline sample
     (sim time, heap depth, cumulative ns per subsystem) for the Perfetto
@@ -391,7 +390,7 @@ class Profiler:
 
     # -- simulator dispatch hooks (the hottest path) -----------------------
     def _on_step(self, when: float, fn: Callable[..., None], heap_depth: int) -> None:
-        """Called by ``Simulator.step`` before it runs the heap call ``fn``."""
+        """Called before ``Simulator.step`` pops the heap call ``fn``."""
         c = self.counters.get("sim.dispatch")
         if c is None:
             c = self.counters["sim.dispatch"] = {}
@@ -414,7 +413,7 @@ class Profiler:
         self._stack.append(["sim.dispatch", self._clock(), 0])
 
     def _on_step_end(self) -> None:
-        """Called by ``Simulator.step`` after the heap call returned."""
+        """Called after ``Simulator.step`` returned."""
         self.exit()
 
     # -- wiring ------------------------------------------------------------
@@ -458,33 +457,60 @@ class Profiler:
 
         setattr(obj, method, bracketed)
 
+    def _hook_sim(self, sim: Any) -> None:
+        """Bracket ``sim.run`` and wrap ``sim.step`` in the dispatch hooks.
+
+        The ``step`` wrapper reads the next heap entry and the heap's depth
+        before the inner ``step`` pops it.  A profiler's wrapper on top is
+        replaced, as :meth:`_bracket` replaces one; any other wrapper (the
+        sanitizer's) is kept inside the new one, and one this profiler set
+        below it already counts.
+        """
+        self._bracket(sim, "run", "sim.run")
+        inner = link = sim.step
+        while hasattr(link, "__wrapped__"):
+            if getattr(link, "profiler", None) is self:
+                return
+            link = link.__wrapped__
+        if isinstance(getattr(inner, "profiler", None), Profiler):
+            inner = inner.__wrapped__
+        on_step, on_step_end = self._on_step, self._on_step_end
+
+        def step() -> float:
+            heap = sim._heap
+            if not heap:
+                return inner()
+            head = heap[0]
+            on_step(head[0], head[2], len(heap))
+            try:
+                return inner()
+            finally:
+                on_step_end()
+
+        step.__wrapped__ = inner  # type: ignore[attr-defined]
+        step.profiler = self  # type: ignore[attr-defined]
+        sim.step = step
+
     def hook(self, net: "Network") -> "Profiler":
         """Wire this profiler into a live network's instrumented points.
 
-        Sets the simulator's per-dispatch ``_prof`` slot, brackets
-        ``sim.run``, every switch's flow-table lookup, the journey sink and
-        the observer's delivery hook (when attached), and the hybrid
-        engine (:meth:`hook_hybrid`, when attached).  Safe to call again
-        after attaching more layers.
+        Wraps the simulator's ``step`` and brackets ``sim.run``, every
+        switch's flow-table lookup, the journey recorder's sink and the
+        observer's delivery hook (when attached), and the hybrid engine
+        (:meth:`hook_hybrid`, when attached).  Safe to call again after
+        attaching more layers.
         """
-        net.sim._prof = self
-        self._bracket(net.sim, "run", "sim.run")
-        # hosts share one observer and switches one recorder: bracketing
-        # one again only replaces its wrapper
-        journeys = [getattr(sw, "journey", None) for sw in net.switches()]
+        self._hook_sim(net.sim)
         for sw in net.switches():
             self._bracket(
                 sw.table, "lookup", "flowtable.lookup", _lookup_path, "cache_hits"
             )
-        for host in net.hosts():
-            obs = getattr(host, "obs", None)
-            if obs is not None:
-                obs.profiler = self
-                self._bracket(obs, "on_host_rx", "obs.hook", _host_rx)
-                journeys.append(obs.journey)
-        for journey in journeys:
-            if journey is not None:
-                self._bracket(journey, "_record", "obs.hook", _journey_emit)
+        obs = net.observer
+        if obs is not None:
+            obs.profiler = self
+            self._bracket(obs, "on_host_rx", "obs.hook", _host_rx)
+        if net.journey is not None:
+            self._bracket(net.journey, "_record", "obs.hook", _journey_emit)
         hybrid = getattr(net, "hybrid", None)
         if hybrid is not None:
             self.hook_hybrid(hybrid)

@@ -34,7 +34,7 @@ class MetricsTimeline:
     """Periodic gauge sampler bound to one :class:`~repro.obs.Observer`."""
 
     def __init__(self, observer: "Observer", period_s: float):
-        if period_s <= 0:
+        if not period_s > 0:  # nan included
             raise ValueError("sampling period must be positive")
         self.observer = observer
         self.period_s = period_s

@@ -214,7 +214,7 @@ class Periodic:
     __slots__ = ("sim", "period_s", "fn", "_running", "_epoch")
 
     def __init__(self, sim: "Simulator", period_s: float, fn: Callable[[], None]):
-        if period_s <= 0:
+        if not period_s > 0:  # nan included
             raise SimulationError(f"period must be positive, got {period_s!r}")
         self.sim = sim
         self.period_s = period_s
@@ -372,12 +372,12 @@ class Simulator:
         #: frame id -> message object whose bytes are on the simulated wire
         #: (repro.transport.framing parks it at send, the receiver claims it)
         self.frames_in_flight: dict[int, Any] = {}
-        #: opt-in hazard detector (repro.analysis.sanitizer); None = off,
-        #: and every hook below is a statically-dead branch.
+        #: the attached hazard detector (repro.analysis.sanitizer), read only
+        #: by the shared-state probes in repro.sim.resources; None = off.
+        #: The sanitizer and the profiler wrap ``step`` (and the sanitizer
+        #: ``rng`` and ``_counter``) on the instance: no method here
+        #: knows a watcher exists.
         self._sanitizer: Optional[Any] = None
-        #: opt-in self-profiler (repro.obs.prof.Profiler); None = off, same
-        #: statically-dead-hook contract as the sanitizer.
-        self._prof: Optional[Any] = None
 
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -387,8 +387,6 @@ class Simulator:
             raise SimulationError("event already scheduled")
         event._scheduled = True
         seq = next(self._counter)
-        if self._sanitizer is not None:
-            self._sanitizer._on_schedule(seq, delay)
         heapq.heappush(self._heap, (self.now + delay, seq, event._run_callbacks, ()))
 
     # -- public scheduling API -----------------------------------------
@@ -412,10 +410,7 @@ class Simulator:
         """
         if not delay >= 0:  # nan included
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        seq = next(self._counter)
-        if self._sanitizer is not None:
-            self._sanitizer._on_schedule(seq, delay)
-        heapq.heappush(self._heap, (self.now + delay, seq, fn, args))
+        heapq.heappush(self._heap, (self.now + delay, next(self._counter), fn, args))
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute time ``when``."""
@@ -425,10 +420,7 @@ class Simulator:
         delay = when - now
         if not delay >= 0:  # nan included
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        seq = next(self._counter)
-        if self._sanitizer is not None:
-            self._sanitizer._on_schedule(seq, delay)
-        heapq.heappush(self._heap, (now + delay, seq, fn, args))
+        heapq.heappush(self._heap, (now + delay, next(self._counter), fn, args))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that fires once all given events fired."""
@@ -448,8 +440,6 @@ class Simulator:
         import random as _random
         import zlib
 
-        if self._sanitizer is not None:
-            self._sanitizer._note_rng(stream)
         if stream not in self._rng_streams:
             mix = zlib.crc32(stream.encode()) ^ (self.seed * 0x9E3779B1 & 0xFFFFFFFF)
             self._rng_streams[stream] = _random.Random(mix)
@@ -475,27 +465,9 @@ class Simulator:
         """Run the next call on the heap; returns its time."""
         if not self._heap:
             raise SimulationError("no more events")
-        san = self._sanitizer
-        prof = self._prof
-        if san is None and prof is None:
-            when, _seq, fn, args = heapq.heappop(self._heap)
-            self.now = when
-            fn(*args)
-            return when
-        depth = len(self._heap)
-        when, seq, fn, args = heapq.heappop(self._heap)
+        when, _seq, fn, args = heapq.heappop(self._heap)
         self.now = when
-        if prof is not None:
-            prof._on_step(when, fn, depth)
-        if san is not None:
-            san._on_step(when, seq)
-        try:
-            fn(*args)
-        finally:
-            if san is not None:
-                san._on_step_end()
-            if prof is not None:
-                prof._on_step_end()
+        fn(*args)
         return when
 
     def peek(self) -> float:

@@ -84,7 +84,7 @@ class Resource:
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
+        if not capacity >= 1:  # nan included
             raise SimulationError("capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity

@@ -122,6 +122,11 @@ class OracleEngine(HybridEngine):
         self._peers[pid] = tuple(link_ids)
         return pid
 
+    def end_peer(self, peer_id: str) -> None:
+        self._peers.pop(peer_id)
+        self.solver.remove_flow(peer_id)
+        self._nominal.remove_flow(peer_id)
+
     def _finish_flow(self, fc: FluidTransfer, finished_s: float) -> None:
         fc.finished_s = finished_s
         fc.advanced_bytes = fc.wire_bytes

@@ -586,16 +586,3 @@ def test_a_second_recorder_is_refused_while_one_is_attached():
     assert not first.attached
     second = JourneyRecorder.attach(net)
     assert second.attached and net.switch("s2").journey is second
-
-
-def test_start_journey_replaces_a_recorder_detached_on_its_own():
-    """``Observer.start_journey`` used to hand back a recorder detached by
-    its own ``detach()``, which recorded nothing."""
-    dep = deploy_mic(seed=0, observe=True)
-    rec = dep.obs.start_journey()
-    assert dep.obs.start_journey() is rec
-    rec.detach()
-    fresh = dep.obs.start_journey()
-    assert fresh is not rec and fresh.attached
-    assert all(sw.journey is fresh for sw in dep.net.switches())
-    assert dep.obs.journey is fresh

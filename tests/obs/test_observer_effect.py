@@ -118,8 +118,8 @@ def test_timeline_sampling_is_byte_identical():
 def test_detach_restores_the_unhooked_state():
     _, _, dep = _echo_run(observe=True)
     dep.obs.detach()
-    assert all(h.obs is None for h in dep.net.hosts())
-    assert dep.mic.obs is None
+    assert all("receive" not in vars(h) for h in dep.net.hosts())
+    assert dep.net.observer is None and dep.mic.obs is None
 
 
 def test_journey_sampling_zero_is_byte_identical():
@@ -172,7 +172,10 @@ def test_flight_armed_untriggered_is_byte_identical():
 
 def test_journey_detach_restores_the_unhooked_state():
     _, _, dep = _echo_run(observe=True, journey_kwargs={})
-    dep.obs.detach()  # observer owns the journey recorder when both attach
+    dep.obs.detach()  # the observer holds no recorder: the journey stays
+    assert dep.journey.attached and dep.net.journey is dep.journey
+    dep.journey.detach()
+    assert dep.net.journey is None
     assert all(h.journey is None for h in dep.net.hosts())
     assert all(sw.journey is None for sw in dep.net.switches())
     assert all(

@@ -270,7 +270,7 @@ def test_hooking_twice_adds_no_frame_and_a_second_profiler_takes_over():
     assert again["sim.run"]["calls"] == 1
     assert again["flowtable.lookup"]["calls"] == 3 * 20
     assert again["obs.hook"]["calls"] == 20
-    assert net.host("h1").obs.profiler is second
+    assert net.observer.profiler is second
 
 
 def test_shard_churn_profile_routes_through_the_mc():
@@ -289,13 +289,12 @@ def test_shard_churn_profile_routes_through_the_mc():
 
 def test_only_the_event_kernel_carries_profiler_wiring():
     """Outside ``obs/prof.py`` nothing in ``src/`` reads a ``_prof`` slot
-    but ``Simulator.__init__`` / ``step``, only the observer (its
-    ``__init__`` and the snapshot) reads ``.profiler``, and no module
-    defines a ``set_profiler`` or a ``*_profiled`` twin or drives a
-    profiler reached through such a slot."""
+    (the event kernel included: the profiler wraps ``sim.step`` from
+    outside), only the observer (its ``__init__`` and the snapshot) reads
+    ``.profiler``, and no module defines a ``set_profiler`` or a
+    ``*_profiled`` twin or drives a profiler reached through such a slot."""
     src = Path(__file__).resolve().parents[2] / "src" / "repro"
     allowed = {
-        ("sim/engine.py", "_prof"): {"__init__", "step"},
         ("obs/observer.py", "profiler"): {"__init__", "_snapshot_prof"},
     }
     found = []

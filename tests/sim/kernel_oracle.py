@@ -1,15 +1,16 @@
 """The event kernel as it was before its heap held plain calls: the oracle.
 
-Kept verbatim below the marker line (only this docstring and the sanitizer
-adapter at the end are new): every heap entry is an :class:`Event`, and
-``call_later`` / ``call_at`` build a :class:`Callback` event per call.
-``tests/sim/test_kernel_oracle.py`` runs random programs on this kernel and
-on :mod:`repro.sim.engine` and requires the same ``(time, label)`` dispatch
-sequence, the same effects and the same sanitizer findings.
+Kept verbatim below the marker line, less the sanitizer and profiler
+hooks, which now wrap a simulator from outside (only this docstring and the
+sanitizer adapter at the end are new): every heap entry is an
+:class:`Event`, and ``call_later`` / ``call_at`` build a :class:`Callback`
+event per call.  ``tests/sim/test_kernel_oracle.py`` runs random programs
+on this kernel and on :mod:`repro.sim.engine`, wrapped the same way, and
+requires the same ``(time, label)`` dispatch sequence, the same effects and
+the same sanitizer findings.
 
-Its hooks hand the sanitizer and the profiler the event itself, so
-:class:`IdKeyedSanitizer` keys causal roots by ``id(event)``, as the
-sanitizer did when this kernel was live.
+:class:`DelayKeyedSanitizer` roots each call by the delay it was scheduled
+with, as the sanitizer did when this kernel handed it the delay.
 """
 
 # ---- the replaced kernel, verbatim -------------------------------------
@@ -396,12 +397,8 @@ class Simulator:
         #: frame id -> message object whose bytes are on the simulated wire
         #: (repro.transport.framing parks it at send, the receiver claims it)
         self.frames_in_flight: dict[int, Any] = {}
-        #: opt-in hazard detector (repro.analysis.sanitizer); None = off,
-        #: and every hook below is a statically-dead branch.
+        #: the attached hazard detector (repro.analysis.sanitizer)
         self._sanitizer: Optional[Any] = None
-        #: opt-in self-profiler (repro.obs.prof.Profiler); None = off, same
-        #: statically-dead-hook contract as the sanitizer.
-        self._prof: Optional[Any] = None
 
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
@@ -410,8 +407,6 @@ class Simulator:
         if event._scheduled:
             raise SimulationError("event already scheduled")
         event._scheduled = True
-        if self._sanitizer is not None:
-            self._sanitizer._on_schedule(event, delay)
         heapq.heappush(self._heap, (self.now + delay, next(self._counter), event))
 
     # -- public scheduling API -----------------------------------------
@@ -434,8 +429,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         ev = Callback(self, fn, args)
-        if self._sanitizer is not None:
-            self._sanitizer._on_schedule(ev, delay)
         heapq.heappush(self._heap, (self.now + delay, next(self._counter), ev))
         return ev
 
@@ -448,8 +441,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         ev = Callback(self, fn, args)
-        if self._sanitizer is not None:
-            self._sanitizer._on_schedule(ev, delay)
         heapq.heappush(self._heap, (now + delay, next(self._counter), ev))
         return ev
 
@@ -471,8 +462,6 @@ class Simulator:
         import random as _random
         import zlib
 
-        if self._sanitizer is not None:
-            self._sanitizer._note_rng(stream)
         if stream not in self._rng_streams:
             mix = zlib.crc32(stream.encode()) ^ (self.seed * 0x9E3779B1 & 0xFFFFFFFF)
             self._rng_streams[stream] = _random.Random(mix)
@@ -498,27 +487,9 @@ class Simulator:
         """Process the next event; returns its time."""
         if not self._heap:
             raise SimulationError("no more events")
-        san = self._sanitizer
-        prof = self._prof
-        if san is None and prof is None:
-            when, _seq, event = heapq.heappop(self._heap)
-            self.now = when
-            event._run_callbacks()
-            return when
-        depth = len(self._heap)
         when, _seq, event = heapq.heappop(self._heap)
         self.now = when
-        if prof is not None:
-            prof._on_step(when, event, depth)
-        if san is not None:
-            san._on_step(when, event)
-        try:
-            event._run_callbacks()
-        finally:
-            if san is not None:
-                san._on_step_end()
-            if prof is not None:
-                prof._on_step_end()
+        event._run_callbacks()
         return when
 
     def peek(self) -> float:
@@ -532,16 +503,6 @@ class Simulator:
         until it is processed, returning its value).  ``max_events`` guards
         against runaway simulations.
         """
-        prof = self._prof
-        if prof is None:
-            return self._run(until, max_events)
-        prof.enter("sim.run")
-        try:
-            return self._run(until, max_events)
-        finally:
-            prof.exit()
-
-    def _run(self, until: Optional[float | Event], max_events: int) -> Any:
         steps = 0
         if isinstance(until, Event):
             target = until
@@ -569,24 +530,43 @@ class Simulator:
         return None
 
 
-# ---- the sanitizer's hooks as they were for this kernel ----------------
+# ---- the sanitizer's root rule as it was for this kernel ---------------
 from repro.analysis.sanitizer import SimSanitizer  # noqa: E402
 
 
-class IdKeyedSanitizer(SimSanitizer):
-    """:class:`SimSanitizer` with its causal roots keyed by ``id(event)``."""
+class DelayKeyedSanitizer(SimSanitizer):
+    """:class:`SimSanitizer` that roots each call by the delay it was given.
 
-    def _on_schedule(self, event: Any, delay: float) -> None:
-        if delay == 0 and self._current_root is not None:
-            self._pending_root[id(event)] = self._current_root
-        else:
-            self._pending_root[id(event)] = next(self._root_counter)
+    When this kernel was live it handed the sanitizer every schedule's
+    delay: a zero delay while an event ran kept that event's causal root.
+    This sanitizer wraps the oracle's three scheduling calls from outside
+    to learn the delay, where :class:`SimSanitizer` compares the entry's
+    time with the clock at the draw.
+    """
 
-    def _on_step(self, when: float, event: Any) -> None:
-        if when != self._batch_time:
-            self._flush_batch()
-            self._batch_time = when
-        root = self._pending_root.pop(id(event), None)
-        if root is None:
-            root = next(self._root_counter)
-        self._current_root = root
+    _delay: Optional[float] = None
+
+    def hook(self, sim: Any) -> "DelayKeyedSanitizer":
+        super().hook(sim)
+        schedule, later, at = sim._schedule, sim.call_later, sim.call_at
+
+        def _schedule(event, delay):
+            self._delay = delay
+            schedule(event, delay)
+
+        def call_later(delay, fn, *args):
+            self._delay = delay
+            return later(delay, fn, *args)
+
+        def call_at(when, fn, *args):
+            self._delay = when - sim.now
+            return at(when, fn, *args)
+
+        sim._schedule, sim.call_later, sim.call_at = _schedule, call_later, call_at
+        return self
+
+    def _tap(self, counter: Any) -> Any:
+        for seq in counter:
+            if self._delay == 0 and self._current_root is not None:
+                self._pending_root[seq] = (self.sim.now, self._current_root)
+            yield seq

@@ -134,7 +134,7 @@ def test_sanitizer_sees_callback_events_and_keeps_zero_delay_chains_together():
 def test_profiler_counts_callback_dispatches_under_their_public_kind():
     sim = Simulator()
     prof = Profiler()
-    sim._prof = prof  # what Profiler.hook(net) does for a whole network
+    prof._hook_sim(sim)  # what Profiler.hook(net) does to a network's simulator
     for i in range(5):
         sim.call_later(float(i), lambda: None)
     sim.timeout(9.0)

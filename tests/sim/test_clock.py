@@ -55,34 +55,22 @@ def test_a_nan_delay_is_refused_and_later_calls_still_run(schedule):
     assert ran == [i * 0.5 for i in range(1, 11)] and sim.now == 5.0
 
 
-class _Schedules:
-    """The one sanitizer hook the scheduling calls reach: it gets the heap
-    entry's sequence number, not an event (a call is none)."""
-
-    def __init__(self):
-        self.seen = []
-
-    def _on_schedule(self, seq, delay):
-        self.seen.append((seq, delay))
-
-
 @given(
     now=st.floats(0.0, 1e6, allow_nan=False),
     ahead=st.floats(0.0, 1e6, allow_nan=False),
 )
 def test_call_at_lands_on_exactly_the_time_call_later_would(now, ahead):
     when = now + ahead
-    stamps, hooks = [], []
+    pushed = []
     for schedule in (
         lambda sim: sim.call_later(when - sim.now, lambda: None),
         lambda sim: sim.call_at(when, lambda: None),
     ):
         sim = Simulator()
         sim.run(until=now)
-        sim._sanitizer = hook = _Schedules()
         schedule(sim)
-        stamps.append(sim.peek())
-        hooks.append(hook.seen)
-    assert stamps[0] == stamps[1]  # ==, not isclose: the same float
+        (entry,) = sim._heap
+        pushed.append(entry[:2])  # (when, seq)
+    assert pushed[0][0] == pushed[1][0]  # ==, not isclose: the same float
     # both draw the fresh simulator's first sequence number
-    assert hooks[0] == hooks[1] == [(0, when - now)]
+    assert pushed[0][1] == pushed[1][1] == 0

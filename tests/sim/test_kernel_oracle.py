@@ -5,10 +5,11 @@ events that succeed or fail (now or later), processes that yield timeouts,
 pending and already-processed events, ``AllOf`` / ``AnyOf`` and each other,
 ``interrupt``, zero delays and equal-time ties — and runs each one on
 :mod:`repro.sim.engine` and on the oracle kernel in ``kernel_oracle.py``,
-where every ``call_later`` is a ``Callback`` event.  Both must dispatch the
-same ``(time, label, heap depth)`` sequence, have the same effects and give
-the same sanitizer findings; the plain kernel must have the same effects
-with its hooks off as on.
+where every ``call_later`` is a ``Callback`` event.  Both are watched the
+same way, by wrappers set on the simulator from outside; both must dispatch
+the same ``(time, label, heap depth)`` sequence, have the same effects and
+give the same sanitizer findings; the plain kernel must have the same
+effects bare as watched.
 """
 
 import collections
@@ -76,35 +77,23 @@ class _Shared:
     """Weak-referenceable stand-in for a piece of shared simulation state."""
 
 
-class _Dispatches(Profiler):
-    """The real profiler, also logging each dispatch as (time, label, depth)."""
+def _record_dispatches(sim, label):
+    """Wrap ``sim.step`` from outside: log each dispatch as (time, label, depth)."""
+    seen, inner = [], sim.step
 
-    def __init__(self):
-        super().__init__()
-        self.seen = []
+    def step():
+        heap = sim._heap
+        if heap:
+            seen.append((heap[0][0], label(heap[0][2]), len(heap)))
+        return inner()
 
-    def _on_step(self, when, fn, heap_depth):
-        self.seen.append((when, dispatch_kind(fn), heap_depth))
-        super()._on_step(when, fn, heap_depth)
+    sim.step = step
+    return seen
 
 
-class _OracleDispatches:
-    """The oracle kernel's profiler hooks: they are handed the event."""
-
-    def __init__(self):
-        self.seen = []
-
-    def _on_step(self, when, event, heap_depth):
-        self.seen.append((when, "event." + type(event).__name__, heap_depth))
-
-    def _on_step_end(self):
-        pass
-
-    def enter(self, name):
-        pass
-
-    def exit(self):
-        pass
+def _event_kind(event):
+    """The oracle's heap holds events: its label is the event's class."""
+    return "event." + type(event).__name__
 
 
 class _Run:
@@ -117,14 +106,16 @@ class _Run:
         self.events = []
         self.procs = []
         self.states = [_Shared() for _ in range(3)]
-        self.san = self.prof = None
+        self.san = self.prof = self.seen = None
         if hooks:
             if kernel is engine:
                 self.san = SimSanitizer.attach(sim, strict=strict)
-                self.prof = sim._prof = _Dispatches()
+                self.prof = Profiler()
+                self.prof._hook_sim(sim)
+                self.seen = _record_dispatches(sim, dispatch_kind)
             else:
-                self.san = oracle.IdKeyedSanitizer.attach(sim, strict=strict)
-                self.prof = sim._prof = _OracleDispatches()
+                self.san = oracle.DelayKeyedSanitizer.attach(sim, strict=strict)
+                self.seen = _record_dispatches(sim, _event_kind)
         for action in program:
             self.do(action)
         try:
@@ -224,14 +215,15 @@ class _Run:
 def test_plain_calls_dispatch_what_callback_events_did(program, strict):
     new = _Run(engine, program, hooks=True, strict=strict)
     old = _Run(oracle, program, hooks=True, strict=strict)
-    assert new.prof.seen == old.prof.seen
+    assert new.seen == old.seen
     assert new.log == old.log
     assert new.findings == old.findings
     # the profiler's own counters say what the dispatch labels say
-    kinds = collections.Counter(label for _when, label, _depth in old.prof.seen)
+    kinds = collections.Counter(label for _when, label, _depth in old.seen)
     counted = new.prof.counters.get("sim.dispatch", {})
     assert {k: v for k, v in counted.items() if k.startswith("event.")} == kinds
-    # hooks off: the dead-branch path has the same effects
+    assert counted.get("heap.depth.sum", 0) == sum(d for _w, _l, d in old.seen)
+    # hooks off: the bare kernels have the same effects
     bare = _Run(engine, program, hooks=False)
     assert bare.log == new.log == _Run(oracle, program, hooks=False).log
 
@@ -252,8 +244,8 @@ def test_the_generator_reaches_every_dispatch_kind():
     ]
     new = _Run(engine, program, hooks=True)
     old = _Run(oracle, program, hooks=True)
-    assert new.prof.seen == old.prof.seen and new.log == old.log
-    labels = {label for _when, label, _depth in new.prof.seen}
+    assert new.seen == old.seen and new.log == old.log
+    labels = {label for _when, label, _depth in new.seen}
     assert labels == {"event.Callback", "event.Timeout", "event.Event",
                       "event.AllOf", "event.AnyOf", "event.Process"}
     assert any(entry[1] == "raised" for entry in new.log if len(entry) > 2)
