@@ -13,8 +13,8 @@ Two numbers the packet hot path is made of:
   for the classifier.  (SimPy is not installed in this environment, so the
   SimPy per-packet-process comparison ROADMAP asks for is still open.)
 * **host microseconds per switch hop** — packets through a scripted chain
-  of rewriting switches (``SetField`` + ``Output`` per hop, every trace
-  record kept), end to end: link serialization, pipeline delay, one
+  of rewriting switches (``SetField`` + ``Output`` per hop, no recorder
+  attached), end to end: link serialization, pipeline delay, one
   classification, one copy.
 
 The acceptance bar is >=2.0x callbacks per second over the reference.  Run

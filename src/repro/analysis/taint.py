@@ -25,8 +25,8 @@ The pass is an intraprocedural AST dataflow, one scope at a time:
 * **sinks** report a finding when reached by tainted data — logging,
   ``print``, ``warnings``, stderr writes, JSON serialization, exception
   constructors in ``raise``, and every function annotated
-  ``# taint: sink`` (the :mod:`repro.obs` exporters and trace writers
-  carry these annotations).
+  ``# taint: sink`` (the :mod:`repro.obs` metric exporters and the
+  journey and Perfetto writers carry these annotations).
 
 Annotations are collected project-wide before linting, so a sink defined
 in ``repro.obs.exporters`` is honoured in every file that calls it.

@@ -83,17 +83,6 @@ DECOY_DROP_PRIORITY = 60
 REQUEST_WIRE_BYTES = 128
 REPLY_WIRE_BYTES = 96
 
-# trace field names, one shared tuple per record shape (see repro.sim.trace)
-_ESTABLISH_KEYS = ("channel_id", "initiator", "responder", "n_flows", "n_mns")
-_TEARDOWN_KEYS = ("channel_id",)
-_REPAIR_KEYS = ("channel_id", "flow_id", "new_walk")
-_PARK_KEYS = ("channel_id", "flow_id", "reason")
-_RESYNC_KEYS = ("switch", "rules")
-_CRASH_KEYS = (
-    "shard", "channels_adopted", "repairs_rescheduled", "flows_reparked",
-)
-_REJOIN_KEYS = ("shard",)
-
 
 @dataclass(frozen=True)
 class McRequest:
@@ -183,6 +172,11 @@ class MimicController(ControllerApp):
             raise ValueError(f"unknown cpu model {cpu_model!r}")
         if not 0.0 <= flowmod_cpu_s < math.inf:
             raise ValueError(f"flowmod_cpu_s {flowmod_cpu_s} must be finite and >= 0")
+        # nan included: a zero period livelocks the expiry / park loops
+        if idle_timeout_s is not None and not idle_timeout_s > 0:
+            raise ValueError(f"idle_timeout_s {idle_timeout_s} must be > 0 or None")
+        if not park_retry_s > 0:
+            raise ValueError(f"park_retry_s {park_retry_s} must be > 0")
         self.mn_strategy = mn_strategy
         # Imported here, not at module top: anonymity.base needs the core
         # channel/collision types at load time, so a top-level import would
@@ -504,11 +498,6 @@ class MimicController(ControllerApp):
         shard.compiled.update(intents)
         if self.verify_installs:
             self.verify().raise_if_failed()
-        if self.net.trace is not None:
-            self.net.trace.emit(
-                self.sim.now, "mic.establish", "MC", _ESTABLISH_KEYS,
-                channel_id, initiator, responder_host, n_flows, n_mns,
-            )
         self.strategy.on_established(channel)
         establish_span.finish()
         return ChannelGrant(
@@ -794,10 +783,6 @@ class MimicController(ControllerApp):
                 self._retract(plan.cookie, compiled)
             self._release_flow(channel_id, plan)
             shard.parked.pop(plan.cookie, None)
-        if self.net.trace is not None:
-            self.net.trace.emit(
-                self.sim.now, "mic.teardown", "MC", _TEARDOWN_KEYS, channel_id
-            )
         self.strategy.on_teardown(channel)
 
     def _release_flow(self, channel_id: int, plan: MFlowPlan) -> None:
@@ -923,11 +908,11 @@ class MimicController(ControllerApp):
                         proto=old.proto,
                     )
                 except (EstablishError, ValueError, KeyError, IndexError,
-                        NoPathError) as exc:
+                        NoPathError):
                     # No surviving path (or not enough switches on any):
                     # park the flow instead of killing the sim; the parked
                     # loop and heal events will bring it back.
-                    self._park_flow(shard, channel, idx, old, str(exc))
+                    self._park_flow(shard, channel, idx, old)
                     span.finish(outcome="parked")
                     return
                 compiled = self.strategy.compile_flow(
@@ -964,30 +949,16 @@ class MimicController(ControllerApp):
                 self.repairs_completed += 1
             if self.verify_installs:
                 self.verify().raise_if_failed()
-            if self.net.trace is not None:
-                self.net.trace.emit(
-                    self.sim.now,
-                    "mic.rotate" if kind == "rotate" else "mic.repair",
-                    "MC",
-                    _REPAIR_KEYS,
-                    channel.channel_id, old.flow_id, list(new_plan.walk),
-                )
             span.finish(outcome="rotated" if kind == "rotate" else "repaired")
         finally:
             shard.repairing.discard(cookie)
 
     # -- parked flows (no surviving path) ----------------------------------
     def _park_flow(
-        self, shard: Shard, channel: MimicChannel, idx: int, old: MFlowPlan,
-        reason: str,
+        self, shard: Shard, channel: MimicChannel, idx: int, old: MFlowPlan
     ) -> None:
         shard.parked[old.cookie] = (channel, idx)
         self.repairs_parked += 1
-        if self.net.trace is not None:
-            self.net.trace.emit(
-                self.sim.now, "mic.park", "MC", _PARK_KEYS,
-                channel.channel_id, old.flow_id, reason,
-            )
         self._ensure_park_loop(shard, old.cookie)
 
     def _ensure_park_loop(self, shard: Shard, cookie: int) -> None:
@@ -1077,10 +1048,6 @@ class MimicController(ControllerApp):
         self.resyncs_completed += 1
         if self.verify_installs:
             self.verify().raise_if_failed()
-        if self.net.trace is not None:
-            self.net.trace.emit(
-                self.sim.now, "mic.resync", "MC", _RESYNC_KEYS, name, n_rules
-            )
         span.finish(rules=n_rules)
 
     def _expiry_loop(self):
@@ -1145,11 +1112,6 @@ class MimicController(ControllerApp):
                     self._schedule_repair(adopter, channel, idx)
                     self.repairs_rescheduled += 1
         self.channels_adopted += adopted
-        if self.net.trace is not None:
-            self.net.trace.emit(
-                self.sim.now, "mic.shard.crash", "MC", _CRASH_KEYS,
-                shard_id, adopted, len(was_repairing), len(was_parked),
-            )
         span.finish(channels_adopted=adopted)
 
     def rejoin_shard(self, shard_id: int) -> None:
@@ -1159,10 +1121,6 @@ class MimicController(ControllerApp):
             return
         shard.alive = True
         self._alive_ids = tuple(s.shard_id for s in self.shards if s.alive)
-        if self.net.trace is not None:
-            self.net.trace.emit(
-                self.sim.now, "mic.shard.rejoin", "MC", _REJOIN_KEYS, shard_id
-            )
 
     # -- introspection ------------------------------------------------------
     def verify(self):

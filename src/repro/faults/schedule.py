@@ -13,9 +13,9 @@ Determinism: the schedule draws from its own ``random.Random(seed)`` and
 consumption happens in simulator event order, so the same seed over the
 same scenario reproduces the same faults bit for bit.  An **empty**
 schedule is inert: ``attach`` schedules nothing and leaves the
-controller's fault plane unset, keeping traces byte-identical to a run
-with no schedule at all (test-enforced, like the observability layer's
-disabled path).
+controller's fault plane unset, so the run dispatches exactly the events
+of a run with no schedule at all (test-enforced, like the observability
+layer's disabled path).
 """
 
 from __future__ import annotations

@@ -28,9 +28,6 @@ NIC_PORT = 0
 #: so every such packet shares this instance)
 _BROADCAST_MAC = MacAddr(0xFFFFFFFFFFFF)
 
-# trace field names, one shared tuple per record shape (see repro.sim.trace)
-_REFUSED_KEYS = ("uid", "proto", "dport")
-
 
 class Host(Node):
     """An end host with a single NIC on port 0."""
@@ -55,6 +52,7 @@ class Host(Node):
         self.packets_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
+        self.packets_refused = 0
         self._ephemeral_next = 49152
         self._uids = sim.ids("packet.uid")
         self._tags = sim.ids("packet.tag")
@@ -161,8 +159,6 @@ class Host(Node):
             handler(self, packet)
         elif self.default_handler is not None:
             self.default_handler(self, packet)
-        elif self.trace is not None:
-            self.trace.emit(
-                self.sim.now, "host.refused", self.name, _REFUSED_KEYS,
-                packet.uid, packet.proto, packet.dport,
-            )
+        else:
+            # nothing bound and no default handler: the stack refuses it
+            self.packets_refused += 1

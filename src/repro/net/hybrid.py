@@ -130,8 +130,8 @@ HANDOFF_CONTRACT: tuple[HandoffInvariant, ...] = (
     ),
     HandoffInvariant(
         "fluid-blindness",
-        "Fluid flows emit no packets: journeys, traces, switch counters and "
-        "attack observers cannot see them.  Any flow a subsystem must "
+        "Fluid flows emit no packets: journeys, switch counters and attack "
+        "observers cannot see them.  Any flow a subsystem must "
         "observe packet-by-packet is pinned to packet fidelity instead.",
     ),
 )

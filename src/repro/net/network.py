@@ -1,7 +1,6 @@
 """Network assembly: turn a :class:`Topology` into live simulated devices.
 
-Owns the simulator, the node registry and the port wiring, and attaches
-the trace log (:meth:`Network.attach_trace`) when somebody asks for one.
+Owns the simulator, the node registry and the port wiring.
 Port numbering: hosts use NIC port 0; switch ports are numbered 1..degree in
 the (stable) order the topology lists its edges.
 """
@@ -10,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim import Simulator, TraceLog
+from ..sim import Simulator
 from .addresses import IPv4Addr
 from .host import Host
 from .link import Link
@@ -20,10 +19,6 @@ from .switch import Switch
 from .topology import Topology
 
 __all__ = ["Network"]
-
-# trace field names, one shared tuple per record shape (see repro.sim.trace)
-_LINK_STATE_KEYS = ("up",)
-_SWITCH_STATE_KEYS = ("up", "entries_lost")
 
 
 class Network:
@@ -39,9 +34,6 @@ class Network:
         self.topo = topo
         self.params = params
         self.sim = Simulator(seed=seed)
-        #: the attached :class:`TraceLog`, shared by every node
-        #: (None = nothing recorded; see :meth:`attach_trace`)
-        self.trace: Optional[TraceLog] = None
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
         #: (node_name, neighbor_name) -> local port number
@@ -96,35 +88,6 @@ class Network:
             self._link_index[(a, b)] = link
             self._link_index[(b, a)] = link
 
-    # -- the trace log ------------------------------------------------------
-    def attach_trace(self, categories: Optional[set[str]] = None) -> TraceLog:
-        """Start recording: a fresh :class:`TraceLog` on the network and
-        every host and switch.
-
-        Records start at this instant; nothing before it is kept.
-        ``categories`` limits what is kept (None keeps everything).  The
-        controllers read ``net.trace`` at each emit, so they follow.  A
-        network carries one log at a time: attaching while one is attached
-        raises ``ValueError`` (the first would stop recording with its rows
-        still readable); :meth:`detach_trace` that one first.
-        """
-        if self.trace is not None:
-            raise ValueError(
-                "a trace log is already attached to this network; detach it first"
-            )
-        log = TraceLog(categories=categories)
-        self._set_trace(log)
-        return log
-
-    def detach_trace(self) -> None:
-        """Stop recording: every node goes back to no log."""
-        self._set_trace(None)
-
-    def _set_trace(self, log: Optional[TraceLog]) -> None:
-        self.trace = log
-        for node in self.nodes.values():
-            node.trace = log
-
     # -- lookups ----------------------------------------------------------
     def node(self, name: str) -> Node:
         """Any node by name."""
@@ -168,10 +131,6 @@ class Network:
         """Bring a link down/up and notify listeners (port-status events)."""
         link = self.link_between(a, b)
         link.set_up(up)
-        if self.trace is not None:
-            self.trace.emit(
-                self.sim.now, "link.state", f"{a}<->{b}", _LINK_STATE_KEYS, up
-            )
         for listener in list(self.link_listeners):
             listener(a, b, up)
 
@@ -187,15 +146,10 @@ class Network:
         sw = self.switch(name)
         if up == sw.alive:
             return
-        lost = 0
         if up:
             sw.reboot()
         else:
-            lost = sw.crash()
-        if self.trace is not None:
-            self.trace.emit(
-                self.sim.now, "switch.state", name, _SWITCH_STATE_KEYS, up, lost
-            )
+            sw.crash()
         for listener in list(self.switch_listeners):
             listener(name, up)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..sim import Simulator, TraceLog
+from ..sim import Simulator
 from .packet import Packet
 from .params import NetParams
 
@@ -57,8 +57,6 @@ class Node:
 
     def __init__(self, sim: Simulator, name: str, params: NetParams):
         self.sim = sim
-        #: the network's attached trace log (None = nothing recorded)
-        self.trace: Optional[TraceLog] = None
         self.name = name
         self.params = params
         self.ports: dict[int, "Channel"] = {}

@@ -19,10 +19,6 @@ from .params import NetParams
 
 __all__ = ["Switch", "SwitchDownError"]
 
-# trace field names, one shared tuple per record shape (see repro.sim.trace)
-_UID_KEYS = ("uid",)
-_ENTRY_KEYS = ("entry",)
-
 
 class SwitchDownError(RuntimeError):
     """A flow-mod reached a switch whose chassis is down (crashed)."""
@@ -88,11 +84,6 @@ class Switch(Node):
         pipeline delay."""
         if not self.alive:
             self.packets_dropped_dead += 1
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now, "switch.dead_drop", self.name, _UID_KEYS,
-                    packet.uid,
-                )
             return
         if self.mirror_taps:
             self._mirror(packet, in_port, "in")
@@ -128,11 +119,6 @@ class Switch(Node):
         if not self.alive:
             # Crashed mid-pipeline: the packet dies with the chassis.
             self.packets_dropped_dead += 1
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now, "switch.dead_drop", self.name, _UID_KEYS,
-                    packet.uid,
-                )
             return
         packet.ttl -= 1
         if packet.ttl <= 0:
@@ -183,8 +169,7 @@ class Switch(Node):
         same callback (a rule can never be live before the group it points
         at), each rule feeding the table's classification index
         incrementally, and the lookup cache is invalidated once per batch
-        rather than per rule.  Emits one ``switch.flowmod`` trace record per
-        entry while a trace log is attached.  On a capacity overflow the
+        rather than per rule.  On a capacity overflow the
         event fails, with a ``TableFullError`` naming the switch, after
         installing the groups and the entries that fit — the same
         observable state as issuing the installs one by one; a down switch
@@ -207,16 +192,6 @@ class Switch(Node):
             try:
                 self.table.install(entry)
             except TableFullError as exc:
-                if self.trace is not None:
-                    self.trace.emit(
-                        self.sim.now, "switch.table_full", self.name,
-                        _ENTRY_KEYS, entry.describe(),
-                    )
                 ev.fail(TableFullError(f"{self.name}: {exc}"))
                 return
-            if self.trace is not None:
-                self.trace.emit(
-                    self.sim.now, "switch.flowmod", self.name,
-                    _ENTRY_KEYS, entry.describe(),
-                )
         ev.succeed()

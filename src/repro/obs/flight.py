@@ -5,12 +5,12 @@ Aircraft-style black box for the data plane.  The recorder keeps the last
 ring buffers, so memory stays bounded no matter how long the run is, and
 when an **anomaly trigger** fires it snapshots every ring into a
 :class:`FlightDump` — the events *leading up to* the anomaly, which the
-post-hoc trace log alone cannot give you without retaining everything.
+post-hoc journey log alone cannot give you without retaining everything.
 
 The recorder rides on :class:`~repro.obs.journey.JourneyRecorder` hooks and
 sees every event regardless of the journey sampling decision (arming a
 flight recorder makes the hooks process every packet — retention stays
-bounded, and the sim-visible trace stays byte-identical either way).  The
+bounded, and the run dispatches exactly the same events either way).  The
 journey recorder's one sink appends each record straight into its
 location's ring and calls :meth:`FlightRecorder.fire` only for kinds in
 :attr:`FlightRecorder.armed_kinds`.  A ring holds what the journey

@@ -7,8 +7,8 @@ identities that survive rewrites (:attr:`Packet.uid` per instance,
 :attr:`Packet.content_tag` per wire content, shared by multicast decoy
 copies).  Each hop records ingress port, matched rule, the rewrite applied
 (old → new header tuple), queue wait, serialization time, and egress.  It
-is the simulator's one per-packet record (the trace log keeps control-plane
-actions and state changes), and it gives:
+is the data path's one inline recorder (control-plane actions and state
+changes live in the controllers' counters and spans), and it gives:
 
 * **ground truth** for the attack modules — adversary success is scored
   against exact packet linkage instead of heuristics
@@ -19,10 +19,9 @@ actions and state changes), and it gives:
   with rewrite annotations (:mod:`repro.obs.perfetto`).
 
 Observation without perturbation still holds: every hook is a single
-``is None`` check on the hot path, the recorder schedules no events, emits
-no trace records, and touches no RNG (sampling decisions hash the content
-tag), so a traced run's trace log is byte-identical to an untraced one —
-even at full sampling.  With ``sample_rate=0``, no predicate and no flight
+``is None`` check on the hot path, the recorder schedules no events and
+touches no RNG (sampling decisions hash the content tag), so a traced run
+dispatches exactly the events of an untraced one — even at full sampling.  With ``sample_rate=0``, no predicate and no flight
 recorder the configuration is statically dead and :meth:`JourneyRecorder.attach`
 installs no hooks at all, so the disabled default costs nothing.
 """
@@ -180,7 +179,7 @@ def format_journey_table() -> str:
 #   (time_s, kind, where, uid, content_tag, keys, *values)
 # with ``keys`` the kind's ``fields`` tuple from JOURNEY_EVENTS.  It holds
 # scalars, strings and header tuples only, so the collector stops tracking
-# it (see repro.sim.trace).  The queries read the columns they need by
+# it the first time it looks.  The queries read the columns they need by
 # position; a JourneyEvent is built only for callers that ask for events.
 # How a recorder stores a row is the packed log below.
 _TIME, _KIND, _WHERE, _UID, _TAG, _KEYS, _VALUES = range(7)

@@ -14,8 +14,9 @@ Observation is opt-in and cost-free when absent: counters and gauges are
 *read* at snapshot time from tallies the simulation keeps anyway.  Packet
 latency is observed from outside, by a wrapper :meth:`Observer.attach` sets
 on each host's ``receive`` (no host knows an observer exists); the MC's
-spans sit behind its ``obs`` slot.  Neither schedules, traces or touches an
-RNG — an observed run's trace is byte-identical to an unobserved one.  The
+spans sit behind its ``obs`` slot.  Neither schedules an event nor touches
+an RNG — an observed run dispatches exactly the events of an unobserved
+one.  The
 per-packet journey recorder is attached on its own
 (:meth:`repro.obs.JourneyRecorder.attach`, ``deploy_mic(journey=True)``).
 """

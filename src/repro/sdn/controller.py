@@ -21,12 +21,6 @@ from .discovery import FailureDetector, TopologyView
 
 __all__ = ["Controller", "ControllerApp", "InstallLostError"]
 
-# trace field names, one shared tuple per record shape (see repro.sim.trace)
-_UID_KEYS = ("uid",)
-_PACKET_IN_KEYS = ("uid", "src_ip", "dst_ip")
-_UP_KEYS = ("up",)
-_ATTEMPT_KEYS = ("attempt",)
-
 
 class InstallLostError(RuntimeError):
     """Every retry of a flow-mod was lost before reaching the switch."""
@@ -78,6 +72,12 @@ class Controller:
         ack_timeout_s: float = 0.004,
         max_install_retries: int = 8,
     ):
+        if not ack_timeout_s > 0:  # nan included
+            raise ValueError(f"ack_timeout_s {ack_timeout_s} must be > 0")
+        if not (isinstance(max_install_retries, int) and max_install_retries >= 0):
+            raise ValueError(
+                f"max_install_retries {max_install_retries!r} must be an int >= 0"
+            )
         self.network = network
         self.sim = network.sim
         self.view = TopologyView(network.topo)
@@ -113,18 +113,8 @@ class Controller:
         if self.faults is not None and self.faults.packet_in_blocked(switch.name):
             # Control-channel partition: the punt never reaches the MC.
             self.packet_ins_blocked += 1
-            if self.network.trace is not None:
-                self.network.trace.emit(
-                    self.sim.now, "ctrl.packet_in_blocked", switch.name,
-                    _UID_KEYS, packet.uid,
-                )
             return
         self.packet_in_count += 1
-        if self.network.trace is not None:
-            self.network.trace.emit(
-                self.sim.now, "ctrl.packet_in", switch.name, _PACKET_IN_KEYS,
-                packet.uid, packet.ip_src.text, packet.ip_dst.text,
-            )
         for app in self.apps:
             if app.on_packet_in(switch, packet, in_port):
                 return
@@ -133,10 +123,6 @@ class Controller:
         self.detector.deliver(self._on_link_detected, a, b, up)
 
     def _on_link_detected(self, a: str, b: str, up: bool) -> None:
-        if self.network.trace is not None:
-            self.network.trace.emit(
-                self.sim.now, "ctrl.link_event", f"{a}<->{b}", _UP_KEYS, up
-            )
         self.view.set_link_state(a, b, up)
         for app in self.apps:
             app.on_link_event(a, b, up)
@@ -145,10 +131,6 @@ class Controller:
         self.detector.deliver(self._on_switch_detected, name, up)
 
     def _on_switch_detected(self, name: str, up: bool) -> None:
-        if self.network.trace is not None:
-            self.network.trace.emit(
-                self.sim.now, "ctrl.switch_event", name, _UP_KEYS, up
-            )
         for app in self.apps:
             app.on_switch_event(name, up)
 
@@ -201,11 +183,6 @@ class Controller:
                 lost, extra = self.faults.flowmod_fate(switch_name)
                 if lost:
                     self.flow_mods_lost += 1
-                    if self.network.trace is not None:
-                        self.network.trace.emit(
-                            self.sim.now, "ctrl.flowmod_lost", switch_name,
-                            _ATTEMPT_KEYS, attempt,
-                        )
                     yield self.sim.timeout(timeout)
                     timeout *= 2
                     continue

@@ -17,7 +17,6 @@ from .engine import (
     Timeout,
 )
 from .resources import Resource, Store
-from .trace import TraceLog, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -31,6 +30,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "TraceLog",
-    "TraceRecord",
 ]

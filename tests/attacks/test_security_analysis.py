@@ -157,7 +157,6 @@ class TestMnCorrelation:
     def test_decoy_packets_die_at_next_hop(self):
         net, ctrl, mic = build()
         journey = JourneyRecorder.attach(net)
-        net.attach_trace({"host.refused"})
         channel = run_channel(net, mic, n_mns=2, decoys=2)
         # Decoy copies (multicast copies never delivered) were made, and
         # each died in the pipeline of the switch it reached next: every
@@ -173,7 +172,7 @@ class TestMnCorrelation:
         last = {ev.uid: ev.kind for ev in rows}
         assert {last[uid] for uid in decoys} == {"switch.ingress"}
         assert events(journey, "host.foreign_drop") == []
-        assert net.trace.by_category("host.refused") == []
+        assert [h.packets_refused for h in net.hosts()] == [0] * len(net.hosts())
 
 
 class TestSizeAnalysis:

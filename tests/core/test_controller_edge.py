@@ -13,9 +13,9 @@ from repro.sdn import Controller, L3ShortestPathApp
 from tests.faults.orphans import orphan_mic_state
 
 
-def build(topo=None, seed=0, **kw):
+def build(topo=None, seed=0, controller_kwargs=None, **kw):
     net = Network(topo or fat_tree(4), seed=seed)
-    ctrl = Controller(net)
+    ctrl = Controller(net, **(controller_kwargs or {}))
     mic = ctrl.register(MimicController(**kw))
     ctrl.register(L3ShortestPathApp())
     return net, ctrl, mic
@@ -84,25 +84,36 @@ class TestEstablishValidation:
         assert mic.registry.total_keys() == 0
 
 
-@settings(max_examples=40, deadline=None)
+#: numbers the controllers take at construction (the rest are establish's)
+MC_PARAMS = ("flowmod_cpu_s", "idle_timeout_s", "park_retry_s")
+CONTROLLER_PARAMS = ("ack_timeout_s", "max_install_retries")
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    param=st.sampled_from(["flowmod_cpu_s", "decoys", "n_mns", "n_flows"]),
+    param=st.sampled_from(
+        [*MC_PARAMS, *CONTROLLER_PARAMS, "decoys", "n_mns", "n_flows"]
+    ),
     value=st.sampled_from([0, -1, math.nan, math.inf, 1.5]),
 )
 def test_a_bad_number_works_or_fails_before_any_simulated_work(param, value):
-    """A bad cost is refused at construction; a bad count before the
-    establish draws a number, mints an id or touches a table.  Whatever
-    gets through must grant a channel."""
+    """A bad cost, timeout, period or retry budget is refused at
+    construction; a bad count before the establish draws a number, mints
+    an id or touches a table.  Whatever gets through must grant a
+    channel."""
     kwargs = {"cpu_model": "serialized"}
+    controller_kwargs = {}
     request = {"decoys": 1}
-    if param == "flowmod_cpu_s":
+    if param in MC_PARAMS:
         kwargs[param] = value
+    elif param in CONTROLLER_PARAMS:
+        controller_kwargs[param] = value
     else:
         request[param] = value
     try:
-        net, ctrl, mic = build(**kwargs)
+        net, ctrl, mic = build(controller_kwargs=controller_kwargs, **kwargs)
     except ValueError:
-        assert param == "flowmod_cpu_s"
+        assert param in MC_PARAMS + CONTROLLER_PARAMS
         return
     proc = net.sim.process(mic.establish("h1", "h16", service_port=80, **request))
     before = (
@@ -116,9 +127,25 @@ def test_a_bad_number_works_or_fails_before_any_simulated_work(param, value):
             mic.rng.getstate(), {k: repr(v) for k, v in net.sim._ids.items()},
             sum(len(sw.table) for sw in net.switches()),
         )
-        assert param != "flowmod_cpu_s" and after == before and net.sim.now == 0
+        assert param not in MC_PARAMS + CONTROLLER_PARAMS
+        assert after == before and net.sim.now == 0
         return
     assert proc.value.flows and mic.channels
+
+
+@pytest.mark.parametrize("param, value", [
+    # a zero expiry period livelocked the run; -1 / nan raised mid-run
+    ("idle_timeout_s", 0), ("idle_timeout_s", -1), ("idle_timeout_s", math.nan),
+    ("park_retry_s", 0), ("park_retry_s", math.nan),
+    # -1 retries sent nothing; a zero timeout spent every retry at one instant
+    ("max_install_retries", -1), ("max_install_retries", 1.5),
+    ("ack_timeout_s", 0), ("ack_timeout_s", -1), ("ack_timeout_s", math.nan),
+])
+def test_a_bad_period_or_retry_budget_is_refused_at_construction(param, value):
+    controller_kwargs, kwargs = {}, {}
+    (controller_kwargs if param in CONTROLLER_PARAMS else kwargs)[param] = value
+    with pytest.raises(ValueError, match=param):
+        build(controller_kwargs=controller_kwargs, **kwargs)
 
 
 def fail_nth_draw(mic, nth):

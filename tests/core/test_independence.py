@@ -20,6 +20,7 @@ from repro.sdn import Controller, L3ShortestPathApp
 from repro.tor import TorClient, TorDirectory, TorRelay
 from repro.transport import TcpStack
 from tests.anonymity.helpers import intent_snapshot, snapshot_json
+from tests.watchers import step_log
 
 CASES = [(s, n) for s in ("mic", "tarn", "frvm") for n in (1, 4)]
 STEP_S, STEPS = 0.1, 20
@@ -34,7 +35,7 @@ class EchoRun:
             topo, seed=seed, journey=True, shards=shards,
             mic_kwargs={"strategy": strategy},
         )
-        self.trace = dep.net.attach_trace()
+        self.steps = step_log(dep.sim)
         self.echoed = []
         for a, b, port in pairs:
             dep.sim.process(self._server(dep.server(b, port)))
@@ -61,7 +62,7 @@ class EchoRun:
         journeys = journeys_to_json(dep.journey)
         assert journeys["journeys"], "no packet was recorded"
         return (
-            [repr(r) for r in self.trace.records],
+            self.steps,
             journeys,
             snapshot_json(intent_snapshot(dep)),
         )

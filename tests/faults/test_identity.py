@@ -2,22 +2,25 @@
 
 Mirrors the observability layer's disabled-path guarantee
 (tests/obs/test_observer_effect.py): a deployment with an *empty*
-FaultSchedule attached must produce exactly the trace log and the journey
-rows (every packet event) of a deployment with no schedule at all — no events scheduled, no fault plane hooked, no RNG
-touched, no heap perturbation from the failure detector.
+FaultSchedule attached must dispatch exactly the events (``step_log``:
+when, heap sequence number, callable) and record exactly the journey rows
+(every packet event) of a deployment with no schedule at all — no events
+scheduled, no fault plane hooked, no RNG touched, no heap perturbation
+from the failure detector.
 """
 
 from repro.core import deploy_mic
 from repro.faults import FaultSchedule
+from tests.watchers import step_log
 
 MESSAGE = b"f" * 300
 
 
 def _echo_run(faults=None, seed=7):
-    """One seeded MIC echo h1 <-> h16; returns ((trace reprs, journey rows),
-    end time, dep)."""
+    """One seeded MIC echo h1 <-> h16; returns ((dispatch log, journey
+    rows), end time, dep)."""
     dep = deploy_mic(seed=seed, faults=faults, journey=True)
-    trace = dep.net.attach_trace()
+    steps = step_log(dep.sim)
     server = dep.server("h16", 80)
     alice = dep.endpoint("h1")
 
@@ -34,7 +37,7 @@ def _echo_run(faults=None, seed=7):
     dep.sim.process(client())
     dep.sim.process(srv())
     dep.run_for(2.0)
-    return ([repr(r) for r in trace.records], dep.journey.rows()), dep.sim.now, dep
+    return (steps, dep.journey.rows()), dep.sim.now, dep
 
 
 def test_empty_schedule_is_byte_identical():
@@ -42,7 +45,7 @@ def test_empty_schedule_is_byte_identical():
     sched = FaultSchedule(seed=99)
     faulted, t_faulted, dep = _echo_run(faults=sched)
     assert t_plain == t_faulted
-    assert plain == faulted and plain[1]
+    assert plain == faulted and plain[0] and plain[1]
     # ... and the schedule really attached as a no-op, not not-at-all.
     assert sched.net is dep.net
     assert sched.injected_events == 0

@@ -22,7 +22,6 @@ def _establish(dep, a="h1", b="h16", n_mns=3):
 
 def test_scheduled_flap_triggers_repair_and_heals():
     dep = deploy_mic(fat_tree(4), seed=3)
-    dep.net.attach_trace()
     grant = _establish(dep)
     plan = dep.mic.channels[grant.channel_id].flows[0]
     mid = len(plan.walk) // 2
@@ -38,7 +37,6 @@ def test_scheduled_flap_triggers_repair_and_heals():
     hops = list(zip(new_plan.walk, new_plan.walk[1:]))
     assert edge not in hops and tuple(reversed(edge)) not in hops
     assert dep.mic.repairs_completed == 1
-    assert any(r.category == "mic.repair" for r in dep.net.trace.records)
 
     dep.run_for(0.3)  # past the heal
     link = dep.net.link_between(*edge)
@@ -63,7 +61,6 @@ def test_periodic_flap_fires_each_cycle():
 
 def test_switch_crash_wipes_and_reboot_resyncs():
     dep = deploy_mic(fat_tree(4), seed=3)
-    dep.net.attach_trace()
     grant = _establish(dep)
     plan = dep.mic.channels[grant.channel_id].flows[0]
     mn = plan.walk[plan.mn_positions[0]]
@@ -84,7 +81,6 @@ def test_switch_crash_wipes_and_reboot_resyncs():
     dep.net.run(until=t0 + 0.6)
     assert sw.alive
     assert dep.mic.resyncs_completed == 1
-    assert any(r.category == "mic.resync" for r in dep.net.trace.records)
     # The MC re-drove this flow's rules from stored intent: the plan still
     # verifies end to end against the installed tables.
     report = dep.mic.verify()
@@ -95,7 +91,6 @@ def test_switch_crash_wipes_and_reboot_resyncs():
 
 def test_dead_switch_blackholes_and_refuses_installs():
     dep = deploy_mic(fat_tree(4), seed=3)
-    dep.net.attach_trace()
     sw = dep.net.switch("p0e0")
     dep.net.set_switch_state("p0e0", False)
     h1 = dep.net.host("h1")
@@ -103,7 +98,6 @@ def test_dead_switch_blackholes_and_refuses_installs():
                                   payload_size=64))
     dep.run_for(0.1)
     assert sw.packets_dropped_dead > 0
-    assert any(r.category == "switch.dead_drop" for r in dep.net.trace.records)
 
     failed = {}
 

@@ -22,6 +22,7 @@ from repro.core.client import MicDatagramServer
 from repro.core.controller import EstablishError
 from repro.faults import FaultSchedule, run_chaos, specs as fault_specs
 from repro.net import Group, NetParams, fat_tree
+from tests.watchers import on_bundle
 
 REGRESSIONS = pathlib.Path(__file__).resolve().parent / "regressions"
 
@@ -112,22 +113,23 @@ def _schedule_from_json(text):
 def _drive(deploy_seed, sched):
     """establish(decoys=1) -> link flap -> rotate_flow -> crash / reboot,
     probing throughout; asserts the group-before-rule invariant at every
-    ``switch.flowmod`` record and a traceless teardown at the end."""
+    rule a bundle lands (``on_bundle``) and a traceless teardown at the
+    end."""
     dep = deploy_mic(
         fat_tree(4), seed=deploy_seed, faults=sched,
         controller_kwargs={"detection_latency_s": 0.002},
     )
     net, mic = dep.net, dep.mic
 
-    def groups_precede_their_rules(rec):
-        table = net.switch(rec.node).table
+    def groups_precede_their_rules(sw, _entry):
+        table = sw.table
         for entry in table.iter_entries():
             for action in entry.actions:
                 assert not isinstance(action, Group) or (
                     action.group_id in table.groups
-                ), f"{rec.node} t={rec.time}: {entry.describe()} before its group"
+                ), f"{sw.name} t={dep.sim.now}: {entry.describe()} before its group"
 
-    net.attach_trace({"switch.flowmod"}).subscribe(groups_precede_their_rules)
+    on_bundle(net, groups_precede_their_rules)
     sock = _one_channel(dep)
     channel = mic.channels[sock.channel_id]
 

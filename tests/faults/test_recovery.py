@@ -44,7 +44,6 @@ def _assert_registry_consistent(dep):
 
 def test_no_surviving_path_parks_then_recovers():
     dep, echo, channel_ids = _deploy_channels(1)
-    dep.net.attach_trace()
     plan = dep.mic.channels[channel_ids[0]].flows[0]
     # The responder's access link is the only way in: repair cannot find a
     # surviving walk, so the flow parks instead of killing the sim.
@@ -55,7 +54,6 @@ def test_no_surviving_path_parks_then_recovers():
     assert dep.mic.parked_flows == 1
     assert dep.mic.repairs_parked == 1
     assert dep.mic.repairs_completed == 0
-    assert any(r.category == "mic.park" for r in dep.net.trace.records)
 
     # Still parked after more retry rounds — and the sim is healthy.
     dep.run_for(2.0)

@@ -8,6 +8,7 @@ from repro.net import (
 )
 from repro.sdn import Controller
 from repro.sdn.controller import InstallLostError
+from tests.watchers import on_bundle
 
 
 def _entry(net):
@@ -98,21 +99,19 @@ def test_a_bundle_draws_one_fate_and_is_retried_as_a_unit():
     sched = _loss_schedule(net, ctrl, loss_prob=1.0, duration=0.003, seed=5)
     sw = net.switch("p0a0")
     group_seen_at_flowmod = []
-    net.attach_trace().subscribe(
-        lambda rec: rec.category == "switch.flowmod"
-        and group_seen_at_flowmod.append(1 in sw.table.groups)
-    )
+    on_bundle(net, lambda switch, entry: group_seen_at_flowmod.append(
+        (switch.name, 1 in switch.table.groups)
+    ))
     entries, groups = _bundle(net)
     done = ctrl.install_batch("p0a0", entries, groups)
     net.run(until=1.0)
     assert done.ok
     # one control message: one fate draw per attempt (lost once, then clean),
-    # one loss record, one retry -- not one per entry or per group
+    # one lost attempt, one retry -- not one per entry or per group
     assert (sched.flowmods_lost, ctrl.flow_mods_lost, ctrl.flow_mods_retried) == (1, 1, 1)
-    assert len(net.trace.by_category("ctrl.flowmod_lost")) == 1
     assert ctrl.flow_mods_sent == 2  # entries only, as before bundles
-    # landed once, the group already present at the first rule's record
-    assert group_seen_at_flowmod == [True, True]
+    # landed once, the group already present when the first rule landed
+    assert group_seen_at_flowmod == [("p0a0", True), ("p0a0", True)]
     assert len(list(sw.table.iter_entries())) == 2 and list(sw.table.groups) == [1]
 
 
@@ -148,16 +147,13 @@ def test_partition_blocks_packet_ins():
     sched = FaultSchedule()
     sched.control_partition("p0e0", at_s=0.0, duration_s=10.0)
     sched.attach(net, ctrl)
-    net.attach_trace()
     h1 = net.host("h1")
     # no rules anywhere: the first packet punts to the controller, but the
     # partition swallows the packet-in
     h1.send_packet(h1.make_packet(net.host("h2").ip, dport=80, payload_size=64))
     net.run(until=0.1)
     assert ctrl.packet_ins_blocked > 0
-    assert any(
-        r.category == "ctrl.packet_in_blocked" for r in net.trace.records
-    )
+    assert ctrl.packet_in_count == 0
 
 
 def test_same_seed_same_fates():

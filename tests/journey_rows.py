@@ -1,8 +1,8 @@
 """Per-packet facts read from journey rows.
 
 The journey recorder (:mod:`repro.obs.journey`) is the simulator's one
-per-packet record; the trace log keeps control-plane actions and state
-changes.  At ``sample_rate=1.0`` the journey holds every per-packet fact a
+per-packet record; control-plane actions and state changes live in the
+controllers' counters and spans.  At ``sample_rate=1.0`` the journey holds every per-packet fact a
 test asks about:
 
 * a forwarded copy is a ``switch.egress`` row, which carries the emitted

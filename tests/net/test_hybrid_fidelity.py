@@ -5,7 +5,7 @@ hybrid layer:
 
 * **byte-identity** — a hybrid engine at sample rate 1.0 (every flow
   pinned packet-side, zero fluid flows) must leave the packet engine's
-  trace byte-identical to a run with no engine attached;
+  journey rows byte-identical to a run with no engine attached;
 * **steady-state tolerance** — the same bulk-transfer scenario run fully
   packet and fully fluid must report per-flow goodputs within 5% on
   seeded fat-tree fabrics.

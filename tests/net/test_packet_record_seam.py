@@ -1,9 +1,12 @@
-"""One recorder per packet event: the journey, never the trace log.
+"""The journey is the data path's one inline recorder.
 
-An AST walk of ``src/repro``: every ``trace.emit`` names a literal category
-outside the journey's event kinds, so no data-plane fact is recorded twice.
-Channels carry no trace log at all (``repro/net/link.py`` never mentions
-it), and the per-packet trace renderer ``repro.net.tracefmt`` is gone; a
+There is no trace log: control-plane actions and state changes live in the
+controllers' counters and spans, the switches', hosts' and links' own
+state, and the flow tables; a test that wants the moment of an event wraps
+the instance from outside (``tests/watchers.py``).  So the only hook
+guards left on the packet path are the journey's, and the ROADMAP's
+hook-guard grep over it reads exactly 11.  Channels carry no trace log at
+all, and the per-packet trace renderer ``repro.net.tracefmt`` is gone; a
 packet reads back as journey rows (``format_hop_table``,
 ``python -m repro.obs journey``, the Perfetto export).
 """
@@ -11,39 +14,52 @@ packet reads back as journey rows (``format_hop_table``,
 import ast
 import importlib.util
 import pathlib
+import re
 
 import repro
-from repro.obs import journey_event_kinds
+from repro.net import Network, linear
 
 SRC = pathlib.Path(repro.__file__).parent
 
+#: the ROADMAP's hook-guard grep and the files it reads
+HOOK_GUARD = re.compile(r"(trace|journey|obs|_sanitizer)\b.*is (not )?None")
+HOT_PATH = ("net/switch.py", "net/link.py", "net/host.py", "sim/engine.py")
 
-def _emit_categories():
-    """``(file, line, literal categories)`` per ``<x>.trace.emit(...)`` call."""
+
+def test_the_trace_log_module_is_gone():
+    assert importlib.util.find_spec("repro.sim.trace") is None
+
+
+def test_no_source_emits_on_a_trace_attribute():
+    sites = []
     for file in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
-            if not (
+            if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "emit"
                 and isinstance(node.func.value, ast.Attribute)
                 and node.func.value.attr == "trace"
             ):
-                continue
-            category = node.args[1]
-            yield file.relative_to(SRC).as_posix(), node.lineno, {
-                c.value for c in ast.walk(category)
-                if isinstance(c, ast.Constant) and isinstance(c.value, str)
-            }
+                sites.append(f"{file.relative_to(SRC).as_posix()}:{node.lineno}")
+    assert sites == []
 
 
-def test_no_trace_category_is_a_journey_kind():
-    sites = list(_emit_categories())
-    assert len(sites) >= 10  # not vacuous: the controllers and fabric emit
-    kinds = journey_event_kinds()
-    for path, line, categories in sites:
-        assert categories, f"{path}:{line} has no literal category"
-        assert not categories & kinds, f"{path}:{line} records {categories & kinds}"
+def test_nodes_and_networks_carry_no_trace_attribute():
+    net = Network(linear(2, hosts_per_switch=1))
+    assert not hasattr(net, "trace")
+    assert net.nodes and not any(hasattr(n, "trace") for n in net.nodes.values())
+
+
+def test_the_hot_path_keeps_exactly_the_journey_s_hook_guards():
+    lines = [
+        f"{path}: {line.strip()}"
+        for path in HOT_PATH
+        for line in (SRC / path).read_text(encoding="utf-8").splitlines()
+        if HOOK_GUARD.search(line)
+    ]
+    assert len(lines) == 11, "\n".join(lines)
+    assert all("journey" in line for line in lines), "\n".join(lines)
 
 
 def test_channels_carry_no_trace_log():

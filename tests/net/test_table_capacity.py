@@ -71,8 +71,17 @@ class TestMicUnderPressure:
             assert len(keys) == len(set(keys))
 
     def test_failure_event_traced(self):
+        """The refusal is the bundle event failing with the switch's
+        ``TableFullError``, watched from outside each switch."""
         net, mic = self._deploy(capacity=1)
-        net.attach_trace()
+        bundles = []
+        for sw in net.switches():
+            def install_many_later(entries, delay=None, groups=(),
+                                   inner=sw.install_many_later, name=sw.name):
+                bundles.append((name, inner(entries, delay, groups)))
+                return bundles[-1][1]
+
+            sw.install_many_later = install_many_later
 
         def try_one():
             try:
@@ -83,8 +92,13 @@ class TestMicUnderPressure:
 
         proc = net.sim.process(try_one())
         net.run(until=proc)
-        if proc.value == "failed":
-            assert net.trace.by_category("switch.table_full")
+        assert proc.value == "failed"
+        refused = [
+            (name, str(ev.value)) for name, ev in bundles
+            if ev.triggered and not ev.ok and isinstance(ev.value, TableFullError)
+        ]
+        assert refused
+        assert all(text.startswith(f"{name}: ") for name, text in refused)
 
     def test_generous_capacity_unaffected(self):
         net, mic = self._deploy(capacity=500)

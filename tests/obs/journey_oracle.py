@@ -27,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.net.switch import _UID_KEYS
 from repro.obs.flight import _TRIGGERS_BY_NAME, FlightRecorder
 from repro.obs.journey import (
     _EVENTS_BY_KIND,
@@ -510,11 +509,6 @@ def old_classify(self, packet, in_port, resolved, resolved_version, header=None)
     if not self.alive:
         # Crashed mid-pipeline: the packet dies with the chassis.
         self.packets_dropped_dead += 1
-        if self.trace is not None:
-            self.trace.emit(
-                self.sim.now, "switch.dead_drop", self.name, _UID_KEYS,
-                packet.uid,
-            )
         return
     now = self.sim.now
     packet.ttl -= 1

@@ -377,6 +377,33 @@ def test_events_and_queries_read_back_equal_the_eager_goldens():
         rec.journey(10_000)
 
 
+def test_the_scenario_s_other_facts_read_back_from_the_state_that_holds_them():
+    """What the script does besides moving packets is held where it
+    happens: s3's flow-mod is its one installed rule, h3 refused the packet
+    to its unbound port, the s2-s3 link went down and came back, and s1
+    crashed (losing its one rule) and killed one packet at the dead
+    chassis."""
+    net, _rec, flight = run_scenario()
+    s1, s3, h3 = net.switch("s1"), net.switch("s3"), net.host("h3")
+    assert [e.describe() for e in s3.table.iter_entries()] == [
+        "[prio=0] Match(ip_dst=10.0.0.3) -> [set sport=4321, output:2]"
+    ]
+    assert h3.packets_refused == 1
+    assert net.host("h2").packets_refused == 0
+    link = net.link_between("s2", "s3")
+    assert link.forward.up and link.reverse.up
+    downs = [
+        (e.time_s, e.where) for w in flight.locations() for e in flight.ring(w)
+        if e.kind == "link.down"
+    ]
+    assert sorted(downs) == [
+        (0.0011784000000000002, link.forward.name),
+        (0.0011784000000000002, link.reverse.name),
+    ]
+    assert (s1.alive, s1.crashes, s1.packets_dropped_dead) == (False, 1, 1)
+    assert list(s1.table.iter_entries()) == []
+
+
 def test_decoy_bearing_journey_answers_as_before():
     """``delivered_uids`` / ``path`` on a journey with a multicast decoy copy
     (the correlation attack's label source) are the parent's answers."""

@@ -5,7 +5,8 @@ Each example runs one seeded scenario twice, once with
 the verbatim oracle (``journey_oracle.py``, which keeps every row as a
 tuple) on the old one, and requires the same decoded rows,
 ``events_recorded``, flight rings and ``FlightDump.to_dict()`` dumps,
-exported document, Perfetto bytes and (attached) trace log.
+exported document, Perfetto bytes and dispatched-event log
+(``tests/watchers.py``'s ``step_log``).
 
 Three scenarios: a MIC echo (``decoys=1`` multicast emissions, intent
 armed with one expectation forced wrong so that MN diverges, a TTL death, a
@@ -37,6 +38,7 @@ from repro.net import (
 from repro.obs import FlightRecorder, JourneyRecorder, Profiler, journeys_to_json
 from repro.obs.perfetto import to_perfetto
 from tests.recording_scenario import FLIGHT, run_scenario
+from tests.watchers import step_log
 
 MESSAGE = b"q" * 3000  # several segments back to back: a backlog
 #: an out-tuple no rule ever emits
@@ -52,7 +54,12 @@ SAMPLING = st.sampled_from([
 FLIGHT_MODE = st.sampled_from(["off", "armed", "threshold"])
 
 
-def _recorded(rec, flight, trace, prof=None) -> dict:
+#: the oracle binds the old pipeline per switch; its dispatches are the
+#: same calls under another name
+_ORACLE_NAMES = {"old_classify": "Switch._classify"}
+
+
+def _recorded(rec, flight, steps, prof=None) -> dict:
     """Everything a run recorded, as its readers return it."""
     document = journeys_to_json(rec)
     return {
@@ -60,7 +67,9 @@ def _recorded(rec, flight, trace, prof=None) -> dict:
         "events_recorded": rec.events_recorded,
         "document": json.dumps(document),
         "perfetto": json.dumps(to_perfetto(document), indent=1),
-        "trace": None if trace is None else trace._rows,
+        "steps": [
+            (when, seq, _ORACLE_NAMES.get(name, name)) for when, seq, name in steps
+        ],
         "rings": None if flight is None else {
             where: flight.ring(where) for where in flight.rings
         },
@@ -79,7 +88,7 @@ def _assert_same(got: dict, want: dict) -> None:
 def _run(attach, flight_cls, seed, sampling, flight_mode, profiled, flap):
     """One echo h1 <-> h16 under ``attach``; returns everything recorded."""
     dep = deploy_mic(seed=seed)
-    trace = dep.net.attach_trace()
+    steps = step_log(dep.sim)
     flight = None
     if flight_mode != "off":
         flight = flight_cls(
@@ -130,7 +139,7 @@ def _run(attach, flight_cls, seed, sampling, flight_mode, profiled, flap):
     dep.sim.process(client())
     dep.sim.process(srv())
     dep.run_for(2.0)
-    return _recorded(rec, flight, trace, prof)
+    return _recorded(rec, flight, steps, prof)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,11 +168,18 @@ def _scripted(attach, flight_cls, sampling, flight_mode):
         "armed": dict(FLIGHT, queue_threshold_bytes=None),
         "threshold": FLIGHT,
     }[flight_mode]
+    logs = []
+
+    def watched(net, **kwargs):
+        # before the script's first run: every dispatch is logged
+        logs.append(step_log(net.sim))
+        return attach(net, **kwargs)
+
     net, rec, flight = run_scenario(
-        attach=attach, flight_cls=flight_cls, flight_kwargs=flight_kwargs,
+        attach=watched, flight_cls=flight_cls, flight_kwargs=flight_kwargs,
         **sampling,
     )
-    return _recorded(rec, flight, net.trace)
+    return _recorded(rec, flight, logs[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,7 +205,7 @@ def _wide(attach, flight_cls, sampling, flight_mode):
     2**63 and a packet of 2**32 payload bytes (links queue it whole)."""
     params = dataclasses.replace(DEFAULT_PARAMS, link_queue_bytes=2**40)
     net = Network(linear(3, hosts_per_switch=1), params=params, seed=2)
-    trace = net.attach_trace()
+    steps = step_log(net.sim)
     h1, h3 = net.host("h1"), net.host("h3")
     for (switch, there), cookie in zip(
         [("s1", "s2"), ("s2", "s3"), ("s3", "h3")], WIDE_COOKIES
@@ -210,7 +226,7 @@ def _wide(attach, flight_cls, sampling, flight_mode):
     for payload in (100, 2**32, 100):
         h1.send_packet(h1.make_packet(h3.ip, dport=9, payload_size=payload))
     net.run()
-    return _recorded(rec, flight, trace)
+    return _recorded(rec, flight, steps)
 
 
 @settings(max_examples=20, deadline=None)

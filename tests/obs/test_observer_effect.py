@@ -1,14 +1,15 @@
 """No observer effect: observed and unobserved runs are byte-identical.
 
 The observability layer must never perturb a run — its hooks schedule no
-events, emit no trace records, and touch no RNG.  These tests run the same
-seeded MIC echo twice (with and without an attached Observer, and with the
-periodic timeline sampling on top) and require the same witness from both:
-the trace log (control-plane actions and state), a mirror-tap log of every
-packet at every switch and every channel's counters.  The witness reads no
-journey, so it holds the journey recorder to the same rule.  The trace log
-itself is a probe of the same kind: attaching it changes nothing the run
-can see.
+events and touch no RNG.  These tests run the same seeded MIC echo twice
+(with and without an attached Observer, and with the periodic timeline
+sampling on top) and require the same witness from both: the
+dispatched-event log (``tests/watchers.py``'s ``step_log``: when, heap
+sequence number and callable of every call the kernel dispatched), a
+mirror-tap log of every packet at every switch and every channel's
+counters.  One extra scheduled call, even a zero-delay no-op, moves every
+later sequence number.  The witness reads no journey, so it holds the
+journey recorder to the same rule.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from repro.net import FlowEntry, Match, Network, Output, SetField, linear
 from repro.obs import FlightRecorder, JourneyRecorder
 from repro.obs.journey import header_tuple
 from tests.recording_scenario import GOLDEN, read_back, run_scenario
+from tests.watchers import step_log
 
 MESSAGE = b"m" * 300
 
@@ -30,18 +32,17 @@ def _echo_run(
     timeline_period: float = 0.0,
     seed: int = 7,
     journey_kwargs: dict = None,
-    trace: bool = True,
 ):
-    """One seeded MIC echo h1 <-> h16, the trace log attached before any
-    traffic unless ``trace`` is off; returns ((trace reprs, tap log, channel
-    stats), final sim time, deployment)."""
+    """One seeded MIC echo h1 <-> h16, watched from before any traffic;
+    returns ((dispatch log, tap log, channel stats), final sim time,
+    deployment)."""
     dep = deploy_mic(
         seed=seed,
         observe=observe,
         journey=journey_kwargs is not None,
         journey_kwargs=journey_kwargs,
     )
-    log = dep.net.attach_trace() if trace else None
+    steps = step_log(dep.sim)
     taps = _tap_every_switch(dep.net)
     if observe and timeline_period > 0:
         dep.obs.start_timeline(timeline_period)
@@ -63,9 +64,8 @@ def _echo_run(
     dep.run_for(2.0)
     if observe:
         dep.obs.stop_timeline()
-    reprs = [] if log is None else [repr(r) for r in log]
     assert taps, "no switch saw a packet"
-    return (reprs, taps, _channel_stats(dep.net)), dep.sim.now, dep
+    return (steps, taps, _channel_stats(dep.net)), dep.sim.now, dep
 
 
 def _tap_every_switch(net):
@@ -102,11 +102,23 @@ def test_observed_run_is_byte_identical():
     assert snap.histogram("net.packet_latency_s", host="h16")["count"] > 0
 
 
+def _without_ticks(witness):
+    """The witness less the sampler's wakeups, which take heap sequence
+    numbers of their own: every other dispatch as ``(when, callable)``."""
+    steps, *rest = witness
+    kept = [(when, name) for when, _, name in steps if name != "Periodic._tick"]
+    return len(steps) - len(kept), (kept, *rest)
+
+
 def test_timeline_sampling_is_byte_identical():
-    """Periodic sampling schedules wakeups, but reads-only: same trace."""
+    """Periodic sampling schedules wakeups, but reads only: every other
+    dispatch, in the same order at the same instants."""
     plain, t_plain, _ = _echo_run(observe=False)
     seen, t_seen, dep = _echo_run(observe=True, timeline_period=0.05)
     assert t_plain == t_seen
+    no_ticks, plain = _without_ticks(plain)
+    ticks, seen = _without_ticks(seen)
+    assert no_ticks == 0 and 38 <= ticks <= 40
     assert plain == seen
     # The timeline really ran: ~2.0s horizon / 0.05s period of ticks
     # (one tick may fall past the horizon through float accumulation).
@@ -184,6 +196,32 @@ def test_journey_detach_restores_the_unhooked_state():
     )
 
 
+def _logged_scenario():
+    """The recording scenario with a dispatched-event log on its kernel
+    from the journey's attach on; returns ``(read-back, log)``."""
+    logs = []
+
+    def attach_logged(net, **kwargs):
+        logs.append(step_log(net.sim))
+        return JourneyRecorder.attach(net, **kwargs)
+
+    got = read_back(*run_scenario(attach=attach_logged))
+    (log,) = logs
+    return got, log
+
+
+def test_the_recording_golden_is_identical_with_and_without_the_log():
+    """The scripted every-shape run reads back as its golden whether or not
+    the dispatched-event log watches it, and two watched runs dispatch the
+    same calls: the fingerprint perturbs nothing it compares."""
+    golden = json.loads(GOLDEN.read_text())
+    assert read_back(*run_scenario()) == golden
+    got, log = _logged_scenario()
+    assert got == golden
+    assert log, "the watched run dispatched nothing"
+    assert _logged_scenario() == (golden, log)
+
+
 # ---------------------------------------------------------------------------
 # attaching or detaching while a packet sits in a switch pipeline
 # ---------------------------------------------------------------------------
@@ -203,12 +241,11 @@ def _chain():
     return net, h1, h2
 
 
-def _send(net, h1, dst, ttl=None, dport=9):
-    packet = h1.make_packet(dst, proto="udp", sport=7, dport=dport, payload_size=32)
+def _send(net, h1, dst, ttl=None):
+    packet = h1.make_packet(dst, proto="udp", sport=7, dport=9, payload_size=32)
     if ttl is not None:
         packet.ttl = ttl
     h1.send_packet(packet)
-    return packet
 
 
 @pytest.mark.parametrize("fate", ["forwarded", "ttl_expired", "miss"])
@@ -260,113 +297,3 @@ def test_attaching_mid_pipeline_starts_at_the_next_ingress():
         ("link.tx", "s2[2]->h2[0]"),
         ("host.rx", "h2"),
     ]
-
-
-# ---------------------------------------------------------------------------
-# the trace log: attached on demand, and attaching it perturbs nothing
-# ---------------------------------------------------------------------------
-
-
-def _journey_echo(trace: bool):
-    return _echo_run(
-        observe=False, journey_kwargs={"sample_rate": 1.0}, trace=trace
-    )
-
-
-def test_attaching_the_trace_log_perturbs_nothing():
-    (bare, *bare_packets), t_bare, dep_bare = _journey_echo(trace=False)
-    (traced, *traced_packets), t_traced, dep_traced = _journey_echo(trace=True)
-    assert bare == [] and traced  # not vacuous: one run recorded, one did not
-    assert bare_packets == traced_packets
-    assert dep_bare.net.trace is None
-    assert t_bare == t_traced
-    assert [(h.bytes_sent, h.bytes_received) for h in dep_bare.net.hosts()] == [
-        (h.bytes_sent, h.bytes_received) for h in dep_traced.net.hosts()
-    ]
-    assert dep_bare.journey.rows() == dep_traced.journey.rows()
-
-
-def test_the_recording_golden_is_identical_with_and_without_the_log():
-    """The scripted every-shape run: its trace section is the golden's once
-    the log is attached, and every other recorder reads the same without it."""
-    golden = json.loads(GOLDEN.read_text())
-    assert read_back(*run_scenario()) == golden
-    assert read_back(*run_scenario(trace=False)) == {**golden, "trace": []}
-
-
-def _every_trace(net):
-    return [net.trace] + [n.trace for n in net.nodes.values()]
-
-
-#: h2 binds udp/9 only: a packet to this port is refused, which the trace
-#: log records (``host.refused``, a death no journey kind records)
-_UNBOUND = 10
-
-#: what the log keeps of a refused h1 -> h2 packet sent before the attach
-#: and of one in flight at the attach: the second one's refusal
-_REFUSED = [("host.refused", "h2")]
-
-
-@pytest.mark.parametrize("direction, rows", [
-    ("in", _REFUSED),    # the packet sits in s1's pipeline
-    ("out", _REFUSED),   # the packet is on the s1 -> s2 link
-])
-def test_attaching_mid_flight_records_from_that_instant_on(direction, rows):
-    net, h1, h2 = _chain()
-    assert all(t is None for t in _every_trace(net))
-    _send(net, h1, h2.ip, dport=_UNBOUND)  # refused before anything is attached
-    net.run()
-    attached = []
-
-    def attach_next(packet, port, tap_direction):
-        if tap_direction == direction and not attached:
-            # runs after s1's receive / classification has returned
-            net.sim.call_later(0.0, lambda: attached.append(net.attach_trace()))
-
-    net.switch("s1").add_mirror_tap(attach_next)
-    packet = _send(net, h1, h2.ip, dport=_UNBOUND)
-    net.run()
-    (log,) = attached
-    assert h2.packets_received == 2
-    assert [(r.category, r.node) for r in log] == rows
-    assert [r["uid"] for r in log] == [packet.uid]
-    assert all(t is log for t in _every_trace(net))
-
-
-def test_a_second_attach_is_refused_until_the_first_detaches():
-    """A second ``attach_trace()`` used to rewire every node to a fresh log
-    and leave the first one readable but silent; it is refused instead."""
-    net, h1, h2 = _chain()
-    first = net.attach_trace()
-    with pytest.raises(ValueError, match="already attached"):
-        net.attach_trace()
-    assert all(t is first for t in _every_trace(net))
-    _send(net, h1, h2.ip, dport=_UNBOUND)
-    net.run()
-    assert [(r.category, r.node) for r in first] == _REFUSED
-    net.detach_trace()
-    second = net.attach_trace()
-    _send(net, h1, h2.ip, dport=_UNBOUND)
-    net.run()
-    assert len(first) == len(second) == 1
-    assert all(t is second for t in _every_trace(net))
-
-
-def test_detach_stops_recording_at_once():
-    net, h1, h2 = _chain()
-    log = net.attach_trace()
-    first = _send(net, h1, h2.ip, dport=_UNBOUND)
-    net.run()
-
-    def detach_after_s1(packet, port, direction):
-        if direction == "out":
-            net.sim.call_later(0.0, net.detach_trace)
-
-    net.switch("s1").add_mirror_tap(detach_after_s1)
-    _send(net, h1, h2.ip, dport=_UNBOUND)
-    net.run()
-    assert h2.packets_received == 2
-    assert [(r.category, r.node, r["uid"]) for r in log] == [
-        ("host.refused", "h2", first.uid),
-    ]
-    assert all(t is None for t in _every_trace(net))

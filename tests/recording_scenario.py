@@ -3,12 +3,12 @@
 linear(3) with a multicast group (one decoy bucket) at s2 and an in-place
 rewrite at s3, driven through a delivery with an injected divergence, a TTL
 death, a table miss, a refused port, a tail drop, an in-flight drop, a
-``link.down`` and a switch crash — every ``JOURNEY_EVENTS`` kind and the
-trace log's flow-mod, state and packet-death categories.
+``link.down`` and a switch crash — every ``JOURNEY_EVENTS`` kind, plus a
+flow-mod, a refused port and a dead-chassis drop that the switches, hosts
+and links count themselves.
 ``tests/data/recording_golden.json`` holds what the eager-record
-implementation (the parent of PR 16) read back from this run, less the
-trace rows of the per-packet categories the journey alone records since;
-the trace, journey and flight tests compare today's reads against it.
+implementation read back from this run; the journey and flight tests
+compare today's reads against it.
 
 Regenerate (only when a recorded value is *meant* to change)::
 
@@ -45,22 +45,18 @@ FLIGHT = {"capacity": 8, "queue_threshold_bytes": 1024, "max_dumps": 8}
 
 
 def run_scenario(
-    trace: bool = True,
     attach=JourneyRecorder.attach,
     flight_cls=FlightRecorder,
     flight_kwargs=FLIGHT,
     **journey_kwargs,
 ):
-    """Run the script (the trace log attached from the start unless
-    ``trace`` is off); returns ``(net, recorder, flight)``.
+    """Run the script; returns ``(net, recorder, flight)``.
 
     ``attach`` builds the journey recorder from ``journey_kwargs`` and a
     ``flight_cls(**flight_kwargs)`` flight recorder (none when
     ``flight_kwargs`` is None); the defaults are what the golden holds."""
     params = dataclasses.replace(DEFAULT_PARAMS, link_queue_bytes=QUEUE_BYTES)
     net = Network(linear(3, hosts_per_switch=1), params=params, seed=4)
-    if trace:
-        net.attach_trace()
     h1, h2, h3 = net.host("h1"), net.host("h2"), net.host("h3")
     s1, s2, s3 = net.switch("s1"), net.switch("s2"), net.switch("s3")
     s1.table.install(FlowEntry(Match(ip_dst=h3.ip), [Output(net.port("s1", "s2"))]))
@@ -74,7 +70,7 @@ def run_scenario(
         )
     )
     s2.table.install(FlowEntry(Match(ip_dst=h3.ip), [Group(1)]))
-    # the last rule arrives as a flow-mod (one switch.flowmod record)
+    # the last rule arrives as a flow-mod
     s3.install_many_later([
         FlowEntry(
             Match(ip_dst=h3.ip),
@@ -98,7 +94,7 @@ def run_scenario(
     send(h3, 1)             # delivered; rewrite, group copy, injected divergence
     send(h3, 2, ttl=1)      # TTL death at s1
     send(h2, 3)             # table miss at s1 (no controller: punt goes nowhere)
-    send(h3, 4, dport=81)   # delivered to a port nobody bound: host.refused
+    send(h3, 4, dport=81)   # delivered to a port nobody bound: refused
     net.run()
     for sport in range(10, 15):  # burst: queue waits, then tail drops
         send(h3, sport, size=1000)
@@ -109,7 +105,7 @@ def run_scenario(
     net.run()
     net.set_link_state("s2", "s3", True)
     net.set_switch_state("s1", False)
-    send(h3, 21)            # dies at the crashed chassis: switch.dead_drop
+    send(h3, 21)            # dies at the crashed chassis
     net.run()
     return net, rec, flight
 
@@ -127,9 +123,7 @@ def read_back(net, rec, flight):
         return [e.time_s, e.kind, e.where, e.uid, e.content_tag, pairs(e.detail)]
 
     journeys = rec.journeys_by_content_tag()
-    records = [] if net.trace is None else net.trace.records
     return json.loads(json.dumps({
-        "trace": [[r.time, r.category, r.node, pairs(r.detail)] for r in records],
         "journeys": {
             str(tag): {
                 "events": [event(e) for e in j.events],

@@ -16,6 +16,18 @@ from repro.net import Network, linear
 from repro.sdn import Controller, L3ShortestPathApp
 
 
+def _times(net, app, method):
+    """The instants ``app.<method>`` runs, wrapped on the instance."""
+    times, inner = [], getattr(app, method)
+
+    def watched(*args):
+        times.append(net.sim.now)
+        return inner(*args)
+
+    setattr(app, method, watched)
+    return times
+
+
 def _ping(net, src, dst):
     host = net.host(src)
     host.send_packet(host.make_packet(net.host(dst).ip, dport=80, payload_size=64))
@@ -29,13 +41,14 @@ def test_pair_wired_between_reboot_and_its_detection_is_not_installed_twice(
     hop install is then still *in flight* when the reboot is heard."""
     net = Network(linear(3), seed=0)
     ctrl = Controller(net, detection_latency_s=0.002)
-    ctrl.register(L3ShortestPathApp())
+    l3 = ctrl.register(L3ShortestPathApp())
+    packet_ins = _times(net, l3, "on_packet_in")
+    switch_events = _times(net, l3, "on_switch_event")
     if extra_delay_s:
         sched = FaultSchedule(seed=0)
         sched.rule_install_loss(0.0, 10.0, delay_prob=1.0, extra_delay_s=extra_delay_s)
         sched.attach(net, ctrl)
     s2 = net.switch("s2")
-    net.attach_trace()
 
     _ping(net, "h1", "h3")  # wired before the crash, through s2
     net.run(until=0.1)
@@ -48,8 +61,7 @@ def test_pair_wired_between_reboot_and_its_detection_is_not_installed_twice(
     net.sim.call_later(0.0001, _ping, net, "h2", "h3")  # misses on the wiped s2
     net.run(until=0.3)
 
-    wired = net.trace.by_category("ctrl.packet_in")[-1].time
-    heard = net.trace.by_category("ctrl.switch_event")[-1].time
+    wired, heard = packet_ins[-1], switch_events[-1]
     assert 0.2 < wired < heard == pytest.approx(0.202)  # the race happened
     rules = Counter((e.match, e.priority) for e in s2.table.iter_entries())
     assert max(rules.values()) == 1, [str(m) for (m, _p), n in rules.items() if n > 1]
