@@ -19,14 +19,16 @@ both directions, the pins and the endpoint ban ``_plan_flow`` applies), one
 segment-address draw two ways:
 
 * ``oracle_draw`` — what ``Strategy.draw_segment`` did before it drew on
-  the array: materialise the pool's name tuples, up to three filtered
-  copies, ``rng.choice`` (kept as ``tests/core/plausibility_oracle.py``);
-* ``draw``        — :meth:`Strategy.plausible_pool` (one geodesic compare
-  per segment, a row of it for a pinned source) plus
+  the array: up to three filtered copies of the pool's name tuples,
+  ``rng.choice`` (kept as ``tests/core/plausibility_oracle.py``);
+* ``draw``        — :meth:`Strategy.plausible_pool` narrowing the pool's
+  geodesic mask (a row of it for a pinned source) plus
   :meth:`AddressRestrictions.draw_pair`.
 
-The bar is >=5x with the same pick on every segment.  Two rows carry no
-bar: ``cold_draw`` is the first draw pass on a fresh deployment (what a
+The bar is >=5x with the same pick on every segment, timing the draw
+alone: every segment's pool is built once before both timed passes, and
+that build is its own row, ``pool_build``.  Two more rows carry no bar:
+``cold_draw`` is the first draw pass on a fresh deployment (what a
 controller start, or a link event, leaves to the first plan), and
 ``setups_k16`` is ``fat_tree(16)`` channel set-ups — 64 clients on distinct
 edge switches, 2 closed-loop rounds of ``connect_datagram(n_mns=3,
@@ -151,20 +153,45 @@ def mic_segments(dep, walks: int, seed: int) -> list[tuple]:
 
 
 def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> dict:
-    """Time one draw per segment both ways, ``rounds`` passes each."""
+    """Time one draw per segment both ways, ``rounds`` passes each.
+
+    Every segment's pool is built once, outside both timed passes (and
+    timed on its own, ``pool_build``): the oracle's name tuples, and the
+    geodesic mask ``plausible_pool`` narrows, which the index pass reads
+    from that build.  The bar times the draw alone.
+    """
     dep = deploy_mic(fat_tree(k), seed=0, mic_kwargs={"mn_shift": 1})
     mic = dep.mic
-    restrictions, strategy = mic.restrictions, mic.strategy
+    restrictions, strategy, view = mic.restrictions, mic.strategy, mic.restrictions.view
     segments = mic_segments(dep, walks, seed)
-    tuples = sum(len(restrictions.pairs_for_segment(s[0])) for s in segments)
+
+    def build_masks():
+        return {
+            (tuple(nodes), rank): restrictions.segment_mask(nodes, rank)
+            for nodes, pin_src, _pin_dst, _endpoints in segments
+            for rank in [view.host_rank(mic._ip_to_host.get(pin_src))]
+        }
+
+    def build_tuples():
+        return [restrictions.pairs_for_segment(s[0]) for s in segments]
+
+    mask_s, tuple_s = [], []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        masks = build_masks()
+        t1 = time.perf_counter()
+        pools = build_tuples()
+        t2 = time.perf_counter()
+        mask_s.append(t1 - t0)
+        tuple_s.append(t2 - t1)
+    tuples = sum(map(len, pools))
 
     def oracle_pass(rng):
         return [
             rng.choice(oracle_narrow(
-                restrictions.pairs_for_segment(nodes), mic._ip_to_host,
-                pin_src, pin_dst, endpoints,
+                pool, mic._ip_to_host, pin_src, pin_dst, endpoints,
             ))
-            for nodes, pin_src, pin_dst, endpoints in segments
+            for pool, (_nodes, pin_src, pin_dst, endpoints) in zip(pools, segments)
         ]
 
     def index_pass(rng):
@@ -175,17 +202,21 @@ def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> d
             for nodes, pin_src, pin_dst, endpoints in segments
         ]
 
+    def built_mask(nodes, src_rank=-1):
+        return masks[tuple(nodes), src_rank]
+
     ours, theirs = random.Random(seed), random.Random(seed)
     oracle_s, draw_s = [], []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        expected = oracle_pass(theirs)
-        t1 = time.perf_counter()
-        picked = index_pass(ours)
-        t2 = time.perf_counter()
-        assert picked == expected, "index draw and list draw disagree"
-        oracle_s.append(t1 - t0)
-        draw_s.append(t2 - t1)
+    with mock.patch.object(restrictions, "segment_mask", built_mask):
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            expected = oracle_pass(theirs)
+            t1 = time.perf_counter()
+            picked = index_pass(ours)
+            t2 = time.perf_counter()
+            assert picked == expected, "index draw and list draw disagree"
+            oracle_s.append(t1 - t0)
+            draw_s.append(t2 - t1)
     assert ours.getstate() == theirs.getstate()
     # the fastest pass of each: interference from the host only adds time
     return {
@@ -194,6 +225,10 @@ def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> d
         "oracle_draw_s_per_segment": min(oracle_s) / len(segments),
         "draw_s_per_segment": min(draw_s) / len(segments),
         "speedup_draw": min(oracle_s) / min(draw_s),
+        "pool_build": {
+            "tuples_s_per_segment": min(tuple_s) / len(segments),
+            "mask_s_per_segment": min(mask_s) / len(segments),
+        },
     }
 
 
@@ -366,6 +401,12 @@ def test_index_draw_at_least_5x_on_fat_tree8():
         f" ({result['tuples_materialised']} name tuples per pass)"
         f"  index {result['draw_s_per_segment'] * 1e6:.0f}us"
         f" ({result['speedup_draw']:.1f}x)"
+    )
+    build = result["pool_build"]
+    print(
+        f"pool build (untimed by the bar): name tuples"
+        f" {build['tuples_s_per_segment'] * 1e6:.0f}us/segment,"
+        f" geodesic mask {build['mask_s_per_segment'] * 1e6:.0f}us/segment"
     )
     assert result["draw_segments"] == 96 * 8
     assert result["speedup_draw"] >= 5.0

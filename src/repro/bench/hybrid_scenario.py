@@ -15,6 +15,8 @@ everything else advancing as fluid rates.
 
 from __future__ import annotations
 
+import math
+import numbers
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -176,6 +178,9 @@ def run_hybrid_scenario(
       packet-level subset re-installs and removes its rules per segment,
       so the rotation's rule churn shows up in ``rules_installed``.
 
+    ``channels`` or ``payload_bytes`` not an int >= 1, a ``sample_rate``
+    outside [0, 1] or a bad period is a ``ValueError`` before any build.
+
     With ``profile=True`` a :class:`repro.obs.Profiler` is hooked for the
     run — setup attributed to ``scenario.setup``, the run loop to the
     contracted subsystems — and the report lands in ``result.profile``.
@@ -188,6 +193,16 @@ def run_hybrid_scenario(
     if strategy not in STRATEGIES:
         known = ", ".join(sorted(STRATEGIES))
         raise ValueError(f"unknown strategy {strategy!r} (known: {known})")
+    for name, value, ok in (
+        ("channels", channels, isinstance(channels, numbers.Integral) and channels >= 1),
+        ("payload_bytes", payload_bytes,
+         isinstance(payload_bytes, numbers.Integral) and payload_bytes >= 1),
+        ("sample_rate", sample_rate, 0 <= sample_rate <= 1),
+        ("epoch_s", epoch_s, 0 < epoch_s < math.inf),
+        ("time_limit_s", time_limit_s, time_limit_s > 0),
+    ):
+        if not ok:
+            raise ValueError(f"bad {name}: {value!r}")
 
     prof = Profiler(sample_every=1000) if profile else None
     if prof is not None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..controlplane.ownership import OwnershipMap
@@ -142,6 +142,81 @@ class Shard:
     #: flow-mods routed to this shard as the target switch's owner
     installs_issued: int = 0
     cpu_busy_s: float = 0.0  # MC-side compute accounting
+
+
+@dataclass(eq=False)
+class Attempt:
+    """One install of a compiled intent ``(rules, groups, drops)`` under a
+    cookie — all the MC does to the data plane.  Establish, repair, resync
+    and teardown make the switches agree with an intent or leave no trace:
+    :meth:`push`, :meth:`settle`, then :meth:`commit` or :meth:`retract`,
+    with the liveness checks (:meth:`orphaned`) at that one commit point."""
+
+    mic: MimicController
+    shard: Shard
+    cookie: int
+    compiled: tuple
+    #: install events of the bundles :meth:`push` sent
+    events: list = field(default_factory=list)
+
+    def push(self, only: Optional[str] = None) -> Attempt:
+        """Send the intent, one bundle per switch (``only``: that switch
+        alone, for a resync), each through ``mic._send``.  A bundle carries
+        the switch's groups with the rules that reference them (``add_decoys``
+        puts a group on its rule's MN), so rule-before-group is impossible."""
+        rules, groups, drops = self.compiled
+        bundles: dict[str, tuple[list, list]] = {}
+        for sw_name, entry in rules + drops:
+            bundles.setdefault(sw_name, ([], []))[0].append(entry)
+        for sw_name, group in groups:
+            bundles.setdefault(sw_name, ([], []))[1].append(group)
+        self.events = [
+            self.mic._send(self.shard, sw_name, *bundle)
+            for sw_name, bundle in bundles.items()
+            if only is None or sw_name == only
+        ]
+        return self
+
+    @staticmethod
+    def settle(attempts: Sequence[Attempt]):
+        """Wait until *every* send of ``attempts`` has landed or failed;
+        returns the first failure, or None.  Undoing while siblings are
+        still queued or being re-driven would let a late bundle leak past
+        the removal."""
+        events = [ev for attempt in attempts for ev in attempt.events]
+        if not events:
+            return None
+        try:
+            yield events[0].sim.all_of(events)
+            return None
+        except Exception as exc:
+            failure = exc
+        for ev in events:
+            if not ev.processed:
+                try:
+                    yield ev
+                except Exception:
+                    pass
+        return failure
+
+    def commit(self) -> None:
+        """Book the intent as the cookie's installed state."""
+        self.shard.compiled[self.cookie] = self.compiled
+
+    def retract(self) -> list:
+        """Remove the cookie from every switch the intent names (decoy-drop
+        rules live on off-walk branch switches too), whatever :meth:`push`
+        sent; returns the removal events — ``all_of`` them for a barrier."""
+        scope = sorted({sw_name for part in self.compiled for sw_name, _obj in part})
+        return [self.mic.controller.remove_by_cookie(sw, self.cookie) for sw in scope]
+
+    def orphaned(self, channel: MimicChannel) -> Optional[str]:
+        """Why this install for ``channel`` must not commit, or None."""
+        if not self.shard.alive:
+            return "abandoned"  # shard crashed; the adopting shard re-drives
+        if channel.channel_id not in self.shard.channels:
+            return "closed"  # torn down while the sends were in flight
+        return None
 
 
 class MimicController(ControllerApp):
@@ -454,30 +529,27 @@ class MimicController(ControllerApp):
                 self._release_flow(channel_id, plan)
             raise
 
-        # Compile every flow, push one bundle per (flow, switch) in parallel
-        # (each feeds that switch's classification index incrementally and
-        # invalidates its lookup cache once), settle, then commit or retract.
-        intents: dict[int, tuple[list, list, list]] = {}
-        events: list = []
-        for plan in plans:
-            owner = f"ch{channel_id}/c{plan.cookie}"
-            intents[plan.cookie] = self.strategy.compile_flow(
-                plan, owner, decoys, shard.rng
-            )
-            events.extend(self._push(shard, intents[plan.cookie]).values())
+        # One attempt per flow, each pushing one bundle per switch in
+        # parallel; all settle together, then all commit or all retract.
+        attempts = [
+            Attempt(self, shard, plan.cookie, self.strategy.compile_flow(
+                plan, f"ch{channel_id}/c{plan.cookie}", decoys, shard.rng
+            )).push()
+            for plan in plans
+        ]
         install_span = begin_span(
             self.obs, "mic.install_batch", channel=channel_id,
-            installs=sum(len(part) for c in intents.values() for part in c),
+            installs=sum(len(part) for a in attempts for part in a.compiled),
         )
-        failure = yield from self._settle(events)
+        failure = yield from Attempt.settle(attempts)
         if failure is None:
             install_span.finish()
         if failure is not None or not shard.alive:
             # A switch refused a bundle (e.g. table full), or the shard
             # crashed while the sends were in flight: every send has settled,
             # so removing now leaves no trace — no channel would own it.
-            for cookie, compiled in intents.items():
-                self._retract(cookie, compiled)
+            for attempt in attempts:
+                attempt.retract()
             for plan in plans:
                 self._release_flow(channel_id, plan)
             raise EstablishError(
@@ -486,16 +558,12 @@ class MimicController(ControllerApp):
             ) from failure
 
         channel = MimicChannel(
-            channel_id=channel_id,
-            initiator=initiator,
-            responder=responder_host,
-            flows=plans,
-            created_at=self.sim.now,
-            last_activity=self.sim.now,
-            decoys=decoys,
+            channel_id=channel_id, initiator=initiator, responder=responder_host,
+            flows=plans, created_at=self.sim.now, last_activity=self.sim.now, decoys=decoys,
         )
         shard.channels[channel_id] = channel
-        shard.compiled.update(intents)
+        for attempt in attempts:
+            attempt.commit()
         if self.verify_installs:
             self.verify().raise_if_failed()
         self.strategy.on_established(channel)
@@ -571,16 +639,10 @@ class MimicController(ControllerApp):
             endpoints = (initiator, responder)
             first = MAddressDraw(src_ip=init_ip, sport=sport)
             if entry_pin is not None:
-                first = MAddressDraw(
-                    src_ip=init_ip, sport=sport,
-                    dst_ip=entry_pin.dst_ip, dport=entry_pin.dport,
-                )
+                first = replace(first, dst_ip=entry_pin.dst_ip, dport=entry_pin.dport)
             last = MAddressDraw(dst_ip=resp_ip, dport=responder_port)
             if delivery_pin is not None:
-                last = MAddressDraw(
-                    src_ip=delivery_pin.src_ip, sport=delivery_pin.sport,
-                    dst_ip=resp_ip, dport=responder_port,
-                )
+                last = replace(last, src_ip=delivery_pin.src_ip, sport=delivery_pin.sport)
             fwd = self.strategy.draw_addresses(
                 walk, mn_positions, flow_id,
                 first=first,
@@ -637,14 +699,9 @@ class MimicController(ControllerApp):
                 f"path has {len(switch_positions)} switches, need {n_mns} MNs"
             )
         if self.mn_strategy == "spread":
-            # Evenly spaced along the path.
+            # Evenly spaced along the path: a step >= 1 never repeats a slot.
             step = len(switch_positions) / n_mns
-            idx = sorted({int(i * step) for i in range(n_mns)})
-            # Top up if rounding collapsed slots.
-            pool = [i for i in range(len(switch_positions)) if i not in idx]
-            while len(idx) < n_mns:
-                idx.append(pool.pop(0))
-            return sorted(switch_positions[i] for i in sorted(idx)[:n_mns])
+            return [switch_positions[int(i * step)] for i in range(n_mns)]
         return sorted(rng.sample(switch_positions, n_mns))
 
     def _assign_sport(self, rng: random.Random, initiator: str) -> int:
@@ -656,16 +713,10 @@ class MimicController(ControllerApp):
                 return candidate
         raise EstablishError(f"no free source ports for {initiator}")
 
-    # -- the install path ------------------------------------------------
-    # Everything the MC does to the data plane is one operation: make the
-    # switches agree with a compiled intent ``(rules, groups, drops)`` or
-    # leave no trace.  Establish, repair / rotate / un-park, resync and
-    # teardown are each "compile, push, settle, then commit or retract",
-    # with the liveness checks at that one commit point.  Every bundle
-    # leaves through ``_send``, which routes it to the target switch's
-    # owning shard and, under the serialized CPU model, charges that
-    # shard's CPU before the message goes out.
+    # -- the install path (see Attempt) ----------------------------------
     def _send(self, origin: Shard, sw_name: str, entries: list, groups: list):
+        """Send one bundle through the target switch's owning shard; under
+        the serialized CPU model that shard's CPU is charged first."""
         n_mods = len(entries) + len(groups)
         owner = self._route(sw_name, "mods.routed", n_mods)
         owner.installs_issued += n_mods
@@ -703,65 +754,6 @@ class MimicController(ControllerApp):
         finally:
             shard.cpu.release()
 
-    def _push(self, shard: Shard, compiled: tuple,
-              only: Optional[str] = None) -> dict:
-        """Send a compiled intent, one bundle per switch; ``{switch: event}``.
-
-        A bundle carries the switch's groups with the rules that reference
-        them (``add_decoys`` puts the group on the MN whose rule points at
-        it), so rule-before-group is impossible by construction.
-        ``only`` restricts the push to one switch (resync).
-        """
-        rules, groups, drops = compiled
-        bundles: dict[str, tuple[list, list]] = {}
-        for sw_name, entry in rules + drops:
-            bundles.setdefault(sw_name, ([], []))[0].append(entry)
-        for sw_name, group in groups:
-            bundles.setdefault(sw_name, ([], []))[1].append(group)
-        return {
-            sw_name: self._send(shard, sw_name, *bundle)
-            for sw_name, bundle in bundles.items()
-            if only is None or sw_name == only
-        }
-
-    def _settle(self, events):
-        """Wait until *every* send has landed or failed; returns the first
-        failure, or None.  Undoing while siblings are still queued or being
-        re-driven would let a late bundle leak past the removal."""
-        if not events:
-            return None
-        try:
-            yield self.sim.all_of(events)
-            return None
-        except Exception as exc:
-            failure = exc
-        for ev in events:
-            if not ev.processed:
-                try:
-                    yield ev
-                except Exception:
-                    pass
-        return failure
-
-    def _retract(self, cookie: int, compiled: tuple) -> list:
-        """Remove ``cookie`` from every switch the compiled intent names
-        (decoy-drop rules live on off-walk branch switches too); returns the
-        removal events — ``all_of`` them for a barrier."""
-        scope = {sw_name for part in compiled for sw_name, _obj in part}
-        return [
-            self.controller.remove_by_cookie(sw_name, cookie)
-            for sw_name in sorted(scope)
-        ]
-
-    @staticmethod
-    def _orphaned(shard: Shard, channel: MimicChannel) -> Optional[str]:
-        """Why an in-flight install for ``channel`` must not commit."""
-        if not shard.alive:
-            return "abandoned"  # shard crashed; the adopting shard re-drives
-        if channel.channel_id not in shard.channels:
-            return "closed"  # torn down while the sends were in flight
-        return None
-
     def _mac_for(self, addr: IPv4Addr) -> MacAddr:
         found = self._ip_to_mac.get(addr)
         return found if found is not None else MacAddr(0xFFFFFF_0000FE)
@@ -780,7 +772,7 @@ class MimicController(ControllerApp):
             # the channel gone.
             compiled = shard.compiled.pop(plan.cookie, None)
             if compiled is not None:
-                self._retract(plan.cookie, compiled)
+                Attempt(self, shard, plan.cookie, compiled).retract()
             self._release_flow(channel_id, plan)
             shard.parked.pop(plan.cookie, None)
         self.strategy.on_teardown(channel)
@@ -880,59 +872,49 @@ class MimicController(ControllerApp):
             # its walk.  The barrier matters — the new plan re-uses this
             # cookie, so a removal landing late (lossy control plane) would
             # eat the replacement rules.
-            stale = shard.compiled.pop(cookie, None) or ([
+            attempt = Attempt(self, shard, cookie, shard.compiled.pop(cookie, None) or ([
                 (node, None) for node in old.walk
                 if self.net.topo.kind(node) == "switch"
-            ],)
+            ],))
             self.registry.release_owner(owner)
-            yield self.sim.all_of(self._retract(cookie, stale))
+            yield self.sim.all_of(attempt.retract())
             while True:
-                orphaned = self._orphaned(shard, channel)
+                orphaned = attempt.orphaned(channel)
                 if orphaned:
                     span.finish(outcome=orphaned)
                     return
                 # Re-plan over the surviving fabric, pinning the identity.
                 try:
                     new_plan = self._plan_flow(
-                        shard,
-                        channel.initiator,
-                        channel.responder,
-                        old.delivery.dport,
-                        len(old.mn_positions),
-                        cookie=cookie,
-                        owner=owner,
-                        flow_id=old.flow_id,
-                        entry_pin=old.entry,
-                        delivery_pin=old.delivery,
-                        alias_pins=old.aliases,
-                        proto=old.proto,
+                        shard, channel.initiator, channel.responder, old.delivery.dport,
+                        len(old.mn_positions), cookie=cookie, owner=owner,
+                        flow_id=old.flow_id, entry_pin=old.entry, delivery_pin=old.delivery,
+                        alias_pins=old.aliases, proto=old.proto,
                     )
                 except (EstablishError, ValueError, KeyError, IndexError,
                         NoPathError):
                     # No surviving path (or not enough switches on any):
                     # park the flow instead of killing the sim; the parked
                     # loop and heal events will bring it back.
-                    self._park_flow(shard, channel, idx, old)
+                    shard.parked[cookie] = (channel, idx)
+                    self.repairs_parked += 1
+                    self._ensure_park_loop(shard, cookie)
                     span.finish(outcome="parked")
                     return
-                compiled = self.strategy.compile_flow(
+                attempt = Attempt(self, shard, cookie, self.strategy.compile_flow(
                     new_plan, owner, channel.decoys, shard.rng
-                )
-                failure = yield from self._settle(
-                    self._push(shard, compiled).values()
-                )
-                orphaned = self._orphaned(shard, channel)
+                )).push()
+                failure = yield from Attempt.settle([attempt])
+                orphaned = attempt.orphaned(channel)
                 if orphaned == "abandoned":
                     span.finish(outcome=orphaned)
                     return  # the adopter owns this cookie now: hands off
-                if failure is None and orphaned is None and self._walk_alive(
-                    new_plan.walk
-                ):
+                if failure is None and orphaned is None and self._walk_alive(new_plan.walk):
                     break  # the commit point
                 # A switch refused a bundle (crashed chassis, retry budget
                 # spent), a second failure hit the new walk, or the channel
                 # was torn down while the sends were in flight: undo.
-                yield self.sim.all_of(self._retract(cookie, compiled))
+                yield self.sim.all_of(attempt.retract())
                 self.registry.release_owner(owner)
                 if orphaned:
                     span.finish(outcome=orphaned)
@@ -941,10 +923,10 @@ class MimicController(ControllerApp):
                     # re-plan over the by-then-current view after a backoff
                     yield self.sim.timeout(self.park_retry_s)
             channel.flows[idx] = new_plan
-            shard.compiled[cookie] = compiled
+            attempt.commit()
             if kind == "rotate":
                 self.strategy.rotations_completed += 1
-                self.strategy.rotation_installs += sum(map(len, compiled))
+                self.strategy.rotation_installs += sum(map(len, attempt.compiled))
             else:
                 self.repairs_completed += 1
             if self.verify_installs:
@@ -954,13 +936,6 @@ class MimicController(ControllerApp):
             shard.repairing.discard(cookie)
 
     # -- parked flows (no surviving path) ----------------------------------
-    def _park_flow(
-        self, shard: Shard, channel: MimicChannel, idx: int, old: MFlowPlan
-    ) -> None:
-        shard.parked[old.cookie] = (channel, idx)
-        self.repairs_parked += 1
-        self._ensure_park_loop(shard, old.cookie)
-
     def _ensure_park_loop(self, shard: Shard, cookie: int) -> None:
         if cookie not in shard.park_loops:
             shard.park_loops.add(cookie)
@@ -1017,30 +992,23 @@ class MimicController(ControllerApp):
         their repairer owns their rules.
         """
         span = begin_span(self.obs, "mic.resync", switch=name)
-        if not shard.alive:
-            span.finish(outcome="abandoned")
-            return
-        pushed = []
-        events = []
+        pushed: list[tuple[MimicChannel, Attempt]] = []
         n_rules = 0
         for channel in list(shard.channels.values()):
             for plan in channel.flows:
                 compiled = shard.compiled.get(plan.cookie)
                 if compiled is None or plan.cookie in shard.repairing:
                     continue
-                pushed.append((channel, plan.cookie, compiled))
-                events.extend(self._push(shard, compiled, only=name).values())
-                n_rules += sum(
-                    sw_name == name for sw_name, _e in compiled[0] + compiled[2]
-                )
-        failure = yield from self._settle(events)
+                attempt = Attempt(self, shard, plan.cookie, compiled).push(only=name)
+                pushed.append((channel, attempt))
+                n_rules += sum(sw == name for sw, _e in compiled[0] + compiled[2])
+        failure = yield from Attempt.settle([attempt for _ch, attempt in pushed])
         if not shard.alive:
             span.finish(outcome="abandoned")
             return
-        for channel, cookie, compiled in pushed:
-            if channel.channel_id not in shard.channels:
-                # torn down while its bundle was in flight
-                self._retract(cookie, compiled)
+        for channel, attempt in pushed:
+            if attempt.orphaned(channel):  # torn down while its bundle was in flight
+                attempt.retract()
         if failure is not None:
             # Crashed again mid-resync: the next reboot will re-drive.
             span.finish(ok=False)

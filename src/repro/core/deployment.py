@@ -8,6 +8,7 @@ common conveniences (endpoints, servers, hidden services, running).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,13 +104,16 @@ def deploy_mic(
     attaches a :class:`repro.faults.FaultSchedule` (its injected events
     are scheduled before any traffic runs).
     ``shards`` is the Mimic Controller's shard count (default 1, the
-    unsharded MC; ``shards=0`` raises ``ValueError``); with two or more,
+    unsharded MC; ``shards=0``, or a ``seed`` or ``shards`` that is not an
+    int, raises ``ValueError`` before anything is built); with two or more,
     channels and install fan-out spread over the shards by switch
     ownership and a shard can be crashed (see
     :meth:`~repro.core.controller.MimicController.crash_shard`).
     ``mic_kwargs`` may also set the shards' ``cpu_model`` and
     ``flowmod_cpu_s``.
     """
+    if not (isinstance(seed, numbers.Integral) and isinstance(shards, numbers.Integral)):
+        raise ValueError(f"seed {seed!r} and shards {shards!r} must be ints")
     net = Network(topo or fat_tree(4), params=params or NetParams(), seed=seed)
     ctrl = Controller(net, **(controller_kwargs or {}))
     mic = ctrl.register(MimicController(shards=shards, **(mic_kwargs or {})))

@@ -22,6 +22,8 @@ same scorecard byte for byte.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,12 +117,14 @@ def run_chaos(
     :class:`~repro.faults.ShardCrash` and the scorecard gains a
     ``controlplane`` section.
 
-    ``n_channels`` lies in [1, 8] and ``probe_period_s`` is positive; both
-    are checked before anything is deployed.  With ``schedule=None`` (which
-    needs at least three channels) the :func:`default_schedule` is built
-    from the established channels.  A supplied schedule must not be attached yet —
-    its absolute times should assume faults start a few seconds into the
-    run (establishment takes ~1 simulated second).
+    ``n_channels`` lies in [1, 8], ``probe_period_s`` is positive, ``n_mns``
+    >= 1, ``decoys`` >= 0, and ``detection_latency_s`` and ``max_settle_s``
+    are finite and >= 0: all are checked before anything is deployed.
+    With ``schedule=None`` (which needs at least three channels) the
+    :func:`default_schedule` is built from the established channels.  A
+    supplied schedule must not be attached yet — its absolute times should
+    assume faults start a few seconds into the run (establishment takes ~1
+    simulated second).
 
     ``sanitizer`` (a :class:`repro.analysis.sanitizer.SimSanitizer`) is
     attached to the simulator for the whole scenario and its teardown
@@ -135,12 +139,20 @@ def run_chaos(
     perturb the card — frame counts and named counters are deterministic
     per seed, only wall-ns vary.
     """
-    if n_channels < 1 or n_channels > 8:
+    if not isinstance(n_channels, numbers.Integral) or not 1 <= n_channels <= 8:
         raise ValueError(f"n_channels {n_channels} out of [1, 8]")
     if schedule is None and n_channels < 3:
         raise ValueError(
             f"the default schedule needs >= 3 channels, got {n_channels}"
         )
+    for name, value, ok in (
+        ("n_mns", n_mns, isinstance(n_mns, numbers.Integral) and n_mns >= 1),
+        ("decoys", decoys, isinstance(decoys, numbers.Integral) and decoys >= 0),
+        ("detection_latency_s", detection_latency_s, 0 <= detection_latency_s < math.inf),
+        ("max_settle_s", max_settle_s, 0 <= max_settle_s < math.inf),
+    ):
+        if not ok:
+            raise ValueError(f"bad {name}: {value!r}")
     echo = EchoChannels([(probe_period_s, 0)] * n_channels, PROBE_HORIZON_S)
     flight = FlightRecorder()
     dep = deploy_mic(

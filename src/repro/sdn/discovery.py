@@ -69,8 +69,8 @@ class FailureDetector:
         latency_s: float = 0.0,
         heartbeat_period_s: float | None = None,
     ):
-        if latency_s < 0.0:
-            raise ValueError(f"latency_s {latency_s} must be >= 0")
+        if not 0.0 <= latency_s < math.inf:  # nan included
+            raise ValueError(f"latency_s {latency_s} must be finite and >= 0")
         if heartbeat_period_s is not None and heartbeat_period_s <= 0.0:
             raise ValueError(
                 f"heartbeat_period_s {heartbeat_period_s} must be > 0"

@@ -1,10 +1,12 @@
 """The hybrid scale-scenario driver: arithmetic paths + end-to-end runs."""
 
 import itertools
+import math
+from unittest import mock
 
 import pytest
 
-from repro.bench import fat_tree_path, run_hybrid_scenario
+from repro.bench import fat_tree_path, hybrid_scenario, run_hybrid_scenario
 from repro.net import fat_tree
 
 
@@ -107,3 +109,19 @@ def test_observed_scenario_snapshot_carries_fluid_counters():
     snap = r.observer.snapshot()
     assert snap.total("fluid.flows.finished") == r.fluid_finished
     assert snap.total("fluid.epochs") == r.epochs
+
+
+@pytest.mark.parametrize("param, value", [
+    ("channels", -1), ("channels", 0), ("channels", 1.5),
+    ("payload_bytes", 0), ("payload_bytes", -1), ("payload_bytes", math.nan),
+    ("sample_rate", math.nan), ("sample_rate", -1), ("sample_rate", 1.5),
+    ("epoch_s", math.nan), ("epoch_s", 0), ("epoch_s", math.inf),
+    ("time_limit_s", math.nan), ("time_limit_s", 0), ("time_limit_s", -1),
+])
+def test_a_bad_number_is_refused_before_the_fabric_is_built(param, value):
+    """Each used to run (``channels=-1`` gave 0 lanes, a nan time limit
+    ran on) or fail inside the engine with a ``SimulationError``."""
+    with mock.patch.object(hybrid_scenario, "fat_tree", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=param):
+            run_hybrid_scenario(**{"k": 4, "channels": 4, "payload_bytes": 10_000,
+                                   param: value})

@@ -260,7 +260,7 @@ def test_idle_expiry_runs_on_a_rejoined_shard():
 
 _ORPHAN = pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1 PR C: a shard that dies between push and settle "
+    reason="ROADMAP item 1 step B: a shard that dies between push and settle "
     "orphans what it pushed (docs/resilience.md Known limits)",
 )
 

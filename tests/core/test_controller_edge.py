@@ -1,6 +1,7 @@
 """Edge cases and failure paths of the Mimic Controller."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import MimicController, MC_IP, MC_PORT, McReply, McRequest, deploy_mic
 from repro.core.controller import EstablishError
 from repro.crypto import Key, seal
+from repro.faults import FaultSchedule, chaos, run_chaos
 from repro.net import Network, fat_tree, ip, linear
 from repro.sdn import Controller, L3ShortestPathApp
 from tests.faults.orphans import orphan_mic_state
@@ -87,33 +89,64 @@ class TestEstablishValidation:
 #: numbers the controllers take at construction (the rest are establish's)
 MC_PARAMS = ("flowmod_cpu_s", "idle_timeout_s", "park_retry_s")
 CONTROLLER_PARAMS = ("ack_timeout_s", "max_install_retries")
+#: numbers ``deploy_mic`` takes, refused before it builds anything
+DEPLOY_PARAMS = ("seed", "shards")
+#: numbers ``run_chaos`` takes, refused before it deploys
+CHAOS_PARAMS = ("max_settle_s", "detection_latency_s", "n_mns", "decoys")
 
 
-@settings(max_examples=80, deadline=None)
+def _chaos_works_or_fails_before_deploying(param, value):
+    deployed = []
+
+    def deploy(*args, **kwargs):
+        deployed.append(kwargs)
+        return deploy_mic(*args, **kwargs)
+
+    with mock.patch.object(chaos, "deploy_mic", deploy):
+        try:
+            card, dep = run_chaos(n_channels=1, schedule=FaultSchedule(seed=0),
+                                  **{param: value})
+        except ValueError:
+            assert not deployed
+            return
+    assert card["verification"]["ok"] and dep.mic.live_channels == 1
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    param=st.sampled_from(
-        [*MC_PARAMS, *CONTROLLER_PARAMS, "decoys", "n_mns", "n_flows"]
-    ),
+    param=st.sampled_from([
+        *MC_PARAMS, *CONTROLLER_PARAMS, *DEPLOY_PARAMS, "decoys", "n_mns", "n_flows",
+        *(f"run_chaos:{name}" for name in CHAOS_PARAMS),
+    ]),
     value=st.sampled_from([0, -1, math.nan, math.inf, 1.5]),
 )
 def test_a_bad_number_works_or_fails_before_any_simulated_work(param, value):
-    """A bad cost, timeout, period or retry budget is refused at
-    construction; a bad count before the establish draws a number, mints
-    an id or touches a table.  Whatever gets through must grant a
-    channel."""
+    """A bad cost, timeout, period, retry budget, seed or shard count is
+    refused at construction, and ``run_chaos``'s counts and periods before
+    it deploys; a bad count before the establish draws a number, mints an
+    id or touches a table.  Whatever gets through must grant a channel."""
+    if param.startswith("run_chaos:"):
+        return _chaos_works_or_fails_before_deploying(param.split(":")[1], value)
     kwargs = {"cpu_model": "serialized"}
     controller_kwargs = {}
+    deploy = {}
     request = {"decoys": 1}
     if param in MC_PARAMS:
         kwargs[param] = value
     elif param in CONTROLLER_PARAMS:
         controller_kwargs[param] = value
+    elif param in DEPLOY_PARAMS:
+        deploy[param] = value
     else:
         request[param] = value
     try:
-        net, ctrl, mic = build(controller_kwargs=controller_kwargs, **kwargs)
+        if deploy:
+            dep = deploy_mic(mic_kwargs=kwargs, **deploy)
+            net, mic = dep.net, dep.mic
+        else:
+            net, ctrl, mic = build(controller_kwargs=controller_kwargs, **kwargs)
     except ValueError:
-        assert param in MC_PARAMS + CONTROLLER_PARAMS
+        assert param in MC_PARAMS + CONTROLLER_PARAMS + DEPLOY_PARAMS
         return
     proc = net.sim.process(mic.establish("h1", "h16", service_port=80, **request))
     before = (
@@ -127,7 +160,7 @@ def test_a_bad_number_works_or_fails_before_any_simulated_work(param, value):
             mic.rng.getstate(), {k: repr(v) for k, v in net.sim._ids.items()},
             sum(len(sw.table) for sw in net.switches()),
         )
-        assert param not in MC_PARAMS + CONTROLLER_PARAMS
+        assert param not in MC_PARAMS + CONTROLLER_PARAMS + DEPLOY_PARAMS
         assert after == before and net.sim.now == 0
         return
     assert proc.value.flows and mic.channels

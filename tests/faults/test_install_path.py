@@ -22,6 +22,7 @@ from repro.core.client import MicDatagramServer
 from repro.core.controller import EstablishError
 from repro.faults import FaultSchedule, run_chaos, specs as fault_specs
 from repro.net import Group, NetParams, fat_tree
+from tests.anonymity.helpers import establish_canonical
 from tests.watchers import on_bundle
 
 REGRESSIONS = pathlib.Path(__file__).resolve().parent / "regressions"
@@ -232,6 +233,126 @@ def test_teardown_during_repair_leaks_nothing(after_s):
     assert mic.flow_ids.live_count == 0
     assert mic.compiled == {}
     assert mic.repairs_in_flight == 0 and mic.parked_flows == 0
+
+
+# -- the commit point's other branches ---------------------------------------
+def _established(seed=3, **mic_kwargs):
+    """fat_tree(4) with one committed ``h1 -> h16`` channel (decoys=1);
+    returns ``(dep, channel)``."""
+    dep = deploy_mic(fat_tree(4), seed=seed, mic_kwargs=mic_kwargs)
+    grants = []
+
+    def establish():
+        grants.append((yield from dep.mic.establish(
+            "h1", "h16", service_port=7000, n_mns=3, decoys=1, proto="udp"
+        )))
+
+    dep.sim.process(establish())
+    dep.run_for(1.0)
+    return dep, dep.mic.channels[grants[0].channel_id]
+
+
+def _reboot(dep, switch):
+    dep.net.set_switch_state(switch, False)
+    dep.run_for(0.1)
+    dep.net.set_switch_state(switch, True)
+
+
+@pytest.mark.parametrize("after_s", (0.0, 0.00005, 0.0001))
+def test_teardown_while_a_resync_bundle_is_in_flight_leaks_nothing(after_s):
+    """On serialized shards the resync bundle queues for the CPU while the
+    teardown's removal goes out at once and lands first; the resync must
+    retract the flow it re-installed once it sees the channel gone."""
+    dep, channel = _established(cpu_model="serialized")
+    plan = channel.flows[0]
+    _reboot(dep, plan.walk[plan.mn_positions[0]])
+    dep.sim.call_later(after_s, dep.mic.teardown, channel.channel_id)
+    dep.run_for(1.0)
+    assert dep.mic.resyncs_completed == 1
+    assert orphan_mic_state(dep) == {}
+
+
+@pytest.mark.parametrize("after_s", (0.0, 0.0005, 0.0009))
+def test_a_resync_whose_bundle_fails_does_not_complete(after_s):
+    """The switch crashes again before the resync bundle lands: that resync
+    is not counted, and the next reboot re-drives it."""
+    dep, channel = _established()
+    plan = channel.flows[0]
+    victim = plan.walk[plan.mn_positions[0]]
+    _reboot(dep, victim)
+    dep.sim.call_later(after_s, dep.net.set_switch_state, victim, False)
+    dep.run_for(0.5)
+    assert dep.mic.resyncs_completed == 0
+    dep.net.set_switch_state(victim, True)
+    dep.run_for(0.5)
+    assert dep.mic.resyncs_completed == 1
+    assert dep.mic.verify().violations == []
+
+
+@pytest.mark.parametrize("after_s", (0.0, 0.0005, 0.0009))
+def test_a_second_failure_on_the_new_walk_during_settle_replans(after_s):
+    """A link of the walk a repair just pushed fails before the bundles
+    settle: the repairer must not commit a dead walk (no second repairer
+    can start while it holds the cookie); it undoes and plans again."""
+    dep, channel = _established()
+    net, mic = dep.net, dep.mic
+    old = channel.flows[0].walk
+    first = old[len(old) // 2 - 1:len(old) // 2 + 1]
+    compile_flow, planned = mic.strategy.compile_flow, []
+
+    def fail_a_hop_of_the_first_replan(plan, *args):
+        planned.append(plan.walk)
+        if len(planned) == 1:
+            hops = [
+                hop for hop in zip(plan.walk, plan.walk[1:])
+                if {net.topo.kind(n) for n in hop} == {"switch"}
+                and set(hop) != set(first)
+            ]
+            dep.sim.call_later(after_s, net.set_link_state, *hops[len(hops) // 2], False)
+        return compile_flow(plan, *args)
+
+    mic.strategy.compile_flow = fail_a_hop_of_the_first_replan
+    net.set_link_state(*first, False)
+    dep.run_for(1.0)
+    walk = channel.flows[0].walk
+    assert len(planned) == 2 and mic.repairs_completed == 1
+    assert walk == planned[1]
+    assert all(dep.ctrl.view.graph.has_edge(u, v) for u, v in zip(walk, walk[1:]))
+    assert mic.verify().violations == [] and orphan_mic_state(dep) == {}
+
+
+@pytest.mark.parametrize("kind", ("repair", "rotate"))
+def test_a_repairer_whose_shard_dies_in_flight_leaves_the_adopter_alone(kind):
+    """The shard dies between pushing a repair and settling it; the adopter
+    re-drives the flow under the same cookie and owner.  The dead repairer
+    must not undo at its commit point: that would release the adopter's
+    registry claims.  (What the dead attempt pushed off the walk still
+    leaks: the strict ``_ORPHAN`` xfails of
+    ``tests/controlplane/test_failover.py``.)"""
+    dep, _ = establish_canonical(shards=4, decoys=1)
+    mic = dep.mic
+    victim = next(s for s in mic.shards if s.channels)
+    channel = victim.channels[min(victim.channels)]
+    compile_flow = mic.strategy.compile_flow
+
+    def crash_at_the_push(plan, *args):
+        mic.strategy.compile_flow = compile_flow
+        dep.sim.call_later(0.0005, mic.crash_shard, victim.shard_id)
+        return compile_flow(plan, *args)
+
+    mic.strategy.compile_flow = crash_at_the_push
+    if kind == "rotate":
+        mic.rotate_flow(channel, 0)
+    else:
+        walk = channel.flows[0].walk
+        dep.net.set_link_state(*walk[len(walk) // 2 - 1:len(walk) // 2 + 1], False)
+    dep.run_for(3.0)
+    assert mic.repairs_rescheduled == 1 and mic.repairs_in_flight == 0
+    live = {
+        f"ch{cid}/c{plan.cookie}"
+        for cid, ch in mic.channels.items() for plan in ch.flows
+    }
+    assert live <= set(mic.registry.owners())
 
 
 # -- (e) one message per switch --------------------------------------------
