@@ -22,8 +22,8 @@ test-order:
 test-verbose:
 	$(PYPATH) $(PYTHON) -m pytest -v
 
-# Full lint registry (determinism + encapsulation + taint) against the
-# committed baseline (always) + ruff, when available in the environment.
+# Full lint registry (determinism + encapsulation + taint; only pragmas
+# exempt a finding) + ruff, when available in the environment.
 lint:
 	$(PYPATH) $(PYTHON) -m repro.analysis lint src
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; \

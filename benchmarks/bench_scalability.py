@@ -8,8 +8,8 @@ m-flows per channel.
 Also drives a full end-to-end MIC scenario on a k=8 fat tree (80 switches,
 128 hosts) — the topology scale the indexed classification pipeline exists
 for — and the control-plane scale-out sweep: channel-setup churn throughput
-vs controller shard count (``repro.controlplane``), whose wall time, RSS and
-profile go to ``benchmarks/results/shard_scaleout.json``.
+vs controller shard count (``MimicController(shards=N)``), whose wall time,
+RSS and profile go to ``benchmarks/results/shard_scaleout.json``.
 
 Set ``BENCH_QUICK=1`` to trim the sweeps for CI (``make bench-quick``).
 """

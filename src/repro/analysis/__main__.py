@@ -5,7 +5,7 @@ establishes a batch of concurrent mimic channels through the real
 controller stack, and statically verifies every installed rule — the
 acceptance gate for "N concurrent m-flows, zero violations".  The same
 run also executes the :mod:`~repro.analysis.taint` anonymity-leak pass
-over the source tree (``--code-paths``, baseline-filtered) and merges its
+over the source tree (``--code-paths``) and merges its
 findings into the report, so the data-plane proof and the code-level leak
 scan share one gate.  With ``--metrics-out PATH`` the run additionally
 attaches a :class:`repro.obs.Observer` and writes its JSON metrics
@@ -13,8 +13,8 @@ snapshot (the artifact CI archives).
 
 ``python -m repro.analysis lint`` runs the full pluggable rule engine
 (:mod:`repro.analysis.lint`): determinism rules, the FlowTable
-encapsulation boundary and the anonymity taint pass, with pragma,
-baseline, SARIF and ``--explain`` support.
+encapsulation boundary and the anonymity taint pass, with pragma, SARIF
+and ``--explain`` support.
 """
 
 from __future__ import annotations
@@ -47,30 +47,25 @@ def _cross_pod_pairs(topo, rng: random.Random, count: int) -> list[tuple[str, st
     return pairs
 
 
-def _code_taint_violations(paths: list[str], baseline_arg: Optional[str]):
+def _code_taint_violations(paths: list[str]) -> list[Violation]:
     """Run the endpoint-leak pass over source paths; findings as Violations.
 
-    Returns ``(violations, suppressed_count)``; missing paths are skipped
-    (an installed package has no ``src/`` checkout to scan).
+    Missing paths are skipped (an installed package has no ``src/``
+    checkout to scan).
     """
-    from .lint import _resolve_baseline, run_lint
     from .rules import get_rule
 
     present = [p for p in paths if Path(p).exists()]
     if not present:
-        return [], 0
-    baseline = _resolve_baseline(baseline_arg)
-    run = run_lint(present, baseline=baseline,
-                   rules=[get_rule("endpoint-leak")])
-    violations = [
+        return []
+    return [
         Violation(
             kind="code-endpoint-leak",
             message=f"{f.path}:{f.line}: {f.message}",
             severity=Severity.WARNING,
         )
-        for f in run.findings
+        for f in lint_mod.lint_paths(present, rules=[get_rule("endpoint-leak")])
     ]
-    return violations, len(run.suppressed)
 
 
 def _cmd_verify_network(args: argparse.Namespace) -> int:
@@ -121,13 +116,11 @@ def _cmd_verify_network(args: argparse.Namespace) -> int:
     report = verify_network(net, mic=mic)
 
     if not args.no_code_taint:
-        taint_violations, suppressed = _code_taint_violations(
-            args.code_paths, args.baseline
-        )
+        taint_violations = _code_taint_violations(args.code_paths)
         report.extend(taint_violations)
         print(
             f"code taint pass: {len(taint_violations)} finding(s) over "
-            f"{', '.join(args.code_paths)} ({suppressed} baseline-suppressed)"
+            f"{', '.join(args.code_paths)}"
         )
 
     print(report.format())
@@ -194,17 +187,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="source paths for the code-level taint pass (default: src)",
     )
     verify.add_argument(
-        "--baseline", metavar="PATH",
-        help="lint baseline for the taint pass (default: "
-             f"{lint_mod.DEFAULT_BASELINE} when present; 'none' disables)",
-    )
-    verify.add_argument(
         "--no-code-taint", action="store_true",
         help="skip the code-level endpoint-leak pass",
     )
     verify.set_defaults(func=_cmd_verify_network)
 
-    # `lint` owns its own argparse (baseline/format/explain/...); pass the
+    # `lint` owns its own argparse (format/explain/select/...); pass the
     # remaining argv through untouched.
     lint = sub.add_parser(
         "lint", add_help=False,
@@ -226,6 +214,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args, rest = parser.parse_known_args(argv)
     if args.command == "lint":
         return lint_mod.main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

@@ -8,14 +8,11 @@ rewrite boundaries.  The engine runs every rule in the
 encapsulation boundary, and the :mod:`~repro.analysis.taint` anonymity
 pass — over the AST of each file (the linted code is never imported).
 
-Suppression is layered, strictest first:
+A finding is exempt only by a pragma in the code it names:
 
 * ``# lint: allow(rule-a, rule-b)`` on the offending line;
 * ``# lint: file-allow(rule)`` anywhere in a file (whole-file opt-out,
-  for e.g. the benchmark package's wall-clock timing);
-* a committed **baseline** (:mod:`repro.analysis.baseline`) of
-  grandfathered findings, each with a one-line justification — stale
-  entries fail the run, so the baseline tracks the code exactly.
+  for e.g. the benchmark package's wall-clock timing).
 
 ``--explain <rule>`` prints a rule's rationale and worked example;
 ``--format sarif`` emits SARIF 2.1.0 for code-host ingestion.
@@ -30,7 +27,6 @@ import sys
 from pathlib import Path, PurePath
 from typing import Iterable, Optional, Sequence
 
-from .baseline import Baseline
 from .reporters import format_text, sarif_text
 from .rules import Finding, LintContext, Rule, all_rules, explain, rule_ids
 from .taint import TaintProject, collect_project
@@ -39,8 +35,6 @@ __all__ = [
     "Finding",
     "lint_source",
     "lint_paths",
-    "LintRun",
-    "run_lint",
     "main",
 ]
 
@@ -104,8 +98,7 @@ def lint_source(
 ) -> list[Finding]:
     """Run the registry over one module's source; findings line-ordered.
 
-    Per-line and per-file pragmas are applied here; baseline filtering is
-    the caller's concern (:func:`run_lint`).
+    Per-line and per-file pragmas are applied here.
     """
     try:
         tree = ast.parse(source, filename=path)
@@ -162,69 +155,6 @@ def lint_paths(
     return findings
 
 
-class LintRun:
-    """Outcome of one engine run: findings split against the baseline."""
-
-    def __init__(self, findings, suppressed, stale, baseline):
-        self.findings: list[Finding] = findings
-        self.suppressed: list[Finding] = suppressed
-        self.stale = stale
-        self.baseline: Optional[Baseline] = baseline
-
-    @property
-    def ok(self) -> bool:
-        """True when nothing unsuppressed was found and nothing is stale."""
-        return not self.findings and not self.stale
-
-
-def run_lint(
-    paths: Iterable[str],
-    baseline: Optional[Baseline] = None,
-    rules: Optional[Sequence[Rule]] = None,
-) -> LintRun:
-    """Lint paths and apply a baseline; the engine's programmatic entry."""
-    files = _collect_files(paths)
-    sources = [(str(f), f.read_text(encoding="utf-8")) for f in files]
-    project = collect_project(sources)
-    lines_by_path: dict[str, list[str]] = {
-        p: text.splitlines() for p, text in sources
-    }
-    raw: list[Finding] = []
-    for file_path, text in sources:
-        raw.extend(lint_source(text, file_path, rules=rules, project=project))
-    paired = [
-        (f, lines_by_path[f.path][f.line - 1]
-         if 0 < f.line <= len(lines_by_path.get(f.path, [])) else "")
-        for f in raw
-    ]
-    from .baseline import normalize_path
-
-    scanned = {normalize_path(p) for p, _text in sources}
-    if baseline is None:
-        run = LintRun(raw, [], [], None)
-    else:
-        kept, suppressed, stale = baseline.apply(paired, scanned=scanned)
-        run = LintRun(kept, suppressed, stale, baseline)
-    run._paired = paired  # full finding/line pairs, for --update-baseline
-    run._scanned = scanned  # scope of this run, for partial updates
-    return run
-
-
-DEFAULT_BASELINE = "lint-baseline.json"
-
-
-def _resolve_baseline(arg: Optional[str]) -> Optional[Baseline]:
-    """Load the baseline: explicit path, or the default when present."""
-    if arg == "none":
-        return None
-    if arg:
-        return Baseline.load(arg)
-    default = Path(DEFAULT_BASELINE)
-    if default.exists():
-        return Baseline.load(default)
-    return None
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The `lint` subcommand's argument parser."""
     parser = argparse.ArgumentParser(
@@ -234,16 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        help=f"baseline file (default: {DEFAULT_BASELINE} when present; "
-             "'none' disables)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to cover exactly the current findings "
-             "(new entries get empty notes; stale entries expire)",
     )
     parser.add_argument(
         "--format", choices=("text", "sarif"), default="text",
@@ -269,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """CLI entry point; exit 1 on findings or stale baseline, 2 on usage."""
+    """CLI entry point; exit 1 on findings, 2 on usage."""
     args = build_parser().parse_args(argv)
 
     if args.list_rules:
@@ -295,44 +215,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         rules = [r for r in all_rules() if r.id in wanted]
 
     try:
-        if (args.update_baseline and args.baseline
-                and args.baseline != "none"
-                and not Path(args.baseline).exists()):
-            baseline = None  # creating a fresh baseline at that path
-        else:
-            baseline = _resolve_baseline(args.baseline)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        run = run_lint(args.paths, baseline=baseline, rules=rules)
+        findings = lint_paths(args.paths, rules=rules)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_BASELINE
-        base = baseline if baseline is not None else Baseline()
-        base.updated(run._paired, scanned=run._scanned).save(target)
-        print(f"baseline written to {target} "
-              f"({len(run.findings)} new, {len(run.stale)} expired)")
-        return 0
-
     report = (
-        sarif_text(run.findings) if args.format == "sarif"
-        else format_text(run.findings, suppressed=len(run.suppressed),
-                         stale=run.stale)
+        sarif_text(findings) if args.format == "sarif"
+        else format_text(findings)
     )
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
         if args.format == "sarif":
             # keep the terminal summary even when SARIF goes to a file
-            print(format_text(run.findings, suppressed=len(run.suppressed),
-                              stale=run.stale))
+            print(format_text(findings))
     else:
         print(report)
-    return 0 if run.ok else 1
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -10,9 +10,8 @@ show ``--explain``-grade help next to each result.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .baseline import BaselineEntry
 from .rules import Finding, Rule, Severity, all_rules
 
 __all__ = ["format_text", "to_sarif"]
@@ -24,30 +23,16 @@ SARIF_SCHEMA = (
 )
 
 
-def format_text(
-    findings: Iterable[Finding],
-    suppressed: int = 0,
-    stale: Optional[Iterable[BaselineEntry]] = None,
-) -> str:
+def format_text(findings: Iterable[Finding]) -> str:
     """The human-readable report: one line per finding, then a summary."""
     findings = list(findings)
-    stale = list(stale or [])
     lines = [f.format() for f in findings]
-    for entry in stale:
-        lines.append(
-            f"stale baseline entry (code gone — remove it or run "
-            f"--update-baseline): {entry.format()}"
-        )
     n_err = sum(1 for f in findings if f.severity == Severity.ERROR)
     n_warn = len(findings) - n_err
-    if findings or stale:
-        lines.append(
-            f"{n_err} error(s), {n_warn} warning(s), {len(stale)} stale "
-            f"baseline entr{'y' if len(stale) == 1 else 'ies'} "
-            f"({suppressed} baseline-suppressed)"
-        )
+    if findings:
+        lines.append(f"{n_err} error(s), {n_warn} warning(s)")
     else:
-        lines.append(f"lint: clean ({suppressed} baseline-suppressed)")
+        lines.append("lint: clean")
     return "\n".join(lines)
 
 

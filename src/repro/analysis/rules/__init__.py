@@ -4,16 +4,15 @@ Every check the linter can run is a :class:`Rule` — an id, a severity, a
 one-line summary, a rationale, a worked example, and a ``check`` method
 that walks one module's AST.  Rules self-register on import via
 :func:`register`, so adding a pass means adding a module under
-``repro.analysis.rules`` and nothing else: the CLI, the baseline matcher,
-the SARIF reporter, ``--explain`` and the docs catalog all iterate the
-registry.
+``repro.analysis.rules`` and nothing else: the CLI, the SARIF reporter,
+``--explain`` and the docs catalog all iterate the registry.
 
 A rule's ``check`` receives a :class:`LintContext` with the parsed tree,
 the import-alias table, the source lines, and (when linting a whole tree)
 the cross-file :class:`~repro.analysis.taint.TaintProject` built from
-``# taint:`` annotations.  Findings are *raw*: pragma and baseline
-filtering happen in the engine (:mod:`repro.analysis.lint`), so a rule
-never needs to know about suppression.
+``# taint:`` annotations.  Findings are *raw*: pragma filtering happens
+in the engine (:mod:`repro.analysis.lint`), so a rule never needs to know
+about suppression.
 """
 
 from __future__ import annotations
@@ -155,9 +154,9 @@ class LintContext:
 class Rule:
     """Base class for lint rules; subclasses fill the class attributes.
 
-    ``id`` is the stable identifier used in pragmas, baselines, SARIF and
-    docs.  ``example`` shows one line that trips the rule and (after a
-    blank line) the sanctioned alternative — ``--explain`` prints it.
+    ``id`` is the stable identifier used in pragmas, SARIF and docs.
+    ``example`` shows one line that trips the rule and (after a blank
+    line) the sanctioned alternative — ``--explain`` prints it.
     """
 
     id: str = ""
@@ -277,7 +276,6 @@ def explain(rule_id: str) -> str:
     for ln in rule.example.strip("\n").splitlines():
         lines.append(f"  {ln}")
     lines.append("")
-    lines.append(f"suppress one line with `# lint: allow({rule.id})`, a whole "
-                 f"file with `# lint: file-allow({rule.id})`, or grandfather "
-                 "a finding in the committed baseline.")
+    lines.append(f"suppress one line with `# lint: allow({rule.id})` or a "
+                 f"whole file with `# lint: file-allow({rule.id})`.")
     return "\n".join(lines)

@@ -63,7 +63,7 @@ class WallClockRule(Rule):
         traces on different hardware or under different load.  Simulated
         time (sim.now) is the only clock simulation code may consult;
         benchmark harnesses that legitimately time wall seconds carry a
-        pragma or a baseline entry.
+        pragma.
     """
     example = """
         t0 = time.perf_counter()      # flagged

@@ -79,7 +79,7 @@ def fig8_latency(seed: int = 0, payload: int = 10, trials: int = 3) -> FigureRes
     Each trial's RTT lands in the testbed's ``app.echo_rtt_s`` histogram
     and the reported per-protocol latency is the mean of an aggregate
     :class:`~repro.obs.Histogram` over all trials — the same summary the
-    JSON/CSV/Prometheus exporters would emit for this metric.
+    JSON exporter would emit for this metric.
     """
     result = FigureResult(
         "Fig 8", "Echo latency (10 B round trip)",

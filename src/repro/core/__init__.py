@@ -6,6 +6,7 @@
 * :mod:`.collision` — flow IDs, per-MN address spaces, key registry
 * :mod:`.channel` — channel/m-flow state and grants
 * :mod:`.controller` — the Mimic Controller SDN app
+* :mod:`.ownership` — rendezvous switch ownership for ``shards=N``
 * :mod:`.client` — user-end module (socket-like API) and server library
 * :mod:`.multiflow` — multiple-m-flows slicing/reassembly
 * :mod:`.hidden` — hidden service map (receiver anonymity)

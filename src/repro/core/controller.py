@@ -20,7 +20,7 @@ that is ``MimicController(shards=N)``: one namespace (labels, MN hashes,
 registry, hidden services, one flow-ID allocator, one anonymity strategy)
 and N :class:`Shard` books.  A channel lives on the shard owning its
 initiator's edge switch under the rendezvous map of
-:mod:`repro.controlplane.ownership`; every bundle is routed to the shard
+:mod:`repro.core.ownership`; every bundle is routed to the shard
 owning its target switch; a crashed shard's channels are adopted by the
 survivors (:meth:`MimicController.crash_shard`).  ``shards=1`` (the
 default) is the unsharded controller.
@@ -34,7 +34,6 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from ..controlplane.ownership import OwnershipMap
 from ..crypto import DEFAULT_COSTS, CryptoCostModel, Key, seal, unseal
 from ..net.addresses import IPv4Addr, MacAddr, ip
 from ..net.graph import NoPathError
@@ -57,6 +56,7 @@ from .collision import (
 )
 from .hidden import HiddenServiceMap
 from .labels import LabelSpace
+from .ownership import OwnershipMap
 from .restrictions import AddressRestrictions
 
 if TYPE_CHECKING:  # runtime import would cycle; see __init__
@@ -131,9 +131,10 @@ class Shard:
     #: cookie -> (rules, groups, drops) as installed — the channel intent a
     #: rebooted switch is re-synced from
     compiled: dict[int, tuple[list, list, list]] = field(default_factory=dict)
-    #: cookies with a repair process in flight (dedup: a second failure on
-    #: the same flow must not spawn a second repairer)
-    repairing: set[int] = field(default_factory=set)
+    #: cookie -> kind (``"repair"`` / ``"rotate"``) of the repair process
+    #: in flight (dedup: a second failure on the same flow must not spawn a
+    #: second repairer; failover re-drives the same kind)
+    repairing: dict[int, str] = field(default_factory=dict)
     #: cookie -> (channel, flow index) for flows parked with no surviving
     #: path; retried on heal events and by backoff loops
     parked: dict[int, tuple[MimicChannel, int]] = field(default_factory=dict)
@@ -832,7 +833,7 @@ class MimicController(ControllerApp):
         cookie = channel.flows[idx].cookie
         if cookie in shard.repairing or cookie in shard.parked:
             return False  # a repairer is already driving (or waiting on) it
-        shard.repairing.add(cookie)
+        shard.repairing[cookie] = kind
         self.sim.process(self._repair_flow(shard, channel, idx, kind),
                          name=f"mic.{kind}")
         return True
@@ -933,7 +934,7 @@ class MimicController(ControllerApp):
                 self.verify().raise_if_failed()
             span.finish(outcome="rotated" if kind == "rotate" else "repaired")
         finally:
-            shard.repairing.discard(cookie)
+            shard.repairing.pop(cookie, None)
 
     # -- parked flows (no surviving path) ----------------------------------
     def _ensure_park_loop(self, shard: Shard, cookie: int) -> None:
@@ -1053,7 +1054,7 @@ class MimicController(ControllerApp):
         self._alive_ids = alive
         self.failovers += 1
         span = begin_span(self.obs, "mic.shard.failover", shard=shard_id)
-        was_repairing = set(shard.repairing)
+        was_repairing = dict(shard.repairing)
         was_parked = dict(shard.parked)
         shard.repairing.clear()
         shard.parked.clear()
@@ -1074,10 +1075,12 @@ class MimicController(ControllerApp):
                     self.flows_reparked += 1
                     self._ensure_park_loop(adopter, plan.cookie)
                 elif plan.cookie in was_repairing:
-                    # The repair died with its shard; re-drive it on the
-                    # adopter (its removal scope comes from the adopted
-                    # compiled intent, so no rules leak).
-                    self._schedule_repair(adopter, channel, idx)
+                    # The repair (or rotation) died with its shard; re-drive
+                    # it on the adopter as the same kind (its removal scope
+                    # comes from the adopted compiled intent, so no rules
+                    # leak).
+                    self._schedule_repair(adopter, channel, idx,
+                                          kind=was_repairing[plan.cookie])
                     self.repairs_rescheduled += 1
         self.channels_adopted += adopted
         span.finish(channels_adopted=adopted)

@@ -28,6 +28,7 @@ prior layer (obs, faults, lint) ships with.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -424,12 +425,17 @@ class HybridEngine:
         """Start one fluid transfer along ``path`` (node names, src→dst).
 
         The first flow starts the epoch ticker; the allocation re-solves at
-        the next tick.  Returns the :class:`FluidTransfer` handle.
+        the next tick.  Returns the :class:`FluidTransfer` handle.  A
+        payload that is not finite and > 0, or a ``rate_cap_bps`` that is
+        not > 0 (``inf`` is uncapped), is a ``ValueError`` before anything
+        is booked: such a flow would never finish.
         """
         if len(path) < 2:
             raise SimulationError("fluid flow path needs at least two nodes")
-        if payload_bytes <= 0:
-            raise SimulationError("payload_bytes must be > 0")
+        if not 0 < payload_bytes < math.inf:
+            raise ValueError(f"payload_bytes must be finite and > 0, got {payload_bytes!r}")
+        if rate_cap_bps is not None and not rate_cap_bps > 0:
+            raise ValueError(f"rate_cap_bps must be > 0, got {rate_cap_bps!r}")
         if flow_id is None:
             flow_id = f"fluid-{self._flow_seq}"
         self._flow_seq += 1

@@ -15,14 +15,7 @@ doc.  See ``python -m repro.obs --help`` for the CLI.
 """
 
 from .contract import CONTRACT, MetricSpec, contract_names, format_contract_table, spec
-from .exporters import (
-    buckets_from_prometheus,
-    parse_prometheus,
-    to_csv,
-    to_json,
-    to_prometheus,
-    write_json,
-)
+from .exporters import to_json, write_json
 from .flight import (
     ANOMALY_TRIGGERS,
     DEFAULT_TRIGGERS,
@@ -100,9 +93,5 @@ __all__ = [
     "format_prof_table",
     "format_prof_top",
     "to_json",
-    "to_csv",
-    "to_prometheus",
-    "parse_prometheus",
-    "buckets_from_prometheus",
     "write_json",
 ]

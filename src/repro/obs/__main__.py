@@ -5,7 +5,7 @@ same markdown ``docs/observability.md`` embeds).
 
 ``python -m repro.obs demo`` stands up a MIC deployment, runs an echo
 exchange with an observer attached, and prints the summary — optionally
-exporting the snapshot as JSON/CSV/Prometheus text.
+exporting the snapshot as JSON (``--json``).
 
 ``python -m repro.obs journey`` runs the same deployment with per-packet
 journey tracing and a flight recorder attached (plus multicast decoys, so
@@ -32,7 +32,7 @@ import sys
 from typing import Optional
 
 from .contract import format_contract_table
-from .exporters import to_csv, to_json, to_prometheus
+from .exporters import write_json
 from .journey import format_hop_table, journeys_to_json
 
 
@@ -78,17 +78,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(obs.summary())
     snap = obs.snapshot()
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(to_json(snap) + "\n")
+        write_json(snap, args.json)
         print(f"wrote JSON snapshot to {args.json}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(to_csv(snap))
-        print(f"wrote CSV snapshot to {args.csv}")
-    if args.prom:
-        with open(args.prom, "w", encoding="utf-8") as fh:
-            fh.write(to_prometheus(snap))
-        print(f"wrote Prometheus snapshot to {args.prom}")
     return 0
 
 
@@ -226,9 +217,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     demo.add_argument("--period", type=float, default=0.05,
                       help="timeline sampling period in sim-seconds; 0 disables")
     demo.add_argument("--json", metavar="PATH", help="write JSON snapshot")
-    demo.add_argument("--csv", metavar="PATH", help="write CSV snapshot")
-    demo.add_argument("--prom", metavar="PATH",
-                      help="write Prometheus text snapshot")
     demo.set_defaults(func=_cmd_demo)
 
     journey = sub.add_parser(

@@ -1,38 +1,19 @@
-"""Snapshot exporters: JSON, CSV, and Prometheus text format.
+"""Snapshot exporter: JSON.
 
-All three serialize a :class:`~repro.obs.MetricsSnapshot`:
-
-* **JSON** — the full snapshot (samples, histogram summaries, spans) as one
-  document; the format CI archives and ``repro.analysis --metrics-out``
-  writes.
-* **CSV** — flat rows ``kind,name,labels,field,value`` for spreadsheet
-  ingestion.
-* **Prometheus** — the text exposition format (``# TYPE`` lines from the
-  contract, dots mapped to underscores).  Histograms export in either style:
-  ``summary`` (quantile-labeled series + ``_sum``/``_count``, the default)
-  or ``histogram`` (cumulative ``_bucket{le=...}`` series ending in
-  ``+Inf``), so latency distributions survive the round-trip — and
-  :func:`parse_prometheus` reads the text back for exactly that check.
-  Spans are not exported here; Prometheus has no span type.
+:func:`to_json` serializes a :class:`~repro.obs.MetricsSnapshot` — samples,
+histogram summaries (each with its cumulative ``buckets``), spans and,
+when profiled, the profile — as one document; it is the format CI
+archives and ``repro.analysis verify-network --metrics-out`` writes.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from typing import Any, Optional
+from typing import Any
 
-from .contract import _BY_NAME
 from .metrics import MetricsSnapshot
 
-__all__ = [
-    "to_json",
-    "to_csv",
-    "to_prometheus",
-    "parse_prometheus",
-    "buckets_from_prometheus",
-    "write_json",
-]
+__all__ = ["to_json", "write_json"]
 
 
 def _labels_dict(key: tuple[tuple[str, str], ...]) -> dict[str, str]:
@@ -73,135 +54,3 @@ def write_json(snap: MetricsSnapshot, path: str) -> None:  # taint: sink
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json(snap))
         fh.write("\n")
-
-
-def to_csv(snap: MetricsSnapshot) -> str:  # taint: sink
-    """Flat CSV rows: ``kind,name,labels,field,value``."""
-    lines = ["kind,name,labels,field,value"]
-
-    def _labels_txt(key: tuple[tuple[str, str], ...]) -> str:
-        return ";".join(f"{k}={v}" for k, v in key)
-
-    for s in snap.samples:
-        kind = _BY_NAME[s.name].type if s.name in _BY_NAME else "gauge"
-        lines.append(f'{kind},{s.name},"{_labels_txt(s.labels)}",value,{s.value:g}')
-    for (name, key), summary in sorted(snap.histograms.items()):
-        for field, value in summary.items():
-            if not isinstance(value, (int, float)):
-                continue  # buckets and other structured fields are not rows
-            lines.append(f'histogram,{name},"{_labels_txt(key)}",{field},{value:g}')
-    for r in snap.spans:
-        lines.append(
-            f'span,{r.name},"{_labels_txt(r.labels)}",duration_s,{r.duration_s:g}'
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _prom_name(name: str) -> str:
-    return name.replace(".", "_").replace("-", "_")
-
-
-def _prom_labels(
-    key: tuple[tuple[str, str], ...], extra: Optional[dict[str, str]] = None
-) -> str:
-    items = list(key) + list(extra.items() if extra else [])
-    if not items:
-        return ""
-    body = ",".join(f'{k}="{v}"' for k, v in items)
-    return "{" + body + "}"
-
-
-def to_prometheus(snap: MetricsSnapshot, histogram_style: str = "summary") -> str:  # taint: sink
-    """The snapshot in the Prometheus text exposition format.
-
-    ``histogram_style`` selects how distributions export: ``"summary"``
-    (quantile series, the historical default) or ``"histogram"``
-    (cumulative ``_bucket{le=...}`` series from the summary's ``buckets``
-    field, ending in the mandatory ``+Inf`` bucket — the style that
-    round-trips back into a distribution).
-    """
-    if histogram_style not in ("summary", "histogram"):
-        raise ValueError(f"unknown histogram_style {histogram_style!r}")
-    lines: list[str] = []
-    typed: set[str] = set()
-
-    def _type_line(name: str, prom_type: str) -> None:
-        prom = _prom_name(name)
-        if prom not in typed:
-            typed.add(prom)
-            spec = _BY_NAME.get(name)
-            if spec is not None:
-                lines.append(f"# HELP {prom} {spec.fires}")
-            lines.append(f"# TYPE {prom} {prom_type}")
-
-    for s in snap.samples:
-        spec = _BY_NAME.get(s.name)
-        prom_type = "counter" if spec is not None and spec.type == "counter" else "gauge"
-        _type_line(s.name, prom_type)
-        lines.append(f"{_prom_name(s.name)}{_prom_labels(s.labels)} {s.value:g}")
-    for (name, key), summary in sorted(snap.histograms.items()):
-        prom = _prom_name(name)
-        buckets = summary.get("buckets")
-        if histogram_style == "histogram" and buckets is not None:
-            _type_line(name, "histogram")
-            for le, cum in buckets:
-                lines.append(
-                    f"{prom}_bucket{_prom_labels(key, {'le': f'{le:g}'})} {cum:g}"
-                )
-            lines.append(
-                f"{prom}_bucket{_prom_labels(key, {'le': '+Inf'})} "
-                f"{summary['count']:g}"
-            )
-        else:
-            _type_line(name, "summary")
-            for q in ("p50", "p95", "p99"):
-                quantile = str(int(q[1:]) / 100)
-                lines.append(
-                    f"{prom}{_prom_labels(key, {'quantile': quantile})} {summary[q]:g}"
-                )
-        lines.append(f"{prom}_sum{_prom_labels(key)} {summary['sum']:g}")
-        lines.append(f"{prom}_count{_prom_labels(key)} {summary['count']:g}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str) -> dict[str, list[tuple[dict[str, str], float]]]:
-    """Parse text exposition back into ``name -> [(labels, value), ...]``.
-
-    Covers the subset :func:`to_prometheus` emits (no escapes inside label
-    values, no timestamps) — enough to round-trip our own output, which is
-    what the exporter tests do with histogram buckets.
-    """
-    out: dict[str, list[tuple[dict[str, str], float]]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        series, value_txt = line.rsplit(None, 1)
-        labels: dict[str, str] = {}
-        if "{" in series:
-            name, body = series.split("{", 1)
-            body = body.rstrip("}")
-            if body:
-                for item in body.split(","):
-                    k, v = item.split("=", 1)
-                    labels[k] = v.strip('"')
-        else:
-            name = series
-        value = float(value_txt)  # "+Inf" parses to math.inf
-        out.setdefault(name, []).append((labels, value))
-    return out
-
-
-def buckets_from_prometheus(
-    parsed: dict[str, list[tuple[dict[str, str], float]]], name: str
-) -> list[tuple[float, int]]:
-    """Reassemble one metric's cumulative buckets from parsed exposition.
-
-    Returns ``(le, cumulative_count)`` sorted by bound, ``+Inf`` last —
-    the inverse of the ``histogram`` export style for a single series.
-    """
-    pairs = [
-        (float(labels["le"]), int(value))
-        for labels, value in parsed.get(f"{name}_bucket", [])
-    ]
-    return sorted(pairs, key=lambda p: (math.inf if math.isinf(p[0]) else p[0]))

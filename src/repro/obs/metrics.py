@@ -94,9 +94,9 @@ class Histogram:
     def buckets(
         self, bounds: Sequence[float] = DEFAULT_BUCKET_BOUNDS
     ) -> list[tuple[float, int]]:
-        """Prometheus-style cumulative buckets: ``(le, count ≤ le)`` pairs.
+        """Cumulative buckets: ``(le, count ≤ le)`` pairs.
 
-        The implicit ``+Inf`` bucket is :attr:`count`; exporters add it.
+        The implicit ``+Inf`` bucket is :attr:`count`.
         """
         self._ensure_sorted()
         return [
@@ -108,10 +108,9 @@ class Histogram:
     ) -> dict[str, Any]:
         """The export form: count/sum/min/mean/p50/p95/p99/max (+ buckets).
 
-        ``buckets`` — cumulative ``[le, count]`` pairs — ride along so
-        histograms survive the Prometheus round-trip; pass
-        ``bucket_bounds=None`` to omit them.  Scalar-only consumers (CSV)
-        skip the non-scalar field.
+        ``buckets`` — cumulative ``[le, count]`` pairs — ride along so a
+        JSON snapshot keeps the distribution, not only its quantiles; pass
+        ``bucket_bounds=None`` to omit them.
         """
         out: dict[str, Any] = {
             "count": float(self.count),

@@ -4,12 +4,9 @@ keeps ``src/`` clean (the same gate CI runs)."""
 import pathlib
 import textwrap
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.lint import lint_paths, lint_source, run_lint
+from repro.analysis.lint import lint_paths, lint_source
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-SRC_ROOT = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "lint-baseline.json"
+SRC_ROOT = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 def rules_of(source):
@@ -142,22 +139,12 @@ class TestSetIteration:
 
 
 class TestEnforcement:
-    def test_src_tree_is_clean_against_baseline(self):
-        """The repository's own code passes the full rule registry against
-        the committed baseline (the gate `make lint` and CI enforce): no
-        new findings, no stale grandfathered entries."""
-        run = run_lint([str(SRC_ROOT)], baseline=Baseline.load(BASELINE))
-        assert run.findings == [], "\n".join(f.format() for f in run.findings)
-        assert run.stale == [], "\n".join(e.format() for e in run.stale)
-
-    def test_baseline_entries_all_justified(self):
-        """Every grandfathered finding carries a non-empty justification,
-        and today there is none: the last one, the controller's packet-in
-        trace row, went with the trace log."""
-        base = Baseline.load(BASELINE)
-        assert base.entries == [], "\n".join(e.format() for e in base.entries)
-        for entry in base.entries:
-            assert entry.note.strip(), f"missing note: {entry.format()}"
+    def test_src_tree_is_clean(self):
+        """The repository's own code passes the full rule registry (the
+        gate `make lint` and CI enforce); a pragma in the code is the only
+        way to exempt a finding."""
+        findings = lint_paths([str(SRC_ROOT)])
+        assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_findings_are_line_ordered_and_formatted(self):
         findings = lint_source(

@@ -1,4 +1,4 @@
-"""Engine-level tests: registry, pragmas, baselines, reporters, CLI."""
+"""Engine-level tests: registry, pragmas, reporters, CLI."""
 
 import json
 import os
@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import Baseline, BaselineEntry, normalize_path
-from repro.analysis.lint import lint_source, main as lint_main, run_lint
+from repro.analysis.lint import lint_paths, lint_source, main as lint_main
 from repro.analysis.reporters import to_sarif
 from repro.analysis.rules import (
     Severity,
@@ -194,10 +193,7 @@ class TestProcessGlobalMintRule:
 
     def test_src_has_none_and_the_baseline_grandfathers_none(self):
         root = Path(__file__).resolve().parents[2]
-        run = run_lint([str(root / "src")], rules=[get_rule("process-global-mint")])
-        assert run.findings == [] and run.suppressed == []
-        baseline = json.loads((root / "lint-baseline.json").read_text())
-        assert all(e["rule"] != "process-global-mint" for e in baseline["entries"])
+        assert lint_paths([str(root / "src")], rules=[get_rule("process-global-mint")]) == []
 
 
 class TestThirdPartyImportRule:
@@ -244,10 +240,7 @@ class TestThirdPartyImportRule:
 
     def test_src_is_inside_the_budget_with_no_baseline_entry(self):
         root = Path(__file__).resolve().parents[2]
-        run = run_lint([str(root / "src")], rules=[get_rule("third-party-import")])
-        assert run.findings == [] and run.suppressed == []
-        baseline = json.loads((root / "lint-baseline.json").read_text())
-        assert all(e["rule"] != "third-party-import" for e in baseline["entries"])
+        assert lint_paths([str(root / "src")], rules=[get_rule("third-party-import")]) == []
 
     def test_a_fresh_interpreter_running_repro_never_loads_networkx(self):
         """Every subpackage imported, two CLIs run: the old dependency, which
@@ -293,126 +286,21 @@ class TestThirdPartyImportRule:
         assert done.returncode == 0, done.stderr
 
 
-class TestBaseline:
-    def _write_bad_module(self, tmp_path, name="mod.py"):
-        mod = tmp_path / name
-        mod.write_text("import time\nt = time.time()\n")
-        return mod
-
-    def test_baseline_suppresses_matching_finding(self, tmp_path):
-        mod = self._write_bad_module(tmp_path)
-        base = Baseline(entries=[BaselineEntry(
-            path=normalize_path(str(mod)), rule="wall-clock",
-            context="t = time.time()", note="test fixture",
-        )])
-        run = run_lint([str(mod)], baseline=base)
-        assert run.findings == []
-        assert len(run.suppressed) == 1
-        assert run.stale == []
-        assert run.ok
-
-    def test_entry_survives_line_drift(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text("import time\n\n\n# moved down\nt = time.time()\n")
-        base = Baseline(entries=[BaselineEntry(
-            path=normalize_path(str(mod)), rule="wall-clock",
-            context="t = time.time()", note="n",
-        )])
-        run = run_lint([str(mod)], baseline=base)
-        assert run.findings == [] and run.ok
-
-    def test_stale_entry_fails_the_run(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text("x = 1\n")  # the grandfathered code is gone
-        base = Baseline(entries=[BaselineEntry(
-            path=normalize_path(str(mod)), rule="wall-clock",
-            context="t = time.time()", note="n",
-        )])
-        run = run_lint([str(mod)], baseline=base)
-        assert run.findings == []
-        assert len(run.stale) == 1
-        assert not run.ok
-
-    def test_unscanned_entries_are_out_of_scope_not_stale(self, tmp_path):
-        # Linting one clean file must not expire baseline entries that
-        # describe files outside the linted path set.
-        mod = tmp_path / "mod.py"
-        mod.write_text("x = 1\n")
-        base = Baseline(entries=[BaselineEntry(
-            path="src/elsewhere.py", rule="wall-clock",
-            context="t = time.time()", note="n",
-        )])
-        run = run_lint([str(mod)], baseline=base)
-        assert run.stale == []
-        assert run.ok
-
-    def test_partial_update_keeps_unscanned_entries(self, tmp_path):
-        mod = self._write_bad_module(tmp_path)
-        elsewhere = BaselineEntry(
-            path="src/elsewhere.py", rule="wall-clock",
-            context="t = time.time()", note="n")
-        base = Baseline(entries=[elsewhere])
-        run = run_lint([str(mod)], baseline=base)
-        updated = base.updated(run._paired, scanned=run._scanned)
-        keys = {e.key for e in updated.entries}
-        assert elsewhere.key in keys                  # carried over
-        assert any(e.context == "t = time.time()"
-                   and e.path == normalize_path(str(mod))
-                   for e in updated.entries)          # added
-
-    def test_update_baseline_adds_and_expires(self, tmp_path):
-        mod = self._write_bad_module(tmp_path)
-        stale_entry = BaselineEntry(
-            path="src/gone.py", rule="wall-clock", context="old()", note="x")
-        base = Baseline(entries=[stale_entry])
-        run = run_lint([str(mod)], baseline=base)
-        updated = base.updated(run._paired)
-        keys = {e.key for e in updated.entries}
-        assert stale_entry.key not in keys            # expired
-        assert any(e.rule == "wall-clock" and e.context == "t = time.time()"
-                   for e in updated.entries)          # added
-
-    def test_update_preserves_existing_notes(self, tmp_path):
-        mod = self._write_bad_module(tmp_path)
-        base = Baseline(entries=[BaselineEntry(
-            path=normalize_path(str(mod)), rule="wall-clock",
-            context="t = time.time()", note="keep me",
-        )])
-        run = run_lint([str(mod)], baseline=base)
-        updated = base.updated(run._paired)
-        assert [e.note for e in updated.entries] == ["keep me"]
-
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "base.json"
-        base = Baseline(entries=[BaselineEntry("src/a.py", "r", "ctx", "why")])
-        base.save(path)
-        again = Baseline.load(path)
-        assert [e.key for e in again.entries] == [e.key for e in base.entries]
-        assert again.entries[0].note == "why"
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-
 class TestCli:
     def test_exit_zero_on_clean_tree(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert lint_main([str(tmp_path), "--baseline", "none"]) == 0
+        assert lint_main([str(tmp_path)]) == 0
         assert "lint: clean" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("import time\nt = time.time()\n")
-        assert lint_main([str(tmp_path), "--baseline", "none"]) == 1
+        assert lint_main([str(tmp_path)]) == 1
         assert "wall-clock" in capsys.readouterr().out
 
     def test_select_runs_only_chosen_rules(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(
             "import time, random\nt = time.time()\nx = random.random()\n")
-        assert lint_main([str(tmp_path), "--baseline", "none",
-                          "--select", "unseeded-random"]) == 1
+        assert lint_main([str(tmp_path), "--select", "unseeded-random"]) == 1
         out = capsys.readouterr().out
         assert "unseeded-random" in out and "wall-clock" not in out
 
@@ -426,32 +314,11 @@ class TestCli:
         for rid in rule_ids():
             assert rid in out
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys, monkeypatch):
-        mod = tmp_path / "bad.py"
-        mod.write_text("import time\nt = time.time()\n")
-        base_path = tmp_path / "base.json"
-        assert lint_main([str(mod), "--baseline", str(base_path),
-                          "--update-baseline"]) == 0
-        capsys.readouterr()
-        assert lint_main([str(mod), "--baseline", str(base_path)]) == 0
-        assert "1 baseline-suppressed" in capsys.readouterr().out
-
-    def test_stale_baseline_fails_cli(self, tmp_path, capsys):
-        mod = tmp_path / "ok.py"
-        mod.write_text("x = 1\n")
-        base_path = tmp_path / "base.json"
-        Baseline(entries=[BaselineEntry(
-            path=normalize_path(str(mod)), rule="wall-clock",
-            context="t = time.time()", note="n")]).save(base_path)
-        assert lint_main([str(mod), "--baseline", str(base_path)]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-
 
 class TestSarif:
     def test_document_shape_and_rule_catalog(self, tmp_path):
         (tmp_path / "bad.py").write_text("import time\nt = time.time()\n")
-        run = run_lint([str(tmp_path)])
-        doc = to_sarif(run.findings)
+        doc = to_sarif(lint_paths([str(tmp_path)]))
         assert doc["version"] == "2.1.0"
         driver = doc["runs"][0]["tool"]["driver"]
         assert driver["name"] == "repro-lint"
@@ -470,8 +337,7 @@ class TestSarif:
     def test_cli_sarif_output_is_valid_json(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text("import time\nt = time.time()\n")
         out_path = tmp_path / "report.sarif"
-        assert lint_main([str(tmp_path), "--baseline", "none",
-                          "--format", "sarif",
+        assert lint_main([str(tmp_path), "--format", "sarif",
                           "--output", str(out_path)]) == 1
         doc = json.loads(out_path.read_text())
         assert doc["runs"][0]["results"][0]["ruleId"] == "wall-clock"

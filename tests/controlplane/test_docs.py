@@ -2,7 +2,7 @@
 
 import pathlib
 
-from repro.controlplane import CONTROLPLANE_CONTRACT, format_controlplane_table
+from repro.core.ownership import CONTROLPLANE_CONTRACT, format_controlplane_table
 
 DOC = pathlib.Path(__file__).resolve().parents[2] / "docs" / "controlplane.md"
 
@@ -20,7 +20,7 @@ def test_contract_table_matches_formatter_exactly():
         format_controlplane_table().strip()
     ), (
         "docs/controlplane.md contract table is stale — regenerate with "
-        "`python -c \"from repro.controlplane import "
+        "`python -c \"from repro.core.ownership import "
         "format_controlplane_table; print(format_controlplane_table())\"` "
         "and paste between the markers"
     )

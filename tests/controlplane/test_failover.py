@@ -110,6 +110,25 @@ def test_crash_mid_repair_reschedules_on_adopter():
     assert mic.verify().violations == []
 
 
+def test_a_rotation_that_dies_with_its_shard_is_re_driven_as_a_rotation():
+    """Failover used to re-drive every in-flight flow as a repair: the
+    rotation landed on the adopter but counted as a repair."""
+    dep, _ = establish_canonical(shards=4, decoys=0)
+    mic = dep.mic
+    shard = mic.shards[0]
+    channel = shard.channels[min(shard.channels)]
+    assert mic.rotate_flow(channel, 0)
+    dep.run_for(0.0005)
+    assert shard.repairing, "the rotation finished before the crash"
+    mic.crash_shard(0)
+    dep.run_for(5.0)
+
+    assert mic.strategy.rotations_completed == 1
+    assert mic.repairs_completed == 0
+    assert mic.repairs_rescheduled == 1
+    assert mic.verify().violations == []
+
+
 def test_rejoin_restores_eligibility_without_failback():
     dep, _ = establish_canonical(shards=4)
     mic = dep.mic

@@ -10,7 +10,7 @@ to its own class.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.controlplane import (
+from repro.core.ownership import (
     CONTROLPLANE_CONTRACT,
     OwnershipMap,
     format_controlplane_table,

@@ -6,9 +6,11 @@ mechanics on small fabrics.
 """
 
 import ast
+import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.bench import Testbed, open_tcp, run_process
@@ -154,6 +156,30 @@ def test_negative_or_nan_rate_cap_is_refused(cap):
     with pytest.raises(ValueError):
         eng.peer_flow(path, rate_cap_bps=cap)
     assert (eng.live_flows, eng.live_peers, len(eng.solver)) == (0, 0, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    param=st.sampled_from(["payload_bytes", "rate_cap_bps"]),
+    value=st.sampled_from([0, -1, math.nan, math.inf]),
+)
+def test_a_bad_number_works_or_is_refused_before_anything_is_booked(param, value):
+    """A nan or infinite payload and a zero cap used to be accepted: the
+    flow never finished and the ticker ran on.  Each is refused before an
+    id is drawn or a row is touched; what gets through (an infinite cap is
+    "uncapped") finishes."""
+    net = Network(linear(2))
+    eng = HybridEngine(net, epoch_s=0.01)
+    kwargs = {"payload_bytes": 10_000, param: value}
+    try:
+        fc = eng.start_flow(["h1", "s1", "s2", "h2"], **kwargs)
+    except ValueError:
+        assert (param, value) != ("rate_cap_bps", math.inf)
+        assert (eng._flow_seq, eng.live_flows, len(eng.solver)) == (0, 0, 0)
+        assert not any(eng._users) and not eng._ticker.running
+        return
+    net.run(until=2.0)
+    assert fc.finished and eng.live_flows == 0 and not eng._ticker.running
 
 
 def test_two_fluid_flows_share_a_bottleneck_exactly():

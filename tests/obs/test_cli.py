@@ -16,12 +16,11 @@ def test_contract_prints_the_table(capsys):
 
 @pytest.fixture(scope="module")
 def demo_exports(tmp_path_factory):
-    """One demo run exporting all three formats (shared across tests)."""
+    """One demo run exporting its JSON snapshot (shared across tests)."""
     d = tmp_path_factory.mktemp("obs-cli")
-    paths = {k: str(d / f"snap.{k}") for k in ("json", "csv", "prom")}
+    paths = {"json": str(d / "snap.json")}
     rc = main([
-        "demo", "--horizon", "2", "--period", "0",
-        "--json", paths["json"], "--csv", paths["csv"], "--prom", paths["prom"],
+        "demo", "--horizon", "2", "--period", "0", "--json", paths["json"],
     ])
     assert rc == 0
     return paths
@@ -43,15 +42,6 @@ def test_demo_json_export_is_contracted(demo_exports):
     names |= {r["name"] for r in doc["spans"]}
     assert names <= set(contract_names())
     assert any(r["name"] == "mic.connect" for r in doc["spans"])
-
-
-def test_demo_csv_and_prom_exports(demo_exports):
-    csv = open(demo_exports["csv"], encoding="utf-8").read().splitlines()
-    assert csv[0] == "kind,name,labels,field,value"
-    assert any(ln.startswith("counter,switch.rule.packets,") for ln in csv)
-    prom = open(demo_exports["prom"], encoding="utf-8").read()
-    assert "# TYPE switch_rule_packets counter" in prom
-    assert "app_echo_rtt_s_count" in prom
 
 
 def test_summarize_round_trips(capsys, demo_exports):

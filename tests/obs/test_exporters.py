@@ -1,7 +1,6 @@
-"""Exporter formats: JSON round-trip, CSV rows, Prometheus text."""
+"""The JSON snapshot exporter and the histogram buckets it carries."""
 
 import json
-import math
 
 import pytest
 
@@ -10,11 +9,7 @@ from repro.obs import (
     Histogram,
     MetricsSnapshot,
     SpanLog,
-    buckets_from_prometheus,
-    parse_prometheus,
-    to_csv,
     to_json,
-    to_prometheus,
     write_json,
 )
 
@@ -56,34 +51,6 @@ def test_json_round_trips(snap, tmp_path):
     assert json.loads(path.read_text(encoding="utf-8")) == doc
 
 
-def test_csv_rows(snap):
-    lines = to_csv(snap).splitlines()
-    assert lines[0] == "kind,name,labels,field,value"
-    # The kind column comes from the contract.
-    assert 'counter,port.tx.packets,"node=h1;port=0",value,7' in lines
-    assert 'gauge,link.queue.bytes,"channel=h1[0]->s1[1]",value,120' in lines
-    # Histograms expand to one row per summary field.
-    hist_rows = [ln for ln in lines if ln.startswith("histogram,")]
-    assert len(hist_rows) == 8
-    assert 'histogram,net.packet_latency_s,"host=h3",p95,0.003' in lines
-    assert 'span,mic.establish,"channel=ch-1",duration_s,0.1' in lines
-
-
-def test_prometheus_text(snap):
-    text = to_prometheus(snap)
-    assert "# TYPE port_tx_packets counter" in text
-    assert "# TYPE link_queue_bytes gauge" in text
-    assert "# TYPE net_packet_latency_s summary" in text
-    assert 'port_tx_packets{node="h1",port="0"} 7' in text
-    assert "ctrl_packet_in_count 3" in text  # label-free: no braces
-    assert 'net_packet_latency_s{host="h3",quantile="0.5"} 0.002' in text
-    assert 'net_packet_latency_s_sum{host="h3"} 0.006' in text
-    assert 'net_packet_latency_s_count{host="h3"} 3' in text
-    # HELP text comes from the contract's "fires" column.
-    assert "# HELP port_tx_packets the port's transmit channel accepts a packet" in text
-    assert "mic_establish" not in text  # spans have no Prometheus mapping
-
-
 def test_summary_carries_cumulative_buckets():
     hist = Histogram()
     for v in (0.0005, 0.0015, 0.0015, 0.4):
@@ -111,47 +78,6 @@ def test_default_bucket_bounds_are_a_1_2_5_ladder():
     assert 2e-3 in DEFAULT_BUCKET_BOUNDS and 5e-2 in DEFAULT_BUCKET_BOUNDS
 
 
-def test_histogram_style_prometheus_round_trips(snap):
-    """satellite check: bucket counts survive export → parse → reassembly."""
-    text = to_prometheus(snap, histogram_style="histogram")
-    assert "# TYPE net_packet_latency_s histogram" in text
-    assert 'net_packet_latency_s_bucket{host="h3",le="+Inf"} 3' in text
-    # quantile series belong to the summary style only
-    assert "quantile=" not in text
-    # _sum/_count survive in both styles
-    assert 'net_packet_latency_s_sum{host="h3"} 0.006' in text
-    assert 'net_packet_latency_s_count{host="h3"} 3' in text
-
-    parsed = parse_prometheus(text)
-    assert parsed["port_tx_packets"] == [({"node": "h1", "port": "0"}, 7.0)]
-    round_tripped = buckets_from_prometheus(parsed, "net_packet_latency_s")
-    hist = Histogram()
-    for v in (0.001, 0.002, 0.003):
-        hist.observe(v)
-    expected = [(le, cum) for le, cum in hist.buckets()] + [
-        (math.inf, hist.count)
-    ]
-    assert len(round_tripped) == len(expected)
-    for (le_rt, cum_rt), (le_ex, cum_ex) in zip(round_tripped, expected):
-        # the %g exposition rounds bounds like 5*1e-6 to the nearest float
-        assert le_rt == pytest.approx(le_ex, rel=1e-9)
-        assert cum_rt == cum_ex
-
-
-def test_summary_style_is_unchanged_by_default(snap):
-    assert to_prometheus(snap) == to_prometheus(snap, histogram_style="summary")
-    with pytest.raises(ValueError):
-        to_prometheus(snap, histogram_style="both")
-
-
-def test_csv_skips_structured_bucket_field(snap):
-    # the summary now carries a "buckets" list; CSV stays scalar rows only
-    for line in to_csv(snap).splitlines():
-        assert "buckets" not in line
-
-
 def test_empty_snapshot_exports(tmp_path):
     empty = MetricsSnapshot(sim_time_s=0.0)
     assert json.loads(to_json(empty))["samples"] == []
-    assert to_csv(empty) == "kind,name,labels,field,value\n"
-    assert to_prometheus(empty) == "\n"
