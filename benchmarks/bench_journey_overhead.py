@@ -2,12 +2,13 @@
 
 The acceptance bar for per-packet tracing is that a recorder attached at
 ``sample_rate=0`` slows a packet-pushing run by at most 2% of wall time.
-That configuration is statically dead, so ``attach`` installs no hooks and
-the bar holds by construction — this bench keeps it honest by measuring.
-A predicate that always answers "no" (hooks live, every event paying the
-memoized sampling check), full sampling, and an armed flight recorder are
-reported alongside for context; they do real per-event work and carry no
-2% bar.
+That configuration is statically dead, so ``attach`` installs no wrapper
+on any host, switch, table or channel (the data plane itself has no hook
+to guard) and the bar holds by construction — this bench keeps it honest
+by measuring.  A predicate that always answers "no" (wrappers live, every
+event paying a wrapper frame and the memoized sampling check), full
+sampling, and an armed flight recorder are reported alongside for
+context; they do real per-event work and carry no 2% bar.
 
 Timing is CPU time (``time.process_time``) with the garbage collector
 paused, min-of-N over interleaved repetitions — wall clocks on shared CI

@@ -98,7 +98,7 @@ def deploy_mic(
     ``journey=True`` additionally attaches a
     :class:`repro.obs.JourneyRecorder` (``journey_kwargs`` forwards
     ``sample_rate``/``predicate``/``flight``), exposed as ``journey`` (and
-    as ``net.journey``).
+    registered as ``net.journey``), wrapping the fabric from outside.
     ``controller_kwargs`` forwards failure-detection and install-retry
     knobs to the :class:`~repro.sdn.controller.Controller`; ``faults``
     attaches a :class:`repro.faults.FaultSchedule` (its injected events

@@ -99,8 +99,6 @@ class Host(Node):
         self.cpu.busy_s += params.host_stack_cpu_s + size * params.host_per_byte_cpu_s
         self.packets_sent += 1
         self.bytes_sent += size
-        if self.journey is not None:
-            self.journey.on_host_tx(self, packet)
         self.sim.call_later(params.host_stack_delay_s, channel.send, packet)
 
     def make_packet(
@@ -140,8 +138,6 @@ class Host(Node):
             # Not ours: a NIC without promiscuous mode discards it.  Decoy
             # packets from partial multicast die exactly this way when they
             # reach an innocent host instead of a dropping next-hop rule.
-            if self.journey is not None:
-                self.journey.on_host_foreign_drop(self, packet)
             return
         params = self.params
         size = packet.size
@@ -149,8 +145,6 @@ class Host(Node):
         self.cpu.busy_s += params.host_stack_cpu_s + size * params.host_per_byte_cpu_s
         self.packets_received += 1
         self.bytes_received += size
-        if self.journey is not None:
-            self.journey.on_host_rx(self, packet)
         self.sim.call_later(params.host_stack_delay_s, self._dispatch, packet)
 
     def _dispatch(self, packet: Packet) -> None:

@@ -401,7 +401,7 @@ class HybridEngine:
         if self._pinned_nodes and any(n in self._pinned_nodes for n in path):
             return "packet"
         if self.net.journey is not None:
-            # a recorder hooked the fabric's channels: fluid flows would be
+            # a recorder wraps the fabric's channels: fluid flows would be
             # invisible to it
             return "packet"
         draw = zlib.crc32(flow_id.encode("utf-8")) / 2**32

@@ -53,64 +53,62 @@ class Channel:
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
         self.queue_bytes = queue_bytes
-        #: directed link label, e.g. ``a[1]->b[2]`` — every journey row of
+        #: directed link label, e.g. ``a[1]->b[2]`` — every recorded row of
         #: the channel carries it, so it is rendered once, here
         self.name = f"{src.name}[{src_port}]->{dst.name}[{dst_port}]"
         self.stats = LinkStats()
         self._tx_free_at = 0.0
         self.up = True
-        #: optional attached repro.obs.journey.JourneyRecorder
-        self.journey = None
         #: fluid background load published by repro.net.hybrid each epoch;
         #: 0.0 keeps the packet hot path byte-identical to a bare engine
         self.fluid_load_bps = 0.0
 
-    def effective_bandwidth_bps(self) -> float:
-        """Serialization bandwidth left for packet-level traffic.
+    def queue_ahead(self) -> tuple[float, float, int]:
+        """What a packet arriving now meets: the bandwidth it serializes at,
+        its queue wait and the bytes queued ahead of it.
 
         The hybrid hand-off contract (docs/scale.md): fluid background load
         debits the bandwidth packets serialize at, floored at 1% of capacity
         so packet traffic is never fully starved.  With no fluid load the
         branch is untaken and the arithmetic identical to a bare engine.
         """
+        bandwidth = self.bandwidth_bps
         fluid = self.fluid_load_bps
         if fluid:
-            return max(self.bandwidth_bps - fluid, self.bandwidth_bps * 0.01)
-        return self.bandwidth_bps
+            bandwidth = max(bandwidth - fluid, bandwidth * 0.01)
+        pending_s = self._tx_free_at - self.sim.now
+        wait_s = pending_s if pending_s > 0.0 else 0.0
+        return bandwidth, wait_s, int(wait_s * bandwidth / 8.0)
+
+    def effective_bandwidth_bps(self) -> float:
+        """Serialization bandwidth left for packet-level traffic."""
+        return self.queue_ahead()[0]
 
     def backlog_bytes(self) -> int:
         """Bytes currently queued ahead of a new arrival."""
-        pending_s = max(0.0, self._tx_free_at - self.sim.now)
-        return int(pending_s * self.effective_bandwidth_bps() / 8.0)
+        return self.queue_ahead()[2]
 
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet`` for transmission; False means tail-dropped."""
         now = self.sim.now
         size = packet.size
-        # One read of the fluid-debited bandwidth serves the queue check and
-        # the serialization time; the expressions are those of
-        # effective_bandwidth_bps() and backlog_bytes(), term for term.
+        # queue_ahead()'s expressions, term for term, with no call: one read
+        # of the bandwidth serves the queue check and the serialization time
         bandwidth = self.bandwidth_bps
         fluid = self.fluid_load_bps
         if fluid:
             bandwidth = max(bandwidth - fluid, bandwidth * 0.01)
         free_at = self._tx_free_at
-        # the two max() calls of backlog_bytes() / the start time, as
-        # conditional expressions: same floats, no call
         pending_s = free_at - now
         backlog = int((pending_s if pending_s > 0.0 else 0.0) * bandwidth / 8.0)
         if not self.up or backlog + size > self.queue_bytes:
             self.stats.drops += 1
-            if self.journey is not None:
-                self.journey.on_link_drop(self, packet, backlog)
             return False
         tx_time = size * 8.0 / bandwidth
         start = free_at if free_at > now else now
         self._tx_free_at = free_at = start + tx_time
         self.stats.packets += 1
         self.stats.bytes += size
-        if self.journey is not None:
-            self.journey.on_link_tx(self, packet, start - now, tx_time, backlog, size)
         self.sim.call_at(free_at + self.delay_s, self._deliver, packet)
         return True
 
@@ -118,20 +116,14 @@ class Channel:
         if not self.up:
             # The link went down while the packet was in flight (serializing
             # or propagating): it is lost, and the loss must be visible —
-            # silently returning here would leave drops uncounted and
-            # journeys dangling mid-hop.
+            # silently returning here would leave drops uncounted.
             self.stats.drops += 1
-            if self.journey is not None:
-                self.journey.on_link_drop(self, packet, self.backlog_bytes())
             return
         self.dst.receive(packet, self.dst_port)
 
     def set_state(self, up: bool) -> None:
         """Administratively flip this direction's state."""
-        changed = up != self.up
         self.up = up
-        if changed and not up and self.journey is not None:
-            self.journey.on_link_state(self, up)
 
 
 class Link:

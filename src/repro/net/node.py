@@ -61,8 +61,6 @@ class Node:
         self.params = params
         self.ports: dict[int, "Channel"] = {}
         self.cpu = CpuMeter()
-        #: optional attached repro.obs.journey.JourneyRecorder
-        self.journey = None
 
     def attach(self, port: int, channel: "Channel") -> None:
         """Wire a link channel to a port (done by Network)."""

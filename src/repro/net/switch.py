@@ -87,11 +87,6 @@ class Switch(Node):
             return
         if self.mirror_taps:
             self._mirror(packet, in_port, "in")
-        # the journey's ingress header rides to _classify as the hop's
-        # pre-rewrite header (None: this hop records nothing)
-        header = None
-        if self.journey is not None:
-            header = self.journey.on_switch_ingress(self, packet, in_port)
         table = self.table
         params = self.params
         entry = table.lookup(packet, in_port)
@@ -105,7 +100,7 @@ class Switch(Node):
         # during the pipeline delay.
         self.sim.call_later(
             params.switch_forward_delay_s + rewrites * params.setfield_delay_s,
-            self._classify, packet, in_port, entry, table.version, header,
+            self._classify, packet, in_port, entry, table.version,
         )
 
     def _classify(
@@ -114,7 +109,6 @@ class Switch(Node):
         in_port: int,
         resolved: Optional[FlowEntry],
         resolved_version: int,
-        header: Optional[tuple],
     ) -> None:
         if not self.alive:
             # Crashed mid-pipeline: the packet dies with the chassis.
@@ -122,25 +116,15 @@ class Switch(Node):
             return
         packet.ttl -= 1
         if packet.ttl <= 0:
-            if header is not None and self.journey is not None:
-                self.journey.on_ttl_expired(self, packet, in_port)
             return
         emissions, to_controller, entry = self.table.apply(
             packet, in_port, resolved, resolved_version
         )
         if entry is None:
             self.packets_punted += 1
-            if header is not None and self.journey is not None:
-                self.journey.on_switch_miss(self, packet, in_port, header)
             self._punt(packet, in_port)
             return
         entry.last_hit_s = self.sim.now
-        # A header means the ingress was recorded; the journey may have
-        # been detached during the pipeline delay since.
-        if header is not None and self.journey is not None:
-            self.journey.on_switch_applied(
-                self, packet, in_port, entry, header, emissions
-            )
         if to_controller:
             self._punt(packet, in_port)
         for port, out_pkt in emissions:

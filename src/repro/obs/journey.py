@@ -7,7 +7,7 @@ identities that survive rewrites (:attr:`Packet.uid` per instance,
 :attr:`Packet.content_tag` per wire content, shared by multicast decoy
 copies).  Each hop records ingress port, matched rule, the rewrite applied
 (old → new header tuple), queue wait, serialization time, and egress.  It
-is the data path's one inline recorder (control-plane actions and state
+is the data path's one per-packet recorder (control-plane actions and state
 changes live in the controllers' counters and spans), and it gives:
 
 * **ground truth** for the attack modules — adversary success is scored
@@ -18,12 +18,12 @@ changes live in the controllers' counters and spans), and it gives:
 * **renderable timelines** — the Perfetto exporter draws per-node tracks
   with rewrite annotations (:mod:`repro.obs.perfetto`).
 
-Observation without perturbation still holds: every hook is a single
-``is None`` check on the hot path, the recorder schedules no events and
-touches no RNG (sampling decisions hash the content tag), so a traced run
-dispatches exactly the events of an untraced one — even at full sampling.  With ``sample_rate=0``, no predicate and no flight
-recorder the configuration is statically dead and :meth:`JourneyRecorder.attach`
-installs no hooks at all, so the disabled default costs nothing.
+Observation without perturbation still holds: the data plane knows no
+recorder (:meth:`JourneyRecorder.attach` wraps its methods from outside),
+the recorder schedules no events and touches no RNG (sampling decisions
+hash the content tag), so a traced run dispatches exactly the events of an
+untraced one — even at full sampling.  A statically dead configuration
+(``sample_rate=0``, no predicate, no flight recorder) wraps nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ import zlib
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Optional
+
+from .seam import unwrap, wrap
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.controller import MimicController
@@ -553,6 +555,8 @@ class JourneyRecorder:
         #: (switch, in-tuple) -> MC-planned out-tuple, armed by arm_intent()
         self._intent: dict[tuple[str, HeaderTuple], HeaderTuple] = {}
         self._intent_armed = False
+        #: the running recorded hop's sampling decision, for ``apply``
+        self._hop: Optional[bool] = None
         self.events_recorded = 0
 
     @property
@@ -561,8 +565,8 @@ class JourneyRecorder:
 
         Nothing this recorder could ever observe is retained (the sampling
         decision is "no" for every tag and there is no ring buffer to feed),
-        so :meth:`attach` leaves the hot-path hooks unset entirely — the
-        disabled default costs zero, not merely little.
+        so :meth:`attach` installs no wrapper at all — the disabled
+        default costs zero, not merely little.
         """
         return (
             self.flight is None
@@ -580,13 +584,12 @@ class JourneyRecorder:
         predicate: Optional[SamplePredicate] = None,
         flight: Optional["FlightRecorder"] = None,
     ) -> "JourneyRecorder":
-        """Create a recorder and hook every switch, host, and channel.
+        """Create a recorder and wrap every switch, host, and channel
+        (:meth:`_seams`; a :attr:`never_records` one wraps nothing).
 
-        A statically dead configuration (:attr:`never_records`) installs no
-        hooks: the data plane keeps its bare ``is None`` checks and pays
-        nothing.  A network carries one recorder at a time: attaching while
-        another is attached raises ``ValueError`` (its hooks would go dead
-        with its rows still readable); detach that one first.
+        A network carries one recorder at a time: attaching while another
+        is attached raises ``ValueError`` (its wrappers would go dead with
+        its rows still readable); detach that one first.
         """
         held = net.journey
         if held is not None:
@@ -597,29 +600,32 @@ class JourneyRecorder:
         rec.attached = True
         if rec.never_records:
             return rec
-        for sw in net.switches():
-            sw.journey = rec
-        for host in net.hosts():
-            host.journey = rec
-        for link in net.links:
-            link.forward.journey = rec
-            link.reverse.journey = rec
+        for method, hook, objs, nodes in rec._seams():
+            wrap(rec, method, hook, objs, nodes)
         net.journey = rec
         return rec
+
+    def _seams(self) -> list[tuple[str, Callable, list, Optional[list]]]:
+        """Every ``(method, hook, instances, nodes)`` a recorder wraps."""
+        net = self.net
+        hosts, switches = net.hosts(), net.switches()
+        channels = [ch for link in net.links for ch in (link.forward, link.reverse)]
+        return [
+            ("send_packet", host_tx, hosts, None),
+            ("receive", host_rx, hosts, None),
+            ("receive", switch_ingress, switches, None),
+            ("_classify", switch_classify, switches, None),
+            ("apply", switch_applied, [sw.table for sw in switches], switches),
+            ("send", link_tx, channels, None),
+            ("_deliver", link_deliver, channels, None),
+            ("set_state", link_state, channels, None),
+        ]
 
     def detach(self) -> None:
         """Unhook from the network (recording stops immediately)."""
         self.attached = False
-        for sw in self.net.switches():
-            if getattr(sw, "journey", None) is self:
-                sw.journey = None
-        for host in self.net.hosts():
-            if getattr(host, "journey", None) is self:
-                host.journey = None
-        for link in self.net.links:
-            for ch in (link.forward, link.reverse):
-                if getattr(ch, "journey", None) is self:
-                    ch.journey = None
+        for method, _, objs, _ in self._seams():
+            unwrap(self, method, objs)
         if self.net.journey is self:
             self.net.journey = None
 
@@ -661,15 +667,10 @@ class JourneyRecorder:
             if trigger is not None:
                 self.flight.fire(trigger, record)
 
-    def _keep_row(self, row: tuple) -> None:
-        """Keep a sampled row as a tuple: it joins the rare rows and the log
-        keeps a reference to it (the caller still hands it to the sink)."""
-        self._log += _RARE_REF_PACK(_RARE, len(self._rare))
-        self._rare.append(row)
-
     def _record_rare(self, row: tuple, sampled: bool) -> None:
-        """The sink for a rare kind's row, which stays a tuple (kept as
-        :meth:`_keep_row` keeps one, inline: no call per rare row)."""
+        """The sink for a row that stays a tuple — a rare kind's, or a hot
+        kind's unsampled or past its record's widths: kept as a rare row
+        (the log references it) when ``sampled``, ringed when watched."""
         if sampled:
             self._log += _RARE_REF_PACK(_RARE, len(self._rare))
             self._rare.append(row)
@@ -769,288 +770,6 @@ class JourneyRecorder:
                 a_out.mpls,
             )
 
-    # -- hot-path hooks (each guarded by an `is None` check at the caller) --
-    # A sampled event packs its record; an unsampled one an armed flight
-    # recorder watches is ringed as a tuple, and so is a sampled one whose
-    # values its record cannot hold (kept through _keep_row).
-    def on_host_tx(self, host: "Host", packet: "Packet") -> None:
-        """The origin host pushed a packet into its stack."""
-        sampled = self._keep_all or self.wants(packet)
-        if sampled:
-            interned = self._interned
-            where, ring = self._places[host.name]
-            try:
-                record = _HOST_TX_PACK(
-                    _HOST_TX_CODE, self.sim.now, where, packet.uid,
-                    packet.content_tag,
-                    interned.setdefault(packet.ip_dst.text, len(interned)),
-                    packet.size,
-                )
-            except struct.error:  # a value past the record's widths
-                pass
-            else:
-                return self._record(record, "host.tx", ring, True)
-        elif self._watch_all:
-            ring = self._rings[host.name]
-        else:
-            return
-        row = (
-            self.sim.now, "host.tx", host.name, packet.uid, packet.content_tag,
-            _HOST_TX, packet.ip_dst.text, packet.size,
-        )
-        if sampled:
-            self._keep_row(row)
-        self._record(row, "host.tx", ring, False)
-
-    def on_switch_ingress(
-        self, switch: "Switch", packet: "Packet", in_port: int
-    ) -> Optional[HeaderTuple]:
-        """A switch received a packet (pre-pipeline).
-
-        Returns the header tuple it recorded, or None when the packet
-        generates no events.  The switch carries it to classification as
-        the hop's pre-rewrite header, and calls the classification hooks
-        below only when it is not None.
-        """
-        sampled = self._keep_all or self.wants(packet)
-        if not (sampled or self._watch_all):
-            return None
-        header = (
-            packet.ip_src.text, packet.ip_dst.text, packet.sport, packet.dport,
-            packet.mpls,
-        )
-        if sampled:
-            interned = self._interned
-            where, ring = self._places[switch.name]
-            try:
-                record = _INGRESS_PACK(
-                    _INGRESS_CODE, self.sim.now, where, packet.uid,
-                    packet.content_tag, in_port,
-                    interned.setdefault(header, len(interned)), packet.size,
-                )
-            except struct.error:  # a value past the record's widths
-                pass
-            else:
-                self._record(record, "switch.ingress", ring, True)
-                return header
-        else:
-            ring = self._rings[switch.name]
-        row = (
-            self.sim.now, "switch.ingress", switch.name, packet.uid,
-            packet.content_tag, _SWITCH_INGRESS, in_port, header, packet.size,
-        )
-        if sampled:
-            self._keep_row(row)
-        self._record(row, "switch.ingress", ring, False)
-        return header
-
-    def on_switch_applied(
-        self,
-        switch: "Switch",
-        packet: "Packet",
-        in_port: int,
-        entry: "FlowEntry",
-        old: HeaderTuple,
-        emissions: list[tuple[int, "Packet"]],
-    ) -> None:
-        """The pipeline matched ``entry`` and produced ``emissions``; ``old``
-        is the header :meth:`on_switch_ingress` returned for this hop."""
-        sampled = self._keep_all or self.wants(packet)
-        sink = self._record
-        now = self.sim.now
-        name = switch.name
-        uid = packet.uid
-        new = (
-            packet.ip_src.text, packet.ip_dst.text, packet.sport, packet.dport,
-            packet.mpls,
-        )
-        rewrote = new != old
-        emitted = []
-        for _port, p in emissions:
-            emitted.append((p.ip_src.text, p.ip_dst.text, p.sport, p.dport, p.mpls))
-        if sampled:
-            interned = self._interned
-            where, ring = self._places[name]
-            new_at = interned.setdefault(new, len(interned))
-        else:
-            ring = self._rings[name]
-        if rewrote:
-            record = None
-            if sampled:
-                try:
-                    record = _REWRITE_PACK(
-                        _REWRITE_CODE, now, where, uid, packet.content_tag,
-                        in_port, entry.entry_id, entry.cookie,
-                        interned.setdefault(old, len(interned)), new_at,
-                    )
-                except struct.error:  # a value past the record's widths
-                    pass
-            if record is not None:
-                sink(record, "switch.rewrite", ring, True)
-            else:
-                row = (
-                    now, "switch.rewrite", name, uid, packet.content_tag,
-                    _SWITCH_REWRITE, in_port, entry.entry_id, entry.cookie,
-                    old, new,
-                )
-                if sampled:
-                    self._keep_row(row)
-                sink(row, "switch.rewrite", ring, False)
-        if self._intent_armed:
-            expected = self._intent.get((name, old))
-            if expected is not None and expected not in emitted:
-                self._record_rare((
-                    now, "switch.divergence", name, uid, packet.content_tag,
-                    _SWITCH_DIVERGENCE, in_port, entry.entry_id, entry.cookie,
-                    old, expected, emitted,
-                ), sampled)
-        for (port, out_pkt), header in zip(emissions, emitted):
-            if sampled:
-                try:
-                    record = _EGRESS_PACK(
-                        _EGRESS_CODE, now, where, out_pkt.uid,
-                        out_pkt.content_tag, port, uid, entry.entry_id,
-                        # the usual emission carries the hop's new header
-                        new_at if header == new
-                        else interned.setdefault(header, len(interned)),
-                        out_pkt.size,
-                    )
-                except struct.error:  # a value past the record's widths
-                    pass
-                else:
-                    sink(record, "switch.egress", ring, True)
-                    continue
-            row = (
-                now, "switch.egress", name, out_pkt.uid, out_pkt.content_tag,
-                _SWITCH_EGRESS, port, uid, entry.entry_id, header, out_pkt.size,
-            )
-            if sampled:
-                self._keep_row(row)
-            sink(row, "switch.egress", ring, False)
-
-    def on_switch_miss(
-        self, switch: "Switch", packet: "Packet", in_port: int,
-        header: HeaderTuple,
-    ) -> None:
-        """No rule matched; the packet is being punted.  ``header`` is the
-        one :meth:`on_switch_ingress` returned (a miss rewrites nothing)."""
-        self._record_rare((
-            self.sim.now, "switch.miss", switch.name, packet.uid,
-            packet.content_tag, _SWITCH_MISS, in_port, header,
-        ), self._keep_all or self.wants(packet))
-
-    def on_ttl_expired(
-        self, switch: "Switch", packet: "Packet", in_port: int
-    ) -> None:
-        """The packet died of TTL in this switch's pipeline (called only when
-        :meth:`on_switch_ingress` recorded the hop)."""
-        self._record_rare((
-            self.sim.now, "switch.ttl_expired", switch.name, packet.uid,
-            packet.content_tag, _SWITCH_TTL_EXPIRED, in_port,
-        ), self._keep_all or self.wants(packet))
-
-    def on_link_tx(
-        self,
-        channel: "Channel",
-        packet: "Packet",
-        queue_wait_s: float,
-        serialize_s: float,
-        backlog_bytes: int,
-        size: int,
-    ) -> None:
-        """A channel accepted the packet (``size`` bytes) for transmission."""
-        sampled = self._keep_all or self.wants(packet)
-        if sampled:
-            where, ring = self._places[channel.name]
-            try:
-                record = _LINK_TX_PACK(
-                    _LINK_TX_CODE, self.sim.now, where, packet.uid,
-                    packet.content_tag, queue_wait_s, serialize_s,
-                    channel.delay_s, backlog_bytes, size,
-                )
-            except struct.error:  # a value past the record's widths
-                pass
-            else:
-                return self._record(record, "link.tx", ring, True)
-        elif self._watch_all:
-            ring = self._rings[channel.name]
-        else:
-            return
-        row = (
-            self.sim.now, "link.tx", channel.name, packet.uid,
-            packet.content_tag, _LINK_TX, queue_wait_s, serialize_s,
-            channel.delay_s, backlog_bytes, size,
-        )
-        if sampled:
-            self._keep_row(row)
-        self._record(row, "link.tx", ring, False)
-
-    def on_link_drop(
-        self, channel: "Channel", packet: "Packet", backlog_bytes: int
-    ) -> None:
-        """A channel tail-dropped the packet."""
-        sampled = self._keep_all or self.wants(packet)
-        if sampled or self._watch_all:
-            self._record_rare((
-                self.sim.now, "link.drop", channel.name, packet.uid,
-                packet.content_tag, _LINK_DROP, backlog_bytes, packet.size,
-            ), sampled)
-
-    def on_link_state(self, channel: "Channel", up: bool) -> None:
-        """A directed channel was administratively brought down.
-
-        Not packet-scoped: the event carries uid 0 and content tag 0 and
-        feeds only the flight recorder (there is no journey to append to) —
-        it exists so an armed ``link_down`` trigger snapshots the traffic
-        leading up to the failure.  It is not a hook body the profiler
-        brackets.
-        """
-        if self._watch_all:
-            # the class's own sink, past any profiler bracket on the instance
-            JourneyRecorder._record(
-                self,
-                (self.sim.now, "link.down", channel.name, 0, 0, _LINK_DOWN, up),
-                "link.down", self._rings[channel.name], False,
-            )
-
-    def on_host_rx(self, host: "Host", packet: "Packet") -> None:
-        """The destination NIC accepted the packet."""
-        now = self.sim.now
-        sampled = self._keep_all or self.wants(packet)
-        if sampled:
-            interned = self._interned
-            where, ring = self._places[host.name]
-            try:
-                record = _HOST_RX_PACK(
-                    _HOST_RX_CODE, now, where, packet.uid, packet.content_tag,
-                    interned.setdefault(packet.ip_src.text, len(interned)),
-                    now - packet.created_at, packet.size,
-                )
-            except struct.error:  # a value past the record's widths
-                pass
-            else:
-                return self._record(record, "host.rx", ring, True)
-        elif self._watch_all:
-            ring = self._rings[host.name]
-        else:
-            return
-        row = (
-            now, "host.rx", host.name, packet.uid, packet.content_tag,
-            _HOST_RX, packet.ip_src.text, now - packet.created_at, packet.size,
-        )
-        if sampled:
-            self._keep_row(row)
-        self._record(row, "host.rx", ring, False)
-
-    def on_host_foreign_drop(self, host: "Host", packet: "Packet") -> None:
-        """A NIC discarded a packet not addressed to it (decoy death)."""
-        sampled = self._keep_all or self.wants(packet)
-        if sampled or self._watch_all:
-            self._record_rare((
-                self.sim.now, "host.foreign_drop", host.name, packet.uid,
-                packet.content_tag, _HOST_FOREIGN_DROP, packet.ip_dst.text,
-            ), sampled)
-
     # -- queries (the ground-truth linkage API) -----------------------------
     def journeys_by_content_tag(self) -> dict[int, Journey]:
         """Every sampled journey, keyed by content tag — the exact-linkage
@@ -1083,6 +802,288 @@ class JourneyRecorder:
 # ---------------------------------------------------------------------------
 # serialization + reporting
 # ---------------------------------------------------------------------------
+
+
+# -- the hooks: JourneyRecorder.attach() binds each through repro.obs.seam ---
+# Each is called as ``hook((recorder, node, inner), *args)`` in place of the
+# node's method, calls ``inner``, then records from what the call left; the
+# three a queued call can hold (send, _classify, _deliver) pass through once
+# detached.  A sampled event packs its record; an unsampled one a flight
+# recorder watches is ringed as a tuple, and so is a sampled one whose values
+# its record cannot hold (both through _record_rare).
+def host_tx(link: tuple, packet: "Packet") -> None:
+    """``host.send_packet``: the origin host pushed a packet into its stack."""
+    rec, host, inner = link
+    inner(packet)
+    sampled = rec._keep_all or rec.wants(packet)
+    if sampled:
+        interned = rec._interned
+        where, ring = rec._places[host.name]
+        try:
+            record = _HOST_TX_PACK(
+                _HOST_TX_CODE, rec.sim.now, where, packet.uid,
+                packet.content_tag,
+                interned.setdefault(packet.ip_dst.text, len(interned)),
+                packet.size,
+            )
+        except struct.error:  # a value past the record's widths
+            pass
+        else:
+            return rec._record(record, "host.tx", ring, True)
+    elif not rec._watch_all:
+        return
+    rec._record_rare((
+        rec.sim.now, "host.tx", host.name, packet.uid, packet.content_tag,
+        _HOST_TX, packet.ip_dst.text, packet.size,
+    ), sampled)
+
+
+def switch_ingress(link: tuple, packet: "Packet", in_port: int) -> None:
+    """``switch.receive``: a live switch received a packet (pre-pipeline)."""
+    rec, switch, inner = link
+    alive = switch.alive  # a dead switch blackholes: no hop
+    inner(packet, in_port)
+    sampled = rec._keep_all or rec.wants(packet)
+    if not (alive and (sampled or rec._watch_all)):
+        return
+    header = (
+        packet.ip_src.text, packet.ip_dst.text, packet.sport, packet.dport,
+        packet.mpls,
+    )
+    if sampled:
+        interned = rec._interned
+        where, ring = rec._places[switch.name]
+        try:
+            record = _INGRESS_PACK(
+                _INGRESS_CODE, rec.sim.now, where, packet.uid,
+                packet.content_tag, in_port,
+                interned.setdefault(header, len(interned)), packet.size,
+            )
+        except struct.error:  # a value past the record's widths
+            pass
+        else:
+            return rec._record(record, "switch.ingress", ring, True)
+    rec._record_rare((
+        rec.sim.now, "switch.ingress", switch.name, packet.uid,
+        packet.content_tag, _SWITCH_INGRESS, in_port, header, packet.size,
+    ), sampled)
+
+
+def switch_classify(
+    link: tuple, packet: "Packet", in_port: int, resolved: Any, resolved_version: int
+) -> None:
+    """``switch._classify``: the gate of the hop's classification rows (a
+    packet whose ingress came before attach() was scheduled on the bare
+    method), and its TTL death; ``_hop`` tells ``apply`` to record."""
+    rec, switch, inner = link
+    sampled = rec._keep_all or rec.wants(packet)
+    if not (switch.alive and rec.attached and (sampled or rec._watch_all)):
+        return inner(packet, in_port, resolved, resolved_version)
+    if packet.ttl > 1:  # it outlives the pipeline's decrement
+        rec._hop = sampled
+        return inner(packet, in_port, resolved, resolved_version)
+    inner(packet, in_port, resolved, resolved_version)
+    rec._record_rare((
+        rec.sim.now, "switch.ttl_expired", switch.name, packet.uid,
+        packet.content_tag, _SWITCH_TTL_EXPIRED, in_port,
+    ), sampled)
+
+
+def switch_applied(link: tuple, packet: "Packet", in_port: int, resolved: Any = None,
+                   resolved_version: Any = None) -> tuple:
+    """``switch.table.apply`` on a hop ``_classify`` opened: a miss, or
+    ``entry``'s rewrite and emissions; ``old`` is the pre-rewrite header.
+
+    The hop's sampling decision comes from :func:`switch_classify` in the
+    recorder's ``_hop``, which holds because a live ``Switch._classify``
+    reaches ``self.table.apply`` synchronously, once, right after the gate,
+    and a switch keeps its table; any other caller of ``apply`` finds
+    ``_hop`` None and records nothing."""
+    rec, switch, inner = link
+    sampled = rec._hop
+    if sampled is None:
+        return inner(packet, in_port, resolved, resolved_version)
+    rec._hop = None
+    now = rec.sim.now
+    name = switch.name
+    uid = packet.uid
+    old = (
+        packet.ip_src.text, packet.ip_dst.text, packet.sport, packet.dport,
+        packet.mpls,
+    )
+    result = inner(packet, in_port, resolved, resolved_version)
+    emissions, _, entry = result
+    if entry is None:
+        rec._record_rare((
+            now, "switch.miss", name, uid, packet.content_tag,
+            _SWITCH_MISS, in_port, old,
+        ), sampled)
+        return result
+    sink = rec._record
+    new = (
+        packet.ip_src.text, packet.ip_dst.text, packet.sport, packet.dport,
+        packet.mpls,
+    )
+    rewrote = new != old
+    emitted = []
+    for _port, p in emissions:
+        emitted.append((p.ip_src.text, p.ip_dst.text, p.sport, p.dport, p.mpls))
+    if sampled:
+        interned = rec._interned
+        where, ring = rec._places[name]
+        new_at = interned.setdefault(new, len(interned))
+    if rewrote:
+        record = None
+        if sampled:
+            try:
+                record = _REWRITE_PACK(
+                    _REWRITE_CODE, now, where, uid, packet.content_tag,
+                    in_port, entry.entry_id, entry.cookie,
+                    interned.setdefault(old, len(interned)), new_at,
+                )
+            except struct.error:  # a value past the record's widths
+                pass
+        if record is not None:
+            sink(record, "switch.rewrite", ring, True)
+        else:
+            rec._record_rare((
+                now, "switch.rewrite", name, uid, packet.content_tag,
+                _SWITCH_REWRITE, in_port, entry.entry_id, entry.cookie,
+                old, new,
+            ), sampled)
+    if rec._intent_armed:
+        expected = rec._intent.get((name, old))
+        if expected is not None and expected not in emitted:
+            rec._record_rare((
+                now, "switch.divergence", name, uid, packet.content_tag,
+                _SWITCH_DIVERGENCE, in_port, entry.entry_id, entry.cookie,
+                old, expected, emitted,
+            ), sampled)
+    for (port, out_pkt), header in zip(emissions, emitted):
+        if sampled:
+            try:
+                record = _EGRESS_PACK(
+                    _EGRESS_CODE, now, where, out_pkt.uid,
+                    out_pkt.content_tag, port, uid, entry.entry_id,
+                    # the usual emission carries the hop's new header
+                    new_at if header == new
+                    else interned.setdefault(header, len(interned)),
+                    out_pkt.size,
+                )
+            except struct.error:  # a value past the record's widths
+                pass
+            else:
+                sink(record, "switch.egress", ring, True)
+                continue
+        rec._record_rare((
+            now, "switch.egress", name, out_pkt.uid, out_pkt.content_tag,
+            _SWITCH_EGRESS, port, uid, entry.entry_id, header, out_pkt.size,
+        ), sampled)
+    return result
+
+
+def link_tx(link: tuple, packet: "Packet") -> bool:
+    """``channel.send``: accepted (wait, backlog and bandwidth as
+    :meth:`~repro.net.link.Channel.queue_ahead` reads them before the
+    send) or tail-dropped."""
+    rec, channel, inner = link
+    sampled = rec._keep_all or rec.wants(packet)
+    if not (rec.attached and (sampled or rec._watch_all)):
+        return inner(packet)
+    now = rec.sim.now
+    bandwidth, queue_wait_s, backlog = channel.queue_ahead()
+    sent = channel.stats.bytes
+    if not inner(packet):
+        rec._record_rare((
+            now, "link.drop", channel.name, packet.uid,
+            packet.content_tag, _LINK_DROP, backlog, packet.size,
+        ), sampled)
+        return False
+    size = channel.stats.bytes - sent
+    serialize_s = size * 8.0 / bandwidth
+    if sampled:
+        where, ring = rec._places[channel.name]
+        try:
+            record = _LINK_TX_PACK(
+                _LINK_TX_CODE, now, where, packet.uid,
+                packet.content_tag, queue_wait_s, serialize_s,
+                channel.delay_s, backlog, size,
+            )
+        except struct.error:  # a value past the record's widths
+            pass
+        else:
+            rec._record(record, "link.tx", ring, True)
+            return True
+    rec._record_rare((
+        now, "link.tx", channel.name, packet.uid,
+        packet.content_tag, _LINK_TX, queue_wait_s, serialize_s,
+        channel.delay_s, backlog, size,
+    ), sampled)
+    return True
+
+
+def link_deliver(link: tuple, packet: "Packet") -> None:
+    """``channel._deliver``: the link went down under a packet in flight."""
+    rec, channel, inner = link
+    if not channel.up and rec.attached:
+        sampled = rec._keep_all or rec.wants(packet)
+        if sampled or rec._watch_all:
+            rec._record_rare((
+                rec.sim.now, "link.drop", channel.name, packet.uid,
+                packet.content_tag, _LINK_DROP, channel.backlog_bytes(),
+                packet.size,
+            ), sampled)
+    inner(packet)
+
+
+def link_state(link: tuple, up: bool) -> None:
+    """``channel.set_state``: brought down.  Uid and tag 0, flight rings
+    only (an armed ``link_down`` dumps the lead-up); never bracketed."""
+    rec, channel, inner = link
+    was = channel.up
+    inner(up)
+    if was and not up and rec._watch_all:
+        # the class's own sink, past any profiler bracket on the instance
+        JourneyRecorder._record(
+            rec, (rec.sim.now, "link.down", channel.name, 0, 0, _LINK_DOWN, up),
+            "link.down", rec._rings[channel.name], False,
+        )
+
+
+def host_rx(link: tuple, packet: "Packet", in_port: int) -> None:
+    """``host.receive``: the NIC accepted the packet (``packets_received``
+    moved), or discarded one not addressed to it (decoy death)."""
+    rec, host, inner = link
+    accepted = host.packets_received
+    inner(packet, in_port)
+    now = rec.sim.now
+    sampled = rec._keep_all or rec.wants(packet)
+    if host.packets_received == accepted:
+        if sampled or rec._watch_all:
+            rec._record_rare((
+                now, "host.foreign_drop", host.name, packet.uid,
+                packet.content_tag, _HOST_FOREIGN_DROP, packet.ip_dst.text,
+            ), sampled)
+        return
+    if sampled:
+        interned = rec._interned
+        where, ring = rec._places[host.name]
+        try:
+            record = _HOST_RX_PACK(
+                _HOST_RX_CODE, now, where, packet.uid, packet.content_tag,
+                interned.setdefault(packet.ip_src.text, len(interned)),
+                now - packet.created_at, packet.size,
+            )
+        except struct.error:  # a value past the record's widths
+            pass
+        else:
+            return rec._record(record, "host.rx", ring, True)
+    elif not rec._watch_all:
+        return
+    rec._record_rare((
+        now, "host.rx", host.name, packet.uid, packet.content_tag,
+        _HOST_RX, packet.ip_src.text, now - packet.created_at, packet.size,
+    ), sampled)
 
 
 def journeys_to_json(  # taint: sink

@@ -13,12 +13,12 @@ MIC control application) and provides:
 Observation is opt-in and cost-free when absent: counters and gauges are
 *read* at snapshot time from tallies the simulation keeps anyway.  Packet
 latency is observed from outside, by a wrapper :meth:`Observer.attach` sets
-on each host's ``receive`` (no host knows an observer exists); the MC's
-spans sit behind its ``obs`` slot.  Neither schedules an event nor touches
-an RNG — an observed run dispatches exactly the events of an unobserved
-one.  The
-per-packet journey recorder is attached on its own
-(:meth:`repro.obs.JourneyRecorder.attach`, ``deploy_mic(journey=True)``).
+on each host's ``receive`` through :mod:`repro.obs.seam` (no host knows an
+observer exists); the MC's spans sit behind its ``obs`` slot.  Neither
+schedules an event nor touches an RNG — an observed run dispatches exactly
+the events of an unobserved one.  The per-packet journey recorder is
+attached on its own (:meth:`repro.obs.JourneyRecorder.attach`,
+``deploy_mic(journey=True)``) and stacks on the same ``receive``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from .metrics import Histogram, MetricsSnapshot, labels_key
+from .seam import unwrap, wrap
 from .spans import Span, SpanLog
 from .timeline import MetricsTimeline
 
@@ -87,31 +88,26 @@ class Observer:
                 f"detach it first"
             )
         obs = cls(net, mic=mic, controller=controller)
-        for host in net.hosts():
-            obs._wrap_receive(host)
+        wrap(obs, "receive", cls._receive, net.hosts())
         if mic is not None:
             mic.obs = obs
         net.observer = obs
         return obs
 
-    def _wrap_receive(self, host: "Host") -> None:
-        """Observe each packet ``host`` accepts (its ``packets_received`` moved)."""
-        inner = host.receive
-
-        def receive(packet: "Packet", in_port: int) -> None:
-            before = host.packets_received
-            inner(packet, in_port)
-            if host.packets_received != before:
-                self.on_host_rx(host, packet)
-
-        host.receive = receive  # type: ignore[method-assign]
+    @staticmethod
+    def _receive(link: tuple, packet: "Packet", in_port: int) -> None:
+        """``host.receive``, observing each packet it accepts (``packets_received`` moved)."""
+        obs, host, inner = link
+        before = host.packets_received
+        inner(packet, in_port)
+        if host.packets_received != before:
+            obs.on_host_rx(host, packet)
 
     def detach(self) -> None:
         """Unhook from the network and MC (observation stops immediately)."""
         if self.net.observer is self:
             self.net.observer = None
-            for host in self.net.hosts():
-                vars(host).pop("receive", None)
+            unwrap(self, "receive", self.net.hosts())
         if self.mic is not None and getattr(self.mic, "obs", None) is self:
             self.mic.obs = None
         self.stop_timeline()

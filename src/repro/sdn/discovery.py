@@ -188,8 +188,8 @@ class TopologyView:
     """Read-only graph queries over a :class:`Topology`."""
 
     def __init__(self, topo: Topology, max_equal_cost_paths: int = 16):
-        if max_equal_cost_paths < 1:
-            raise ValueError(f"max_equal_cost_paths {max_equal_cost_paths} must be >= 1")
+        if not (isinstance(max_equal_cost_paths, int) and max_equal_cost_paths >= 1):
+            raise ValueError(f"max_equal_cost_paths {max_equal_cost_paths} must be >= 1 and an int")
         if len(topo.graph) > _FAR16:
             raise ValueError(f"{topo.name} has more than {_FAR16} nodes")
         self.topo = topo

@@ -4,14 +4,14 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import MimicController, MC_IP, MC_PORT, McReply, McRequest, deploy_mic
 from repro.core.controller import EstablishError
 from repro.crypto import Key, seal
 from repro.faults import FaultSchedule, chaos, run_chaos
 from repro.net import Network, fat_tree, ip, linear
-from repro.sdn import Controller, L3ShortestPathApp
+from repro.sdn import Controller, L3ShortestPathApp, TopologyView
 from tests.faults.orphans import orphan_mic_state
 
 
@@ -93,6 +93,20 @@ CONTROLLER_PARAMS = ("ack_timeout_s", "max_install_retries")
 DEPLOY_PARAMS = ("seed", "shards")
 #: numbers ``run_chaos`` takes, refused before it deploys
 CHAOS_PARAMS = ("max_settle_s", "detection_latency_s", "n_mns", "decoys")
+#: the routing view's path cap, refused at construction; a huge int is a
+#: bad number only there (any other count would be taken literally)
+VIEW_PARAM = "TopologyView:max_equal_cost_paths"
+HUGE = 2**80
+
+
+def _view_works_or_fails_at_construction(value):
+    try:
+        view = TopologyView(fat_tree(4), max_equal_cost_paths=value)
+    except ValueError:
+        assert not (isinstance(value, int) and value >= 1)
+        return
+    paths = view.equal_cost_paths("h1", "h16")
+    assert 1 <= len(paths) <= value and view.shortest_path("h1", "h16") in paths
 
 
 def _chaos_works_or_fails_before_deploying(param, value):
@@ -116,15 +130,19 @@ def _chaos_works_or_fails_before_deploying(param, value):
 @given(
     param=st.sampled_from([
         *MC_PARAMS, *CONTROLLER_PARAMS, *DEPLOY_PARAMS, "decoys", "n_mns", "n_flows",
-        *(f"run_chaos:{name}" for name in CHAOS_PARAMS),
+        *(f"run_chaos:{name}" for name in CHAOS_PARAMS), VIEW_PARAM,
     ]),
-    value=st.sampled_from([0, -1, math.nan, math.inf, 1.5]),
+    value=st.sampled_from([0, -1, math.nan, math.inf, 1.5, HUGE]),
 )
 def test_a_bad_number_works_or_fails_before_any_simulated_work(param, value):
-    """A bad cost, timeout, period, retry budget, seed or shard count is
-    refused at construction, and ``run_chaos``'s counts and periods before
-    it deploys; a bad count before the establish draws a number, mints an
-    id or touches a table.  Whatever gets through must grant a channel."""
+    """A bad cost, timeout, period, retry budget, seed, shard count or path
+    cap is refused at construction, and ``run_chaos``'s counts and periods
+    before it deploys; a bad count before the establish draws a number,
+    mints an id or touches a table.  Whatever gets through must grant a
+    channel (a path cap: route)."""
+    assume(value != HUGE or param == VIEW_PARAM)
+    if param == VIEW_PARAM:
+        return _view_works_or_fails_at_construction(value)
     if param.startswith("run_chaos:"):
         return _chaos_works_or_fails_before_deploying(param.split(":")[1], value)
     kwargs = {"cpu_model": "serialized"}

@@ -40,9 +40,15 @@ HOOKS_OFF_FRAMES = 15.25
 #: recorder) — pinned, not bounded: the one-sink hook path took it from
 #: 58.875 to 39.625, the trace log leaving the default path to 36.0, the
 #: heap of plain calls to 31.25, attribute bookkeeping to 26.25, the
-#: compiled write list to this, and a second header build or sink call
-#: shows here
-HOOKS_ON_FRAMES = 25.25
+#: compiled write list to 25.25, and the hooks moving from guards in the
+#: data plane to the recorder's wrappers to this: each wrapper replaced a
+#: hook frame, and two frames came in — the ``_classify`` wrapper per
+#: switch (the hop's gate) and the ``_deliver`` wrapper per link (9 for
+#: 8 switches: 1.125) — and one ``Channel.queue_ahead()`` per recorded
+#: ``link.tx`` (1.125: the ``send`` wrapper reads the bandwidth, wait and
+#: backlog ``send`` meets where ``Channel`` keeps those rules).  A sink
+#: call shows here
+HOOKS_ON_FRAMES = 28.5
 #: bytes a recorded event may leave behind once every flight ring is full,
 #: the log's growth slack left out: its packed record in the journey log
 #: (37–65 B by kind); a row tuple and its boxed floats left ~160
@@ -150,14 +156,18 @@ def test_a_packet_hop_stays_inside_its_frame_budget():
 
 
 def test_a_recorded_hop_costs_one_row_build_per_event():
-    """Every hook on: each event is one hook frame and one sink frame, and
-    the ingress header is built once and carried to classification."""
+    """Every hook on: each event is one wrapper frame and one sink frame,
+    and no header is built through a call."""
     per_packet = per_packet_calls(hooks=True)
     # per hop: ingress, rewrite, egress and the outgoing link.tx; plus the
     # sender's host.tx and link.tx and the receiver's host.rx
     assert per_packet[("obs/journey.py", "_record")] == 4 * SWITCHES + 3
-    assert per_packet[("obs/journey.py", "on_switch_ingress")] == SWITCHES
-    assert per_packet[("obs/journey.py", "on_switch_applied")] == SWITCHES
+    assert per_packet[("obs/journey.py", "switch_ingress")] == SWITCHES
+    assert per_packet[("obs/journey.py", "switch_classify")] == SWITCHES
+    assert per_packet[("obs/journey.py", "switch_applied")] == SWITCHES
+    assert per_packet[("obs/journey.py", "link_tx")] == SWITCHES + 1
+    assert per_packet[("obs/journey.py", "link_deliver")] == SWITCHES + 1
+    assert per_packet[("net/link.py", "queue_ahead")] == SWITCHES + 1
     assert ("obs/journey.py", "header_tuple") not in per_packet
     assert ("net/flowtable.py", "_run_actions") not in per_packet
     for key in BOOKKEEPING:

@@ -389,7 +389,7 @@ def test_journey_pin_follows_attach_and_detach_whenever_they_happen():
     second.detach()
     assert eng.fidelity_for("f", path) == "fluid"
     assert all(
-        ch.journey is None for link in net.links for ch in (link.forward, link.reverse)
+        "send" not in vars(ch) for link in net.links for ch in (link.forward, link.reverse)
     )
 
 

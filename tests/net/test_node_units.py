@@ -104,17 +104,30 @@ class TestChannelBacklog:
     @pytest.mark.parametrize("fluid_fraction", [0.0, 0.4, 0.999, 2.0])
     def test_send_uses_the_public_readers_numbers(self, fluid_fraction):
         # send() works the debited bandwidth, the backlog and the
-        # serialization time out inline; they must be exactly what
-        # effective_bandwidth_bps() / backlog_bytes() report at that instant.
+        # serialization time out inline, and the journey's wrapper on it
+        # reads them off queue_ahead(); both must be exactly what
+        # effective_bandwidth_bps() / backlog_bytes() report at that
+        # instant (send's own by the queue check and the watermark).
         class Spy:
-            def __init__(self):
-                self.tx, self.drops = [], []
+            """The channel's link rows, as the journey's wrapper on its
+            ``send`` recorded them."""
 
-            def on_link_tx(self, channel, packet, wait_s, tx_time, backlog, size):
-                self.tx.append((wait_s, tx_time, backlog))
+            def __init__(self, net, ch):
+                self.rec, self.name = JourneyRecorder.attach(net), ch.name
 
-            def on_link_drop(self, channel, packet, backlog):
-                self.drops.append(backlog)
+            def _rows(self, kind):
+                return [ev for ev in events(self.rec, kind) if ev.where == self.name]
+
+            @property
+            def tx(self):
+                return [
+                    (ev["queue_wait_s"], ev["serialize_s"], ev["backlog_bytes"])
+                    for ev in self._rows("link.tx")
+                ]
+
+            @property
+            def drops(self):
+                return [ev["backlog_bytes"] for ev in self._rows("link.drop")]
 
         net = Network(
             linear(1, hosts_per_switch=2),
@@ -123,15 +136,18 @@ class TestChannelBacklog:
         h1 = net.host("h1")
         ch = h1.ports[0]
         ch.fluid_load_bps = ch.bandwidth_bps * fluid_fraction
-        ch.journey = spy = Spy()
+        spy = Spy(net, ch)
         want_tx, want_drops = [], []
         for n in range(6):
             net.run(until=n * 20e-6)  # part of the queue drains in between
             pkt = h1.make_packet(net.host("h2").ip, payload_size=9_000 + n)
             bandwidth, backlog = ch.effective_bandwidth_bps(), ch.backlog_bytes()
-            wait_s = max(net.sim.now, ch._tx_free_at) - net.sim.now
+            start = max(net.sim.now, ch._tx_free_at)
+            wait_s = start - net.sim.now
             if ch.send(pkt):
                 want_tx.append((wait_s, pkt.size * 8.0 / bandwidth, backlog))
+                assert backlog + pkt.size <= ch.queue_bytes
+                assert ch._tx_free_at == start + pkt.size * 8.0 / bandwidth
             else:
                 assert backlog + pkt.size > ch.queue_bytes
                 want_drops.append(backlog)

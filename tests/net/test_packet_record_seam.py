@@ -1,13 +1,14 @@
-"""The journey is the data path's one inline recorder.
+"""The packet path records nothing inline.
 
 There is no trace log: control-plane actions and state changes live in the
 controllers' counters and spans, the switches', hosts' and links' own
 state, and the flow tables; a test that wants the moment of an event wraps
-the instance from outside (``tests/watchers.py``).  So the only hook
-guards left on the packet path are the journey's, and the ROADMAP's
-hook-guard grep over it reads exactly 11.  Channels carry no trace log at
-all, and the per-packet trace renderer ``repro.net.tracefmt`` is gone; a
-packet reads back as journey rows (``format_hop_table``,
+the instance from outside (``tests/watchers.py``), and so does the journey
+recorder (``repro.obs.seam``).  So no hook guard is left on the packet
+path: the ROADMAP's hook-guard grep over it reads 0, and no node or
+channel carries a recorder slot.  Channels carry no trace log at all, and
+the per-packet trace renderer ``repro.net.tracefmt`` is gone; a packet
+reads back as journey rows (``format_hop_table``,
 ``python -m repro.obs journey``, the Perfetto export).
 """
 
@@ -18,6 +19,7 @@ import re
 
 import repro
 from repro.net import Network, linear
+from repro.obs import FlightRecorder, JourneyRecorder
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -51,15 +53,23 @@ def test_nodes_and_networks_carry_no_trace_attribute():
     assert net.nodes and not any(hasattr(n, "trace") for n in net.nodes.values())
 
 
-def test_the_hot_path_keeps_exactly_the_journey_s_hook_guards():
+def test_the_hot_path_keeps_no_hook_guard():
     lines = [
         f"{path}: {line.strip()}"
         for path in HOT_PATH
         for line in (SRC / path).read_text(encoding="utf-8").splitlines()
         if HOOK_GUARD.search(line)
     ]
-    assert len(lines) == 11, "\n".join(lines)
-    assert all("journey" in line for line in lines), "\n".join(lines)
+    assert lines == [], "\n".join(lines)
+
+
+def test_a_recording_network_s_nodes_and_channels_carry_no_journey_slot():
+    net = Network(linear(3, hosts_per_switch=1))
+    rec = JourneyRecorder.attach(net, sample_rate=1.0, flight=FlightRecorder())
+    channels = [ch for link in net.links for ch in (link.forward, link.reverse)]
+    assert net.journey is rec and channels
+    assert not any(hasattr(n, "journey") for n in net.nodes.values())
+    assert not any(hasattr(ch, "journey") for ch in channels)
 
 
 def test_channels_carry_no_trace_log():

@@ -12,16 +12,17 @@ read back.  A few small pieces let it run on today's data plane:
 * :class:`OracleFlightRecorder` puts back ``observe`` and its trigger check,
   verbatim but for the rings' public name, and :class:`OracleFlightDump`
   (the dump of row tuples) with the ring reader that goes with it;
-* :func:`old_classify` is ``Switch._classify`` as it was (it ignores the
-  carried ingress header and calls ``pre_apply``), bound per switch by
-  :func:`attach_oracle`;
+* :func:`old_classify` is ``Switch._classify`` as it was (it builds the
+  pre-rewrite header through ``pre_apply``), installed per switch, with
+  a wrapper per data-plane method that calls each hook where the switch,
+  host or link once did, by the recorder's ``attach``;
 * :class:`OracleRecorder` accepts the ``size`` argument ``Channel.send``
   now passes to ``on_link_tx``, reads its rows back through ``rows()``,
   and keeps the old profiler recipe: the differential harness calls its
   ``set_profiler`` directly.
 """
 
-import types
+import functools
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from repro.obs.journey import (
     header_tuple,
     row_column,
 )
+from repro.obs.seam import unwrap, wrap
 
 _TIME = 0
 _BACKLOG_AT = row_column("link.tx", "backlog_bytes")
@@ -212,34 +214,22 @@ class JourneyRecorder:
         """Create a recorder and hook every switch, host, and channel.
 
         A statically dead configuration (:attr:`never_records`) installs no
-        hooks: the data plane keeps its bare ``is None`` checks and pays
-        nothing.
+        hooks: the data plane pays nothing.  The hooks are called from
+        wrappers on each instance (:func:`_oracle_seams`), with the
+        arguments the data plane once passed them.
         """
         rec = cls(net, sample_rate=sample_rate, predicate=predicate, flight=flight)
         if rec.never_records:
             return rec
-        for sw in net.switches():
-            sw.journey = rec
-        for host in net.hosts():
-            host.journey = rec
-        for link in net.links:
-            link.forward.journey = rec
-            link.reverse.journey = rec
+        for method, hook, objs in _oracle_seams(rec):
+            wrap(rec, method, functools.partial(_call_with, hook), objs)
         net.journey = rec
         return rec
 
     def detach(self) -> None:
         """Unhook from the network (recording stops immediately)."""
-        for sw in self.net.switches():
-            if getattr(sw, "journey", None) is self:
-                sw.journey = None
-        for host in self.net.hosts():
-            if getattr(host, "journey", None) is self:
-                host.journey = None
-        for link in self.net.links:
-            for ch in (link.forward, link.reverse):
-                if getattr(ch, "journey", None) is self:
-                    ch.journey = None
+        for method, _, objs in _oracle_seams(self):
+            unwrap(self, method, objs)
         if self.net.journey is self:
             self.net.journey = None
 
@@ -504,8 +494,9 @@ class OracleRecorder(JourneyRecorder):
         return list(self._rows)
 
 
-def old_classify(self, packet, in_port, resolved, resolved_version, header=None):
-    """``Switch._classify`` before the ingress header was carried to it."""
+def old_classify(self, journey, packet, in_port, resolved, resolved_version):
+    """``Switch._classify`` before the ingress header was carried to it, with
+    the switch's old ``journey`` slot as an argument."""
     if not self.alive:
         # Crashed mid-pipeline: the packet dies with the chassis.
         self.packets_dropped_dead += 1
@@ -513,22 +504,22 @@ def old_classify(self, packet, in_port, resolved, resolved_version, header=None)
     now = self.sim.now
     packet.ttl -= 1
     if packet.ttl <= 0:
-        if self.journey is not None:
-            self.journey.on_ttl_expired(self, packet, in_port)
+        if journey is not None:
+            journey.on_ttl_expired(self, packet, in_port)
         return
-    pre = self.journey.pre_apply(packet) if self.journey is not None else None
+    pre = journey.pre_apply(packet) if journey is not None else None
     emissions, to_controller, entry = self.table.apply(
         packet, in_port, resolved, resolved_version
     )
     if entry is None:
         self.packets_punted += 1
-        if self.journey is not None:
-            self.journey.on_switch_miss(self, packet, in_port)
+        if journey is not None:
+            journey.on_switch_miss(self, packet, in_port)
         self._punt(packet, in_port)
         return
     entry.last_hit_s = now
     if pre is not None:
-        self.journey.on_switch_applied(
+        journey.on_switch_applied(
             self, packet, in_port, entry, pre, emissions
         )
     if to_controller:
@@ -544,8 +535,86 @@ def old_classify(self, packet, in_port, resolved, resolved_version, header=None)
         channel.send(out_pkt)
 
 
+def _call_with(hook, link, *args):
+    """A seam hook calling ``hook(node, inner, *args)``."""
+    _, node, inner = link
+    return hook(node, inner, *args)
+
+
+def _oracle_seams(rec):
+    """The oracle's ``(method, hook, instances)`` wrappers: each hook
+    calls the recorder where the data plane once did, with the arguments it
+    once passed; ``_classify`` is replaced by the old pipeline."""
+
+    def live():
+        return rec.net.journey is rec
+
+    def host_tx(host, inner, packet):
+        inner(packet)
+        if live():
+            rec.on_host_tx(host, packet)
+
+    def host_rx(host, inner, packet, in_port):
+        before = host.packets_received
+        inner(packet, in_port)
+        if not live():
+            return
+        if host.packets_received != before:
+            rec.on_host_rx(host, packet)
+        else:
+            rec.on_host_foreign_drop(host, packet)
+
+    def ingress(switch, inner, packet, in_port):
+        alive = switch.alive
+        inner(packet, in_port)
+        if alive and live():
+            rec.on_switch_ingress(switch, packet, in_port)
+
+    def classify(switch, inner, packet, in_port, resolved, resolved_version):
+        old_classify(
+            switch, rec if live() else None, packet, in_port, resolved,
+            resolved_version,
+        )
+
+    def link_tx(channel, inner, packet):
+        now, free_at = channel.sim.now, channel._tx_free_at
+        bandwidth, backlog = channel.effective_bandwidth_bps(), channel.backlog_bytes()
+        if not inner(packet):
+            if live():
+                rec.on_link_drop(channel, packet, backlog)
+            return False
+        if live():
+            rec.on_link_tx(
+                channel, packet, max(free_at, now) - now,
+                packet.size * 8.0 / bandwidth, backlog, packet.size,
+            )
+        return True
+
+    def deliver(channel, inner, packet):
+        if not channel.up and live():
+            rec.on_link_drop(channel, packet, channel.backlog_bytes())
+        inner(packet)
+
+    def link_state(channel, inner, up):
+        changed = up != channel.up
+        inner(up)
+        if changed and not up and live():
+            rec.on_link_state(channel, up)
+
+    net = rec.net
+    hosts, switches = net.hosts(), net.switches()
+    channels = [ch for link in net.links for ch in (link.forward, link.reverse)]
+    return [
+        ("send_packet", host_tx, hosts),
+        ("receive", host_rx, hosts),
+        ("receive", ingress, switches),
+        ("_classify", classify, switches),
+        ("send", link_tx, channels),
+        ("_deliver", deliver, channels),
+        ("set_state", link_state, channels),
+    ]
+
+
 def attach_oracle(net, **kwargs) -> OracleRecorder:
-    """Attach the oracle recorder and give every switch the old pipeline."""
-    for sw in net.switches():
-        sw._classify = types.MethodType(old_classify, sw)
+    """Attach the oracle recorder, which gives every switch the old pipeline."""
     return OracleRecorder.attach(net, **kwargs)

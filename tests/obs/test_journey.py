@@ -34,6 +34,7 @@ from repro.obs import (
 )
 from repro.obs.journey import row_column
 from tests.recording_scenario import GOLDEN, read_back, run_scenario
+from tests.watchers import watchers
 
 MESSAGE = b"z" * 200
 
@@ -605,11 +606,11 @@ def test_a_second_recorder_is_refused_while_one_is_attached():
     first = JourneyRecorder.attach(net)
     with pytest.raises(ValueError, match="already attached"):
         JourneyRecorder.attach(net)
-    assert net.journey is first and net.switch("s2").journey is first
+    assert net.journey is first and watchers(net.switch("s2"), "receive") == [first]
     h1.send_packet(h1.make_packet(h3.ip, sport=1, dport=80, payload_size=64))
     net.run()
     assert len(first) == 1
     first.detach()
     assert not first.attached
     second = JourneyRecorder.attach(net)
-    assert second.attached and net.switch("s2").journey is second
+    assert second.attached and watchers(net.switch("s2"), "receive") == [second]

@@ -21,8 +21,9 @@ from repro.core import deploy_mic
 from repro.net import FlowEntry, Match, Network, Output, SetField, linear
 from repro.obs import FlightRecorder, JourneyRecorder
 from repro.obs.journey import header_tuple
+from repro.obs.seam import wrap
 from tests.recording_scenario import GOLDEN, read_back, run_scenario
-from tests.watchers import step_log
+from tests.watchers import step_log, watchers
 
 MESSAGE = b"m" * 300
 
@@ -146,7 +147,7 @@ def test_journey_sampling_zero_is_byte_identical():
     assert plain == seen
     assert len(dep.journey.journeys_by_content_tag()) == 0
     assert dep.journey.never_records
-    assert all(sw.journey is None for sw in dep.net.switches())
+    assert all(not watchers(sw, "receive") for sw in dep.net.switches())
 
 
 def test_journey_full_sampling_is_byte_identical():
@@ -188,10 +189,10 @@ def test_journey_detach_restores_the_unhooked_state():
     assert dep.journey.attached and dep.net.journey is dep.journey
     dep.journey.detach()
     assert dep.net.journey is None
-    assert all(h.journey is None for h in dep.net.hosts())
-    assert all(sw.journey is None for sw in dep.net.switches())
+    assert all(not watchers(h, "receive") for h in dep.net.hosts())
+    assert all(not watchers(sw, "receive") for sw in dep.net.switches())
     assert all(
-        link.forward.journey is None and link.reverse.journey is None
+        not watchers(link.forward, "send") and not watchers(link.reverse, "send")
         for link in dep.net.links
     )
 
@@ -251,18 +252,18 @@ def _send(net, h1, dst, ttl=None):
 @pytest.mark.parametrize("fate", ["forwarded", "ttl_expired", "miss"])
 def test_detaching_mid_pipeline_finishes_the_hop_unrecorded(fate):
     """The recorder leaves between s1's ingress and its classification:
-    the switch carries the ingress header into a pipeline with no journey,
-    must not call into it, and the packet's fate is untouched."""
+    the ``_classify`` wrapper the pipeline holds must only pass through,
+    and the packet's fate is untouched."""
     net, h1, h2 = _chain()
     rec = JourneyRecorder.attach(net, flight=FlightRecorder())
-    ingress = rec.on_switch_ingress
 
-    def ingress_then_detach(switch, packet, in_port):
-        header = ingress(switch, packet, in_port)
+    def ingress_then_detach(link, packet, in_port):
+        _, _, inner = link
+        inner(packet, in_port)  # the recorder's wrapper: the ingress row
         rec.detach()
-        return header
 
-    rec.on_switch_ingress = ingress_then_detach
+    s1 = net.switch("s1")
+    wrap(ingress_then_detach, "receive", ingress_then_detach, [s1])
     dst = net.host("h1").ip if fate == "miss" else h2.ip  # s1 has no rule back
     _send(net, h1, dst, ttl=1 if fate == "ttl_expired" else None)
     net.run()

@@ -1,7 +1,9 @@
-"""Watchers bracket from outside: the sanitizer, the profiler and the
-observer wrap a live instance and take their wrappers off again; no kernel
-or host code knows a watcher exists, and a second watcher of one kind is
-refused."""
+"""Watchers bracket from outside: the sanitizer, the profiler, the
+observer and the journey recorder wrap a live instance and take their
+wrappers off again; no kernel, node, switch, link or host code knows a
+watcher exists, and a second watcher of one kind is refused.  The observer
+and the journey stack on one host method through ``repro.obs.seam``, and
+either leaves without taking the other with it."""
 
 import ast
 import inspect
@@ -9,9 +11,12 @@ import inspect
 import pytest
 
 from repro.analysis.sanitizer import SimSanitizer
-from repro.net import Network, linear
+from repro.net import FlowEntry, Match, Network, Output, linear
 from repro.net import host as host_module
-from repro.obs import Observer, Profiler
+from repro.net import link as link_module
+from repro.net import node as node_module
+from repro.net import switch as switch_module
+from repro.obs import JourneyRecorder, Observer, Profiler
 from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
@@ -149,3 +154,82 @@ def test_hosts_carry_no_observer_slot():
     assert "obs" not in _attributes(tree)
     net = Network(linear(2, hosts_per_switch=1), seed=0)
     assert not any(hasattr(h, "obs") for h in net.hosts())
+
+
+def _names(tree):
+    return _attributes(tree) | {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+    } | {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)} | {
+        n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+@pytest.mark.parametrize("module", [node_module, switch_module, link_module, host_module])
+def test_no_node_switch_link_or_host_names_the_journey(module):
+    names = _names(ast.parse(inspect.getsource(module)))
+    assert not [name for name in names if "journey" in name.lower()]
+
+
+#: every method the observer or the journey recorder wraps
+WRAPPED = ("send_packet", "receive", "_classify", "apply", "send", "_deliver", "set_state")
+
+
+def _echo_chain():
+    """linear(2) routed both ways; h2 answers each datagram on port 7."""
+    net = Network(linear(2, hosts_per_switch=1), seed=0)
+    h1, h2 = net.host("h1"), net.host("h2")
+    for sw, toward_h2, toward_h1 in (("s1", "s2", "h1"), ("s2", "h2", "s1")):
+        table = net.switch(sw).table
+        table.install(FlowEntry(Match(ip_dst=h2.ip), [Output(net.port(sw, toward_h2))]))
+        table.install(FlowEntry(Match(ip_dst=h1.ip), [Output(net.port(sw, toward_h1))]))
+    h2.bind("udp", 7, lambda host, packet: host.send_packet(
+        host.make_packet(h1.ip, proto="udp", dport=8, payload_size=10)))
+    h1.bind("udp", 8, lambda host, packet: None)
+
+    def echo():
+        h1.send_packet(h1.make_packet(h2.ip, proto="udp", dport=7, payload_size=10))
+        net.run()
+
+    return net, echo
+
+
+@pytest.mark.parametrize("leaves", ["observer", "journey"])
+@pytest.mark.parametrize("order", [["observer", "journey"], ["journey", "observer"]])
+def test_the_observer_and_the_journey_stack_and_leave_in_either_order(order, leaves):
+    net, echo = _echo_chain()
+    attached = {
+        kind: Observer.attach(net) if kind == "observer" else JourneyRecorder.attach(net)
+        for kind in order
+    }
+    prof = Profiler().hook(net)
+    obs, rec = attached["observer"], attached["journey"]
+    # the profiler brackets the class's lookup outright: the journey wraps
+    # none of it, so neither takes the other's wrapper away
+    assert {method for method, *_ in rec._seams()} == set(WRAPPED) - {"lookup"}
+
+    def seen():
+        rows = sum(1 for row in rec.rows() if row[1] == "host.rx")
+        latencies = sum(
+            hist.count for (name, _), hist in obs._histograms.items()
+            if name == "net.packet_latency_s"
+        )
+        return {"journey": rows, "observer": latencies}
+
+    echo()
+    assert seen() == {"journey": 2, "observer": 2}
+    attached[leaves].detach()
+    echo()
+    stays = "journey" if leaves == "observer" else "observer"
+    assert seen() == {leaves: 2, stays: 4}
+    assert prof.report().counts()["obs.hook"]["counters"]["host_rx"] == (
+        4 if stays == "observer" else 2
+    )
+    attached[stays].detach()
+    echo()
+    assert seen() == {leaves: 2, stays: 4}
+    instances = [*net.hosts(), *net.switches(), *(sw.table for sw in net.switches())]
+    instances += [ch for link in net.links for ch in (link.forward, link.reverse)]
+    assert not [
+        (getattr(obj, "name", obj), name)
+        for obj in instances for name in WRAPPED if name in vars(obj)
+    ]

@@ -12,6 +12,8 @@ Nothing in ``src/`` knows these exist, so a watched run is the run itself
 
 from __future__ import annotations
 
+from repro.obs.seam import links
+
 
 def _qualname(fn) -> str:
     """A heap call's stable label: its callable's qualified name."""
@@ -70,3 +72,9 @@ def _watch_bundles(sw, fn) -> None:
             del table.install
 
     sw._install_now = install_now
+
+
+def watchers(obj, name) -> list:
+    """The owners of the ``repro.obs.seam`` wrappers on ``obj.<name>``,
+    outermost first; ``[]`` when the instance carries none."""
+    return [link.__self__[0] for link in links(obj, name)]
