@@ -22,8 +22,8 @@ segment-address draw two ways:
   the array: up to three filtered copies of the pool's name tuples,
   ``rng.choice`` (kept as ``tests/core/plausibility_oracle.py``);
 * ``draw``        — :meth:`Strategy.plausible_pool` narrowing the pool's
-  geodesic mask (a row of it for a pinned source) plus
-  :meth:`AddressRestrictions.draw_pair`.
+  geodesic mask (a row of it for a pinned source, a column for a pinned
+  destination) plus :meth:`AddressRestrictions.draw_pair`.
 
 The bar is >=5x with the same pick on every segment, timing the draw
 alone: every segment's pool is built once before both timed passes, and
@@ -167,9 +167,10 @@ def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> d
 
     def build_masks():
         return {
-            (tuple(nodes), rank): restrictions.segment_mask(nodes, rank)
-            for nodes, pin_src, _pin_dst, _endpoints in segments
-            for rank in [view.host_rank(mic._ip_to_host.get(pin_src))]
+            (tuple(nodes), *ranks): restrictions.segment_mask(nodes, *ranks)
+            for nodes, pin_src, pin_dst, _endpoints in segments
+            for ranks in [(view.host_rank(mic._ip_to_host.get(pin_src)),
+                           view.host_rank(mic._ip_to_host.get(pin_dst)))]
         }
 
     def build_tuples():
@@ -202,8 +203,8 @@ def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> d
             for nodes, pin_src, pin_dst, endpoints in segments
         ]
 
-    def built_mask(nodes, src_rank=-1):
-        return masks[tuple(nodes), src_rank]
+    def built_mask(nodes, src_rank=-1, dst_rank=-1):
+        return masks[tuple(nodes), src_rank, dst_rank]
 
     ours, theirs = random.Random(seed), random.Random(seed)
     oracle_s, draw_s = [], []

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..core.channel import FlowGrant, MFlowPlan, MimicChannel
 from ..core.collision import MAddress
+from ..core.restrictions import SegmentPool
 from ..net.flowtable import (
     Drop,
     FlowEntry,
@@ -141,7 +142,7 @@ class Strategy:
     def record_signature(self, addr: MAddress, flow_id: int) -> None:
         """Ground-truth bookkeeping for one drawn m-address."""
         self.flow_signatures[
-            (str(addr.src_ip), str(addr.dst_ip), addr.sport, addr.dport, addr.mpls)
+            (addr.src_ip.text, addr.dst_ip.text, addr.sport, addr.dport, addr.mpls)
         ] = flow_id
 
     # -- m-address draw policy (Sec IV-B2/B3) ----------------------------
@@ -188,42 +189,40 @@ class Strategy:
     def plausible_pool(
         self, seg_nodes: list[str], pin_src, pin_dst,
         endpoints: tuple[str, str] = (),
-    ) -> np.ndarray:
-        """A segment's pool as flat pair indices in pool order, narrowed to
-        the pinned IPs' hosts and away from the channel's real endpoints.
+    ) -> SegmentPool:
+        """A segment's pool narrowed to the pinned IPs' hosts and away from
+        the channel's real endpoints, counted but never listed.
 
         Each rule clears rows (sources) or columns (destinations) of the
         segment's mask and is relaxed when nothing else would be left;
         survivors keep their order.  An IP no host owns ranks -1 and so
-        narrows nothing.  A pinned source reads only its row of the mask
-        when that row has a pair, which is all the source rule would keep.
+        narrows nothing.  ``segment_mask`` applies the pins, reading only
+        a pinned source's row, a pinned destination's column or the one
+        pinned pair; the ban then clears the view the pins leave.
         """
         mic = self.mic
         restrictions = mic.restrictions
         view = restrictions.view
         src = view.host_rank(mic._ip_to_host.get(pin_src))
         dst = view.host_rank(mic._ip_to_host.get(pin_dst))
-        mask, top, fallback = restrictions.segment_mask(seg_nodes, src)
-        if src >= 0 and len(mask) > 1 and mask[src].any():
-            mask, top = mask[src : src + 1], src
-        if dst >= 0 and mask[:, dst].any():
-            mask = mask & (np.arange(mask.shape[1]) == dst)
+        pool = restrictions.segment_mask(seg_nodes, src, dst)
         # Fake draws must never name the channel's real endpoints: a drawn
         # address equal to the true initiator/responder would hand the
         # adversary a correct identity (the entry address "hides the address
         # of the responder", Sec IV-A1).  One rule over both unpinned sides
-        # (an unpinned source leaves ``top`` at 0).
+        # (an unpinned side's view is whole: ``top`` or ``left`` is 0).
         ranks = set(map(view.host_rank, endpoints)) - {-1}
         if ranks and (pin_src is None or pin_dst is None):
-            narrowed = mask.copy()
+            narrowed = pool.mask.copy()
             for rank in ranks:  # basic indexing: a list index costs ~3 µs
                 if pin_src is None:
                     narrowed[rank] = False
                 if pin_dst is None:
                     narrowed[:, rank] = False
-            if narrowed.any():
-                mask = narrowed
-        return restrictions.pool_index(mask, top, fallback)
+            size = np.count_nonzero(narrowed)
+            if size:
+                return SegmentPool(narrowed, pool.top, pool.left, pool.fallback, size)
+        return pool
 
     def draw_segment(
         self,
@@ -237,16 +236,25 @@ class Strategy:
     ) -> MAddress:
         """Draw one collision-free segment address (registry-registered)."""
         mic = self.mic
-        pin_src = next((p.src_ip for p in pins if p.src_ip is not None), None)
-        pin_dst = next((p.dst_ip for p in pins if p.dst_ip is not None), None)
-        pin_sport = next((p.sport for p in pins if p.sport is not None), None)
-        pin_dport = next((p.dport for p in pins if p.dport is not None), None)
+        pin_src = pin_dst = pin_sport = pin_dport = None
+        for pin in pins:  # the first pin that sets a field wins
+            if pin_src is None:
+                pin_src = pin.src_ip
+            if pin_dst is None:
+                pin_dst = pin.dst_ip
+            if pin_sport is None:
+                pin_sport = pin.sport
+            if pin_dport is None:
+                pin_dport = pin.dport
 
         pool = self.plausible_pool(seg_nodes, pin_src, pin_dst, endpoints)
+        draw_pair, host_ip = mic.restrictions.draw_pair, mic.net.topo.host_ip
+        registry, kind = mic.registry, mic.net.topo.kind
+        switches = [node for node in seg_nodes if kind(node) == "switch"]
         for _attempt in range(64):
-            a, b = mic.restrictions.draw_pair(pool, rng)
-            src_ip = pin_src if pin_src is not None else mic.net.topo.host_ip(a)
-            dst_ip = pin_dst if pin_dst is not None else mic.net.topo.host_ip(b)
+            a, b = draw_pair(pool, rng)
+            src_ip = pin_src if pin_src is not None else host_ip(a)
+            dst_ip = pin_dst if pin_dst is not None else host_ip(b)
             sport = pin_sport if pin_sport is not None else rng.randint(1024, 65535)
             dport = pin_dport if pin_dport is not None else rng.randint(1024, 65535)
             if mn_name is None:
@@ -256,15 +264,13 @@ class Strategy:
                     flow_id, src_ip, dst_ip, rng
                 )
             addr = MAddress(src_ip, dst_ip, sport, dport, mpls)
-            key = (str(src_ip), str(dst_ip), mpls, sport, dport)
-            conflict = any(
-                mic.registry.owner(node, key) not in (None, owner)
-                for node in seg_nodes
-            )
-            if not conflict:
-                for node in seg_nodes:
-                    if mic.net.topo.kind(node) == "switch":
-                        mic.registry.register(node, key, owner)
+            key = (src_ip.text, dst_ip.text, mpls, sport, dport)
+            for node in seg_nodes:
+                if registry.owner(node, key) not in (None, owner):
+                    break
+            else:
+                for node in switches:
+                    registry.register(node, key, owner)
                 self.record_signature(addr, flow_id)
                 return addr
         raise self._cmod.EstablishError("could not draw a collision-free m-address")
@@ -296,15 +302,16 @@ class Strategy:
         mic = self.mic
         rules: list[tuple[str, FlowEntry]] = []
         mn_set = set(mn_positions)
+        # MNs are distinct interior hops: the segment a hop reads is the
+        # number of MNs before it, counted as the walk goes
+        k_in = 0
         for j in range(1, len(walk) - 1):
-            k_in = sum(1 for p in mn_positions if p < j)
-            k_out = sum(1 for p in mn_positions if p <= j)
             addr_in = addrs[k_in]
-            addr_out = addrs[k_out]
             match = self.match_for(walk, j, addr_in, proto)
             actions = []
             if j in mn_set:
-                actions.extend(self.rewrite_actions(addr_in, addr_out))
+                k_in += 1
+                actions.extend(self.rewrite_actions(addr_in, addrs[k_in]))
             actions.append(Output(mic.net.port(walk[j], walk[j + 1])))
             rules.append(
                 (
@@ -420,10 +427,10 @@ class Strategy:
                 Output(mic.net.port(mn_name, neighbor)),
             ]
             buckets.append(bucket)
-            key = (str(d_src), str(d_dst), label, d_sport, d_dport)
+            key = (d_src.text, d_dst.text, label, d_sport, d_dport)
             mic.registry.register(neighbor, key, owner)
             self.decoy_signatures.add(
-                (str(d_src), str(d_dst), d_sport, d_dport, label)
+                (d_src.text, d_dst.text, d_sport, d_dport, label)
             )
             drop_match = Match(
                 in_port=mic.net.port(neighbor, mn_name),

@@ -717,7 +717,13 @@ class MimicController(ControllerApp):
     # -- the install path (see Attempt) ----------------------------------
     def _send(self, origin: Shard, sw_name: str, entries: list, groups: list):
         """Send one bundle through the target switch's owning shard; under
-        the serialized CPU model that shard's CPU is charged first."""
+        the serialized CPU model that shard's CPU is charged first.
+
+        The charge is a chain of calls, not a process: take the CPU, hold
+        it ``cost`` seconds, release it and send, mirror the outcome into
+        ``done``.  Each link goes on the heap where the process's resume
+        did, so every event keeps its instant and its order
+        (docs/controlplane.md)."""
         n_mods = len(entries) + len(groups)
         owner = self._route(sw_name, "mods.routed", n_mods)
         owner.installs_issued += n_mods
@@ -725,22 +731,33 @@ class MimicController(ControllerApp):
             self.remote_installs += n_mods
         if owner.cpu is None:
             return self.controller.install_batch(sw_name, entries, groups)
+        sim, cpu = self.sim, owner.cpu
         cost = n_mods * self.flowmod_cpu_s
-        done = self.sim.event()
+        done = sim.event()
 
-        def run():
-            yield from self._request_cpu(owner, cost)
+        def start():
+            cpu.request().callbacks.append(acquired)
+
+        def acquired(_granted):
+            sim.timeout(cost).callbacks.append(charged)
+
+        def charged(_elapsed):
+            cpu.release()
             owner.cpu_busy_s += cost
             try:
-                result = yield self.controller.install_batch(
-                    sw_name, entries, groups
-                )
+                sent = self.controller.install_batch(sw_name, entries, groups)
             except Exception as exc:  # mirrored to the caller's barrier
                 done.fail(exc)
-            else:
-                done.succeed(result)
+                return
+            sent.callbacks.append(landed)
 
-        self.sim.process(run(), name="mic.shard.issue")
+        def landed(sent):
+            if sent.ok:
+                done.succeed(sent.value)
+            else:
+                done.fail(sent.value)
+
+        sim.call_later(0.0, start)
         return done
 
     def _request_cpu(self, shard: Shard, cpu: float):

@@ -27,6 +27,7 @@ adversary reconstructing a single global hash function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 __all__ = ["ReversibleHash", "HashParams"]
@@ -94,27 +95,40 @@ class ReversibleHash:
         return 1 << self.value_bits
 
     # ------------------------------------------------------------------
-    def _free_part(self, i: int, v: int) -> int:
-        """Mixing contribution of non-solvable variable ``i``."""
-        w = self.widths[i]
-        p = self.params[i]
-        v &= _mask(w)
-        part = ((v ^ p.xor_a) >> p.shr) ^ (((v ^ p.xor_b) << p.shl) & _mask(w))
-        return part & _mask(self.value_bits)
+    # The masks and parameters every solve reads, worked out once per hash:
+    # each labelled segment draw solves two hashes.
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per non-solvable variable: ``(width mask, xor_a, shr, xor_b,
+        shl)``."""
+        return tuple(
+            (_mask(w), p.xor_a, p.shr, p.xor_b, p.shl)
+            for w, p in zip(self.widths, self.params)
+        )
+
+    @cached_property
+    def _value_mask(self) -> int:
+        return _mask(self.value_bits)
+
+    @cached_property
+    def _solve_mask(self) -> int:
+        return _mask(self.solve_width)
 
     def _free_mix(self, free_vars: Sequence[int]) -> int:
+        """XOR of the non-solvable variables' mixing contributions."""
         acc = 0
-        for i, v in enumerate(free_vars):
-            acc ^= self._free_part(i, v)
-        return acc
+        for (w_mask, xor_a, shr, xor_b, shl), v in zip(self._terms, free_vars):
+            v &= w_mask
+            acc ^= ((v ^ xor_a) >> shr) ^ (((v ^ xor_b) << shl) & w_mask)
+        return acc & self._value_mask
 
     def value(self, *variables: int) -> int:
         """Hash value of a full tuple, in ``[0, 2**value_bits)``."""
         if len(variables) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} variables")
         *free, z = variables
-        z_part = ((z ^ self.solve_xor) & _mask(self.solve_width)) >> self.shift
-        return (self._free_mix(free) ^ z_part) & _mask(self.value_bits)
+        z_part = ((z ^ self.solve_xor) & self._solve_mask) >> self.shift
+        return (self._free_mix(free) ^ z_part) & self._value_mask
 
     def solve(self, target: int, *free_vars: int, low_bits: int = 0) -> int:
         """The paper's inverse: the last variable making the tuple hash to
@@ -127,18 +141,17 @@ class ReversibleHash:
         bits: an observable fingerprint.  Callers that care about
         indistinguishability must pass random ``low_bits``
         (:meth:`repro.core.collision.MnAddressSpace.draw_label` does)."""
-        if not 0 <= target < self.n_values:
+        value_mask = self._value_mask
+        if not 0 <= target <= value_mask:
             raise ValueError(
                 f"target {target} outside value space [0, {self.n_values})"
             )
-        if len(free_vars) != self.n_vars - 1:
+        if len(free_vars) != len(self.widths) - 1:
             raise ValueError(f"expected {self.n_vars - 1} free variables")
         if not 0 <= low_bits < (1 << self.shift):
             raise ValueError(f"low_bits needs {self.shift} bits")
-        w = (target ^ self._free_mix(free_vars)) & _mask(self.value_bits)
-        return (((w << self.shift) | low_bits) ^ self.solve_xor) & _mask(
-            self.solve_width
-        )
+        w = (target ^ self._free_mix(free_vars)) & value_mask
+        return (((w << self.shift) | low_bits) ^ self.solve_xor) & self._solve_mask
 
     # ------------------------------------------------------------------
     @classmethod

@@ -436,11 +436,15 @@ class TopologyView:
             return False
 
     def on_geodesic(
-        self, nodes: Sequence[str], src_rank: Optional[int] = None
+        self,
+        nodes: Sequence[str],
+        src_rank: Optional[int] = None,
+        dst_rank: Optional[int] = None,
     ) -> np.ndarray:
         """Which host pairs (a, b) have every link of the walk ``nodes`` on
         some shortest a→b path: booleans by rank, ``H x H`` (sources down,
-        destinations across), or row ``src_rank`` alone.
+        destinations across), or row ``src_rank`` alone, or column
+        ``dst_rank`` alone, or the one pair when both are given.
 
         For a walk n0…nk (k >= 1) over the view's links with switches inside
         that is one compare of the *current* distances, ``d(a, n0) + k +
@@ -449,12 +453,16 @@ class TopologyView:
         the view does not know, or one no host can reach, matches nothing.
         """
         head, tail = self._index.get(nodes[0]), self._index.get(nodes[-1])
-        dist = self._geo_host_dist if src_rank is None else self._geo_host_dist[src_rank]
+        rows = slice(None) if src_rank is None else src_rank
+        cols = slice(None) if dst_rank is None else dst_rank
+        dist = self._geo_host_dist[rows, cols]
         if head is None or tail is None:
-            return np.zeros(dist.shape, dtype=bool)
+            return np.zeros(np.shape(dist), dtype=bool)
         to_hosts = self._geo_to_hosts
-        to_head = to_hosts[head][:, None] if src_rank is None else int(to_hosts[head, src_rank])
-        return to_head + (len(nodes) - 1) + to_hosts[tail] == dist
+        to_head = to_hosts[head, rows]
+        if src_rank is None and dst_rank is None:
+            to_head = to_head[:, None]
+        return to_head + (len(nodes) - 1) + to_hosts[tail, cols] == dist
 
     def plausible_pair_index(self, u: str, v: str) -> np.ndarray:
         """Host pairs for which directed link u→v is on a shortest path, as

@@ -1,13 +1,15 @@
-"""The index-array draw against the list-building draw it replaced.
+"""The counted draw against the list-building draw it replaced.
 
-``Strategy.plausible_pool`` narrows a segment's flat pair-index array with
-vector compares and ``AddressRestrictions.draw_pair`` draws by position;
-the oracle (``plausibility_oracle.oracle_narrow`` over the brute-force
-``oracle_segment`` pool, then ``rng.choice``) is what ``draw_segment`` did
-with name-tuple lists.  Same surviving pool element for element, same
-pick, same RNG state afterwards — so every seeded simulation is unchanged
-— on a healthy fabric, a degraded one, and one whose link fails after the
-first draw.
+``Strategy.plausible_pool`` narrows a segment's geodesic mask to a
+:class:`~repro.core.restrictions.SegmentPool` — the smallest view that
+holds the survivors, and their count — and
+``AddressRestrictions.draw_pair`` draws a position from the count and
+locates only that pair; the oracle (``plausibility_oracle.oracle_narrow``
+over the brute-force ``oracle_segment`` pool, then ``rng.choice``) is what
+``draw_segment`` did with name-tuple lists.  Same surviving pool element
+for element, same pick, same RNG state afterwards — so every seeded
+simulation is unchanged — on a healthy fabric, a degraded one, one whose
+link fails after the first draw, and on the walks the controller cuts.
 """
 
 import functools
@@ -150,15 +152,88 @@ def _check_draw(mic, view, segment, src_pin, dst_pin, ban, seed, rng):
         endpoints = tuple(rng.sample(list(view.hosts), 2))
 
     expected = oracle_narrow(pool, mic._ip_to_host, pin_src, pin_dst, endpoints)
-    index = mic.strategy.plausible_pool(segment, pin_src, pin_dst, endpoints)
-    assert index.dtype == np.int32
-    assert view.pairs_from_index(index) == expected
-
+    _assert_same_draws(mic, segment, pin_src, pin_dst, endpoints, expected, seed)
     ours, theirs = random.Random(seed), random.Random(seed)
-    for _ in range(3):  # the collision loop draws once per retry
-        assert mic.restrictions.draw_pair(index, ours) == theirs.choice(expected)
     assert mic.restrictions.sample_pair(segment, ours) == theirs.choice(pool)
     assert ours.getstate() == theirs.getstate()
+
+
+def _assert_same_draws(mic, segment, pin_src, pin_dst, endpoints, expected, seed):
+    """The counted pool lists as ``expected`` and draws as ``choice`` over
+    it does, three times (the collision loop draws once per retry)."""
+    pool = mic.strategy.plausible_pool(segment, pin_src, pin_dst, endpoints)
+    index = mic.restrictions.pool_index(pool)
+    assert index.dtype == np.int32
+    assert pool.size == len(expected)
+    assert mic.restrictions.view.pairs_from_index(index) == expected
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert mic.restrictions.draw_pair(pool, ours) == theirs.choice(expected)
+    assert ours.getstate() == theirs.getstate()
+    return pool
+
+
+@functools.lru_cache(maxsize=None)
+def fat_tree_deployment(k):
+    return deploy_mic(fat_tree(k), seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.sampled_from([4, 6]),
+    n_mns=st.integers(1, 7),  # past the shortest path's switches: bounce walks
+    pins=st.sampled_from(["none", "src", "dst", "both"]),
+    pinned=st.sampled_from(["walk-ends", "any-host"]),
+    ban=st.sampled_from(["none", "walk-ends", "pool-sources"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counted_draw_equals_the_list_draw_on_controller_walks(
+    k, n_mns, pins, pinned, ban, seed
+):
+    """Every segment of a walk cut the way ``_plan_flow`` cuts it, both
+    directions, plus a there-and-back segment (the first link's fallback)
+    and a one-node one (the all-pairs fallback), under each pin
+    combination; ``pool-sources`` bans the narrowed pool's own sources, so
+    a pool with one or two of them relaxes the ban."""
+    dep = fat_tree_deployment(k)
+    mic, view, topo = dep.mic, dep.ctrl.view, dep.net.topo
+    rng = random.Random(seed)
+    a, b = rng.sample(topo.hosts(), 2)
+    walk = view.paths_with_min_switches(a, b, n_mns, rng)
+    switches = [i for i in range(1, len(walk) - 1) if topo.kind(walk[i]) == "switch"]
+    mns = sorted(rng.sample(switches, n_mns))
+    cases = []
+    for nodes, cuts, src, dst in (
+        (walk, mns, a, b),
+        (walk[::-1], sorted(len(walk) - 1 - p for p in mns), b, a),
+    ):
+        bounds = [0] + cuts + [len(nodes) - 1]
+        cases += [
+            (nodes[bounds[i] : bounds[i + 1] + 1], src, dst)
+            for i in range(len(bounds) - 1)
+        ]
+    u = walk[mns[0]]
+    cases += [([u, walk[mns[0] + 1], u], a, b), ([u], a, b)]
+    fallbacks = []
+    for segment, src, dst in cases:
+        pool = oracle_segment(view, segment)
+        hosts = (src, dst) if pinned == "walk-ends" else rng.sample(topo.hosts(), 2)
+        pin_src = topo.host_ip(hosts[0]) if pins in ("src", "both") else None
+        pin_dst = topo.host_ip(hosts[1]) if pins in ("dst", "both") else None
+        endpoints = ()
+        if ban == "walk-ends":
+            endpoints = (src, dst)
+        elif ban == "pool-sources":
+            narrowed = oracle_narrow(pool, mic._ip_to_host, pin_src, pin_dst)
+            endpoints = tuple(dict.fromkeys(p[0] for p in narrowed))[:2]
+        expected = oracle_narrow(pool, mic._ip_to_host, pin_src, pin_dst, endpoints)
+        drawn = _assert_same_draws(
+            mic, segment, pin_src, pin_dst, endpoints, expected, seed
+        )
+        fallbacks.append(drawn.fallback)
+    # a geodesic walk's segments never fall back; the last two always do
+    assert fallbacks[-2:] == [True, True]
+    assert not any(fallbacks[:-2]) or len(walk) > len(view.shortest_path(a, b))
 
 
 def test_both_ips_pinned_still_consumes_the_pool_draw():
@@ -167,12 +242,13 @@ def test_both_ips_pinned_still_consumes_the_pool_draw():
     dep = deployment("fat_tree4", False)
     mic, topo = dep.mic, dep.net.topo
     segment = dep.ctrl.view.shortest_path("h1", "h16")[:3]
-    index = mic.strategy.plausible_pool(
+    pool = mic.strategy.plausible_pool(
         segment, topo.host_ip("h1"), topo.host_ip("h16"), ("h1", "h16")
     )
+    assert pool.size == 1  # the pinned pair itself: one cell, never the mask
     ours, theirs = random.Random(3), random.Random(3)
-    mic.restrictions.draw_pair(index, ours)
-    theirs.choice(range(len(index)))
+    assert mic.restrictions.draw_pair(pool, ours) == ("h1", "h16")
+    theirs.choice(range(1))
     assert ours.getstate() == theirs.getstate() != random.Random(3).getstate()
 
 
@@ -187,7 +263,7 @@ def test_an_empty_pool_refuses_like_choice_of_an_empty_list():
     with pytest.raises(IndexError) as parent:
         random.Random(0).choice([])
     for draw in (
-        lambda: restrictions.draw_pair(np.empty(0, dtype=np.int32), random.Random(0)),
+        lambda: restrictions.draw_pair(restrictions.segment_mask(["h1", "s1"]), random.Random(0)),
         lambda: restrictions.sample_pair(["h1", "s1"], random.Random(0)),
     ):
         with pytest.raises(IndexError) as ours:

@@ -97,7 +97,7 @@ def test_geodesic_pool_equals_the_per_link_intersection(name, events, data):
         # (relaxed if nothing is left) keeps what narrowing the pool keeps.
         sources = sorted(set((expected // hosts).tolist())) or [-1]
         src = data.draw(st.sampled_from(sources) | st.integers(-1, hosts - 1))
-        pinned = restrictions.pool_index(*restrictions.segment_mask(nodes, src))
+        pinned = restrictions.pool_index(restrictions.segment_mask(nodes, src))
         assert _narrow(pinned, src, hosts) == _narrow(expected, src, hosts)
 
 
