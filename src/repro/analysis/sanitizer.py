@@ -29,9 +29,9 @@ and watches for exactly those hazards while the simulation runs:
 
 The sanitizer only observes: it never mutates kernel state and draws no
 randomness.  It watches from outside, the way the profiler brackets its
-frames: :meth:`SimSanitizer.hook` sets instance-level wrappers on the
-simulator's ``step`` and ``rng`` and taps its sequence counter, and
-:meth:`~SimSanitizer.detach` takes them off again.  An unsanitized
+frames: :meth:`SimSanitizer.hook` wraps the simulator's ``step`` and
+``rng`` through :mod:`repro.obs.seam` and taps its sequence counter, and
+:meth:`~SimSanitizer.detach` splices its links out again.  An unsanitized
 simulator carries no wrapper and no kernel method names the sanitizer;
 only the shared-state probes in :mod:`repro.sim.resources` read the
 ``sim._sanitizer`` slot.  A sanitized run is byte-identical to a bare
@@ -46,6 +46,8 @@ import sys
 import weakref
 from dataclasses import dataclass
 from typing import Any, Optional
+
+from ..obs.seam import unwrap, wrap
 
 __all__ = ["SanitizerFinding", "SimSanitizer"]
 
@@ -73,6 +75,36 @@ class SanitizerFinding:
         return f"t={self.time:.6f} [{self.kind}] {self.subject}: {self.detail}"
 
 
+def _step(link: tuple) -> float:
+    """``Simulator.step`` under a sanitizer: close the batch when the clock
+    moves, then run the popped call under its causal root."""
+    san, sim, inner = link
+    heap = sim._heap
+    if not heap:
+        return inner()
+    when, seq = heap[0][0], heap[0][1]
+    if when != san._batch_time:
+        san._flush_batch()
+        san._batch_time = when
+    root = san._pending_root.pop(seq, None)
+    # a zero delay keeps the scheduling event's root: program order fixes
+    # it; every other call starts a fresh causal chain
+    if root is not None and root[0] == when:
+        san._current_root = root[1]
+    else:
+        san._current_root = next(san._root_counter)
+    try:
+        return inner()
+    finally:
+        san._current_root = None
+
+
+def _rng(link: tuple, stream: str = "default") -> Any:
+    """``Simulator.rng``, noting the module that asked for ``stream``."""
+    link[0]._note_rng(stream)
+    return link[2](stream)
+
+
 class SimSanitizer:
     """Attachable hazard detector for one :class:`Simulator`.
 
@@ -83,12 +115,13 @@ class SimSanitizer:
     """
 
     def __init__(self, strict: bool = False, max_findings: int = 200):
+        if not (isinstance(max_findings, int) and max_findings >= 0):
+            raise ValueError(f"max_findings {max_findings!r} must be an int >= 0")
         self.strict = strict
         self.max_findings = max_findings
         self.findings: list[SanitizerFinding] = []
         self.sim: Optional[Any] = None
-        #: the live ``step`` wrapper and the counter the tap draws from
-        self._step: Optional[Any] = None
+        #: the counter the tap draws from
         self._counter: Optional[Any] = None
         # causal roots: heap seq -> (time scheduled at, the scheduling
         # event's root), for calls scheduled while an event ran
@@ -113,48 +146,19 @@ class SimSanitizer:
         return cls(strict=strict).hook(sim)
 
     def hook(self, sim: Any) -> "SimSanitizer":
-        """Watch ``sim``: wrap its ``step`` and ``rng``, tap its counter.
-
-        The ``step`` wrapper reads the next heap entry's ``(when, seq)``
-        before the inner ``step`` pops it, and the counter tap gives each
-        sequence number drawn while an event runs that event's causal root.
-        A simulator that already has a sanitizer raises ``ValueError``.
-        """
+        """Watch ``sim``: wrap its ``step`` and ``rng`` (seam links) and tap
+        its counter, which gives each sequence number drawn while an event
+        runs that event's causal root.  A simulator that already has a
+        sanitizer raises ``ValueError``."""
         if sim._sanitizer is not None:
             raise ValueError(
                 f"{sim._sanitizer!r} is already attached to this simulator; "
                 f"detach it first"
             )
-        inner_step, inner_rng = sim.step, sim.rng
-
-        def step() -> float:
-            heap = sim._heap
-            if not heap or self._step is not step:  # empty, or detached
-                return inner_step()
-            when, seq = heap[0][0], heap[0][1]
-            if when != self._batch_time:
-                self._flush_batch()
-                self._batch_time = when
-            root = self._pending_root.pop(seq, None)
-            # a zero delay keeps the scheduling event's root: program order
-            # fixes it; every other call starts a fresh causal chain
-            if root is not None and root[0] == when:
-                self._current_root = root[1]
-            else:
-                self._current_root = next(self._root_counter)
-            try:
-                return inner_step()
-            finally:
-                self._current_root = None
-
-        def rng(stream: str = "default") -> Any:
-            self._note_rng(stream)
-            return inner_rng(stream)
-
-        step.__wrapped__ = inner_step  # type: ignore[attr-defined]
-        self._step, self._counter = step, sim._counter
-        self.sim = sim
-        sim.step, sim.rng, sim._counter = step, rng, self._tap(sim._counter)
+        self.sim, self._counter = sim, sim._counter
+        wrap(self, "step", _step, [sim])
+        wrap(self, "rng", _rng, [sim])
+        sim._counter = self._tap(sim._counter)
         sim._sanitizer = self
         return self
 
@@ -167,25 +171,17 @@ class SimSanitizer:
             yield seq
 
     def detach(self) -> None:
-        """Unhook from the simulator, flushing the open batch first.
-
-        The simulator gets back what :meth:`hook` replaced; a ``step``
-        wrapper that a profiler has since wrapped stays in its chain and
-        only passes through.
-        """
+        """Unhook, flushing the open batch first: splice this sanitizer's
+        links out of ``step`` and ``rng`` (every other watcher's stays) and
+        give the counter back."""
         self._flush_batch()
         sim = self.sim
         if sim is not None:
-            if vars(sim).get("step") is self._step:
-                inner = self._step.__wrapped__
-                if getattr(inner, "__func__", None) is type(sim).step:
-                    del sim.step
-                else:
-                    sim.step = inner
-            del sim.rng
+            unwrap(self, "step", [sim])
+            unwrap(self, "rng", [sim])
             sim._counter = self._counter
             sim._sanitizer = None
-        self.sim = self._step = None
+        self.sim = None
 
     def _emit(self, kind: str, time: float, subject: str, detail: str) -> None:
         if len(self.findings) < self.max_findings:
@@ -193,7 +189,7 @@ class SimSanitizer:
 
     def _note_rng(self, stream: str) -> None:
         """Record the module asking for a named stream; flag sharing."""
-        frame = sys._getframe(2)  # 0=_note_rng, 1=the rng wrapper, 2=caller
+        frame = sys._getframe(2)  # 0=_note_rng, 1=the rng link, 2=caller
         module = frame.f_globals.get("__name__", "<unknown>")
         callers = self._rng_callers.setdefault(stream, set())
         callers.add(module)

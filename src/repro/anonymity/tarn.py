@@ -42,14 +42,18 @@ class TarnHopping(Strategy):
 
     def on_established(self, channel: MimicChannel) -> None:
         """Start the channel's phase-jittered rotation clock."""
+        rng = self.mic.sim.rng(f"anonymity-tarn/ch{channel.channel_id}")
         self.mic.sim.process(
-            self._hop_loop(channel), name=f"anon.tarn.ch{channel.channel_id}"
+            self._hop_loop(channel, rng), name=f"anon.tarn.ch{channel.channel_id}"
         )
 
-    def _hop_loop(self, channel: MimicChannel):
+    def on_teardown(self, channel: MimicChannel) -> None:
+        """Drop the channel's stream: no later channel has its id."""
+        self.mic.sim._rng_streams.pop(f"anonymity-tarn/ch{channel.channel_id}", None)
+
+    def _hop_loop(self, channel: MimicChannel, rng):
         mic = self.mic
         sim = mic.sim
-        rng = sim.rng(f"anonymity-tarn/ch{channel.channel_id}")
         phase = rng.random() * self.phase_jitter * self.period_s
         if phase:
             yield sim.timeout(phase)

@@ -796,7 +796,10 @@ class MimicController(ControllerApp):
         self.strategy.on_teardown(channel)
 
     def _release_flow(self, channel_id: int, plan: MFlowPlan) -> None:
-        self.registry.release_owner(f"ch{channel_id}/c{plan.cookie}")
+        owner = f"ch{channel_id}/c{plan.cookie}"
+        self.registry.release_owner(owner)
+        # its decoy stream (add_decoys) too: ids are never reused
+        self.sim._rng_streams.pop(f"mic-decoys/{owner}", None)
         self._used_sports[plan.walk[0]].discard(plan.entry.sport)
         if self.flow_ids.is_live(plan.flow_id):
             self.flow_ids.release(plan.flow_id)

@@ -8,11 +8,11 @@ the event-loop dispatch, flow-table classification, fluid re-solves,
 hybrid epoch phases, the MC's shard routing and the obs/journey hot-path
 hooks.  No ``sys.setprofile``, no tracing of arbitrary frames.  Everything
 is bracketed from here: :meth:`Profiler.hook` (and :meth:`~Profiler.hook_hybrid`,
-:meth:`~Profiler.hook_mic`) installs a wrapper around each instrumented
-method on the hooked instance — the simulator's ``step`` included — so the
-instrumented modules never see the profiler.  An unprofiled run carries no
-wrapper at all: it is byte-identical and pays nothing
-(``benchmarks/bench_prof_overhead.py`` keeps that honest).
+:meth:`~Profiler.hook_mic`) wraps each instrumented method on the hooked
+instance — the simulator's ``step`` included — through
+:mod:`repro.obs.seam`, so the instrumented modules never see the profiler.
+An unprofiled run carries no wrapper at all: it is byte-identical and pays
+nothing (``benchmarks/bench_prof_overhead.py`` keeps that honest).
 
 Attribution follows the classic self/cumulative split: a frame's
 *cumulative* time is enter-to-exit wall-ns; its *self* time excludes the
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from ..sim.engine import Event
+from .seam import links, unwrap, wrap
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.network import Network
@@ -291,29 +292,121 @@ def dispatch_kind(fn: Callable[..., None]) -> str:
     return "event.Callback"
 
 
-# What one bracketed call counts: ``tally(args, result, moved)`` -> (key, n)
-# pairs (see Profiler._bracket).
-def _lookup_path(args: tuple, entry: Any, hits: int) -> tuple:
-    return (("path.cached" if hits else "path.indexed", 1),)
+# ---------------------------------------------------------------------------
+# Brackets: each is one repro.obs.seam hook, bound to
+# (profiler, profiled instance, inner) on the instance it profiles.
+# ---------------------------------------------------------------------------
+def _frame(name: str, key: str = "") -> Callable[..., Any]:
+    """The bracket running its inner call in frame ``name``; a ``key`` counts
+    each call that returns."""
+
+    def framed(link: tuple, *args: Any, **kwargs: Any) -> Any:
+        prof = link[0]
+        prof.enter(name)
+        try:
+            result = link[2](*args, **kwargs)
+            if key:
+                prof.count(name, key)
+            return result
+        finally:
+            prof.exit()
+
+    return framed
 
 
-def _host_rx(args: tuple, result: Any, moved: int) -> tuple:
-    return (("host_rx", 1),)
+_run = _frame("sim.run")
+_epoch_tick = _frame("hybrid.epoch")
+_measure_phase = _frame("hybrid.measure")
+_advance_phase = _frame("hybrid.advance")
+_on_host_rx = _frame("obs.hook", "host_rx")
+_record = _frame("obs.hook", "journey_emit")
 
 
-def _journey_emit(args: tuple, result: Any, moved: int) -> tuple:
-    return (("journey_emit", 1),)
+def _step(link: tuple) -> float:
+    """``Simulator.step`` in one ``sim.dispatch`` frame, counted by the kind
+    of the heap call it is about to pop and the heap's depth before the pop.
+    The hottest path: the minimum per event."""
+    prof, sim, inner = link
+    heap = sim._heap
+    if not heap:
+        return inner()
+    when, _seq, fn, _args = heap[0]
+    depth = len(heap)
+    c = prof.counters.get("sim.dispatch")
+    if c is None:
+        c = prof.counters["sim.dispatch"] = {}
+    kind = dispatch_kind(fn)
+    c[kind] = c.get(kind, 0) + 1
+    c["heap.depth.sum"] = c.get("heap.depth.sum", 0) + depth
+    if depth > c.get("heap.depth.max", 0):
+        c["heap.depth.max"] = depth
+    if prof.sim_first_s is None:
+        prof.sim_first_s = when
+    prof.sim_last_s = when
+    prof.dispatches += 1
+    if prof.sample_every and prof.dispatches % prof.sample_every == 0:
+        prof.samples.append({
+            "sim_time_s": when,
+            "dispatches": prof.dispatches,
+            "heap_depth": depth,
+            "cum_ns": dict(prof.cum_ns),
+        })
+    prof._stack.append(["sim.dispatch", prof._clock(), 0])
+    try:
+        return inner()
+    finally:
+        prof.exit()
 
 
-def _routed(args: tuple, shard: Any, moved: int) -> tuple:
-    # MimicController._route(sw_name, counter, n)
-    return ((args[1], args[2]),)
+def _lookup(link: tuple, packet: Any, in_port: int) -> Any:
+    """``FlowTable.lookup``, counted by the tier that answered."""
+    prof, table, inner = link
+    prof.enter("flowtable.lookup")
+    try:
+        hits = table.cache_hits
+        entry = inner(packet, in_port)
+        tier = "path.cached" if table.cache_hits != hits else "path.indexed"
+        prof.count("flowtable.lookup", tier)
+        return entry
+    finally:
+        prof.exit()
 
 
-def _remote(args: tuple, result: Any, remote: int) -> tuple:
-    # mods issued by a non-owning shard: MimicController._send moved
-    # remote_installs by that many
-    return (("mods.remote", remote),) if remote else ()
+def _solve(link: tuple, link_capacity: Any) -> Any:
+    """``FluidSolver._solve``, counting the flows, rounds and entries it swept."""
+    prof, solver, inner = link
+    prof.enter("fluid.solve")
+    try:
+        solved = inner(link_capacity)
+        prof.count("fluid.solve", "flows.solved", len(solver))
+        prof.count("fluid.solve", "rounds", solved[1])
+        prof.count("fluid.solve", "entries.swept", solved[2])
+        return solved
+    finally:
+        prof.exit()
+
+
+def _route(link: tuple, sw_name: str, counter: str, n: int) -> Any:
+    """``MimicController._route``, counting ``n`` under ``counter``."""
+    prof, _mic, inner = link
+    prof.enter("controlplane.route")
+    try:
+        shard = inner(sw_name, counter, n)
+        prof.count("controlplane.route", counter, n)
+        return shard
+    finally:
+        prof.exit()
+
+
+def _send(link: tuple, *args: Any) -> Any:
+    """``MimicController._send`` (no frame): counts the mods a non-owning
+    shard issued, by how far the call moved ``remote_installs``."""
+    prof, mic, inner = link
+    before = mic.remote_installs
+    result = inner(*args)
+    if mic.remote_installs != before:
+        prof.count("controlplane.route", "mods.remote", mic.remote_installs - before)
+    return result
 
 
 class Profiler:
@@ -322,13 +415,12 @@ class Profiler:
     ``enter``/``exit`` bracket one subsystem frame; nesting is explicit
     (the instrumented call tree, not the Python stack).  ``count``
     accumulates named deterministic counters under a subsystem.  The
-    per-event hooks the ``step`` wrapper calls (``_on_step``/``_on_step_end``)
-    are the hottest path and do the minimum: one kind-count, heap-depth
-    bookkeeping and a ``sim.dispatch`` frame.
+    brackets are :mod:`repro.obs.seam` hooks (``_step`` opens one
+    ``sim.dispatch`` frame per event).
 
-    ``sample_every=N`` records every Nth dispatch as a timeline sample
-    (sim time, heap depth, cumulative ns per subsystem) for the Perfetto
-    counter tracks; 0 (default) records none.
+    ``sample_every=N`` (an int >= 0) records every Nth dispatch as a
+    timeline sample (sim time, heap depth, cumulative ns per subsystem) for
+    the Perfetto counter tracks; 0 (default) records none.
 
     ``clock`` is injectable for deterministic attribution tests; the
     default is :func:`time.perf_counter_ns`.
@@ -339,8 +431,8 @@ class Profiler:
         clock: Callable[[], int] = time.perf_counter_ns,
         sample_every: int = 0,
     ):
-        if sample_every < 0:
-            raise ValueError(f"sample_every must be >= 0, got {sample_every}")
+        if not (isinstance(sample_every, int) and sample_every >= 0):
+            raise ValueError(f"sample_every {sample_every!r} must be an int >= 0")
         self._clock = clock
         self.sample_every = sample_every
         #: open frames: [name, enter_ns, child_ns] (child_ns = time already
@@ -388,129 +480,39 @@ class Profiler:
             c = self.counters[subsystem] = {}
         c[key] = c.get(key, 0) + n
 
-    # -- simulator dispatch hooks (the hottest path) -----------------------
-    def _on_step(self, when: float, fn: Callable[..., None], heap_depth: int) -> None:
-        """Called before ``Simulator.step`` pops the heap call ``fn``."""
-        c = self.counters.get("sim.dispatch")
-        if c is None:
-            c = self.counters["sim.dispatch"] = {}
-        kind = dispatch_kind(fn)
-        c[kind] = c.get(kind, 0) + 1
-        c["heap.depth.sum"] = c.get("heap.depth.sum", 0) + heap_depth
-        if heap_depth > c.get("heap.depth.max", 0):
-            c["heap.depth.max"] = heap_depth
-        if self.sim_first_s is None:
-            self.sim_first_s = when
-        self.sim_last_s = when
-        self.dispatches += 1
-        if self.sample_every and self.dispatches % self.sample_every == 0:
-            self.samples.append({
-                "sim_time_s": when,
-                "dispatches": self.dispatches,
-                "heap_depth": heap_depth,
-                "cum_ns": dict(self.cum_ns),
-            })
-        self._stack.append(["sim.dispatch", self._clock(), 0])
-
-    def _on_step_end(self) -> None:
-        """Called after ``Simulator.step`` returned."""
-        self.exit()
-
     # -- wiring ------------------------------------------------------------
-    def _bracket(
-        self,
-        obj: Any,
-        method: str,
-        frame: str,
-        tally: Optional[Callable[[tuple, Any, int], Iterable[tuple[str, float]]]] = None,
-        watch: str = "",
-        opens: bool = True,
-    ) -> None:
-        """Install ``obj.<method>`` as its class's method bracketed in ``frame``.
-
-        The wrapper is an instance attribute, so every call that looks the
-        method up on ``obj`` runs it; the class and every other instance
-        are untouched.  ``tally(args, result, moved)`` returns the
-        ``(key, n)`` pairs one call counts under ``frame``, where ``moved``
-        is how far the call moved the counter attribute ``obj.<watch>``
-        (0 without ``watch``).  ``opens=False`` counts without opening the
-        frame.  Bracketing again replaces the wrapper, so the same profiler
-        adds no second frame and another profiler takes over.
-        """
-        inner = getattr(type(obj), method).__get__(obj)
-        enter, leave, count = self.enter, self.exit, self.count
-
-        def bracketed(*args: Any, **kwargs: Any) -> Any:
-            if opens:
-                enter(frame)
-            try:
-                before = getattr(obj, watch) if watch else 0
-                result = inner(*args, **kwargs)
-                if tally is not None:
-                    moved = getattr(obj, watch) - before if watch else 0
-                    for key, n in tally(args, result, moved):
-                        count(frame, key, n)
-                return result
-            finally:
-                if opens:
-                    leave()
-
-        setattr(obj, method, bracketed)
+    def _wrap(self, name: str, hook: Callable[..., Any], objs: Iterable[Any]) -> None:
+        """Bracket each ``obj.<name>`` with ``hook`` through the seam: a
+        profiler already in the chain adds no frame, another profiler's link
+        is spliced out (this one takes over), every other watcher's stays."""
+        for obj in objs:
+            owners = [link.__self__[0] for link in links(obj, name)]
+            if self in owners:
+                continue
+            for owner in owners:
+                if isinstance(owner, Profiler):
+                    unwrap(owner, name, [obj])
+            wrap(self, name, hook, [obj])
 
     def _hook_sim(self, sim: Any) -> None:
-        """Bracket ``sim.run`` and wrap ``sim.step`` in the dispatch hooks.
-
-        The ``step`` wrapper reads the next heap entry and the heap's depth
-        before the inner ``step`` pops it.  A profiler's wrapper on top is
-        replaced, as :meth:`_bracket` replaces one; any other wrapper (the
-        sanitizer's) is kept inside the new one, and one this profiler set
-        below it already counts.
-        """
-        self._bracket(sim, "run", "sim.run")
-        inner = link = sim.step
-        while hasattr(link, "__wrapped__"):
-            if getattr(link, "profiler", None) is self:
-                return
-            link = link.__wrapped__
-        if isinstance(getattr(inner, "profiler", None), Profiler):
-            inner = inner.__wrapped__
-        on_step, on_step_end = self._on_step, self._on_step_end
-
-        def step() -> float:
-            heap = sim._heap
-            if not heap:
-                return inner()
-            head = heap[0]
-            on_step(head[0], head[2], len(heap))
-            try:
-                return inner()
-            finally:
-                on_step_end()
-
-        step.__wrapped__ = inner  # type: ignore[attr-defined]
-        step.profiler = self  # type: ignore[attr-defined]
-        sim.step = step
+        """Bracket ``sim.run`` and open a ``sim.dispatch`` frame per ``sim.step``."""
+        self._wrap("run", _run, [sim])
+        self._wrap("step", _step, [sim])
 
     def hook(self, net: "Network") -> "Profiler":
-        """Wire this profiler into a live network's instrumented points.
-
-        Wraps the simulator's ``step`` and brackets ``sim.run``, every
-        switch's flow-table lookup, the journey recorder's sink and the
-        observer's delivery hook (when attached), and the hybrid engine
-        (:meth:`hook_hybrid`, when attached).  Safe to call again after
-        attaching more layers.
-        """
+        """Wire this profiler into a live network's instrumented points:
+        the simulator's ``run`` and ``step``, every switch's flow-table
+        lookup, and the observer's delivery hook, the journey recorder's
+        sink and the hybrid engine (:meth:`hook_hybrid`) when attached.
+        Safe to call again after attaching more layers."""
         self._hook_sim(net.sim)
-        for sw in net.switches():
-            self._bracket(
-                sw.table, "lookup", "flowtable.lookup", _lookup_path, "cache_hits"
-            )
+        self._wrap("lookup", _lookup, [sw.table for sw in net.switches()])
         obs = net.observer
         if obs is not None:
             obs.profiler = self
-            self._bracket(obs, "on_host_rx", "obs.hook", _host_rx)
+            self._wrap("on_host_rx", _on_host_rx, [obs])
         if net.journey is not None:
-            self._bracket(net.journey, "_record", "obs.hook", _journey_emit)
+            self._wrap("_record", _record, [net.journey])
         hybrid = getattr(net, "hybrid", None)
         if hybrid is not None:
             self.hook_hybrid(hybrid)
@@ -518,20 +520,12 @@ class Profiler:
 
     def hook_hybrid(self, engine: Any) -> "Profiler":
         """Wire into a hybrid engine's epoch phases and its fluid solver."""
-        self._bracket(engine, "_epoch_tick", "hybrid.epoch")
-        self._bracket(engine, "_measure_phase", "hybrid.measure")
-        self._bracket(engine, "_advance_phase", "hybrid.advance")
+        self._wrap("_epoch_tick", _epoch_tick, [engine])
+        self._wrap("_measure_phase", _measure_phase, [engine])
+        self._wrap("_advance_phase", _advance_phase, [engine])
         # the ticker holds the bound method it was built with
         engine._ticker.fn = engine._epoch_tick
-        solver = engine.solver
-        self._bracket(
-            solver, "_solve", "fluid.solve",
-            lambda args, solved, _: (
-                ("flows.solved", len(solver)),
-                ("rounds", solved[1]),
-                ("entries.swept", solved[2]),
-            ),
-        )
+        self._wrap("_solve", _solve, [engine.solver])
         return self
 
     def hook_mic(self, mic: Any) -> "Profiler":
@@ -540,11 +534,8 @@ class Profiler:
         The network holds no reference to its MC, so :meth:`hook` cannot
         reach it; a profiled MIC run calls this too.
         """
-        self._bracket(mic, "_route", "controlplane.route", _routed)
-        self._bracket(
-            mic, "_send", "controlplane.route", _remote, "remote_installs",
-            opens=False,
-        )
+        self._wrap("_route", _route, [mic])
+        self._wrap("_send", _send, [mic])
         return self
 
     @classmethod

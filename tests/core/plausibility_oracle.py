@@ -18,15 +18,18 @@ def oracle_pairs(view, u, v):
     dist = view.dist
     hosts = view.topo.hosts()
     pairs = []
+    # each row read once; a leg that does not exist is on no path
+    from_v = dist.get(v)
+    if from_v is None:
+        return pairs
     for a in hosts:
+        from_a = dist.get(a)
+        if from_a is None or u not in from_a:
+            continue
+        to_u = from_a[u] + 1
         for b in hosts:
-            if a == b:
-                continue
-            try:
-                if dist[a][u] + 1 + dist[v][b] == dist[a][b]:
-                    pairs.append((a, b))
-            except KeyError:
-                pass  # a leg that does not exist is on no path
+            if b != a and b in from_v and b in from_a and to_u + from_v[b] == from_a[b]:
+                pairs.append((a, b))
     return pairs
 
 

@@ -46,8 +46,9 @@ from repro.obs import (
     to_perfetto,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.prof import ProfileReport, _lookup_path
+from repro.obs.prof import ProfileReport, _lookup
 from tests.profile_counts import GOLDEN as COUNTS_GOLDEN, chaos_counts, counts_doc, render
+from tests.watchers import watchers
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
 
@@ -218,7 +219,7 @@ def test_bracketed_lookup_answers_as_the_bare_one_and_counts_each_tier():
             table.install(FlowEntry(Match(ip_dst=dst), [Output(i)], cookie=i + 1))
     assert "lookup" not in vars(bare) and bare.lookup.__func__ is FlowTable.lookup
     prof = Profiler()
-    prof._bracket(profiled, "lookup", "flowtable.lookup", _lookup_path, "cache_hits")
+    prof._wrap("lookup", _lookup, [profiled])
     assert "lookup" in vars(profiled)
     packets = [
         Packet(eth_src=mac(1), eth_dst=mac(2), ip_src=hosts[0], ip_dst=rng.choice(hosts))
@@ -271,6 +272,9 @@ def test_hooking_twice_adds_no_frame_and_a_second_profiler_takes_over():
     assert again["flowtable.lookup"]["calls"] == 3 * 20
     assert again["obs.hook"]["calls"] == 20
     assert net.observer.profiler is second
+    # the first profiler's links were spliced out, not left passing through
+    assert all(watchers(sw.table, "lookup") == [second] for sw in net.switches())
+    assert watchers(net.sim, "step") == [second]
 
 
 def test_shard_churn_profile_routes_through_the_mc():

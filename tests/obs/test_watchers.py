@@ -1,12 +1,14 @@
 """Watchers bracket from outside: the sanitizer, the profiler, the
-observer and the journey recorder wrap a live instance and take their
-wrappers off again; no kernel, node, switch, link or host code knows a
-watcher exists, and a second watcher of one kind is refused.  The observer
-and the journey stack on one host method through ``repro.obs.seam``, and
-either leaves without taking the other with it."""
+observer, the journey recorder and the tests' ``step_log`` wrap a live
+instance and take their wrappers off again; no kernel, node, switch, link
+or host code knows a watcher exists, and a second watcher of one kind is
+refused.  All of them wrap through ``repro.obs.seam`` (nothing else in
+``src/`` binds a wrapper onto an instance), so they stack on one method in
+any order and each leaves without taking another with it."""
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from repro.obs import JourneyRecorder, Observer, Profiler
 from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.resources import Resource
+
+from tests.watchers import step_log, watchers
 
 
 def _race(sim):
@@ -81,13 +85,13 @@ def test_detaching_the_sanitizer_restores_the_bare_simulator():
     ["sanitizer", "profiler"], ["profiler", "sanitizer"],
 ])
 def test_a_detached_sanitizer_stops_watching_under_either_order(order):
-    """Under a profiler hooked after it, the sanitizer's ``step`` wrapper
-    stays in the chain after ``detach()`` but only passes through; over
-    one, ``detach()`` hands ``step`` back to the profiler's wrapper."""
+    """Under or over a profiler, ``detach()`` splices the sanitizer's links
+    out: the profiler's is the only one left on ``step``, ``rng`` is the
+    class's again, and the profiler keeps counting."""
     findings, counts, net, san, prof = _watched(order)
     san.detach()
-    if order[-1] == "sanitizer":
-        assert net.sim.step.profiler is prof
+    assert watchers(net.sim, "step") == [prof]
+    assert "rng" not in vars(net.sim)
     _race(net.sim)
     net.run()
     assert [f.format() for f in san.findings] == findings
@@ -97,12 +101,12 @@ def test_a_detached_sanitizer_stops_watching_under_either_order(order):
 
 def test_hooking_the_profiler_again_over_a_sanitizer_adds_no_second_frame():
     _, counts, net, san, prof = _watched(["profiler", "sanitizer"])
-    prof.hook(net)  # its wrapper sits under the sanitizer's: already counting
+    prof.hook(net)  # its link sits under the sanitizer's: already counting
     _race(net.sim)
     net.run()
     again = prof.report().counts()["sim.dispatch"]
     assert again["calls"] == 2 * counts["sim.dispatch"]["calls"]
-    assert net.sim.step.__wrapped__.profiler is prof
+    assert watchers(net.sim, "step") == [san, prof]
 
 
 def test_a_second_sanitizer_is_refused_until_the_first_detaches():
@@ -203,8 +207,8 @@ def test_the_observer_and_the_journey_stack_and_leave_in_either_order(order, lea
     }
     prof = Profiler().hook(net)
     obs, rec = attached["observer"], attached["journey"]
-    # the profiler brackets the class's lookup outright: the journey wraps
-    # none of it, so neither takes the other's wrapper away
+    # the profiler's links (the hosts' tables, the observer's hook) sit
+    # beside these: leaving takes none of them away
     assert {method for method, *_ in rec._seams()} == set(WRAPPED) - {"lookup"}
 
     def seen():
@@ -233,3 +237,115 @@ def test_the_observer_and_the_journey_stack_and_leave_in_either_order(order, lea
         (getattr(obj, "name", obj), name)
         for obj in instances for name in WRAPPED if name in vars(obj)
     ]
+
+
+def _watch_all(order):
+    """The echo and the race under the watchers in ``order``:
+    ``(what each saw, the network, each watcher)``.
+
+    The profiler's ``obs.hook`` row is left out: it brackets the observer
+    and the journey only when they were attached before it.
+    """
+    net, echo = _echo_chain()
+    seen, owners = {}, {}
+    for kind in order:
+        if kind == "observer":
+            obs = owners[kind] = Observer.attach(net)
+            seen[kind] = lambda: sorted(
+                (key, hist.values) for key, hist in obs._histograms.items())
+        elif kind == "journey":
+            rec = owners[kind] = JourneyRecorder.attach(net)
+            seen[kind] = rec.rows
+        elif kind == "profiler":
+            prof = owners[kind] = Profiler().hook(net)
+            seen[kind] = lambda: {
+                name: row for name, row in prof.report().counts().items()
+                if name != "obs.hook"
+            }
+        elif kind == "sanitizer":
+            san = owners[kind] = SimSanitizer.attach(net.sim)
+            seen[kind] = san.report
+        else:
+            log = owners[kind] = step_log(net.sim)
+            seen[kind] = lambda: list(log)
+    _race(net.sim)
+    echo()
+    return {kind: look() for kind, look in seen.items()}, net, owners
+
+
+KINDS = ["observer", "journey", "profiler", "sanitizer", "step_log"]
+
+
+@pytest.mark.parametrize("order", [
+    KINDS,
+    KINDS[::-1],
+    ["sanitizer", "observer", "step_log", "profiler", "journey"],
+    ["step_log", "profiler", "journey", "sanitizer", "observer"],
+])
+def test_every_watcher_sees_under_the_others_what_it_sees_alone(order):
+    """Each of the five sees the same run whatever else watches and in
+    whatever order they went on; a detached sanitizer leaves the others'
+    ``step`` links stacked as they were."""
+    alone = {kind: _watch_all([kind])[0][kind] for kind in KINDS}
+    assert "same-time-race" in alone["sanitizer"] and alone["step_log"]
+    assert alone["journey"] and alone["observer"][0][1]
+    seen, net, owners = _watch_all(order)
+    assert seen == alone
+    owners["sanitizer"].detach()
+    assert watchers(net.sim, "step") == [
+        owners[kind] for kind in reversed(order) if kind in ("profiler", "step_log")
+    ]
+
+
+def _binds_a_wrapper(tree):
+    """Lines that store a function onto an attribute (an assignment or a
+    ``setattr`` of a ``def`` or ``lambda`` in scope), or that name
+    ``MethodType`` or ``__wrapped__``."""
+    found = []
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, defs, params):
+        def is_fn(value):
+            if isinstance(value, ast.Tuple):
+                return any(is_fn(e) for e in value.elts)
+            return isinstance(value, ast.Lambda) or (
+                isinstance(value, ast.Name) and value.id in defs and value.id not in params)
+
+        if isinstance(node, functions):
+            defs = defs | {n.name for n in ast.walk(node) if isinstance(n, functions)}
+            params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        if isinstance(node, ast.Assign) and is_fn(node.value) and any(
+                isinstance(t, ast.Attribute) for target in node.targets for t in ast.walk(target)):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) == 3 and is_fn(node.args[2])):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == "MethodType") or (
+                isinstance(node, ast.Attribute) and node.attr in ("MethodType", "__wrapped__")):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defs, params)
+
+    visit(tree, {n.name for n in tree.body if isinstance(n, functions)}, set())
+    return found
+
+
+def test_only_the_seam_binds_a_wrapper_onto_an_instance():
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    binding = {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if _binds_a_wrapper(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert binding == {"obs/seam.py"}
+
+
+def test_the_pin_sees_a_closure_bound_onto_an_instance():
+    assert _binds_a_wrapper(ast.parse(
+        "def hook(sim):\n"
+        "    inner = sim.step\n"
+        "    def step():\n"
+        "        return inner()\n"
+        "    sim.step = step\n"
+    )) == [5]
+    assert _binds_a_wrapper(ast.parse("def f(obj, name, g):\n    setattr(obj, name, g)\n")) == []

@@ -1,18 +1,22 @@
 """Outside watchers for tests: each wraps one live instance, never a class.
 
-Nothing in ``src/`` knows these exist, so a watched run is the run itself
-(the pattern of ``SimSanitizer.hook`` and ``Profiler._bracket``):
+Nothing in ``src/`` knows these exist, so a watched run is the run itself.
+Both wrap through ``repro.obs.seam``, the seam the profiler, the sanitizer,
+the observer and the journey recorder use, so they stack with those
+watchers in any order and leave by the same splice:
 
 * :func:`step_log` — a run's dispatched-event fingerprint, the witness
-  the byte-identity tests compare;
+  the byte-identity tests compare (its link's owner is the log);
 * :func:`on_bundle` — a callback at each rule a flow-mod bundle lands,
   with the switch's table as that rule left it (what the group-before-rule
-  invariant reads).
+  invariant reads; the link's owner is the callback);
+* :func:`watchers` — the owners of the links on one method, outermost
+  first.
 """
 
 from __future__ import annotations
 
-from repro.obs.seam import links
+from repro.obs.seam import links, unwrap, wrap
 
 
 def _qualname(fn) -> str:
@@ -29,17 +33,18 @@ def step_log(sim) -> list[tuple[float, int, str]]:
     zero-delay no-op dispatched before the wrapper went on, shows: it
     takes a ``seq``, and every later entry's ``seq`` moves.
     """
-    log, inner = [], sim.step
-
-    def step():
-        heap = sim._heap
-        if heap:
-            when, seq, fn, _args = heap[0]
-            log.append((when, seq, _qualname(fn)))
-        return inner()
-
-    sim.step = step
+    log: list[tuple[float, int, str]] = []
+    wrap(log, "step", _log_step, [sim])
     return log
+
+
+def _log_step(link):
+    log, sim, inner = link
+    heap = sim._heap
+    if heap:
+        when, seq, fn, _args = heap[0]
+        log.append((when, seq, _qualname(fn)))
+    return inner()
 
 
 def on_bundle(net, fn) -> None:
@@ -50,28 +55,22 @@ def on_bundle(net, fn) -> None:
     sees the table between the bundle's rules — a rule that went live
     before its group is visible there.
     """
-    for sw in net.switches():
-        _watch_bundles(sw, fn)
+    wrap(fn, "_install_now", _report_bundle, net.switches())
 
 
-def _watch_bundles(sw, fn) -> None:
-    inner = sw._install_now
+def _report_bundle(link, entries, groups, ev):
+    fn, sw, inner = link
+    wrap(fn, "install", _report_rule, [sw.table], [sw])
+    try:
+        inner(entries, groups, ev)
+    finally:
+        unwrap(fn, "install", [sw.table])
 
-    def install_now(entries, groups, ev):
-        table = sw.table
-        install = table.install
 
-        def install_and_report(entry):
-            install(entry)
-            fn(sw, entry)
-
-        table.install = install_and_report
-        try:
-            inner(entries, groups, ev)
-        finally:
-            del table.install
-
-    sw._install_now = install_now
+def _report_rule(link, entry):
+    fn, sw, inner = link
+    inner(entry)
+    fn(sw, entry)
 
 
 def watchers(obj, name) -> list:
