@@ -24,8 +24,8 @@ def linkage_rate(shared: bool, channels: int = 10, seed: int = 0) -> float:
     run_process(bed.net, establish_all())
 
     # The adversary compromised one MN and recovered its hash function.
-    compromised = next(iter(mic.mn_spaces))
-    adversary_F = mic.mn_spaces[compromised]
+    compromised = next(iter(mic.planner.mn_spaces))
+    adversary_F = mic.planner.mn_spaces[compromised]
 
     trials = []
     for channel in mic.channels.values():

@@ -15,7 +15,7 @@ shortest paths use that link.  Measured two ways:
 The acceptance bar is a >=10x speedup with identical output on every link.
 
 Then, for every segment of a fixed seeded set of MIC walks (``n_mns=3``,
-both directions, the pins and the endpoint ban ``_plan_flow`` applies), one
+both directions, the pins and the endpoint ban ``Planner.plan`` applies), one
 segment-address draw two ways:
 
 * ``oracle_draw`` — what ``Strategy.draw_segment`` did before it drew on
@@ -129,7 +129,7 @@ def run(k: int = 8) -> dict:
 def mic_segments(dep, walks: int, seed: int) -> list[tuple]:
     """``(nodes, pin_src, pin_dst, endpoints)`` for every segment, both
     directions, of ``walks`` seeded ``n_mns=3`` walks — cut and pinned the
-    way ``_plan_flow`` / ``draw_addresses`` cut and pin them."""
+    way ``Planner.plan`` / ``draw_addresses`` cut and pin them."""
     rng = random.Random(seed)
     view, topo = dep.ctrl.view, dep.net.topo
     segments = []
@@ -162,15 +162,15 @@ def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> d
     """
     dep = deploy_mic(fat_tree(k), seed=0, mic_kwargs={"mn_shift": 1})
     mic = dep.mic
-    restrictions, strategy, view = mic.restrictions, mic.strategy, mic.restrictions.view
+    restrictions, strategy, view = mic.planner.restrictions, mic.strategy, mic.planner.restrictions.view
     segments = mic_segments(dep, walks, seed)
 
     def build_masks():
         return {
             (tuple(nodes), *ranks): restrictions.segment_mask(nodes, *ranks)
             for nodes, pin_src, pin_dst, _endpoints in segments
-            for ranks in [(view.host_rank(mic._ip_to_host.get(pin_src)),
-                           view.host_rank(mic._ip_to_host.get(pin_dst)))]
+            for ranks in [(view.host_rank(mic.planner.ip_to_host.get(pin_src)),
+                           view.host_rank(mic.planner.ip_to_host.get(pin_dst)))]
         }
 
     def build_tuples():
@@ -190,7 +190,7 @@ def run_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 15) -> d
     def oracle_pass(rng):
         return [
             rng.choice(oracle_narrow(
-                pool, mic._ip_to_host, pin_src, pin_dst, endpoints,
+                pool, mic.planner.ip_to_host, pin_src, pin_dst, endpoints,
             ))
             for pool, (_nodes, pin_src, pin_dst, endpoints) in zip(pools, segments)
         ]
@@ -243,7 +243,7 @@ def run_cold_draw(k: int = 8, walks: int = 96, seed: int = 17, rounds: int = 5) 
         segments = mic_segments(dep, walks, seed)
         t0 = time.perf_counter()
         for nodes, pin_src, pin_dst, endpoints in segments:
-            mic.restrictions.draw_pair(
+            mic.planner.restrictions.draw_pair(
                 mic.strategy.plausible_pool(nodes, pin_src, pin_dst, endpoints), rng
             )
         cold_s.append(time.perf_counter() - t0)

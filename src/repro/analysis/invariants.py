@@ -330,7 +330,7 @@ def _verify_maga(mic, channel, plan, report: VerificationReport) -> None:
                     ))
                 continue
             mn = walk[mns[k - 1]]
-            owner = mic.labels.owner_of(addr.mpls)
+            owner = mic.planner.labels.owner_of(addr.mpls)
             if owner != mn:
                 report.add(_violation(
                     "maga-class",
@@ -340,7 +340,7 @@ def _verify_maga(mic, channel, plan, report: VerificationReport) -> None:
                     channel, plan, switch=mn,
                 ))
                 continue
-            fid = mic.mn_spaces[mn].flow_id_of(
+            fid = mic.planner.mn_spaces[mn].flow_id_of(
                 addr.src_ip, addr.dst_ip, addr.mpls
             )
             if fid != plan.flow_id:

@@ -1,5 +1,6 @@
-"""Encapsulation rules: storage internals stay behind their view APIs, and
-the package inside its import budget (:class:`ThirdPartyImportRule`).
+"""Encapsulation rules: storage internals stay behind their view APIs,
+private books with their owner (:class:`PrivateStateRule`), and the
+package inside its import budget (:class:`ThirdPartyImportRule`).
 
 PR 4 rebuilt :class:`~repro.net.flowtable.FlowTable` storage as tiered
 tuple-space indexes behind a stable entry-view API and enforced the
@@ -18,26 +19,43 @@ from typing import Iterator
 
 from . import Finding, LintContext, Rule, Severity, register
 
-#: FlowTable storage attributes private to flowtable.py
-PRIVATE_STORAGE_ATTRS = frozenset({
-    "_entries",
-    "_groups",
-    "_tiers",
-    "_neg_prios",
-    "_lookup_cache",
-    "_flat",
-    "_remove_where",
-})
+#: FlowTable storage attributes: each is private to flowtable.py
+FLOWTABLE_STORAGE = dict.fromkeys(
+    ("_entries", "_groups", "_tiers", "_neg_prios", "_lookup_cache", "_flat",
+     "_remove_where"),
+    "net/flowtable.py",
+)
 
-#: the one module allowed to touch the attributes above
-OWNER_FILE = "flowtable.py"
+#: private books outside FlowTable: attribute -> the one module owning it
+PRIVATE_STATE_OWNERS = {
+    "_rng_streams": "sim/engine.py",  # the simulator's named stream table
+    "_live": "core/collision.py",  # FlowIdAllocator's live flow ids
+}
 
 #: top-level modules ``repro`` may import besides the standard library
 IMPORT_BUDGET = frozenset({"repro", "numpy"})
 
 
+class _OwnedAttributeRule(Rule):
+    """Flags an attribute of ``owners`` touched outside its owning module."""
+
+    owners: dict[str, str]
+    hint: str
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        """Yield this rule's findings for one module."""
+        path = pathlib.PurePath(ctx.path).as_posix()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Attribute):
+                owner = self.owners.get(node.attr)
+                if owner is not None and not path.endswith(owner):
+                    yield self.finding(
+                        ctx, node, f".{node.attr} is private to {owner}; {self.hint}",
+                    )
+
+
 @register
-class FlowTableEncapsulationRule(Rule):
+class FlowTableEncapsulationRule(_OwnedAttributeRule):
     """Flags FlowTable private-storage access outside its owner file."""
 
     id = "flowtable-encapsulation"
@@ -57,22 +75,33 @@ class FlowTableEncapsulationRule(Rule):
 
         rules = switch.table.entries()        # the stable entry-view API
     """
+    owners = FLOWTABLE_STORAGE
+    hint = ("use the entry-view API (iter_entries/entries/entries_at/"
+            "priorities/conflicting_entries)")
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Yield this rule's findings for one module."""
-        if pathlib.PurePath(ctx.path).name == OWNER_FILE:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if node.attr in PRIVATE_STORAGE_ATTRS:
-                yield self.finding(
-                    ctx, node,
-                    f"FlowTable storage internal .{node.attr} accessed "
-                    f"outside {OWNER_FILE}; use the entry-view API "
-                    "(iter_entries/entries/entries_at/priorities/"
-                    "conflicting_entries)",
-                )
+
+@register
+class PrivateStateRule(_OwnedAttributeRule):
+    """Flags the simulator's stream table or the live flow-id set touched
+    outside the module that owns it."""
+
+    id = "private-state"
+    severity = Severity.ERROR
+    summary = "touches the simulator's stream table or the live flow-id set outside its owner"
+    rationale = """
+        The simulator's stream table and the flow-ID allocator's live set
+        have one owner each.  Popping a stream or clearing ids from outside
+        skips the owner's rules and hides who holds what, which is how
+        per-flow state leaks unseen.  Ask the owner: ``Simulator.fresh_rng``
+        for a stream only its holder keeps, ``FlowIdAllocator.release``.
+    """
+    example = """
+        sim._rng_streams.pop(name)            # flagged: the simulator's table
+
+        rng = sim.fresh_rng(name)             # a stream its holder keeps
+    """
+    owners = PRIVATE_STATE_OWNERS
+    hint = "use its owner's public calls"
 
 
 @register

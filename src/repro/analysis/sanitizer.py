@@ -301,7 +301,7 @@ class SimSanitizer:
                 "compiled rules retained for a cookie no live or parked "
                 "flow owns — teardown must pop it",
             )
-        for owner in mic.registry.owners():
+        for owner in mic.planner.registry.owners():
             ch_part = owner.split("/", 1)[0]
             if ch_part.startswith("ch"):
                 try:

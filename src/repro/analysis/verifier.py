@@ -394,13 +394,13 @@ def verify_network(
     ``mic`` (a :class:`repro.core.controller.MimicController`, duck-typed)
     unlocks the intent-level invariants: per-m-flow rewrite-chain replay,
     plaintext-leak and partial-multicast checks, MAGA class membership, and
-    the registry cross-check (``registry`` defaults to ``mic.registry``).
+    the registry cross-check (``registry`` defaults to ``mic.planner.registry``).
     Every layer reads the same per-switch :class:`CandidateIndex`, built
     once here.
     """
     report = VerificationReport()
     if registry is None and mic is not None:
-        registry = getattr(mic, "registry", None)
+        registry = mic.planner.registry
     if mic_priorities is None:
         from ..core.controller import DECOY_DROP_PRIORITY, MIC_PRIORITY
         mic_priorities = (MIC_PRIORITY, DECOY_DROP_PRIORITY)

@@ -4,11 +4,12 @@ A :class:`Strategy` owns the *mechanism* of a Mimic Controller: how
 per-segment m-addresses are drawn, how an :class:`~repro.core.channel.MFlowPlan`
 compiles into switch rules/groups/decoy drops, what happens when a channel
 goes live (e.g. start a rotation clock), and what the static verifier
-should replay.  The controller keeps the *policy-free* machinery — walks,
-grants, installs, repair/park/resync — and delegates everything
-mechanism-shaped here, so alternative designs from the related work
-(TARN's timed address hopping, FRVM's virtual-address multiplexing) are
-small subclasses sharing one battle-tested data plane.
+should replay.  The draw and compile hooks read only the
+:class:`~repro.core.planner.Planner` the strategy is bound to; the
+controller keeps the *policy-free* machinery — grants, installs,
+repair/park/resync — so alternative designs from the related work (TARN's
+timed address hopping, FRVM's virtual-address multiplexing) are small
+subclasses sharing one battle-tested data plane.
 
 Strategies are registered by name (see :data:`STRATEGIES`) and selected
 with ``MimicController(strategy="...")``; the contract table embedded in
@@ -25,6 +26,7 @@ import numpy as np
 
 from ..core.channel import FlowGrant, MFlowPlan, MimicChannel
 from ..core.collision import MAddress
+from ..core.planner import DECOY_DROP_PRIORITY, MIC_PRIORITY, EstablishError
 from ..core.restrictions import SegmentPool
 from ..net.flowtable import (
     Drop,
@@ -40,6 +42,7 @@ from ..net.flowtable import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.controller import MimicController
+    from ..core.planner import Planner
 
 __all__ = [
     "STRATEGIES",
@@ -53,9 +56,7 @@ __all__ = [
 class Strategy:
     """Base anonymity strategy: MIC's draw/compile mechanism, hook points.
 
-    Subclasses override the hooks; the base implementation *is* the MIC
-    mechanism (the historical ``MimicController`` private methods moved
-    here verbatim), so ``MicRewrite`` adds nothing but its name.
+    Subclasses override the hooks; ``MicRewrite`` adds nothing but its name.
     """
 
     #: registry key and scorecard/obs label
@@ -68,41 +69,26 @@ class Strategy:
     knobs = ""
 
     def __init__(self) -> None:
+        #: what the draw and compile hooks read (set by :meth:`bind`)
+        self.planner: Optional["Planner"] = None
+        #: the controller the lifecycle hooks act on (None: a bare planner)
         self.mic: Optional["MimicController"] = None
         #: moving-target accounting (scorecard + obs contract)
         self.rotations_completed = 0
         self.rotation_installs = 0
-        #: attack ground truth: every drawn m-address signature
-        #: ``(src, dst, sport, dport, mpls)`` -> flow_id.  Churn-exploitation
-        #: attackers are scored against this map.
-        self.flow_signatures: dict[tuple, int] = {}
-        #: signatures drawn for decoy branches (noise, never true linkage)
-        self.decoy_signatures: set[tuple] = set()
 
     # -- wiring ----------------------------------------------------------
-    def bind(self, mic: "MimicController") -> "Strategy":
-        """Attach to a controller; returns self for chaining."""
-        # Imported lazily: repro.core.controller imports this module at
-        # load time.
-        from ..core import controller as cmod
-
-        self.mic = mic
-        self._cmod = cmod
-        self.on_bind()
+    def bind(self, planner: "Planner") -> "Strategy":
+        """Attach to a planner; returns self for chaining."""
+        self.planner = planner
         return self
-
-    def on_bind(self) -> None:
-        """Hook: called once the controller (sim, net, rng) is available."""
 
     # -- lifecycle hooks -------------------------------------------------
     def on_established(self, channel: MimicChannel) -> None:
         """Hook: a channel's rules are installed and granted."""
 
-    def on_teardown(self, channel: MimicChannel) -> None:
-        """Hook: a channel was torn down (rules already removed)."""
-
     def finish_plan(
-        self, plan: MFlowPlan, owner: str, endpoints: tuple[str, str],
+        self, plan: MFlowPlan, endpoints: tuple[str, str],
         rng: random.Random, alias_pins: tuple = (),
     ) -> None:
         """Hook: amend a freshly drawn plan (e.g. draw alias addresses).
@@ -131,19 +117,8 @@ class Strategy:
     @property
     def live_aliases(self) -> int:
         """Alias (extra simultaneous entry) addresses currently granted."""
-        if self.mic is None:
-            return 0
-        return sum(
-            len(plan.aliases)
-            for channel in self.mic.channels.values()
-            for plan in channel.flows
-        )
-
-    def record_signature(self, addr: MAddress, flow_id: int) -> None:
-        """Ground-truth bookkeeping for one drawn m-address."""
-        self.flow_signatures[
-            (addr.src_ip.text, addr.dst_ip.text, addr.sport, addr.dport, addr.mpls)
-        ] = flow_id
+        channels = () if self.mic is None else self.mic.channels.values()
+        return sum(len(plan.aliases) for channel in channels for plan in channel.flows)
 
     # -- m-address draw policy (Sec IV-B2/B3) ----------------------------
     def draw_addresses(
@@ -200,11 +175,11 @@ class Strategy:
         a pinned source's row, a pinned destination's column or the one
         pinned pair; the ban then clears the view the pins leave.
         """
-        mic = self.mic
-        restrictions = mic.restrictions
+        planner = self.planner
+        restrictions = planner.restrictions
         view = restrictions.view
-        src = view.host_rank(mic._ip_to_host.get(pin_src))
-        dst = view.host_rank(mic._ip_to_host.get(pin_dst))
+        src = view.host_rank(planner.ip_to_host.get(pin_src))
+        dst = view.host_rank(planner.ip_to_host.get(pin_dst))
         pool = restrictions.segment_mask(seg_nodes, src, dst)
         # Fake draws must never name the channel's real endpoints: a drawn
         # address equal to the true initiator/responder would hand the
@@ -235,7 +210,7 @@ class Strategy:
         rng: random.Random,
     ) -> MAddress:
         """Draw one collision-free segment address (registry-registered)."""
-        mic = self.mic
+        planner = self.planner
         pin_src = pin_dst = pin_sport = pin_dport = None
         for pin in pins:  # the first pin that sets a field wins
             if pin_src is None:
@@ -248,8 +223,8 @@ class Strategy:
                 pin_dport = pin.dport
 
         pool = self.plausible_pool(seg_nodes, pin_src, pin_dst, endpoints)
-        draw_pair, host_ip = mic.restrictions.draw_pair, mic.net.topo.host_ip
-        registry, kind = mic.registry, mic.net.topo.kind
+        draw_pair, host_ip = planner.restrictions.draw_pair, planner.topo.host_ip
+        registry, kind = planner.registry, planner.topo.kind
         switches = [node for node in seg_nodes if kind(node) == "switch"]
         for _attempt in range(64):
             a, b = draw_pair(pool, rng)
@@ -260,7 +235,7 @@ class Strategy:
             if mn_name is None:
                 mpls = None  # unlabeled first segment (hosts cannot push MPLS)
             else:
-                mpls = mic.mn_spaces[mn_name].draw_label(
+                mpls = planner.mn_spaces[mn_name].draw_label(
                     flow_id, src_ip, dst_ip, rng
                 )
             addr = MAddress(src_ip, dst_ip, sport, dport, mpls)
@@ -271,13 +246,12 @@ class Strategy:
             else:
                 for node in switches:
                     registry.register(node, key, owner)
-                self.record_signature(addr, flow_id)
                 return addr
-        raise self._cmod.EstablishError("could not draw a collision-free m-address")
+        raise EstablishError("could not draw a collision-free m-address")
 
     # -- rule compilation ------------------------------------------------
     def compile_flow(
-        self, plan: MFlowPlan, owner: str, decoys: int, rng: random.Random
+        self, plan: MFlowPlan, decoys: int, rng: random.Random
     ) -> tuple[list, list, list]:
         """Compile one plan into (rules, groups, drops) install intents
         (decoy addresses drawn on ``rng``, the planning shard's stream)."""
@@ -287,7 +261,7 @@ class Strategy:
         groups: list = []
         drops: list = []
         if decoys > 0:
-            rules, groups, drops = self.add_decoys(plan, rules, decoys, owner, rng)
+            rules, groups, drops = self.add_decoys(plan, rules, decoys, rng)
         return rules, groups, drops
 
     def compile_direction(
@@ -299,7 +273,7 @@ class Strategy:
         proto: str = "tcp",
     ) -> list[tuple[str, FlowEntry]]:
         """Per-hop match/rewrite/forward rules for one direction."""
-        mic = self.mic
+        port = self.planner.port_map
         rules: list[tuple[str, FlowEntry]] = []
         mn_set = set(mn_positions)
         # MNs are distinct interior hops: the segment a hop reads is the
@@ -312,15 +286,9 @@ class Strategy:
             if j in mn_set:
                 k_in += 1
                 actions.extend(self.rewrite_actions(addr_in, addrs[k_in]))
-            actions.append(Output(mic.net.port(walk[j], walk[j + 1])))
+            actions.append(Output(port[walk[j], walk[j + 1]]))
             rules.append(
-                (
-                    walk[j],
-                    FlowEntry(
-                        match, actions,
-                        priority=self._cmod.MIC_PRIORITY, cookie=cookie,
-                    ),
-                )
+                (walk[j], FlowEntry(match, actions, priority=MIC_PRIORITY, cookie=cookie))
             )
         return rules
 
@@ -328,9 +296,8 @@ class Strategy:
         self, walk: list[str], j: int, addr: MAddress, proto: str = "tcp"
     ) -> Match:
         """The exact-match key for hop ``j`` of a walk."""
-        mic = self.mic
         return Match(
-            in_port=mic.net.port(walk[j], walk[j - 1]),
+            in_port=self.planner.port_map[walk[j], walk[j - 1]],
             ip_src=addr.src_ip,
             ip_dst=addr.dst_ip,
             proto=proto,
@@ -341,14 +308,14 @@ class Strategy:
 
     def rewrite_actions(self, a_in: MAddress, a_out: MAddress) -> list:
         """Header rewrites turning ``a_in`` into ``a_out`` (the MN primitive)."""
-        mic = self.mic
+        mac_for = self.planner.mac_for
         actions: list = []
         if a_out.src_ip != a_in.src_ip:
             actions.append(SetField("ip_src", a_out.src_ip))
-            actions.append(SetField("eth_src", mic._mac_for(a_out.src_ip)))
+            actions.append(SetField("eth_src", mac_for(a_out.src_ip)))
         if a_out.dst_ip != a_in.dst_ip:
             actions.append(SetField("ip_dst", a_out.dst_ip))
-            actions.append(SetField("eth_dst", mic._mac_for(a_out.dst_ip)))
+            actions.append(SetField("eth_dst", mac_for(a_out.dst_ip)))
         if a_out.sport != a_in.sport:
             actions.append(SetField("sport", a_out.sport))
         if a_out.dport != a_in.dport:
@@ -367,22 +334,20 @@ class Strategy:
         plan: MFlowPlan,
         rules: list[tuple[str, FlowEntry]],
         decoys: int,
-        owner: str,
         rng: random.Random,
     ) -> tuple[list, list, list]:
         """Convert the first forward MN's rule into a type-*all* group that
         also emits decoy copies toward other ports; the decoy next hops get
         explicit drop rules."""
-        mic = self.mic
+        planner = self.planner
+        port, topo, mac_for = planner.port_map, planner.topo, planner.mac_for
         first_mn_pos = plan.mn_positions[0]
         mn_name = plan.walk[first_mn_pos]
         prev_node = plan.walk[first_mn_pos - 1]
         next_node = plan.walk[first_mn_pos + 1]
         target_idx = None
         for i, (sw_name, entry) in enumerate(rules):
-            if sw_name == mn_name and entry.match.in_port == mic.net.port(
-                mn_name, prev_node
-            ):
+            if sw_name == mn_name and entry.match.in_port == port[mn_name, prev_node]:
                 target_idx = i
                 break
         if target_idx is None:  # pragma: no cover - defensive
@@ -393,47 +358,43 @@ class Strategy:
         # the real previous/next hops.
         neighbors = [
             n
-            for n in mic.net.topo.neighbors(mn_name)
-            if n not in (prev_node, next_node)
-            and mic.net.topo.kind(n) == "switch"
+            for n in topo.neighbors(mn_name)
+            if n not in (prev_node, next_node) and topo.kind(n) == "switch"
         ]
         # Draw the neighbor choice from a seeded per-owner stream: placement
         # then depends only on (seed, owner), not on how many draws earlier
         # flows consumed from the main controller stream, and repairs of the
         # same flow continue the stream instead of replaying it.
-        decoy_rng = mic.sim.rng(f"mic-decoys/{owner}")
+        decoy_rng = planner.decoy_stream(plan.owner)
         chosen = decoy_rng.sample(neighbors, min(decoys, len(neighbors)))
 
         buckets = [list(real_entry.actions)]
         drops: list[tuple[str, FlowEntry]] = []
         for neighbor in chosen:
             seg = [mn_name, neighbor]
-            pair = mic.restrictions.sample_pair(seg, rng)
-            d_src = mic.net.topo.host_ip(pair[0])
-            d_dst = mic.net.topo.host_ip(pair[1])
-            label = mic.mn_spaces[mn_name].draw_label(
+            pair = planner.restrictions.sample_pair(seg, rng)
+            d_src = topo.host_ip(pair[0])
+            d_dst = topo.host_ip(pair[1])
+            label = planner.mn_spaces[mn_name].draw_label(
                 plan.flow_id, d_src, d_dst, rng
             )
             d_sport = rng.randint(1024, 65535)
             d_dport = rng.randint(1024, 65535)
             bucket = [
                 SetField("ip_src", d_src),
-                SetField("eth_src", mic._mac_for(d_src)),
+                SetField("eth_src", mac_for(d_src)),
                 SetField("ip_dst", d_dst),
-                SetField("eth_dst", mic._mac_for(d_dst)),
+                SetField("eth_dst", mac_for(d_dst)),
                 SetField("sport", d_sport),
                 SetField("dport", d_dport),
                 PushMpls(label),
-                Output(mic.net.port(mn_name, neighbor)),
+                Output(port[mn_name, neighbor]),
             ]
             buckets.append(bucket)
             key = (d_src.text, d_dst.text, label, d_sport, d_dport)
-            mic.registry.register(neighbor, key, owner)
-            self.decoy_signatures.add(
-                (d_src.text, d_dst.text, d_sport, d_dport, label)
-            )
+            planner.registry.register(neighbor, key, plan.owner)
             drop_match = Match(
-                in_port=mic.net.port(neighbor, mn_name),
+                in_port=port[neighbor, mn_name],
                 ip_src=d_src,
                 ip_dst=d_dst,
                 sport=d_sport,
@@ -445,13 +406,12 @@ class Strategy:
                     neighbor,
                     FlowEntry(
                         drop_match, [Drop()],
-                        priority=self._cmod.DECOY_DROP_PRIORITY,
-                        cookie=plan.cookie,
+                        priority=DECOY_DROP_PRIORITY, cookie=plan.cookie,
                     ),
                 )
             )
 
-        group_id = next(mic.sim.ids("mic.group"))
+        group_id = next(planner.ids("mic.group"))
         group = GroupEntry(group_id=group_id, buckets=buckets, cookie=plan.cookie)
         rules[target_idx] = (
             mn_name,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 
 from ..core.channel import FlowGrant, MFlowPlan
-from ..net.flowtable import FlowEntry, Output
+from ..core.planner import MAddressDraw
 from .base import Strategy, register_strategy
 
 __all__ = ["FrvmMultiplex"]
@@ -48,7 +48,7 @@ class FrvmMultiplex(Strategy):
 
     # -- alias draw ------------------------------------------------------
     def finish_plan(
-        self, plan: MFlowPlan, owner: str, endpoints: tuple[str, str],
+        self, plan: MFlowPlan, endpoints: tuple[str, str],
         rng: random.Random, alias_pins: tuple = (),
     ) -> None:
         """Draw ``k - 1`` alias entry addresses over the first segment."""
@@ -63,53 +63,38 @@ class FrvmMultiplex(Strategy):
         aliases = []
         if alias_pins:
             pins = [
-                self._cmod.MAddressDraw(
+                MAddressDraw(
                     src_ip=entry.src_ip, sport=entry.sport,
                     dst_ip=a.dst_ip, dport=a.dport,
                 )
                 for a in alias_pins
             ]
         else:
-            pins = [
-                self._cmod.MAddressDraw(src_ip=entry.src_ip, sport=entry.sport)
-            ] * (self.k - 1)
+            pins = [MAddressDraw(src_ip=entry.src_ip, sport=entry.sport)] * (self.k - 1)
         for pin in pins:
             aliases.append(
                 self.draw_segment(
-                    seg_nodes, [pin], None, plan.flow_id, owner, endpoints, rng
+                    seg_nodes, [pin], None, plan.flow_id, plan.owner, endpoints, rng
                 )
             )
         plan.aliases = tuple(aliases)
 
     # -- compilation -----------------------------------------------------
     def compile_flow(
-        self, plan: MFlowPlan, owner: str, decoys: int, rng: random.Random
+        self, plan: MFlowPlan, decoys: int, rng: random.Random
     ) -> tuple[list, list, list]:
         """Base rules plus one segment-0 forwarding lane per alias, each
         converging onto the flow's rewrite chain at the first MN."""
-        rules, groups, drops = super().compile_flow(plan, owner, decoys, rng)
-        mic = self.mic
-        walk = plan.walk
+        rules, groups, drops = super().compile_flow(plan, decoys, rng)
+        # A lane is segment 0 of the walk under the alias address, with the
+        # first MN as its one MN: there it rewrites into the flow's
+        # post-MN segment address and converges.
         first_mn = plan.mn_positions[0]
+        lane = plan.walk[: first_mn + 2]
         for alias in plan.aliases:
-            for j in range(1, first_mn + 1):
-                match = self.match_for(walk, j, alias, plan.proto)
-                actions = []
-                if j == first_mn:
-                    # The lane converges: rewrite the alias identity into
-                    # the flow's post-MN segment address.
-                    actions.extend(self.rewrite_actions(alias, plan.fwd_addrs[1]))
-                actions.append(Output(mic.net.port(walk[j], walk[j + 1])))
-                rules.append(
-                    (
-                        walk[j],
-                        FlowEntry(
-                            match, actions,
-                            priority=self._cmod.MIC_PRIORITY,
-                            cookie=plan.cookie,
-                        ),
-                    )
-                )
+            rules += self.compile_direction(
+                lane, [first_mn], [alias, plan.fwd_addrs[1]], plan.cookie, plan.proto,
+            )
         return rules, groups, drops
 
     # -- grants / verification ------------------------------------------

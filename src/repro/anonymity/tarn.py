@@ -41,15 +41,11 @@ class TarnHopping(Strategy):
         self.phase_jitter = phase_jitter
 
     def on_established(self, channel: MimicChannel) -> None:
-        """Start the channel's phase-jittered rotation clock."""
-        rng = self.mic.sim.rng(f"anonymity-tarn/ch{channel.channel_id}")
-        self.mic.sim.process(
-            self._hop_loop(channel, rng), name=f"anon.tarn.ch{channel.channel_id}"
-        )
-
-    def on_teardown(self, channel: MimicChannel) -> None:
-        """Drop the channel's stream: no later channel has its id."""
-        self.mic.sim._rng_streams.pop(f"anonymity-tarn/ch{channel.channel_id}", None)
+        """Start the channel's phase-jittered rotation clock, on a stream
+        only the clock holds: it goes with the channel."""
+        sim = self.mic.sim
+        rng = sim.fresh_rng(f"anonymity-tarn/ch{channel.channel_id}")
+        sim.process(self._hop_loop(channel, rng), name=f"anon.tarn.ch{channel.channel_id}")
 
     def _hop_loop(self, channel: MimicChannel, rng):
         mic = self.mic

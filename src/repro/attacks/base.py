@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Type, Union
 
+from ..obs.seam import wrap
 from .observer import ObservationPoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,6 +33,7 @@ __all__ = [
     "AttackContext",
     "AttackResult",
     "ChannelTruth",
+    "DrawLog",
     "format_attack_table",
     "get_attack",
     "register_attack",
@@ -54,6 +56,29 @@ class ChannelTruth:
     responder_edge: str
 
 
+class DrawLog:
+    """Draw-time ground truth for address-linking attacks: ``signatures``
+    maps every m-address a strategy's ``draw_segment`` returns (repairs,
+    rotations and FRVM aliases included), ``(src, dst, sport, dport,
+    mpls)``, to its flow id.  It wraps the strategy through
+    :mod:`repro.obs.seam`: an unattacked deployment books nothing."""
+
+    def __init__(self) -> None:
+        self.signatures: dict[tuple, int] = {}
+
+    def attach(self, strategy) -> "DrawLog":
+        """Record every address ``strategy`` draws from now on."""
+        wrap(self, "draw_segment", _log_draw, [strategy])
+        return self
+
+
+def _log_draw(link, seg_nodes, pins, mn_name, flow_id, *rest):
+    addr = link[2](seg_nodes, pins, mn_name, flow_id, *rest)
+    key = (addr.src_ip.text, addr.dst_ip.text, addr.sport, addr.dport, addr.mpls)
+    link[0].signatures[key] = flow_id
+    return addr
+
+
 @dataclass
 class AttackContext:
     """Everything an adversary may consult after a tournament scenario.
@@ -62,9 +87,9 @@ class AttackContext:
     taps every channel's first MN plus both edge switches, so an attack
     picks its vantage by name via :meth:`point`.  ``journeys`` is the
     recorder's content-tag → :class:`~repro.obs.journey.Journey` linkage
-    (exact decoy/true-copy labels).  ``strategy`` is the controller's live
-    strategy object — its ``flow_signatures`` dict is the draw-time ground
-    truth for address-linking attacks.
+    (exact decoy/true-copy labels).  ``signatures`` is the scenario's
+    :class:`DrawLog` map, the draw-time ground truth for address-linking
+    attacks.
     """
 
     dep: "MicDeployment"
@@ -72,11 +97,7 @@ class AttackContext:
     channels: list[ChannelTruth]
     points: dict[str, ObservationPoint]
     journeys: dict[int, "Journey"] = field(default_factory=dict)
-
-    @property
-    def strategy(self):
-        """The controller's bound anonymity strategy."""
-        return self.dep.mic.strategy
+    signatures: dict[tuple, int] = field(default_factory=dict)
 
     def point(self, switch_name: str) -> ObservationPoint:
         """The tap on ``switch_name`` (KeyError when not compromised)."""

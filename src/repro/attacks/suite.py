@@ -212,7 +212,7 @@ class ChurnExploit(Attack):
 
     def run(self, ctx: AttackContext) -> AttackResult:
         """Precision of claimed old→new links against the draw log."""
-        truth = ctx.strategy.flow_signatures
+        truth = ctx.signatures
         claimed = 0
         correct = 0
         observed_sigs = 0

@@ -26,7 +26,7 @@ from ..core.deployment import deploy_mic
 from ..faults.schedule import FaultSchedule
 from ..faults.scorecard import EchoChannels, build_scorecard
 from ..net.topology import fat_tree
-from .base import ATTACKS, AttackContext, ChannelTruth, get_attack
+from .base import ATTACKS, AttackContext, ChannelTruth, DrawLog, get_attack
 
 __all__ = [
     "frontier_json",
@@ -63,6 +63,7 @@ def run_scenario(
         journey=True,
         mic_kwargs={"strategy": strategy, "mn_bits": mn_bits},
     )
+    draws = DrawLog().attach(dep.mic.strategy)
 
     # -- establish the channels (setup latency measured per channel) -------
     echo = EchoChannels(CHANNEL_SHAPES, PUMP_HORIZON_S)
@@ -120,6 +121,7 @@ def run_scenario(
         channels=channels,
         points=points,
         journeys=journeys,
+        signatures=draws.signatures,
     )
 
     verification = dep.mic.verify()

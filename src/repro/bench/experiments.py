@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .drivers import Session, open_mic, open_ssl, open_tcp, open_tor
 from .harness import FigureResult, run_process, setup_from_spans
 from .testbed import Testbed
+from ..core.planner import FlowIntent
 from ..obs import Histogram
 from ..workloads.iperf import measure_echo, measure_transfer
 
@@ -279,13 +280,10 @@ def scalability_routing_calculation(
 
     for count in flow_counts:
         bed = Testbed.create(seed=seed, pre_wire=False)
-        mic = bed.mic
+        planner, rng = bed.mic.planner, bed.mic.shards[0].rng
         # Warm the per-pair path/plausibility caches: the paper's MC builds
         # its all-pairs structures "when initiation", not per request.
-        shard = mic.shards[0]
-        warm = mic._plan_flow(shard, "h1", "h16", 80, 3, cookie=0, owner="warm")
-        mic.registry.release_owner("warm")
-        mic.flow_ids.release(warm.flow_id)
+        planner.release(planner.plan(FlowIntent("h1", "h16", 80, 3, 0, "warm"), rng))
         # Median of per-rep wall times, with a collection first: this is a
         # microbenchmark and must not absorb GC pauses caused by earlier
         # experiments' garbage.
@@ -296,14 +294,12 @@ def scalability_routing_calculation(
             owner = f"bench{r}-{count}"
             t0 = time.perf_counter()
             plans = [
-                mic._plan_flow(shard, "h1", "h16", 80, 3, cookie=r * 100 + i,
-                               owner=owner)
+                planner.plan(FlowIntent("h1", "h16", 80, 3, r * 100 + i, owner), rng)
                 for i in range(count)
             ]
             samples.append(time.perf_counter() - t0)
-            mic.registry.release_owner(owner)
             for plan in plans:
-                mic.flow_ids.release(plan.flow_id)
+                planner.release(plan)
         result.add("MIC plan", count, statistics.median(samples))
     return result
 
@@ -333,23 +329,16 @@ def scalability_vs_fabric(
         bed = Testbed.create(seed=seed, topo=topo, pre_wire=False,
                              relay_hosts=(),
                              mic_kwargs={"mn_shift": mn_shift})
-        mic = bed.mic
+        planner, rng = bed.mic.planner, bed.mic.shards[0].rng
         hosts = topo.hosts()
         src, dst = hosts[0], hosts[-1]
         # Warm the path/plausibility caches (the MC does this at init in
         # the paper: "calculates all-pairs ... when initiation").
-        shard = mic.shards[0]
-        mic._plan_flow(shard, src, dst, 80, 3, cookie=0, owner="warm")
-        mic.registry.release_owner("warm")
-        mic.flow_ids._live.clear()
+        planner.release(planner.plan(FlowIntent(src, dst, 80, 3, 0, "warm"), rng))
         t0 = time.perf_counter()
         reps = 30
         for r in range(reps):
-            owner = f"f{r}"
-            plan = mic._plan_flow(shard, src, dst, 80, 3, cookie=r + 1,
-                                  owner=owner)
-            mic.registry.release_owner(owner)
-            mic.flow_ids.release(plan.flow_id)
+            planner.release(planner.plan(FlowIntent(src, dst, 80, 3, r + 1, f"f{r}"), rng))
         result.add("plan time", f"k={k} ({len(hosts)} hosts)",
                    (time.perf_counter() - t0) / reps)
     return result

@@ -5,6 +5,7 @@
 * :mod:`.restrictions` — per-link plausible m-address restrictions
 * :mod:`.collision` — flow IDs, per-MN address spaces, key registry
 * :mod:`.channel` — channel/m-flow state and grants
+* :mod:`.planner` — m-flow planning (walk, MNs, m-addresses), no simulator
 * :mod:`.controller` — the Mimic Controller SDN app
 * :mod:`.ownership` — rendezvous switch ownership for ``shards=N``
 * :mod:`.client` — user-end module (socket-like API) and server library

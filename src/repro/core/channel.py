@@ -30,6 +30,8 @@ class MFlowPlan:
     #: extra simultaneous entry addresses (FRVM-style multiplexing); drawn
     #: by the anonymity strategy's ``finish_plan`` hook, empty for MIC
     aliases: tuple = ()
+    #: registry owner of the flow's claims, ``ch<channel>/c<cookie>``
+    owner: str = ""
 
     @property
     def mn_names(self) -> list[str]:

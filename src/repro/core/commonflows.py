@@ -53,7 +53,7 @@ class CommonFlowTagger:
         self.tagged_pairs.add((src_host, dst_host))
         src_ip = self.net.topo.host_ip(src_host)
         dst_ip = self.net.topo.host_ip(dst_host)
-        label = self.mic.labels.common_label(self.mic.rng)
+        label = self.mic.planner.labels.common_label(self.mic.rng)
 
         events = []
         switches = path[1:-1]

@@ -4,21 +4,16 @@ The MC lives in the SDN controller.  It:
 
 * answers encrypted channel requests from initiators (carried as ordinary
   packets addressed to the MC's service address, punted by the first switch),
-* calculates an independent walk, Mimic Node set and per-segment m-addresses
-  for every requested m-flow (routing calculation, Sec IV-B2),
-* enforces collision freedom through MAGA: per-MN independent hash
-  functions, disjoint per-MN label sets, unique live flow IDs, and a
-  defense-in-depth match-key registry (Sec IV-B3),
-* compiles and installs the rewrite/forward/drop rules, including partial
-  multicast decoy groups (Sec IV-C),
+* has its :class:`~repro.core.planner.Planner` plan every requested m-flow
+  (Sec IV-B2, IV-B3) and its strategy compile the rules and decoy groups
+  (Sec IV-C), and installs them through :class:`Attempt`,
 * manages channel lifecycle: grants, activity notifications, reuse, idle
   expiry and teardown (Sec IV-B1),
 * keeps the hidden-service map for receiver anonymity (Sec IV-D).
 
 The paper answers the single-MC ceiling with several MCs (Sec VI-C).  Here
-that is ``MimicController(shards=N)``: one namespace (labels, MN hashes,
-registry, hidden services, one flow-ID allocator, one anonymity strategy)
-and N :class:`Shard` books.  A channel lives on the shard owning its
+that is ``MimicController(shards=N)``: one namespace (the planner and the
+hidden services) and N :class:`Shard` books.  A channel lives on the shard owning its
 initiator's edge switch under the rendezvous map of
 :mod:`repro.core.ownership`; every bundle is routed to the shard
 owning its target switch; a crashed shard's channels are adopted by the
@@ -31,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..crypto import DEFAULT_COSTS, CryptoCostModel, Key, seal, unseal
@@ -42,22 +37,10 @@ from ..net.switch import Switch
 from ..obs.spans import begin as begin_span
 from ..sdn.controller import Controller, ControllerApp
 from ..sim.resources import Resource
-from .channel import (
-    ChannelGrant,
-    FlowGrant,
-    MFlowPlan,
-    MimicChannel,
-)
-from .collision import (
-    CollisionRegistry,
-    FlowIdAllocator,
-    MAddress,
-    MnAddressSpace,
-)
+from .channel import ChannelGrant, MFlowPlan, MimicChannel
 from .hidden import HiddenServiceMap
-from .labels import LabelSpace
 from .ownership import OwnershipMap
-from .restrictions import AddressRestrictions
+from .planner import DECOY_DROP_PRIORITY, MIC_PRIORITY, EstablishError, FlowIntent, Planner
 
 if TYPE_CHECKING:  # runtime import would cycle; see __init__
     from ..anonymity.base import Strategy
@@ -75,10 +58,6 @@ __all__ = [
 #: the MC's service address — not a host; switches punt packets sent here
 MC_IP = ip("10.255.255.254")
 MC_PORT = 6653
-
-#: m-flow rules shadow common L3 rules (priority 10)
-MIC_PRIORITY = 50
-DECOY_DROP_PRIORITY = 60
 
 REQUEST_WIRE_BYTES = 128
 REPLY_WIRE_BYTES = 96
@@ -106,10 +85,6 @@ class McReply:
     ok: bool
     grant: Optional[ChannelGrant] = None
     error: str = ""
-
-
-class EstablishError(RuntimeError):
-    """The MC could not set up a channel (bad responder, exhausted IDs…)."""
 
 
 @dataclass(eq=False)
@@ -253,21 +228,18 @@ class MimicController(ControllerApp):
             raise ValueError(f"idle_timeout_s {idle_timeout_s} must be > 0 or None")
         if not park_retry_s > 0:
             raise ValueError(f"park_retry_s {park_retry_s} must be > 0")
-        self.mn_strategy = mn_strategy
-        # Imported here, not at module top: anonymity.base needs the core
-        # channel/collision types at load time, so a top-level import would
-        # cycle whenever repro.anonymity is imported before repro.core.
+        # Imported here: anonymity.base imports repro.core at load time.
         from ..anonymity.base import get_strategy
 
         # Resolve eagerly so a bad name fails at construction, not attach.
         self.strategy = get_strategy(strategy)
-        self.mn_bits = mn_bits
-        self.flow_bits = flow_bits
-        self.mn_shift = mn_shift
-        self.flow_shift = flow_shift
+        #: the planner's namespace knobs (``shared_flow_hash``, an ablation:
+        #: one global F instead of per-MN functions)
+        self._namespace = dict(
+            mn_strategy=mn_strategy, mn_bits=mn_bits, flow_bits=flow_bits, mn_shift=mn_shift,
+            flow_shift=flow_shift, shared_flow_hash=shared_flow_hash, n_shards=shards,
+        )
         self.idle_timeout_s = idle_timeout_s
-        #: ablation switch: one global F instead of per-MN functions
-        self.shared_flow_hash = shared_flow_hash
         self.costs = costs
         #: re-verify the whole data plane after every install batch
         #: (static proof of Sec IV-B3's collision freedom; see
@@ -298,48 +270,19 @@ class MimicController(ControllerApp):
 
     # ------------------------------------------------------------------
     def attach(self, controller: Controller) -> None:
-        """Wire the app to a controller: build label spaces, MN hashes,
-        restrictions and the shard books."""
+        """Wire the app to a controller: build the planner (label spaces,
+        MN hashes, restrictions, registry) and the shard books."""
         super().attach(controller)
         self.net = controller.network
         self.sim = controller.sim
         self.rng = self.sim.rng("mic-controller")
-        self.labels = LabelSpace(
-            self.rng, mn_bits=self.mn_bits, flow_bits=self.flow_bits,
-            mn_shift=self.mn_shift,
+        self.planner = Planner(
+            controller.view, self.net.port_map, self.strategy, self.rng,
+            streams=self.sim.fresh_rng, ids=self.sim.ids, **self._namespace,
         )
-        # Any switch is a potential MN (Sec III-A): register them all.
-        from .maga import ReversibleHash
-
-        shared = None
-        if self.shared_flow_hash:
-            shared = ReversibleHash.random(
-                self.rng,
-                widths=(32, 32, self.labels.mn_bits, self.labels.flow_bits),
-                shift=self.flow_shift,
-            )
-        self.mn_spaces: dict[str, MnAddressSpace] = {}
-        for sw in self.net.topo.switches():
-            self.labels.register_mn(sw)
-            self.mn_spaces[sw] = MnAddressSpace(
-                sw, self.rng, self.labels, flow_shift=self.flow_shift,
-                shared_hash=shared,
-            )
-        self.restrictions = AddressRestrictions(controller.view)
-        flow_id_values = next(iter(self.mn_spaces.values())).flow_id_values
-        self.flow_ids = FlowIdAllocator(flow_id_values, self.n_shards)
-        self.registry = CollisionRegistry()
+        self.strategy.mic = self  # the MC its lifecycle hooks act on
         self.hidden = HiddenServiceMap()
-        self.strategy.bind(self)
         self._client_keys: dict[str, Key] = {}
-        self._used_sports: dict[str, set[int]] = {}
-        self._ip_to_mac = {
-            self.net.topo.host_ip(h): self.net.topo.host_mac(h)
-            for h in self.net.topo.hosts()
-        }
-        self._ip_to_host = {
-            self.net.topo.host_ip(h): h for h in self.net.topo.hosts()
-        }
         # Shard 0 plans on the stream that built the namespace; the others
         # get streams of their own, so adding shards never moves its draws.
         self.shards = [
@@ -414,7 +357,7 @@ class MimicController(ControllerApp):
                        in_port: int):
         shard.requests_served += 1
         span = begin_span(self.obs, "mic.request")
-        initiator_host = self._ip_to_host.get(packet.ip_src)
+        initiator_host = self.planner.ip_to_host.get(packet.ip_src)
         if initiator_host is None:
             return
         key = self.client_key(initiator_host)
@@ -517,24 +460,23 @@ class MimicController(ControllerApp):
                 # single flow can be torn down or repaired independently.
                 # cookies start at 'MI', for readability in dumps
                 cookie = next(self.sim.ids("mic.cookie", 0x4D49_0000))
-                owner = f"ch{channel_id}/c{cookie}"
                 plan_span = begin_span(self.obs, "mic.plan_flow", channel=channel_id)
-                plan = self._plan_flow(
-                    shard, initiator, responder_host, responder_port, n_mns,
-                    cookie, owner, proto=proto,
-                )
+                plan = self.planner.plan(FlowIntent(
+                    initiator, responder_host, responder_port, n_mns, cookie,
+                    f"ch{channel_id}/c{cookie}", proto, shard.shard_id,
+                ), shard.rng)
                 plan_span.finish(flow_id=plan.flow_id)
                 plans.append(plan)
         except Exception:
             for plan in plans:
-                self._release_flow(channel_id, plan)
+                self.planner.release(plan)
             raise
 
         # One attempt per flow, each pushing one bundle per switch in
         # parallel; all settle together, then all commit or all retract.
         attempts = [
             Attempt(self, shard, plan.cookie, self.strategy.compile_flow(
-                plan, f"ch{channel_id}/c{plan.cookie}", decoys, shard.rng
+                plan, decoys, shard.rng
             )).push()
             for plan in plans
         ]
@@ -552,7 +494,7 @@ class MimicController(ControllerApp):
             for attempt in attempts:
                 attempt.retract()
             for plan in plans:
-                self._release_flow(channel_id, plan)
+                self.planner.release(plan)
             raise EstablishError(
                 "controller shard crashed during install" if failure is None
                 else f"rule installation failed: {failure}"
@@ -578,7 +520,7 @@ class MimicController(ControllerApp):
         self, responder: Union[str, IPv4Addr], service_port: int
     ) -> tuple[str, int]:
         if isinstance(responder, IPv4Addr):
-            host = self._ip_to_host.get(responder)
+            host = self.planner.ip_to_host.get(responder)
             if host is None:
                 raise EstablishError(f"no host with address {responder}")
             if not service_port:
@@ -594,125 +536,6 @@ class MimicController(ControllerApp):
                 raise EstablishError(f"unknown service {responder!r}")
             return svc.host_name, svc.port
         raise EstablishError(f"bad responder spec {responder!r}")
-
-    # -- planning -------------------------------------------------------
-    def _plan_flow(
-        self,
-        shard: Shard,
-        initiator: str,
-        responder: str,
-        responder_port: int,
-        n_mns: int,
-        cookie: int,
-        owner: str,
-        flow_id: Optional[int] = None,
-        entry_pin: Optional[MAddress] = None,
-        delivery_pin: Optional[MAddress] = None,
-        alias_pins: tuple = (),
-        proto: str = "tcp",
-    ) -> MFlowPlan:
-        """Plan one m-flow on ``shard``'s RNG stream and flow-ID class.
-
-        ``flow_id``/``entry_pin``/``delivery_pin`` support repair: the flow
-        keeps its identity and its host-visible addresses while the interior
-        of the walk is re-drawn over the current routing view.
-        """
-        rng = shard.rng
-        view = self.controller.view
-        walk = view.paths_with_min_switches(initiator, responder, n_mns, rng)
-        switch_positions = [
-            i for i in range(1, len(walk) - 1)
-            if self.net.topo.kind(walk[i]) == "switch"
-        ]
-        mn_positions = self._choose_mns(rng, switch_positions, n_mns)
-        new_id = new_sport = None
-        try:
-            if flow_id is None:
-                flow_id = new_id = self.flow_ids.allocate(shard.shard_id)
-            if entry_pin is not None:
-                sport = entry_pin.sport
-            else:
-                sport = new_sport = self._assign_sport(rng, initiator)
-
-            init_ip = self.net.topo.host_ip(initiator)
-            resp_ip = self.net.topo.host_ip(responder)
-
-            endpoints = (initiator, responder)
-            first = MAddressDraw(src_ip=init_ip, sport=sport)
-            if entry_pin is not None:
-                first = replace(first, dst_ip=entry_pin.dst_ip, dport=entry_pin.dport)
-            last = MAddressDraw(dst_ip=resp_ip, dport=responder_port)
-            if delivery_pin is not None:
-                last = replace(last, src_ip=delivery_pin.src_ip, sport=delivery_pin.sport)
-            fwd = self.strategy.draw_addresses(
-                walk, mn_positions, flow_id,
-                first=first,
-                last=last,
-                owner=owner,
-                endpoints=endpoints,
-                rng=rng,
-            )
-            rwalk = list(reversed(walk))
-            rev_positions = sorted(len(walk) - 1 - p for p in mn_positions)
-            delivery = fwd[-1]
-            entry = fwd[0]
-            rev = self.strategy.draw_addresses(
-                rwalk, rev_positions, flow_id,
-                first=MAddressDraw(
-                    src_ip=resp_ip, sport=delivery.dport,
-                    dst_ip=delivery.src_ip, dport=delivery.sport,
-                ),
-                last=MAddressDraw(
-                    src_ip=entry.dst_ip, sport=entry.dport,
-                    dst_ip=init_ip, dport=entry.sport,
-                ),
-                owner=owner,
-                endpoints=endpoints,
-                rng=rng,
-            )
-            plan = MFlowPlan(
-                flow_id=flow_id,
-                walk=walk,
-                mn_positions=mn_positions,
-                fwd_addrs=fwd,
-                rev_addrs=rev,
-                cookie=cookie,
-                proto=proto,
-            )
-            self.strategy.finish_plan(plan, owner, endpoints, rng,
-                                      alias_pins=alias_pins)
-            return plan
-        except Exception:
-            # A plan that fails mid-draw gives back exactly what this call
-            # acquired; a repair re-plan's pinned flow id and source port
-            # belong to the live flow and stay booked.
-            self.registry.release_owner(owner)
-            if new_id is not None:
-                self.flow_ids.release(new_id)
-            if new_sport is not None:
-                self._used_sports[initiator].discard(new_sport)
-            raise
-
-    def _choose_mns(self, rng: random.Random, switch_positions: list[int],
-                    n_mns: int) -> list[int]:
-        if len(switch_positions) < n_mns:
-            raise EstablishError(
-                f"path has {len(switch_positions)} switches, need {n_mns} MNs"
-            )
-        if self.mn_strategy == "spread":
-            # Evenly spaced along the path: a step >= 1 never repeats a slot.
-            step = len(switch_positions) / n_mns
-            return [switch_positions[int(i * step)] for i in range(n_mns)]
-        return sorted(rng.sample(switch_positions, n_mns))
-
-    def _assign_sport(self, rng: random.Random, initiator: str) -> int:
-        used = self._used_sports.setdefault(initiator, set())
-        for _ in range(4096):
-            candidate = rng.randint(20000, 60000)
-            if candidate not in used:
-                used.add(candidate)
-                return candidate
-        raise EstablishError(f"no free source ports for {initiator}")
 
     # -- the install path (see Attempt) ----------------------------------
     def _send(self, origin: Shard, sw_name: str, entries: list, groups: list):
@@ -772,10 +595,6 @@ class MimicController(ControllerApp):
         finally:
             shard.cpu.release()
 
-    def _mac_for(self, addr: IPv4Addr) -> MacAddr:
-        found = self._ip_to_mac.get(addr)
-        return found if found is not None else MacAddr(0xFFFFFF_0000FE)
-
     # -- lifecycle --------------------------------------------------------
     def teardown(self, channel_id: int) -> None:
         """Remove every rule of a channel and recycle its identifiers."""
@@ -791,18 +610,8 @@ class MimicController(ControllerApp):
             compiled = shard.compiled.pop(plan.cookie, None)
             if compiled is not None:
                 Attempt(self, shard, plan.cookie, compiled).retract()
-            self._release_flow(channel_id, plan)
+            self.planner.release(plan)
             shard.parked.pop(plan.cookie, None)
-        self.strategy.on_teardown(channel)
-
-    def _release_flow(self, channel_id: int, plan: MFlowPlan) -> None:
-        owner = f"ch{channel_id}/c{plan.cookie}"
-        self.registry.release_owner(owner)
-        # its decoy stream (add_decoys) too: ids are never reused
-        self.sim._rng_streams.pop(f"mic-decoys/{owner}", None)
-        self._used_sports[plan.walk[0]].discard(plan.entry.sport)
-        if self.flow_ids.is_live(plan.flow_id):
-            self.flow_ids.release(plan.flow_id)
 
     # -- failure handling --------------------------------------------------
     def on_link_event(self, a: str, b: str, up: bool) -> None:
@@ -844,9 +653,7 @@ class MimicController(ControllerApp):
 
     @staticmethod
     def _walk_uses(walk: Sequence[str], a: str, b: str) -> bool:
-        return any(
-            (u, v) in ((a, b), (b, a)) for u, v in zip(walk, walk[1:])
-        )
+        return any((u, v) in ((a, b), (b, a)) for u, v in zip(walk, walk[1:]))
 
     def _schedule_repair(self, shard: Shard, channel: MimicChannel, idx: int,
                          kind: str = "repair") -> bool:
@@ -880,8 +687,9 @@ class MimicController(ControllerApp):
     def _repair_flow(self, shard: Shard, channel: MimicChannel, idx: int,
                      kind: str = "repair"):
         old = channel.flows[idx]
-        cookie = old.cookie
-        owner = f"ch{channel.channel_id}/c{cookie}"
+        cookie, owner, registry = old.cookie, old.owner, self.planner.registry
+        intent = FlowIntent(channel.initiator, channel.responder, old.delivery.dport,
+                            len(old.mn_positions), cookie, owner, old.proto, shard.shard_id)
         span = begin_span(
             self.obs, "mic.rotate" if kind == "rotate" else "mic.repair",
             channel=channel.channel_id, flow_id=old.flow_id,
@@ -897,7 +705,7 @@ class MimicController(ControllerApp):
                 (node, None) for node in old.walk
                 if self.net.topo.kind(node) == "switch"
             ],))
-            self.registry.release_owner(owner)
+            registry.release_owner(owner)
             yield self.sim.all_of(attempt.retract())
             while True:
                 orphaned = attempt.orphaned(channel)
@@ -906,12 +714,7 @@ class MimicController(ControllerApp):
                     return
                 # Re-plan over the surviving fabric, pinning the identity.
                 try:
-                    new_plan = self._plan_flow(
-                        shard, channel.initiator, channel.responder, old.delivery.dport,
-                        len(old.mn_positions), cookie=cookie, owner=owner,
-                        flow_id=old.flow_id, entry_pin=old.entry, delivery_pin=old.delivery,
-                        alias_pins=old.aliases, proto=old.proto,
-                    )
+                    new_plan = self.planner.plan(intent, shard.rng, pins=old)
                 except (EstablishError, ValueError, KeyError, IndexError,
                         NoPathError):
                     # No surviving path (or not enough switches on any):
@@ -923,7 +726,7 @@ class MimicController(ControllerApp):
                     span.finish(outcome="parked")
                     return
                 attempt = Attempt(self, shard, cookie, self.strategy.compile_flow(
-                    new_plan, owner, channel.decoys, shard.rng
+                    new_plan, channel.decoys, shard.rng
                 )).push()
                 failure = yield from Attempt.settle([attempt])
                 orphaned = attempt.orphaned(channel)
@@ -936,7 +739,7 @@ class MimicController(ControllerApp):
                 # spent), a second failure hit the new walk, or the channel
                 # was torn down while the sends were in flight: undo.
                 yield self.sim.all_of(attempt.retract())
-                self.registry.release_owner(owner)
+                registry.release_owner(owner)
                 if orphaned:
                     span.finish(outcome=orphaned)
                     return
@@ -1174,8 +977,8 @@ class MimicController(ControllerApp):
             "rotations_completed": self.strategy.rotations_completed,
             "rotation_installs": self.strategy.rotation_installs,
             "live_channels": self.live_channels,
-            "live_flows": self.flow_ids.live_count,
-            "registry_keys": self.registry.total_keys(),
+            "live_flows": self.planner.flow_ids.live_count,
+            "registry_keys": self.planner.registry.total_keys(),
             "requests_served": self.requests_served,
             "mc_cpu_busy_s": self.cpu_busy_s,
             "rules_total": sum(footprint.values()),
@@ -1188,12 +991,3 @@ class MimicController(ControllerApp):
             "remote_installs": self.remote_installs,
         }
 
-
-@dataclass(frozen=True)
-class MAddressDraw:
-    """Pinning spec for one end of a segment draw."""
-
-    src_ip: Optional[IPv4Addr] = None
-    dst_ip: Optional[IPv4Addr] = None
-    sport: Optional[int] = None
-    dport: Optional[int] = None

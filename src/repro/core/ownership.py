@@ -124,11 +124,11 @@ CONTROLPLANE_CONTRACT: tuple[ControlplaneRule, ...] = (
     ),
     ControlplaneRule(
         "labels / MN hashes",
-        "`LabelSpace`, per-MN `ReversibleHash` spaces, the collision "
-        "registry, the hidden-service map and the one anonymity strategy "
-        "(its counters and `flow_signatures`) belong to the controller, "
-        "built once on the `mic-controller` stream; shard *i* > 0 plans "
-        "on `mic-controller/shard{i}`",
+        "the one `Planner` (`LabelSpace`, per-MN `ReversibleHash` spaces, "
+        "the collision registry, the flow-ID allocator and the one "
+        "anonymity strategy with its counters) and the hidden-service map "
+        "belong to the controller, built once on the `mic-controller` "
+        "stream; shard *i* > 0 plans on `mic-controller/shard{i}`",
         "nothing to rebuild: the namespace is shard-independent state",
     ),
     ControlplaneRule(

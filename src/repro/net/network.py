@@ -37,7 +37,7 @@ class Network:
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
         #: (node_name, neighbor_name) -> local port number
-        self.port_map: dict[tuple[str, str], int] = {}
+        self.port_map = topo.port_map()
         self._ip_index: dict[IPv4Addr, Host] = {}
         #: callbacks invoked as fn(a, b, up) on link state changes
         self.link_listeners: list = []
@@ -57,23 +57,16 @@ class Network:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         g = self.topo.graph
-        next_port: dict[str, int] = {}
         for name, data in g.nodes(data=True):
             if data["kind"] == "host":
                 host = Host(self.sim, name, self.params, data["ip"], data["mac"])
                 self.nodes[name] = host
                 self._ip_index[data["ip"]] = host
-                next_port[name] = 0  # NIC port
             else:
                 self.nodes[name] = Switch(self.sim, name, self.params)
-                next_port[name] = 1
 
         for a, b, edata in g.edges(data=True):
-            pa, pb = next_port[a], next_port[b]
-            next_port[a] += 1
-            next_port[b] += 1
-            self.port_map[(a, b)] = pa
-            self.port_map[(b, a)] = pb
+            pa, pb = self.port_map[(a, b)], self.port_map[(b, a)]
             link = Link(
                 self.sim,
                 self.nodes[a],

@@ -91,6 +91,17 @@ class Topology:
         """Adjacent node names."""
         return list(self.graph.adj[node])
 
+    def port_map(self) -> dict[tuple[str, str], int]:
+        """``(node, neighbor) -> local port`` as every network numbers them:
+        a host's NIC is 0, a switch counts from 1, links take ports in order."""
+        next_port = {n: int(data["kind"] == "switch") for n, data in self.graph.nodes(data=True)}
+        ports: dict[tuple[str, str], int] = {}
+        for a, b in self.graph.edges():
+            for u, v in ((a, b), (b, a)):
+                ports[(u, v)] = next_port[u]
+                next_port[u] += 1
+        return ports
+
     def validate(self) -> None:
         """Sanity checks: connectivity, hosts hang off switches only."""
         if not len(self.graph):

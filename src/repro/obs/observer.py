@@ -253,7 +253,7 @@ class Observer:
         if self.mic is not None:
             snap.add("mic.requests.served", self.mic.requests_served)
             snap.add("mic.channels.live", self.mic.live_channels)
-            snap.add("mic.flows.live", self.mic.flow_ids.live_count)
+            snap.add("mic.flows.live", self.mic.planner.flow_ids.live_count)
             snap.add("mic.flows.parked", self.mic.parked_flows)
             snap.add("mic.rules.installed", sum(self.mic.rule_footprint().values()))
             snap.add("mic.cpu.busy_s", self.mic.cpu_busy_s)

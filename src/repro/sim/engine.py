@@ -437,13 +437,18 @@ class Simulator:
         Separate subsystems should use separate streams so that adding
         randomness in one place does not perturb another.
         """
+        if stream not in self._rng_streams:
+            self._rng_streams[stream] = self.fresh_rng(stream)
+        return self._rng_streams[stream]
+
+    def fresh_rng(self, stream: str):
+        """A new stream seeded as :meth:`rng` seeds ``stream``, kept only by
+        the caller: one named after a flow or a channel goes with it."""
         import random as _random
         import zlib
 
-        if stream not in self._rng_streams:
-            mix = zlib.crc32(stream.encode()) ^ (self.seed * 0x9E3779B1 & 0xFFFFFFFF)
-            self._rng_streams[stream] = _random.Random(mix)
-        return self._rng_streams[stream]
+        mix = zlib.crc32(stream.encode()) ^ (self.seed * 0x9E3779B1 & 0xFFFFFFFF)
+        return _random.Random(mix)
 
     # -- id namespaces -------------------------------------------------
     def ids(self, name: str, start: int = 1) -> Iterator[int]:

@@ -109,7 +109,7 @@ class TestSeededFaults:
         hits = report.by_kind("registry-mismatch")
         assert hits, report.format()
         assert hits[0].switch == "c1"
-        assert mic.registry.owner("c1", match_key(rogue.match)) is None
+        assert mic.planner.registry.owner("c1", match_key(rogue.match)) is None
 
     def test_shadowed_mic_rule_detected(self):
         net, ctrl, mic = established(n_pairs=1)

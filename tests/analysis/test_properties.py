@@ -149,6 +149,6 @@ def test_random_mic_batches_always_verify_clean(
         for entry in sw.table.entries:
             if entry.priority not in (MIC_PRIORITY, DECOY_DROP_PRIORITY):
                 continue
-            owner = mic.registry.owner(sw.name, match_key(entry.match))
+            owner = mic.planner.registry.owner(sw.name, match_key(entry.match))
             assert owner is not None
             assert owner.endswith(f"/c{entry.cookie}")

@@ -154,6 +154,27 @@ class TestEncapsulationRule:
         assert public == []
 
 
+class TestPrivateStateRule:
+    """The simulator's stream table and the live flow-id set are touched
+    only by their owners."""
+
+    @pytest.mark.parametrize("source, path", [
+        ("def f(sim, name):\n    sim._rng_streams.pop(name, None)\n",
+         "src/repro/anonymity/tarn.py"),
+        ("def f(mic):\n    mic.flow_ids._live.clear()\n",
+         "src/repro/bench/experiments.py"),
+    ])
+    def test_a_poke_from_outside_is_flagged(self, source, path):
+        assert [f.rule for f in lint_source(source, path=path)] == ["private-state"]
+
+    @pytest.mark.parametrize("source, path", [
+        ("def f(self, s):\n    return self._rng_streams[s]\n", "src/repro/sim/engine.py"),
+        ("def f(self):\n    return len(self._live)\n", "src/repro/core/collision.py"),
+    ])
+    def test_the_owner_is_untouched(self, source, path):
+        assert lint_source(source, path=path) == []
+
+
 class TestProcessGlobalMintRule:
     """Ids are minted per deployment (``sim.ids``), never per process."""
 

@@ -1,6 +1,8 @@
 """Sanitizer tests: seeded hazards are caught, clean runs stay clean, and
 an attached sanitizer never perturbs the simulation it watches."""
 
+from types import SimpleNamespace
+
 from repro.analysis.sanitizer import SimSanitizer
 from repro.faults import run_chaos, scorecard_json
 from repro.sim.engine import Simulator
@@ -179,7 +181,7 @@ class TestTeardown:
         class FakeMic:
             channels = {}              # channel 7 is gone
             compiled = {99: ([], [], [])}
-            registry = FakeRegistry()
+            planner = SimpleNamespace(registry=FakeRegistry())
 
         san = SimSanitizer.attach(sim)
         san.check_teardown(mic=FakeMic())

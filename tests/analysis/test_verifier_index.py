@@ -442,7 +442,7 @@ def test_verify_builds_one_candidate_index_per_switch(deployment, monkeypatch):
         verifier.verify_tables(net, separate)
         verifier.verify_match_keys(
             net, separate, (MIC_PRIORITY, DECOY_DROP_PRIORITY),
-            registry=mic.registry)
+            registry=mic.planner.registry)
         verifier.verify_forwarding(net, separate)
         invariants.verify_intents(net, mic, separate)
 

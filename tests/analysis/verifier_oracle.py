@@ -196,7 +196,7 @@ def verify_network(net, mic=None) -> tuple[VerificationReport, int]:
     from repro.core.controller import DECOY_DROP_PRIORITY, MIC_PRIORITY
 
     report = VerificationReport()
-    registry = getattr(mic, "registry", None)
+    registry = None if mic is None else mic.planner.registry
     verify_tables(net, report)
     verifier.verify_match_keys(
         net, report, (MIC_PRIORITY, DECOY_DROP_PRIORITY), registry=registry

@@ -3,9 +3,11 @@
 The pre-fix code drew decoy neighbors from the controller's main RNG, so
 a flow's decoy placement depended on how many draws *earlier* flows had
 consumed — establish order silently biased placement.  Now the choice
-comes from ``sim.rng(f"mic-decoys/{owner}")``: it depends only on
+comes from the planner's ``mic-decoys/<owner>`` stream: it depends only on
 (seed, owner), varies across owners and seeds, and is reproducible.
 """
+
+from dataclasses import replace
 
 from repro.core.deployment import deploy_mic
 from repro.net.topology import fat_tree
@@ -15,10 +17,10 @@ from tests.anonymity.helpers import establish_canonical
 
 def _decoy_choice(dep, owner: str, decoys: int = 1, channel_id: int = 1):
     """The decoy branch switches add_decoys picks for ``owner``."""
-    plan = dep.mic.channels[channel_id].flows[0]
+    plan = replace(dep.mic.channels[channel_id].flows[0], owner=owner)
     strat, rng = dep.mic.strategy, dep.mic.rng
-    rules, _groups, _drops = strat.compile_flow(plan, owner, 0, rng)
-    _rules, _groups, drops = strat.add_decoys(plan, rules, decoys, owner, rng)
+    rules, _groups, _drops = strat.compile_flow(plan, 0, rng)
+    _rules, _groups, drops = strat.add_decoys(plan, rules, decoys, rng)
     return tuple(sw for sw, _e in drops)
 
 

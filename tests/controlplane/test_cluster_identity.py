@@ -10,6 +10,8 @@ crash and rejoin the default plan adds included).
 
 import pytest
 
+from repro.anonymity import MicRewrite
+from repro.attacks.base import DrawLog
 from repro.core.controller import MimicController
 from repro.core.deployment import deploy_mic
 from repro.faults import run_chaos
@@ -69,12 +71,13 @@ def test_four_shard_chaos_scorecard_byte_identical_to_golden():
 
 
 def test_four_shard_strategy_holds_every_channels_draws():
-    """One strategy serves every shard: its attack ground truth covers the
-    draws of channels planned on any of them."""
-    dep, _grants = establish_canonical(shards=4)
+    """One strategy serves every shard: the draw log the tournament wraps
+    around it covers the draws of channels planned on any of them."""
+    strategy = MicRewrite()
+    signatures = DrawLog().attach(strategy).signatures
+    dep, _grants = establish_canonical(shards=4, mic_kwargs={"strategy": strategy})
     mic = dep.mic
     assert len({s.shard_id for s in mic.shards if s.channels}) >= 2
-    signatures = mic.strategy.flow_signatures
     for channel in mic.channels.values():
         for plan in channel.flows:
             for a in plan.fwd_addrs + plan.rev_addrs:

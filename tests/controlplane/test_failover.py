@@ -45,7 +45,7 @@ def test_establishment_spreads_across_shards():
     assert sum(len(s.channels) for s in mic.shards) == 3
     plans = [(s, p) for s in mic.shards for ch in s.channels.values()
              for p in ch.flows]
-    assert mic.flow_ids.live_count == len(plans)
+    assert mic.planner.flow_ids.live_count == len(plans)
     assert all(p.flow_id % 4 == s.shard_id for s, p in plans)
     assert mic.verify().violations == []
 

@@ -100,7 +100,7 @@ class TestFig3b:
             for plan in ch.flows:
                 for addr in plan.fwd_addrs + plan.rev_addrs:
                     if addr.mpls is not None:
-                        assert not mic.labels.is_common(addr.mpls), (
+                        assert not mic.planner.labels.is_common(addr.mpls), (
                             "Fig 3(b): m-flow drew a common-category label"
                         )
 
@@ -154,7 +154,7 @@ class TestFig3c:
         switches = net.topo.switches()[:6]
         labels = {
             sw: [
-                mic.mn_spaces[sw].draw_label(
+                mic.planner.mn_spaces[sw].draw_label(
                     fid, net.host("h1").ip, net.host("h2").ip, rng
                 )
                 for fid in range(10)
@@ -163,4 +163,4 @@ class TestFig3c:
         }
         for sw, drawn in labels.items():
             for label in drawn:
-                assert mic.labels.owner_of(label) == sw
+                assert mic.planner.labels.owner_of(label) == sw

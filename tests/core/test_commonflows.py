@@ -70,7 +70,7 @@ def test_interior_links_carry_cf_labels():
     assert labeled, "no CF-labeled packets observed on interior links"
     # Every observed label classifies as a *common* label only to the MC.
     for label in labeled:
-        assert mic.labels.is_common(label)
+        assert mic.planner.labels.is_common(label)
 
 
 def test_hosts_never_see_labels():
@@ -107,7 +107,7 @@ def test_cf_and_mf_labels_disjoint():
     plan = next(iter(mic.channels.values())).flows[0]
     for addr in plan.fwd_addrs + plan.rev_addrs:
         if addr.mpls is not None:
-            assert not mic.labels.is_common(addr.mpls)
+            assert not mic.planner.labels.is_common(addr.mpls)
 
 
 def test_pair_tagged_once():

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.bench import hybrid_scenario, run_hybrid_scenario
 from repro.core import MimicController, MC_IP, MC_PORT, McReply, McRequest, deploy_mic
 from repro.core.controller import EstablishError
 from repro.crypto import Key, seal
@@ -78,12 +79,12 @@ class TestEstablishValidation:
 
     def test_rollback_releases_ids_on_failure(self):
         net, ctrl, mic = build(linear(1, hosts_per_switch=2))
-        live_before = mic.flow_ids.live_count
+        live_before = mic.planner.flow_ids.live_count
         with pytest.raises(Exception):
             run_gen(net, mic.establish("h1", "h2", service_port=80,
                                        n_flows=3, n_mns=6))
-        assert mic.flow_ids.live_count == live_before
-        assert mic.registry.total_keys() == 0
+        assert mic.planner.flow_ids.live_count == live_before
+        assert mic.planner.registry.total_keys() == 0
 
 
 #: numbers the controllers take at construction (the rest are establish's)
@@ -93,6 +94,8 @@ CONTROLLER_PARAMS = ("ack_timeout_s", "max_install_retries")
 DEPLOY_PARAMS = ("seed", "shards")
 #: numbers ``run_chaos`` takes, refused before it deploys
 CHAOS_PARAMS = ("max_settle_s", "detection_latency_s", "n_mns", "decoys")
+#: numbers ``run_hybrid_scenario`` takes, refused before it builds the fabric
+HYBRID_PARAMS = ("channels", "time_limit_s", "sample_rate", "epoch_s", "payload_bytes")
 #: the routing view's path cap, refused at construction; a huge int is a
 #: bad number only there (any other count would be taken literally)
 VIEW_PARAM = "TopologyView:max_equal_cost_paths"
@@ -126,18 +129,38 @@ def _chaos_works_or_fails_before_deploying(param, value):
     assert card["verification"]["ok"] and dep.mic.live_channels == 1
 
 
-@settings(max_examples=120, deadline=None)
+def _hybrid_works_or_fails_before_building(param, value):
+    built = []
+
+    def network(*args, **kwargs):
+        built.append(args)
+        return Network(*args, **kwargs)
+
+    kwargs = {"k": 4, "channels": 4, "payload_bytes": 20_000, "time_limit_s": 5.0,
+              param: value}
+    with mock.patch.object(hybrid_scenario, "Network", network):
+        try:
+            result = run_hybrid_scenario(**kwargs)
+        except ValueError:
+            assert not built
+            return
+    assert result.fluid_finished + result.packet_finished == result.lanes == 4
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     param=st.sampled_from([
         *MC_PARAMS, *CONTROLLER_PARAMS, *DEPLOY_PARAMS, "decoys", "n_mns", "n_flows",
-        *(f"run_chaos:{name}" for name in CHAOS_PARAMS), VIEW_PARAM,
+        *(f"run_chaos:{name}" for name in CHAOS_PARAMS),
+        *(f"run_hybrid_scenario:{name}" for name in HYBRID_PARAMS), VIEW_PARAM,
     ]),
     value=st.sampled_from([0, -1, math.nan, math.inf, 1.5, HUGE]),
 )
 def test_a_bad_number_works_or_fails_before_any_simulated_work(param, value):
     """A bad cost, timeout, period, retry budget, seed, shard count or path
-    cap is refused at construction, and ``run_chaos``'s counts and periods
-    before it deploys; a bad count before the establish draws a number,
+    cap is refused at construction, ``run_chaos``'s counts and periods
+    before it deploys and ``run_hybrid_scenario``'s before it builds the
+    fabric; a bad count before the establish draws a number,
     mints an id or touches a table.  Whatever gets through must grant a
     channel (a path cap: route)."""
     assume(value != HUGE or param == VIEW_PARAM)
@@ -145,6 +168,8 @@ def test_a_bad_number_works_or_fails_before_any_simulated_work(param, value):
         return _view_works_or_fails_at_construction(value)
     if param.startswith("run_chaos:"):
         return _chaos_works_or_fails_before_deploying(param.split(":")[1], value)
+    if param.startswith("run_hybrid_scenario:"):
+        return _hybrid_works_or_fails_before_building(param.split(":")[1], value)
     kwargs = {"cpu_model": "serialized"}
     controller_kwargs = {}
     deploy = {}
@@ -237,7 +262,7 @@ class TestFailedPlanLeavesNoTrace:
             run_gen(dep.net, mic.establish(
                 "h1", "h16", service_port=80, n_mns=3, n_flows=2))
         assert orphan_mic_state(dep) == {}
-        assert mic.flow_ids.live_count == 0 and mic.registry.total_keys() == 0
+        assert mic.planner.flow_ids.live_count == 0 and mic.planner.registry.total_keys() == 0
         heal()
         grant = run_gen(dep.net, mic.establish(
             "h1", "h16", service_port=80, n_mns=3, n_flows=2))
@@ -256,8 +281,8 @@ class TestFailedPlanLeavesNoTrace:
 
         with pytest.raises(Exception, match="collision-free"):
             run_gen(dep.net, client())
-        assert dep.mic.registry.owners() == set()
-        assert dep.mic.flow_ids.live_count == 0
+        assert dep.mic.planner.registry.owners() == set()
+        assert dep.mic.planner.flow_ids.live_count == 0
         assert orphan_mic_state(dep) == {}
 
     @pytest.mark.parametrize("strategy", ["mic", "frvm"])
@@ -275,9 +300,9 @@ class TestFailedPlanLeavesNoTrace:
         assert mic.rotate_flow(channel, 0)
         dep.run_for(0.1)
         assert mic.parked_flows == 1
-        assert mic.flow_ids.is_live(before.flow_id)
-        assert before.entry.sport in mic._used_sports["h1"]
-        assert mic.registry.total_keys() == 0  # the half-drawn plan's claims
+        assert mic.planner.flow_ids.is_live(before.flow_id)
+        assert before.entry.sport in mic.planner.used_sports["h1"]
+        assert mic.planner.registry.total_keys() == 0  # the half-drawn plan's claims
         assert orphan_mic_state(dep) == {}
         heal()
         dep.run_for(2.0)
@@ -288,7 +313,7 @@ class TestFailedPlanLeavesNoTrace:
         mic.teardown(grant.channel_id)
         dep.run_for(0.1)  # the removals are messages: let them land
         assert orphan_mic_state(dep) == {}
-        assert mic._used_sports["h1"] == set()
+        assert mic.planner.used_sports["h1"] == set()
 
 
 class TestRequestPath:

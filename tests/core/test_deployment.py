@@ -55,7 +55,7 @@ def test_tag_common_flows_through_facade():
 
 def test_mic_kwargs_forwarded():
     dep = deploy_mic(mic_kwargs={"mn_strategy": "spread"})
-    assert dep.mic.mn_strategy == "spread"
+    assert dep.mic.planner.mn_strategy == "spread"
 
 
 class TestStats:

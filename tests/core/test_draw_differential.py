@@ -142,7 +142,7 @@ def test_index_draw_equals_the_list_draw(
 
 def _check_draw(mic, view, segment, src_pin, dst_pin, ban, seed, rng):
     pool = oracle_segment(view, segment)
-    assert mic.restrictions.pairs_for_segment(segment) == pool
+    assert mic.planner.restrictions.pairs_for_segment(segment) == pool
     pin_src = _pin(mic, rng, src_pin, 0, pool)
     pin_dst = _pin(mic, rng, dst_pin, 1, pool)
     endpoints = ()
@@ -151,10 +151,10 @@ def _check_draw(mic, view, segment, src_pin, dst_pin, ban, seed, rng):
     elif ban == "any-pair":
         endpoints = tuple(rng.sample(list(view.hosts), 2))
 
-    expected = oracle_narrow(pool, mic._ip_to_host, pin_src, pin_dst, endpoints)
+    expected = oracle_narrow(pool, mic.planner.ip_to_host, pin_src, pin_dst, endpoints)
     _assert_same_draws(mic, segment, pin_src, pin_dst, endpoints, expected, seed)
     ours, theirs = random.Random(seed), random.Random(seed)
-    assert mic.restrictions.sample_pair(segment, ours) == theirs.choice(pool)
+    assert mic.planner.restrictions.sample_pair(segment, ours) == theirs.choice(pool)
     assert ours.getstate() == theirs.getstate()
 
 
@@ -162,13 +162,13 @@ def _assert_same_draws(mic, segment, pin_src, pin_dst, endpoints, expected, seed
     """The counted pool lists as ``expected`` and draws as ``choice`` over
     it does, three times (the collision loop draws once per retry)."""
     pool = mic.strategy.plausible_pool(segment, pin_src, pin_dst, endpoints)
-    index = mic.restrictions.pool_index(pool)
+    index = mic.planner.restrictions.pool_index(pool)
     assert index.dtype == np.int32
     assert pool.size == len(expected)
-    assert mic.restrictions.view.pairs_from_index(index) == expected
+    assert mic.planner.restrictions.view.pairs_from_index(index) == expected
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        assert mic.restrictions.draw_pair(pool, ours) == theirs.choice(expected)
+        assert mic.planner.restrictions.draw_pair(pool, ours) == theirs.choice(expected)
     assert ours.getstate() == theirs.getstate()
     return pool
 
@@ -190,7 +190,7 @@ def fat_tree_deployment(k):
 def test_counted_draw_equals_the_list_draw_on_controller_walks(
     k, n_mns, pins, pinned, ban, seed
 ):
-    """Every segment of a walk cut the way ``_plan_flow`` cuts it, both
+    """Every segment of a walk cut the way ``Planner.plan`` cuts it, both
     directions, plus a there-and-back segment (the first link's fallback)
     and a one-node one (the all-pairs fallback), under each pin
     combination; ``pool-sources`` bans the narrowed pool's own sources, so
@@ -224,9 +224,9 @@ def test_counted_draw_equals_the_list_draw_on_controller_walks(
         if ban == "walk-ends":
             endpoints = (src, dst)
         elif ban == "pool-sources":
-            narrowed = oracle_narrow(pool, mic._ip_to_host, pin_src, pin_dst)
+            narrowed = oracle_narrow(pool, mic.planner.ip_to_host, pin_src, pin_dst)
             endpoints = tuple(dict.fromkeys(p[0] for p in narrowed))[:2]
-        expected = oracle_narrow(pool, mic._ip_to_host, pin_src, pin_dst, endpoints)
+        expected = oracle_narrow(pool, mic.planner.ip_to_host, pin_src, pin_dst, endpoints)
         drawn = _assert_same_draws(
             mic, segment, pin_src, pin_dst, endpoints, expected, seed
         )
@@ -247,7 +247,7 @@ def test_both_ips_pinned_still_consumes_the_pool_draw():
     )
     assert pool.size == 1  # the pinned pair itself: one cell, never the mask
     ours, theirs = random.Random(3), random.Random(3)
-    assert mic.restrictions.draw_pair(pool, ours) == ("h1", "h16")
+    assert mic.planner.restrictions.draw_pair(pool, ours) == ("h1", "h16")
     theirs.choice(range(1))
     assert ours.getstate() == theirs.getstate() != random.Random(3).getstate()
 

@@ -287,13 +287,13 @@ class TestLifecycle:
     def test_teardown_removes_rules_and_recycles(self):
         net, ctrl, mic = build()
         grant = run_proc(net, mic.establish("h1", "h16", service_port=80))
-        assert mic.flow_ids.live_count == 1
-        assert mic.registry.total_keys() > 0
+        assert mic.planner.flow_ids.live_count == 1
+        assert mic.planner.registry.total_keys() > 0
         mic.teardown(grant.channel_id)
         net.run(until=net.sim.now + 1.0)
         assert mic.live_channels == 0
-        assert mic.flow_ids.live_count == 0
-        assert mic.registry.total_keys() == 0
+        assert mic.planner.flow_ids.live_count == 0
+        assert mic.planner.registry.total_keys() == 0
         # No MIC-priority rules left anywhere.
         for sw in net.switches():
             assert not any(e.priority == MIC_PRIORITY for e in sw.table.entries)

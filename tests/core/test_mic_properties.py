@@ -64,7 +64,7 @@ def test_establish_invariants(seed, n_flows, n_mns, src, dst):
         assert len(plan.mn_positions) == n_mns
         for addr in plan.fwd_addrs[1:-1] + plan.rev_addrs[1:-1]:
             if addr.mpls is not None:
-                owner = mic.labels.owner_of(addr.mpls)
+                owner = mic.planner.labels.owner_of(addr.mpls)
                 assert owner in plan.mn_names
 
     for sw in net.switches():
@@ -128,7 +128,7 @@ def test_teardown_restores_clean_state(seed, n_channels):
         mic.teardown(g.channel_id)
     net.run(until=net.sim.now + 1.0)
     assert mic.live_channels == 0
-    assert mic.flow_ids.live_count == 0
-    assert mic.registry.total_keys() == 0
+    assert mic.planner.flow_ids.live_count == 0
+    assert mic.planner.registry.total_keys() == 0
     for sw in net.switches():
         assert not any(e.priority == MIC_PRIORITY for e in sw.table.entries)

@@ -38,12 +38,12 @@ def orphan_mic_state(dep):
     found = {
         "rules": rules,
         "groups": groups,
-        "owners": sorted(set(mic.registry.owners()) - set(live.values())),
-        "flow_ids": [(mic.flow_ids.live_count, live_flow_ids)]
-        if mic.flow_ids.live_count != live_flow_ids else [],
+        "owners": sorted(set(mic.planner.registry.owners()) - set(live.values())),
+        "flow_ids": [(mic.planner.flow_ids.live_count, live_flow_ids)]
+        if mic.planner.flow_ids.live_count != live_flow_ids else [],
         "compiled": sorted(set(mic.compiled) - set(live)),
         "sports": sorted({
-            (host, port) for host, ports in mic._used_sports.items()
+            (host, port) for host, ports in mic.planner.used_sports.items()
             for port in ports
         } - live_sports),
     }

@@ -229,8 +229,8 @@ def test_teardown_during_repair_leaks_nothing(after_s):
     dep.run_for(2.0)
     assert sum(mic.rule_footprint().values()) == 0
     assert not any(sw.table.groups for sw in dep.net.switches())
-    assert mic.registry.total_keys() == 0
-    assert mic.flow_ids.live_count == 0
+    assert mic.planner.registry.total_keys() == 0
+    assert mic.planner.flow_ids.live_count == 0
     assert mic.compiled == {}
     assert mic.repairs_in_flight == 0 and mic.parked_flows == 0
 
@@ -352,7 +352,7 @@ def test_a_repairer_whose_shard_dies_in_flight_leaves_the_adopter_alone(kind):
         f"ch{cid}/c{plan.cookie}"
         for cid, ch in mic.channels.items() for plan in ch.flows
     }
-    assert live <= set(mic.registry.owners())
+    assert live <= set(mic.planner.registry.owners())
 
 
 # -- (e) one message per switch --------------------------------------------

@@ -37,8 +37,8 @@ def _assert_registry_consistent(dep):
     """Every key on every switch belongs to a currently-live flow."""
     live = _live_owners(dep)
     for sw in dep.net.switches():
-        for key in dep.mic.registry.keys_on(sw.name):
-            owner = dep.mic.registry.owner(sw.name, key)
+        for key in dep.mic.planner.registry.keys_on(sw.name):
+            owner = dep.mic.planner.registry.owner(sw.name, key)
             assert owner in live, f"leaked registry owner {owner} on {sw.name}"
 
 

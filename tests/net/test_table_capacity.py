@@ -63,7 +63,7 @@ class TestMicUnderPressure:
         # At least one channel failed against 3-entry tables...
         assert proc.value < 7
         # ...and the failure left no residue: live state matches bookkeeping.
-        assert mic.flow_ids.live_count == mic.live_channels
+        assert mic.planner.flow_ids.live_count == mic.live_channels
         net.run(until=net.sim.now + 1.0)
         for sw in net.switches():
             keys = [e.match.key() for e in sw.table.entries
