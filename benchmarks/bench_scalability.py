@@ -11,7 +11,9 @@ for — and the control-plane scale-out sweep: channel-setup churn throughput
 vs controller shard count (``MimicController(shards=N)``), whose wall time,
 RSS and profile go to ``benchmarks/results/shard_scaleout.json``.
 
-Set ``BENCH_QUICK=1`` to trim the sweeps for CI (``make bench-quick``).
+Set ``BENCH_QUICK=1`` to trim the sweeps for CI (``make bench-quick``); the
+trimmed tables and document are saved under a ``.quick`` name (gitignored),
+beside the tracked full-sweep tables rather than over them.
 """
 
 import json
@@ -181,7 +183,8 @@ def test_shard_scaleout(benchmark, save_table):
         "profile": profile,
     }
     # replaces the figure JSON save_table wrote: the rates are in the document
-    (RESULTS_DIR / "shard_scaleout.json").write_text(json.dumps(doc, indent=2) + "\n")
+    name = "shard_scaleout.quick.json" if QUICK else "shard_scaleout.json"
+    (RESULTS_DIR / name).write_text(json.dumps(doc, indent=2) + "\n")
     print(
         f"\nshard scale-out: fat_tree({SHARD_K}) {SHARD_CLIENTS} clients x "
         f"{SHARD_ROUNDS} rounds — "

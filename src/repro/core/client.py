@@ -29,7 +29,7 @@ from ..net.host import Host
 from ..net.packet import Packet
 from ..obs.spans import begin as begin_span
 from ..sim import Event, Store
-from ..transport.tcp import TcpConnection, TcpError, TcpStack
+from ..transport.tcp import TcpConnection, TcpError, TcpStack, drain_any
 from ..transport.udp import Datagram, UdpSocket
 from .controller import (
     MC_IP,
@@ -152,6 +152,15 @@ class MicStream:
         for flow_idx, wire in self._slicer.slice(data):
             self.conns[flow_idx].send(wire)
         self.bytes_sent += len(data)
+
+    def drain(self):
+        """Process helper: ``yield from stream.drain()`` after a :meth:`send`
+        parks the writer while *every* m-flow is above its send-buffer mark
+        (:func:`~repro.transport.tcp.drain_any`), so no m-flow runs dry
+        while the writer waits on another."""
+        if not self.conns:
+            raise MicError("stream has no connections")
+        yield from drain_any(self.conns)
 
     def recv(self, n: int) -> Event:
         """Event firing with up to ``n`` bytes (``b""`` on EOF)."""

@@ -6,6 +6,7 @@ measurements faithfully:
 * 3-way handshake (``connect`` completes after SYN/SYN-ACK, one RTT),
 * byte-stream ``send``/``recv`` with MSS segmentation, a fixed sliding
   window, cumulative ACKs, out-of-order reassembly,
+* a send buffer a writer keeps to two windows (``drain``),
 * go-back-N retransmission on a coarse timer (drops are rare in the
   simulated fabric but possible under congestion),
 * FIN/EOF semantics.
@@ -30,11 +31,13 @@ from ..net.host import Host
 from ..net.packet import Packet
 from ..sim import Event, Store
 
-__all__ = ["TcpSegment", "TcpConnection", "TcpListener", "TcpStack", "MSS"]
+__all__ = ["TcpSegment", "TcpConnection", "TcpListener", "TcpStack", "MSS", "drain_any"]
 
 MSS = 1460
 DEFAULT_WINDOW = 64 * MSS
 RTO_S = 0.2
+#: a writer parks above this many windows of unacked plus unsent bytes
+SNDBUF_WINDOWS = 2
 
 @dataclass
 class TcpSegment:
@@ -91,6 +94,8 @@ class TcpConnection:
         self.window_bytes = DEFAULT_WINDOW
         self._timer_armed = False
         self._last_progress = 0.0
+        #: a parked writer's wake-up (see drain_any), fired by _on_ack
+        self._drain_event: Optional[Event] = None
         # receiver side
         self._rcv_next = 0
         self._rcv_ooo: dict[int, bytes] = {}
@@ -112,6 +117,15 @@ class TcpConnection:
             raise TypeError("TCP carries bytes")
         self._send_buf.extend(data)
         self._pump()
+
+    def drain(self):
+        """Process helper: ``yield from conn.drain()`` after a :meth:`send`
+        parks the writer while more than ``2 × window_bytes`` are unacked or
+        unsent, as a blocking write does under ``SO_SNDBUF``.
+
+        Raises :class:`TcpError` unless the connection is established.
+        """
+        yield from drain_any((self,))
 
     def recv(self, n: int) -> Event:
         """Event firing with up to ``n`` bytes once data (or EOF) arrives.
@@ -287,6 +301,11 @@ class TcpConnection:
                 del self._send_buf[: keep_from - self._buf_base]
                 self._buf_base = keep_from
             self._pump()
+            wake = self._drain_event
+            if wake is not None and len(self._send_buf) <= SNDBUF_WINDOWS * self.window_bytes:
+                self._drain_event = None
+                if not wake.triggered:  # another m-flow may have woken it
+                    wake.succeed()
         elif self.cc_enabled and seg.ack == self._last_ack_seen and (
             self._snd_base < self._snd_next
         ):
@@ -346,6 +365,28 @@ class TcpConnection:
                     ev.succeed(b"")
             else:
                 break
+
+
+def drain_any(conns):
+    """Process helper: park the writer while *every* connection in ``conns``
+    holds more than ``SNDBUF_WINDOWS × window_bytes`` unacked plus unsent
+    bytes; the first ACK that brings one back to its mark wakes it.
+
+    Two windows keep the wire what it is with the whole payload queued:
+    a parked connection has more than a window unsent, so each ACK's pump
+    finds all it would have sent, and the writer refills the buffer at that
+    same instant.  With several m-flows (a MIC stream) one connection back
+    at its mark is enough, so a fast m-flow never runs dry while the writer
+    waits on a slow one.
+    """
+    for conn in conns:
+        if conn.state != "established":
+            raise TcpError(f"drain on connection in state {conn.state}")
+    if all(len(c._send_buf) > SNDBUF_WINDOWS * c.window_bytes for c in conns):
+        wake = conns[0].sim.event()
+        for conn in conns:
+            conn._drain_event = wake
+        yield wake
 
 
 class TcpListener:

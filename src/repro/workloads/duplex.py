@@ -1,8 +1,9 @@
 """Uniform duplex-stream adapter.
 
 The four protocol endpoints measured in the paper expose slightly different
-APIs (plain TCP sends immediately; SSL and Tor sends are process generators
-because they burn crypto time inline).  :func:`as_duplex` wraps any of them
+APIs (plain TCP and MIC sends queue at once and ``drain`` parks the writer at
+the send-buffer mark; SSL and Tor sends are process generators because they
+burn crypto time inline).  :func:`as_duplex` wraps any of them
 behind one interface so workload drivers and benches are protocol-agnostic:
 
     yield from duplex.send(data)
@@ -28,13 +29,16 @@ class Duplex:
         self.inner = inner
 
     def send(self, data: bytes):
-        """Process generator: transmit bytes (crypto cost inline where applicable)."""
+        """Process generator: transmit bytes.
+
+        A TCP or MIC writer parks at its send-buffer mark (``drain``); SSL
+        and Tor writers burn crypto time inline and never park.
+        """
         if isinstance(self.inner, (SslConnection, TorStream)):
             yield from self.inner.send(data)
         else:
             self.inner.send(data)
-            return
-            yield  # pragma: no cover - keeps this a generator
+            yield from self.inner.drain()
 
     def recv_exactly(self, n: int):
         """Process generator: exactly ``n`` received bytes."""

@@ -51,9 +51,11 @@ class EchoResult:
 def measure_transfer(sim: Simulator, tx: Duplex, rx: Duplex, nbytes: int):
     """Process generator: pump ``nbytes`` tx → rx, return TransferResult.
 
-    The sender paces itself in ``SEND_CHUNK`` pieces so a window-limited
-    transport exhibits its real behaviour instead of queueing everything
-    at time zero.
+    The sender writes ``SEND_CHUNK`` pieces through :meth:`Duplex.send`:
+    a TCP or MIC writer parks once its send buffer holds two windows
+    (``TcpConnection.drain``), so it holds about two windows rather than the
+    whole payload, and the wire is what queueing everything at time zero
+    would give.  SSL and Tor writers are paced by their crypto and cells.
     """
     if nbytes <= 0:
         raise ValueError("nbytes must be positive")
