@@ -26,18 +26,36 @@ What recorded history costs in memory is a separate, deterministic row
 1,000 packets, once every flight ring is full, for full sampling and the
 armed flight recorder, without the journey log's growth slack (how far
 the bytearray over-allocated depends only on where its last resize fell).
-Its bar is 64 B (a packed journey record is 37–65
-bytes by kind; the row tuples it replaced held ~150).
+Its bar is 42 B: a packed journey record is 25–49 bytes by kind, its
+fields narrowed to the ranges the model bounds, and a flight ring holds
+the record's offset in the log, not a copy (~36.7 B/event on this chain;
+53.0 with 37–65 B records and a copy per ring; the row tuples they
+replaced held ~150).
+
+What reading the history back costs is a relative row (``-k read``): two
+reads over ``run_chaos(seed=0)``'s recorder — the correlation attack's
+scoring against the journeys, and every journey's ``delivered_uids``,
+``path``, ``origin`` and ``delivered_to`` — each done in place (a query
+reads the two to four fields it needs from the packed records) and
+through a full-row decode (every query decodes its journey's rows, then
+reads them by position: how every read worked before), on the same
+journeys, interleaved, min-of-N.  Grouping the log by content tag is the
+same on both sides and is left out.  Its bar: in place at least 3x
+faster.
 """
 
 import gc
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
+import repro.faults.chaos as chaos
+from repro.attacks.correlation import correlate_with_truth
 from repro.bench import FigureResult
+from repro.faults import run_chaos
 from repro.net import FlowEntry, Match, Network, Output, linear
-from repro.obs import FlightRecorder, JourneyRecorder
+from repro.obs import FlightRecorder, Journey, JourneyRecorder
 
 PACKETS = 2500
 SPACING_S = 1e-4
@@ -48,9 +66,12 @@ GC_ON_REPS = 3
 GC_ON_MODES = ("baseline", "flight-armed", "full-sampling")
 #: the retained-memory row: its modes, its bar and its packet counts
 RETAINED_MODES = ("flight-armed", "full-sampling")
-RETAINED_BYTES_PER_EVENT = 64
+RETAINED_BYTES_PER_EVENT = 42
 RETAINED_WARM_UP = 100  # past every ring's 64-event capacity
 RETAINED_PACKETS = 1000
+#: the read row: in place must beat a full-row decode by this factor
+READ_SPEEDUP = 3.0
+READ_REPS = 7
 
 
 def _chain(mode: str):
@@ -199,3 +220,72 @@ def test_retained_bytes_per_event(save_table):
     save_table("journey_retained", result)
     for mode in RETAINED_MODES:
         assert result.value("retained", mode) <= RETAINED_BYTES_PER_EVENT, mode
+
+
+class _Decoding:
+    """A journey every query of which decodes the journey's rows in full,
+    then reads them by position."""
+
+    def __init__(self, journey: Journey):
+        self._journey = journey
+
+    def __getattr__(self, query: str):
+        journey = self._journey
+        return getattr(Journey(journey.content_tag, list(journey._rows)), query)
+
+
+def _scoring_inputs():
+    """``run_chaos(seed=0)``'s journey recorder and the compromised Mimic
+    Node's observation point its correlation attack is scored at."""
+    seen = {}
+
+    def keep(point, journeys, *args, **kwargs):
+        seen["point"] = point
+        return correlate_with_truth(point, journeys, *args, **kwargs)
+
+    with mock.patch.object(chaos, "correlate_with_truth", keep):
+        _card, dep = run_chaos(seed=0)
+    return dep.journey, seen["point"]
+
+
+def _read_back(journeys) -> list:
+    return [
+        (j.delivered_uids(), j.path(), j.origin(), j.delivered_to())
+        for j in journeys.values()
+    ]
+
+
+def test_reading_in_place_beats_a_full_row_decode(save_table):
+    rec, point = _scoring_inputs()
+    in_place = rec.journeys_by_content_tag()
+    decoding = {tag: _Decoding(j) for tag, j in in_place.items()}
+    reads = {
+        "scoring": lambda journeys: correlate_with_truth(point, journeys),
+        "read-back": _read_back,
+    }
+    sides = {"in place": in_place, "full-row decode": decoding}
+    for name, read in reads.items():  # the same answers either way
+        assert read(in_place) == read(decoding), name
+    best = {(name, side): float("inf") for name in reads for side in sides}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(READ_REPS):  # interleaved so drift hits every read equally
+            for name, read in reads.items():
+                for side, journeys in sides.items():
+                    t0 = time.process_time()
+                    read(journeys)
+                    elapsed = time.process_time() - t0
+                    best[name, side] = min(best[name, side], elapsed)
+    finally:
+        gc.enable()
+    result = FigureResult(
+        "Journey reads",
+        f"run_chaos(seed=0): {len(in_place)} journeys, {rec.events_recorded} events",
+        x_label="read", y_label="full-row decode / in place", unit="x",
+    )
+    for name in reads:
+        result.add("speed-up", name, best[name, "full-row decode"] / best[name, "in place"])
+    save_table("journey_reads", result)
+    for name in reads:
+        assert result.value("speed-up", name) >= READ_SPEEDUP, name

@@ -150,10 +150,9 @@ def _scored(
     lineage of the *ingress* packet's journey
     (:meth:`~repro.obs.Journey.delivered_uids`) — multicast decoy copies
     never do.  ``expected_accuracy`` is the success probability of a
-    uniform pick among candidates, averaged over matched ingress packets."""
-    true_uids: dict[int, frozenset[int]] = {
-        tag: frozenset(j.delivered_uids()) for tag, j in journeys.items()
-    }
+    uniform pick among candidates, averaged over matched ingress packets.
+    Only the journeys of matched ingress packets are read."""
+    true_uids: dict[int, set[int]] = {}
     linkable = 0
     decoy_candidates = 0
     true_candidates = 0
@@ -161,7 +160,11 @@ def _scored(
     for obs, candidates in pairs:
         if not candidates:
             continue
-        delivered = true_uids.get(obs.content_tag, frozenset())
+        tag = obs.content_tag
+        if tag not in true_uids:
+            journey = journeys.get(tag)
+            true_uids[tag] = set() if journey is None else journey.delivered_uids()
+        delivered = true_uids[tag]
         hits = sum(1 for e in candidates if e.uid in delivered)
         true_candidates += hits
         decoy_candidates += len(candidates) - hits

@@ -14,8 +14,9 @@ bounded, and the run dispatches exactly the same events either way).  The
 journey recorder's one sink appends each record straight into its
 location's ring and calls :meth:`FlightRecorder.fire` only for kinds in
 :attr:`FlightRecorder.armed_kinds`.  A ring holds what the journey
-recorder keeps for the event (its packed record when sampled, its row
-otherwise) and decodes it through that recorder only when read.
+recorder keeps for the event (its record's offset in the journey log when
+sampled, its row otherwise) and decodes it through that recorder only
+when read.
 
 Triggers are contracted in :data:`ANOMALY_TRIGGERS` and doc-diffed both
 ways, like the metrics contract.  ``switch.miss`` is deliberately *not* a
@@ -116,7 +117,7 @@ def format_trigger_table() -> str:
 class FlightDump:
     """One anomaly snapshot: the trigger plus every ring's retained events.
 
-    Holds the records as the rings held them; :attr:`cause`, :attr:`events`
+    Holds the entries as the rings held them; :attr:`cause`, :attr:`events`
     and :attr:`time_s` decode them (``decode``, the recording
     :meth:`~repro.obs.journey.JourneyRecorder.decode`) into
     :class:`~repro.obs.journey.JourneyEvent` values on read.
@@ -217,8 +218,8 @@ class FlightRecorder:
         self.triggers = names
         self.queue_threshold_bytes = queue_threshold_bytes
         self.max_dumps = max_dumps
-        #: location -> the last ``capacity`` journey records seen there; the
-        #: bound journey recorder appends to these directly
+        #: location -> the last ``capacity`` journey events seen there (log
+        #: offsets or rows); the bound journey recorder appends directly
         self.rings: defaultdict[str, deque] = defaultdict(
             partial(deque, maxlen=capacity)
         )
@@ -236,9 +237,9 @@ class FlightRecorder:
     def bind(self, recorder: "JourneyRecorder") -> None:
         """Called by the journey recorder adopting this flight recorder.
 
-        The rings hold the previous recorder's records, which only it can
-        decode: they are decoded into rows here.  One still attached keeps
-        recording into the rings, so it must be detached first.
+        The rings hold offsets into the previous recorder's log, which only
+        it can decode: they are decoded into rows here.  One still attached
+        keeps recording into the rings, so it must be detached first.
         """
         held = self.recorder
         if held is not None and held is not recorder:

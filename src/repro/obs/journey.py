@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Iterator, Optional
 
@@ -226,26 +228,34 @@ class JourneyEvent:
         }
 
 
-_PARENT_UID_AT = row_column("switch.egress", "parent_uid")
-_OLD_AT = row_column("switch.rewrite", "old")
-_NEW_AT = row_column("switch.rewrite", "new")
-_QUEUE_WAIT_AT = row_column("link.tx", "queue_wait_s")
-_LATENCY_AT = row_column("host.rx", "latency_s")
+#: the columns every row has, by name, beside its kind's contracted fields
+_HEAD_COLUMNS = {"time_s": _TIME, "where": _WHERE, "uid": _UID, "content_tag": _TAG}
 
 
-def _parent_map(rows: Iterable[tuple]) -> dict[int, int]:
-    return {
-        row[_UID]: row[_PARENT_UID_AT] for row in rows if row[_KIND] == "switch.egress"
-    }
+class _RowList(list):
+    """A journey's rows as plain tuples, which a query reads by position."""
+
+    def select(self, kinds: tuple, names: tuple) -> list:
+        """The one query path: the ``names`` columns (head columns or
+        contracted fields, in row order) of the rows of ``kinds``, one
+        sequence per name, in row order."""
+        rows = [
+            tuple(row[_HEAD_COLUMNS[name] if name in _HEAD_COLUMNS
+                      else row_column(row[_KIND], name)] for name in names)
+            for row in self if row[_KIND] in kinds
+        ]
+        return list(zip(*rows)) if rows else [()] * len(names)
 
 
-def _delivered_uids(rows: list[tuple]) -> set[int]:
-    parents = _parent_map(rows)
+def _delivered_uids(rows: Any) -> set[int]:
+    """Every uid on a parent chain from a ``host.rx`` uid back to its root."""
+    (received,) = rows.select(("host.rx",), ("uid",))
+    uids, parents = rows.select(("switch.egress",), ("uid", "parent_uid"))
+    if uids == parents:  # no copies: every chain ends where it starts
+        return set(received)
+    parents = dict(zip(uids, parents))
     delivered: set[int] = set()
-    for row in rows:
-        if row[_KIND] != "host.rx":
-            continue
-        uid = row[_UID]
+    for uid in received:
         while uid not in delivered:
             delivered.add(uid)
             nxt = parents.get(uid, uid)
@@ -262,13 +272,15 @@ class Journey:
     original instance plus every copy, linked through the ``parent_uid``
     field of ``switch.egress`` events.
 
-    ``rows`` is any sized collection of rows; a recorder's journeys pass one
-    that decodes its records on each pass, so every query reads it once.
+    ``rows`` is any sized collection of rows.  Each query asks it for the
+    columns it needs: a recorder's journeys hold their records' offsets in
+    its log and read those columns in place; any other rows are read by
+    position.
     """
 
     def __init__(self, content_tag: int, rows: Collection[tuple]):
         self.content_tag = content_tag
-        self._rows = rows
+        self._rows = rows if rows.__class__ is _LoggedRows else _RowList(rows)
 
     @property
     def events(self) -> list[JourneyEvent]:
@@ -287,22 +299,22 @@ class Journey:
 
     def uids(self) -> set[int]:
         """Every packet instance (original + copies) seen in this journey."""
-        return {row[_UID] for row in self._rows}
+        (uids,) = self._rows.select(tuple(_EVENTS_BY_KIND), ("uid",))
+        return set(uids)
 
     def origin(self) -> Optional[str]:
         """The sending host, or None if the journey started mid-fabric."""
-        for row in self._rows:
-            if row[_KIND] == "host.tx":
-                return row[_WHERE]
-        return None
+        (senders,) = self._rows.select(("host.tx",), ("where",))
+        return senders[0] if senders else None
 
     def delivered_to(self) -> list[str]:
         """Hosts whose NIC accepted a copy, in delivery order."""
-        return [row[_WHERE] for row in self._rows if row[_KIND] == "host.rx"]
+        (receivers,) = self._rows.select(("host.rx",), ("where",))
+        return list(receivers)
 
     def parent_map(self) -> dict[int, int]:
         """uid → parent uid links from egress events (identity maps to self)."""
-        return _parent_map(self._rows)
+        return dict(zip(*self._rows.select(("switch.egress",), ("uid", "parent_uid"))))
 
     def delivered_uids(self) -> set[int]:
         """Uids on a lineage chain that ends in a ``host.rx`` delivery.
@@ -311,7 +323,7 @@ class Journey:
         against: a decoy copy (dropped next hop or dying at an innocent NIC)
         never appears here, the true continuation always does.
         """
-        return _delivered_uids(list(self._rows))
+        return _delivered_uids(self._rows)
 
     def rewrites(self) -> list[JourneyEvent]:
         """The old→new rewrite events, in hop order."""
@@ -320,38 +332,31 @@ class Journey:
     def rewrite_chain(self) -> list[tuple[str, HeaderTuple, HeaderTuple]]:
         """``(switch, old, new)`` per rewriting hop, in causal order."""
         return [
-            (row[_WHERE], tuple(row[_OLD_AT]), tuple(row[_NEW_AT]))
-            for row in self._rows
-            if row[_KIND] == "switch.rewrite"
+            (where, tuple(old), tuple(new)) for where, old, new
+            in zip(*self._rows.select(("switch.rewrite",), ("where", "old", "new")))
         ]
 
     def path(self) -> list[str]:
         """Node names touched by the *delivered* lineage, in hop order."""
-        rows = list(self._rows)
-        live = _delivered_uids(rows)
+        wheres, uids = self._rows.select(("host.tx", "switch.ingress", "host.rx"), ("where", "uid"))
+        if len(set(uids)) > 1:  # copies: keep the hops of delivered lineages
+            live = _delivered_uids(self._rows)
+            if live:
+                wheres = [w for w, uid in zip(wheres, uids) if uid in live]
         out: list[str] = []
-        for row in rows:
-            if row[_KIND] in ("host.tx", "switch.ingress", "host.rx") and (
-                not live or row[_UID] in live
-            ):
-                if not out or out[-1] != row[_WHERE]:
-                    out.append(row[_WHERE])
+        for where in wheres:
+            if not out or out[-1] != where:
+                out.append(where)
         return out
 
     def queue_waits(self) -> list[tuple[str, float]]:
         """``(channel, queue_wait_s)`` per link transmission, in order."""
-        return [
-            (row[_WHERE], row[_QUEUE_WAIT_AT])
-            for row in self._rows
-            if row[_KIND] == "link.tx"
-        ]
+        return list(zip(*self._rows.select(("link.tx",), ("where", "queue_wait_s"))))
 
     def total_latency_s(self) -> Optional[float]:
         """First delivery latency (host.rx event's reading), or None."""
-        for row in self._rows:
-            if row[_KIND] == "host.rx":
-                return row[_LATENCY_AT]
-        return None
+        (latencies,) = self._rows.select(("host.rx",), ("latency_s",))
+        return latencies[0] if latencies else None
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +367,23 @@ class Journey:
 # (one a packet hop writes) is one fixed-layout binary record, packed by its
 # kind's struct inside the hook:
 #   code, time_s, where, uid, content_tag, *values
-# where ``where``, the IP texts and the header tuples are indexes into the
-# recorder's intern table, so a record holds no object at all.  A row of a
-# rare kind stays the tuple the hook built, in a side list; the log holds a
-# (code, index) reference to it.  So does a hot row with a value its record
-# cannot hold (a port past 2**31, a cookie past 2**64, a float size): the
-# struct refuses it and the hook keeps the row as it would a rare one.
-# Rows are decoded back into the tuples above only when read.
-_HEAD = "<BdIqq"  # code, time_s, where, uid, content_tag
+# where ``where`` is an index into the recorder's locations and the IP
+# texts and header tuples are indexes into its intern table, so a record
+# holds no object at all.  The widths are the ranges the model bounds:
+# uids, tags, entry ids, backlogs and intern indexes 32-bit unsigned,
+# locations, ports and sizes 16-bit, cookies 64-bit, times doubles.  A row
+# of a rare kind stays the tuple the hook built, in a side list; the log
+# holds a (code, index) reference to it.  So does a hot row with a value
+# its record cannot hold (a port past 65,535, a 64 KB packet, a uid past
+# 2**32, a float size): the struct refuses it and the hook keeps the row
+# as it would a rare one.  A reader decodes whole rows, or reads just the
+# columns it needs in place at their byte offsets.
+_HEAD = "<BdHII"  # code, time_s, where, uid, content_tag
+_HEAD_NAMES = ("code", "time_s", "where", "uid", "content_tag")
 #: a hot kind's value fields: their struct codes, and which are interned
 _FIELD_FORMATS = {
-    "in_port": "i", "out_port": "i", "size": "I", "entry_id": "q",
-    "cookie": "Q", "parent_uid": "q", "backlog_bytes": "q",
+    "in_port": "H", "out_port": "H", "size": "H", "entry_id": "I",
+    "cookie": "Q", "parent_uid": "I", "backlog_bytes": "I",
     "queue_wait_s": "d", "serialize_s": "d", "delay_s": "d", "latency_s": "d",
 }
 _INTERNED_FIELDS = frozenset({"dst_ip", "src_ip", "header", "old", "new"})
@@ -384,31 +394,36 @@ _HOT_KINDS = (
 
 
 class _Layout:
-    """One hot kind's record: its struct and how to decode it."""
+    """One hot kind's record: its struct, where each column sits and how to
+    decode it."""
 
-    __slots__ = ("kind", "fields", "struct", "interned", "at")
+    __slots__ = ("kind", "fields", "struct", "interned", "columns")
 
     def __init__(self, kind: str):
         self.kind = kind
         self.fields = _EVENTS_BY_KIND[kind].fields
-        self.struct = struct.Struct(_HEAD + "".join(
+        codes = _HEAD[1:] + "".join(
             "I" if name in _INTERNED_FIELDS else _FIELD_FORMATS[name]
             for name in self.fields
-        ))
+        )
+        self.struct = struct.Struct("<" + codes)
         #: value positions that hold intern-table indexes
         self.interned = tuple(
             i for i, name in enumerate(self.fields) if name in _INTERNED_FIELDS
         )
-        #: field name -> its position in an unpacked record
-        self.at = {name: 5 + i for i, name in enumerate(self.fields)}
+        #: column name -> (its byte offset in the record, its struct code)
+        self.columns = {
+            name: (struct.calcsize("<" + codes[:i]), codes[i])
+            for i, name in enumerate(_HEAD_NAMES + self.fields)
+        }
 
-    def row(self, unpacked: tuple, table: list) -> tuple:
+    def row(self, unpacked: tuple, table: list, places: list) -> tuple:
         """The row an unpacked record stands for."""
         values = list(unpacked[5:])
         for i in self.interned:
             values[i] = table[values[i]]
         return (
-            unpacked[1], self.kind, table[unpacked[2]], unpacked[3],
+            unpacked[1], self.kind, places[unpacked[2]], unpacked[3],
             unpacked[4], self.fields, *values,
         )
 
@@ -423,9 +438,35 @@ _RARE_REF = struct.Struct("<BI")  # code, index into the rare rows
 _RARE_REF_PACK = _RARE_REF.pack
 #: record code -> its size in the log
 _SIZES = (*(layout.struct.size for layout in _LAYOUTS[:_RARE]), _RARE_REF.size)
-#: a hot record's content tag: its offset and how to read it alone
-_TAG_AT = struct.calcsize(_HEAD) - 8
-_TAG_UNPACK = struct.Struct("<q").unpack_from
+
+
+@lru_cache(maxsize=None)
+def _readers(kinds: tuple, names: tuple) -> tuple[tuple, tuple]:
+    """How to read the ``names`` columns (in row order) in place: by record
+    code, one ``unpack_from`` of those columns alone (pad bytes over the
+    rest) for each hot kind in ``kinds``, else None; and ``(position,
+    table)`` for each column whose record holds an index (0 the intern
+    table, 1 the locations)."""
+    readers = []
+    for layout in _LAYOUTS:
+        if layout is None or layout.kind not in kinds:
+            readers.append(None)
+            continue
+        fmt, end = "<", 0
+        for name in names:
+            at, width = layout.columns[name]
+            fmt += f"{at - end}x{width}"
+            end = at + struct.calcsize(width)
+        readers.append(struct.Struct(fmt).unpack_from)
+    lookups = tuple(
+        (i, int(name == "where")) for i, name in enumerate(names)
+        if name == "where" or name in _INTERNED_FIELDS
+    )
+    return tuple(readers), lookups
+
+
+#: reads a hot record's content tag alone
+_READ_TAG = _readers(_HOT_KINDS, ("content_tag",))[0][0]
 
 # what each hook packs with: its kind's code and bound struct.pack
 (_HOST_TX_PACK, _INGRESS_PACK, _REWRITE_PACK, _EGRESS_PACK, _LINK_TX_PACK,
@@ -435,26 +476,26 @@ _TAG_UNPACK = struct.Struct("<q").unpack_from
 
 
 class _Places(dict):
-    """Location name -> (its intern index, its flight ring or None): one
-    dict read per sampled row, filled on the first sampled row there."""
+    """Location name -> (its index, its flight ring or None): one dict read
+    per sampled row, filled on the first sampled row there; ``names`` holds
+    the locations by index."""
 
-    def __init__(self, interned: dict, rings: Optional[dict]):
+    def __init__(self, rings: Optional[dict]):
         super().__init__()
-        self.interned = interned
         self.rings = rings
+        self.names: list[str] = []
 
     def __missing__(self, where: str) -> tuple:
-        interned, rings = self.interned, self.rings
-        place = self[where] = (
-            interned.setdefault(where, len(interned)),
-            None if rings is None else rings[where],
-        )
+        rings = self.rings
+        place = self[where] = (len(self), None if rings is None else rings[where])
+        self.names.append(where)
         return place
 
 
 class _LoggedRows:
     """One journey's rows as the offsets of its records in the recorder's
-    log: a sized collection that decodes them on every pass."""
+    log: a sized collection that decodes them on every pass, or reads just
+    the columns a query asks for in place (:meth:`select`)."""
 
     __slots__ = ("recorder", "offsets")
 
@@ -467,6 +508,27 @@ class _LoggedRows:
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.recorder._decode(self.offsets))
+
+    def select(self, kinds: tuple, names: tuple) -> list:
+        """:meth:`_RowList.select` over the records: each hot record of
+        ``kinds`` is read with one ``unpack_from`` of the wanted columns, no
+        row built, and an indexed column is looked up in one call."""
+        rec = self.recorder
+        log = rec._log
+        readers, lookups = _readers(kinds, names)
+        out = []
+        for at in self.offsets:
+            reader = readers[log[at]]
+            if reader is not None:
+                out.append(reader(log, at))
+        if not out:
+            return [()] * len(names)
+        columns = list(zip(*out))
+        if lookups:
+            tables = rec._tables()
+            for i, table in lookups:
+                columns[i] = list(map(tables[table].__getitem__, columns[i]))
+        return columns
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +611,8 @@ class JourneyRecorder:
         #: serves; it is append-only, and read back in insertion order
         self._interned: dict[Any, int] = {}
         self._table: list[Any] = []
-        self._places = _Places(self._interned, self._rings)
+        #: location name -> (its index in a record, its ring)
+        self._places = _Places(self._rings)
         #: False until attach() and after detach()
         self.attached = False
         #: (switch, in-tuple) -> MC-planned out-tuple, armed by arm_intent()
@@ -655,12 +718,14 @@ class JourneyRecorder:
 
     # -- the sink -------------------------------------------------------------
     def _record(self, record: Any, kind: str, ring: Any, keep: bool) -> None:
-        """Count one event, append ``record`` to the log when ``keep``,
-        append it to ``ring`` when a flight recorder is armed, and let that
-        recorder fire if ``kind`` can."""
+        """Count one event, append ``record`` to the log when ``keep`` (the
+        event is then its offset there), append the event to ``ring`` when a
+        flight recorder is armed, and let that recorder fire if ``kind`` can."""
         self.events_recorded += 1
         if keep:
+            at = len(self._log)
             self._log += record
+            record = at
         if ring is not None:
             ring.append(record)
             trigger = self._armed.get(kind)
@@ -680,12 +745,13 @@ class JourneyRecorder:
         )
 
     # -- reading the log back -------------------------------------------------
-    def _values(self) -> list[Any]:
-        """The intern table by index (extended when it has grown)."""
+    def _tables(self) -> tuple[list[Any], list[str]]:
+        """The intern table (extended when it has grown) and the locations,
+        by index."""
         table = self._table
         if len(table) != len(self._interned):
             table += islice(self._interned, len(table), None)
-        return table
+        return table, self._places.names
 
     def _offsets(self) -> Iterator[int]:
         """Where each record starts in the log, in recording order."""
@@ -697,14 +763,17 @@ class JourneyRecorder:
 
     def _decode(self, offsets: Iterable[int]) -> list[tuple]:
         """The rows the log's records at ``offsets`` stand for."""
-        log, rare, table = self._log, self._rare, self._values()
+        log, rare = self._log, self._rare
+        table, places = self._tables()
         rows: list[tuple] = []
         for at in offsets:
             layout = _LAYOUTS[log[at]]
             if layout is None:
                 rows.append(rare[_RARE_REF.unpack_from(log, at)[1]])
             else:
-                rows.append(layout.row(layout.struct.unpack_from(log, at), table))
+                rows.append(
+                    layout.row(layout.struct.unpack_from(log, at), table, places)
+                )
         return rows
 
     def rows(self) -> list[tuple]:
@@ -712,22 +781,20 @@ class JourneyRecorder:
         return self._decode(self._offsets())
 
     def decode(self, record: Any) -> tuple:
-        """The row one record this recorder made stands for (a flight ring
-        holds the record of a sampled row, the row itself otherwise)."""
+        """The row one event this recorder ringed stands for (a flight ring
+        holds a sampled row's offset in the log, the row itself otherwise)."""
         if record.__class__ is tuple:
             return record
-        layout = _LAYOUTS[record[0]]
-        return layout.row(layout.struct.unpack(record), self._values())
+        return self._decode((record,))[0]
 
     def field(self, record: Any, name: str) -> Any:
-        """One contracted field of a record this recorder made, read
-        without decoding the rest (a flight trigger's threshold reads it)."""
+        """One contracted field of an event this recorder ringed, read in
+        place without decoding the rest (a flight trigger's threshold)."""
         if record.__class__ is tuple:
             return record[row_column(record[_KIND], name)]
-        layout = _LAYOUTS[record[0]]
-        at = layout.at[name]
-        value = layout.struct.unpack(record)[at]
-        return self._values()[value] if at - 5 in layout.interned else value
+        kind = _LAYOUTS[self._log[record]].kind
+        ((value,),) = _LoggedRows(self, [record]).select((kind,), (name,))
+        return value
 
     # -- intent (the MC's planned rewrite chains) ---------------------------
     def arm_intent(self, mic: "MimicController") -> int:
@@ -776,18 +843,22 @@ class JourneyRecorder:
         ground truth :mod:`repro.attacks` scores adversaries against.
 
         A journey holds where its records sit in the log, not its rows, and
-        decodes them on each query: reading the history back keeps no row
-        tuples beyond the query at hand."""
+        each query reads the columns it needs from them in place: reading
+        the history back keeps no row tuples beyond the query at hand.  (A
+        journey with a rare row, which no record holds, keeps its rows.)"""
         log, rare = self._log, self._rare
-        grouped: dict[int, list[int]] = {}
+        grouped: defaultdict[int, list[int]] = defaultdict(list)
+        rare_tags = set()
         for at in self._offsets():
             if log[at] == _RARE:
                 tag = rare[_RARE_REF.unpack_from(log, at)[1]][_TAG]
+                rare_tags.add(tag)
             else:
-                tag = _TAG_UNPACK(log, at + _TAG_AT)[0]
-            grouped.setdefault(tag, []).append(at)
+                tag = _READ_TAG(log, at)[0]
+            grouped[tag].append(at)
         return {
-            tag: Journey(tag, _LoggedRows(self, offsets))
+            tag: Journey(tag, self._decode(offsets) if tag in rare_tags
+                         else _LoggedRows(self, offsets))
             for tag, offsets in grouped.items()
         }
 

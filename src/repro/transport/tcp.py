@@ -329,6 +329,10 @@ class TcpConnection:
             self.state = "closed"
 
     def _on_fin(self, seg: TcpSegment) -> None:
+        if seg.seq != self._rcv_next:
+            # past a gap: re-ACK what arrived, go-back-N resends it, FIN last
+            self._transmit_segment(TcpSegment("ack", ack=self._rcv_next))
+            return
         self._rcv_eof = True
         self._transmit_segment(TcpSegment("ack", ack=seg.seq + 1))
         self._serve_receivers()

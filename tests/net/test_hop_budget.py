@@ -51,11 +51,13 @@ HOOKS_OFF_FRAMES = 15.25
 HOOKS_ON_FRAMES = 28.5
 #: bytes a recorded event may leave behind once every flight ring is full,
 #: the log's growth slack left out: its packed record in the journey log
-#: (37–65 B by kind); a row tuple and its boxed floats left ~160
-RETAINED_BYTES_PER_EVENT = 64
+#: (25–49 B by kind, ~37.8 B on this chain; 37–65 B and ~54.5 before the
+#: fields were narrowed to the model's ranges, when a ring also held a
+#: copy of each record); a row tuple and its boxed floats left ~160
+RETAINED_BYTES_PER_EVENT = 42
 #: the same with every journey read back and held: the record and its
-#: offset in a journey (~117 B); decoded row tuples held ~300, the rows
-#: the hooks kept before records ~180
+#: offset in a journey (~99 B; ~116 with 37–65 B records); decoded row
+#: tuples held ~300, the rows the hooks kept before records ~180
 READ_BACK_BYTES_PER_EVENT = 128
 #: bookkeeping that is an attribute read or write on the hop, never a call
 BOOKKEEPING = (
@@ -183,10 +185,11 @@ def log_slack(rec: JourneyRecorder) -> int:
     return sys.getsizeof(rec._log) - len(rec._log)
 
 
-def test_a_recorded_event_retains_at_most_64_bytes():
+def test_a_recorded_event_retains_at_most_42_bytes():
     """Every hook on, the flight rings already full: what 1,000 packets
     leave behind, per recorded event, measured by ``tracemalloc`` without
-    the log's growth slack."""
+    the log's growth slack.  Every row the chain makes is of a hot kind, and
+    the narrowed records hold each of them: none is kept as a tuple."""
     tracemalloc.start()
     try:
         net, send = rewriting_chain(hooks=True)
@@ -204,6 +207,7 @@ def test_a_recorded_event_retains_at_most_64_bytes():
     events = rec.events_recorded - events
     assert events == 1000 * (4 * SWITCHES + 3)
     assert retained / events <= RETAINED_BYTES_PER_EVENT, retained / events
+    assert rec._rare == []
 
 
 def test_reading_the_journeys_back_holds_no_row_per_event():

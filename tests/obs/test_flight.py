@@ -179,7 +179,7 @@ def test_the_numbers_at_their_bounds_are_accepted():
 
 
 def test_a_flight_recorder_moves_to_a_new_journey_recorder_readable():
-    """A ring holds its journey recorder's packed records, which only that
+    """A ring holds offsets into its journey recorder's log, which only that
     recorder can decode: handing the flight recorder to a fresh recorder
     decodes them first, and is refused while the old one still records."""
     net, h1, h2 = _wired()
@@ -198,6 +198,28 @@ def test_a_flight_recorder_moves_to_a_new_journey_recorder_readable():
     h1.send_packet(h1.make_packet(h2.ip, sport=2, dport=80, payload_size=64))
     net.run()
     assert flight.ring("h2")[-1].time_s > before["h2"][-1].time_s
+
+
+def test_a_ring_of_the_old_recorders_offsets_decodes_into_its_rows():
+    """A sampled event's ring entry is its record's offset in its journey
+    recorder's log, which no other recorder can read.  Handing the flight
+    recorder on decodes every offset through the old recorder into its row,
+    and a dump taken before still reads back through the one that made it."""
+    net, h1, h2 = _wired(install=False)
+    flight = FlightRecorder(capacity=4, triggers=["miss"])
+    first = JourneyRecorder.attach(net, flight=flight)
+    h1.send_packet(h1.make_packet(h2.ip, sport=1, dport=80, payload_size=64))
+    net.run()
+    ringed = {where: list(ring) for where, ring in flight.rings.items()}
+    assert ringed["h1"] and all(kept.__class__ is int for kept in ringed["h1"])
+    rows = {where: [first.decode(kept) for kept in ring] for where, ring in ringed.items()}
+    assert [row[1] for row in rows["s1"]] == ["switch.ingress", "switch.miss"]
+    (dump,) = flight.dumps
+    dumped = dump.to_dict()
+    first.detach()
+    JourneyRecorder.attach(net, flight=flight)
+    assert {where: list(ring) for where, ring in flight.rings.items()} == rows
+    assert dump.to_dict() == dumped
 
 
 def test_default_triggers_match_the_contract():

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.core import deploy_mic
+from repro.faults import run_chaos
 from repro.net import (
     FlowEntry,
     Group,
@@ -425,23 +426,25 @@ def test_every_hook_passes_exactly_its_contracted_fields():
     """Read back, every event is ``(time_s, kind, where, uid, content_tag,
     fields, *values)`` with ``fields`` the contract table's own tuple and one
     value per field — ``zip`` would silently truncate a hook that drifted.
-    Checked at the sink for packed records (full sampling) and for the
-    tuples an armed flight recorder rings unsampled (rate 0); a record is
-    packed exactly when the log keeps it."""
+    Checked at the sink for packed records (full sampling), read back from
+    the offset the log stores them at, and for the tuples an armed flight
+    recorder rings unsampled (rate 0); a record is packed exactly when the
+    log keeps it."""
     specs = {spec.kind: spec for spec in JOURNEY_EVENTS}
     record = JourneyRecorder._record
     for sample_rate in (1.0, 0.0):
         seen = set()
 
         def checked(self, kept, kind, ring, keep):
-            row = self.decode(kept)
+            at = len(self._log)
+            record(self, kept, kind, ring, keep)
+            assert keep == isinstance(kept, bytes), kind
+            row = self.decode(at if keep else kept)
             spec = specs[kind]
             assert row[1] == kind
             assert row[5] is spec.fields, f"{kind} does not share the contract tuple"
             assert len(row) == 6 + len(spec.fields), row
-            assert keep == isinstance(kept, bytes), kind
             seen.add(kind)
-            record(self, kept, kind, ring, keep)
 
         JourneyRecorder._record = checked
         try:
@@ -580,8 +583,9 @@ def test_a_flight_only_recorder_shares_no_headers():
 
 
 def test_one_field_of_a_record_reads_as_its_decoded_row_holds_it():
-    """``field`` reads one contracted value of a ringed record — packed or a
-    tuple, interned or not — and it is the decoded row's value."""
+    """``field`` reads one contracted value of a ringed event — a sampled
+    record's offset in the log or an unsampled tuple, interned or not — and
+    it is the decoded row's value."""
     for sample_rate in (1.0, 0.0):
         _net, rec, flight = run_scenario(sample_rate=sample_rate)
         kinds = set()
@@ -590,8 +594,20 @@ def test_one_field_of_a_record_reads_as_its_decoded_row_holds_it():
                 row = rec.decode(kept)
                 for name in row[5]:
                     assert rec.field(kept, name) == row[row_column(row[1], name)]
-                kinds.add((row[1], isinstance(kept, bytes)))
+                kinds.add((row[1], isinstance(kept, int)))
         assert ("switch.rewrite", sample_rate == 1.0) in kinds
+
+
+def test_the_seed_0_chaos_run_keeps_every_hot_row_packed():
+    """The narrowed record widths hold every value the model produces: in
+    ``run_chaos(seed=0)`` only rows of rare kinds are kept as tuples."""
+    _card, dep = run_chaos(seed=0)
+    rec = dep.journey
+    hot = {"host.tx", "switch.ingress", "switch.rewrite", "switch.egress",
+           "link.tx", "host.rx"}
+    kinds = {row[1] for row in rec.rows()}
+    assert hot <= kinds and rec._rare
+    assert [row for row in rec._rare if row[1] in hot] == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ tuple) on the old one, and requires the same decoded rows,
 exported document, Perfetto bytes and dispatched-event log
 (``tests/watchers.py``'s ``step_log``).
 
-Three scenarios: a MIC echo (``decoys=1`` multicast emissions, intent
+Four scenarios: a MIC echo (``decoys=1`` multicast emissions, intent
 armed with one expectation forced wrong so that MN diverges, a TTL death, a
 punt to an unrouted address and a link flap on the channel's walk, with or
 without the self-profiler), the scripted every-kind chain of
-``tests/recording_scenario.py``, and a chain whose cookies, entry id and
-packet size no record's fixed widths hold.  The sampling matrix: rate 0 / 0.3 (hashed)
+``tests/recording_scenario.py``, a chain whose cookies, entry id and
+packet size no record's fixed widths hold, and a chain carrying one probe
+whose every narrowed value sits at its record's width or one past it.  The sampling matrix: rate 0 / 0.3 (hashed)
 / 1.0, a predicate that keeps some tags and one that keeps none; no flight
 recorder, an armed one, or an armed one with a ``queue_threshold_bytes``.
 """
@@ -269,3 +270,98 @@ def test_the_matrix_reaches_every_shape():
     assert len({row[1] for row in scripted["rows"]}) == 11
     assert any(e.kind == "link.down"
                for ring in scripted["rings"].values() for e in ring)
+
+
+#: the value fields a hot kind's record narrows, and their widths in bits
+NARROWED = {
+    "uid": 32, "content_tag": 32, "entry_id": 32, "parent_uid": 32,
+    "backlog_bytes": 32, "in_port": 16, "out_port": 16, "size": 16, "cookie": 64,
+}
+HOT_KINDS = ("host.tx", "switch.ingress", "switch.rewrite", "switch.egress",
+             "link.tx", "host.rx")
+
+
+def _past_a_width(row) -> bool:
+    """Whether a hot row holds a value its narrowed record cannot."""
+    values = {"uid": row[3], "content_tag": row[4], **dict(zip(row[5], row[6:]))}
+    return any(
+        not 0 <= values[name] < 2**bits for name, bits in NARROWED.items()
+        if name in values
+    )
+
+
+def _renumber(net, a, b, port):
+    """Give ``a``'s port facing ``b`` the number ``port`` (the channel from
+    ``b`` delivers on it)."""
+    node = net.node(a)
+    node.ports[port] = node.ports.pop(net.port(a, b))
+    for channel in net.node(b).ports.values():
+        if channel.dst is node:
+            channel.dst_port = port
+
+
+def _at_the_widths(attach, flight_cls, past, flight_mode):
+    """linear(3) carrying one probe whose every narrowed value sits at its
+    record's width, or one past it where ``past`` says so: uid, content tag,
+    size, the rules' entry id and cookie, s3's ingress port, s2's egress
+    port, and the backlog a 4 GB packet sent first leaves ahead of it."""
+    params = dataclasses.replace(
+        DEFAULT_PARAMS, link_queue_bytes=2**40,
+        # both packets reach h1's NIC at time 0, where a backlog is exact
+        link_bandwidth_bps=2.0**33, host_stack_delay_s=0.0,
+    )
+    net = Network(linear(3, hosts_per_switch=1), params=params, seed=3)
+    steps = step_log(net.sim)
+    h1, h3 = net.host("h1"), net.host("h3")
+    out_port, in_port = 65535 + past["out_port"], 65535 + past["in_port"]
+    _renumber(net, "s2", "s3", out_port)
+    _renumber(net, "s3", "s2", in_port)
+    entry_id, cookie = 2**32 - 1 + past["entry_id"], 2**64 - 1 + past["cookie"]
+    for switch, port in (("s1", net.port("s1", "s2")), ("s2", out_port),
+                         ("s3", net.port("s3", "h3"))):
+        net.switch(switch).table.install(FlowEntry(
+            Match(ip_dst=h3.ip),
+            [SetField("sport", 4000 + int(switch[1])), Output(port)],
+            cookie=cookie, entry_id=entry_id,
+        ))
+    h3.bind("udp", 9, lambda host, packet: None)
+    flight = None if flight_mode == "off" else flight_cls(capacity=8)
+    rec = attach(net, flight=flight, sample_rate=1.0)
+    backlog = h1.make_packet(h3.ip, dport=9, payload_size=0)
+    backlog.payload_size = 2**32 - 1 + past["backlog_bytes"] - backlog.size
+    probe = h1.make_packet(h3.ip, dport=9, payload_size=0)
+    probe.payload_size = 65535 + past["size"] - probe.size
+    probe.uid = 2**32 - 1 + past["uid"]
+    probe.content_tag = 2**32 - 1 + past["content_tag"]
+    h1.send_packet(backlog)
+    h1.send_packet(probe)
+    net.run()
+    assert h3.packets_received == 2
+    return rec, _recorded(rec, flight, steps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    past=st.fixed_dictionaries({
+        name: st.integers(0, 1)
+        for name in ("uid", "content_tag", "entry_id", "cookie", "backlog_bytes",
+                     "in_port", "out_port", "size")
+    }),
+    flight_mode=st.sampled_from(["off", "armed"]),
+)
+def test_values_at_each_narrowed_width_and_one_past_it_read_back(past, flight_mode):
+    """Each narrowed field at its width packs and reads back; one past it,
+    the row is kept as a tuple — and only such rows are."""
+    rec, got = _at_the_widths(JourneyRecorder.attach, FlightRecorder, past, flight_mode)
+    _, want = _at_the_widths(attach_oracle, OracleFlightRecorder, past, flight_mode)
+    _assert_same(got, want)
+    probe = 2**32 - 1 + past["uid"]
+    assert [row for row in got["rows"] if row[3] == probe and row[1] == "host.rx"]
+    kept_as_tuples = [row for row in rec._rare if row[1] in HOT_KINDS]
+    assert kept_as_tuples == [
+        row for row in got["rows"] if row[1] in HOT_KINDS and _past_a_width(row)
+    ]
+    # the probe's link.tx at h1 meets the 4 GB packet's backlog exactly
+    (first_tx,) = [row for row in got["rows"]
+                   if row[1] == "link.tx" and row[3] == probe and row[2].startswith("h1")]
+    assert first_tx[9] == 2**32 - 1 + past["backlog_bytes"]
